@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import (ConfigError, EmptyAubryMaskError, NotASubsolutionError,
                      SubcriticalLevelError)
-from .grid import GridFn, GridSpec
+from .grid import GridFn, GridSpec, geometric_mix
 from .metric import build_cost_graph, semidistance
-from .semigroup import ActionKernel, lax_minus, semigroup_orbit
+from .semigroup import ActionKernel, lax_minus, refold_kernel, semigroup_orbit
 
 __all__ = [
     "SubsolutionLibrary",
@@ -43,11 +43,6 @@ __all__ = [
 DISCRETE_TOL = 1e-9
 
 
-def folded_edge_costs(kernel: ActionKernel, a: float) -> np.ndarray:
-    """One-step costs with level a folded in: base + (a - shift) dt."""
-    return kernel.base + (a - kernel.shift) * kernel.dt
-
-
 def verify_member(v: GridFn, kernel: ActionKernel, a: float,
                   tol: float = DISCRETE_TOL) -> tuple:
     """Discrete subsolution test against every kernel edge.
@@ -56,10 +51,7 @@ def verify_member(v: GridFn, kernel: ActionKernel, a: float,
     which by the exact semigroup law extends to the whole ladder.  Returns
     (passed, worst_violation).
     """
-    costs = folded_edge_costs(kernel, a)
-    finite = np.isfinite(costs)
-    gaps = v.values[None, :] - v.values[:, None] - costs
-    worst = float(np.max(gaps[finite])) if np.any(finite) else -np.inf
+    worst = refold_kernel(kernel, a).edge_gap(v.values)
     return worst <= tol, worst
 
 
@@ -87,30 +79,26 @@ class SubsolutionLibrary:
         return [m for m, ok in zip(self.members, self.verified) if ok]
 
 
-def _edge_shortest_paths(costs: np.ndarray, source: int,
+def _edge_shortest_paths(kernel: ActionKernel, source: int,
                          to_source: bool = False) -> np.ndarray:
-    """Shortest-path distances on the one-step edge matrix costs[y, x].
+    """Shortest-path distances over the kernel's one-step edges.
 
     Min-plus relaxation until stationary; with the critical level folded in
     every cycle has nonnegative mean, so the iteration reaches the exact
     closure within one sweep per graph diameter.  A sweep count past the
     node count flags a negative cycle (sub-critical level).
     """
-    size = costs.shape[0]
-    finite = costs[np.isfinite(costs)]
+    size = kernel.grid.size
     # The folded level is exact only up to float rounding, so cycle means sit
     # within ~1e-16 of zero and sweeps can keep shaving that forever; stop at
     # rounding scale.  A genuinely sub-critical level improves per sweep by
     # the cycle gain, far above this, and trips the sweep cap instead.
-    eps_conv = 1e-13 * max(1.0, float(np.max(np.abs(finite))) if finite.size else 1.0)
+    eps_conv = 1e-13 * max(1.0, kernel.cost_scale())
+    step = kernel.push if to_source else kernel.pull
     dist = np.full(size, np.inf)
     dist[source] = 0.0
     for _ in range(size + 64):
-        if to_source:
-            cand = np.min(costs + dist[None, :], axis=1)
-        else:
-            cand = np.min(dist[:, None] + costs, axis=0)
-        cand = np.minimum(cand, dist)
+        cand = np.minimum(step(dist), dist)
         with np.errstate(invalid="ignore"):
             improvement = dist - cand
         improvement = np.where(np.isnan(improvement), 0.0, improvement)
@@ -137,7 +125,7 @@ def build_library(model, a: float, env, kernel: ActionKernel,
     """
     grid = kernel.grid
     lib = SubsolutionLibrary(grid=grid, a=a)
-    costs = folded_edge_costs(kernel, a)
+    folded = refold_kernel(kernel, a)
     if seeds is None:
         step = max(grid.n // n_seeds, 1)
         if grid.dim == 1:
@@ -147,13 +135,13 @@ def build_library(model, a: float, env, kernel: ActionKernel,
             stp = max(grid.n // per, 1)
             seeds = [int(i * stp) * grid.n + int(j * stp) for i in range(per) for j in range(per)]
     for s in seeds:
-        cone = _edge_shortest_paths(costs, int(s))
-        anti = _edge_shortest_paths(costs, int(s), to_source=True)
+        cone = _edge_shortest_paths(folded, int(s))
+        anti = _edge_shortest_paths(folded, int(s), to_source=True)
         lib.add(GridFn(grid, cone), kernel, f"cone[{s}]")
         lib.add(GridFn(grid, -anti), kernel, f"anticone[{s}]")
     if image_time is not None:
         base_mix = GridFn(grid, np.mean([m.values for m in lib.verified_members()], axis=0))
-        img, _ = lax_minus(base_mix, kernel, image_time)
+        img = lax_minus(base_mix, kernel, image_time)
         lib.add(img + (a - kernel.shift) * image_time, kernel, f"image[t={image_time}]")
     for j, v in enumerate(extra):
         lib.add(v, kernel, f"user[{j}]")
@@ -179,12 +167,7 @@ def build_w(library: SubsolutionLibrary, m_terms: int | None = None) -> GridFn:
                 f"library member {i} ({library.labels[i]}) failed verification "
                 f"(violation {library.violations[i]:.3e}); refusing to mix it in",
                 violation=library.violations[i])
-    weights = np.array([2.0**-(n + 1) for n in range(m_terms)])
-    weights /= weights.sum()
-    vals = np.zeros(library.grid.size)
-    for wgt, v in zip(weights, members[:m_terms]):
-        vals += wgt * v.values
-    return GridFn(library.grid, vals)
+    return geometric_mix(library.grid, [v.values for v in members[:m_terms]])
 
 
 def fixed_point_set(v: GridFn, kernel: ActionKernel, a: float, t: float,
@@ -200,7 +183,7 @@ def fixed_point_set(v: GridFn, kernel: ActionKernel, a: float, t: float,
             raise NotASubsolutionError(
                 f"fixed_point_set needs a verified subsolution "
                 f"(edge violation {worst:.3e})", violation=worst)
-    img, _ = lax_minus(v, kernel, t)
+    img = lax_minus(v, kernel, t)
     residual = img.values + (a - kernel.shift) * t - v.values
     return residual <= eps
 
@@ -272,7 +255,7 @@ def detect_aubry(w: GridFn, kernel: ActionKernel, a: float, t_max: float,
     ladder, tail, warns = _tail_times(kernel, t_max)
     res_stack = []
     for t in tail:
-        img, _ = lax_minus(w, kernel, t)
+        img = lax_minus(w, kernel, t)
         res_stack.append(img.values + (a - kernel.shift) * t - w.values)
     res_stack = np.stack(res_stack, axis=0)
     res_max = res_stack.max(axis=0)
@@ -362,19 +345,8 @@ def extract_calibrated_curve(x0, w: GridFn, kernel: ActionKernel, a: float,
     """
     grid = kernel.grid
     x0_idx = x0 if isinstance(x0, (int, np.integer)) else grid.index_of(np.asarray(x0))
-    orbit = semigroup_orbit(w, kernel, n_steps)
-    fold = (a - kernel.shift) * kernel.dt
-    chain = [int(x0_idx)]
-    costs = []
-    j = int(x0_idx)
-    for m in range(n_steps, 0, -1):
-        cand = orbit[m - 1] + kernel.base[:, j]
-        i = int(np.argmin(cand))
-        costs.append(kernel.base[i, j] + fold)
-        chain.append(i)
-        j = i
-    chain = np.array(chain[::-1], dtype=int)       # forward in time
-    costs = np.array(costs[::-1], dtype=float)
+    chain, costs = kernel.minimizing_chain(semigroup_orbit(w, kernel, n_steps), x0_idx)
+    costs = costs + (a - kernel.shift) * kernel.dt
     w_jumps = w.values[chain[1:]] - w.values[chain[:-1]]
     calib = float(np.max(np.abs(w_jumps - costs))) if len(costs) else 0.0
     act_vs_s = np.nan

@@ -425,17 +425,21 @@ def _battery(cfg: RunConfig) -> list:
         abs(crit["c_disc"] - crit["c_bisect"])
         <= max(0.02, crit["bracket_width"]),
         f"gap={abs(crit['c_disc'] - crit['c_bisect'])!r}"))
-    run("mix_subsolution_edges", lambda: (
-        verify_member(w, kern, a)[0],
-        f"worst={verify_member(w, kern, a)[1]!r}"))
-    run("mix_subsolution_gradients", lambda: (
-        check_subsolution(w, model, a, env).passed,
-        f"violation={check_subsolution(w, model, a, env).max_violation!r}"))
+
+    def _edges():
+        ok, worst = verify_member(w, kern, a)
+        return ok, f"worst={worst!r}"
+    run("mix_subsolution_edges", _edges)
+
+    def _gradients():
+        rep = check_subsolution(w, model, a, env)
+        return rep.passed, f"violation={rep.max_violation!r}"
+    run("mix_subsolution_gradients", _gradients)
 
     def _composition():
-        direct, _ = lax_minus(w, kern, 3 * kern.dt)
-        two, _ = lax_minus(w, kern, 2 * kern.dt)
-        chained, _ = lax_minus(two, kern, kern.dt)
+        direct = lax_minus(w, kern, 3 * kern.dt)
+        two = lax_minus(w, kern, 2 * kern.dt)
+        chained = lax_minus(two, kern, kern.dt)
         gap = float(np.max(np.abs(direct.values - chained.values)))
         return gap <= 1e-9, f"gap={gap!r}"
     run("semigroup_composition", _composition)
@@ -475,9 +479,10 @@ def _battery(cfg: RunConfig) -> list:
 
         kr = build_kernel(reversed_model(model), env, grid, kern.dt,
                           kern.theta, shift=kern.shift)
-        both = np.isfinite(kern.base) & np.isfinite(kr.base.T)
-        only = np.isfinite(kern.base) ^ np.isfinite(kr.base.T)
-        gap = float(np.max(np.abs(kern.base[both] - kr.base.T[both])))
+        fwd, rev = kern.at(kern.dt), kr.at(kr.dt).T
+        both = np.isfinite(fwd) & np.isfinite(rev)
+        only = np.isfinite(fwd) ^ np.isfinite(rev)
+        gap = float(np.max(np.abs(fwd[both] - rev[both])))
         return gap <= 1e-9 and not only.any(), f"gap={gap!r}"
     run("reversal_transposes_kernel", _reversal)
 
@@ -497,15 +502,22 @@ def _battery(cfg: RunConfig) -> list:
         return worst <= 1e-9, f"worst_excess={worst!r}"
     run("semidistance_triangle", _triangle)
 
-    def _strict():
+    try:
         strict = stage_strict(cfg, env, model, grid, kern, aub)
+    except WeakKamError as exc:    # reported by both rows that need the stage
+        strict = exc
+
+    def _strict():
+        if isinstance(strict, WeakKamError):
+            raise strict
         c = strict["strict_cert"]
         return strict["passed"], (f"branch={strict['branch']} "
                                   f"delta={c.delta!r} d0={c.d0!r}")
     run("strict_subsolution_margin", _strict)
 
     def _curvature():
-        strict = stage_strict(cfg, env, model, grid, kern, aub)
+        if isinstance(strict, WeakKamError):
+            raise strict
         reg = stage_regularize(cfg, env, model, grid, kern, aub, strict)
         rep = reg["report"]
         return rep.passed, (f"k=[{rep.curvature.k_lower!r}, "

@@ -20,6 +20,7 @@ __all__ = [
     "GridSpec",
     "GridFn",
     "BoxSpec",
+    "geometric_mix",
     "save_gridfn_csv",
     "load_gridfn_csv",
 ]
@@ -273,6 +274,17 @@ class BoxSpec:
         norms = np.linalg.norm(ks, axis=1) * self.h
         keep = (norms <= radius + 1e-12) & (norms > 0)
         return ks[keep]
+
+
+def geometric_mix(grid: GridSpec, stack) -> GridFn:
+    """sum_n 2^-(n+1) v_n over the value arrays in stack, renormalized so
+    the weights sum to one."""
+    weights = np.array([2.0**-(n + 1) for n in range(len(stack))])
+    weights /= weights.sum()
+    vals = np.zeros(grid.size)
+    for wgt, arr in zip(weights, stack):
+        vals += wgt * arr
+    return GridFn(grid, vals)
 
 
 def save_gridfn_csv(fn: GridFn, path) -> None:

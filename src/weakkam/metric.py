@@ -67,10 +67,6 @@ def default_edge_radius(lattice, kappa_hi: float) -> float:
     return min(max(3.0 * h, h * float(np.ceil(max(kappa_hi, 1.0)))), 6.0 * h)
 
 
-def _lattice_points(lattice) -> np.ndarray:
-    return lattice.points()
-
-
 def _shift_values(lattice, values: np.ndarray, k: np.ndarray, fill: float = np.inf) -> np.ndarray:
     """Predecessor read out[j] = values[j - k], periodic or inf-padded."""
     if isinstance(lattice, GridSpec):
@@ -123,7 +119,7 @@ def build_cost_graph(model, a: float, env, lattice, radius: float | None = None,
         offsets = lattice.offsets_within(radius)
     if len(offsets) == 0:
         raise ConfigError("edge radius below grid spacing: no edges")
-    pts = _lattice_points(lattice)
+    pts = lattice.points()
     h = lattice.h
     m = len(offsets)
     weights = np.empty((m, lattice.size))
@@ -257,7 +253,7 @@ def _kappa_for_radius(model, a, env, lattice) -> float:
     from .hamiltonian import kappa
 
     try:
-        return kappa(model, a, env, x_samples=_lattice_points(lattice))
+        return kappa(model, a, env, x_samples=lattice.points())
     except SubcriticalLevelError:
         return 1.0
 
@@ -285,7 +281,7 @@ def lippo_scale(model, a: float, env, lattice) -> float:
     """Momentum Lipschitz scale of H near level a: sup |H| over |p| <= kappa + 2."""
     from .hamiltonian import kappa
 
-    pts = _lattice_points(lattice)
+    pts = lattice.points()
     try:
         kap = kappa(model, a, env, x_samples=pts)
     except SubcriticalLevelError:
@@ -370,7 +366,7 @@ def critical_value_free(model, env, lattice, radius: float | None = None,
     downward until a subcritical certificate appears.  The reported value is
     the bracket midpoint.
     """
-    pts = _lattice_points(lattice)
+    pts = lattice.points()
     if radius is None:
         hzero = float(np.max(model.eval_H(pts, np.zeros_like(pts), env)))
         kap = _kappa_for_radius(model, hzero, env, lattice)

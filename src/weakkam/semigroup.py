@@ -1,19 +1,19 @@
 """Lax-Oleinik semigroups by min-plus dynamic programming.
 
 The one-step kernel prices a displacement d covered in time dt at
-dt * (L(midpoint, d/dt) + shift); longer times come from min-plus matrix
-squaring, so the semigroup law holds exactly on the dyadic ladder
-t = dt * 2^k and, by binary composition, at every multiple of dt.
+dt * (L(midpoint, d/dt) + shift).  It is stored as an offset stencil, and
+only this module knows that layout.  T^-_t u = min_y u(y) + h_t(y, x) is
+t/dt backward (pull) steps of the stencil; T^+_t is t/dt forward (push)
+steps of the same stencil, the reversal identity T^+_t u = -(reversed
+T^-_t)(-u) without a second kernel.  Ladder times are step counts, so
+T_{s+t} = T_s o T_t holds to the last bit.  All-pairs tables h_t(y, x),
+for diagonals and whole columns, come from min-plus squaring on the dyadic
+ladder t = dt * 2^k and binary composition in between.
 
-The backward operator is (T_t u)(x) = min_y u(y) + h_t(y, x); the forward
-one is computed from the same table through the reversal identity
-T^+_t u = -(reversed T^-_t)(-u), which on tables is a transpose.
-
-The kernel matrix is also a weighted graph; its minimal cycle mean (Karp)
-is the exact critical value of the discretized system, the level at which
-min-plus powers stay bounded.  Folding the kernel by that value puts the
-discrete Aubry phenomenon at machine precision instead of bisection
-precision.
+The stencil is also a weighted graph; its minimal cycle mean (Karp) is the
+exact critical value of the discretized system, the level at which min-plus
+powers stay bounded.  Folding the kernel by that value puts the discrete
+Aubry phenomenon at machine precision instead of bisection precision.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, LadderError
 from .grid import GridFn, GridSpec
@@ -29,7 +30,6 @@ from .hamiltonian import lipschitz_radius
 __all__ = [
     "ActionKernel",
     "build_kernel",
-    "kernel_table_distance",
     "lax_minus",
     "lax_plus",
     "semigroup_orbit",
@@ -44,16 +44,12 @@ __all__ = [
 ]
 
 
-def _full_offsets(grid: GridSpec) -> np.ndarray:
-    return grid.offsets_within(0.5 * np.sqrt(grid.dim) + grid.h, include_zero=True)
-
-
 @dataclass
 class ActionKernel:
-    """Minimal-action tables h_t(y, x) on the dyadic time ladder.
+    """One-step minimal action h_dt(y, x) as an offset stencil.
 
-    base[i, j] is the one-step cost from node i to node j (inf outside the
-    one-step reach); powers[k] caches the 2^k dt table.  ``shift`` is the
+    weights[k, x] is the cost of the step from x - offsets[k] * h to x, +inf
+    where L is; no other pair is joined in one step.  ``shift`` is the
     energy folding added to L (use the critical value to normalize).
     """
 
@@ -64,14 +60,60 @@ class ActionKernel:
     theta: float
     radius_one: float
     shift: float
-    base: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
     _powers: dict = field(default_factory=dict, repr=False)
     _power_offsets: dict = field(default_factory=dict, repr=False)
 
-    def __post_init__(self):
-        self._powers.setdefault(0, self.base)
-        self._power_offsets.setdefault(0, self.offsets)
+    # -- one step over the stencil ----------------------------------------
+
+    def pull(self, u: np.ndarray) -> np.ndarray:
+        """One backward step: out(x) = min_y u(y) + h_dt(y, x)."""
+        grid = self.grid
+        reach = int(np.max(np.abs(self.offsets), initial=0))
+        wrap = np.arange(-reach, grid.n + reach) % grid.n
+        windows = sliding_window_view(u.reshape(grid.shape)[np.ix_(*[wrap] * grid.dim)],
+                                      grid.shape)    # windows[w][x] = u(x + (w - reach) h)
+        pick = reach - self.offsets.T
+        best = np.full(grid.size, np.inf)
+        per = max(1, 32768 // grid.size)    # offsets per block: 256 KiB stays in cache
+        for a in range(0, len(self.offsets), per):
+            cand = windows[tuple(pick[:, a:a + per])].reshape(-1, grid.size)
+            cand += self.weights[a:a + per]
+            np.minimum(best, cand.min(axis=0), out=best)
+        return best
+
+    def push(self, u: np.ndarray) -> np.ndarray:
+        """One forward step: out(y) = min_x h_dt(y, x) + u(x)."""
+        return np.min([self.grid.roll_flat(w + u, -k)
+                       for k, w in zip(self.offsets, self.weights)], axis=0)
+
+    def edge_gap(self, v: np.ndarray) -> float:
+        """max of (v(x) - v(y)) - h_dt(y, x) over the finite one-step edges."""
+        gaps = np.array([(v - self.grid.roll_flat(v, k)) - w
+                         for k, w in zip(self.offsets, self.weights)])
+        return float(np.max(gaps[np.isfinite(self.weights)], initial=-np.inf))
+
+    def cost_scale(self) -> float:
+        """Largest |finite one-step cost| (0 when there is none)."""
+        return float(np.max(np.abs(self.weights[np.isfinite(self.weights)]), initial=0.0))
+
+    def minimizing_chain(self, orbit: np.ndarray, x: int) -> tuple:
+        """Optimal predecessors of T^-_{n dt} u at node x, backtracked.
+
+        orbit[m] is T^-_{m dt} u for m = 0..n (semigroup_orbit).  Returns
+        the chain forward in time (n + 1 nodes, ending at x) and the cost of
+        each of its n steps.  Ties break to the smallest predecessor index.
+        """
+        grid, chain, costs = self.grid, [int(x)], []
+        for prev in orbit[-2::-1]:
+            here = np.array(np.unravel_index(chain[-1], grid.shape))[:, None]
+            preds = np.ravel_multi_index(tuple((here - self.offsets.T) % grid.n), grid.shape)
+            cand = prev[preds] + self.weights[:, chain[-1]]
+            k = min(np.flatnonzero(cand == np.min(cand)), key=lambda i: preds[i])
+            costs.append(self.weights[k, chain[-1]])
+            chain.append(int(preds[k]))
+        return np.array(chain[::-1], dtype=int), np.array(costs[::-1], dtype=float)
 
     # -- ladder ----------------------------------------------------------
 
@@ -84,16 +126,6 @@ class ActionKernel:
             t *= 2.0
         return out
 
-    def power(self, k: int) -> np.ndarray:
-        """Table for t = dt * 2^k, by repeated min-plus squaring."""
-        if k not in self._powers:
-            prev = self.power(k - 1)
-            prev_off = self._power_offsets[k - 1]
-            tab, off = _minplus_compose(self.grid, prev, prev_off, prev)
-            self._powers[k] = tab
-            self._power_offsets[k] = off
-        return self._powers[k]
-
     def steps_of(self, t: float) -> int:
         m = t / self.dt
         mi = int(round(m))
@@ -103,19 +135,33 @@ class ActionKernel:
                 f"pick times on the kernel ladder")
         return mi
 
+    # -- all-pairs tables ------------------------------------------------
+
+    def power(self, k: int) -> np.ndarray:
+        """All-pairs table for t = dt * 2^k, by repeated min-plus squaring."""
+        if k not in self._powers:
+            if k == 0:
+                tab, off = np.full((self.grid.size,) * 2, np.inf), self.offsets
+                for step, w in zip(self.offsets, self.weights):
+                    tab[_shifted_indices(self.grid, -step), np.arange(self.grid.size)] = w
+            else:
+                prev = self.power(k - 1)
+                tab, off = _minplus_compose(self.grid, prev,
+                                            self._power_offsets[k - 1], prev)
+            self._powers[k] = tab
+            self._power_offsets[k] = off
+        return self._powers[k]
+
     def at(self, t: float) -> np.ndarray:
-        """Table for any positive multiple of dt (binary composition)."""
+        """All-pairs table for any positive multiple of dt (binary composition)."""
         m = self.steps_of(t)
         table = None
-        offsets = None
         k = 0
         while m:
             if m & 1:
                 pk = self.power(k)
-                if table is None:
-                    table, offsets = pk, self._power_offsets[k]
-                else:
-                    table, offsets = _minplus_compose(self.grid, pk, self._power_offsets[k], table)
+                table = pk if table is None else _minplus_compose(
+                    self.grid, pk, self._power_offsets[k], table)[0]
             m >>= 1
             k += 1
         return table
@@ -177,9 +223,7 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
     radius_one = radius if radius is not None else dt * R + 2.0 * grid.h
     offsets = grid.offsets_within(radius_one, include_zero=True)
     pts = grid.points()
-    base = np.full((grid.size, grid.size), np.inf)
-    idx = np.arange(grid.size)
-    kept = []
+    kept, rows = [], []
     for k in offsets:
         disp = np.asarray(k, dtype=float) * grid.h
         q = disp / dt
@@ -195,12 +239,15 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
         cost = dt * (np.asarray(lvals, dtype=float) + shift)
         if not np.any(np.isfinite(cost)):
             continue
-        j_of = _shifted_indices(grid, k)
-        base[idx, j_of] = cost
         kept.append(k)
+        rows.append(grid.roll_flat(cost, k))   # cost was priced at the start node
+    kept = np.asarray(kept, dtype=int).reshape(-1, grid.dim)
+    # offsets +-n/2 along an axis join the same pair of nodes: keep the last
+    _, last = np.unique(kept[::-1] % grid.n, axis=0, return_index=True)
+    keep = np.sort(len(kept) - 1 - last)
     return ActionKernel(grid=grid, model=model, env=env, dt=dt, theta=theta,
-                        radius_one=radius_one, shift=shift, base=base,
-                        offsets=np.asarray(kept))
+                        radius_one=radius_one, shift=shift, offsets=kept[keep],
+                        weights=np.asarray(rows, dtype=float).reshape(-1, grid.size)[keep])
 
 
 def refold_kernel(kernel: ActionKernel, shift: float) -> ActionKernel:
@@ -209,50 +256,34 @@ def refold_kernel(kernel: ActionKernel, shift: float) -> ActionKernel:
     Only the constant dt * (shift - old shift) moves on every finite edge,
     so the edge set and reach are reused.
     """
-    base = kernel.base + kernel.dt * (shift - kernel.shift)
+    weights = kernel.weights + kernel.dt * (shift - kernel.shift)
     return ActionKernel(grid=kernel.grid, model=kernel.model, env=kernel.env,
                         dt=kernel.dt, theta=kernel.theta,
                         radius_one=kernel.radius_one, shift=float(shift),
-                        base=base, offsets=kernel.offsets)
-
-
-def kernel_table_distance(A: np.ndarray, B: np.ndarray) -> float:
-    """Sup distance between tables, treating matching inf entries as equal."""
-    both_inf = np.isinf(A) & np.isinf(B)
-    diff = np.abs(A - B)
-    diff[both_inf] = 0.0
-    if np.any(np.isnan(diff)):
-        return np.inf
-    return float(np.max(diff))
+                        offsets=kernel.offsets, weights=weights)
 
 
 # -- operators ---------------------------------------------------------------
 
 
-def lax_minus(u: GridFn, kernel: ActionKernel, t: float) -> tuple:
-    """(T^-_t u, argmin map): value and optimizer index per node.
-
-    Ties break to the smallest flat index, i.e. lexicographically smallest
-    optimizer coordinate.
-    """
-    table = kernel.at(t)
-    stacked = u.values[:, None] + table
-    vals = np.min(stacked, axis=0)
-    arg = np.argmin(stacked, axis=0)
-    return GridFn(u.grid, vals), arg
+def lax_minus(u: GridFn, kernel: ActionKernel, t: float) -> GridFn:
+    """T^-_t u, by t/dt backward steps of the stencil."""
+    vals = u.values
+    for _ in range(kernel.steps_of(t)):
+        vals = kernel.pull(vals)
+    return GridFn(u.grid, vals)
 
 
-def lax_plus(u: GridFn, kernel: ActionKernel, t: float) -> tuple:
-    """(T^+_t u, argmax map) through the reversal identity.
+def lax_plus(u: GridFn, kernel: ActionKernel, t: float) -> GridFn:
+    """T^+_t u = max_y u(y) - h_t(x, y), by t/dt forward steps.
 
-    h_t of the reversed model is the transpose of the forward table, so
+    h_t of the reversed model is the transpose of the forward one, so
     T^+_t u = -min_y (h_t(x, y) - u(y)) needs no second kernel.
     """
-    table = kernel.at(t)
-    stacked = table - u.values[None, :]
-    vals = -np.min(stacked, axis=1)
-    arg = np.argmin(stacked, axis=1)
-    return GridFn(u.grid, vals), arg
+    vals = -u.values
+    for _ in range(kernel.steps_of(t)):
+        vals = kernel.push(vals)
+    return GridFn(u.grid, -vals)
 
 
 def semigroup_orbit(u: GridFn, kernel: ActionKernel, n_steps: int) -> np.ndarray:
@@ -260,7 +291,7 @@ def semigroup_orbit(u: GridFn, kernel: ActionKernel, n_steps: int) -> np.ndarray
     out = np.empty((n_steps + 1, u.grid.size))
     out[0] = u.values
     for m in range(1, n_steps + 1):
-        out[m] = np.min(out[m - 1][:, None] + kernel.base, axis=0)
+        out[m] = kernel.pull(out[m - 1])
     return out
 
 
@@ -271,39 +302,28 @@ def discrete_critical_value(kernel: ActionKernel) -> float:
     along the best closed orbit; the value returned is the total level
     (shift included) that makes that mean zero, i.e. the exact level at
     which min-plus powers of the folded kernel stay bounded.
+
+    Karp's table D_k(v) (least cost of a k-step walk from node 0 to v) is
+    walked twice, once to reach D_N and once to score every row against it,
+    so it takes O(N) memory instead of O(N^2).
     """
     size = kernel.grid.size
-    idx = np.arange(size)
-    edges = []
-    for k in kernel.offsets:
-        j_of = _shifted_indices(kernel.grid, k)
-        edges.append((j_of, kernel.base[idx, j_of]))
-    D = np.full((size + 1, size), np.inf)
-    D[0, 0] = 0.0
-    cand = np.empty(size)
-    for m in range(1, size + 1):
-        prev = D[m - 1]
-        best = np.full(size, np.inf)
-        for j_of, w in edges:
-            cand.fill(np.inf)
-            cand[j_of] = prev + w
-            np.minimum(best, cand, out=best)
-        D[m] = best
+    start = np.full(size, np.inf)
+    start[0] = 0.0
+    final = start
+    for _ in range(size):
+        final = kernel.pull(final)
+    worst = np.full(size, -np.inf)     # max over k of (D_N - D_k) / (N - k)
+    row = start
     with np.errstate(invalid="ignore"):
-        finals = D[size]
-        best_mean = np.inf
-        ks = np.arange(size)
-        for v in range(size):
-            if not np.isfinite(finals[v]):
-                continue
-            dk = D[:size, v]
-            ratio = (finals[v] - dk) / (size - ks)
-            ratio = ratio[np.isfinite(dk)]
-            if ratio.size:
-                best_mean = min(best_mean, float(np.max(ratio)))
-    if not np.isfinite(best_mean):
+        for k in range(size):
+            np.maximum(worst, np.where(np.isfinite(row), (final - row) / (size - k), -np.inf),
+                       out=worst)
+            row = kernel.pull(row)
+    scored = np.isfinite(final) & (worst > -np.inf)
+    if not np.any(scored):
         raise ConfigError("kernel graph has no cycles reachable from node 0")
-    return kernel.shift - best_mean / kernel.dt
+    return kernel.shift - float(np.min(worst[scored])) / kernel.dt
 
 
 # -- verification ------------------------------------------------------------
@@ -334,7 +354,7 @@ def check_monotone_semigroup(u: GridFn, kernel: ActionKernel, a: float,
     prev = u.values
     prev_t = 0.0
     for t in times:
-        cur, _ = lax_minus(u, kernel, t)
+        cur = lax_minus(u, kernel, t)
         cur_vals = cur.values + (a - kernel.shift) * t
         worst = min(worst, float(np.min(cur_vals - (prev + (a - kernel.shift) * prev_t))))
         prev, prev_t = cur.values, t
@@ -355,7 +375,7 @@ def check_corrector(u: GridFn, kernel: ActionKernel, a: float, times,
     """Fixed-point test sup |T^-_t u + a t - u| at each ladder time."""
     res = []
     for t in sorted(times):
-        cur, _ = lax_minus(u, kernel, t)
+        cur = lax_minus(u, kernel, t)
         res.append(float(np.max(np.abs(cur.values + (a - kernel.shift) * t - u.values))))
     res = np.asarray(res)
     return CorrectorReport(times=sorted(times), residuals=res, tol=float(tol),
@@ -413,7 +433,7 @@ def check_time_dependent_solution(u0: GridFn, kernel: ActionKernel, t_final: flo
     Both discretize the same Cauchy problem; agreement to the scheme's
     sqrt(h)-scale accuracy ties the variational route to the PDE route.
     """
-    dp, _ = lax_minus(u0, kernel, t_final)
+    dp = lax_minus(u0, kernel, t_final)
     dp_vals = dp.values - kernel.shift * t_final
     fd = lax_friedrichs_evolve(u0, kernel.model, kernel.env, t_final)
     diff = float(np.max(np.abs(dp_vals - fd.values)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LadderError
-from .grid import GridFn
+from .grid import GridFn, geometric_mix
 from .hamiltonian import kappa, lipschitz_radius
 from .semigroup import ActionKernel, lax_minus, semigroup_orbit
 
@@ -198,15 +198,6 @@ def truncation_budget(w: GridFn, m_terms: int) -> float:
     return 2.0**-m_terms * rng
 
 
-def _geometric_mix(grid, stack: list) -> GridFn:
-    weights = np.array([2.0**-(n + 1) for n in range(len(stack))])
-    weights /= weights.sum()
-    vals = np.zeros(grid.size)
-    for wgt, arr in zip(weights, stack):
-        vals += wgt * arr
-    return GridFn(grid, vals)
-
-
 def build_strict_strictly_convex(w: GridFn, kernel: ActionKernel, a: float,
                                  tau: float, m_terms: int) -> GridFn:
     """Renormalized mix of T^-_{t_n} w + a t_n over a dyadic fill of (0, tau).
@@ -223,9 +214,9 @@ def build_strict_strictly_convex(w: GridFn, kernel: ActionKernel, a: float,
     times = dyadic_fill_times(kernel, tau, m_terms)
     stack = []
     for t in times:
-        img, _ = lax_minus(w, kernel, t)
+        img = lax_minus(w, kernel, t)
         stack.append(img.values + (a - kernel.shift) * t)
-    return _geometric_mix(w.grid, stack)
+    return geometric_mix(w.grid, stack)
 
 
 def _default_r_kappa(kernel: ActionKernel, a: float) -> float:
@@ -289,7 +280,7 @@ def build_strict_convex(w: GridFn, kernel: ActionKernel, a: float,
         v_t, _ = sup_convolution_time(w, kernel, a, delta, t,
                                       r_kappa=r_kappa, s_max=s_max, orbit=orbit)
         stack.append(v_t.values)
-    return _geometric_mix(w.grid, stack)
+    return geometric_mix(w.grid, stack)
 
 
 def density_mix(v_strict: GridFn, u: GridFn, n: int) -> GridFn:

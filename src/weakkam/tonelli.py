@@ -152,12 +152,7 @@ def verify_minimizer_is_characteristic(u: GridFn, kernel: ActionKernel,
     _require_tonelli(model, "characteristic verification")
     n_steps = kernel.steps_of(t)
     orbit = semigroup_orbit(u, kernel, n_steps)
-    chain = [int(x_index)]
-    j = int(x_index)
-    for m in range(n_steps, 0, -1):
-        j = int(np.argmin(orbit[m - 1] + kernel.base[:, j]))
-        chain.append(j)
-    chain = np.array(chain[::-1], dtype=int)
+    chain, _ = kernel.minimizing_chain(orbit, x_index)
     pts = grid.points()
     p_term = GridFn(grid, orbit[n_steps]).central_gradient()[int(x_index)]
 
@@ -443,9 +438,9 @@ def bernard_regularize(w: GridFn, kernel: ActionKernel, a: float,
         warnings.append("input strictness not certified; the two-sided "
                         "smoothing is computed but its guarantees assume a "
                         "strict input")
-    up, _ = lax_plus(w, kernel, s)
+    up = lax_plus(w, kernel, s)
     v1 = GridFn(w.grid, up.values - (a - kernel.shift) * s)
-    down, _ = lax_minus(v1, kernel, t)
+    down = lax_minus(v1, kernel, t)
     w_eps = GridFn(w.grid, down.values + (a - kernel.shift) * t)
 
     sub_ok, worst = verify_member(w_eps, kernel, a)

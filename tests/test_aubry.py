@@ -7,7 +7,7 @@ import weakkam as wk
 from weakkam.aubry import (_edge_shortest_paths, build_library, build_w,
                            classical_aubry, default_eps, detect_aubry,
                            extract_calibrated_curve, fixed_point_set,
-                           folded_edge_costs, lax_extension, verify_member)
+                           lax_extension, verify_member)
 from weakkam.errors import (ConfigError, EmptyAubryMaskError,
                             NotASubsolutionError, SubcriticalLevelError)
 from weakkam.grid import GridFn, GridSpec
@@ -124,7 +124,7 @@ def test_detect_aubry_rejects_non_subsolutions(pend64):
 def test_subcritical_level_is_flagged_as_negative_cycle(pend64):
     kern, c = pend64["kernel"], pend64["c"]
     with pytest.raises(SubcriticalLevelError):
-        _edge_shortest_paths(folded_edge_costs(kern, c - 0.5), 0)
+        _edge_shortest_paths(refold_kernel(kern, c - 0.5), 0)
     with pytest.raises(SubcriticalLevelError):
         build_library(pend64["model"], c - 0.5, pend64["env"], kern)
 

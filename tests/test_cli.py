@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import weakkam
 from weakkam.cli import main
 from weakkam.config import parse_config_text
 from weakkam.grid import load_gridfn_csv
@@ -43,11 +44,15 @@ def clirun(tmp_path_factory):
 
 
 def test_version_and_print_config_roundtrip():
+    # the child interpreter imports the same package as this test
+    src = os.path.dirname(os.path.dirname(weakkam.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     head = subprocess.run([sys.executable, "-m", "weakkam.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert head.returncode == 0 and "0.1.0" in head.stdout
     shown = subprocess.run([sys.executable, "-m", "weakkam.cli", "print-config"],
-                           capture_output=True, text=True)
+                           capture_output=True, text=True, env=env)
     assert shown.returncode == 0
     cfg = parse_config_text(shown.stdout)
     assert cfg.get("grid", "n") == 256

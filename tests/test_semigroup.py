@@ -35,20 +35,58 @@ def test_one_step_backward_matches_brute_force(pend64):
     kern, grid, env, model = (pend64[k] for k in ("raw_kernel", "grid", "env", "model"))
     rng = np.random.default_rng(1)
     u = GridFn(grid, rng.standard_normal(grid.size))
-    img, arg = lax_minus(u, kern, kern.dt)
+    img = lax_minus(u, kern, kern.dt)
     brute = brute_force_backward(u.values, model, env, grid, kern.dt, kern.radius_one)
     assert np.max(np.abs(img.values - brute)) <= 1e-12
-    assert arg.shape == (grid.size,)
 
 
 def test_composition_on_the_ladder_is_exact(pend64):
     kern, grid = pend64["raw_kernel"], pend64["grid"]
     rng = np.random.default_rng(2)
     u = GridFn(grid, rng.standard_normal(grid.size))
-    two_step, _ = lax_minus(u, kern, 2 * kern.dt)
-    first, _ = lax_minus(u, kern, kern.dt)
-    second, _ = lax_minus(first, kern, kern.dt)
-    assert np.max(np.abs(two_step.values - second.values)) <= 1e-9
+    for steps in ((1, 1), (2, 3), (5, 7)):
+        whole = lax_minus(u, kern, sum(steps) * kern.dt)
+        first = lax_minus(u, kern, steps[0] * kern.dt)
+        chained = lax_minus(first, kern, steps[1] * kern.dt)
+        assert np.array_equal(whole.values, chained.values)
+
+
+def _grid2d_kernel():
+    spec = wk.EnvSpec(kind="periodic", dimension=2, seed=0,
+                      params={"amplitudes": (0.5,)})
+    env = wk.sample_realization(spec, 0)
+    model = mechanical_model(dim=2, field_bound=0.5)
+    return build_kernel(model, env, GridSpec(dim=2, n=16), dt=1.0 / 32.0, theta=2.0)
+
+
+@pytest.mark.parametrize("case", ["pend64", "grid2d_n16"])
+def test_stepped_operators_match_the_all_pairs_tables(case, pend64):
+    """Stencil stepping and min-plus squaring are independent routes to h_t."""
+    kern = pend64["raw_kernel"] if case == "pend64" else _grid2d_kernel()
+    grid = kern.grid
+    u = GridFn(grid, np.random.default_rng(4).standard_normal(grid.size))
+    for steps in (1, 2, 3, 5, 12):
+        t = steps * kern.dt
+        table = kern.at(t)
+        down = np.min(u.values[:, None] + table, axis=0)
+        up = -np.min(table - u.values[None, :], axis=1)
+        assert np.max(np.abs(lax_minus(u, kern, t).values - down)) <= 1e-12
+        assert np.max(np.abs(lax_plus(u, kern, t).values - up)) <= 1e-12
+
+
+def test_minimizing_chain_breaks_ties_to_the_smallest_index(flat64):
+    """A flat field prices the steps +-h alike: both neighbours of a high
+    node tie, and the chain must take the smaller flat index."""
+    kern, grid = flat64["kernel"], flat64["grid"]
+    u = np.zeros(grid.size)
+    u[5] = 1.0
+    orbit = np.stack([u, kern.pull(u)])
+    costs = kern.at(kern.dt)[:, 5]
+    cand = u + costs
+    assert cand[4] == cand[6] == np.min(cand)
+    chain, step_costs = kern.minimizing_chain(orbit, 5)
+    assert chain.tolist() == [4, 5] and int(np.argmin(cand)) == 4
+    assert step_costs.tolist() == [costs[4]]
 
 
 def test_ladder_times_and_off_ladder_rejection(pend64):
@@ -81,6 +119,32 @@ def test_exact_discrete_critical_values():
         assert abs(c - expect) <= 1e-15, f"{model.name}: {c} != {expect}"
 
 
+def _dense_karp_level(kern):
+    """Karp's theorem on the all-pairs one-step table, storing all of D."""
+    table = kern.at(kern.dt)
+    size = table.shape[0]
+    D = np.full((size + 1, size), np.inf)
+    D[0, 0] = 0.0
+    for m in range(1, size + 1):
+        D[m] = np.min(D[m - 1][:, None] + table, axis=0)
+    with np.errstate(invalid="ignore"):
+        ratios = (D[size] - D[:size]) / (size - np.arange(size))[:, None]
+    ratios[~np.isfinite(D[:size])] = -np.inf
+    worst = ratios.max(axis=0)
+    return kern.shift - float(np.min(worst[np.isfinite(D[size]) & (worst > -np.inf)])) / kern.dt
+
+
+def test_karp_without_the_stored_table_matches_the_dense_one():
+    spec = wk.EnvSpec(kind="random_fourier", dimension=1, seed=7,
+                      params={"k_max": 3, "amplitude": 0.5, "decay": 1.0})
+    env1 = wk.sample_realization(spec, 0)
+    tilted = wk.tilted_mechanical_model(0.3, dim=1, field_bound=env1.field_bound())
+    kernels = [build_kernel(tilted, env1, GridSpec(dim=1, n=32), dt=1.0 / 32.0, theta=3.0),
+               _grid2d_kernel()]
+    for kern in kernels:
+        assert discrete_critical_value(kern) == _dense_karp_level(kern)
+
+
 def test_refold_shifts_tables_linearly(pend64):
     kern = pend64["raw_kernel"]
     folded = refold_kernel(kern, 1.0)
@@ -94,11 +158,11 @@ def test_forward_backward_envelope_ordering(pend64):
     rng = np.random.default_rng(3)
     u = GridFn(grid, rng.standard_normal(grid.size))
     t = 2 * kern.dt
-    down, _ = lax_minus(u, kern, t)
-    relaxed, _ = lax_plus(down, kern, t)
+    down = lax_minus(u, kern, t)
+    relaxed = lax_plus(down, kern, t)
     assert np.all(relaxed.values <= u.values + 1e-12)
-    up, _ = lax_plus(u, kern, t)
-    tightened, _ = lax_minus(up, kern, t)
+    up = lax_plus(u, kern, t)
+    tightened = lax_minus(up, kern, t)
     assert np.all(tightened.values >= u.values - 1e-12)
 
 
@@ -106,10 +170,11 @@ def test_reversal_transposes_the_one_step_table(pend64):
     env, model, grid = pend64["env"], pend64["model"], pend64["grid"]
     kern = pend64["raw_kernel"]
     rev = build_kernel(reversed_model(model), env, grid, dt=kern.dt, theta=kern.theta)
-    transposed = kern.base.T
+    transposed = rev.at(rev.dt).T
+    table = kern.at(kern.dt)
     finite = np.isfinite(transposed)
-    assert np.array_equal(np.isfinite(rev.base), finite)
-    assert float(np.max(np.abs(rev.base[finite] - transposed[finite]))) == 0.0
+    assert np.array_equal(np.isfinite(table), finite)
+    assert float(np.max(np.abs(table[finite] - transposed[finite]))) == 0.0
 
 
 def test_monotone_level_adjusted_images(pend64):

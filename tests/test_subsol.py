@@ -104,7 +104,7 @@ def test_sup_convolution_dominates_and_pins_the_maximizer(pend64):
     r_kappa = lipschitz_radius(kappa(pend64["model"], c, pend64["env"]),
                                pend64["model"])
     v_t, s_star = sup_convolution_time(w, kern, c, delta, t)
-    img, _ = lax_minus(w, kern, t)
+    img = lax_minus(w, kern, t)
     lower = img.values + (c - kern.shift) * t
     assert float(np.min(v_t.values - lower)) >= -1e-12
     assert float(np.max(np.abs(s_star - t))) <= 4 * delta * r_kappa
