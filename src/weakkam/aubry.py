@@ -12,6 +12,10 @@ library (shortest-path cones, their reversals, semigroup images, user
 functions); the geometric weights keep every member's fixed-point
 constraint active in w, so the intersection over the ladder approximates
 the intersection over the whole library.
+
+Cones, anticones and the Lax extension from a mask are grid.relax runs on
+the folded kernel and on the sigma_a cost graph, one stencil type, so a
+level below critical is refused alike on both: by a negative cycle.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, EmptyAubryMaskError, NotASubsolutionError,
-                     SubcriticalLevelError)
-from .grid import GridFn, GridSpec, geometric_mix
+from .errors import ConfigError, EmptyAubryMaskError, NotASubsolutionError
+from .grid import GridFn, GridSpec, geometric_mix, relax
 from .metric import build_cost_graph, semidistance
-from .semigroup import ActionKernel, lax_minus, refold_kernel, semigroup_orbit
+from .semigroup import (ActionKernel, lax_minus, lax_minus_images, refold_kernel,
+                        semigroup_orbit)
 
 __all__ = [
     "SubsolutionLibrary",
@@ -79,38 +83,6 @@ class SubsolutionLibrary:
         return [m for m, ok in zip(self.members, self.verified) if ok]
 
 
-def _edge_shortest_paths(kernel: ActionKernel, source: int,
-                         to_source: bool = False) -> np.ndarray:
-    """Shortest-path distances over the kernel's one-step edges.
-
-    Min-plus relaxation until stationary; with the critical level folded in
-    every cycle has nonnegative mean, so the iteration reaches the exact
-    closure within one sweep per graph diameter.  A sweep count past the
-    node count flags a negative cycle (sub-critical level).
-    """
-    size = kernel.grid.size
-    # The folded level is exact only up to float rounding, so cycle means sit
-    # within ~1e-16 of zero and sweeps can keep shaving that forever; stop at
-    # rounding scale.  A genuinely sub-critical level improves per sweep by
-    # the cycle gain, far above this, and trips the sweep cap instead.
-    eps_conv = 1e-13 * max(1.0, kernel.cost_scale())
-    step = kernel.push if to_source else kernel.pull
-    dist = np.full(size, np.inf)
-    dist[source] = 0.0
-    for _ in range(size + 64):
-        cand = np.minimum(step(dist), dist)
-        with np.errstate(invalid="ignore"):
-            improvement = dist - cand
-        improvement = np.where(np.isnan(improvement), 0.0, improvement)
-        dist = cand
-        if float(np.max(improvement)) <= eps_conv:
-            return dist
-    raise SubcriticalLevelError(
-        "edge shortest paths kept improving past the node count: the folded "
-        "level admits a negative cycle (level below the discrete critical "
-        "value)")
-
-
 def build_library(model, a: float, env, kernel: ActionKernel,
                   seeds=None, n_seeds: int = 4, image_time: float | None = None,
                   extra=()) -> SubsolutionLibrary:
@@ -135,8 +107,9 @@ def build_library(model, a: float, env, kernel: ActionKernel,
             stp = max(grid.n // per, 1)
             seeds = [int(i * stp) * grid.n + int(j * stp) for i in range(per) for j in range(per)]
     for s in seeds:
-        cone = _edge_shortest_paths(folded, int(s))
-        anti = _edge_shortest_paths(folded, int(s), to_source=True)
+        source = np.where(np.arange(grid.size) == int(s), 0.0, np.inf)
+        cone = relax(folded, source)
+        anti = relax(folded, source, forward=True)
         lib.add(GridFn(grid, cone), kernel, f"cone[{s}]")
         lib.add(GridFn(grid, -anti), kernel, f"anticone[{s}]")
     if image_time is not None:
@@ -253,11 +226,8 @@ def detect_aubry(w: GridFn, kernel: ActionKernel, a: float, t_max: float,
                 f"detect_aubry needs a verified subsolution (violation {worst:.3e})",
                 violation=worst)
     ladder, tail, warns = _tail_times(kernel, t_max)
-    res_stack = []
-    for t in tail:
-        img = lax_minus(w, kernel, t)
-        res_stack.append(img.values + (a - kernel.shift) * t - w.values)
-    res_stack = np.stack(res_stack, axis=0)
+    res_stack = (lax_minus_images(w, kernel, tail)
+                 + (a - kernel.shift) * np.asarray(tail)[:, None] - w.values)
     res_max = res_stack.max(axis=0)
     res_min = res_stack.min(axis=0)
     if eps is None:
@@ -311,14 +281,7 @@ def lax_extension(g, mask: np.ndarray, model, a: float, env,
             "empty source mask: the Lax extension from nothing is undefined")
     g_vals = g.values if isinstance(g, GridFn) else np.asarray(g, dtype=float)
     graph = build_cost_graph(model, a, env, grid, offsets=offsets)
-    from .metric import _bellman_ford
-
-    init = np.where(mask, g_vals, np.inf)
-    dist, _, cycle = _bellman_ford(graph, init)
-    if cycle is not None:
-        raise SubcriticalLevelError(
-            f"negative cycle at level {a} while extending", cycle=cycle)
-    return GridFn(grid, dist)
+    return GridFn(grid, relax(graph, np.where(mask, g_vals, np.inf)))
 
 
 @dataclass

@@ -1,10 +1,14 @@
-"""Periodic grids and grid functions.
+"""Lattices, grid functions and the one-step stencil graph.
 
 Everything downstream (kernels, semidistances, masks) lives on a uniform
-periodic grid over the unit cell [0,1)^dim with spacing h = 1/n.  Grid
-functions are stored flat in C order so that node index 0 is the origin and
-lexicographic order of coordinates equals index order; argmin tie-breaking
-relies on this.
+periodic grid over the unit cell [0,1)^dim with spacing h = 1/n, or on a
+non-periodic box for growing-box runs.  Grid functions are stored flat in C
+order so that node index 0 is the origin and lexicographic order of
+coordinates equals index order; argmin tie-breaking relies on this.
+
+Action kernels and sigma_a cost graphs are both a Stencil: one row of edge
+costs per lattice offset.  relax() is the one shortest-path engine over it,
+with one stop rule and a negative-cycle witness.
 """
 
 from __future__ import annotations
@@ -13,13 +17,16 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError
+from .errors import ConfigError, SubcriticalLevelError
 
 __all__ = [
     "GridSpec",
     "GridFn",
     "BoxSpec",
+    "Stencil",
+    "relax",
     "geometric_mix",
     "save_gridfn_csv",
     "load_gridfn_csv",
@@ -121,6 +128,18 @@ class GridSpec:
         t = table.reshape(self.shape + (table.shape[1],))
         shifted = np.roll(t, shift=tuple(-int(c) for c in np.atleast_1d(k)), axis=tuple(range(self.dim)))
         return shifted.reshape(table.shape)
+
+    def pad(self, values: np.ndarray, reach: int) -> np.ndarray:
+        """values shaped on the grid and extended by reach nodes per side,
+        periodically."""
+        wrap = np.arange(-reach, self.n + reach) % self.n
+        return values.reshape(self.shape)[np.ix_(*[wrap] * self.dim)]
+
+    def neighbors(self, x, step: np.ndarray) -> np.ndarray:
+        """Flat index of node x + step*h (periodic); x broadcasts against the
+        leading axes of step."""
+        moved = np.stack(np.unravel_index(x, self.shape), axis=-1) + step
+        return np.ravel_multi_index(tuple(np.moveaxis(moved, -1, 0)), self.shape, mode="wrap")
 
 
 @dataclass
@@ -249,6 +268,10 @@ class BoxSpec:
         return 2 * int(round(self.radius * self.points_per_unit)) + 1
 
     @property
+    def shape(self) -> tuple:
+        return (self.n_per_axis,) * self.dim
+
+    @property
     def size(self) -> int:
         return self.n_per_axis**self.dim
 
@@ -263,6 +286,10 @@ class BoxSpec:
         gx, gy = np.meshgrid(ax, ax, indexing="ij")
         return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
+    def wrap(self, x: np.ndarray) -> np.ndarray:
+        """A box does not wrap: coordinates stay as they are."""
+        return x
+
     def offsets_within(self, radius: float) -> np.ndarray:
         kmax = int(np.floor(radius / self.h + 1e-12))
         rng = np.arange(-kmax, kmax + 1)
@@ -274,6 +301,158 @@ class BoxSpec:
         norms = np.linalg.norm(ks, axis=1) * self.h
         keep = (norms <= radius + 1e-12) & (norms > 0)
         return ks[keep]
+
+    def pad(self, values: np.ndarray, reach: int) -> np.ndarray:
+        """values shaped on the box and extended by reach nodes per side with
+        +inf: no node lies past the edge."""
+        out = np.full(tuple(s + 2 * reach for s in self.shape), np.inf)
+        out[(slice(reach, reach + self.n_per_axis),) * self.dim] = values.reshape(self.shape)
+        return out
+
+    def roll_flat(self, values: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """values evaluated at node - k*h, +inf where that node is off the box."""
+        reach = int(np.max(np.abs(k)))
+        return sliding_window_view(self.pad(values, reach), self.shape)[tuple(reach - k)].ravel()
+
+    def neighbors(self, x, step: np.ndarray) -> np.ndarray:
+        """Flat index of node x + step*h, -1 off the box; x broadcasts against
+        the leading axes of step."""
+        moved = np.stack(np.unravel_index(x, self.shape), axis=-1) + step
+        flat = np.ravel_multi_index(tuple(np.moveaxis(moved, -1, 0)), self.shape, mode="clip")
+        return np.where(np.all((moved >= 0) & (moved < self.n_per_axis), axis=-1), flat, -1)
+
+
+@dataclass
+class Stencil:
+    """Weighted one-step graph on a lattice, stored per offset.
+
+    weights[k, x] is the cost of the edge into x from x - offsets[k] * h,
+    +inf where there is no such edge.  A periodic GridSpec wraps around; a
+    BoxSpec has no node past its edge, and reads there are +inf.  Only this
+    class and relax() read that layout.
+    """
+
+    grid: object
+    offsets: np.ndarray = field(repr=False)    # (m, dim) integer steps
+    weights: np.ndarray = field(repr=False)    # (m, size)
+
+    @property
+    def size(self) -> int:
+        return self.grid.size
+
+    def pull(self, u: np.ndarray) -> np.ndarray:
+        """One backward step: out(x) = min_y u(y) + cost(y -> x)."""
+        grid = self.grid
+        reach = int(np.max(np.abs(self.offsets), initial=0))
+        windows = sliding_window_view(grid.pad(u, reach), grid.shape)
+        pick = reach - self.offsets.T    # windows[w][x] = u(x + (w - reach) h)
+        best = np.full(grid.size, np.inf)
+        per = max(1, 32768 // grid.size)    # offsets per block: 256 KiB stays in cache
+        for a in range(0, len(self.offsets), per):
+            cand = windows[tuple(pick[:, a:a + per])].reshape(-1, grid.size)
+            cand += self.weights[a:a + per]
+            np.minimum(best, cand.min(axis=0), out=best)
+        return best
+
+    def reversed(self) -> "Stencil":
+        """Every edge turned around, so pull on it is the forward step
+        out(y) = min_x cost(y -> x) + u(x) of this stencil."""
+        turned = np.empty_like(self.weights)
+        for row, k, w in zip(turned, self.offsets, self.weights):
+            row[:] = self.grid.roll_flat(w, -k)
+        return Stencil(self.grid, -self.offsets, turned)
+
+    def edge_gap(self, v: np.ndarray) -> float:
+        """max of (v(x) - v(y)) - cost(y -> x) over the finite edges; +inf
+        when v has a non-finite value, which no edge inequality admits."""
+        if not np.all(np.isfinite(v)):
+            return np.inf
+        gaps = np.array([(v - self.grid.roll_flat(v, k)) - w
+                         for k, w in zip(self.offsets, self.weights)])
+        return float(np.max(gaps[np.isfinite(self.weights)], initial=-np.inf))
+
+    def cost_scale(self) -> float:
+        """Largest |finite edge cost| (0 when there is none)."""
+        finite = np.isfinite(self.weights)
+        return max(float(np.max(self.weights, where=finite, initial=0.0)),
+                   -float(np.min(self.weights, where=finite, initial=0.0)))
+
+    def predecessors(self, x) -> np.ndarray:
+        """Start x - offsets[k] h of every edge into node(s) x, one row per
+        offset; -1 off the lattice."""
+        steps = -self.offsets.reshape((len(self.offsets),) + (1,) * np.ndim(x)
+                                      + self.offsets.shape[1:])
+        return self.grid.neighbors(x, steps)
+
+    def edge_cost(self, y: int, x: int) -> float:
+        """Cost of the cheapest edge y -> x (+inf when there is none)."""
+        return float(np.min(self.weights[self.predecessors(x) == y, x], initial=np.inf))
+
+    def minimizing_chain(self, orbit: np.ndarray, x: int) -> tuple:
+        """Optimal predecessors of the backward orbit's last row at node x.
+
+        orbit[m] = pull^m(orbit[0]) for m = 0..n.  Returns the chain forward
+        in time (n + 1 nodes, ending at x) and the cost of each of its n
+        steps.  Ties break to the smallest predecessor index.
+        """
+        chain, costs = [int(x)], []
+        for prev in orbit[-2::-1]:
+            preds = self.predecessors(chain[-1])
+            cand = np.where(preds >= 0, prev[preds] + self.weights[:, chain[-1]], np.inf)
+            k = min(np.flatnonzero(cand == np.min(cand)), key=lambda i: preds[i])
+            costs.append(self.weights[k, chain[-1]])
+            chain.append(int(preds[k]))
+        return np.array(chain[::-1], dtype=int), np.array(costs[::-1], dtype=float)
+
+
+RELAX_STOP = 1e-13
+
+
+def relax(stencil: Stencil, init: np.ndarray, forward: bool = False) -> np.ndarray:
+    """Shortest paths over the stencil's edges, or a negative-cycle refusal.
+
+    Iterates dist = min(dist, pull(dist)) from init towards
+    dist(x) = min_y init(y) + S(y, x); forward runs it on the reversed
+    stencil, for dist(y) = min_x S(y, x) + init(x).  It stops once no node
+    improves by more than RELAX_STOP * max(1, cost_scale): a level folded to
+    the exact critical value leaves cycle means within rounding of zero, and
+    sweeps could shave that forever, while a negative cycle gains far more.
+
+    Shortest paths have at most size - 1 edges, so a run still improving
+    after size + 64 sweeps only goes on for a witness: for size + 1 more
+    sweeps each improved node records the start of its improving edge,
+    which itself improved the sweep before.  The record walk from a node
+    improved last thus closes a cycle of negative cost, raised in edge order
+    as SubcriticalLevelError(cycle=..., cycle_cost=...).
+    """
+    steps = stencil.reversed() if forward else stencil
+    size = stencil.size
+    eps = RELAX_STOP * max(1.0, stencil.cost_scale())
+    dist = np.array(init, dtype=float)
+    parent = np.full(size, -1)
+    for sweep in range(2 * size + 65):
+        cand = steps.pull(dist)
+        took = np.flatnonzero(cand < dist)
+        gain = dist[took] - cand[took]
+        if sweep >= size + 64:
+            preds = steps.predecessors(np.arange(size))
+            best = np.argmin(np.where(preds >= 0, dist[preds] + steps.weights, np.inf), axis=0)
+            parent[took] = preds[best[took], took]
+        dist[took] = cand[took]
+        if float(np.max(gain, initial=0.0)) <= eps:
+            return dist
+    seen, node = {}, int(took[np.argmax(gain)])
+    while node not in seen:
+        seen[node] = len(seen)
+        node = int(parent[node])
+    cycle = list(seen)[seen[node]:]    # each node's parent follows it
+    if not forward:
+        cycle = cycle[::-1]
+    cost = sum(stencil.edge_cost(y, x) for y, x in zip(cycle, cycle[1:] + cycle[:1]))
+    raise SubcriticalLevelError(
+        f"shortest paths still improving after {2 * size + 65} sweeps: negative "
+        f"cycle of cost {cost:.3e} through {len(cycle)} nodes (level below "
+        f"the critical value)", cycle=cycle, cycle_cost=cost)
 
 
 def geometric_mix(grid: GridSpec, stack) -> GridFn:

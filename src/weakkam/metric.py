@@ -5,7 +5,9 @@ prices a displacement q at x.  Summing it along lattice edges gives a cost
 graph whose shortest paths approximate the semidistance S_a; a negative
 cycle (or an empty sublevel) is a certificate that the level a is
 subcritical, which turns critical-value estimation into bisection on the
-existence of such certificates.
+existence of such certificates.  The cost graph is a grid.Stencil, the
+offset stencil the action kernels use, and its shortest paths and cycle
+witnesses come from the one engine there, grid.relax.
 
 Edge convention: the edge for offset k ends at node x and starts at
 x - k h, costs sigma_a(mid, k h) with mid the (wrapped) segment midpoint.
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SubcriticalLevelError
-from .grid import BoxSpec, GridFn, GridSpec
+from .grid import BoxSpec, GridFn, GridSpec, Stencil, relax
 
 __all__ = [
     "support_sigma",
@@ -67,43 +69,13 @@ def default_edge_radius(lattice, kappa_hi: float) -> float:
     return min(max(3.0 * h, h * float(np.ceil(max(kappa_hi, 1.0)))), 6.0 * h)
 
 
-def _shift_values(lattice, values: np.ndarray, k: np.ndarray, fill: float = np.inf) -> np.ndarray:
-    """Predecessor read out[j] = values[j - k], periodic or inf-padded."""
-    if isinstance(lattice, GridSpec):
-        return lattice.roll_flat(values, k)
-    shape = (lattice.n_per_axis,) * lattice.dim
-    v = values.reshape(shape)
-    out = np.full(shape, fill)
-    src = [slice(None)] * lattice.dim
-    dst = [slice(None)] * lattice.dim
-    for a, ka in enumerate(np.atleast_1d(k)):
-        ka = int(ka)
-        n = shape[a]
-        if abs(ka) >= n:
-            return np.full(values.shape, fill)
-        if ka >= 0:
-            dst[a] = slice(ka, n)
-            src[a] = slice(0, n - ka)
-        else:
-            dst[a] = slice(0, n + ka)
-            src[a] = slice(-ka, n)
-    out[tuple(dst)] = v[tuple(src)]
-    return out.ravel()
-
-
 @dataclass
-class CostGraph:
-    """Edge costs sigma_a over a lattice, stored per offset."""
+class CostGraph(Stencil):
+    """Edge costs sigma_a over a lattice: the stencil edge into x from
+    x - k h costs sigma_a(mid, k h)."""
 
-    lattice: object
     a: float
-    offsets: np.ndarray                    # (m, dim) integer steps
-    weights: np.ndarray = field(repr=False)  # (m, size): cost of edge ending at node j
     midpoints_checked: int = 0
-
-    @property
-    def size(self) -> int:
-        return self.lattice.size
 
 
 def build_cost_graph(model, a: float, env, lattice, radius: float | None = None,
@@ -123,12 +95,9 @@ def build_cost_graph(model, a: float, env, lattice, radius: float | None = None,
     h = lattice.h
     m = len(offsets)
     weights = np.empty((m, lattice.size))
-    periodic = isinstance(lattice, GridSpec)
     for idx, k in enumerate(offsets):
         disp = np.asarray(k, dtype=float) * h
-        mids = pts - 0.5 * disp[None, :]
-        if periodic:
-            mids = lattice.wrap(mids)
+        mids = lattice.wrap(pts - 0.5 * disp[None, :])
         w = support_sigma(model, mids, np.repeat(disp[None, :], len(pts), axis=0), a, env)
         bad = np.isnan(w)
         if np.any(bad):
@@ -143,68 +112,8 @@ def build_cost_graph(model, a: float, env, lattice, radius: float | None = None,
         j = int(np.argmax(np.isnan(w0)))
         raise SubcriticalLevelError(
             f"sublevel {{H <= {a}}} empty at node {pts[j]}", empty_at=pts[j])
-    return CostGraph(lattice=lattice, a=a, offsets=np.asarray(offsets),
+    return CostGraph(grid=lattice, a=a, offsets=np.asarray(offsets),
                      weights=weights, midpoints_checked=m * lattice.size + lattice.size)
-
-
-def _bellman_ford(graph: CostGraph, init: np.ndarray):
-    """Label correction to a fixed point, or a negative-cycle certificate.
-
-    Returns (dist, parents, cycle) with cycle None when none exists;
-    parents[j] = offset index of the last improving edge into j, -1 at
-    sources.
-    """
-    lattice = graph.lattice
-    dist = init.copy()
-    parents = np.full(graph.size, -1, dtype=int)
-    size = graph.size
-    for sweep in range(size + 1):
-        best = dist
-        best_parent = parents
-        improved = False
-        cand_all = np.empty((len(graph.offsets), size))
-        for idx, k in enumerate(graph.offsets):
-            cand_all[idx] = _shift_values(lattice, dist, k) + graph.weights[idx]
-        min_cand = np.min(cand_all, axis=0)
-        take = min_cand < dist - 1e-15
-        if np.any(take):
-            improved = True
-            arg = np.argmin(cand_all, axis=0)
-            best = np.where(take, min_cand, dist)
-            best_parent = np.where(take, arg, parents)
-        dist = best
-        parents = best_parent
-        if not improved:
-            return dist, parents, None
-    # still improving after |V| sweeps: walk parents to find a cycle
-    j = int(np.argmin(dist))
-    seen = {}
-    path = []
-    for _ in range(2 * size):
-        if parents[j] < 0:
-            break
-        if j in seen:
-            cyc = path[seen[j]:]
-            return dist, parents, cyc
-        seen[j] = len(path)
-        path.append(j)
-        k = graph.offsets[parents[j]]
-        j = _predecessor_index(lattice, j, k)
-    return dist, parents, path or [j]
-
-
-def _predecessor_index(lattice, j: int, k: np.ndarray) -> int:
-    if isinstance(lattice, GridSpec):
-        n = lattice.n
-        if lattice.dim == 1:
-            return int((j - int(k[0])) % n)
-        ji, jj = divmod(j, n)
-        return int(((ji - int(k[0])) % n) * n + ((jj - int(k[1])) % n))
-    n = lattice.n_per_axis
-    if lattice.dim == 1:
-        return int(j - int(k[0]))
-    ji, jj = divmod(j, n)
-    return int((ji - int(k[0])) * n + (jj - int(k[1])))
 
 
 @dataclass
@@ -216,9 +125,9 @@ class SemidistanceResult:
     values: np.ndarray = field(repr=False)    # (n_sources, size)
 
     def as_gridfn(self, row: int = 0) -> GridFn:
-        if not isinstance(self.graph.lattice, GridSpec):
+        if not isinstance(self.graph.grid, GridSpec):
             raise ConfigError("only periodic-grid semidistances convert to GridFn")
-        return GridFn(self.graph.lattice, self.values[row])
+        return GridFn(self.graph.grid, self.values[row])
 
 
 def semidistance(model, a: float, sources, env, lattice, radius: float | None = None,
@@ -238,14 +147,7 @@ def semidistance(model, a: float, sources, env, lattice, radius: float | None = 
     src_idx = _as_node_indices(lattice, sources)
     vals = np.empty((len(src_idx), graph.size))
     for row, s in enumerate(src_idx):
-        init = np.full(graph.size, np.inf)
-        init[s] = 0.0
-        dist, _, cycle = _bellman_ford(graph, init)
-        if cycle is not None:
-            raise SubcriticalLevelError(
-                f"negative cycle at level {a}: semidistance diverges to -inf",
-                cycle=cycle)
-        vals[row] = dist
+        vals[row] = relax(graph, np.where(np.arange(graph.size) == s, 0.0, np.inf))
     return SemidistanceResult(graph=graph, source_indices=np.asarray(src_idx), values=vals)
 
 
@@ -351,9 +253,11 @@ def _level_verdict(model, a: float, env, lattice, radius, offsets) -> tuple:
         graph = build_cost_graph(model, a, env, lattice, radius=radius, offsets=offsets)
     except SubcriticalLevelError as err:
         return False, {"reason": "empty_sublevel", "witness": getattr(err, "empty_at", None)}
-    dist, _, cycle = _bellman_ford(graph, np.zeros(graph.size))
-    if cycle is not None:
-        return False, {"reason": "negative_cycle", "witness": cycle}
+    try:
+        relax(graph, np.zeros(graph.size))
+    except SubcriticalLevelError as err:
+        return False, {"reason": "negative_cycle", "witness": err.cycle,
+                       "cycle_cost": err.cycle_cost}
     return True, {}
 
 
@@ -375,10 +279,7 @@ def critical_value_free(model, env, lattice, radius: float | None = None,
     h = lattice.h
     samples = [pts]
     for k in offsets:
-        mids = pts - 0.5 * (np.asarray(k, dtype=float) * h)[None, :]
-        if isinstance(lattice, GridSpec):
-            mids = lattice.wrap(mids)
-        samples.append(mids)
+        samples.append(lattice.wrap(pts - 0.5 * (np.asarray(k, dtype=float) * h)[None, :]))
     allpts = np.concatenate(samples, axis=0)
     hi = float(np.max(model.eval_H(allpts, np.zeros_like(allpts), env)))
     feasible_hi, _ = _level_verdict(model, hi, env, lattice, None, offsets)

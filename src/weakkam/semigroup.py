@@ -1,14 +1,15 @@
 """Lax-Oleinik semigroups by min-plus dynamic programming.
 
 The one-step kernel prices a displacement d covered in time dt at
-dt * (L(midpoint, d/dt) + shift).  It is stored as an offset stencil, and
-only this module knows that layout.  T^-_t u = min_y u(y) + h_t(y, x) is
-t/dt backward (pull) steps of the stencil; T^+_t is t/dt forward (push)
-steps of the same stencil, the reversal identity T^+_t u = -(reversed
-T^-_t)(-u) without a second kernel.  Ladder times are step counts, so
-T_{s+t} = T_s o T_t holds to the last bit.  All-pairs tables h_t(y, x),
-for diagonals and whole columns, come from min-plus squaring on the dyadic
-ladder t = dt * 2^k and binary composition in between.
+dt * (L(midpoint, d/dt) + shift).  It is a grid.Stencil, the offset stencil
+the cost graphs of the metric side share.  T^-_t u = min_y u(y) + h_t(y, x)
+is t/dt backward (pull) steps of the stencil; T^+_t is t/dt pull steps of
+the same stencil with every edge turned around, the reversal identity
+T^+_t u = -(reversed T^-_t)(-u) without a second kernel.  Ladder times are
+step counts, so T_{s+t} = T_s o T_t holds to the last bit.  All-pairs
+tables h_t(y, x), for diagonals and whole columns, come from min-plus
+squaring on the dyadic ladder t = dt * 2^k and binary composition in
+between.
 
 The stencil is also a weighted graph; its minimal cycle mean (Karp) is the
 exact critical value of the discretized system, the level at which min-plus
@@ -21,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, LadderError
-from .grid import GridFn, GridSpec
+from .grid import GridFn, GridSpec, Stencil, relax
 from .hamiltonian import lipschitz_radius
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "lax_minus",
     "lax_plus",
     "semigroup_orbit",
+    "lax_minus_images",
     "discrete_critical_value",
     "MonotoneReport",
     "check_monotone_semigroup",
@@ -45,75 +46,22 @@ __all__ = [
 
 
 @dataclass
-class ActionKernel:
+class ActionKernel(Stencil):
     """One-step minimal action h_dt(y, x) as an offset stencil.
 
-    weights[k, x] is the cost of the step from x - offsets[k] * h to x, +inf
-    where L is; no other pair is joined in one step.  ``shift`` is the
-    energy folding added to L (use the critical value to normalize).
+    The stencil edge y -> x costs h_dt(y, x); no other pair is joined in one
+    step.  ``shift`` is the energy folding added to L (use the critical
+    value to normalize).
     """
 
-    grid: GridSpec
     model: object
     env: object
     dt: float
     theta: float
     radius_one: float
     shift: float
-    offsets: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
     _powers: dict = field(default_factory=dict, repr=False)
     _power_offsets: dict = field(default_factory=dict, repr=False)
-
-    # -- one step over the stencil ----------------------------------------
-
-    def pull(self, u: np.ndarray) -> np.ndarray:
-        """One backward step: out(x) = min_y u(y) + h_dt(y, x)."""
-        grid = self.grid
-        reach = int(np.max(np.abs(self.offsets), initial=0))
-        wrap = np.arange(-reach, grid.n + reach) % grid.n
-        windows = sliding_window_view(u.reshape(grid.shape)[np.ix_(*[wrap] * grid.dim)],
-                                      grid.shape)    # windows[w][x] = u(x + (w - reach) h)
-        pick = reach - self.offsets.T
-        best = np.full(grid.size, np.inf)
-        per = max(1, 32768 // grid.size)    # offsets per block: 256 KiB stays in cache
-        for a in range(0, len(self.offsets), per):
-            cand = windows[tuple(pick[:, a:a + per])].reshape(-1, grid.size)
-            cand += self.weights[a:a + per]
-            np.minimum(best, cand.min(axis=0), out=best)
-        return best
-
-    def push(self, u: np.ndarray) -> np.ndarray:
-        """One forward step: out(y) = min_x h_dt(y, x) + u(x)."""
-        return np.min([self.grid.roll_flat(w + u, -k)
-                       for k, w in zip(self.offsets, self.weights)], axis=0)
-
-    def edge_gap(self, v: np.ndarray) -> float:
-        """max of (v(x) - v(y)) - h_dt(y, x) over the finite one-step edges."""
-        gaps = np.array([(v - self.grid.roll_flat(v, k)) - w
-                         for k, w in zip(self.offsets, self.weights)])
-        return float(np.max(gaps[np.isfinite(self.weights)], initial=-np.inf))
-
-    def cost_scale(self) -> float:
-        """Largest |finite one-step cost| (0 when there is none)."""
-        return float(np.max(np.abs(self.weights[np.isfinite(self.weights)]), initial=0.0))
-
-    def minimizing_chain(self, orbit: np.ndarray, x: int) -> tuple:
-        """Optimal predecessors of T^-_{n dt} u at node x, backtracked.
-
-        orbit[m] is T^-_{m dt} u for m = 0..n (semigroup_orbit).  Returns
-        the chain forward in time (n + 1 nodes, ending at x) and the cost of
-        each of its n steps.  Ties break to the smallest predecessor index.
-        """
-        grid, chain, costs = self.grid, [int(x)], []
-        for prev in orbit[-2::-1]:
-            here = np.array(np.unravel_index(chain[-1], grid.shape))[:, None]
-            preds = np.ravel_multi_index(tuple((here - self.offsets.T) % grid.n), grid.shape)
-            cand = prev[preds] + self.weights[:, chain[-1]]
-            k = min(np.flatnonzero(cand == np.min(cand)), key=lambda i: preds[i])
-            costs.append(self.weights[k, chain[-1]])
-            chain.append(int(preds[k]))
-        return np.array(chain[::-1], dtype=int), np.array(costs[::-1], dtype=float)
 
     # -- ladder ----------------------------------------------------------
 
@@ -141,9 +89,9 @@ class ActionKernel:
         """All-pairs table for t = dt * 2^k, by repeated min-plus squaring."""
         if k not in self._powers:
             if k == 0:
+                nodes = np.arange(self.grid.size)
                 tab, off = np.full((self.grid.size,) * 2, np.inf), self.offsets
-                for step, w in zip(self.offsets, self.weights):
-                    tab[_shifted_indices(self.grid, -step), np.arange(self.grid.size)] = w
+                tab[self.predecessors(nodes), nodes] = self.weights
             else:
                 prev = self.power(k - 1)
                 tab, off = _minplus_compose(self.grid, prev,
@@ -183,7 +131,7 @@ def _minplus_compose(grid: GridSpec, A: np.ndarray, A_offsets: np.ndarray | None
     C = np.full_like(A, np.inf)
     idx = np.arange(size)
     for k in A_offsets:
-        j_of = _shifted_indices(grid, k)
+        j_of = grid.neighbors(idx, k)
         a_u = A[idx, j_of]
         rolled = grid.roll_rows(B, k)
         np.minimum(C, a_u[:, None] + rolled, out=C)
@@ -200,22 +148,15 @@ def _minplus_compose(grid: GridSpec, A: np.ndarray, A_offsets: np.ndarray | None
     return C, C_off
 
 
-def _shifted_indices(grid: GridSpec, k: np.ndarray) -> np.ndarray:
-    """Flat index of node + k*h for every node."""
-    n = grid.n
-    if grid.dim == 1:
-        return (np.arange(n) + int(k[0])) % n
-    ii, jj = np.divmod(np.arange(grid.size), n)
-    return ((ii + int(k[0])) % n) * n + ((jj + int(k[1])) % n)
-
-
 def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
                  shift: float = 0.0, radius: float | None = None) -> ActionKernel:
     """One-step minimal-action kernel with reach dt R(theta) + 2h.
 
     Uses the model's closed-form Lagrangian when present, else the numeric
     Legendre transform per edge.  Offsets whose speed is outside the model's
-    cone (L = +inf everywhere) are pruned.
+    cone (L = +inf everywhere) are pruned; a kernel whose graph is then not
+    strongly connected is refused (ConfigError), because its cycle mean
+    from node 0 would price only part of the torus.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -245,9 +186,20 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
     # offsets +-n/2 along an axis join the same pair of nodes: keep the last
     _, last = np.unique(kept[::-1] % grid.n, axis=0, return_index=True)
     keep = np.sort(len(kept) - 1 - last)
+    offsets, weights = kept[keep], np.asarray(rows, dtype=float).reshape(-1, grid.size)[keep]
+    del rows    # room for the connectivity check
+    # Strongly connected iff every node reaches node 0 and is reached from
+    # it.  Hop costs 0 and +inf are exact in float32, at half the memory.
+    hops = Stencil(grid, offsets, np.where(np.isfinite(weights), np.float32(0), np.float32(np.inf)))
+    start = np.where(np.arange(grid.size) == 0, 0.0, np.inf)
+    if not all(np.all(np.isfinite(relax(hops, start, forward))) for forward in (False, True)):
+        fastest = float(np.max(np.linalg.norm(offsets, axis=1), initial=0.0)) * grid.h / dt
+        raise ConfigError(
+            f"the one-step kernel graph is not strongly connected: a one-cell move "
+            f"needs speed h/dt = {grid.h / dt:g}, the model's speed cone kept moves "
+            f"up to speed {fastest:g}; choose dt and n with h/dt <= its maximal speed")
     return ActionKernel(grid=grid, model=model, env=env, dt=dt, theta=theta,
-                        radius_one=radius_one, shift=shift, offsets=kept[keep],
-                        weights=np.asarray(rows, dtype=float).reshape(-1, grid.size)[keep])
+                        radius_one=radius_one, shift=shift, offsets=offsets, weights=weights)
 
 
 def refold_kernel(kernel: ActionKernel, shift: float) -> ActionKernel:
@@ -275,14 +227,14 @@ def lax_minus(u: GridFn, kernel: ActionKernel, t: float) -> GridFn:
 
 
 def lax_plus(u: GridFn, kernel: ActionKernel, t: float) -> GridFn:
-    """T^+_t u = max_y u(y) - h_t(x, y), by t/dt forward steps.
+    """T^+_t u = max_y u(y) - h_t(x, y), by t/dt steps of the reversed stencil.
 
     h_t of the reversed model is the transpose of the forward one, so
     T^+_t u = -min_y (h_t(x, y) - u(y)) needs no second kernel.
     """
-    vals = -u.values
+    vals, reverse = -u.values, kernel.reversed()
     for _ in range(kernel.steps_of(t)):
-        vals = kernel.push(vals)
+        vals = reverse.pull(vals)
     return GridFn(u.grid, -vals)
 
 
@@ -293,6 +245,16 @@ def semigroup_orbit(u: GridFn, kernel: ActionKernel, n_steps: int) -> np.ndarray
     for m in range(1, n_steps + 1):
         out[m] = kernel.pull(out[m - 1])
     return out
+
+
+def lax_minus_images(u: GridFn, kernel: ActionKernel, times) -> np.ndarray:
+    """Values of T^-_t u for each t in times, in the order given.
+
+    They are read off one orbit to the largest time: the same pulls as
+    lax_minus takes, so the same bits.
+    """
+    steps = [kernel.steps_of(t) for t in times]
+    return semigroup_orbit(u, kernel, max(steps, default=0))[steps]
 
 
 def discrete_critical_value(kernel: ActionKernel) -> float:
@@ -350,14 +312,9 @@ def check_monotone_semigroup(u: GridFn, kernel: ActionKernel, a: float,
         from .metric import lippo_scale
 
         tol = 4.0 * u.grid.h * lippo_scale(kernel.model, a, kernel.env, u.grid)
-    worst = np.inf
-    prev = u.values
-    prev_t = 0.0
-    for t in times:
-        cur = lax_minus(u, kernel, t)
-        cur_vals = cur.values + (a - kernel.shift) * t
-        worst = min(worst, float(np.min(cur_vals - (prev + (a - kernel.shift) * prev_t))))
-        prev, prev_t = cur.values, t
+    rise = (np.vstack([u.values, lax_minus_images(u, kernel, times)])
+            + (a - kernel.shift) * np.array([0.0] + times)[:, None])
+    worst = float(np.min(np.diff(rise, axis=0), initial=np.inf))
     return MonotoneReport(times=list(times), min_increment=worst, tol=float(tol),
                           passed=bool(worst >= -tol))
 
@@ -373,12 +330,10 @@ class CorrectorReport:
 def check_corrector(u: GridFn, kernel: ActionKernel, a: float, times,
                     tol: float) -> CorrectorReport:
     """Fixed-point test sup |T^-_t u + a t - u| at each ladder time."""
-    res = []
-    for t in sorted(times):
-        cur = lax_minus(u, kernel, t)
-        res.append(float(np.max(np.abs(cur.values + (a - kernel.shift) * t - u.values))))
-    res = np.asarray(res)
-    return CorrectorReport(times=sorted(times), residuals=res, tol=float(tol),
+    times = sorted(times)
+    res = np.array([float(np.max(np.abs(cur + (a - kernel.shift) * t - u.values)))
+                    for t, cur in zip(times, lax_minus_images(u, kernel, times))])
+    return CorrectorReport(times=times, residuals=res, tol=float(tol),
                            passed=bool(np.all(res <= tol)))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, LadderError
 from .grid import GridFn, geometric_mix
 from .hamiltonian import kappa, lipschitz_radius
-from .semigroup import ActionKernel, lax_minus, semigroup_orbit
+from .semigroup import ActionKernel, lax_minus_images, semigroup_orbit
 
 __all__ = [
     "StrictnessCertificate",
@@ -212,10 +212,8 @@ def build_strict_strictly_convex(w: GridFn, kernel: ActionKernel, a: float,
             f"model {kernel.model.name} is not strictly convex in p; "
             f"use build_strict_convex (time sup-convolution) instead")
     times = dyadic_fill_times(kernel, tau, m_terms)
-    stack = []
-    for t in times:
-        img = lax_minus(w, kernel, t)
-        stack.append(img.values + (a - kernel.shift) * t)
+    stack = [img + (a - kernel.shift) * t
+             for t, img in zip(times, lax_minus_images(w, kernel, times))]
     return geometric_mix(w.grid, stack)
 
 

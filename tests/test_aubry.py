@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import weakkam as wk
-from weakkam.aubry import (_edge_shortest_paths, build_library, build_w,
+from weakkam.aubry import (build_library, build_w,
                            classical_aubry, default_eps, detect_aubry,
                            extract_calibrated_curve, fixed_point_set,
                            lax_extension, verify_member)
 from weakkam.errors import (ConfigError, EmptyAubryMaskError,
                             NotASubsolutionError, SubcriticalLevelError)
-from weakkam.grid import GridFn, GridSpec
+from weakkam.grid import GridFn, GridSpec, relax
 from weakkam.hamiltonian import mechanical_model
 from weakkam.semigroup import build_kernel, discrete_critical_value, refold_kernel
 
@@ -35,6 +35,17 @@ def test_library_image_and_extra_members_also_verify(pend64):
     assert all(lib.verified), lib.violations
     assert lib.labels[-1] == "user[0]"
     assert any(lab.startswith("image[") for lab in lib.labels)
+
+
+def test_a_member_with_an_infinite_value_fails_with_infinite_violation(pend64):
+    kern, model, env, c, grid = (pend64[k] for k in
+                                 ("kernel", "model", "env", "c", "grid"))
+    holed = GridFn.zeros(grid)
+    holed.values[5] = np.inf
+    lib = build_library(model, c, env, kern, seeds=[0], extra=(holed,))
+    assert lib.labels[-1] == "user[0]"
+    assert lib.verified[-1] is False and lib.violations[-1] == np.inf
+    assert verify_member(holed, kern, c) == (False, np.inf)
 
 
 def test_mix_weights_are_geometric_and_renormalized(pend64):
@@ -123,8 +134,16 @@ def test_detect_aubry_rejects_non_subsolutions(pend64):
 
 def test_subcritical_level_is_flagged_as_negative_cycle(pend64):
     kern, c = pend64["kernel"], pend64["c"]
-    with pytest.raises(SubcriticalLevelError):
-        _edge_shortest_paths(refold_kernel(kern, c - 0.5), 0)
+    low = refold_kernel(kern, c - 0.5)
+    source = np.where(np.arange(kern.grid.size) == 0, 0.0, np.inf)
+    for forward in (False, True):
+        with pytest.raises(SubcriticalLevelError) as exc:
+            relax(low, source, forward=forward)
+        cycle = exc.value.cycle
+        hops = list(zip(cycle, cycle[1:] + cycle[:1]))
+        assert exc.value.cycle_cost < 0
+        assert exc.value.cycle_cost == sum(low.edge_cost(y, x) for y, x in hops)
+        assert all(np.isfinite(low.edge_cost(y, x)) for y, x in hops)
     with pytest.raises(SubcriticalLevelError):
         build_library(pend64["model"], c - 0.5, pend64["env"], kern)
 

@@ -171,6 +171,19 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "at least 8" in capsys.readouterr().err
 
 
+def test_disconnected_kernel_is_refused_with_the_speed_condition(tmp_path, capsys):
+    # dt = 1/64 on n = 16 asks speed h/dt = 4 of a one-cell move; the
+    # eikonal speed cone ends at 1, so only the zero offset would remain
+    cfg = tmp_path / "eikonal2d.cfg"
+    cfg.write_text("[environment]\nkind = periodic\ndimension = 2\n\n"
+                   "[hamiltonian]\nmodel = eikonal\n\n[grid]\ndim = 2\nn = 16\n")
+    rc = main(["critical", str(cfg), "--outdir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "configuration error" in err and "not strongly connected" in err
+    assert "h/dt = 4" in err
+
+
 def test_verify_battery_passes_and_is_deterministic(clirun, tmp_path, capsys):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["verify", clirun["cfg"], "--outdir", out_a]) == 0

@@ -1,10 +1,14 @@
-"""Periodic grid container: geometry, shifts, calculus stencils, CSV."""
+"""Periodic grid container: geometry, shifts, calculus stencils, CSV, and
+the stencil graph with its shortest-path engine."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weakkam.errors import ConfigError
-from weakkam.grid import BoxSpec, GridFn, GridSpec, load_gridfn_csv, save_gridfn_csv
+from weakkam.errors import ConfigError, SubcriticalLevelError
+from weakkam.grid import (BoxSpec, GridFn, GridSpec, Stencil, load_gridfn_csv,
+                          relax, save_gridfn_csv)
 
 
 def test_axis_and_points_cover_unit_cell():
@@ -142,3 +146,86 @@ def test_grid_rejects_bad_shapes():
         GridSpec(dim=3, n=8)
     with pytest.raises(ConfigError):
         GridSpec(dim=1, n=0)
+
+
+# -- the stencil graph and its relaxation engine -----------------------------
+
+LATTICES = [GridSpec(dim=1, n=8), GridSpec(dim=2, n=8),
+            BoxSpec(dim=2, radius=0.25, points_per_unit=8)]
+
+
+def _edge_table(stencil):
+    """Dense cost[y, x] of the cheapest one-edge move y -> x (+inf: none),
+    read off the stencil by coordinates, independently of its methods."""
+    grid, size = stencil.grid, stencil.size
+    shape = grid.shape
+    cost = np.full((size, size), np.inf)
+    for x in range(size):
+        here = np.array(np.unravel_index(x, shape))
+        for k, row in zip(stencil.offsets, stencil.weights):
+            there = here - k
+            if isinstance(grid, GridSpec):
+                there = there % grid.n
+            elif np.any((there < 0) | (there >= grid.n_per_axis)):
+                continue
+            y = int(np.ravel_multi_index(tuple(there), shape))
+            cost[y, x] = min(cost[y, x], row[x])
+    return cost
+
+
+def _floyd_warshall(cost):
+    dist = cost.copy()
+    np.fill_diagonal(dist, np.minimum(np.diag(dist), 0.0))
+    for z in range(len(dist)):
+        dist = np.minimum(dist, dist[:, z:z + 1] + dist[z:z + 1, :])
+    return dist
+
+
+@st.composite
+def small_stencils(draw):
+    grid = draw(st.sampled_from(LATTICES))
+    offsets = [k for k in grid.offsets_within(2.5 * grid.h) if draw(st.booleans())]
+    offsets = np.array(offsets or [grid.offsets_within(grid.h)[0]])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    holes = draw(st.sampled_from([0.0, 0.3, 0.8]))
+    # integer costs keep every path sum exact, so engine and oracle agree bitwise
+    weights = rng.integers(0, 10, (len(offsets), grid.size)).astype(float)
+    weights[rng.random(weights.shape) < holes] = np.inf
+    init = rng.integers(-5, 6, grid.size).astype(float)
+    init[rng.random(grid.size) < draw(st.sampled_from([0.0, 0.5, 0.95]))] = np.inf
+    return Stencil(grid, offsets, weights), init
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_stencils())
+def test_relax_matches_floyd_warshall_on_nonnegative_stencils(case):
+    stencil, init = case
+    apsp = _floyd_warshall(_edge_table(stencil))
+    backward = np.min(init[:, None] + apsp, axis=0)     # min_y init(y) + S(y, x)
+    forward = np.min(apsp + init[None, :], axis=1)      # min_x S(y, x) + init(x)
+    assert np.array_equal(relax(stencil, init), backward)
+    assert np.array_equal(relax(stencil, init, forward=True), forward)
+
+
+@pytest.mark.parametrize("grid", LATTICES, ids=["grid1d", "grid2d", "box2d"])
+def test_planted_negative_cycle_raises_a_closed_walk_witness(grid):
+    offsets = grid.offsets_within(2.5 * grid.h)
+    stencil = Stencil(grid, offsets, np.full((len(offsets), grid.size), 5.0))
+    # plant the directed three-cycle a -> a + k1 -> a + k1 + k2 -> a at cost
+    # -1 per edge; the same nodes the other way round cost +5 per edge
+    k1, k2 = np.eye(grid.dim, dtype=int)[0], np.eye(grid.dim, dtype=int)[-1]
+    a = grid.size // 2
+    b = int(grid.neighbors(a, k1))
+    c = int(grid.neighbors(b, k2))
+    for k, into in ((k1, b), (k2, c), (-(k1 + k2), a)):
+        stencil.weights[np.all(offsets == k, axis=1), into] = -1.0
+    source = np.where(np.arange(grid.size) == 0, 0.0, np.inf)
+    cost = _edge_table(stencil)
+    for forward in (False, True):
+        with pytest.raises(SubcriticalLevelError) as exc:
+            relax(stencil, source, forward=forward)
+        cycle, total = exc.value.cycle, exc.value.cycle_cost
+        hops = list(zip(cycle, cycle[1:] + cycle[:1]))
+        assert len(set(cycle)) == len(cycle) >= 2
+        assert all(np.isfinite(cost[y, x]) for y, x in hops)
+        assert total == sum(cost[y, x] for y, x in hops) and total < 0

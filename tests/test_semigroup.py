@@ -11,8 +11,9 @@ from weakkam.hamiltonian import (eikonal_model, kappa, mechanical_model,
 from weakkam.semigroup import (build_kernel, check_corrector,
                                check_monotone_semigroup,
                                check_time_dependent_solution,
-                               discrete_critical_value, lax_minus, lax_plus,
-                               refold_kernel, semigroup_orbit)
+                               discrete_critical_value, lax_minus,
+                               lax_minus_images, lax_plus, refold_kernel,
+                               semigroup_orbit)
 
 
 def brute_force_backward(u, model, env, grid, dt, radius):
@@ -49,6 +50,10 @@ def test_composition_on_the_ladder_is_exact(pend64):
         first = lax_minus(u, kern, steps[0] * kern.dt)
         chained = lax_minus(first, kern, steps[1] * kern.dt)
         assert np.array_equal(whole.values, chained.values)
+    # one walk to the largest time gives every image, in the order asked
+    times = [3 * kern.dt, kern.dt, 12 * kern.dt, 3 * kern.dt]
+    for t, img in zip(times, lax_minus_images(u, kern, times)):
+        assert np.array_equal(img, lax_minus(u, kern, t).values)
 
 
 def _grid2d_kernel():
