@@ -434,8 +434,9 @@ def relax(stencil: Stencil, init: np.ndarray, forward: bool = False) -> np.ndarr
         cand = steps.pull(dist)
         took = np.flatnonzero(cand < dist)
         gain = dist[took] - cand[took]
-        if sweep >= size + 64:
+        if sweep == size + 64:
             preds = steps.predecessors(np.arange(size))
+        if sweep >= size + 64:
             best = np.argmin(np.where(preds >= 0, dist[preds] + steps.weights, np.inf), axis=0)
             parent[took] = preds[best[took], took]
         dist[took] = cand[took]
