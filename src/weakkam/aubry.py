@@ -242,13 +242,18 @@ def detect_aubry(w: GridFn, kernel: ActionKernel, a: float, t_max: float,
 def classical_aubry(kernel: ActionKernel, a: float, t_max: float,
                     eps: float | None = None) -> AubryMask:
     """liminf surrogate on closed orbits: min over the ladder tail of
-    h_t(y, y) + a t, thresholded at eps."""
+    h_t(y, y) + a t, thresholded at eps.
+
+    The tail holds one or two consecutive ladder times t and 2t, so one
+    table serves both: h_2t(y, y) = min_z h_t(y, z) + h_t(z, y), the same
+    sums the squaring would form for that diagonal.
+    """
     ladder, tail, warns = _tail_times(kernel, t_max)
-    diag_stack = []
-    for t in tail:
-        table = kernel.at(t)
-        diag_stack.append(np.diagonal(table) + (a - kernel.shift) * t)
-    diag_stack = np.stack(diag_stack, axis=0)
+    table = kernel.at(tail[0])
+    diags = [np.diagonal(table)]
+    if len(tail) == 2:
+        diags.append(np.min(table + table.T, axis=1))
+    diag_stack = np.stack(diags) + (a - kernel.shift) * np.asarray(tail)[:, None]
     res_min = diag_stack.min(axis=0)
     res_max = diag_stack.max(axis=0)
     if eps is None:

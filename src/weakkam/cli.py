@@ -151,7 +151,7 @@ def stage_regularize(cfg: RunConfig, env, model, grid, kern, aub: dict,
             f"smoothing times s={s!r}, t={t!r} exceed the certified window "
             f"t0={window.t0!r}; curvature certificates are not guaranteed")
     k_use = _smoothing_ladder(kern, model, env, grid, s, t)
-    k_t = max(kernel_semiconcavity(k_use, t), kernel_semiconcavity(k_use, s))
+    k_t = max(kernel_semiconcavity(k_use, time) for time in {s, t})
     bound = max(window.a_const, k_t)
     w_eps, report = bernard_regularize(
         strict["w_eps"], k_use, a, s, t, mask=aub["mask"],
@@ -478,8 +478,14 @@ def _battery(cfg: RunConfig) -> list:
         from .hamiltonian import reversed_model
 
         kr = build_kernel(reversed_model(model), env, grid, kern.dt,
-                          kern.theta, shift=kern.shift)
-        fwd, rev = kern.at(kern.dt), kr.at(kr.dt).T
+                          kern.theta, shift=kern.shift).reversed()
+        # the reversed model's edge x -> y, turned around, must price y -> x
+        # as the kernel does; offsets are matched mod n (+-n/2 is one move)
+        rows = [{tuple(k % grid.n): w for k, w in zip(st.offsets, st.weights)}
+                for st in (kern, kr)]
+        moves = sorted(rows[0].keys() | rows[1].keys())
+        none = np.full(grid.size, np.inf)
+        fwd, rev = (np.array([r.get(k, none) for k in moves]) for r in rows)
         both = np.isfinite(fwd) & np.isfinite(rev)
         only = np.isfinite(fwd) ^ np.isfinite(rev)
         gap = float(np.max(np.abs(fwd[both] - rev[both])))

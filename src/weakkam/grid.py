@@ -123,12 +123,6 @@ class GridSpec:
         shifted = np.roll(v, shift=tuple(int(c) for c in np.atleast_1d(k)), axis=tuple(range(self.dim)))
         return shifted.ravel()
 
-    def roll_rows(self, table: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Row-shifted kernel table: out[i, j] = table[i + k, j] (periodic)."""
-        t = table.reshape(self.shape + (table.shape[1],))
-        shifted = np.roll(t, shift=tuple(-int(c) for c in np.atleast_1d(k)), axis=tuple(range(self.dim)))
-        return shifted.reshape(table.shape)
-
     def pad(self, values: np.ndarray, reach: int) -> np.ndarray:
         """values shaped on the grid and extended by reach nodes per side,
         periodically."""

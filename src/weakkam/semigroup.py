@@ -6,10 +6,12 @@ the cost graphs of the metric side share.  T^-_t u = min_y u(y) + h_t(y, x)
 is t/dt backward (pull) steps of the stencil; T^+_t is t/dt pull steps of
 the same stencil with every edge turned around, the reversal identity
 T^+_t u = -(reversed T^-_t)(-u) without a second kernel.  Ladder times are
-step counts, so T_{s+t} = T_s o T_t holds to the last bit.  All-pairs
-tables h_t(y, x), for diagonals and whole columns, come from min-plus
-squaring on the dyadic ladder t = dt * 2^k and binary composition in
-between.
+step counts, so T_{s+t} = T_s o T_t holds to the last bit.  One column
+h_t(., x) is t/dt pulls of the reversed stencil from the min-plus indicator
+of x.  Whole tables are built on demand and not kept, for the two readers
+that need every source at once (closed-orbit diagonals h_t(y, y) and the
+kernel's semiconcavity): min-plus squaring of the one-step table on the
+dyadic ladder t = dt * 2^k, binary composition in between.
 
 The stencil is also a weighted graph; its minimal cycle mean (Karp) is the
 exact critical value of the discretized system, the level at which min-plus
@@ -19,7 +21,7 @@ Aubry phenomenon at machine precision instead of bisection precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,8 +62,6 @@ class ActionKernel(Stencil):
     theta: float
     radius_one: float
     shift: float
-    _powers: dict = field(default_factory=dict, repr=False)
-    _power_offsets: dict = field(default_factory=dict, repr=False)
 
     # -- ladder ----------------------------------------------------------
 
@@ -86,66 +86,47 @@ class ActionKernel(Stencil):
     # -- all-pairs tables ------------------------------------------------
 
     def power(self, k: int) -> np.ndarray:
-        """All-pairs table for t = dt * 2^k, by repeated min-plus squaring."""
-        if k not in self._powers:
-            if k == 0:
-                nodes = np.arange(self.grid.size)
-                tab, off = np.full((self.grid.size,) * 2, np.inf), self.offsets
-                tab[self.predecessors(nodes), nodes] = self.weights
-            else:
-                prev = self.power(k - 1)
-                tab, off = _minplus_compose(self.grid, prev,
-                                            self._power_offsets[k - 1], prev)
-            self._powers[k] = tab
-            self._power_offsets[k] = off
-        return self._powers[k]
-
-    def at(self, t: float) -> np.ndarray:
-        """All-pairs table for any positive multiple of dt (binary composition)."""
-        m = self.steps_of(t)
-        table = None
-        k = 0
-        while m:
-            if m & 1:
-                pk = self.power(k)
-                table = pk if table is None else _minplus_compose(
-                    self.grid, pk, self._power_offsets[k], table)[0]
-            m >>= 1
-            k += 1
+        """All-pairs table for t = dt * 2^k: the one-step table squared k times."""
+        nodes = np.arange(self.grid.size)
+        table = np.full((self.grid.size,) * 2, np.inf)
+        table[self.predecessors(nodes), nodes] = self.weights
+        for _ in range(k):
+            table = _minplus_product(table, table)
         return table
 
+    def at(self, t: float) -> np.ndarray:
+        """All-pairs table for any positive multiple of dt: the squarings of
+        power(0) for the binary digits of t/dt, composed from the lowest."""
+        m = self.steps_of(t)
+        square, table = self.power(0), None
+        while True:
+            if m & 1:
+                table = square if table is None else _minplus_product(square, table)
+            m >>= 1
+            if not m:
+                return table
+            square = _minplus_product(square, square)
 
-def _minplus_compose(grid: GridSpec, A: np.ndarray, A_offsets: np.ndarray | None,
-                     B: np.ndarray) -> tuple:
-    """C[i, j] = min_z A[i, z] + B[z, j], exploiting A's offset support.
 
-    A_offsets None means dense support.  Returns (C, C_offsets) where the
-    support bound is the clipped Minkowski sum (None once it saturates).
+def _minplus_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """C[i, j] = min_z A[i, z] + B[z, j], row by row.
+
+    Only the finite entries of a row of A can win, so the row gathers just
+    those rows of B into one reused buffer; a row with no +inf adds B as it
+    is.  Every sum is one the full product forms, so C is the same to the
+    last bit.
     """
-    size = A.shape[0]
-    if A_offsets is None or len(A_offsets) >= size:
-        C = np.empty_like(A)
-        for i in range(size):
-            C[i] = np.min(A[i][:, None] + B, axis=0)
-        return C, None
-    C = np.full_like(A, np.inf)
-    idx = np.arange(size)
-    for k in A_offsets:
-        j_of = grid.neighbors(idx, k)
-        a_u = A[idx, j_of]
-        rolled = grid.roll_rows(B, k)
-        np.minimum(C, a_u[:, None] + rolled, out=C)
-    # support of C: offsets u+v clipped to the torus half-width
-    lim = grid.n // 2
-    if len(A_offsets) ** 2 >= size:
-        C_off = None
-    else:
-        summed = (A_offsets[:, None, :] + A_offsets[None, :, :]).reshape(-1, grid.dim)
-        summed = ((summed + lim) % grid.n) - lim
-        C_off = np.unique(summed, axis=0)
-        if len(C_off) >= size:
-            C_off = None
-    return C, C_off
+    C = np.empty((A.shape[0], B.shape[1]))
+    buf = np.empty_like(B)
+    for i, row in enumerate(A):
+        z = np.flatnonzero(np.isfinite(row))
+        if len(z) == len(row):
+            part = np.add(row[:, None], B, out=buf)
+        else:
+            part = np.take(B, z, axis=0, out=buf[:len(z)], mode="clip")
+            part += row[z, None]
+        np.min(part, axis=0, out=C[i], initial=np.inf)
+    return C
 
 
 def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
@@ -203,7 +184,7 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
 
 
 def refold_kernel(kernel: ActionKernel, shift: float) -> ActionKernel:
-    """Same kernel with a different energy folding (fresh power cache).
+    """Same kernel with a different energy folding.
 
     Only the constant dt * (shift - old shift) moves on every finite edge,
     so the edge set and reach are reused.

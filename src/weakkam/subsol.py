@@ -48,22 +48,17 @@ def _mask_array(mask) -> np.ndarray:
     return np.asarray(arr, dtype=bool)
 
 
-def _distance_to_mask(grid, mask: np.ndarray) -> np.ndarray:
-    pts = grid.points()
-    src = pts[mask]
-    if src.shape[0] == 0:
-        return np.full(grid.size, np.inf)
-    d = grid.min_image(pts[:, None, :] - src[None, :, :])
-    return np.min(np.linalg.norm(d, axis=-1), axis=1)
-
-
-def _mask_adjacent(grid, mask: np.ndarray) -> np.ndarray:
-    """Mask dilated by one cell per axis: points whose central stencil
-    touches the mask."""
+def _near_mask(grid, mask: np.ndarray, d0: float) -> np.ndarray:
+    """Nodes at torus distance < d0 from the mask, or whose central stencil
+    touches it: the mask dilated by every lattice offset k with |k| h < d0
+    and by the one-cell ring."""
+    half = np.arange(-(grid.n // 2), grid.n - grid.n // 2)    # minimal images
+    ks = np.stack(np.meshgrid(*[half] * grid.dim, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+    ks = ks[(np.sum(np.abs(ks), axis=1) <= 1) | (np.linalg.norm(ks * grid.h, axis=1) < d0)]
     m = mask.reshape(grid.shape)
-    out = m.copy()
-    for ax in range(grid.dim):
-        out |= np.roll(m, 1, axis=ax) | np.roll(m, -1, axis=ax)
+    out = np.zeros_like(m)
+    for k in ks:
+        out |= np.roll(m, tuple(k), axis=tuple(range(grid.dim)))
     return out.ravel()
 
 
@@ -96,8 +91,7 @@ def check_strict(v: GridFn, model, env, mask, d0: float,
     """
     grid = v.grid
     m = _mask_array(mask)
-    region = _distance_to_mask(grid, m) >= d0
-    region &= ~_mask_adjacent(grid, m)
+    region = ~_near_mask(grid, m, d0)
     if not np.any(region):
         raise ConfigError(
             f"no cells at distance >= d0={d0} from the mask; shrink d0")

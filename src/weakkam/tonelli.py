@@ -504,19 +504,22 @@ def check_envelope_identity(w: GridFn, kernel: ActionKernel, t: float,
     contact point) and the discrepancy is O(K) rather than O(h + dt).
     """
     grid = kernel.grid
-    table = kernel.at(t)
+    steps, reverse = kernel.steps_of(t), kernel.reversed()
     pts = grid.points()
     grads = w.central_gradient()
     samples = np.atleast_1d(np.asarray(sample_indices, dtype=int))
     disc = np.empty(len(samples))
     for row, x_idx in enumerate(samples):
-        col = w.values + table[:, x_idx]
+        h_col = np.where(np.arange(grid.size) == x_idx, 0.0, np.inf)    # h_t(., x)
+        for _ in range(steps):
+            h_col = reverse.pull(h_col)
+        col = w.values + h_col
         y = int(np.argmin(col))
         direct = float(col[y])
         delta = grid.min_image(pts - pts[y])
         psi = w.values[y] + delta @ grads[y] \
             - 0.5 * k_semiconvex * np.sum(delta * delta, axis=1)
-        evolved = float(np.min(psi + table[:, x_idx]))
+        evolved = float(np.min(psi + h_col))
         disc[row] = direct - evolved
     return EnvelopeReport(sample_indices=samples, discrepancies=disc,
                           max_discrepancy=float(np.max(disc)),

@@ -108,6 +108,42 @@ def test_closed_orbit_surrogate_agrees_with_fixed_point_route(pend64):
     assert cl.residual[0] == 0.0
 
 
+def _folded_grid2d_kernel():
+    spec = wk.EnvSpec(kind="periodic", dimension=2, seed=0,
+                      params={"amplitudes": (0.5,)})
+    env = wk.sample_realization(spec, 0)
+    model = mechanical_model(dim=2, field_bound=0.5)
+    raw = build_kernel(model, env, GridSpec(dim=2, n=16), dt=1.0 / 32.0, theta=2.0)
+    c = discrete_critical_value(raw)
+    return refold_kernel(raw, c), c
+
+
+def _folded_tilted64_kernel(env):
+    model = wk.tilted_mechanical_model(0.5, dim=1, field_bound=1.0)
+    raw = build_kernel(model, env, GridSpec(dim=1, n=64), dt=1.0 / 64.0, theta=3.0)
+    c = discrete_critical_value(raw)
+    return refold_kernel(raw, c), c
+
+
+@pytest.mark.parametrize("case", ["pend64", "grid2d_n16", "tilted64"])
+def test_closed_orbit_residual_is_read_off_the_table_diagonals(case, pend64):
+    """The second tail diagonal comes from the first tail table; it must be
+    the diagonal of the squared table to the last bit.  The tilted kernel
+    is not symmetric, so h_t(z, y) cannot stand in for h_t(y, z)."""
+    kern, c = {"pend64": lambda: (pend64["kernel"], pend64["c"]),
+               "grid2d_n16": _folded_grid2d_kernel,
+               "tilted64": lambda: _folded_tilted64_kernel(pend64["env"])}[case]()
+    # far above the level the first tail row is the minimum, far below the
+    # second, so each row is compared on its own
+    for a, row in ((c, None), (c + 1e3, 0), (c - 1e3, 1)):
+        cl = classical_aubry(kern, a, 4.0)
+        assert len(cl.test_times) == 2
+        rows = np.stack([np.diagonal(kern.at(t)) + (a - kern.shift) * t
+                         for t in cl.test_times])
+        assert np.array_equal(cl.residual, rows.min(axis=0) if row is None else rows[row])
+        assert np.array_equal(cl.mask, cl.residual <= cl.eps)
+
+
 def test_default_eps_scales_with_range():
     assert default_eps(np.array([0.0, 2.0])) == pytest.approx(2e-6)
     assert default_eps(np.array([0.0, 0.5])) == pytest.approx(1e-6)
@@ -185,14 +221,7 @@ def test_moving_chain_action_dominates_semidistance(pend64):
 
 
 def test_two_dimensional_seed_layout_verifies():
-    spec = wk.EnvSpec(kind="periodic", dimension=2, seed=0,
-                      params={"amplitudes": (0.5,)})
-    env = wk.sample_realization(spec, 0)
-    model = mechanical_model(dim=2, field_bound=0.5)
-    grid = GridSpec(dim=2, n=16)
-    raw = build_kernel(model, env, grid, dt=1.0 / 32.0, theta=2.0)
-    c = discrete_critical_value(raw)
-    kern = refold_kernel(raw, c)
-    lib = build_library(model, c, env, kern, n_seeds=4)
+    kern, c = _folded_grid2d_kernel()
+    lib = build_library(kern.model, c, kern.env, kern, n_seeds=4)
     assert len(lib.members) == 8
     assert all(lib.verified), lib.violations

@@ -208,3 +208,48 @@ def test_verify_json_mode(clirun, tmp_path, capsys):
     statuses = {row["status"] for row in payload["checks"].values()}
     assert statuses == {"PASS"}
     assert len(payload["checks"]) == 15
+
+
+TILTED_TEXT = """\
+[environment]
+kind = periodic
+amplitudes = 1.0
+
+[hamiltonian]
+model = tilted_mechanical
+field_bound = 1.0
+
+[grid]
+n = 64
+"""
+
+
+def test_reversal_row_reads_the_reversed_kernel(tmp_path, capsys, monkeypatch):
+    """The tilt makes h_dt asymmetric, so a reversal that turns nothing
+    around must show up as a gap between the two stencils."""
+    cfg = tmp_path / "tilted.cfg"
+    cfg.write_text(TILTED_TEXT)
+
+    def reversal_row(outdir):
+        main(["verify", str(cfg), "--outdir", str(tmp_path / outdir), "--json"])
+        return json.loads(capsys.readouterr().out)["checks"]["reversal_transposes_kernel"]
+
+    assert reversal_row("plain") == {"status": "PASS", "detail": "gap=0.0"}
+    monkeypatch.setattr(weakkam.hamiltonian, "reversed_model", lambda model: model)
+    row = reversal_row("unreversed")
+    assert row["status"] == "FAIL"
+    # the one-step tables, compared whole, differ by the same amount
+    assert float(row["detail"].removeprefix("gap=")) == pytest.approx(0.171875, abs=1e-12)
+
+
+def test_reversal_row_matches_half_period_moves_mod_n(tmp_path, capsys):
+    """At n=8 and dt=1/4 the one-step reach wraps half the torus: the kernel
+    keeps the move +4 and the reversed kernel, turned around, the move -4.
+    They join the same nodes, and on a flat field they cost the same."""
+    cfg = tmp_path / "flat8.cfg"
+    cfg.write_text(TILTED_TEXT.replace("tilted_mechanical", "mechanical")
+                   .replace("amplitudes = 1.0", "amplitudes = 0.0")
+                   .replace("n = 64", "n = 8\n\n[ladder]\ndt = 0.25"))
+    main(["verify", str(cfg), "--outdir", str(tmp_path / "out"), "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["reversal_transposes_kernel"] == {"status": "PASS", "detail": "gap=0.0"}

@@ -66,14 +66,6 @@ def test_roll_flat_reads_predecessor_values():
     assert rolled[3] == 0.0 and rolled[0] == 5.0
 
 
-def test_roll_rows_shifts_table_rows():
-    g = GridSpec(dim=1, n=8)
-    table = np.arange(16.0).reshape(8, 2)
-    out = g.roll_rows(table, np.array([1]))
-    assert np.array_equal(out[0], table[1])
-    assert np.array_equal(out[7], table[0])
-
-
 def test_gridfn_algebra_and_normalization():
     g = GridSpec(dim=1, n=8)
     f = GridFn.from_callable(g, lambda x: x[:, 0] + 1.0)

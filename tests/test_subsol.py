@@ -11,9 +11,9 @@ from weakkam.hamiltonian import (kappa, lipschitz_radius, nonstrict_model)
 from weakkam.metric import semidistance
 from weakkam.semigroup import (build_kernel, discrete_critical_value,
                                lax_minus, refold_kernel)
-from weakkam.subsol import (build_strict_convex, build_strict_strictly_convex,
-                            check_strict, check_weakly_strict,
-                            density_mix, dyadic_fill_times,
+from weakkam.subsol import (_near_mask, build_strict_convex,
+                            build_strict_strictly_convex, check_strict,
+                            check_weakly_strict, density_mix, dyadic_fill_times,
                             sup_convolution_time, truncation_budget)
 
 
@@ -164,3 +164,33 @@ def test_weak_strictness_on_the_pendulum_mix(pend64):
     assert rep.n_pairs > 0 and rep.worst_pair is not None
     with pytest.raises(ConfigError):
         check_weakly_strict(w, sd, np.ones(grid.size, dtype=bool))
+
+
+def _region_by_displacements(grid, mask, d0):
+    """The former route: torus distance to every mask node from an
+    N x |mask| displacement array, then the one-cell ring taken out."""
+    pts = grid.points()
+    src = pts[mask]
+    dist = np.full(grid.size, np.inf)
+    if len(src):
+        d = grid.min_image(pts[:, None, :] - src[None, :, :])
+        dist = np.min(np.linalg.norm(d, axis=-1), axis=1)
+    m = mask.reshape(grid.shape)
+    ring = m.copy()
+    for ax in range(grid.dim):
+        ring |= np.roll(m, 1, axis=ax) | np.roll(m, -1, axis=ax)
+    return (dist >= d0) & ~ring.ravel()
+
+
+@pytest.mark.parametrize(("dim", "n"), [(1, 64), (1, 512), (2, 16), (2, 32), (2, 64)])
+def test_mask_clearance_by_dilation_matches_the_displacement_distance(dim, n):
+    """d0 = 0.125 and 0.25 are tie radii on these grids: a node exactly d0
+    away stays in the region."""
+    grid = GridSpec(dim=dim, n=n)
+    rng = np.random.default_rng(dim * 1000 + n)
+    for count in (0, 1, 2, 5, 17):
+        mask = np.zeros(grid.size, dtype=bool)
+        mask[rng.choice(grid.size, count, replace=False)] = True
+        for d0 in (0.05, 0.1, 0.125, 0.25, 0.3, 0.5, 0.6):
+            assert np.array_equal(~_near_mask(grid, mask, d0),
+                                  _region_by_displacements(grid, mask, d0)), (count, d0)

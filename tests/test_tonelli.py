@@ -147,6 +147,32 @@ def test_envelope_identity_at_one_step(pend64):
     assert rep.max_discrepancy == 0.0
 
 
+def test_envelope_columns_match_the_all_pairs_table(pend64):
+    """check_envelope_identity pulls each column h_t(., x) on the reversed
+    stencil; the all-pairs table is the independent route.  The tilt makes
+    h_t(y, x) and h_t(x, y) differ, and rough data makes every sampled x
+    give its own discrepancy."""
+    model = wk.tilted_mechanical_model(0.5, dim=1, field_bound=1.0)
+    grid = pend64["grid"]
+    kern = build_kernel(model, pend64["env"], grid, dt=1.0 / 64.0, theta=3.0)
+    w = GridFn(grid, 0.1 * np.random.default_rng(5).standard_normal(grid.size))
+    pts, grads, k_semiconvex, samples = grid.points(), w.central_gradient(), 1.0, [0, 5, 16, 40]
+    for steps in (1, 3, 4):
+        t = steps * kern.dt
+        table = kern.at(t)
+        expected = []
+        for x in samples:
+            col = w.values + table[:, x]
+            y = int(np.argmin(col))
+            delta = grid.min_image(pts - pts[y])
+            psi = (w.values[y] + delta @ grads[y]
+                   - 0.5 * k_semiconvex * np.sum(delta * delta, axis=1))
+            expected.append(col[y] - np.min(psi + table[:, x]))
+        rep = check_envelope_identity(w, kern, t, k_semiconvex, samples)
+        assert np.max(np.abs(rep.discrepancies - expected)) <= 1e-12
+        assert np.ptp(expected) > 0.0
+
+
 def test_lifted_mask_is_flow_invariant_for_the_corrector(pend64, pendulum_corrector):
     model, env, mask = pend64["model"], pend64["env"], pend64["mask"]
     u = GridFn.from_callable(pend64["grid"], lambda p: pendulum_corrector(p[:, 0]))
