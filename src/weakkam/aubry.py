@@ -16,6 +16,11 @@ the intersection over the whole library.
 Cones, anticones and the Lax extension from a mask are grid.relax runs on
 the folded kernel and on the sigma_a cost graph, one stencil type, so a
 level below critical is refused alike on both: by a negative cycle.
+
+The closed-orbit mask (classical_aubry) is the second route to the same
+set: the nodes on minimal-mean cycles of the one-step graph, read off the
+critical graph of a policy-iteration bias (grid.policy_iteration) without
+w, the ladder or a threshold.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EmptyAubryMaskError, NotASubsolutionError
-from .grid import GridFn, GridSpec, geometric_mix, relax
+from .grid import GridFn, GridSpec, geometric_mix, policy_iteration, relax
 from .metric import build_cost_graph, semidistance
 from .semigroup import (ActionKernel, lax_minus, lax_minus_images, refold_kernel,
                         semigroup_orbit)
@@ -239,30 +244,15 @@ def detect_aubry(w: GridFn, kernel: ActionKernel, a: float, t_max: float,
                      test_times=tail, thresholds=thresholds, warnings=warns)
 
 
-def classical_aubry(kernel: ActionKernel, a: float, t_max: float,
-                    eps: float | None = None) -> AubryMask:
-    """liminf surrogate on closed orbits: min over the ladder tail of
-    h_t(y, y) + a t, thresholded at eps.
+def classical_aubry(kernel: ActionKernel) -> np.ndarray:
+    """Nodes on the kernel's closed orbits of minimal mean action.
 
-    The tail holds one or two consecutive ladder times t and 2t, so one
-    table serves both: h_2t(y, y) = min_z h_t(y, z) + h_t(z, y), the same
-    sums the squaring would form for that diagonal.
+    They are the cycles of the critical graph of the kernel's min-plus
+    eigenvector (grid.policy_iteration); the mask does not depend on the
+    level folded into the kernel.  No fixed point of w enters, so it checks
+    detect_aubry by an independent route.
     """
-    ladder, tail, warns = _tail_times(kernel, t_max)
-    table = kernel.at(tail[0])
-    diags = [np.diagonal(table)]
-    if len(tail) == 2:
-        diags.append(np.min(table + table.T, axis=1))
-    diag_stack = np.stack(diags) + (a - kernel.shift) * np.asarray(tail)[:, None]
-    res_min = diag_stack.min(axis=0)
-    res_max = diag_stack.max(axis=0)
-    if eps is None:
-        eps = default_eps(res_min)
-    thresholds = {lab: res_min <= (eps * fac)
-                  for lab, fac in (("half", 0.5), ("one", 1.0), ("two", 2.0))}
-    return AubryMask(grid=kernel.grid, a=a, eps=float(eps), mask=thresholds["one"],
-                     residual=res_min, residual_tail_min=res_min,
-                     test_times=tail, thresholds=thresholds, warnings=warns)
+    return policy_iteration(kernel).mask
 
 
 def lax_extension(g, mask: np.ndarray, model, a: float, env,

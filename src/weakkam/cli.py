@@ -456,13 +456,13 @@ def _battery(cfg: RunConfig) -> list:
         f"cells={int(am.mask.sum())} eps={am.eps!r}"))
 
     def _classical_subset():
-        ca = classical_aubry(kern, a, t_max)
+        closed = classical_aubry(kern)
         det = am.mask.reshape(grid.shape)
         dil = det.copy()
         for ax in range(grid.dim):
             dil |= np.roll(det, 1, axis=ax) | np.roll(det, -1, axis=ax)
-        ok = bool(np.all(dil.ravel()[ca.mask]))
-        return ok, f"closed_orbit_cells={int(ca.mask.sum())}"
+        ok = bool(np.all(dil.ravel()[closed]))
+        return ok, f"closed_orbit_cells={int(closed.sum())}"
     run("closed_orbits_inside_mask", _classical_subset)
 
     def _extension():
@@ -526,9 +526,11 @@ def _battery(cfg: RunConfig) -> list:
             raise strict
         reg = stage_regularize(cfg, env, model, grid, kern, aub, strict)
         rep = reg["report"]
-        return rep.passed, (f"k=[{rep.curvature.k_lower!r}, "
-                            f"{rep.curvature.k_upper!r}] "
-                            f"bound={reg['curvature_bound']!r}")
+        detail = (f"k=[{rep.curvature.k_lower!r}, {rep.curvature.k_upper!r}] "
+                  f"bound={reg['curvature_bound']!r}")
+        if not rep.passed:
+            detail += f" failed={','.join(rep.failed())}"
+        return rep.passed, detail
     run("two_sided_curvature_bounds", _curvature)
 
     def _drift():

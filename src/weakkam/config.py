@@ -254,8 +254,9 @@ def build_model(cfg: RunConfig):
     if name == "mechanical":
         return mechanical_model(dim=dim, field_bound=sec["field_bound"])
     if name == "tilted_mechanical":
-        return tilted_mechanical_model(sec["p0"][:dim], dim=dim,
-                                       field_bound=sec["field_bound"])
+        # one number tilts every axis alike; the model refuses other sizes
+        p0 = sec["p0"] * dim if len(sec["p0"]) == 1 else sec["p0"]
+        return tilted_mechanical_model(p0, dim=dim, field_bound=sec["field_bound"])
     if name == "eikonal":
         return eikonal_model(offset=sec["offset"], dim=dim,
                              field_bound=sec["field_bound"])

@@ -8,18 +8,20 @@ coordinates equals index order; argmin tie-breaking relies on this.
 
 Action kernels and sigma_a cost graphs are both a Stencil: one row of edge
 costs per lattice offset.  relax() is the one shortest-path engine over it,
-with one stop rule and a negative-cycle witness.
+with one stop rule and a negative-cycle witness; policy_iteration() gives
+its minimal cycle mean, a min-plus eigenvector and the critical graph.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, SubcriticalLevelError
+from .errors import ConfigError, SubcriticalLevelError, WeakKamError
 
 __all__ = [
     "GridSpec",
@@ -27,6 +29,8 @@ __all__ = [
     "BoxSpec",
     "Stencil",
     "relax",
+    "CriticalGraph",
+    "policy_iteration",
     "geometric_mix",
     "save_gridfn_csv",
     "load_gridfn_csv",
@@ -323,7 +327,7 @@ class Stencil:
     weights[k, x] is the cost of the edge into x from x - offsets[k] * h,
     +inf where there is no such edge.  A periodic GridSpec wraps around; a
     BoxSpec has no node past its edge, and reads there are +inf.  Only this
-    class and relax() read that layout.
+    class, relax() and policy_iteration() read that layout.
     """
 
     grid: object
@@ -334,17 +338,26 @@ class Stencil:
     def size(self) -> int:
         return self.grid.size
 
-    def pull(self, u: np.ndarray) -> np.ndarray:
-        """One backward step: out(x) = min_y u(y) + cost(y -> x)."""
+    def _blocks(self, u: np.ndarray):
+        """Yield (rows, vals) per block of offsets: vals[j, x] = u(x - k h)
+        for the offset k = offsets[rows][j], +inf off a box; a fresh array.
+
+        A block of ~256 KiB stays in cache, and a caller that reduces each
+        block over its offsets needs O(size) memory beyond the stencil.
+        """
         grid = self.grid
         reach = int(np.max(np.abs(self.offsets), initial=0))
         windows = sliding_window_view(grid.pad(u, reach), grid.shape)
         pick = reach - self.offsets.T    # windows[w][x] = u(x + (w - reach) h)
-        best = np.full(grid.size, np.inf)
-        per = max(1, 32768 // grid.size)    # offsets per block: 256 KiB stays in cache
+        per = max(1, 32768 // grid.size)
         for a in range(0, len(self.offsets), per):
-            cand = windows[tuple(pick[:, a:a + per])].reshape(-1, grid.size)
-            cand += self.weights[a:a + per]
+            yield slice(a, a + per), windows[tuple(pick[:, a:a + per])].reshape(-1, grid.size)
+
+    def pull(self, u: np.ndarray) -> np.ndarray:
+        """One backward step: out(x) = min_y u(y) + cost(y -> x)."""
+        best = np.full(self.grid.size, np.inf)
+        for rows, cand in self._blocks(u):
+            cand += self.weights[rows]
             np.minimum(best, cand.min(axis=0), out=best)
         return best
 
@@ -448,6 +461,200 @@ def relax(stencil: Stencil, init: np.ndarray, forward: bool = False) -> np.ndarr
         f"shortest paths still improving after {2 * size + 65} sweeps: negative "
         f"cycle of cost {cost:.3e} through {len(cycle)} nodes (level below "
         f"the critical value)", cycle=cycle, cycle_cost=cost)
+
+
+@dataclass
+class CriticalGraph:
+    """Spectral data of a strongly connected stencil from policy iteration.
+
+    mean   : minimal cycle mean per edge, the fsum mean of ``cycle``
+    cycle  : nodes of one minimal-mean cycle, in edge order (the last node
+             steps to the first)
+    bias   : min-plus eigenvector, mean + bias(x) = min_y bias(y) + cost(y -> x)
+    mask   : nodes on minimal-mean cycles (the critical graph's cycles)
+    budget : rounding budget that decides saturation, see policy_iteration
+    """
+
+    mean: float
+    cycle: list
+    bias: np.ndarray = field(repr=False)
+    mask: np.ndarray = field(repr=False)
+    budget: float
+
+
+def _evaluate_policy(pred: list, cost: list) -> tuple:
+    """Cycle mean and bias of the policy x <- pred[x] with edge costs cost[x].
+
+    Each walk along pred ends on a cycle; a new cycle gets its fsum mean
+    and bias 0 at its smallest node, and every other node takes
+    bias(x) = (cost[x] - mean) + bias(pred[x]).  Returns (means, bias,
+    cycles), each cycle listed against the edges.
+    """
+    size = len(pred)
+    mean, bias, state, cycles = [0.0] * size, [0.0] * size, [0] * size, []
+    for start in range(size):
+        path, x = [], start
+        while state[x] == 0:       # 0 unseen, 1 on this walk, 2 evaluated
+            state[x] = 1
+            path.append(x)
+            x = pred[x]
+        if state[x] == 1:          # the walk closed a new cycle at x
+            cyc = path[path.index(x):]
+            del path[len(path) - len(cyc):]
+            eta = math.fsum(cost[z] for z in cyc) / len(cyc)
+            root = cyc.index(min(cyc))
+            for j in range(1, len(cyc)):
+                z = cyc[root - j]
+                bias[z] = (cost[z] - eta) + bias[pred[z]]
+            for z in cyc:
+                mean[z], state[z] = eta, 2
+            cycles.append(cyc)
+        for z in reversed(path):
+            mean[z] = mean[pred[z]]
+            bias[z] = (cost[z] - mean[z]) + bias[pred[z]]
+            state[z] = 2
+    return np.array(mean), np.array(bias), cycles
+
+
+def _take_min(cand: np.ndarray, rows: slice, best: np.ndarray, arg: np.ndarray) -> None:
+    """Lower best to the block's column minima where they are smaller, and
+    record the winning offset index in arg."""
+    j = np.argmin(cand, axis=0)
+    low = np.take_along_axis(cand, j[None], axis=0)[0]
+    took = low < best
+    best[took] = low[took]
+    arg[took] = rows.start + j[took]
+
+
+def _nontrivial_sccs(size: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Nodes on strongly connected components of two or more nodes, by an
+    iterative Tarjan walk over the edges src -> dst in CSR form."""
+    order = np.argsort(src, kind="stable")
+    head = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=size))])
+    succ = dst[order]
+    index, low = [-1] * size, [0] * size
+    on_stack, stack, found = [False] * size, [], np.zeros(size, dtype=bool)
+    count = 0
+    for root in range(size):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [[root, int(head[root])]]
+        while work:
+            top = work[-1]
+            x, e = top
+            if e < head[x + 1]:
+                top[1] = e + 1
+                y = int(succ[e])
+                if index[y] < 0:
+                    index[y] = low[y] = count
+                    count += 1
+                    stack.append(y)
+                    on_stack[y] = True
+                    work.append([y, int(head[y])])
+                elif on_stack[y]:
+                    low[x] = min(low[x], index[y])
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[x])
+            if low[x] == index[x]:
+                comp = []
+                while True:
+                    y = stack.pop()
+                    on_stack[y] = False
+                    comp.append(y)
+                    if y == x:
+                        break
+                if len(comp) > 1:
+                    found[comp] = True
+    return found
+
+
+def policy_iteration(stencil: Stencil) -> CriticalGraph:
+    """Minimal cycle mean, bias and critical mask of a strongly connected
+    stencil by Howard's policy iteration in min-plus form.
+
+    A policy picks one in-edge per node.  Evaluation walks its functional
+    graph (_evaluate_policy).  Improvement first moves a node to an in-edge
+    from a node of smaller cycle mean; a node with none moves to the
+    in-edge of equal mean that lowers cost(y -> x) + bias(y) by more than
+    the budget below.  Both passes reduce the stencil one offset block at a
+    time, so they need O(size) memory beyond it.  On a strongly connected
+    graph the final policy has one mean everywhere, the minimal cycle mean
+    (Cochet-Terrasson, Cohen, Gaubert, McGettrick & Quadrat, 1998).
+
+    An edge is saturated when its slack cost(y -> x) + bias(y) - mean -
+    bias(x) is at most the budget; the cycles of the saturated edges are
+    exactly the minimal-mean cycles (Baccelli, Cohen, Olsder & Quadrat,
+    1992, ch. 3), so the mask holds the nodes on a nontrivial strongly
+    connected component of them and those with a saturated self-loop.
+
+    The budget is a priori.  With u = 2^-53 and S = max(1, cost_scale,
+    max |bias|), the mean of a cycle is rounded once (u S), and each node's
+    bias is a chain of at most size - 1 steps from its cycle root, each
+    rounding cost - mean and the sum (3 u S, as |cost - mean| <= 2 S), so
+    the computed bias is within 4 u S (size - 1) of the exact one.  The
+    slack adds that error at both ends, the mean's, and three roundings of
+    terms up to 4 S, 9 u S in all: at most (8 size + 2) u S, below
+    budget = 4 (size + 1) 2^-52 S.  Improvements smaller than the budget
+    are rounding, so they are not taken.
+    """
+    size = stencil.size
+    nodes = np.arange(size)
+    weights = stencil.weights
+    policy, cheapest = np.zeros(size, dtype=int), np.full(size, np.inf)
+    for rows, cand in stencil._blocks(np.zeros(size)):    # +inf off a box
+        cand += weights[rows]
+        _take_min(cand, rows, cheapest, policy)
+    if not np.all(np.isfinite(cheapest)):
+        raise ConfigError("policy iteration needs a stencil with an edge into every node")
+    scale = max(1.0, stencil.cost_scale())
+    for _ in range(size + 64):
+        pred = stencil.grid.neighbors(nodes, -stencil.offsets[policy])
+        cost = weights[policy, nodes]
+        mean, bias, cycles = _evaluate_policy(pred.tolist(), cost.tolist())
+        budget = 4 * (size + 1) * 2.0**-52 * max(scale, float(np.max(np.abs(bias))))
+        low_mean, to_mean = mean.copy(), policy.copy()
+        low_cost, to_cost = np.full(size, np.inf), policy.copy()
+        for (rows, means), (_, cand) in zip(stencil._blocks(mean), stencil._blocks(bias)):
+            means[~np.isfinite(weights[rows])] = np.inf
+            _take_min(means, rows, low_mean, to_mean)
+            cand += weights[rows]
+            cand[means != mean] = np.inf
+            _take_min(cand, rows, low_cost, to_cost)
+        lower = low_mean < mean
+        cheaper = ~lower & (low_cost < cost + bias[pred] - budget)
+        if not (lower.any() or cheaper.any()):
+            break
+        policy = np.where(lower, to_mean, np.where(cheaper, to_cost, policy))
+    else:
+        raise WeakKamError(f"policy iteration did not settle in {size + 64} rounds")
+    if np.any(mean != mean[0]):
+        raise ConfigError("the stencil graph is not strongly connected: its policy "
+                          "iteration ends with more than one cycle mean")
+    level = float(mean[0])
+    src, dst = [], []
+    loops = np.zeros(size, dtype=bool)
+    still = np.flatnonzero(np.all(stencil.offsets == 0, axis=1))
+    for rows, slack in stencil._blocks(bias):
+        slack += weights[rows]
+        slack -= level
+        slack -= bias
+        tight = slack <= budget
+        for k in still[(still >= rows.start) & (still < rows.stop)]:
+            loops |= tight[k - rows.start]
+            tight[k - rows.start] = False
+        k, x = np.nonzero(tight)
+        dst.append(x)
+        src.append(stencil.grid.neighbors(x, -stencil.offsets[rows.start + k]))
+    mask = loops | _nontrivial_sccs(size, np.concatenate(src), np.concatenate(dst))
+    return CriticalGraph(mean=level, cycle=cycles[0][::-1], bias=bias, mask=mask,
+                         budget=budget)
 
 
 def geometric_mix(grid: GridSpec, stack) -> GridFn:

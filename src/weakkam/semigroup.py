@@ -8,10 +8,10 @@ the same stencil with every edge turned around, the reversal identity
 T^+_t u = -(reversed T^-_t)(-u) without a second kernel.  Ladder times are
 step counts, so T_{s+t} = T_s o T_t holds to the last bit.  One column
 h_t(., x) is t/dt pulls of the reversed stencil from the min-plus indicator
-of x.  Whole tables are built on demand and not kept, for the two readers
-that need every source at once (closed-orbit diagonals h_t(y, y) and the
-kernel's semiconcavity): min-plus squaring of the one-step table on the
-dyadic ladder t = dt * 2^k, binary composition in between.
+of x.  Whole tables are built on demand and not kept, for the one reader
+that needs every source at once (the kernel's semiconcavity): min-plus
+squaring of the one-step table on the dyadic ladder t = dt * 2^k, binary
+composition in between.
 
 The stencil is also a weighted graph; its minimal cycle mean (Karp) is the
 exact critical value of the discretized system, the level at which min-plus
@@ -164,11 +164,17 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
         kept.append(k)
         rows.append(grid.roll_flat(cost, k))   # cost was priced at the start node
     kept = np.asarray(kept, dtype=int).reshape(-1, grid.dim)
-    # offsets +-n/2 along an axis join the same pair of nodes: keep the last
-    _, last = np.unique(kept[::-1] % grid.n, axis=0, return_index=True)
-    keep = np.sort(len(kept) - 1 - last)
-    offsets, weights = kept[keep], np.asarray(rows, dtype=float).reshape(-1, grid.size)[keep]
+    weights = np.asarray(rows, dtype=float).reshape(-1, grid.size)
     del rows    # room for the connectivity check
+    # offsets +-n/2 along an axis join the same pair of nodes: keep the last
+    # of them, priced at the cheaper move
+    last = {}
+    for i, k in enumerate(map(tuple, kept % grid.n)):
+        if k in last:
+            np.minimum(weights[i], weights[last[k]], out=weights[i])
+        last[k] = i
+    keep = sorted(last.values())
+    offsets, weights = kept[keep], weights[keep]
     # Strongly connected iff every node reaches node 0 and is reached from
     # it.  Hop costs 0 and +inf are exact in float32, at half the memory.
     hops = Stencil(grid, offsets, np.where(np.isfinite(weights), np.float32(0), np.float32(np.inf)))

@@ -416,6 +416,13 @@ class BernardReport:
     warnings: list
     passed: bool
 
+    def failed(self) -> list:
+        """Names of the computed certificates that failed."""
+        verdicts = (("subsolution", self.subsolution_ok), ("sup-change", self.sup_ok),
+                    ("curvature", self.curvature_ok), ("mask", self.mask_ok),
+                    ("strict", self.strict_ok))
+        return [name for name, ok in verdicts if ok is False]
+
 
 def bernard_regularize(w: GridFn, kernel: ActionKernel, a: float,
                        s: float, t: float, mask=None,

@@ -1,5 +1,7 @@
 """Subsolution libraries, fixed-point masks, extensions, calibrated chains."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ from weakkam.aubry import (build_library, build_w,
                            classical_aubry, default_eps, detect_aubry,
                            extract_calibrated_curve, fixed_point_set,
                            lax_extension, verify_member)
+from weakkam.cli import stage_critical, stage_kernel
+from weakkam.config import build_environment, build_grid, build_model, parse_config_text
 from weakkam.errors import (ConfigError, EmptyAubryMaskError,
                             NotASubsolutionError, SubcriticalLevelError)
-from weakkam.grid import GridFn, GridSpec, relax
-from weakkam.hamiltonian import mechanical_model
+from weakkam.grid import GridFn, GridSpec, policy_iteration, relax
+from weakkam.hamiltonian import kappa, mechanical_model
 from weakkam.semigroup import build_kernel, discrete_critical_value, refold_kernel
 
 
@@ -102,10 +106,8 @@ def test_flat_mask_is_the_whole_torus_with_zero_residual(flat64):
 
 
 def test_closed_orbit_surrogate_agrees_with_fixed_point_route(pend64):
-    kern, c, mask = pend64["kernel"], pend64["c"], pend64["mask"]
-    cl = classical_aubry(kern, c, 4.0)
-    assert np.array_equal(cl.mask, mask.mask)
-    assert cl.residual[0] == 0.0
+    kern, mask = pend64["kernel"], pend64["mask"]
+    assert np.array_equal(classical_aubry(kern), mask.mask)
 
 
 def _folded_grid2d_kernel():
@@ -125,23 +127,63 @@ def _folded_tilted64_kernel(env):
     return refold_kernel(raw, c), c
 
 
-@pytest.mark.parametrize("case", ["pend64", "grid2d_n16", "tilted64"])
-def test_closed_orbit_residual_is_read_off_the_table_diagonals(case, pend64):
-    """The second tail diagonal comes from the first tail table; it must be
-    the diagonal of the squared table to the last bit.  The tilted kernel
-    is not symmetric, so h_t(z, y) cannot stand in for h_t(y, z)."""
+def _folded_random256_kernel():
+    env = wk.sample_realization(wk.EnvSpec(kind="random_fourier", dimension=1, seed=1), 0)
+    model = mechanical_model(dim=1, field_bound=1.0)
+    raw = build_kernel(model, env, GridSpec(dim=1, n=256), dt=1.0 / 256.0,
+                       theta=kappa(model, 1.02, env) + 1.0)
+    c = discrete_critical_value(raw)
+    return refold_kernel(raw, c), c
+
+
+@pytest.mark.parametrize("case", ["pend64", "flat64", "grid2d_n16", "tilted64", "random256"])
+def test_critical_graph_matches_the_closed_orbit_diagonals(case, pend64, flat64):
+    """The closed-orbit rule the critical graph replaced is the oracle: a
+    node is critical iff a closed walk through it, of a ladder-tail length,
+    has folded cost within default_eps of zero."""
     kern, c = {"pend64": lambda: (pend64["kernel"], pend64["c"]),
+               "flat64": lambda: (flat64["kernel"], flat64["c"]),
                "grid2d_n16": _folded_grid2d_kernel,
-               "tilted64": lambda: _folded_tilted64_kernel(pend64["env"])}[case]()
-    # far above the level the first tail row is the minimum, far below the
-    # second, so each row is compared on its own
-    for a, row in ((c, None), (c + 1e3, 0), (c - 1e3, 1)):
-        cl = classical_aubry(kern, a, 4.0)
-        assert len(cl.test_times) == 2
-        rows = np.stack([np.diagonal(kern.at(t)) + (a - kern.shift) * t
-                         for t in cl.test_times])
-        assert np.array_equal(cl.residual, rows.min(axis=0) if row is None else rows[row])
-        assert np.array_equal(cl.mask, cl.residual <= cl.eps)
+               "tilted64": lambda: _folded_tilted64_kernel(pend64["env"]),
+               "random256": _folded_random256_kernel}[case]()
+    ladder = kern.ladder(4.0)
+    tail = [t for t in ladder if t >= 0.49 * ladder[-1]]
+    rows = np.min([np.diagonal(kern.at(t)) + (c - kern.shift) * t for t in tail], axis=0)
+    oracle = rows <= default_eps(rows)
+    assert oracle.any()
+    assert np.array_equal(classical_aubry(kern), oracle)
+    crit = policy_iteration(kern)
+    hops = zip(crit.cycle, crit.cycle[1:] + crit.cycle[:1])
+    costs = [kern.edge_cost(y, x) for y, x in hops]
+    assert crit.mean == math.fsum(costs) / len(costs)
+    assert all(crit.mask[crit.cycle])
+    karp = (kern.shift - discrete_critical_value(kern)) * kern.dt
+    assert abs(crit.mean - karp) <= crit.budget
+
+
+VERIFY_CONFIGS = {
+    "mechanical": "[environment]\nkind = periodic\ndimension = 1\n",
+    "nonstrict": "[environment]\nkind = periodic\ndimension = 1\n"
+                 "[hamiltonian]\nmodel = nonstrict\n",
+    "random": "[environment]\nkind = random_fourier\ndimension = 1\nseed = 3\n",
+}
+
+
+@pytest.mark.parametrize("label", sorted(VERIFY_CONFIGS))
+def test_unsaturated_slack_clears_the_budget_on_the_verify_kernels(label):
+    """On the 1D n=512 verify configs the edges the budget leaves
+    unsaturated miss saturation by at least 1e3 budgets."""
+    cfg = parse_config_text(VERIFY_CONFIGS[label] + "[grid]\ndim = 1\nn = 512\n",
+                            source=label)
+    env = build_environment(cfg)[1]
+    model, grid = build_model(cfg), build_grid(cfg)
+    kern = stage_kernel(cfg, env, model, grid, stage_critical(cfg, env, model, grid))
+    crit = policy_iteration(kern)
+    slack = np.array([grid.roll_flat(crit.bias, k) + w - crit.mean - crit.bias
+                      for k, w in zip(kern.offsets, kern.weights)])
+    loose = slack[np.isfinite(slack) & (slack > crit.budget)]
+    assert np.min(loose) >= 1e3 * crit.budget
+    assert int(crit.mask.sum()) == 1
 
 
 def test_default_eps_scales_with_range():

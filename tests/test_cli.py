@@ -253,3 +253,40 @@ def test_reversal_row_matches_half_period_moves_mod_n(tmp_path, capsys):
     main(["verify", str(cfg), "--outdir", str(tmp_path / "out"), "--json"])
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks["reversal_transposes_kernel"] == {"status": "PASS", "detail": "gap=0.0"}
+
+
+@pytest.mark.parametrize("model", ["tilted_mechanical", "mechanical"])
+def test_half_period_moves_keep_the_cheaper_price(model, tmp_path, capsys):
+    """At n=8 and dt=1/4 the moves +4 and -4 join the same nodes through
+    different midpoints; the kernel and the reversed kernel must both keep
+    the cheaper one, so on the cosine field the reversal still transposes."""
+    cfg = tmp_path / "half.cfg"
+    cfg.write_text(TILTED_TEXT.replace("tilted_mechanical", model)
+                   .replace("n = 64", "n = 8\n\n[ladder]\ndt = 0.25"))
+    main(["verify", str(cfg), "--outdir", str(tmp_path / "out"), "--json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks["reversal_transposes_kernel"] == {"status": "PASS", "detail": "gap=0.0"}
+
+
+def test_one_tilt_number_tilts_every_axis(tmp_path, capsys):
+    cfg = tmp_path / "tilted2d.cfg"
+    cfg.write_text("[environment]\nkind = periodic\ndimension = 2\n\n"
+                   "[hamiltonian]\nmodel = tilted_mechanical\n\n[grid]\ndim = 2\nn = 16\n")
+    assert main(["critical", str(cfg), "--outdir", str(tmp_path / "o")]) == 0
+    assert "tilt vector" not in capsys.readouterr().err
+    bad = tmp_path / "tilted1d.cfg"
+    bad.write_text("[hamiltonian]\nmodel = tilted_mechanical\np0 = 0.5, 0.25\n\n[grid]\nn = 16\n")
+    assert main(["critical", str(bad), "--outdir", str(tmp_path / "b")]) == 2
+    assert "tilt vector has size 2, expected 1" in capsys.readouterr().err
+
+
+def test_curvature_row_names_the_failed_certificates(clirun, tmp_path, capsys):
+    cfg = tmp_path / "mech2d.cfg"
+    cfg.write_text("[environment]\nkind = periodic\ndimension = 2\n\n[grid]\ndim = 2\nn = 16\n")
+    main(["verify", str(cfg), "--outdir", str(tmp_path / "o"), "--json"])
+    row = json.loads(capsys.readouterr().out)["checks"]["two_sided_curvature_bounds"]
+    assert row["status"] == "FAIL"
+    assert row["detail"].startswith("k=[") and row["detail"].endswith(" failed=curvature,strict")
+    main(["verify", clirun["cfg"], "--outdir", str(tmp_path / "p"), "--json"])
+    row = json.loads(capsys.readouterr().out)["checks"]["two_sided_curvature_bounds"]
+    assert row["status"] == "PASS" and "failed" not in row["detail"]

@@ -1,5 +1,8 @@
 """Periodic grid container: geometry, shifts, calculus stencils, CSV, and
-the stencil graph with its shortest-path engine."""
+the stencil graph with its shortest-path and policy-iteration engines."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from weakkam.errors import ConfigError, SubcriticalLevelError
 from weakkam.grid import (BoxSpec, GridFn, GridSpec, Stencil, load_gridfn_csv,
-                          relax, save_gridfn_csv)
+                          policy_iteration, relax, save_gridfn_csv)
 
 
 def test_axis_and_points_cover_unit_cell():
@@ -221,3 +224,99 @@ def test_planted_negative_cycle_raises_a_closed_walk_witness(grid):
         assert len(set(cycle)) == len(cycle) >= 2
         assert all(np.isfinite(cost[y, x]) for y, x in hops)
         assert total == sum(cost[y, x] for y, x in hops) and total < 0
+
+
+# -- policy iteration and the critical graph ----------------------------------
+
+
+def _brute_critical(cost):
+    """Minimal cycle mean (exact) and the nodes on minimal-mean closed walks,
+    from the diagonals of every min-plus power up to the node count."""
+    size = len(cost)
+    walk, diags = cost.copy(), []
+    for _ in range(size):
+        diags.append(np.diagonal(walk).copy())
+        walk = np.min(walk[:, :, None] + cost[None, :, :], axis=1)
+    means = [[Fraction(int(d), k + 1) if np.isfinite(d) else None for d in row]
+             for k, row in enumerate(diags)]
+    best = min(m for row in means for m in row if m is not None)
+    return best, np.array([any(row[x] == best for row in means) for x in range(size)])
+
+
+@st.composite
+def connected_stencils(draw):
+    grid = draw(st.sampled_from(LATTICES))
+    unit = [k for k in grid.offsets_within(grid.h)]    # every unit step, both ways
+    extra = [k for k in grid.offsets_within(2.5 * grid.h, include_zero=True)
+             if np.abs(k).sum() > 1 or not k.any()] if isinstance(grid, GridSpec) else []
+    offsets = np.array(unit + [k for k in extra if draw(st.booleans())])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.sampled_from([1, 3, 10]))
+    return Stencil(grid, offsets, rng.integers(0, top, (len(offsets), grid.size)).astype(float))
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_stencils())
+def test_policy_iteration_matches_the_brute_force_cycle_means(stencil):
+    best, on_best = _brute_critical(_edge_table(stencil))
+    crit = policy_iteration(stencil)
+    assert crit.mean == float(best)
+    assert np.array_equal(crit.mask, on_best)
+    hops = list(zip(crit.cycle, crit.cycle[1:] + crit.cycle[:1]))
+    assert crit.mean == math.fsum(stencil.edge_cost(y, x) for y, x in hops) / len(hops)
+
+
+def _planted(n, offsets, base):
+    grid = GridSpec(dim=1, n=n)
+    offsets = np.array(offsets)[:, None]
+    return Stencil(grid, offsets, np.full((len(offsets), n), float(base)))
+
+
+def _set_edge(stencil, y, x, cost):
+    k = (x - y) % stencil.grid.n
+    stencil.weights[[i for i, o in enumerate(stencil.offsets[:, 0]) if o % stencil.grid.n == k], x] = cost
+
+
+def test_planted_three_cycle_without_a_self_loop_is_the_mask():
+    stencil = _planted(8, [-2, -1, 0, 1, 2], 10.0)
+    for y, x in ((2, 3), (3, 4), (4, 2)):
+        _set_edge(stencil, y, x, 1.0)
+    for x in range(8):
+        _set_edge(stencil, x, x, 5.0)
+    crit = policy_iteration(stencil)
+    assert crit.mean == 1.0
+    assert sorted(crit.cycle) == [2, 3, 4]
+    assert np.flatnonzero(crit.mask).tolist() == [2, 3, 4]
+
+
+def test_one_way_saturated_path_between_critical_loops_is_left_out():
+    stencil = _planted(12, [-1, 0, 1], 1.0)
+    _set_edge(stencil, 1, 1, 0.0)
+    _set_edge(stencil, 6, 6, 0.0)
+    for y in range(1, 6):
+        _set_edge(stencil, y, y + 1, 0.0)
+    crit = policy_iteration(stencil)
+    assert crit.mean == 0.0
+    # the path 1 -> 2 -> ... -> 6 costs nothing, so it is saturated for the
+    # distance-from-the-loops eigenvector, yet it closes no cycle
+    assert np.flatnonzero(crit.mask).tolist() == [1, 6]
+
+
+def test_flat_stencil_is_critical_everywhere():
+    grid = GridSpec(dim=2, n=8)
+    offsets = grid.offsets_within(grid.h * 1.5, include_zero=True)
+    crit = policy_iteration(Stencil(grid, offsets, np.full((len(offsets), grid.size), 0.5)))
+    assert crit.mean == 0.5
+    assert crit.mask.all()
+    assert np.all(crit.bias == 0.0)
+
+
+def test_policy_iteration_refuses_a_graph_that_is_not_strongly_connected():
+    loops = _planted(8, [0], 1.0)
+    loops.weights[0, 3] = 0.0
+    with pytest.raises(ConfigError, match="strongly connected"):
+        policy_iteration(loops)
+    one_way = _planted(8, [1], 1.0)
+    one_way.weights[0, 0] = np.inf
+    with pytest.raises(ConfigError, match="edge into every node"):
+        policy_iteration(one_way)
