@@ -587,8 +587,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", nargs="?", default=None,
                        help="INI config; omit to use built-in defaults")
         p.add_argument("--outdir", default="wk_out", help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap worker threads (exported to BLAS)")
         return p
 
     common(sub.add_parser("critical", help="estimate the critical value"))
@@ -611,9 +609,6 @@ def main(argv=None) -> int:
     if args.command == "print-config":
         out(default_config_text())
         return 0
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         cfg = (load_config(args.config) if args.config
                else parse_config_text(default_config_text(), source="<defaults>"))

@@ -128,10 +128,10 @@ class GridSpec:
         return shifted.ravel()
 
     def pad(self, values: np.ndarray, reach: int) -> np.ndarray:
-        """values shaped on the grid and extended by reach nodes per side,
-        periodically."""
+        """values shaped on the grid, over any leading axes, and extended by
+        reach nodes per side, periodically."""
         wrap = np.arange(-reach, self.n + reach) % self.n
-        return values.reshape(self.shape)[np.ix_(*[wrap] * self.dim)]
+        return values.reshape(values.shape[:-1] + self.shape)[(...,) + np.ix_(*[wrap] * self.dim)]
 
     def neighbors(self, x, step: np.ndarray) -> np.ndarray:
         """Flat index of node x + step*h (periodic); x broadcasts against the
@@ -301,10 +301,12 @@ class BoxSpec:
         return ks[keep]
 
     def pad(self, values: np.ndarray, reach: int) -> np.ndarray:
-        """values shaped on the box and extended by reach nodes per side with
-        +inf: no node lies past the edge."""
-        out = np.full(tuple(s + 2 * reach for s in self.shape), np.inf)
-        out[(slice(reach, reach + self.n_per_axis),) * self.dim] = values.reshape(self.shape)
+        """values shaped on the box, over any leading axes, and extended by
+        reach nodes per side with +inf: no node lies past the edge."""
+        lead = values.shape[:-1]
+        out = np.full(lead + tuple(s + 2 * reach for s in self.shape), np.inf)
+        out[(...,) + (slice(reach, reach + self.n_per_axis),) * self.dim] = \
+            values.reshape(lead + self.shape)
         return out
 
     def roll_flat(self, values: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -339,27 +341,53 @@ class Stencil:
         return self.grid.size
 
     def _blocks(self, u: np.ndarray):
-        """Yield (rows, vals) per block of offsets: vals[j, x] = u(x - k h)
-        for the offset k = offsets[rows][j], +inf off a box; a fresh array.
+        """Yield (rows, vals) per block of offsets: vals[j, ..., x] =
+        u[..., x - k h] for the offset k = offsets[rows][j], +inf off a box;
+        a fresh array of shape (block,) + u.shape.
 
-        A block of ~256 KiB stays in cache, and a caller that reduces each
-        block over its offsets needs O(size) memory beyond the stencil.
+        u may carry leading axes, e.g. one row per source.  A block of
+        ~256 KiB stays in cache, and a caller that reduces each block over
+        its offsets needs O(u.size) memory beyond the stencil.
         """
         grid = self.grid
+        lead, dim = u.ndim - 1, len(grid.shape)
         reach = int(np.max(np.abs(self.offsets), initial=0))
-        windows = sliding_window_view(grid.pad(u, reach), grid.shape)
-        pick = reach - self.offsets.T    # windows[w][x] = u(x + (w - reach) h)
-        per = max(1, 32768 // grid.size)
+        windows = sliding_window_view(grid.pad(u, reach), grid.shape, axis=tuple(range(-dim, 0)))
+        windows = np.moveaxis(windows, tuple(range(lead, lead + dim)), tuple(range(dim)))
+        pick = reach - self.offsets.T    # windows[w][..., x] = u[..., x + (w - reach) h]
+        per = max(1, 32768 // u.size)
         for a in range(0, len(self.offsets), per):
-            yield slice(a, a + per), windows[tuple(pick[:, a:a + per])].reshape(-1, grid.size)
+            yield slice(a, a + per), windows[tuple(pick[:, a:a + per])].reshape((-1,) + u.shape)
 
     def pull(self, u: np.ndarray) -> np.ndarray:
-        """One backward step: out(x) = min_y u(y) + cost(y -> x)."""
-        best = np.full(self.grid.size, np.inf)
+        """One backward step: out[..., x] = min_y u[..., y] + cost(y -> x),
+        over any leading axes of u."""
+        best = np.full(u.shape, np.inf)
+        lift = (-1,) + (1,) * (u.ndim - 1) + (self.size,)
         for rows, cand in self._blocks(u):
-            cand += self.weights[rows]
+            cand += self.weights[rows].reshape(lift)
             np.minimum(best, cand.min(axis=0), out=best)
         return best
+
+    def walk_costs(self, sources, steps: int) -> np.ndarray:
+        """Least cost of a walk of steps >= 1 edges from each source to every
+        node, shape (len(sources), size), +inf where there is none.
+
+        The first step scatters each source's out-edges; the other steps
+        pull the whole stack.  Row i is therefore the same to the last bit
+        as steps pulls of the min-plus indicator of sources[i].
+        """
+        sources = np.asarray(sources, dtype=int)
+        out = np.full((len(sources), self.size), np.inf)
+        rows = np.arange(len(sources))
+        ends = self.grid.neighbors(sources, self.offsets[:, None, :])    # -1 off a box
+        for w, end in zip(self.weights, ends):
+            on = end >= 0
+            hit = (rows[on], end[on])
+            out[hit] = np.minimum(out[hit], w[end[on]])
+        for _ in range(steps - 1):
+            out = self.pull(out)
+        return out
 
     def reversed(self) -> "Stencil":
         """Every edge turned around, so pull on it is the forward step

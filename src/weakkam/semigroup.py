@@ -6,12 +6,10 @@ the cost graphs of the metric side share.  T^-_t u = min_y u(y) + h_t(y, x)
 is t/dt backward (pull) steps of the stencil; T^+_t is t/dt pull steps of
 the same stencil with every edge turned around, the reversal identity
 T^+_t u = -(reversed T^-_t)(-u) without a second kernel.  Ladder times are
-step counts, so T_{s+t} = T_s o T_t holds to the last bit.  One column
-h_t(., x) is t/dt pulls of the reversed stencil from the min-plus indicator
-of x.  Whole tables are built on demand and not kept, for the one reader
-that needs every source at once (the kernel's semiconcavity): min-plus
-squaring of the one-step table on the dyadic ladder t = dt * 2^k, binary
-composition in between.
+step counts, so T_{s+t} = T_s o T_t holds to the last bit.  Rows h_t(y, .)
+of a block of sources are t/dt steps of the stencil walked together
+(Stencil.walk_costs); columns h_t(., x) are rows of the reversed stencil.
+The whole N x N table (ActionKernel.at) has no caller in the package.
 
 The stencil is also a weighted graph; its minimal cycle mean (Karp) is the
 exact critical value of the discretized system, the level at which min-plus
@@ -83,50 +81,15 @@ class ActionKernel(Stencil):
                 f"pick times on the kernel ladder")
         return mi
 
-    # -- all-pairs tables ------------------------------------------------
-
-    def power(self, k: int) -> np.ndarray:
-        """All-pairs table for t = dt * 2^k: the one-step table squared k times."""
-        nodes = np.arange(self.grid.size)
-        table = np.full((self.grid.size,) * 2, np.inf)
-        table[self.predecessors(nodes), nodes] = self.weights
-        for _ in range(k):
-            table = _minplus_product(table, table)
-        return table
+    # -- all-pairs tables (no caller in the package) -----------------------
 
     def at(self, t: float) -> np.ndarray:
-        """All-pairs table for any positive multiple of dt: the squarings of
-        power(0) for the binary digits of t/dt, composed from the lowest."""
-        m = self.steps_of(t)
-        square, table = self.power(0), None
-        while True:
-            if m & 1:
-                table = square if table is None else _minplus_product(square, table)
-            m >>= 1
-            if not m:
-                return table
-            square = _minplus_product(square, square)
+        """All-pairs table h_t(y, x) for any positive multiple of dt."""
+        return self.walk_costs(np.arange(self.size), self.steps_of(t))
 
-
-def _minplus_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """C[i, j] = min_z A[i, z] + B[z, j], row by row.
-
-    Only the finite entries of a row of A can win, so the row gathers just
-    those rows of B into one reused buffer; a row with no +inf adds B as it
-    is.  Every sum is one the full product forms, so C is the same to the
-    last bit.
-    """
-    C = np.empty((A.shape[0], B.shape[1]))
-    buf = np.empty_like(B)
-    for i, row in enumerate(A):
-        z = np.flatnonzero(np.isfinite(row))
-        if len(z) == len(row):
-            part = np.add(row[:, None], B, out=buf)
-        else:
-            part = np.take(B, z, axis=0, out=buf[:len(z)], mode="clip")
-            part += row[z, None]
-        np.min(part, axis=0, out=C[i], initial=np.inf)
-    return C
+    def power(self, k: int) -> np.ndarray:
+        """All-pairs table for t = dt * 2^k."""
+        return self.at(self.dt * 2**k)
 
 
 def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,

@@ -227,22 +227,25 @@ def kernel_semiconcavity(kernel: ActionKernel, t: float) -> float:
     """Largest axis second-difference quotient of x -> h_t(y, x) over y.
 
     This is the measured concavity constant the backward semigroup imprints
-    on its images at time t.
+    on its images at time t.  The rows h_t(y, .) are walked on the stencil
+    one block of ~32768 entries at a time and reduced into a running max, so
+    no N x N table is held.
     """
-    table = kernel.at(t)
     grid = kernel.grid
-    shaped = table.reshape((table.shape[0],) + grid.shape)
+    steps, nodes = kernel.steps_of(t), np.arange(grid.size)
+    per = max(1, 32768 // grid.size)
     best = -np.inf
-    for ax in range(grid.dim):
-        plus = np.roll(shaped, -1, axis=1 + ax)
-        minus = np.roll(shaped, 1, axis=1 + ax)
-        # Pruned offsets carry +inf costs; inf - inf yields NaN here, which
-        # the finite mask below discards along with the infs themselves.
-        with np.errstate(invalid="ignore"):
-            q = (plus + minus - 2 * shaped) / grid.h**2
-        finite = np.isfinite(q)
-        if np.any(finite):
-            best = max(best, float(np.max(q[finite])))
+    for start in range(0, grid.size, per):
+        rows = kernel.walk_costs(nodes[start:start + per], steps)
+        shaped = rows.reshape((len(rows),) + grid.shape)
+        for ax in range(grid.dim):
+            plus = np.roll(shaped, -1, axis=1 + ax)
+            minus = np.roll(shaped, 1, axis=1 + ax)
+            # Pruned offsets carry +inf costs; inf - inf yields NaN here, which
+            # the finite mask below discards along with the infs themselves.
+            with np.errstate(invalid="ignore"):
+                q = (plus + minus - 2 * shaped) / grid.h**2
+            best = max(best, float(np.max(q, where=np.isfinite(q), initial=-np.inf)))
     return best
 
 
@@ -511,15 +514,12 @@ def check_envelope_identity(w: GridFn, kernel: ActionKernel, t: float,
     contact point) and the discrepancy is O(K) rather than O(h + dt).
     """
     grid = kernel.grid
-    steps, reverse = kernel.steps_of(t), kernel.reversed()
     pts = grid.points()
     grads = w.central_gradient()
     samples = np.atleast_1d(np.asarray(sample_indices, dtype=int))
+    cols = kernel.reversed().walk_costs(samples, kernel.steps_of(t))    # h_t(., x)
     disc = np.empty(len(samples))
-    for row, x_idx in enumerate(samples):
-        h_col = np.where(np.arange(grid.size) == x_idx, 0.0, np.inf)    # h_t(., x)
-        for _ in range(steps):
-            h_col = reverse.pull(h_col)
+    for row, h_col in enumerate(cols):
         col = w.values + h_col
         y = int(np.argmin(col))
         direct = float(col[y])

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import one_step_table, walk_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -200,6 +201,40 @@ def test_relax_matches_floyd_warshall_on_nonnegative_stencils(case):
     forward = np.min(apsp + init[None, :], axis=1)      # min_x S(y, x) + init(x)
     assert np.array_equal(relax(stencil, init), backward)
     assert np.array_equal(relax(stencil, init, forward=True), forward)
+
+
+@st.composite
+def walk_cases(draw):
+    grid = draw(st.sampled_from(LATTICES))
+    steps = [*grid.offsets_within(2.5 * grid.h), np.zeros(grid.dim, dtype=int)]
+    offsets = np.array([k for k in steps if draw(st.booleans())] or steps[:1])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    holes = draw(st.sampled_from([0.0, 0.3, 0.8]))
+    # integer costs, negative ones too: every walk sum is exact
+    weights = rng.integers(-5, 10, (len(offsets), grid.size)).astype(float)
+    weights[rng.random(weights.shape) < holes] = np.inf
+    sources = rng.integers(0, grid.size, draw(st.integers(1, 6)))
+    return Stencil(grid, offsets, weights), sources, draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_cases())
+def test_walk_costs_match_dense_minplus_powers(case):
+    """On a box, starts past the edge have no out-edge: unmasked, they would
+    land on the last node."""
+    stencil, sources, steps = case
+    assert np.array_equal(one_step_table(stencil), _edge_table(stencil))
+    assert np.array_equal(stencil.walk_costs(sources, steps),
+                          walk_table(stencil, steps)[sources])
+    # a stacked pull is the row-by-row pulls, bit for bit, on float data
+    rng = np.random.default_rng(steps)
+    floats = Stencil(stencil.grid, stencil.offsets,
+                     np.where(np.isfinite(stencil.weights),
+                              rng.standard_normal(stencil.weights.shape), np.inf))
+    stack = rng.standard_normal((len(sources), stencil.size))
+    stack[rng.random(stack.shape) < 0.3] = np.inf
+    rows = np.stack([floats.pull(row) for row in stack])
+    assert floats.pull(stack).tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("grid", LATTICES, ids=["grid1d", "grid2d", "box2d"])

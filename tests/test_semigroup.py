@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from conftest import walk_table
 
 import weakkam as wk
 from weakkam.errors import LadderError
 from weakkam.grid import GridFn, GridSpec
 from weakkam.hamiltonian import (eikonal_model, kappa, mechanical_model,
                                  nonstrict_model, reversed_model)
-from weakkam.semigroup import (_minplus_product, build_kernel, check_corrector,
+from weakkam.semigroup import (build_kernel, check_corrector,
                                check_monotone_semigroup,
                                check_time_dependent_solution,
                                discrete_critical_value, lax_minus,
@@ -66,13 +67,14 @@ def _grid2d_kernel():
 
 @pytest.mark.parametrize("case", ["pend64", "grid2d_n16"])
 def test_stepped_operators_match_the_all_pairs_tables(case, pend64):
-    """Stencil stepping and min-plus squaring are independent routes to h_t."""
+    """Stencil stepping and dense min-plus products are independent routes
+    to h_t."""
     kern = pend64["raw_kernel"] if case == "pend64" else _grid2d_kernel()
     grid = kern.grid
     u = GridFn(grid, np.random.default_rng(4).standard_normal(grid.size))
     for steps in (1, 2, 3, 5, 12):
         t = steps * kern.dt
-        table = kern.at(t)
+        table = walk_table(kern, steps)
         down = np.min(u.values[:, None] + table, axis=0)
         up = -np.min(table - u.values[None, :], axis=1)
         assert np.max(np.abs(lax_minus(u, kern, t).values - down)) <= 1e-12
@@ -92,16 +94,6 @@ def test_minimizing_chain_breaks_ties_to_the_smallest_index(flat64):
     chain, step_costs = kern.minimizing_chain(orbit, 5)
     assert chain.tolist() == [4, 5] and int(np.argmin(cand)) == 4
     assert step_costs.tolist() == [costs[4]]
-
-
-def test_minplus_product_matches_the_brute_force_product():
-    """Rows with no +inf, rows with some and a row with only +inf take every
-    branch of the row-wise product; the sums are the same, so the result is."""
-    rng = np.random.default_rng(9)
-    A = np.where(rng.random((12, 12)) < 0.4, np.inf, rng.standard_normal((12, 12)))
-    A[0], A[1] = rng.standard_normal(12), np.inf
-    B = np.where(rng.random((12, 7)) < 0.3, np.inf, rng.standard_normal((12, 7)))
-    assert np.array_equal(_minplus_product(A, B), np.min(A[:, :, None] + B[None], axis=1))
 
 
 def test_ladder_times_and_off_ladder_rejection(pend64):

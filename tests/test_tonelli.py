@@ -1,7 +1,10 @@
 """Characteristic flows, curvature estimates, windows, two-sided smoothing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import walk_table
 
 import weakkam as wk
 from weakkam.errors import ConfigError, NotTonelliError
@@ -80,6 +83,50 @@ def test_kernel_curvature_is_a_staircase_in_time(pend64):
     assert 1.0 / kern.dt <= one <= 1.05 / kern.dt
 
 
+def _dense_semiconcavity(table, grid):
+    """The largest axis second difference of the rows of a whole table."""
+    shaped = table.reshape((grid.size,) + grid.shape)
+    best = -np.inf
+    for ax in range(grid.dim):
+        with np.errstate(invalid="ignore"):
+            q = (np.roll(shaped, -1, axis=1 + ax) + np.roll(shaped, 1, axis=1 + ax)
+                 - 2 * shaped) / grid.h**2
+        best = max(best, float(np.max(q[np.isfinite(q)], initial=-np.inf)))
+    return best
+
+
+def _grid2d_kernel(n):
+    env = wk.sample_realization(wk.EnvSpec(kind="periodic", dimension=2, seed=0,
+                                           params={"amplitudes": (0.5,)}), 0)
+    return build_kernel(mechanical_model(dim=2, field_bound=0.5), env,
+                        GridSpec(dim=2, n=n), dt=1.0 / (2 * n), theta=2.0)
+
+
+@pytest.mark.parametrize("case", ["pend64", "grid2d_n16", "tilted64"])
+def test_kernel_semiconcavity_matches_the_dense_table(case, pend64):
+    """Blocks of rows walked on the stencil give the whole table's constant
+    to the last bit."""
+    kern = {"pend64": lambda: pend64["kernel"],
+            "grid2d_n16": lambda: _grid2d_kernel(16),
+            "tilted64": lambda: build_kernel(
+                wk.tilted_mechanical_model(0.5, dim=1, field_bound=1.0),
+                pend64["env"], pend64["grid"], dt=1.0 / 64.0, theta=3.0)}[case]()
+    for steps in (1, 2, 4):
+        expected = _dense_semiconcavity(walk_table(kern, steps), kern.grid)
+        assert kernel_semiconcavity(kern, steps * kern.dt) == expected
+
+
+def test_kernel_semiconcavity_holds_no_whole_table():
+    kern = _grid2d_kernel(32)
+    tracemalloc.start()
+    try:
+        kernel_semiconcavity(kern, kern.dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < kern.size**2 * 8 / 4
+
+
 def test_window_constants_are_reproducible(pend64):
     model, env = pend64["model"], pend64["env"]
     win = regular_window(2.0, 1.0, model, env)
@@ -148,10 +195,10 @@ def test_envelope_identity_at_one_step(pend64):
 
 
 def test_envelope_columns_match_the_all_pairs_table(pend64):
-    """check_envelope_identity pulls each column h_t(., x) on the reversed
-    stencil; the all-pairs table is the independent route.  The tilt makes
-    h_t(y, x) and h_t(x, y) differ, and rough data makes every sampled x
-    give its own discrepancy."""
+    """check_envelope_identity walks the columns h_t(., x) on the reversed
+    stencil; the dense all-pairs table is the independent route.  The tilt
+    makes h_t(y, x) and h_t(x, y) differ, and rough data makes every sampled
+    x give its own discrepancy."""
     model = wk.tilted_mechanical_model(0.5, dim=1, field_bound=1.0)
     grid = pend64["grid"]
     kern = build_kernel(model, pend64["env"], grid, dt=1.0 / 64.0, theta=3.0)
@@ -159,7 +206,7 @@ def test_envelope_columns_match_the_all_pairs_table(pend64):
     pts, grads, k_semiconvex, samples = grid.points(), w.central_gradient(), 1.0, [0, 5, 16, 40]
     for steps in (1, 3, 4):
         t = steps * kern.dt
-        table = kern.at(t)
+        table = walk_table(kern, steps)
         expected = []
         for x in samples:
             col = w.values + table[:, x]
