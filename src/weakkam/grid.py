@@ -288,7 +288,10 @@ class BoxSpec:
         """A box does not wrap: coordinates stay as they are."""
         return x
 
-    def offsets_within(self, radius: float) -> np.ndarray:
+    def offsets_within(self, radius: float, include_zero: bool = False) -> np.ndarray:
+        """Integer offsets k with |k|*h <= radius, shape (m, dim), ordered
+        lexicographically; the zero offset is optional.  No clipping: a box
+        has no period."""
         kmax = int(np.floor(radius / self.h + 1e-12))
         rng = np.arange(-kmax, kmax + 1)
         if self.dim == 1:
@@ -297,7 +300,9 @@ class BoxSpec:
             kx, ky = np.meshgrid(rng, rng, indexing="ij")
             ks = np.stack([kx.ravel(), ky.ravel()], axis=1)
         norms = np.linalg.norm(ks, axis=1) * self.h
-        keep = (norms <= radius + 1e-12) & (norms > 0)
+        keep = norms <= radius + 1e-12
+        if not include_zero:
+            keep &= norms > 0
         return ks[keep]
 
     def pad(self, values: np.ndarray, reach: int) -> np.ndarray:

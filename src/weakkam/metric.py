@@ -9,6 +9,18 @@ existence of such certificates.  The cost graph is a grid.Stencil, the
 offset stencil the action kernels use, and its shortest paths and cycle
 witnesses come from the one engine there, grid.relax.
 
+The field is sampled once per lattice and offset set: V is evaluated once
+on the node array and once on each offset's array of edge midpoints, and
+every level's cost graph is priced from those stored values, so a
+bisection costs one field evaluation however many levels it tries.  The
+starting levels of critical_value_free come from one more evaluation, of
+the concatenated batch of all those arrays.  Values are not shared between
+the two batches: the field's matrix-vector product rounds a row by its
+place in the batch, so a point's value in the concatenated batch can differ
+in the last bits from its value in its own array.  Each route keeps reading
+its own batch, which keeps every bracket bit for bit what it was when each
+level resampled the field.
+
 Edge convention: the edge for offset k ends at node x and starts at
 x - k h, costs sigma_a(mid, k h) with mid the (wrapped) segment midpoint.
 S(y, x) is the cheapest chain from y to x; subsolutions are exactly the
@@ -89,16 +101,65 @@ def build_cost_graph(model, a: float, env, lattice, radius: float | None = None,
         if radius is None:
             raise ConfigError("build_cost_graph needs a radius or an explicit offset set")
         offsets = lattice.offsets_within(radius)
-    if len(offsets) == 0:
-        raise ConfigError("edge radius below grid spacing: no edges")
-    pts = lattice.points()
+    return _price(model, a, _SamplePoints(env, lattice, offsets))
+
+
+class _SampledField:
+    """Environment view that evaluates the field on one sample array once
+    and hands the stored values back whenever that same array is asked for;
+    any other array goes to the realization."""
+
+    def __init__(self, env, points: np.ndarray):
+        self.env = env
+        self.points = points
+        self._values = None
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        if x is not self.points:
+            return self.env.evaluate(x)
+        if self._values is None:
+            self._values = self.env.evaluate(x)
+            self._values.flags.writeable = False
+        return self._values
+
+
+class _SamplePoints:
+    """Where sigma_a is sampled on a lattice and offset set: the node array
+    and one array of edge midpoints per offset, each with the environment
+    view it is priced through, so every level reads the same field values.
+
+    node_field is a view over lattice.points() made before the offsets
+    were known (the edge radius is read off the node values); passing it
+    keeps the nodes to one evaluation.
+    """
+
+    def __init__(self, env, lattice, offsets: np.ndarray, node_field=None):
+        if len(offsets) == 0:
+            raise ConfigError("edge radius below grid spacing: no edges")
+        self.lattice = lattice
+        self.offsets = np.asarray(offsets)
+        self.nodes = lattice.points() if node_field is None else node_field.points
+        self.mids = [lattice.wrap(self.nodes - 0.5 * (np.asarray(k, dtype=float) * lattice.h)[None, :])
+                     for k in self.offsets]
+        self.fields = [_field_view(env, self.nodes) if node_field is None else node_field,
+                       *(_field_view(env, pts) for pts in self.mids)]
+
+
+def _field_view(env, points: np.ndarray):
+    """A _SampledField over points, or None (V = 0) when env is None."""
+    return None if env is None else _SampledField(env, points)
+
+
+def _price(model, a: float, samples: _SamplePoints) -> CostGraph:
+    """The sigma_a cost graph on the sample points; raises on the first
+    empty sublevel, midpoints offset by offset, then the nodes."""
+    lattice, pts = samples.lattice, samples.nodes
     h = lattice.h
-    m = len(offsets)
+    m = len(samples.offsets)
     weights = np.empty((m, lattice.size))
-    for idx, k in enumerate(offsets):
+    for idx, (k, mids, view) in enumerate(zip(samples.offsets, samples.mids, samples.fields[1:])):
         disp = np.asarray(k, dtype=float) * h
-        mids = lattice.wrap(pts - 0.5 * disp[None, :])
-        w = support_sigma(model, mids, np.repeat(disp[None, :], len(pts), axis=0), a, env)
+        w = support_sigma(model, mids, np.repeat(disp[None, :], len(pts), axis=0), a, view)
         bad = np.isnan(w)
         if np.any(bad):
             j = int(np.argmax(bad))
@@ -107,12 +168,12 @@ def build_cost_graph(model, a: float, env, lattice, radius: float | None = None,
                 empty_at=mids[j])
         weights[idx] = w
     # node-level emptiness: sigma at zero displacement
-    w0 = support_sigma(model, pts, np.zeros_like(pts), a, env)
+    w0 = support_sigma(model, pts, np.zeros_like(pts), a, samples.fields[0])
     if np.any(np.isnan(w0)):
         j = int(np.argmax(np.isnan(w0)))
         raise SubcriticalLevelError(
             f"sublevel {{H <= {a}}} empty at node {pts[j]}", empty_at=pts[j])
-    return CostGraph(grid=lattice, a=a, offsets=np.asarray(offsets),
+    return CostGraph(grid=lattice, a=a, offsets=samples.offsets,
                      weights=weights, midpoints_checked=m * lattice.size + lattice.size)
 
 
@@ -141,7 +202,7 @@ def semidistance(model, a: float, sources, env, lattice, radius: float | None = 
     """
     if graph is None:
         if radius is None and offsets is None:
-            kap = _kappa_for_radius(model, a, env, lattice)
+            kap = _kappa_for_radius(model, a, env, lattice.points())
             radius = default_edge_radius(lattice, kap)
         graph = build_cost_graph(model, a, env, lattice, radius=radius, offsets=offsets)
     src_idx = _as_node_indices(lattice, sources)
@@ -151,11 +212,11 @@ def semidistance(model, a: float, sources, env, lattice, radius: float | None = 
     return SemidistanceResult(graph=graph, source_indices=np.asarray(src_idx), values=vals)
 
 
-def _kappa_for_radius(model, a, env, lattice) -> float:
+def _kappa_for_radius(model, a, env, points) -> float:
     from .hamiltonian import kappa
 
     try:
-        return kappa(model, a, env, x_samples=lattice.points())
+        return kappa(model, a, env, x_samples=points)
     except SubcriticalLevelError:
         return 1.0
 
@@ -246,11 +307,11 @@ class CriticalValueResult:
         return self.hi - self.lo
 
 
-def _level_verdict(model, a: float, env, lattice, radius, offsets) -> tuple:
+def _level_verdict(model, a: float, samples: _SamplePoints) -> tuple:
     """(feasible?, detail) at level a: empty sublevel or negative cycle
     means subcritical."""
     try:
-        graph = build_cost_graph(model, a, env, lattice, radius=radius, offsets=offsets)
+        graph = _price(model, a, samples)
     except SubcriticalLevelError as err:
         return False, {"reason": "empty_sublevel", "witness": getattr(err, "empty_at", None)}
     try:
@@ -265,24 +326,31 @@ def critical_value_free(model, env, lattice, radius: float | None = None,
                         tol_bisect: float = 5e-3, max_expand: int = 60) -> CriticalValueResult:
     """Free critical value on the lattice by certificate bisection.
 
-    hi starts at max H(x, 0) over nodes and edge midpoints (always
-    feasible, since the zero function is then a subsolution); lo expands
+    The field is sampled once per call: V at the nodes and at each offset's
+    edge midpoints is evaluated once, and every level's cost graph is
+    priced from those values.  hi starts at max H(x, 0) over nodes and
+    edge midpoints, where the zero function is a subsolution, and lo at
+    their min minus one; both are read off one evaluation of the
+    concatenated sample batch.  That batch's values can
+    differ in the last bits from the per-array values the cost graphs read
+    (a matrix-vector product rounds a row by its place in the batch), so the
+    starting hi is feasible only up to that rounding: when its graph finds
+    an empty sublevel, hi expands like any refused level.  lo expands
     downward until a subcritical certificate appears.  The reported value is
     the bracket midpoint.
     """
     pts = lattice.points()
+    node_field = _field_view(env, pts)
     if radius is None:
-        hzero = float(np.max(model.eval_H(pts, np.zeros_like(pts), env)))
-        kap = _kappa_for_radius(model, hzero, env, lattice)
+        hzero = float(np.max(model.eval_H(pts, np.zeros_like(pts), node_field)))
+        kap = _kappa_for_radius(model, hzero, node_field, pts)
         radius = default_edge_radius(lattice, kap)
-    offsets = lattice.offsets_within(radius)
-    h = lattice.h
-    samples = [pts]
-    for k in offsets:
-        samples.append(lattice.wrap(pts - 0.5 * (np.asarray(k, dtype=float) * h)[None, :]))
-    allpts = np.concatenate(samples, axis=0)
-    hi = float(np.max(model.eval_H(allpts, np.zeros_like(allpts), env)))
-    feasible_hi, _ = _level_verdict(model, hi, env, lattice, None, offsets)
+    samples = _SamplePoints(env, lattice, lattice.offsets_within(radius), node_field)
+    allpts = np.concatenate([samples.nodes, *samples.mids], axis=0)
+    h_zero = model.eval_H(allpts, np.zeros_like(allpts), env)
+    hi, lo = float(np.max(h_zero)), float(np.min(h_zero)) - 1.0
+    del allpts, h_zero     # before any pricing: the batch is the peak memory
+    feasible_hi, _ = _level_verdict(model, hi, samples)
     iters = 0
     step = 1.0
     while not feasible_hi:
@@ -291,12 +359,11 @@ def critical_value_free(model, env, lattice, radius: float | None = None,
         iters += 1
         if iters > max_expand:
             raise ConfigError("could not find a feasible upper level")
-        feasible_hi, _ = _level_verdict(model, hi, env, lattice, None, offsets)
-    lo = float(np.min(model.eval_H(allpts, np.zeros_like(allpts), env))) - 1.0
+        feasible_hi, _ = _level_verdict(model, hi, samples)
     step = 1.0
     detail_lo = {}
     while True:
-        feas, detail_lo = _level_verdict(model, lo, env, lattice, None, offsets)
+        feas, detail_lo = _level_verdict(model, lo, samples)
         if not feas:
             break
         lo -= step
@@ -309,7 +376,7 @@ def critical_value_free(model, env, lattice, radius: float | None = None,
                                        certificate={"reason": "no_lower_certificate"})
     while hi - lo > tol_bisect:
         mid = 0.5 * (lo + hi)
-        feas, detail = _level_verdict(model, mid, env, lattice, None, offsets)
+        feas, detail = _level_verdict(model, mid, samples)
         if feas:
             hi = mid
         else:

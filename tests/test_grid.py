@@ -62,6 +62,17 @@ def test_offsets_within_radius_counts_and_clipping():
     assert int(np.max(np.abs(offs_all))) == 8
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_box_offsets_take_the_zero_offset_on_request(dim):
+    box = BoxSpec(dim=dim, radius=2.0, points_per_unit=8)
+    plain = box.offsets_within(2.5 * box.h)
+    with_zero = box.offsets_within(2.5 * box.h, include_zero=True)
+    is_zero = np.all(with_zero == 0, axis=1)
+    assert int(np.sum(is_zero)) == 1
+    assert not np.any(np.all(plain == 0, axis=1))
+    assert np.array_equal(with_zero[~is_zero], plain)
+
+
 def test_roll_flat_reads_predecessor_values():
     g = GridSpec(dim=1, n=8)
     vals = np.arange(8.0)

@@ -5,12 +5,12 @@ import pytest
 
 import weakkam as wk
 from weakkam.errors import ConfigError, SubcriticalLevelError
-from weakkam.grid import GridFn, GridSpec
-from weakkam.hamiltonian import (mechanical_model, reversed_model,
+from weakkam.grid import BoxSpec, GridFn, GridSpec, relax
+from weakkam.hamiltonian import (kappa, mechanical_model, reversed_model,
                                  tilted_mechanical_model)
 from weakkam.metric import (build_cost_graph, check_subsolution,
                             critical_value_free, critical_value_stationary,
-                            semidistance, support_sigma)
+                            default_edge_radius, semidistance, support_sigma)
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +137,135 @@ def test_stationary_estimates_shapes_and_determinism():
     res2 = critical_value_stationary(m, spec, n_samples=2, box_radii=(2.0, 4.0),
                                      points_per_unit=16, tol_bisect=1e-2)
     assert np.array_equal(res.estimates, res2.estimates)
+
+
+class _CountingField:
+    """A realization that counts its evaluate calls."""
+
+    def __init__(self, env):
+        self.env = env
+        self.calls = 0
+
+    def evaluate(self, x):
+        self.calls += 1
+        return self.env.evaluate(x)
+
+
+def _stationary_realization(index):
+    spec = wk.EnvSpec(kind="random_fourier", dimension=2, seed=2,
+                      params={"period": 16.0, "k_max": 3, "amplitude": 0.5,
+                              "decay": 1.0})
+    return wk.sample_realization(spec, index)
+
+
+def test_bisection_evaluates_the_field_once_per_sample_array():
+    m = mechanical_model(dim=2, field_bound=0.5)
+    box = BoxSpec(dim=2, radius=2.0, points_per_unit=8)
+    calls, iterations = [], []
+    for tol in (5e-2, 5e-4):
+        env = _CountingField(_stationary_realization(0))
+        res = critical_value_free(m, env, box, tol_bisect=tol)
+        calls.append(env.calls)
+        iterations.append(res.iterations)
+    assert iterations[1] > iterations[0]
+    assert calls[0] == calls[1]
+
+
+def test_cost_graph_prices_each_offset_from_its_own_midpoint_batch():
+    # the field's matrix-vector product rounds a row by its place in the
+    # batch, so the weights must come from one evaluation per offset
+    m = mechanical_model(dim=2, field_bound=0.5)
+    env = _stationary_realization(3)
+    box = BoxSpec(dim=2, radius=4.0, points_per_unit=8)
+    graph = build_cost_graph(m, 0.6, env, box, radius=3 * box.h)
+    pts = box.points()
+    for k, row in zip(graph.offsets, graph.weights):
+        disp = k * box.h
+        mids = pts - 0.5 * disp[None, :]
+        expected = support_sigma(m, mids, np.repeat(disp[None, :], len(pts), axis=0), 0.6, env)
+        assert np.array_equal(row, expected)
+
+
+def _critical_value_level_by_level(model, env, lattice, tol_bisect=5e-3,
+                                   max_expand=60):
+    """Bisection with a fresh cost graph per level, each one sampling the
+    field anew; the starting levels come from one H(x, 0) batch over the
+    nodes and every offset's edge midpoints.  Returns (value, lo, hi,
+    iterations, certificate reason) and the number of hi expansions."""
+    pts = lattice.points()
+    hzero = float(np.max(model.eval_H(pts, np.zeros_like(pts), env)))
+    try:
+        kap = kappa(model, hzero, env, x_samples=pts)
+    except SubcriticalLevelError:
+        kap = 1.0
+    offsets = lattice.offsets_within(default_edge_radius(lattice, kap))
+
+    def verdict(a):
+        try:
+            relax(build_cost_graph(model, a, env, lattice, offsets=offsets),
+                  np.zeros(lattice.size))
+        except SubcriticalLevelError as err:
+            return False, ("empty_sublevel" if err.empty_at is not None
+                           else "negative_cycle")
+        return True, None
+
+    samples = [pts] + [lattice.wrap(pts - 0.5 * (np.asarray(k, dtype=float) * lattice.h)[None, :])
+                       for k in offsets]
+    allpts = np.concatenate(samples, axis=0)
+    h_zero = model.eval_H(allpts, np.zeros_like(allpts), env)
+    hi, lo = float(np.max(h_zero)), float(np.min(h_zero)) - 1.0
+    iters, step = 0, 1.0
+    expansions = 0
+    while not verdict(hi)[0]:
+        expansions += 1
+        hi += step
+        step *= 2.0
+        iters += 1
+        assert iters <= max_expand
+    step = 1.0
+    while True:
+        feas, reason = verdict(lo)
+        if not feas:
+            break
+        lo -= step
+        step *= 2.0
+        iters += 1
+        assert iters <= max_expand
+    while hi - lo > tol_bisect:
+        mid = 0.5 * (lo + hi)
+        feas, why = verdict(mid)
+        if feas:
+            hi = mid
+        else:
+            lo, reason = mid, why
+        iters += 1
+    return (0.5 * (lo + hi), lo, hi, iters, reason), expansions
+
+
+def _cosine_env(dim, amplitude=1.0):
+    return wk.sample_realization(
+        wk.EnvSpec(kind="periodic", dimension=dim, params={"amplitudes": (amplitude,)}), 0)
+
+
+@pytest.mark.parametrize("case", ["box_r3", "box_r0", "tilted1d_n128", "cosine2d_n16"])
+def test_sampling_once_matches_resampling_every_level(case):
+    if case.startswith("box"):
+        # realization 3 refuses the starting hi by an ulp and expands it
+        model = mechanical_model(dim=2, field_bound=0.5)
+        env = _stationary_realization(int(case[-1]))
+        lattice = BoxSpec(dim=2, radius=2.0, points_per_unit=8)
+    elif case == "tilted1d_n128":
+        # a weak well: the tilt leaves the flat part, so levels below the
+        # critical one are refused by negative cycles
+        model = tilted_mechanical_model(p0=(0.5,), dim=1)
+        env, lattice = _cosine_env(1, amplitude=0.05), GridSpec(dim=1, n=128)
+    else:
+        model = mechanical_model(dim=2)
+        env, lattice = _cosine_env(2), GridSpec(dim=2, n=16)
+    res = critical_value_free(model, env, lattice)
+    old, expansions = _critical_value_level_by_level(model, env, lattice)
+    assert expansions == (1 if case == "box_r3" else 0)
+    if case == "tilted1d_n128":
+        assert old[-1] == "negative_cycle"
+    assert (res.value, res.lo, res.hi, res.iterations,
+            res.certificate["reason"]) == old
