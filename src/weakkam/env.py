@@ -14,6 +14,17 @@ Translation acts on the internal representation (phase shift or point
 shift), so stationarity H(x+z, p, omega) = H(x, p, tau_z omega) holds to
 rounding error, and tau is an exact group action.
 
+Evaluation at m points holds little beyond its result.  A cosine sum builds
+one (m, modes) array of angles x . freqs, scales and shifts it in place and
+takes its cosines (sines for the gradient) in the same buffer: the same
+operations on the same operands as the textbook expression, so every value
+keeps its bits.  The batch is not split into rows, because the final
+matrix-vector product may round a row differently by its place in the
+batch.  A bump cloud is evaluated in blocks of rows whose (rows, centers,
+dim) differences hold ~32768 entries; every bump sum reduces within one
+row, so blocking moves no bit and memory beyond the result does not grow
+with m.
+
 Amplitudes of the random Fourier generator are deliberately deterministic:
 a random amplitude would be a translation-invariant random variable and the
 ensemble would stop being ergodic, which breaks every growing-box
@@ -85,36 +96,54 @@ class EnvRealization:
     # -- evaluation ------------------------------------------------------
 
     def _angles(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return 2.0 * np.pi * (x @ self.freqs.T) + self.phases[None, :]
+        """2 pi x . freqs + phases for an (m, dim) float array x, one
+        (m, modes) array scaled in place."""
+        ang = x @ self.freqs.T
+        ang *= 2.0 * np.pi
+        ang += self.phases
+        return ang
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Field values; x has shape (m, dim) or (dim,)."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.centers is not None:
             return self._eval_bumps(x)
-        return np.cos(self._angles(x)) @ self.amplitudes
+        ang = self._angles(x)
+        return np.cos(ang, out=ang) @ self.amplitudes
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.centers is not None:
             return self._grad_bumps(x)
-        s = np.sin(self._angles(x)) * self.amplitudes[None, :]
-        return -2.0 * np.pi * (s @ self.freqs)
+        ang = self._angles(x)
+        np.sin(ang, out=ang)
+        ang *= self.amplitudes
+        return -2.0 * np.pi * (ang @ self.freqs)
+
+    def _bump_terms(self, x: np.ndarray):
+        """Yield (rows, d, w) per block of rows: d[i, j] = x[i] - centers[j]
+        and w = max(1 - |d|^2 / r^2, 0), with ~32768 entries in d.  Every
+        bump sum reduces within one row, so a row's value does not depend
+        on the block it is evaluated in."""
+        per = max(1, 32768 // self.centers.size)
+        for a in range(0, len(x), per):
+            d = x[a:a + per, None, :] - self.centers[None, :, :]
+            w = np.clip(1.0 - np.sum(d * d, axis=2) / self.bump_radius**2, 0.0, None)
+            yield slice(a, a + per), d, w
 
     def _eval_bumps(self, x: np.ndarray) -> np.ndarray:
         # profile (1 - |u|^2)^3 on |u| <= 1: C^2 with bounded third derivative
-        d = x[:, None, :] - self.centers[None, :, :]
-        u2 = np.sum(d * d, axis=2) / self.bump_radius**2
-        w = np.clip(1.0 - u2, 0.0, None)
-        return np.sum(w**3, axis=1)
+        out = np.empty(len(x))
+        for rows, _, w in self._bump_terms(x):
+            out[rows] = np.sum(w**3, axis=1)
+        return out
 
     def _grad_bumps(self, x: np.ndarray) -> np.ndarray:
-        d = x[:, None, :] - self.centers[None, :, :]
-        u2 = np.sum(d * d, axis=2) / self.bump_radius**2
-        w = np.clip(1.0 - u2, 0.0, None)
-        coef = -6.0 * w**2 / self.bump_radius**2
-        return np.sum(coef[:, :, None] * d, axis=1)
+        out = np.empty(x.shape)
+        for rows, d, w in self._bump_terms(x):
+            coef = -6.0 * w**2 / self.bump_radius**2
+            out[rows] = np.sum(coef[:, :, None] * d, axis=1)
+        return out
 
     # -- structure -------------------------------------------------------
 

@@ -407,9 +407,11 @@ class Stencil:
         when v has a non-finite value, which no edge inequality admits."""
         if not np.all(np.isfinite(v)):
             return np.inf
-        gaps = np.array([(v - self.grid.roll_flat(v, k)) - w
-                         for k, w in zip(self.offsets, self.weights)])
-        return float(np.max(gaps[np.isfinite(self.weights)], initial=-np.inf))
+        gap = -np.inf
+        for k, w in zip(self.offsets, self.weights):
+            row = (v - self.grid.roll_flat(v, k)) - w
+            gap = max(gap, float(np.max(row, where=np.isfinite(w), initial=-np.inf)))
+        return gap
 
     def cost_scale(self) -> float:
         """Largest |finite edge cost| (0 when there is none)."""
@@ -460,10 +462,11 @@ def relax(stencil: Stencil, init: np.ndarray, forward: bool = False) -> np.ndarr
 
     Shortest paths have at most size - 1 edges, so a run still improving
     after size + 64 sweeps only goes on for a witness: for size + 1 more
-    sweeps each improved node records the start of its improving edge,
-    which itself improved the sweep before.  The record walk from a node
-    improved last thus closes a cycle of negative cost, raised in edge order
-    as SubcriticalLevelError(cycle=..., cycle_cost=...).
+    sweeps each improved node records the start of its improving edge (the
+    first offset that attains the pull), which itself improved the sweep
+    before.  The record walk from a node improved last thus closes a cycle
+    of negative cost, raised in edge order as
+    SubcriticalLevelError(cycle=..., cycle_cost=...).
     """
     steps = stencil.reversed() if forward else stencil
     size = stencil.size
@@ -471,14 +474,14 @@ def relax(stencil: Stencil, init: np.ndarray, forward: bool = False) -> np.ndarr
     dist = np.array(init, dtype=float)
     parent = np.full(size, -1)
     for sweep in range(2 * size + 65):
-        cand = steps.pull(dist)
+        if sweep < size + 64:
+            cand = steps.pull(dist)
+        else:
+            cand, arg = _pull_argmin(steps, dist)
         took = np.flatnonzero(cand < dist)
         gain = dist[took] - cand[took]
-        if sweep == size + 64:
-            preds = steps.predecessors(np.arange(size))
         if sweep >= size + 64:
-            best = np.argmin(np.where(preds >= 0, dist[preds] + steps.weights, np.inf), axis=0)
-            parent[took] = preds[best[took], took]
+            parent[took] = steps.grid.neighbors(took, -steps.offsets[arg[took]])
         dist[took] = cand[took]
         if float(np.max(gain, initial=0.0)) <= eps:
             return dist
@@ -557,6 +560,16 @@ def _take_min(cand: np.ndarray, rows: slice, best: np.ndarray, arg: np.ndarray) 
     took = low < best
     best[took] = low[took]
     arg[took] = rows.start + j[took]
+
+
+def _pull_argmin(stencil: Stencil, u: np.ndarray) -> tuple:
+    """pull(u) of a vector u, the same minimum, and per node the first
+    offset index that attains it (0 where the minimum is +inf)."""
+    best, arg = np.full(stencil.size, np.inf), np.zeros(stencil.size, dtype=int)
+    for rows, cand in stencil._blocks(u):    # +inf off a box
+        cand += stencil.weights[rows]
+        _take_min(cand, rows, best, arg)
+    return best, arg
 
 
 def _nontrivial_sccs(size: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -640,10 +653,7 @@ def policy_iteration(stencil: Stencil) -> CriticalGraph:
     size = stencil.size
     nodes = np.arange(size)
     weights = stencil.weights
-    policy, cheapest = np.zeros(size, dtype=int), np.full(size, np.inf)
-    for rows, cand in stencil._blocks(np.zeros(size)):    # +inf off a box
-        cand += weights[rows]
-        _take_min(cand, rows, cheapest, policy)
+    cheapest, policy = _pull_argmin(stencil, np.zeros(size))
     if not np.all(np.isfinite(cheapest)):
         raise ConfigError("policy iteration needs a stencil with an edge into every node")
     scale = max(1.0, stencil.cost_scale())

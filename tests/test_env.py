@@ -1,5 +1,7 @@
 """Environment ensembles: sampling, group action, metrics, concentration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,80 @@ def test_poisson_bumps_sample_and_translate():
     assert float(np.max(vals)) <= env.field_bound() + 1e-12
     z = np.array([0.4])
     assert np.allclose(env.translate(z).evaluate(x), env.evaluate(x + z[None, :]))
+
+
+def _textbook_values(env, x):
+    if env.centers is not None:
+        d = x[:, None, :] - env.centers[None, :, :]
+        w = np.clip(1.0 - np.sum(d * d, axis=2) / env.bump_radius**2, 0.0, None)
+        return np.sum(w**3, axis=1)
+    return np.cos(2.0 * np.pi * (x @ env.freqs.T) + env.phases[None, :]) @ env.amplitudes
+
+
+def _textbook_gradient(env, x):
+    if env.centers is not None:
+        d = x[:, None, :] - env.centers[None, :, :]
+        w = np.clip(1.0 - np.sum(d * d, axis=2) / env.bump_radius**2, 0.0, None)
+        return np.sum((-6.0 * w**2 / env.bump_radius**2)[:, :, None] * d, axis=1)
+    s = np.sin(2.0 * np.pi * (x @ env.freqs.T) + env.phases[None, :]) * env.amplitudes[None, :]
+    return -2.0 * np.pi * (s @ env.freqs)
+
+
+@pytest.mark.parametrize("kind,dim", [("random_fourier", 1), ("random_fourier", 2),
+                                      ("poisson_bumps", 1), ("poisson_bumps", 2)])
+def test_evaluation_is_bit_identical_to_the_textbook_expressions(kind, dim):
+    """The angles are scaled and the cosines taken in place, and bump fields
+    are evaluated in row blocks; neither may move a bit of the result."""
+    env = sample_realization(EnvSpec(kind=kind, dimension=dim, seed=7), 2)
+    # bump blocks hold 32768 // centers.size rows: cross a few block edges
+    # and end on a partial block
+    rows = 3 * (32768 // env.centers.size) + 5 if env.centers is not None else 1001
+    x = np.random.default_rng(dim).uniform(-6.0, 6.0, (rows, dim))
+    assert env.evaluate(x).tobytes() == _textbook_values(env, x).tobytes()
+    assert env.gradient(x).tobytes() == _textbook_gradient(env, x).tobytes()
+    if env.centers is not None:
+        # a bump row reduces on its own, so one row at a time is the same
+        one = np.concatenate([env.evaluate(row) for row in x[:64]])
+        assert one.tobytes() == _textbook_values(env, x[:64]).tobytes()
+
+
+def _peak_bytes(fn, x):
+    tracemalloc.start()
+    try:
+        fn(x)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+SMALL_OBJECTS = 64 * 1024    # Python objects and numpy bookkeeping
+
+
+def test_cosine_field_evaluation_holds_one_angle_buffer():
+    """Evaluating m points of a K-mode cosine field holds the (m, K) angle
+    array, then its cosines or sines in the same buffer, and (m, dim)-sized
+    results: at most 8 m (K + 2 (dim + 1)) bytes beyond small objects."""
+    env = sample_realization(EnvSpec(kind="random_fourier", dimension=2, seed=3), 0)
+    m, modes, dim = 20000, len(env.amplitudes), 2
+    x = np.random.default_rng(0).uniform(-8.0, 8.0, (m, dim))
+    budget = 8 * m * (modes + 2 * (dim + 1)) + SMALL_OBJECTS
+    assert _peak_bytes(env.evaluate, x) <= budget
+    assert _peak_bytes(env.gradient, x) <= budget
+
+
+def test_bump_field_evaluation_memory_does_not_grow_with_the_rows():
+    """A row block's (rows, centers, dim) differences hold at most 32768
+    entries.  At most two arrays of that size live at once (the differences
+    and their product) with three of half that size (squared radii, weights
+    and their powers), under four in all, plus one reduction buffer of
+    np.getbufsize() entries; beyond them only the (m, dim) result grows
+    with m."""
+    env = sample_realization(EnvSpec(kind="poisson_bumps", dimension=2, seed=3), 0)
+    for m in (1000, 8000):
+        x = np.random.default_rng(m).uniform(-8.0, 8.0, (m, 2))
+        budget = 8 * (4 * 32768 + np.getbufsize() + 2 * m) + SMALL_OBJECTS
+        assert _peak_bytes(env.evaluate, x) <= budget
+        assert _peak_bytes(env.gradient, x) <= budget
 
 
 def test_metric_d_of_constant_offset_matches_series():

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakkam.errors import ConfigError, SubcriticalLevelError
-from weakkam.grid import (BoxSpec, GridFn, GridSpec, Stencil, load_gridfn_csv,
-                          policy_iteration, relax, save_gridfn_csv)
+from weakkam.grid import (BoxSpec, GridFn, GridSpec, Stencil, _pull_argmin,
+                          load_gridfn_csv, policy_iteration, relax,
+                          save_gridfn_csv)
 
 
 def test_axis_and_points_cover_unit_cell():
@@ -246,6 +247,32 @@ def test_walk_costs_match_dense_minplus_powers(case):
     stack[rng.random(stack.shape) < 0.3] = np.inf
     rows = np.stack([floats.pull(row) for row in stack])
     assert floats.pull(stack).tobytes() == rows.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_stencils())
+def test_edge_gap_and_the_relax_witness_match_dense_formulas(case):
+    """Both reduce the stencil one offset at a time; the dense one-step
+    table keeps the cheapest of two offsets that join the same pair."""
+    stencil, init = case
+    rng = np.random.default_rng(stencil.size)
+    floats = Stencil(stencil.grid, stencil.offsets,
+                     np.where(np.isfinite(stencil.weights),
+                              rng.standard_normal(stencil.weights.shape), np.inf))
+    table = one_step_table(floats)
+    v = rng.standard_normal(floats.size)
+    gaps = (v[None, :] - v[:, None]) - table    # gaps[y, x] for the edge y -> x
+    assert floats.edge_gap(v) == np.max(gaps[np.isfinite(table)], initial=-np.inf)
+    # the witness records, per improved node, the first offset that
+    # attains the pull, and the start of that edge attains the table's min
+    best, arg = _pull_argmin(floats, init)
+    assert best.tobytes() == floats.pull(init).tobytes()
+    preds = floats.predecessors(np.arange(floats.size))
+    dense = np.where(preds >= 0, init[preds] + floats.weights, np.inf)
+    nodes = np.flatnonzero(np.isfinite(best))
+    assert np.array_equal(arg[nodes], np.argmin(dense, axis=0)[nodes])
+    starts = floats.grid.neighbors(nodes, -floats.offsets[arg[nodes]])
+    assert np.array_equal(init[starts] + table[starts, nodes], best[nodes])
 
 
 @pytest.mark.parametrize("grid", LATTICES, ids=["grid1d", "grid2d", "box2d"])
