@@ -334,7 +334,8 @@ class Stencil:
     weights[k, x] is the cost of the edge into x from x - offsets[k] * h,
     +inf where there is no such edge.  A periodic GridSpec wraps around; a
     BoxSpec has no node past its edge, and reads there are +inf.  Only this
-    class, relax() and policy_iteration() read that layout.
+    class, relax(), policy_iteration() and the edge log of a replayed walk
+    (_attaining_edges, _point_edges) read that layout.
     """
 
     grid: object
@@ -570,6 +571,45 @@ def _pull_argmin(stencil: Stencil, u: np.ndarray) -> tuple:
         cand += stencil.weights[rows]
         _take_min(cand, rows, best, arg)
     return best, arg
+
+
+def _point_edges(stencil: Stencil, nodes: np.ndarray, offs: np.ndarray,
+                 src: np.ndarray, cost: np.ndarray) -> None:
+    """Record for each nodes[i] its in-edge of offset index offs[i]: the
+    start node in src and the cost in cost, in place."""
+    src[nodes] = stencil.grid.neighbors(nodes, -stencil.offsets[offs])
+    cost[nodes] = stencil.weights[offs, nodes]
+
+
+def _attaining_edges(stencil: Stencil, u: np.ndarray, best: np.ndarray,
+                     src: np.ndarray, cost: np.ndarray) -> tuple:
+    """Re-point the recorded in-edges that no longer attain best = pull(u).
+
+    src[x], cost[x] is the edge recorded for node x (cost +inf while there
+    is none), so u[src] + cost is one of the sums that pull(u) minimizes,
+    and where it equals best it is best to the bit.  Every other node gets
+    the first offset whose sum equals best; a node with none (a NaN in u or
+    in the weights) keeps its edge.  Candidates are formed in blocks of
+    ~32768 (offset, node) entries, so a step with many stale nodes holds no
+    (m, size) array.  Updates src and cost in place and returns the
+    re-pointed nodes and their offset indices.
+    """
+    stale = np.flatnonzero(u[src] + cost != best)
+    found = np.full(len(stale), -1)
+    per = max(1, 32768 // max(1, len(stale)))
+    for a in range(0, len(stencil.offsets), per):
+        todo = np.flatnonzero(found < 0)
+        if not todo.size:
+            break
+        xs = stale[todo]
+        preds = stencil.grid.neighbors(xs, -stencil.offsets[a:a + per, None, :])    # -1 off a box
+        weights = stencil.weights[a:a + per, xs]
+        hit = (preds >= 0) & (u[preds] + weights == best[xs])
+        j = np.argmax(hit, axis=0)
+        got = np.flatnonzero(hit[j, np.arange(len(xs))])
+        found[todo[got]] = a + j[got]
+        src[xs[got]], cost[xs[got]] = preds[j[got], got], weights[j[got], got]
+    return stale[found >= 0], found[found >= 0]
 
 
 def _nontrivial_sccs(size: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

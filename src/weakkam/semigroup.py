@@ -15,6 +15,10 @@ The stencil is also a weighted graph; its minimal cycle mean (Karp) is the
 exact critical value of the discretized system, the level at which min-plus
 powers stay bounded.  Folding the kernel by that value puts the discrete
 Aubry phenomenon at machine precision instead of bisection precision.
+Karp's N-step walk from node 0 is pulled once; the scoring pass replays it
+along the logged attaining edges, one gather per step, with the same bits.
+Beyond O(N) vectors the log holds at most 6 m N bytes for m offsets, below
+the 8 m N bytes of the weights.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LadderError
-from .grid import GridFn, GridSpec, Stencil, relax
+from .errors import ConfigError, LadderError, WeakKamError
+from .grid import GridFn, GridSpec, Stencil, _attaining_edges, _point_edges, relax
 from .hamiltonian import lipschitz_radius
 
 __all__ = [
@@ -207,6 +211,12 @@ def lax_minus_images(u: GridFn, kernel: ActionKernel, times) -> np.ndarray:
     return semigroup_orbit(u, kernel, max(steps, default=0))[steps]
 
 
+def _karp_log_cap(kernel: ActionKernel) -> int:
+    """Entries the edge log of discrete_critical_value may hold: m N, one
+    per stencil entry, at 6 bytes each below the 8 m N of the weights."""
+    return kernel.weights.size
+
+
 def discrete_critical_value(kernel: ActionKernel) -> float:
     """Critical value of the discretized system via Karp's cycle mean.
 
@@ -216,22 +226,53 @@ def discrete_critical_value(kernel: ActionKernel) -> float:
     which min-plus powers of the folded kernel stay bounded.
 
     Karp's table D_k(v) (least cost of a k-step walk from node 0 to v) is
-    walked twice, once to reach D_N and once to score every row against it,
-    so it takes O(N) memory instead of O(N^2).
+    pulled once, to D_N, and replayed to score every row against it, so it
+    takes O(N) memory instead of O(N^2).  The pulled walk logs, per step,
+    the nodes whose attaining in-edge changed and the offset of the new one
+    (grid._attaining_edges); the replay rebuilds D_k from D_{k-1} with one
+    gather along those edges.  A pull's minimum is the float sum of the edge
+    that attains it, so each replayed row is the pulled one to the bit.  The
+    log holds at most m N entries of 6 bytes (node int32, offset int16),
+    below the 8 m N bytes of the weights; steps past it are pulled again.
+    A replayed D_N that differs from the pulled one in any bit is refused.
     """
     size = kernel.grid.size
     start = np.full(size, np.inf)
     start[0] = 0.0
+    cap = _karp_log_cap(kernel)
+    nodes = np.empty(cap, dtype=np.int32)      # pages are touched as the log fills
+    offs = np.empty(cap, dtype=np.int16 if len(kernel.offsets) <= 2**15 else np.int32)
+    counts = np.zeros(size, dtype=int)     # log entries of each step
+    logged = used = 0                      # steps logged, entries used
+    src, cost = np.arange(size), np.full(size, np.inf)
     final = start
-    for _ in range(size):
-        final = kernel.pull(final)
+    for k in range(size):
+        best = kernel.pull(final)
+        if logged == k:
+            xs, os = _attaining_edges(kernel, final, best, src, cost)
+            if used + len(xs) <= cap:
+                nodes[used:used + len(xs)], offs[used:used + len(xs)] = xs, os
+                counts[k], used, logged = len(xs), used + len(xs), k + 1
+        final = best
     worst = np.full(size, -np.inf)     # max over k of (D_N - D_k) / (N - k)
-    row = start
+    src, cost = np.arange(size), np.full(size, np.inf)
+    row, at = start, 0
     with np.errstate(invalid="ignore"):
         for k in range(size):
             np.maximum(worst, np.where(np.isfinite(row), (final - row) / (size - k), -np.inf),
                        out=worst)
-            row = kernel.pull(row)
+            if k < logged:
+                step = slice(at, at + counts[k])
+                _point_edges(kernel, nodes[step], offs[step], src, cost)
+                row, at = row[src] + cost, step.stop
+            else:
+                row = kernel.pull(row)
+    differ = np.flatnonzero(row.view(np.int64) != final.view(np.int64))
+    if differ.size:
+        x = int(differ[0])
+        raise WeakKamError(
+            f"Karp's replayed walk ends at {float(row[x])!r} on node {x}, the pulled walk "
+            f"at {float(final[x])!r}: a logged edge does not attain its pull (a NaN weight?)")
     scored = np.isfinite(final) & (worst > -np.inf)
     if not np.any(scored):
         raise ConfigError("kernel graph has no cycles reachable from node 0")

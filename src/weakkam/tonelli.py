@@ -90,34 +90,35 @@ class Trajectory:
         return FlowState(self.xi[k], self.eta[k])
 
 
-def _flow_rhs(model, env, xi: np.ndarray, eta: np.ndarray) -> tuple:
-    hx, hp = model.eval_DH(xi, eta, env)
-    return np.asarray(hp, dtype=float)[0], -np.asarray(hx, dtype=float)[0]
-
-
 def flow_integrate(model, env, state0: FlowState, t: float, dt: float) -> Trajectory:
     """RK4 on xi' = H_p, eta' = -H_x; negative t integrates backward.
 
-    Not symplectic: the energy drift over the run is measured and reported
-    instead, and callers gate on it.
+    Each step works on (1, dim) rows of the trajectory, with one eval_DH
+    call per stage.  Not symplectic: the energy drift over the run is
+    measured and reported instead, and callers gate on it.
     """
     _require_tonelli(model, "flow integration")
     if dt <= 0:
         raise ConfigError("dt must be positive")
     n = max(int(round(abs(t) / dt)), 1)
     step = float(np.sign(t) if t != 0 else 1.0) * abs(t) / n
+    half, sixth = 0.5 * step, step / 6.0
     dim = state0.xi.shape[0]
     xi = np.empty((n + 1, dim))
     eta = np.empty((n + 1, dim))
     xi[0], eta[0] = state0.xi, state0.eta
     for k in range(n):
-        x0, p0 = xi[k], eta[k]
-        k1x, k1p = _flow_rhs(model, env, x0, p0)
-        k2x, k2p = _flow_rhs(model, env, x0 + 0.5 * step * k1x, p0 + 0.5 * step * k1p)
-        k3x, k3p = _flow_rhs(model, env, x0 + 0.5 * step * k2x, p0 + 0.5 * step * k2p)
-        k4x, k4p = _flow_rhs(model, env, x0 + step * k3x, p0 + step * k3p)
-        xi[k + 1] = x0 + (step / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        eta[k + 1] = p0 + (step / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+        x0, p0 = xi[k:k + 1], eta[k:k + 1]
+        hx, k1x = model.eval_DH(x0, p0, env)
+        k1p = -hx
+        hx, k2x = model.eval_DH(x0 + half * k1x, p0 + half * k1p, env)
+        k2p = -hx
+        hx, k3x = model.eval_DH(x0 + half * k2x, p0 + half * k2p, env)
+        k3p = -hx
+        hx, k4x = model.eval_DH(x0 + step * k3x, p0 + step * k3p, env)
+        k4p = -hx
+        xi[k + 1] = x0 + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
+        eta[k + 1] = p0 + sixth * (k1p + 2 * k2p + 2 * k3p + k4p)
     times = step * np.arange(n + 1)
     energy = np.asarray(model.eval_H(xi, eta, env), dtype=float)
     drift = float(np.max(np.abs(energy - energy[0])))

@@ -13,6 +13,8 @@ and never builds an N x N table, so the tests that check it against whole
 tables build their own.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,18 @@ from weakkam.hamiltonian import kappa
 from weakkam.semigroup import build_kernel, discrete_critical_value, refold_kernel
 
 ACCEPTANCE_LINES = {}
+
+SMALL_OBJECTS = 64 * 1024    # Python objects and numpy bookkeeping
+
+
+def peak_bytes(fn, *args) -> int:
+    """tracemalloc peak of one call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def one_step_table(stencil) -> np.ndarray:

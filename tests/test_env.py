@@ -1,9 +1,8 @@
 """Environment ensembles: sampling, group action, metrics, concentration."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
+from conftest import SMALL_OBJECTS, peak_bytes
 
 import weakkam as wk
 from weakkam.env import (EnvSpec, check_sublinearity, dump_coefficients,
@@ -114,18 +113,6 @@ def test_evaluation_is_bit_identical_to_the_textbook_expressions(kind, dim):
         assert one.tobytes() == _textbook_values(env, x[:64]).tobytes()
 
 
-def _peak_bytes(fn, x):
-    tracemalloc.start()
-    try:
-        fn(x)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-SMALL_OBJECTS = 64 * 1024    # Python objects and numpy bookkeeping
-
-
 def test_cosine_field_evaluation_holds_one_angle_buffer():
     """Evaluating m points of a K-mode cosine field holds the (m, K) angle
     array, then its cosines or sines in the same buffer, and (m, dim)-sized
@@ -134,8 +121,8 @@ def test_cosine_field_evaluation_holds_one_angle_buffer():
     m, modes, dim = 20000, len(env.amplitudes), 2
     x = np.random.default_rng(0).uniform(-8.0, 8.0, (m, dim))
     budget = 8 * m * (modes + 2 * (dim + 1)) + SMALL_OBJECTS
-    assert _peak_bytes(env.evaluate, x) <= budget
-    assert _peak_bytes(env.gradient, x) <= budget
+    assert peak_bytes(env.evaluate, x) <= budget
+    assert peak_bytes(env.gradient, x) <= budget
 
 
 def test_bump_field_evaluation_memory_does_not_grow_with_the_rows():
@@ -149,8 +136,8 @@ def test_bump_field_evaluation_memory_does_not_grow_with_the_rows():
     for m in (1000, 8000):
         x = np.random.default_rng(m).uniform(-8.0, 8.0, (m, 2))
         budget = 8 * (4 * 32768 + np.getbufsize() + 2 * m) + SMALL_OBJECTS
-        assert _peak_bytes(env.evaluate, x) <= budget
-        assert _peak_bytes(env.gradient, x) <= budget
+        assert peak_bytes(env.evaluate, x) <= budget
+        assert peak_bytes(env.gradient, x) <= budget
 
 
 def test_metric_d_of_constant_offset_matches_series():

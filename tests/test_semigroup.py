@@ -1,11 +1,14 @@
 """Backward/forward evolution on the dyadic ladder and its exact algebra."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from conftest import walk_table
+from conftest import SMALL_OBJECTS, peak_bytes, walk_table
 
 import weakkam as wk
-from weakkam.errors import LadderError
+from weakkam import semigroup
+from weakkam.errors import LadderError, WeakKamError
 from weakkam.grid import GridFn, GridSpec
 from weakkam.hamiltonian import (eikonal_model, kappa, mechanical_model,
                                  nonstrict_model, reversed_model)
@@ -141,15 +144,94 @@ def _dense_karp_level(kern):
     return kern.shift - float(np.min(worst[np.isfinite(D[size]) & (worst > -np.inf)])) / kern.dt
 
 
-def test_karp_without_the_stored_table_matches_the_dense_one():
+def _karp_kernels():
+    """Kernels whose Karp walks must replay to the bit: tilted and random
+    fields, the field of the verify1d random config (its level sits 1.5e-14
+    below the exact mean), a flat field whose edges tie exactly, a negative
+    level (eikonal), a nonstrict model and a 2D torus."""
     spec = wk.EnvSpec(kind="random_fourier", dimension=1, seed=7,
                       params={"k_max": 3, "amplitude": 0.5, "decay": 1.0})
-    env1 = wk.sample_realization(spec, 0)
-    tilted = wk.tilted_mechanical_model(0.3, dim=1, field_bound=env1.field_bound())
-    kernels = [build_kernel(tilted, env1, GridSpec(dim=1, n=32), dt=1.0 / 32.0, theta=3.0),
-               _grid2d_kernel()]
-    for kern in kernels:
-        assert discrete_critical_value(kern) == _dense_karp_level(kern)
+    env7 = wk.sample_realization(spec, 0)
+    tilted = wk.tilted_mechanical_model(0.3, dim=1, field_bound=env7.field_bound())
+    env3 = wk.sample_realization(wk.EnvSpec(kind="random_fourier", dimension=1, seed=3), 0)
+    env1 = wk.sample_realization(wk.EnvSpec(kind="periodic", dimension=1, seed=0,
+                                            params={"amplitudes": (1.0,)}), 0)
+    env0 = wk.sample_realization(wk.EnvSpec(kind="periodic", dimension=1, seed=0,
+                                            params={"amplitudes": (0.0,)}), 0)
+    grid, dt = GridSpec(dim=1, n=64), 1.0 / 64.0
+    return {
+        "tilted": build_kernel(tilted, env7, GridSpec(dim=1, n=32), dt=1.0 / 32.0, theta=3.0),
+        "random_seed3": build_kernel(mechanical_model(dim=1, field_bound=env3.field_bound()),
+                                     env3, grid, dt=dt, theta=3.0),
+        "flat": build_kernel(mechanical_model(dim=1, field_bound=0.0), env0, grid, dt=dt,
+                             theta=2.0),
+        "eikonal": build_kernel(eikonal_model(dim=1, offset=2.0, field_bound=1.0), env1, grid,
+                                dt=dt, theta=3.0),
+        "nonstrict": build_kernel(nonstrict_model(dim=1, field_bound=1.0), env1, grid, dt=dt,
+                                  theta=3.0),
+        "grid2d_n16": _grid2d_kernel(),
+    }
+
+
+def test_karp_without_the_stored_table_matches_the_dense_one(monkeypatch):
+    """The replayed walk scores the same rows as the stored table, also when
+    the edge log is capped: at 0 entries every step is pulled twice, and a
+    cap that step j's entries overflow replays steps 0..j-1 and pulls the
+    rest of the walk."""
+    for name, kern in _karp_kernels().items():
+        dense = _dense_karp_level(kern)
+        size, counts, pulls = kern.size, [], []
+        record, pull = semigroup._attaining_edges, kern.pull
+
+        def counted(*args):
+            changed = record(*args)
+            counts.append(len(changed[0]))
+            return changed
+
+        monkeypatch.setattr(semigroup, "_attaining_edges", counted)
+        monkeypatch.setattr(kern, "pull", lambda u: pulls.append(1) or pull(u))
+        assert discrete_critical_value(kern) == dense, name
+        assert len(pulls) == size and len(counts) == size
+        busy = np.flatnonzero(counts)
+        j = int(busy[len(busy) // 2])
+        assert 0 < j < size
+        for cap, replayed in ((0, 0), (sum(counts[:j]), j)):
+            monkeypatch.setattr(semigroup, "_karp_log_cap", lambda _, cap=cap: cap)
+            pulls.clear()
+            assert discrete_critical_value(kern) == dense, (name, cap)
+            assert len(pulls) == 2 * size - replayed, (name, cap)
+        monkeypatch.undo()
+
+
+def test_karp_refuses_a_replay_that_misses_a_bit():
+    """A NaN weight makes its pull NaN, which no logged edge attains, so the
+    replayed D_N differs from the pulled one and the level is refused."""
+    kern = _grid2d_kernel()
+    weights = kern.weights.copy()
+    weights[0, 37] = np.nan
+    broken = replace(kern, weights=weights)
+    with pytest.raises(WeakKamError, match="on node"):
+        discrete_critical_value(broken)
+
+
+def test_karp_holds_no_table_and_at_most_its_edge_log():
+    """Peak memory of Karp on a 2D n=32 torus, a priori: the padded lattice
+    of one pull, its block of at most 32768 offset-node entries and those of
+    the edge search (at most six such arrays at once, counting the 2D
+    neighbor coordinates twice), sixteen N-vectors, and the edge log of at
+    most m N entries of 6 bytes.  The N x N table of the dense route would
+    be 8 MiB."""
+    spec = wk.EnvSpec(kind="periodic", dimension=2, seed=0, params={"amplitudes": (0.5,)})
+    env = wk.sample_realization(spec, 0)
+    grid = GridSpec(dim=2, n=32)
+    kern = build_kernel(mechanical_model(dim=2, field_bound=0.5), env, grid,
+                        dt=1.0 / 32.0, theta=2.0)
+    m, size = len(kern.offsets), kern.size
+    reach = int(np.max(np.abs(kern.offsets)))
+    budget = (8 * (grid.n + 2 * reach) ** 2 + 8 * 6 * 32768 + 8 * 16 * size
+              + 6 * m * size + SMALL_OBJECTS)
+    assert budget < 8 * size * size
+    assert peak_bytes(discrete_critical_value, kern) <= budget
 
 
 def test_refold_shifts_tables_linearly(pend64):

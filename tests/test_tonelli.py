@@ -52,6 +52,37 @@ def test_pendulum_flow_reverses_and_conserves_energy(pend64):
     assert long_run.drift <= 1e-6
 
 
+def _textbook_rk4(model, env, x, p, step, n):
+    """n classical RK4 steps of xi' = H_p, eta' = -H_x, one point at a time."""
+    def rhs(x, p):
+        hx, hp = model.eval_DH(x, p, env)
+        return hp[0], -hx[0]
+
+    xs, ps = [x], [p]
+    for _ in range(n):
+        k1x, k1p = rhs(x, p)
+        k2x, k2p = rhs(x + 0.5 * step * k1x, p + 0.5 * step * k1p)
+        k3x, k3p = rhs(x + 0.5 * step * k2x, p + 0.5 * step * k2p)
+        k4x, k4p = rhs(x + step * k3x, p + step * k3p)
+        x = x + step / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
+        p = p + step / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
+        xs.append(x)
+        ps.append(p)
+    return np.array(xs), np.array(ps)
+
+
+def test_flow_steps_are_textbook_rk4(pend64):
+    env2 = wk.sample_realization(wk.EnvSpec(kind="random_fourier", dimension=2, seed=3), 0)
+    cases = [(pend64["model"], pend64["env"], [0.3], [0.7], 0.5),
+             (pend64["model"], pend64["env"], [0.3], [0.7], -0.5),
+             (mechanical_model(dim=2, field_bound=env2.field_bound()), env2,
+              [0.3, 0.6], [0.7, -0.2], 0.5)]
+    for model, env, x0, p0, t in cases:
+        traj = flow_integrate(model, env, FlowState(x0, p0), t, 1e-2)
+        xs, ps = _textbook_rk4(model, env, np.array(x0), np.array(p0), t / 50, 50)
+        assert np.array_equal(traj.xi, xs) and np.array_equal(traj.eta, ps)
+
+
 def test_second_difference_scan_matches_discrete_eigenvalue(pend64):
     grid = pend64["grid"]
     v = GridFn.from_callable(grid, lambda x: np.cos(2 * np.pi * x[:, 0]))
