@@ -112,7 +112,18 @@ class EnvRealization:
         return np.cos(ang, out=ang) @ self.amplitudes
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        """Field gradient; x has shape (m, dim) or (dim,).
+
+        An (m, dim) float array is used as it is, without a wrapper call:
+        the RK4 flow calls this once per stage on one row.  Bit rule: the
+        sines and both matrix products are these numpy calls on the rows
+        as given.  np.sin is not math.sin, and a BLAS product may round
+        differently from a Python sum, so none of them may be swapped for
+        scalar math without moving trajectory bits.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            x = np.atleast_2d(x)
         if self.centers is not None:
             return self._grad_bumps(x)
         ang = self._angles(x)

@@ -47,7 +47,12 @@ def _field_values(env, x):
 
 
 def _field_gradient(env, x):
-    x = np.atleast_2d(x)
+    """DV at the (m, dim) points x, handed to the field without a wrapper
+    or a copy.
+
+    Bit rule: the RK4 flow calls this once per stage on one (1, dim) row,
+    and a trajectory keeps its bits only while every stage makes the same
+    numpy calls on that row shape (see EnvRealization.gradient)."""
     if env is None:
         return np.zeros_like(x)
     return env.gradient(x)
@@ -113,7 +118,7 @@ def mechanical_model(dim: int = 1, field_bound: float = 1.0) -> HamiltonianModel
         return 0.5 * np.sum(q * q, axis=-1) - _field_values(env, x)
 
     def DH(x, p, env):
-        return _field_gradient(env, x), np.atleast_2d(p).astype(float)
+        return _field_gradient(env, x), p.astype(float)
 
     def sigma(x, q, a, env):
         gap = a - _field_values(env, x)
@@ -143,6 +148,7 @@ def tilted_mechanical_model(p0, dim: int = 1, field_bound: float = 1.0) -> Hamil
     p0 = np.asarray(p0, dtype=float).reshape(-1)
     if p0.size != dim:
         raise ConfigError(f"tilt vector has size {p0.size}, expected {dim}")
+    p0_row = p0[None, :]
     vb = float(field_bound)
     p0n = float(np.linalg.norm(p0))
 
@@ -155,7 +161,7 @@ def tilted_mechanical_model(p0, dim: int = 1, field_bound: float = 1.0) -> Hamil
         return 0.5 * np.sum(q * q, axis=-1) - q @ p0 - _field_values(env, x)
 
     def DH(x, p, env):
-        return _field_gradient(env, x), np.atleast_2d(p) + p0[None, :]
+        return _field_gradient(env, x), p + p0_row
 
     def sigma(x, q, a, env):
         gap = a - _field_values(env, x)
@@ -286,7 +292,7 @@ def reversed_model(model: HamiltonianModel) -> HamiltonianModel:
     DH = None
     if model.DH is not None:
         def DH(x, p, env):
-            gx, gp = model.DH(x, -np.atleast_2d(p), env)
+            gx, gp = model.DH(x, -p, env)
             return gx, -gp
 
     sigma = None

@@ -93,32 +93,51 @@ class Trajectory:
 def flow_integrate(model, env, state0: FlowState, t: float, dt: float) -> Trajectory:
     """RK4 on xi' = H_p, eta' = -H_x; negative t integrates backward.
 
-    Each step works on (1, dim) rows of the trajectory, with one eval_DH
-    call per stage.  Not symplectic: the energy drift over the run is
-    measured and reported instead, and callers gate on it.
+    The state is stepped as Python floats, positions then momenta.  Each
+    stage writes its point into a preallocated pair of (1, dim) rows and
+    makes one model.DH call on them; nothing else touches an array until
+    the step is written into the trajectory.  Python float + and * are the
+    IEEE operations numpy applies elementwise, taken here in the textbook
+    order, so every step has the bits of the same RK4 on (1, dim) arrays.
+    The energy is audited by one eval_H over the whole trajectory.  Not
+    symplectic: the energy drift over the run is measured and reported
+    instead, and callers gate on it.
     """
     _require_tonelli(model, "flow integration")
     if dt <= 0:
         raise ConfigError("dt must be positive")
+    dim = model.dim
+    if state0.xi.size != dim or state0.eta.size != dim:
+        raise ConfigError(
+            f"flow state has xi.size={state0.xi.size} and "
+            f"eta.size={state0.eta.size}, but model '{model.name}' has "
+            f"dimension {dim}")
+    if model.DH is None:
+        raise ConfigError(f"model {model.name} has no derivative data")
     n = max(int(round(abs(t) / dt)), 1)
     step = float(np.sign(t) if t != 0 else 1.0) * abs(t) / n
     half, sixth = 0.5 * step, step / 6.0
-    dim = state0.xi.shape[0]
     xi = np.empty((n + 1, dim))
     eta = np.empty((n + 1, dim))
-    xi[0], eta[0] = state0.xi, state0.eta
-    for k in range(n):
-        x0, p0 = xi[k:k + 1], eta[k:k + 1]
-        hx, k1x = model.eval_DH(x0, p0, env)
-        k1p = -hx
-        hx, k2x = model.eval_DH(x0 + half * k1x, p0 + half * k1p, env)
-        k2p = -hx
-        hx, k3x = model.eval_DH(x0 + half * k2x, p0 + half * k2p, env)
-        k3p = -hx
-        hx, k4x = model.eval_DH(x0 + step * k3x, p0 + step * k3p, env)
-        k4p = -hx
-        xi[k + 1] = x0 + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
-        eta[k + 1] = p0 + sixth * (k1p + 2 * k2p + 2 * k3p + k4p)
+    xi[0], eta[0] = state0.xi.reshape(dim), state0.eta.reshape(dim)
+    point = np.empty((2, dim))
+    x_row, p_row, coords = point[:1], point[1:], point.reshape(-1)
+
+    def rates(z):
+        """(H_p, -H_x) at the point z as one list of floats."""
+        coords[:] = z
+        hx, hp = model.DH(x_row, p_row, env)
+        return hp.tolist()[0] + [-v for v in hx.tolist()[0]]
+
+    z = xi[0].tolist() + eta[0].tolist()
+    for k in range(1, n + 1):
+        k1 = rates(z)
+        k2 = rates([a + half * b for a, b in zip(z, k1)])
+        k3 = rates([a + half * b for a, b in zip(z, k2)])
+        k4 = rates([a + step * b for a, b in zip(z, k3)])
+        z = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+        xi[k], eta[k] = z[:dim], z[dim:]
     times = step * np.arange(n + 1)
     energy = np.asarray(model.eval_H(xi, eta, env), dtype=float)
     drift = float(np.max(np.abs(energy - energy[0])))

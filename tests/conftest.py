@@ -20,6 +20,7 @@ import pytest
 
 import weakkam as wk
 from weakkam.aubry import build_library, build_w, detect_aubry
+from weakkam.config import parse_config_text
 from weakkam.hamiltonian import kappa
 from weakkam.semigroup import build_kernel, discrete_critical_value, refold_kernel
 
@@ -62,6 +63,37 @@ def walk_table(stencil, steps: int) -> np.ndarray:
     for _ in range(steps - 1):
         table = minplus_product(table, one)
     return table
+
+
+class CountingField:
+    """A realization that records the shape of each evaluate and gradient call."""
+
+    def __init__(self, env):
+        self.env = env
+        self.evaluated, self.gradients = [], []
+
+    def evaluate(self, x):
+        self.evaluated.append(np.shape(x))
+        return self.env.evaluate(x)
+
+    def gradient(self, x):
+        self.gradients.append(np.shape(x))
+        return self.env.gradient(x)
+
+
+# The three configs of the benchmark's verify1d workload, without their grid.
+VERIFY_CONFIGS = {
+    "mechanical": "[environment]\nkind = periodic\ndimension = 1\n",
+    "nonstrict": "[environment]\nkind = periodic\ndimension = 1\n"
+                 "[hamiltonian]\nmodel = nonstrict\n",
+    "random": "[environment]\nkind = random_fourier\ndimension = 1\nseed = 3\n",
+}
+
+
+def verify_config(label: str):
+    """A verify1d config on its 1D n=512 grid."""
+    return parse_config_text(VERIFY_CONFIGS[label] + "[grid]\ndim = 1\nn = 512\n",
+                             source=label)
 
 
 def record_criterion(num: int, name: str, passed: bool, detail: str) -> None:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import minplus_product, one_step_table
+from conftest import VERIFY_CONFIGS, minplus_product, one_step_table, verify_config
 
 import weakkam as wk
 from weakkam.aubry import (build_library, build_w,
@@ -12,7 +12,7 @@ from weakkam.aubry import (build_library, build_w,
                            extract_calibrated_curve, fixed_point_set,
                            lax_extension, verify_member)
 from weakkam.cli import stage_critical, stage_kernel
-from weakkam.config import build_environment, build_grid, build_model, parse_config_text
+from weakkam.config import build_environment, build_grid, build_model
 from weakkam.errors import (ConfigError, EmptyAubryMaskError,
                             NotASubsolutionError, SubcriticalLevelError)
 from weakkam.grid import GridFn, GridSpec, policy_iteration, relax
@@ -166,20 +166,11 @@ def test_critical_graph_matches_the_closed_orbit_diagonals(case, pend64, flat64)
     assert abs(crit.mean - karp) <= crit.budget
 
 
-VERIFY_CONFIGS = {
-    "mechanical": "[environment]\nkind = periodic\ndimension = 1\n",
-    "nonstrict": "[environment]\nkind = periodic\ndimension = 1\n"
-                 "[hamiltonian]\nmodel = nonstrict\n",
-    "random": "[environment]\nkind = random_fourier\ndimension = 1\nseed = 3\n",
-}
-
-
 @pytest.mark.parametrize("label", sorted(VERIFY_CONFIGS))
 def test_unsaturated_slack_clears_the_budget_on_the_verify_kernels(label):
     """On the 1D n=512 verify configs the edges the budget leaves
     unsaturated miss saturation by at least 1e3 budgets."""
-    cfg = parse_config_text(VERIFY_CONFIGS[label] + "[grid]\ndim = 1\nn = 512\n",
-                            source=label)
+    cfg = verify_config(label)
     env = build_environment(cfg)[1]
     model, grid = build_model(cfg), build_grid(cfg)
     kern = stage_kernel(cfg, env, model, grid, stage_critical(cfg, env, model, grid))

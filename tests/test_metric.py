@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import CountingField
 
 import weakkam as wk
 from weakkam.errors import ConfigError, SubcriticalLevelError
@@ -139,18 +140,6 @@ def test_stationary_estimates_shapes_and_determinism():
     assert np.array_equal(res.estimates, res2.estimates)
 
 
-class _CountingField:
-    """A realization that counts its evaluate calls."""
-
-    def __init__(self, env):
-        self.env = env
-        self.calls = 0
-
-    def evaluate(self, x):
-        self.calls += 1
-        return self.env.evaluate(x)
-
-
 def _stationary_realization(index):
     spec = wk.EnvSpec(kind="random_fourier", dimension=2, seed=2,
                       params={"period": 16.0, "k_max": 3, "amplitude": 0.5,
@@ -163,9 +152,9 @@ def test_bisection_evaluates_the_field_once_per_sample_array():
     box = BoxSpec(dim=2, radius=2.0, points_per_unit=8)
     calls, iterations = [], []
     for tol in (5e-2, 5e-4):
-        env = _CountingField(_stationary_realization(0))
+        env = CountingField(_stationary_realization(0))
         res = critical_value_free(m, env, box, tol_bisect=tol)
-        calls.append(env.calls)
+        calls.append(len(env.evaluated))
         iterations.append(res.iterations)
     assert iterations[1] > iterations[0]
     assert calls[0] == calls[1]

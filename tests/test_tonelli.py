@@ -4,12 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import walk_table
+from conftest import CountingField, verify_config, walk_table
 
 import weakkam as wk
+from weakkam.config import build_environment, build_grid, build_model
 from weakkam.errors import ConfigError, NotTonelliError
 from weakkam.grid import GridFn, GridSpec
-from weakkam.hamiltonian import eikonal_model, mechanical_model
+from weakkam.hamiltonian import (eikonal_model, mechanical_model, reversed_model,
+                                 tilted_mechanical_model)
 from weakkam.semigroup import build_kernel, refold_kernel
 from weakkam.subsol import build_strict_strictly_convex
 from weakkam.tonelli import (FlowState, bernard_regularize,
@@ -72,15 +74,69 @@ def _textbook_rk4(model, env, x, p, step, n):
 
 
 def test_flow_steps_are_textbook_rk4(pend64):
+    # one case per gradient path: cosine sums in 1D and 2D (the verify1d
+    # random field among them), bump clouds in 1D and 2D, a tilt, no field
+    # and the time-reversed wrapper, each run in both directions
+    def field(kind, dim, params=None):
+        return wk.sample_realization(
+            wk.EnvSpec(kind=kind, dimension=dim, seed=3, params=params or {}), 0)
+
+    dense = {"intensity": 4.0, "coverage": 2.0}
+    env1, env2 = field("random_fourier", 1), field("random_fourier", 2)
+    one, two = ([0.3], [0.7]), ([0.3, 0.6], [0.7, -0.2])
+    cases = [(pend64["model"], pend64["env"], one),
+             (mechanical_model(dim=1, field_bound=env1.field_bound()), env1, one),
+             (mechanical_model(dim=2, field_bound=env2.field_bound()), env2, two),
+             (mechanical_model(dim=1), field("poisson_bumps", 1, dense), one),
+             (mechanical_model(dim=2), field("poisson_bumps", 2, dense), two),
+             (tilted_mechanical_model([0.2, -0.4], dim=2), env2, two),
+             (mechanical_model(dim=2), None, two),
+             (reversed_model(tilted_mechanical_model([0.3], dim=1)), env1, one)]
+    for model, env, (x0, p0) in cases:
+        for t in (0.5, -0.5):
+            traj = flow_integrate(model, env, FlowState(x0, p0), t, 1e-2)
+            xs, ps = _textbook_rk4(model, env, np.array(x0), np.array(p0), t / 50, 50)
+            assert np.array_equal(traj.xi, xs) and np.array_equal(traj.eta, ps)
+            if env is not None:
+                assert np.all(np.ptp(traj.eta, axis=0) > 0)
+
+
+@pytest.mark.parametrize("label, drift", [("mechanical", 1.334971244659755e-09),
+                                          ("random", 1.2298828622192559e-11)],
+                         ids=["mechanical", "random"])
+def test_verify_drift_rows_keep_their_digits(label, drift):
+    # the flow_energy_drift row of `weakkam verify` on the verify1d configs
+    cfg = verify_config(label)
+    env, model, grid = build_environment(cfg)[1], build_model(cfg), build_grid(cfg)
+    pts = grid.points()
+    p0 = GridFn(grid, env.evaluate(pts)).central_gradient()[grid.size // 3]
+    traj = flow_integrate(model, env, FlowState(pts[grid.size // 3], p0), 10.0, 1e-3)
+    assert traj.drift == drift
+
+
+def test_flow_calls_the_field_gradient_once_per_stage(pend64):
     env2 = wk.sample_realization(wk.EnvSpec(kind="random_fourier", dimension=2, seed=3), 0)
-    cases = [(pend64["model"], pend64["env"], [0.3], [0.7], 0.5),
-             (pend64["model"], pend64["env"], [0.3], [0.7], -0.5),
-             (mechanical_model(dim=2, field_bound=env2.field_bound()), env2,
-              [0.3, 0.6], [0.7, -0.2], 0.5)]
-    for model, env, x0, p0, t in cases:
-        traj = flow_integrate(model, env, FlowState(x0, p0), t, 1e-2)
-        xs, ps = _textbook_rk4(model, env, np.array(x0), np.array(p0), t / 50, 50)
-        assert np.array_equal(traj.xi, xs) and np.array_equal(traj.eta, ps)
+    cases = [(pend64["model"], pend64["env"], [0.3], [0.7]),
+             (mechanical_model(dim=2), env2, [0.3, 0.6], [0.7, -0.2])]
+    for model, env, x0, p0 in cases:
+        counted = CountingField(env)
+        traj = flow_integrate(model, counted, FlowState(x0, p0), 0.5, 1e-2)
+        plain = flow_integrate(model, env, FlowState(x0, p0), 0.5, 1e-2)
+        assert counted.gradients == [(1, model.dim)] * (4 * 50)
+        assert counted.evaluated == [(51, model.dim)]
+        assert np.array_equal(traj.xi, plain.xi) and np.array_equal(traj.eta, plain.eta)
+
+
+@pytest.mark.parametrize("x0, p0", [([0.3, 0.6], [0.7]), ([0.3], [0.7, 0.1]),
+                                    ([0.3, 0.6, 0.1], [0.7, -0.2, 0.4])],
+                         ids=["short_momentum", "short_position", "three_vectors"])
+def test_flow_refuses_a_state_of_the_wrong_size(x0, p0):
+    env2 = wk.sample_realization(wk.EnvSpec(kind="random_fourier", dimension=2, seed=3), 0)
+    with pytest.raises(ConfigError) as exc:
+        flow_integrate(mechanical_model(dim=2), env2, FlowState(x0, p0), 0.1, 1e-2)
+    assert f"xi.size={len(x0)}" in str(exc.value)
+    assert f"eta.size={len(p0)}" in str(exc.value)
+    assert "dimension 2" in str(exc.value)
 
 
 def test_second_difference_scan_matches_discrete_eigenvalue(pend64):
