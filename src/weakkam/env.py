@@ -18,12 +18,14 @@ Evaluation at m points holds little beyond its result.  A cosine sum builds
 one (m, modes) array of angles x . freqs, scales and shifts it in place and
 takes its cosines (sines for the gradient) in the same buffer: the same
 operations on the same operands as the textbook expression, so every value
-keeps its bits.  The batch is not split into rows, because the final
-matrix-vector product may round a row differently by its place in the
-batch.  A bump cloud is evaluated in blocks of rows whose (rows, centers,
-dim) differences hold ~32768 entries; every bump sum reduces within one
-row, so blocking moves no bit and memory beyond the result does not grow
-with m.
+keeps its bits.  The final matrix-vector product may round a row
+differently by its place in the batch, so a caller that needs values for a
+batch and for row blocks of it as their own arrays (the bisection of
+metric.critical_value_free) gets both from one cosine table, with one
+product per block and one over the batch.  A bump cloud is evaluated in
+blocks of rows whose (rows, centers, dim) differences hold ~32768 entries;
+every bump sum reduces within one row, so blocking moves no bit and memory
+beyond the result does not grow with m.
 
 Amplitudes of the random Fourier generator are deliberately deterministic:
 a random amplitude would be a translation-invariant random variable and the
@@ -110,6 +112,31 @@ class EnvRealization:
             return self._eval_bumps(x)
         ang = self._angles(x)
         return np.cos(ang, out=ang) @ self.amplitudes
+
+    def _evaluate_blocks(self, x: np.ndarray, bounds) -> tuple:
+        """(whole, blocks): field values on an (m, dim) float array x as one
+        batch, and on each row block x[bounds[i]:bounds[i + 1]], each bit
+        for bit what evaluate returns on that array alone.
+
+        A cosine sum builds one (m, modes) table of cosines.  Its entries
+        are elementwise in the rows, so a block's rows hold what evaluate
+        would build, and each block gets its own product over its row
+        slice: the product rounds a row by its place in the batch, so the
+        whole-batch product is a separate call.  One exception: numpy forms
+        a one-row x @ freqs.T by a vector-matrix call, whose angles can
+        differ from the batch's in the last bit, so a one-row block goes
+        through evaluate.  A bump row reduces on its own, so the blocks are
+        slices of the whole.
+        """
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        if self.centers is not None:
+            whole = self._eval_bumps(x)
+            return whole, [whole[a:b] for a, b in spans]
+        table = self._angles(x)
+        np.cos(table, out=table)
+        blocks = [self.evaluate(x[a:b]) if b - a == 1 else table[a:b] @ self.amplitudes
+                  for a, b in spans]
+        return table @ self.amplitudes, blocks
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Field gradient; x has shape (m, dim) or (dim,).

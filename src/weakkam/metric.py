@@ -9,16 +9,18 @@ existence of such certificates.  The cost graph is a grid.Stencil, the
 offset stencil the action kernels use, and its shortest paths and cycle
 witnesses come from the one engine there, grid.relax.
 
-The field is sampled once per lattice and offset set: V is evaluated once
-on the node array and once on each offset's array of edge midpoints, and
-every level's cost graph is priced from those stored values, so a
-bisection costs one field evaluation however many levels it tries.  The
-starting levels of critical_value_free come from one more evaluation, of
-the concatenated batch of all those arrays.  Values are not shared between
-the two batches: the field's matrix-vector product rounds a row by its
-place in the batch, so a point's value in the concatenated batch can differ
-in the last bits from its value in its own array.  Each route keeps reading
-its own batch, which keeps every bracket bit for bit what it was when each
+The field is sampled once per lattice and offset set: every level's cost
+graph is priced from V stored on the node array and on each offset's array
+of edge midpoints, so a bisection costs one field evaluation however many
+levels it tries.  The midpoint arrays are row blocks of one batch that
+starts with the nodes, and the starting levels of critical_value_free are
+read off V over that whole batch.  critical_value_free evaluates the nodes
+once (the edge radius is read off them) and the batch once: one cosine
+table, with one matrix-vector product per midpoint array and one over the
+batch.  The products stay separate because the product rounds a row by
+its place in the batch, so a point's value in the batch can differ in the
+last bits from its value in its own array.  Each route keeps reading its
+own values, which keeps every bracket bit for bit what it was when each
 level resampled the field.
 
 Edge convention: the edge for offset k ends at node x and starts at
@@ -109,17 +111,22 @@ class _SampledField:
     and hands the stored values back whenever that same array is asked for;
     any other array goes to the realization."""
 
-    def __init__(self, env, points: np.ndarray):
+    def __init__(self, env, points: np.ndarray, values: np.ndarray | None = None):
         self.env = env
         self.points = points
         self._values = None
+        if values is not None:
+            self.store(values)
+
+    def store(self, values: np.ndarray) -> None:
+        self._values = values
+        self._values.flags.writeable = False
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         if x is not self.points:
             return self.env.evaluate(x)
         if self._values is None:
-            self._values = self.env.evaluate(x)
-            self._values.flags.writeable = False
+            self.store(self.env.evaluate(x))
         return self._values
 
 
@@ -128,21 +135,42 @@ class _SamplePoints:
     and one array of edge midpoints per offset, each with the environment
     view it is priced through, so every level reads the same field values.
 
-    node_field is a view over lattice.points() made before the offsets
-    were known (the edge radius is read off the node values); passing it
-    keeps the nodes to one evaluation.
+    The midpoint arrays are row blocks of one batch array, which starts
+    with a copy of the nodes.  node_field is a view over lattice.points()
+    made before the offsets were known (the edge radius is read off the
+    node values); passing it keeps the nodes to one evaluation.
     """
 
     def __init__(self, env, lattice, offsets: np.ndarray, node_field=None):
         if len(offsets) == 0:
             raise ConfigError("edge radius below grid spacing: no edges")
+        self.env = env
         self.lattice = lattice
         self.offsets = np.asarray(offsets)
         self.nodes = lattice.points() if node_field is None else node_field.points
-        self.mids = [lattice.wrap(self.nodes - 0.5 * (np.asarray(k, dtype=float) * lattice.h)[None, :])
-                     for k in self.offsets]
+        n = len(self.nodes)
+        self.batch = np.empty(((len(self.offsets) + 1) * n, lattice.dim))
+        self.batch[:n] = self.nodes
+        self.mids = []
+        for i, k in enumerate(self.offsets, start=1):
+            rows = self.batch[i * n:(i + 1) * n]
+            rows[...] = lattice.wrap(self.nodes - 0.5 * (np.asarray(k, dtype=float) * lattice.h)[None, :])
+            self.mids.append(rows)
         self.fields = [_field_view(env, self.nodes) if node_field is None else node_field,
                        *(_field_view(env, pts) for pts in self.mids)]
+
+    def batch_field(self):
+        """Evaluate the field over the batch from one shared table: each
+        midpoint view stores its own array's values, and the returned view
+        holds the whole batch's (None when env is None).  The node view is
+        left as it is."""
+        if self.env is None:
+            return None
+        n = len(self.nodes)
+        whole, blocks = self.env._evaluate_blocks(self.batch, range(n, len(self.batch) + 1, n))
+        for view, values in zip(self.fields[1:], blocks):
+            view.store(values)
+        return _SampledField(self.env, self.batch, whole)
 
 
 def _field_view(env, points: np.ndarray):
@@ -165,7 +193,7 @@ def _price(model, a: float, samples: _SamplePoints) -> CostGraph:
             j = int(np.argmax(bad))
             raise SubcriticalLevelError(
                 f"sublevel {{H <= {a}}} empty at sampled point {mids[j]}",
-                empty_at=mids[j])
+                empty_at=mids[j].copy())    # a view would pin the whole batch
         weights[idx] = w
     # node-level emptiness: sigma at zero displacement
     w0 = support_sigma(model, pts, np.zeros_like(pts), a, samples.fields[0])
@@ -326,18 +354,18 @@ def critical_value_free(model, env, lattice, radius: float | None = None,
                         tol_bisect: float = 5e-3, max_expand: int = 60) -> CriticalValueResult:
     """Free critical value on the lattice by certificate bisection.
 
-    The field is sampled once per call: V at the nodes and at each offset's
-    edge midpoints is evaluated once, and every level's cost graph is
-    priced from those values.  hi starts at max H(x, 0) over nodes and
-    edge midpoints, where the zero function is a subsolution, and lo at
-    their min minus one; both are read off one evaluation of the
-    concatenated sample batch.  That batch's values can
-    differ in the last bits from the per-array values the cost graphs read
-    (a matrix-vector product rounds a row by its place in the batch), so the
-    starting hi is feasible only up to that rounding: when its graph finds
-    an empty sublevel, hi expands like any refused level.  lo expands
-    downward until a subcritical certificate appears.  The reported value is
-    the bracket midpoint.
+    The field is sampled once per call: V at the nodes is evaluated once,
+    and V at every offset's edge midpoints comes with V over the whole
+    sample batch (nodes, then each offset's midpoints) from one cosine
+    table; every level's cost graph is priced from the per-array values.
+    hi starts at max H(x, 0) over the batch, where the zero function is a
+    subsolution, and lo at its min minus one.  The batch's values come from
+    their own matrix-vector product, which rounds a row by its place in
+    the batch, so they can differ in the last bits from the per-array
+    values the cost graphs read, and the starting hi is feasible only up
+    to that rounding: when its graph finds an empty sublevel, hi expands
+    like any refused level.  lo expands downward until a subcritical
+    certificate appears.  The reported value is the bracket midpoint.
     """
     pts = lattice.points()
     node_field = _field_view(env, pts)
@@ -346,10 +374,10 @@ def critical_value_free(model, env, lattice, radius: float | None = None,
         kap = _kappa_for_radius(model, hzero, node_field, pts)
         radius = default_edge_radius(lattice, kap)
     samples = _SamplePoints(env, lattice, lattice.offsets_within(radius), node_field)
-    allpts = np.concatenate([samples.nodes, *samples.mids], axis=0)
-    h_zero = model.eval_H(allpts, np.zeros_like(allpts), env)
+    batch_field = samples.batch_field()    # before the zero momenta: its table is the peak
+    h_zero = model.eval_H(samples.batch, np.zeros_like(samples.batch), batch_field)
     hi, lo = float(np.max(h_zero)), float(np.min(h_zero)) - 1.0
-    del allpts, h_zero     # before any pricing: the batch is the peak memory
+    del batch_field, h_zero
     feasible_hi, _ = _level_verdict(model, hi, samples)
     iters = 0
     step = 1.0

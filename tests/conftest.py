@@ -66,15 +66,20 @@ def walk_table(stencil, steps: int) -> np.ndarray:
 
 
 class CountingField:
-    """A realization that records the shape of each evaluate and gradient call."""
+    """A realization that records the shape of each evaluate and gradient
+    call, and of each shared-table batch with its number of row blocks."""
 
     def __init__(self, env):
         self.env = env
-        self.evaluated, self.gradients = [], []
+        self.evaluated, self.gradients, self.tables = [], [], []
 
     def evaluate(self, x):
         self.evaluated.append(np.shape(x))
         return self.env.evaluate(x)
+
+    def _evaluate_blocks(self, x, bounds):
+        self.tables.append((np.shape(x), len(bounds) - 1))
+        return self.env._evaluate_blocks(x, bounds)
 
     def gradient(self, x):
         self.gradients.append(np.shape(x))

@@ -113,6 +113,45 @@ def test_evaluation_is_bit_identical_to_the_textbook_expressions(kind, dim):
         assert one.tobytes() == _textbook_values(env, x[:64]).tobytes()
 
 
+# (kind, params): each cosine kind with an odd and an even mode count
+BLOCK_FIELDS = [
+    ("periodic", {"amplitudes": (1.0,)}),
+    ("periodic", {"amplitudes": (0.7, 0.3)}),
+    ("quasiperiodic", {"amplitudes": (1.0, 0.6)}),
+    ("quasiperiodic", {"amplitudes": (1.0, 0.6, 0.3)}),
+    ("random_fourier", {"k_max": 3}),
+    ("random_fourier", {"k_max": 2}),
+    ("poisson_bumps", {}),
+]
+
+
+def _block_field(kind, params, dim):
+    params = dict(params)
+    if kind == "quasiperiodic":
+        roots = np.sqrt([1.0, 2.0, 3.0][:len(params["amplitudes"])])
+        params["frequencies"] = roots if dim == 1 else np.column_stack([roots, roots[::-1]])
+    return sample_realization(EnvSpec(kind=kind, dimension=dim, seed=4, params=params), 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind,params", BLOCK_FIELDS)
+def test_block_evaluation_is_bit_identical_to_evaluate(kind, params, dim):
+    """The shared table serves each row block and the whole batch with the
+    bits evaluate gives on each as its own array: blocks of 1, 2, 3 and 5
+    rows and of the 2D box sizes 1089 and 4225 (both 1 mod 4), starting at
+    rows that are not multiples of 4."""
+    env = _block_field(kind, params, dim)
+    lengths = [1, 2, 3, 5, 1089, 1, 4225, 3, 2, 5, 1]
+    bounds = np.cumsum([3] + lengths)
+    assert np.any(bounds[:-1] % 4 != 0)
+    x = np.random.default_rng(dim).uniform(-6.0, 6.0, (bounds[-1] + 2, dim))
+    whole, blocks = env._evaluate_blocks(x, bounds)
+    assert whole.tobytes() == env.evaluate(x).tobytes()
+    assert [len(b) for b in blocks] == lengths
+    for a, b, values in zip(bounds[:-1], bounds[1:], blocks):
+        assert values.tobytes() == env.evaluate(x[a:b].copy()).tobytes()
+
+
 def test_cosine_field_evaluation_holds_one_angle_buffer():
     """Evaluating m points of a K-mode cosine field holds the (m, K) angle
     array, then its cosines or sines in the same buffer, and (m, dim)-sized

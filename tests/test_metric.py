@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import CountingField
+from conftest import SMALL_OBJECTS, CountingField, peak_bytes
 
 import weakkam as wk
 from weakkam.errors import ConfigError, SubcriticalLevelError
@@ -81,6 +81,8 @@ def test_cost_graph_infeasible_below_field_max(cosine_env):
     with pytest.raises(SubcriticalLevelError) as err:
         build_cost_graph(m, 0.9, cosine_env, g, radius=0.1)
     assert err.value.empty_at is not None
+    # the witness owns its point: a view would keep every midpoint alive
+    assert err.value.empty_at.base is None
 
 
 def test_critical_value_bisection_flat_and_tilted(flat_env):
@@ -148,16 +150,40 @@ def _stationary_realization(index):
 
 
 def test_bisection_evaluates_the_field_once_per_sample_array():
+    """One node evaluation (the edge radius is read off it), then one shared
+    table over the nodes and every offset's midpoints, with one block per
+    offset; no level evaluates the field again."""
     m = mechanical_model(dim=2, field_bound=0.5)
     box = BoxSpec(dim=2, radius=2.0, points_per_unit=8)
-    calls, iterations = [], []
+    iterations = []
     for tol in (5e-2, 5e-4):
         env = CountingField(_stationary_realization(0))
         res = critical_value_free(m, env, box, tol_bisect=tol)
-        calls.append(len(env.evaluated))
         iterations.append(res.iterations)
+        assert env.evaluated == [(box.size, 2)]
+        [((rows, dim), offsets)] = env.tables
+        assert offsets > 0 and (rows, dim) == ((offsets + 1) * box.size, 2)
     assert iterations[1] > iterations[0]
-    assert calls[0] == calls[1]
+
+
+def test_bisection_holds_one_cosine_table_and_one_copy_of_the_points():
+    """critical_value_free on the 2D R=4 box peaks while the shared table
+    lives.  With M = (offsets + 1) N batch rows and K modes, that is the
+    (M, dim) batch, the (M, K) table, the per-block and whole-batch values
+    (2 M), and N-sized node arrays: the nodes, their values and a few
+    temporaries, under 2 N (dim + 1) entries.  A second table or a second
+    copy of the batch points would exceed the budget."""
+    m = mechanical_model(dim=2, field_bound=0.5)
+    env = _stationary_realization(0)
+    box = BoxSpec(dim=2, radius=4.0, points_per_unit=8)
+    counting = CountingField(env)
+    critical_value_free(m, counting, box)
+    [((rows, dim), _)] = counting.tables
+    modes, n = len(env.amplitudes), box.size
+    budget = 8 * (rows * (modes + dim + 2) + 2 * n * (dim + 1)) + SMALL_OBJECTS
+    assert peak_bytes(critical_value_free, m, env, box) <= budget
+    # the slack beyond the a-priori arrays is less than one more copy of the points
+    assert 8 * rows * dim > 2 * n * (dim + 1) * 8 + SMALL_OBJECTS
 
 
 def test_cost_graph_prices_each_offset_from_its_own_midpoint_batch():
