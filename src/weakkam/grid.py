@@ -136,8 +136,9 @@ class GridSpec:
     def neighbors(self, x, step: np.ndarray) -> np.ndarray:
         """Flat index of node x + step*h (periodic); x broadcasts against the
         leading axes of step."""
-        moved = np.stack(np.unravel_index(x, self.shape), axis=-1) + step
-        return np.ravel_multi_index(tuple(np.moveaxis(moved, -1, 0)), self.shape, mode="wrap")
+        step = np.asarray(step)
+        moved = [c + step[..., a] for a, c in enumerate(np.unravel_index(x, self.shape))]
+        return np.ravel_multi_index(moved, self.shape, mode="wrap")
 
 
 @dataclass
@@ -322,9 +323,13 @@ class BoxSpec:
     def neighbors(self, x, step: np.ndarray) -> np.ndarray:
         """Flat index of node x + step*h, -1 off the box; x broadcasts against
         the leading axes of step."""
-        moved = np.stack(np.unravel_index(x, self.shape), axis=-1) + step
-        flat = np.ravel_multi_index(tuple(np.moveaxis(moved, -1, 0)), self.shape, mode="clip")
-        return np.where(np.all((moved >= 0) & (moved < self.n_per_axis), axis=-1), flat, -1)
+        step = np.asarray(step)
+        moved = [c + step[..., a] for a, c in enumerate(np.unravel_index(x, self.shape))]
+        inside = np.logical_and.reduce([(c >= 0) & (c < self.n_per_axis) for c in moved])
+        return np.where(inside, np.ravel_multi_index(moved, self.shape, mode="clip"), -1)
+
+
+_SHORTLIST = 6    # in-edges per node that Stencil.walk sums each step
 
 
 @dataclass
@@ -334,8 +339,7 @@ class Stencil:
     weights[k, x] is the cost of the edge into x from x - offsets[k] * h,
     +inf where there is no such edge.  A periodic GridSpec wraps around; a
     BoxSpec has no node past its edge, and reads there are +inf.  Only this
-    class, relax(), policy_iteration() and the edge log of a replayed walk
-    (_attaining_edges, _point_edges) read that layout.
+    class, relax() and policy_iteration() read that layout.
     """
 
     grid: object
@@ -394,6 +398,86 @@ class Stencil:
         for _ in range(steps - 1):
             out = self.pull(out)
         return out
+
+    def walk(self, u: np.ndarray, steps: int):
+        """Yield pull^k(u) for k = 1..steps of a vector u, each the same to the
+        last bit as k pulls, from a few edges per node and step.
+
+        Each node keeps a shortlist of its _SHORTLIST cheapest in-edges
+        (start node and cost) and a float bound at or below the exact sum
+        u[y] + cost of each other in-edge, stored as floor = bound - drift
+        with one drift for all nodes.  A step gathers the shortlisted sums,
+        with the operands pull adds, and takes their minimum b.  Where
+        b <= fl(floor + drift), every other sum rounds to at least that
+        float, as round-to-nearest is monotone, so b is the pull's minimum to
+        the bit.  The other nodes are dirty: all their in-edges are summed
+        again (_refresh), which gives the minimum, a new shortlist and
+        bound = nextafter(t, -inf), t the next smallest float sum (an exact
+        sum that rounds to t or more is above that float), kept as
+        floor = nextafter(fl(bound - drift), -inf).  For every real z,
+        nextafter(fl(z), -inf) <= z.
+
+        Past a step u -> u', every exact sum moves by u'[y] - u[y], which is
+        at least nextafter(min fl(u' - u), -inf) by the same argument; drift
+        grows by that and is rounded down, so floor + drift stays below the
+        sums it bounds.  A non-finite entry in u or u' sets every floor to
+        -inf, and a step from a non-finite u is pulled.  A step that would
+        refresh more than 1/8 of the nodes after a step taken on shortlists
+        hands the walk to pull until twice its index, where a refresh
+        catches up.  A full refresh costs several pulls; in a transient
+        this wastes at most log2(steps) of them.
+
+        Two sums of equal value have equal bits unless they are +0.0 and
+        -0.0, which needs a -0.0 cost.  A stencil with a NaN, -inf or -0.0
+        cost, or with no more offsets than a shortlist holds, is pulled.
+        """
+        tame = len(self.offsets) > _SHORTLIST and all(
+            np.min(w) > -np.inf and not np.any(np.signbit(w[w == 0])) for w in self.weights)
+        start, cost = np.full((_SHORTLIST, self.size), -1), np.full((_SHORTLIST, self.size), np.inf)
+        sums, floor = np.empty_like(cost), np.full(self.size, -np.inf)    # floor: bound - drift
+        drift, lean, finite = 0.0, True, bool(np.all(np.isfinite(u)))
+        resume = 0 if tame else steps + 1
+        for k in range(1, steps + 1):
+            dirty = None
+            if finite and k >= resume:
+                ext = np.append(u, np.inf)
+                np.take(ext, start, out=sums, mode="wrap")    # no buffer; -1 reads the +inf
+                new = np.min(np.add(sums, cost, out=sums), axis=0)
+                dirty = np.flatnonzero(~(new <= floor + drift))
+                if lean and len(dirty) > self.size // 8:
+                    resume, dirty = 2 * k, None
+            if dirty is None:
+                new = self.pull(u)
+            else:
+                self._refresh(ext, dirty, new, start, cost, floor, drift)
+            lean = dirty is not None
+            was, finite = finite, bool(np.all(np.isfinite(new)))
+            if was and finite:
+                drift = math.nextafter(drift + math.nextafter(float(np.min(new - u)), -math.inf),
+                                       -math.inf)
+            else:
+                floor.fill(-np.inf)
+            yield new
+            u = new
+
+    def _refresh(self, ext, nodes, best, start, cost, floor, drift: float) -> None:
+        """Sum every in-edge of each of nodes against ext (u, then +inf) and
+        write its minimum to best, its shortlist to start and cost and its
+        floor, in place; see walk.  Chunks of at most 32768 (node, offset)
+        entries."""
+        s, per = len(start), max(1, 32768 // len(self.offsets))
+        for a in range(0, len(nodes), per):
+            xs = nodes[a:a + per]
+            froms = self.grid.neighbors(xs[:, None], -self.offsets)    # -1 off a box
+            weights = self.weights[:, xs].T
+            cand = ext[froms] + weights
+            best[xs] = np.min(cand, axis=1)
+            j = np.argpartition(cand, s, axis=1)
+            start[:, xs], cost[:, xs] = (np.take_along_axis(v, j[:, :s], axis=1).T
+                                         for v in (froms, weights))
+            bound = np.nextafter(np.take_along_axis(cand, j[:, s:s + 1], axis=1)[:, 0], -np.inf)
+            floor[xs] = np.nextafter(bound - drift, -np.inf)
+            del froms, weights, cand, j    # before the next chunk's are made
 
     def reversed(self) -> "Stencil":
         """Every edge turned around, so pull on it is the forward step
@@ -571,45 +655,6 @@ def _pull_argmin(stencil: Stencil, u: np.ndarray) -> tuple:
         cand += stencil.weights[rows]
         _take_min(cand, rows, best, arg)
     return best, arg
-
-
-def _point_edges(stencil: Stencil, nodes: np.ndarray, offs: np.ndarray,
-                 src: np.ndarray, cost: np.ndarray) -> None:
-    """Record for each nodes[i] its in-edge of offset index offs[i]: the
-    start node in src and the cost in cost, in place."""
-    src[nodes] = stencil.grid.neighbors(nodes, -stencil.offsets[offs])
-    cost[nodes] = stencil.weights[offs, nodes]
-
-
-def _attaining_edges(stencil: Stencil, u: np.ndarray, best: np.ndarray,
-                     src: np.ndarray, cost: np.ndarray) -> tuple:
-    """Re-point the recorded in-edges that no longer attain best = pull(u).
-
-    src[x], cost[x] is the edge recorded for node x (cost +inf while there
-    is none), so u[src] + cost is one of the sums that pull(u) minimizes,
-    and where it equals best it is best to the bit.  Every other node gets
-    the first offset whose sum equals best; a node with none (a NaN in u or
-    in the weights) keeps its edge.  Candidates are formed in blocks of
-    ~32768 (offset, node) entries, so a step with many stale nodes holds no
-    (m, size) array.  Updates src and cost in place and returns the
-    re-pointed nodes and their offset indices.
-    """
-    stale = np.flatnonzero(u[src] + cost != best)
-    found = np.full(len(stale), -1)
-    per = max(1, 32768 // max(1, len(stale)))
-    for a in range(0, len(stencil.offsets), per):
-        todo = np.flatnonzero(found < 0)
-        if not todo.size:
-            break
-        xs = stale[todo]
-        preds = stencil.grid.neighbors(xs, -stencil.offsets[a:a + per, None, :])    # -1 off a box
-        weights = stencil.weights[a:a + per, xs]
-        hit = (preds >= 0) & (u[preds] + weights == best[xs])
-        j = np.argmax(hit, axis=0)
-        got = np.flatnonzero(hit[j, np.arange(len(xs))])
-        found[todo[got]] = a + j[got]
-        src[xs[got]], cost[xs[got]] = preds[j[got], got], weights[j[got], got]
-    return stale[found >= 0], found[found >= 0]
 
 
 def _nontrivial_sccs(size: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

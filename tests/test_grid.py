@@ -156,6 +156,32 @@ def test_grid_rejects_bad_shapes():
         GridSpec(dim=1, n=0)
 
 
+@pytest.mark.parametrize("grid", [GridSpec(dim=1, n=8), GridSpec(dim=2, n=12),
+                                  BoxSpec(dim=1, radius=0.5, points_per_unit=8),
+                                  BoxSpec(dim=2, radius=0.5, points_per_unit=8)],
+                         ids=["grid1d", "grid2d", "box1d", "box2d"])
+def test_neighbors_match_ravel_multi_index(grid):
+    """Random nodes moved by random steps give numpy's flat indices: wrapped
+    on a torus, by up to two periods, and -1 past the edge of a box.  Nodes
+    broadcast against the leading axes of the steps."""
+    rng = np.random.default_rng(grid.size)
+    shape, n = grid.shape, grid.shape[0]
+    span = 2 * n if isinstance(grid, GridSpec) else n
+    x = rng.integers(0, grid.size, (5, 7))
+    step = rng.integers(-span, span + 1, (3, 1, 7, grid.dim))
+    moved = np.stack(np.unravel_index(x, shape), axis=-1) + step
+    if isinstance(grid, GridSpec):
+        expect = np.ravel_multi_index(tuple(np.moveaxis(moved, -1, 0)), shape, mode="wrap")
+    else:
+        inside = np.all((moved >= 0) & (moved < n), axis=-1)
+        expect = np.where(inside, np.ravel_multi_index(tuple(np.moveaxis(moved, -1, 0)), shape,
+                                                       mode="clip"), -1)
+        assert 0 < np.count_nonzero(inside) < inside.size
+    got = grid.neighbors(x, step)
+    assert got.shape == expect.shape and np.array_equal(got, expect)
+    assert int(grid.neighbors(int(x[0, 0]), step[0, 0, 0])) == expect[0, 0, 0]
+
+
 # -- the stencil graph and its relaxation engine -----------------------------
 
 LATTICES = [GridSpec(dim=1, n=8), GridSpec(dim=2, n=8),
@@ -247,6 +273,11 @@ def test_walk_costs_match_dense_minplus_powers(case):
     stack[rng.random(stack.shape) < 0.3] = np.inf
     rows = np.stack([floats.pull(row) for row in stack])
     assert floats.pull(stack).tobytes() == rows.tobytes()
+    # and a walk is repeated pulls, bit for bit
+    row = start = rng.standard_normal(stencil.size)
+    for walked in floats.walk(start, 3 * steps + 5):
+        row = floats.pull(row)
+        assert walked.tobytes() == row.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

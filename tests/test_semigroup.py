@@ -1,5 +1,6 @@
 """Backward/forward evolution on the dyadic ladder and its exact algebra."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from conftest import SMALL_OBJECTS, peak_bytes, walk_table
 
 import weakkam as wk
-from weakkam import semigroup
+from weakkam import grid as grid_module
 from weakkam.errors import LadderError, WeakKamError
-from weakkam.grid import GridFn, GridSpec
+from weakkam.grid import BoxSpec, GridFn, GridSpec, Stencil
 from weakkam.hamiltonian import (eikonal_model, kappa, mechanical_model,
                                  nonstrict_model, reversed_model)
 from weakkam.semigroup import (build_kernel, check_corrector,
@@ -145,7 +146,7 @@ def _dense_karp_level(kern):
 
 
 def _karp_kernels():
-    """Kernels whose Karp walks must replay to the bit: tilted and random
+    """Kernels whose Karp walks must match pull to the bit: tilted and random
     fields, the field of the verify1d random config (its level sits 1.5e-14
     below the exact mean), a flat field whose edges tie exactly, a negative
     level (eikonal), a nonstrict model and a 2D torus."""
@@ -173,54 +174,101 @@ def _karp_kernels():
     }
 
 
+def _walk_cases():
+    """(name, stencil, start) for the walk: every Karp kernel, a 2D n=32
+    cosine torus and its reversal, and a box of random costs with holes,
+    each from node 0 alone (+inf elsewhere) and from random values with
+    +inf entries."""
+    env = wk.sample_realization(wk.EnvSpec(kind="periodic", dimension=2, seed=0,
+                                           params={"amplitudes": (1.0,)}), 0)
+    torus = build_kernel(mechanical_model(dim=2, field_bound=1.0), env, GridSpec(dim=2, n=32),
+                         dt=1.0 / 32.0, theta=2.0)
+    box = BoxSpec(dim=2, radius=1.0, points_per_unit=8)
+    offsets = box.offsets_within(2.5 * box.h, include_zero=True)
+    rng = np.random.default_rng(5)
+    costs = 1.0 + rng.random((len(offsets), box.size))
+    costs[rng.random(costs.shape) < 0.1] = np.inf
+    stencils = {**_karp_kernels(), "torus2d_n32": torus, "reversed2d_n32": torus.reversed(),
+                "box2d": Stencil(box, offsets, costs)}
+    for name, stencil in stencils.items():
+        origin = np.where(np.arange(stencil.size) == 0, 0.0, np.inf)
+        holes = np.where(rng.random(stencil.size) < 0.2, np.inf, rng.standard_normal(stencil.size))
+        yield f"{name}/origin", stencil, origin
+        yield f"{name}/holes", stencil, holes
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shortlist", [1, 6])
+def test_walk_is_pull_to_the_bit(shortlist, monkeypatch):
+    """Every walked row equals the repeated pull in every bit, with the
+    default shortlist and with one edge per node, where most steps refresh
+    or hand over.  A stencil with more offsets than a shortlist holds takes
+    some rows from the shortlists; one with fewer is pulled throughout."""
+    monkeypatch.setattr(grid_module, "_SHORTLIST", shortlist)
+    for name, stencil, start in _walk_cases():
+        steps, pulls = min(stencil.size, 400), []
+        monkeypatch.setattr(stencil, "pull", lambda u, s=stencil: pulls.append(1) or Stencil.pull(s, u))
+        row = start
+        for k, walked in enumerate(stencil.walk(start, steps), 1):
+            row = Stencil.pull(stencil, row)
+            assert np.array_equal(walked.view(np.int64), row.view(np.int64)), (name, k)
+        assert k == steps, name
+        if len(stencil.offsets) > shortlist:
+            assert len(pulls) < steps, name
+        else:
+            assert len(pulls) == steps, name
+
+
+KARP_PULLS_2D_N16 = 24    # of the 511 rows Karp walks on the 2D n=16 kernel
+
+
 def test_karp_without_the_stored_table_matches_the_dense_one(monkeypatch):
-    """The replayed walk scores the same rows as the stored table, also when
-    the edge log is capped: at 0 entries every step is pulled twice, and a
-    cap that step j's entries overflow replays steps 0..j-1 and pulls the
-    rest of the walk."""
-    for name, kern in _karp_kernels().items():
-        dense = _dense_karp_level(kern)
-        size, counts, pulls = kern.size, [], []
-        record, pull = semigroup._attaining_edges, kern.pull
-
-        def counted(*args):
-            changed = record(*args)
-            counts.append(len(changed[0]))
-            return changed
-
-        monkeypatch.setattr(semigroup, "_attaining_edges", counted)
-        monkeypatch.setattr(kern, "pull", lambda u: pulls.append(1) or pull(u))
-        assert discrete_critical_value(kern) == dense, name
-        assert len(pulls) == size and len(counts) == size
-        busy = np.flatnonzero(counts)
-        j = int(busy[len(busy) // 2])
-        assert 0 < j < size
-        for cap, replayed in ((0, 0), (sum(counts[:j]), j)):
-            monkeypatch.setattr(semigroup, "_karp_log_cap", lambda _, cap=cap: cap)
-            pulls.clear()
-            assert discrete_critical_value(kern) == dense, (name, cap)
-            assert len(pulls) == 2 * size - replayed, (name, cap)
-        monkeypatch.undo()
+    """The walked rows score the same as the stored table, on every kernel,
+    also with one edge per shortlist, where nodes are refreshed and the walk
+    hands over often.  With the default shortlist the 2D n=16 kernel's two
+    walks pull at most KARP_PULLS_2D_N16 rows: those from node 0 until
+    every node is reached, and those of the hand-overs while the walk
+    settles."""
+    kernels = _karp_kernels()
+    dense = {name: _dense_karp_level(kern) for name, kern in kernels.items()}
+    pulls, refreshed = [], []
+    pull, refresh = Stencil.pull, Stencil._refresh
+    monkeypatch.setattr(Stencil, "pull", lambda self, u: pulls.append(1) or pull(self, u))
+    monkeypatch.setattr(Stencil, "_refresh",
+                        lambda self, ext, nodes, *rest: refreshed.append(len(nodes))
+                        or refresh(self, ext, nodes, *rest))
+    for name, kern in kernels.items():
+        pulls.clear()
+        assert discrete_critical_value(kern) == dense[name], name
+        if name == "grid2d_n16":
+            assert len(pulls) <= KARP_PULLS_2D_N16
+    monkeypatch.setattr(grid_module, "_SHORTLIST", 1)
+    for name, kern in kernels.items():
+        refreshed.clear()
+        assert discrete_critical_value(kern) == dense[name], (name, "shortlist 1")
+        assert sum(refreshed) > kern.size, name
 
 
-def test_karp_refuses_a_replay_that_misses_a_bit():
-    """A NaN weight makes its pull NaN, which no logged edge attains, so the
-    replayed D_N differs from the pulled one and the level is refused."""
+def test_karp_refuses_a_nan_weight():
+    """A NaN weight would reach every later row of a pull but not always a
+    shortlist, so it is refused up front, by its offset and node."""
     kern = _grid2d_kernel()
     weights = kern.weights.copy()
     weights[0, 37] = np.nan
     broken = replace(kern, weights=weights)
-    with pytest.raises(WeakKamError, match="on node"):
+    offset = re.escape(str(tuple(kern.offsets[0].tolist())))
+    with pytest.raises(WeakKamError, match=rf"offset {offset} into node 37 "):
         discrete_critical_value(broken)
 
 
-def test_karp_holds_no_table_and_at_most_its_edge_log():
+def test_karp_holds_no_table_and_at_most_its_shortlists():
     """Peak memory of Karp on a 2D n=32 torus, a priori: the padded lattice
-    of one pull, its block of at most 32768 offset-node entries and those of
-    the edge search (at most six such arrays at once, counting the 2D
-    neighbor coordinates twice), sixteen N-vectors, and the edge log of at
-    most m N entries of 6 bytes.  The N x N table of the dense route would
-    be 8 MiB."""
+    of one pull; at most six arrays of 32768 offset-node entries, a pull's
+    block or a refresh chunk (start nodes, costs, sums and their order,
+    counting the 2D neighbor arithmetic twice); sixteen N-vectors; and the
+    shortlists with their gathered sums, three arrays of s N entries, at
+    most 6 bytes per stencil entry.  The N x N table of the dense route
+    would be 8 MiB."""
     spec = wk.EnvSpec(kind="periodic", dimension=2, seed=0, params={"amplitudes": (0.5,)})
     env = wk.sample_realization(spec, 0)
     grid = GridSpec(dim=2, n=32)
@@ -228,9 +276,10 @@ def test_karp_holds_no_table_and_at_most_its_edge_log():
                         dt=1.0 / 32.0, theta=2.0)
     m, size = len(kern.offsets), kern.size
     reach = int(np.max(np.abs(kern.offsets)))
+    shortlists = 8 * 3 * grid_module._SHORTLIST * size
     budget = (8 * (grid.n + 2 * reach) ** 2 + 8 * 6 * 32768 + 8 * 16 * size
-              + 6 * m * size + SMALL_OBJECTS)
-    assert budget < 8 * size * size
+              + shortlists + SMALL_OBJECTS)
+    assert shortlists <= 6 * m * size and budget < 8 * size * size
     assert peak_bytes(discrete_critical_value, kern) <= budget
 
 
