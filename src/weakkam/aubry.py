@@ -52,8 +52,7 @@ __all__ = [
 DISCRETE_TOL = 1e-9
 
 
-def verify_member(v: GridFn, kernel: ActionKernel, a: float,
-                  tol: float = DISCRETE_TOL) -> tuple:
+def verify_member(v: GridFn, kernel: ActionKernel, a: float) -> tuple:
     """Discrete subsolution test against every kernel edge.
 
     v passes iff v(x) - v(y) <= h_dt(y, x) + a dt on all one-step edges,
@@ -61,7 +60,7 @@ def verify_member(v: GridFn, kernel: ActionKernel, a: float,
     (passed, worst_violation).
     """
     worst = refold_kernel(kernel, a).edge_gap(v.values)
-    return worst <= tol, worst
+    return worst <= DISCRETE_TOL, worst
 
 
 @dataclass
@@ -104,13 +103,13 @@ def build_library(model, a: float, env, kernel: ActionKernel,
     lib = SubsolutionLibrary(grid=grid, a=a)
     folded = refold_kernel(kernel, a)
     if seeds is None:
-        step = max(grid.n // n_seeds, 1)
-        if grid.dim == 1:
-            seeds = [int(i * step) for i in range(n_seeds)]
-        else:
-            per = max(int(round(np.sqrt(n_seeds))), 1)
-            stp = max(grid.n // per, 1)
-            seeds = [int(i * stp) * grid.n + int(j * stp) for i in range(per) for j in range(per)]
+        # n_seeds points on the axis in 1D, the nearest square lattice in 2D
+        per = n_seeds if grid.dim == 1 else max(int(round(np.sqrt(n_seeds))), 1)
+        if not 1 <= per <= grid.n:
+            raise ConfigError(f"n_seeds={n_seeds} asks for {per} seeds per axis; "
+                              f"the grid has n={grid.n} nodes per axis")
+        axis = [i * (grid.n // per) for i in range(per)]
+        seeds = axis if grid.dim == 1 else [i * grid.n + j for i in axis for j in axis]
     for s in seeds:
         source = np.where(np.arange(grid.size) == int(s), 0.0, np.inf)
         cone = relax(folded, source)
@@ -149,18 +148,17 @@ def build_w(library: SubsolutionLibrary, m_terms: int | None = None) -> GridFn:
 
 
 def fixed_point_set(v: GridFn, kernel: ActionKernel, a: float, t: float,
-                    eps: float, skip_verification: bool = False) -> np.ndarray:
+                    eps: float) -> np.ndarray:
     """Boolean mask {x : (T_t v + a t)(x) - v(x) <= eps}.
 
     v must verify as a discrete subsolution first (or the residual sign is
-    meaningless); pass skip_verification only when the caller already did.
+    meaningless), so a v that fails verify_member is refused.
     """
-    if not skip_verification:
-        ok, worst = verify_member(v, kernel, a)
-        if not ok:
-            raise NotASubsolutionError(
-                f"fixed_point_set needs a verified subsolution "
-                f"(edge violation {worst:.3e})", violation=worst)
+    ok, worst = verify_member(v, kernel, a)
+    if not ok:
+        raise NotASubsolutionError(
+            f"fixed_point_set needs a verified subsolution "
+            f"(edge violation {worst:.3e})", violation=worst)
     img = lax_minus(v, kernel, t)
     residual = img.values + (a - kernel.shift) * t - v.values
     return residual <= eps
@@ -170,9 +168,8 @@ def fixed_point_set(v: GridFn, kernel: ActionKernel, a: float, t: float,
 class AubryMask:
     """Aubry mask with its residual field and threshold sensitivity.
 
-    residual is the max over the test ladder (the intersection detector);
-    residual_tail_min keeps the liminf-flavored minimum for reporting.  The
-    invariant mask == (residual <= eps) holds by construction.
+    residual is the max over the test ladder (the intersection detector).
+    The invariant mask == (residual <= eps) holds by construction.
     """
 
     grid: GridSpec
@@ -180,7 +177,6 @@ class AubryMask:
     eps: float
     mask: np.ndarray = field(repr=False)
     residual: np.ndarray = field(repr=False)
-    residual_tail_min: np.ndarray = field(repr=False)
     test_times: list = field(default_factory=list)
     thresholds: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
@@ -217,31 +213,27 @@ def default_eps(values: np.ndarray) -> float:
 
 
 def detect_aubry(w: GridFn, kernel: ActionKernel, a: float, t_max: float,
-                 eps: float | None = None,
-                 skip_verification: bool = False) -> AubryMask:
+                 eps: float | None = None) -> AubryMask:
     """Intersection of fixed-point sets of w over the ladder tail.
 
     Emits masks at eps/2, eps, 2 eps so threshold sensitivity is visible;
     with a sharp fold all three coincide away from degenerate landscapes.
     """
-    if not skip_verification:
-        ok, worst = verify_member(w, kernel, a)
-        if not ok:
-            raise NotASubsolutionError(
-                f"detect_aubry needs a verified subsolution (violation {worst:.3e})",
-                violation=worst)
+    ok, worst = verify_member(w, kernel, a)
+    if not ok:
+        raise NotASubsolutionError(
+            f"detect_aubry needs a verified subsolution (violation {worst:.3e})",
+            violation=worst)
     ladder, tail, warns = _tail_times(kernel, t_max)
     res_stack = (lax_minus_images(w, kernel, tail)
                  + (a - kernel.shift) * np.asarray(tail)[:, None] - w.values)
     res_max = res_stack.max(axis=0)
-    res_min = res_stack.min(axis=0)
     if eps is None:
         eps = default_eps(w.values)
     thresholds = {lab: res_max <= (eps * fac)
                   for lab, fac in (("half", 0.5), ("one", 1.0), ("two", 2.0))}
     return AubryMask(grid=w.grid, a=a, eps=float(eps), mask=thresholds["one"],
-                     residual=res_max, residual_tail_min=res_min,
-                     test_times=tail, thresholds=thresholds, warnings=warns)
+                     residual=res_max, test_times=tail, thresholds=thresholds, warnings=warns)
 
 
 def classical_aubry(kernel: ActionKernel) -> np.ndarray:
@@ -256,27 +248,21 @@ def classical_aubry(kernel: ActionKernel) -> np.ndarray:
 
 
 def lax_extension(g, mask: np.ndarray, model, a: float, env,
-                  kernel: ActionKernel | None = None,
-                  grid: GridSpec | None = None,
-                  offsets=None) -> GridFn:
+                  kernel: ActionKernel) -> GridFn:
     """u(x) = min over mask nodes y of g(y) + S_a(y, x).
 
-    One multi-source label correction over the sigma_a cost graph; an empty
-    mask raises instead of returning a constant, because the infimum over an
-    empty set is a modeling decision the caller has to make.
+    One multi-source label correction over the sigma_a cost graph on the
+    kernel's grid and offsets; an empty mask raises instead of returning a
+    constant, because the infimum over an empty set is a modeling decision
+    the caller has to make.
     """
-    if kernel is not None:
-        grid = kernel.grid
-        offsets = kernel.offsets if offsets is None else offsets
-    if grid is None:
-        raise ConfigError("lax_extension needs a kernel or an explicit grid")
     mask = np.asarray(mask, dtype=bool)
     if mask.sum() == 0:
         raise EmptyAubryMaskError(
             "empty source mask: the Lax extension from nothing is undefined")
     g_vals = g.values if isinstance(g, GridFn) else np.asarray(g, dtype=float)
-    graph = build_cost_graph(model, a, env, grid, offsets=offsets)
-    return GridFn(grid, relax(graph, np.where(mask, g_vals, np.inf)))
+    graph = build_cost_graph(model, a, env, kernel.grid, offsets=kernel.offsets)
+    return GridFn(kernel.grid, relax(graph, np.where(mask, g_vals, np.inf)))
 
 
 @dataclass

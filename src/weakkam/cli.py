@@ -217,22 +217,26 @@ def _critical_results(crit: dict) -> dict:
              "c_disc", "theta")}
 
 
+def _write_critical_cache(outdir: str, cfg: RunConfig, results: dict) -> str:
+    path = os.path.join(outdir, "critical.json")
+    with open(path, "w") as fh:
+        fh.write(manifest_json({"config_hash": config_hash(cfg),
+                                "critical": results}))
+    return path
+
+
 def _get_critical(cfg, env, model, grid, outdir, compute_c: bool,
                   out) -> dict:
     cached = _load_critical_cache(outdir)
     if cached is not None and cached.get("config_hash") == config_hash(cfg):
-        crit = dict(cached["critical"])
-        return crit
+        return dict(cached["critical"])
     if not compute_c:
         raise ConfigError(
             f"no cached critical value for this config in {outdir}; "
             f"run the 'critical' command first or pass --compute-c")
     out("no usable critical cache; computing the level first")
     crit = stage_critical(cfg, env, model, grid)
-    cache_path = os.path.join(outdir, "critical.json")
-    with open(cache_path, "w") as fh:
-        fh.write(manifest_json({"config_hash": config_hash(cfg),
-                                "critical": _critical_results(crit)}))
+    _write_critical_cache(outdir, cfg, _critical_results(crit))
     return crit
 
 
@@ -240,15 +244,12 @@ def _get_critical(cfg, env, model, grid, outdir, compute_c: bool,
 
 
 def cmd_critical(cfg: RunConfig, outdir: str, out) -> int:
-    env_spec, env = build_environment(cfg)
+    env = build_environment(cfg)[1]
     model = build_model(cfg)
     grid = build_grid(cfg)
     crit = stage_critical(cfg, env, model, grid)
     results = _critical_results(crit)
-    cache_path = os.path.join(outdir, "critical.json")
-    with open(cache_path, "w") as fh:
-        fh.write(manifest_json({"config_hash": config_hash(cfg),
-                                "critical": results}))
+    cache_path = _write_critical_cache(outdir, cfg, results)
     manifest = _write_manifest(outdir, "critical", cfg, results,
                                [cache_path])
     out(f"critical value: {crit['c_bisect']!r} in "
@@ -259,7 +260,7 @@ def cmd_critical(cfg: RunConfig, outdir: str, out) -> int:
 
 
 def cmd_aubry(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
-    env_spec, env = build_environment(cfg)
+    env = build_environment(cfg)[1]
     model = build_model(cfg)
     grid = build_grid(cfg)
     crit = _get_critical(cfg, env, model, grid, outdir, compute_c, out)
@@ -290,7 +291,7 @@ def cmd_aubry(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
 
 
 def cmd_strict(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
-    env_spec, env = build_environment(cfg)
+    env = build_environment(cfg)[1]
     model = build_model(cfg)
     grid = build_grid(cfg)
     crit = _get_critical(cfg, env, model, grid, outdir, compute_c, out)
@@ -338,7 +339,7 @@ def cmd_strict(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
 
 
 def cmd_regularize(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
-    env_spec, env = build_environment(cfg)
+    env = build_environment(cfg)[1]
     model = build_model(cfg)
     grid = build_grid(cfg)
     crit = _get_critical(cfg, env, model, grid, outdir, compute_c, out)
@@ -406,7 +407,7 @@ def _battery(cfg: RunConfig) -> list:
         except WeakKamError as exc:
             rows.append((name, "FAIL", f"{type(exc).__name__}: {exc}"))
 
-    env_spec, env = build_environment(cfg)
+    env = build_environment(cfg)[1]
     model = build_model(cfg)
     grid = build_grid(cfg)
     tol_b = cfg.get("tolerances", "tol_bisect")

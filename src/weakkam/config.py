@@ -205,9 +205,15 @@ def _validate(cfg: RunConfig) -> None:
     eps = cfg.get("tolerances", "eps_aubry")
     if eps != "auto":
         try:
-            float(eps)
+            num = float(eps)
         except ValueError as exc:
             raise ConfigError("[tolerances] eps_aubry must be 'auto' or a number") from exc
+        if not num > 0:
+            raise ConfigError(f"[tolerances] eps_aubry must be positive, got {num}")
+    for key in ("n_seeds", "m_terms"):
+        val = cfg.get("tolerances", key)
+        if val < 1:
+            raise ConfigError(f"[tolerances] {key} must be at least 1, got {val}")
     for key in ("s", "t"):
         val = cfg.get("tolerances", key)
         if val == "auto":

@@ -342,19 +342,19 @@ def _as_field(f, dim: int):
     return f
 
 
-def metric_d(f, g, n_max: int = 10, dim: int = 1, points_per_unit: int = 8) -> float:
+def metric_d(f, g, n_max: int = 10, dim: int = 1) -> float:
     """Frechet-style metric sum_{n<=n_max} 2^-n ||f-g||_n / (1 + ||f-g||_n).
 
     ||.||_n is the sup norm over the ball of radius n, approximated on a
-    deterministic lattice.  Grid functions are extended periodically.  The
-    value lies in [0, 1 - 2^-n_max].
+    deterministic lattice of 8 points per unit (4 in 2D).  Grid functions
+    are extended periodically.  The value lies in [0, 1 - 2^-n_max].
     """
     if isinstance(f, GridFn):
         dim = f.grid.dim
     elif isinstance(f, EnvRealization):
         dim = f.spec.dimension
     fc, gc = _as_field(f, dim), _as_field(g, dim)
-    ppu = points_per_unit if dim == 1 else max(points_per_unit // 2, 2)
+    ppu = 8 if dim == 1 else 4
     total = 0.0
     for n in range(1, n_max + 1):
         pts = _coverage_lattice(dim, float(n), ppu)
@@ -384,8 +384,9 @@ def ky_fan_from_distances(distances) -> float:
     return float(best)
 
 
-def ky_fan_distance(spec: EnvSpec, F, G, n_samples: int, n_max: int = 6) -> tuple:
-    """Empirical Ky Fan distance between function-valued maps F, G.
+def ky_fan_distance(spec: EnvSpec, F, G, n_samples: int) -> tuple:
+    """Empirical Ky Fan distance between function-valued maps F, G, with
+    metric_d summed over balls up to radius 6.
 
     F and G take an EnvRealization and return an evaluable field (callable
     or GridFn).  Returns (value, per-realization distances).
@@ -395,7 +396,7 @@ def ky_fan_distance(spec: EnvSpec, F, G, n_samples: int, n_max: int = 6) -> tupl
     dists = np.zeros(n_samples)
     for i in range(n_samples):
         omega = sample_realization(spec, i)
-        dists[i] = metric_d(F(omega), G(omega), n_max=n_max, dim=spec.dimension)
+        dists[i] = metric_d(F(omega), G(omega), n_max=6, dim=spec.dimension)
     return ky_fan_from_distances(dists), dists
 
 
@@ -407,13 +408,12 @@ class SublinearityReport:
     passed: bool
 
 
-def check_sublinearity(v, radii, threshold: float | None = None,
-                       dim: int = 1, samples_per_radius: int = 128) -> SublinearityReport:
+def check_sublinearity(v, radii, dim: int = 1) -> SublinearityReport:
     """Track max_{|x| = R} |v(x)| / R over growing radii.
 
-    Sublinear growth shows as the ratio decaying below the threshold
-    (default: half the first ratio).  Needs at least two radii to say
-    anything about a trend.
+    Sublinear growth shows as the ratio decaying below the threshold, half
+    the first ratio.  Needs at least two radii to say anything about a
+    trend.  In 2D each circle is sampled at 128 points.
     """
     radii = np.asarray(sorted(float(r) for r in radii))
     if radii.size < 2:
@@ -422,19 +422,19 @@ def check_sublinearity(v, radii, threshold: float | None = None,
         raise ConfigError("radii must be positive")
     ratios = np.zeros(radii.size)
     for i, r in enumerate(radii):
-        pts = _sphere_points(dim, r, samples_per_radius)
+        pts = _sphere_points(dim, r)
         vals = np.abs(np.asarray(v(pts), dtype=float))
         ratios[i] = float(np.max(vals)) / r
-    thr = threshold if threshold is not None else 0.5 * ratios[0]
+    thr = 0.5 * ratios[0]
     trend_ok = bool(np.all(ratios[1:] <= ratios[:-1] * 1.10))
     passed = bool(ratios[-1] < thr) and trend_ok
     return SublinearityReport(radii=radii, ratios=ratios, threshold=float(thr), passed=passed)
 
 
-def _sphere_points(dim: int, r: float, m: int) -> np.ndarray:
+def _sphere_points(dim: int, r: float) -> np.ndarray:
     if dim == 1:
         return np.array([[-r], [r]])
-    ang = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+    ang = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
     return r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 

@@ -329,6 +329,11 @@ def _on_lattice_boundary(idx: int, dim: int, n_p: int) -> bool:
     return i in (0, n_p - 1) or j in (0, n_p - 1)
 
 
+# momentum lattice points per axis: legendre, and kappa's (radius, points)
+_LEGENDRE_N_P = 129
+_KAPPA_LATTICE = (8.0, 257)
+
+
 @dataclass
 class LegendreResult:
     value: float
@@ -337,8 +342,7 @@ class LegendreResult:
 
 
 def legendre(model: HamiltonianModel, x, q, env=None,
-             p_radius: float = 6.0, n_p: int = 129,
-             on_boundary: str = "raise") -> LegendreResult:
+             p_radius: float = 6.0, on_boundary: str = "raise") -> LegendreResult:
     """Numeric Legendre transform L(x,q) = sup_p <p,q> - H(x,p).
 
     Grid search over a momentum lattice followed by a one-step quadratic
@@ -349,10 +353,10 @@ def legendre(model: HamiltonianModel, x, q, env=None,
     """
     x = np.asarray(x, dtype=float).reshape(1, -1)
     q = np.asarray(q, dtype=float).reshape(1, -1)
-    lattice = _p_lattice(model.dim, p_radius, n_p)
+    lattice = _p_lattice(model.dim, p_radius, _LEGENDRE_N_P)
     objective = (lattice @ q[0]) - model.eval_H(np.repeat(x, len(lattice), axis=0), lattice, env)
     k = int(np.argmax(objective))
-    boundary = _on_lattice_boundary(k, model.dim, n_p)
+    boundary = _on_lattice_boundary(k, model.dim, _LEGENDRE_N_P)
     p_star = lattice[k].copy()
     value = float(objective[k])
     if boundary:
@@ -363,7 +367,7 @@ def legendre(model: HamiltonianModel, x, q, env=None,
             f"lattice boundary (|p|={np.linalg.norm(p_star):.3g})",
             q=q[0], p_star=p_star, value=value)
     # quadratic polish, axis by axis, using lattice neighbors
-    dp = 2.0 * p_radius / (n_p - 1)
+    dp = 2.0 * p_radius / (_LEGENDRE_N_P - 1)
     for a in range(model.dim):
         trial = np.repeat(p_star[None, :], 3, axis=0)
         trial[0, a] -= dp
@@ -388,8 +392,7 @@ def _default_x_samples(model: HamiltonianModel, n: int = 256) -> np.ndarray:
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
-def kappa(model: HamiltonianModel, a: float, env=None, x_samples=None,
-          p_radius: float = 8.0, n_p: int = 257, degenerate_tol: float = 1e-9) -> float:
+def kappa(model: HamiltonianModel, a: float, env=None, x_samples=None) -> float:
     """kappa_a = sup { |p| : H(x, p) <= a over sampled x }.
 
     Uses the model's sublevel radius when available, otherwise a momentum
@@ -403,15 +406,15 @@ def kappa(model: HamiltonianModel, a: float, env=None, x_samples=None,
         if finite.size:
             return float(np.max(finite))
         # all empty: degenerate iff some x has min_p H within tol of a
-        lattice = _p_lattice(model.dim, p_radius, n_p)
+        lattice = _p_lattice(model.dim, *_KAPPA_LATTICE)
         min_h = min(float(np.min(model.eval_H(np.repeat(x[None, :], len(lattice), axis=0), lattice, env)))
                     for x in xs)
-        if a >= min_h - degenerate_tol:
+        if a >= min_h - 1e-9:
             return 0.0
         raise SubcriticalLevelError(
             f"sublevel {{H <= {a}}} is empty at every sampled x (min H = {min_h:.6g})",
             empty_at=np.asarray(xs[0]))
-    lattice = _p_lattice(model.dim, p_radius, n_p)
+    lattice = _p_lattice(model.dim, *_KAPPA_LATTICE)
     norms = np.linalg.norm(lattice, axis=1)
     best = -np.inf
     min_h = np.inf
@@ -423,23 +426,21 @@ def kappa(model: HamiltonianModel, a: float, env=None, x_samples=None,
             best = max(best, float(np.max(norms[inside])))
     if best > -np.inf:
         return best
-    if a >= min_h - degenerate_tol:
+    if a >= min_h - 1e-9:
         return 0.0
     raise SubcriticalLevelError(
         f"sublevel {{H <= {a}}} is empty at every sampled x (min H = {min_h:.6g})",
         empty_at=np.asarray(np.atleast_2d(xs)[0]))
 
 
-def _unit_directions(dim: int, m: int = 16) -> np.ndarray:
+def _unit_directions(dim: int) -> np.ndarray:
     if dim == 1:
         return np.array([[1.0], [-1.0]])
-    ang = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+    ang = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
     return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
-def sublevel_margin(model: HamiltonianModel, a: float, b: float, env=None,
-                    x_samples=None, p_radius: float = 8.0,
-                    iters: int = 48) -> float:
+def sublevel_margin(model: HamiltonianModel, a: float, b: float, env=None) -> float:
     """Largest rho with Z_a(x) + B_rho inside Z_b(x) over sampled x.
 
     For each sample and each probe direction, the boundary point of Z_a
@@ -449,8 +450,9 @@ def sublevel_margin(model: HamiltonianModel, a: float, b: float, env=None,
     """
     if b < a:
         raise ConfigError(f"need b >= a, got a={a}, b={b}")
-    xs = np.atleast_2d(x_samples if x_samples is not None else _default_x_samples(model, 64))
+    xs = np.atleast_2d(_default_x_samples(model, 64))
     dirs = _unit_directions(model.dim)
+    p_radius, iters = 8.0, 48    # probe rays reach 2 p_radius; iters bisection steps
     boundary_pts = []
     lattice = _p_lattice(model.dim, p_radius, 65)
     for x in xs:
@@ -463,7 +465,7 @@ def sublevel_margin(model: HamiltonianModel, a: float, b: float, env=None,
         for e in dirs:
             lo_t, hi_t = 0.0, 2.0 * p_radius
             if model.eval_H(x[None, :], (center + hi_t * e)[None, :], env)[0] <= a:
-                raise PRadiusError("p_radius too small: sublevel reaches the probe radius")
+                raise PRadiusError(f"sublevel reaches the probe radius {2.0 * p_radius:g}")
             for _ in range(iters):
                 mid = 0.5 * (lo_t + hi_t)
                 if model.eval_H(x[None, :], (center + mid * e)[None, :], env)[0] <= a:
@@ -492,8 +494,7 @@ def sublevel_margin(model: HamiltonianModel, a: float, b: float, env=None,
     return lo
 
 
-def lipschitz_radius(theta: float, model: HamiltonianModel,
-                     s_max: float = 64.0, n: int = 8193) -> float:
+def lipschitz_radius(theta: float, model: HamiltonianModel) -> float:
     """Conservative argmin-excursion radius R(theta).
 
     For theta-Lipschitz data, any optimizer y of the backward Lax-Oleinik
@@ -511,7 +512,7 @@ def lipschitz_radius(theta: float, model: HamiltonianModel,
         raise ConfigError("theta must be nonnegative")
     if model.lipschitz_radius_analytic is not None:
         return float(model.lipschitz_radius_analytic(theta))
-    s = np.linspace(0.0, s_max, n)
+    s = np.linspace(0.0, 64.0, 8193)
     alpha = np.asarray([model.growth_alpha(v) for v in s])
     beta = np.asarray([model.growth_beta(v) for v in s])
     alpha_star0 = float(-np.min(alpha))

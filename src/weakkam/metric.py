@@ -55,8 +55,7 @@ __all__ = [
 ]
 
 
-def support_sigma(model, x, q, a: float, env=None,
-                  p_radius: float = 8.0, n_p: int = 129) -> np.ndarray:
+def support_sigma(model, x, q, a: float, env=None) -> np.ndarray:
     """sigma_a(x, q); NaN entries mark points with empty sublevel.
 
     Closed form when the model provides one, otherwise a sup over a momentum
@@ -68,7 +67,7 @@ def support_sigma(model, x, q, a: float, env=None,
         return np.asarray(model.sigma(x, q, a, env), dtype=float)
     from .hamiltonian import _p_lattice
 
-    lattice = _p_lattice(model.dim, p_radius, n_p)
+    lattice = _p_lattice(model.dim, 8.0, 129)
     out = np.empty(x.shape[0])
     for i in range(x.shape[0]):
         h = model.eval_H(np.repeat(x[i : i + 1], len(lattice), axis=0), lattice, env)
@@ -89,7 +88,6 @@ class CostGraph(Stencil):
     x - k h costs sigma_a(mid, k h)."""
 
     a: float
-    midpoints_checked: int = 0
 
 
 def build_cost_graph(model, a: float, env, lattice, radius: float | None = None,
@@ -201,8 +199,7 @@ def _price(model, a: float, samples: _SamplePoints) -> CostGraph:
         j = int(np.argmax(np.isnan(w0)))
         raise SubcriticalLevelError(
             f"sublevel {{H <= {a}}} empty at node {pts[j]}", empty_at=pts[j])
-    return CostGraph(grid=lattice, a=a, offsets=samples.offsets,
-                     weights=weights, midpoints_checked=m * lattice.size + lattice.size)
+    return CostGraph(grid=lattice, a=a, offsets=samples.offsets, weights=weights)
 
 
 @dataclass
@@ -220,19 +217,17 @@ class SemidistanceResult:
 
 
 def semidistance(model, a: float, sources, env, lattice, radius: float | None = None,
-                 offsets: np.ndarray | None = None,
-                 graph: CostGraph | None = None) -> SemidistanceResult:
+                 offsets: np.ndarray | None = None) -> SemidistanceResult:
     """S_a(y_i, .) for each source node y_i (indices or coordinates).
 
     Raises SubcriticalLevelError with a cycle certificate whenever the level
     admits a negative cycle; at and above the critical value the values are
     finite with S_a(y, y) = 0.
     """
-    if graph is None:
-        if radius is None and offsets is None:
-            kap = _kappa_for_radius(model, a, env, lattice.points())
-            radius = default_edge_radius(lattice, kap)
-        graph = build_cost_graph(model, a, env, lattice, radius=radius, offsets=offsets)
+    if radius is None and offsets is None:
+        kap = _kappa_for_radius(model, a, env, lattice.points())
+        radius = default_edge_radius(lattice, kap)
+    graph = build_cost_graph(model, a, env, lattice, radius=radius, offsets=offsets)
     src_idx = _as_node_indices(lattice, sources)
     vals = np.empty((len(src_idx), graph.size))
     for row, s in enumerate(src_idx):
@@ -350,14 +345,19 @@ def _level_verdict(model, a: float, samples: _SamplePoints) -> tuple:
     return True, {}
 
 
-def critical_value_free(model, env, lattice, radius: float | None = None,
-                        tol_bisect: float = 5e-3, max_expand: int = 60) -> CriticalValueResult:
+# bracket expansions before critical_value_free gives up on a level
+_MAX_EXPAND = 60
+
+
+def critical_value_free(model, env, lattice, tol_bisect: float = 5e-3) -> CriticalValueResult:
     """Free critical value on the lattice by certificate bisection.
 
-    The field is sampled once per call: V at the nodes is evaluated once,
-    and V at every offset's edge midpoints comes with V over the whole
-    sample batch (nodes, then each offset's midpoints) from one cosine
-    table; every level's cost graph is priced from the per-array values.
+    The cost graph reaches default_edge_radius at kappa of the level
+    max H(x, 0) over the nodes.  The field is sampled once per call: V at
+    the nodes is evaluated once, and V at every offset's edge midpoints
+    comes with V over the whole sample batch (nodes, then each offset's
+    midpoints) from one cosine table; every level's cost graph is priced
+    from the per-array values.
     hi starts at max H(x, 0) over the batch, where the zero function is a
     subsolution, and lo at its min minus one.  The batch's values come from
     their own matrix-vector product, which rounds a row by its place in
@@ -369,10 +369,9 @@ def critical_value_free(model, env, lattice, radius: float | None = None,
     """
     pts = lattice.points()
     node_field = _field_view(env, pts)
-    if radius is None:
-        hzero = float(np.max(model.eval_H(pts, np.zeros_like(pts), node_field)))
-        kap = _kappa_for_radius(model, hzero, node_field, pts)
-        radius = default_edge_radius(lattice, kap)
+    hzero = float(np.max(model.eval_H(pts, np.zeros_like(pts), node_field)))
+    kap = _kappa_for_radius(model, hzero, node_field, pts)
+    radius = default_edge_radius(lattice, kap)
     samples = _SamplePoints(env, lattice, lattice.offsets_within(radius), node_field)
     batch_field = samples.batch_field()    # before the zero momenta: its table is the peak
     h_zero = model.eval_H(samples.batch, np.zeros_like(samples.batch), batch_field)
@@ -385,7 +384,7 @@ def critical_value_free(model, env, lattice, radius: float | None = None,
         hi += step
         step *= 2.0
         iters += 1
-        if iters > max_expand:
+        if iters > _MAX_EXPAND:
             raise ConfigError("could not find a feasible upper level")
         feasible_hi, _ = _level_verdict(model, hi, samples)
     step = 1.0
@@ -397,7 +396,7 @@ def critical_value_free(model, env, lattice, radius: float | None = None,
         lo -= step
         step *= 2.0
         iters += 1
-        if iters > max_expand:
+        if iters > _MAX_EXPAND:
             # no subcritical level found: critical value is unbounded below
             # on this lattice (flat model); report the feasible floor
             return CriticalValueResult(value=lo, lo=lo, hi=hi, iterations=iters,

@@ -100,7 +100,7 @@ class ActionKernel(Stencil):
 
 
 def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
-                 shift: float = 0.0, radius: float | None = None) -> ActionKernel:
+                 shift: float = 0.0) -> ActionKernel:
     """One-step minimal-action kernel with reach dt R(theta) + 2h.
 
     Uses the model's closed-form Lagrangian when present, else the numeric
@@ -112,7 +112,7 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
     if dt <= 0:
         raise ConfigError("dt must be positive")
     R = lipschitz_radius(theta, model)
-    radius_one = radius if radius is not None else dt * R + 2.0 * grid.h
+    radius_one = dt * R + 2.0 * grid.h
     offsets = grid.offsets_within(radius_one, include_zero=True)
     pts = grid.points()
     kept, rows = [], []
@@ -259,18 +259,18 @@ class MonotoneReport:
 
 
 def check_monotone_semigroup(u: GridFn, kernel: ActionKernel, a: float,
-                             times, tol: float | None = None) -> MonotoneReport:
+                             times) -> MonotoneReport:
     """For subsolutions of level a, t -> T^-_t u + a t must not decrease.
 
     Checks all consecutive ladder pairs pointwise, including the step from
-    t = 0.  Violations beyond the quadrature tolerance flag either a
-    non-subsolution or an inconsistent level.
+    t = 0.  Violations beyond the quadrature tolerance 4 h Ltilde (Ltilde
+    from metric.lippo_scale) flag either a non-subsolution or an
+    inconsistent level.
     """
-    times = sorted(times)
-    if tol is None:
-        from .metric import lippo_scale
+    from .metric import lippo_scale
 
-        tol = 4.0 * u.grid.h * lippo_scale(kernel.model, a, kernel.env, u.grid)
+    times = sorted(times)
+    tol = 4.0 * u.grid.h * lippo_scale(kernel.model, a, kernel.env, u.grid)
     rise = (np.vstack([u.values, lax_minus_images(u, kernel, times)])
             + (a - kernel.shift) * np.array([0.0] + times)[:, None])
     worst = float(np.min(np.diff(rise, axis=0), initial=np.inf))
@@ -299,22 +299,20 @@ def check_corrector(u: GridFn, kernel: ActionKernel, a: float, times,
 # -- independent finite-difference oracle ------------------------------------
 
 
-def lax_friedrichs_evolve(u0: GridFn, model, env, t_final: float,
-                          dissipation: float | None = None, cfl: float = 0.4) -> GridFn:
+def lax_friedrichs_evolve(u0: GridFn, model, env, t_final: float) -> GridFn:
     """Monotone upwind (local Lax-Friedrichs) scheme for u_t + H(x, Du) = 0.
 
     Completely independent of the kernel machinery: explicit time stepping
-    with one-sided differences and a dissipation at least the momentum
-    Lipschitz bound of H over the slopes present in the data.
+    at CFL number 0.4 with one-sided differences and a dissipation at least
+    the momentum Lipschitz bound of H over the slopes present in the data.
     """
     grid = u0.grid
-    if dissipation is None:
-        slope = max(float(np.max(np.abs(b))) for b in
-                    [np.concatenate(u0.one_sided_slopes(a)) for a in range(grid.dim)])
-        dissipation = float(model.dhp_bound(1.5 * slope + 2.0)) if model.dhp_bound else 1.5 * slope + 2.0
-        dissipation = max(dissipation, 1.0)
+    slope = max(float(np.max(np.abs(b))) for b in
+                [np.concatenate(u0.one_sided_slopes(a)) for a in range(grid.dim)])
+    dissipation = float(model.dhp_bound(1.5 * slope + 2.0)) if model.dhp_bound else 1.5 * slope + 2.0
+    dissipation = max(dissipation, 1.0)
     h = grid.h
-    dt = cfl * h / (dissipation * grid.dim)
+    dt = 0.4 * h / (dissipation * grid.dim)
     steps = max(int(np.ceil(t_final / dt)), 1)
     dt = t_final / steps
     pts = grid.points()
@@ -340,18 +338,18 @@ class TimeDependentReport:
     passed: bool
 
 
-def check_time_dependent_solution(u0: GridFn, kernel: ActionKernel, t_final: float,
-                                  tol: float | None = None) -> TimeDependentReport:
+def check_time_dependent_solution(u0: GridFn, kernel: ActionKernel,
+                                  t_final: float) -> TimeDependentReport:
     """Kernel evolution vs the independent monotone scheme.
 
     Both discretize the same Cauchy problem; agreement to the scheme's
-    sqrt(h)-scale accuracy ties the variational route to the PDE route.
+    sqrt(h)-scale accuracy, tol = 4 sqrt(h) (1 + t_final), ties the
+    variational route to the PDE route.
     """
     dp = lax_minus(u0, kernel, t_final)
     dp_vals = dp.values - kernel.shift * t_final
     fd = lax_friedrichs_evolve(u0, kernel.model, kernel.env, t_final)
     diff = float(np.max(np.abs(dp_vals - fd.values)))
-    if tol is None:
-        tol = 4.0 * np.sqrt(u0.grid.h) * (1.0 + t_final)
+    tol = 4.0 * np.sqrt(u0.grid.h) * (1.0 + t_final)
     return TimeDependentReport(t_final=t_final, max_discrepancy=diff,
                                tol=float(tol), passed=bool(diff <= tol))

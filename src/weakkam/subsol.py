@@ -82,7 +82,7 @@ class StrictnessCertificate:
 
 
 def check_strict(v: GridFn, model, env, mask, d0: float,
-                 a: float = 0.0, tol: float = 0.0) -> StrictnessCertificate:
+                 a: float = 0.0) -> StrictnessCertificate:
     """Certify H(x, D_h v(x)) <= a - delta on {dist(x, mask) >= d0}.
 
     Central differences; cells whose stencil touches the mask are excluded
@@ -103,8 +103,8 @@ def check_strict(v: GridFn, model, env, mask, d0: float,
     delta = float(a - h_vals[worst_local])
     return StrictnessCertificate(
         a=a, d0=d0, delta=delta, worst_index=worst, worst_point=pts[worst],
-        h=grid.h, tol=float(tol), n_region=int(region.sum()),
-        passed=bool(delta > tol))
+        h=grid.h, tol=0.0, n_region=int(region.sum()),
+        passed=bool(delta > 0.0))
 
 
 @dataclass
@@ -119,17 +119,16 @@ class WeakStrictnessReport:
     passed: bool
 
 
-def check_weakly_strict(v: GridFn, semidist, mask, min_separation: float | None = None,
-                        tol: float = 0.0) -> WeakStrictnessReport:
+def check_weakly_strict(v: GridFn, semidist, mask) -> WeakStrictnessReport:
     """Strict inequality against the semidistance, sampled.
 
     Pairs run over the semidistance's off-mask sources y and all off-mask
-    targets x with torus separation >= max(2h, min_separation); the
-    diagonal saturates S identically and is excluded.
+    targets x with torus separation >= 2h; the diagonal saturates S
+    identically and is excluded.
     """
     grid = v.grid
     m = _mask_array(mask)
-    sep = max(2.0 * grid.h, min_separation or 0.0)
+    sep = 2.0 * grid.h
     pts = grid.points()
     min_gap = np.inf
     worst = None
@@ -153,7 +152,7 @@ def check_weakly_strict(v: GridFn, semidist, mask, min_separation: float | None 
             "the mask complement is empty or the separation too large")
     return WeakStrictnessReport(min_gap=min_gap, worst_pair=worst,
                                 n_pairs=n_pairs, separation=sep,
-                                tol=float(tol), passed=bool(min_gap > tol))
+                                tol=0.0, passed=bool(min_gap > 0.0))
 
 
 # -- builders --------------------------------------------------------------
@@ -167,6 +166,8 @@ def dyadic_fill_times(kernel: ActionKernel, tau: float, m_terms: int) -> list:
     """
     if tau <= 0:
         raise ConfigError("tau must be positive")
+    if m_terms < 1:
+        raise ConfigError(f"m_terms must be at least 1, got {m_terms}")
     times = []
     for i in range(1, m_terms + 1):
         q, j, scale = 0.0, i, 0.5

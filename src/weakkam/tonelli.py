@@ -160,13 +160,13 @@ class CharacteristicReport:
 
 
 def verify_minimizer_is_characteristic(u: GridFn, kernel: ActionKernel,
-                                       x_index: int, t: float,
-                                       dt_flow: float = 1e-3) -> CharacteristicReport:
+                                       x_index: int, t: float) -> CharacteristicReport:
     """Shadow the minimizing chain of (T^-_t u)(x) by a characteristic.
 
     The chain is rebuilt from the one-step dynamic program; the terminal
     momentum is the central-difference gradient of T^-_t u at x; the flow
-    runs backward from (x, p) and is compared at the chain times.
+    runs backward from (x, p) in steps of about 1e-3 and is compared at the
+    chain times.
     """
     model, env, grid = kernel.model, kernel.env, kernel.grid
     _require_tonelli(model, "characteristic verification")
@@ -177,7 +177,7 @@ def verify_minimizer_is_characteristic(u: GridFn, kernel: ActionKernel,
     p_term = GridFn(grid, orbit[n_steps]).central_gradient()[int(x_index)]
 
     # one flow substep count per kernel step, so samples land on chain times
-    sub = max(int(round(kernel.dt / dt_flow)), 1)
+    sub = max(int(round(kernel.dt / 1e-3)), 1)
     traj = flow_integrate(model, env, FlowState(pts[int(x_index)], p_term),
                           -t, kernel.dt / sub)
     flow_pts = traj.xi[::sub][: n_steps + 1][::-1]   # forward order
@@ -220,8 +220,7 @@ class SemiconcavityReport:
     semiconvex: bool | None = None
 
 
-def estimate_semiconcavity(v: GridFn, k_reference: float | None = None,
-                           tol: float = 0.0) -> SemiconcavityReport:
+def estimate_semiconcavity(v: GridFn, k_reference: float | None = None) -> SemiconcavityReport:
     """Scan centered second differences over axis and diagonal directions."""
     quots = np.stack([v.second_differences(k) for k in _directions(v.grid.dim)])
     k_upper = float(np.max(quots))
@@ -237,9 +236,8 @@ def estimate_semiconcavity(v: GridFn, k_reference: float | None = None,
         unbounded_below=bool(k_lower <= -kink))
     if k_reference is not None:
         rep.k_reference = float(k_reference)
-        rep.tol = float(tol)
-        rep.semiconcave = bool(k_upper <= k_reference + tol)
-        rep.semiconvex = bool(k_lower >= -k_reference - tol)
+        rep.semiconcave = bool(k_upper <= k_reference)
+        rep.semiconvex = bool(k_lower >= -k_reference)
     return rep
 
 
@@ -292,12 +290,11 @@ class RegularWindow:
     constraints: dict = field(default_factory=dict)
 
 
-def _sampled_flow_lipschitz(model, env, rho: float, n_x: int = 256,
-                            n_p: int = 9) -> float:
+def _sampled_flow_lipschitz(model, env, rho: float) -> float:
     """Fallback ell: sampled difference quotients of (H_x, H_p), doubled."""
     dim = model.dim
-    xs = np.random.default_rng(7).uniform(0.0, 1.0, size=(n_x, dim))
-    ps = np.linspace(-rho, rho, n_p)
+    xs = np.random.default_rng(7).uniform(0.0, 1.0, size=(256, dim))
+    ps = np.linspace(-rho, rho, 9)
     grids = np.meshgrid(*([ps] * dim), indexing="ij")
     pp = np.stack([g.ravel() for g in grids], axis=1)
     best = 0.0
@@ -375,19 +372,17 @@ class ContractionReport:
     passed: bool
 
 
-def contraction_check(window: RegularWindow, model, env, psi_grad=None,
-                      n_pairs: int = 100, dt: float = 1e-3,
-                      seed: int = 0) -> ContractionReport:
+def contraction_check(window: RegularWindow, model, env, n_pairs: int = 100,
+                      dt: float = 1e-3, seed: int = 0) -> ContractionReport:
     """Flow pairs (y, Dpsi(y)) for t0 and measure Lip(position map - id).
 
-    Default test gradient: Dpsi_i(y) = (lam / 2 pi) sin(2 pi y_i), whose
-    Lipschitz constant is exactly lam.
+    Test gradient: Dpsi_i(y) = (lam / 2 pi) sin(2 pi y_i), whose Lipschitz
+    constant is exactly lam.
     """
     lam = window.lam
 
-    if psi_grad is None:
-        def psi_grad(y):
-            return (lam / (2.0 * np.pi)) * np.sin(2.0 * np.pi * np.asarray(y))
+    def psi_grad(y):
+        return (lam / (2.0 * np.pi)) * np.sin(2.0 * np.pi * np.asarray(y))
 
     rng = np.random.default_rng(seed)
     dim = model.dim
@@ -448,8 +443,7 @@ class BernardReport:
 
 
 def bernard_regularize(w: GridFn, kernel: ActionKernel, a: float,
-                       s: float, t: float, mask=None,
-                       eps_mask: float | None = None, d0: float = 0.1,
+                       s: float, t: float, mask=None, d0: float = 0.1,
                        strict_input: bool | None = None,
                        curvature_bound: float | None = None,
                        r_kappa: float | None = None) -> tuple:
@@ -458,7 +452,8 @@ def bernard_regularize(w: GridFn, kernel: ActionKernel, a: float,
     (a) stays a discrete subsolution at level a; (b) two-sided second
     differences bounded (gradient-Lipschitz proxy), optionally against an
     assembled constant; (c) moves w by at most (t + s) R(kappa);
-    (d) agrees with w on the mask; (e) stays strict off the mask.
+    (d) agrees with w on the mask within default_eps(w); (e) stays strict
+    off the mask.
     A non-strict input is a warning, not a refusal: the output is data.
     """
     model, env = kernel.model, kernel.env
@@ -490,7 +485,7 @@ def bernard_regularize(w: GridFn, kernel: ActionKernel, a: float,
     strict_cert = strict_ok = None
     if mask is not None:
         m = _mask_array(mask)
-        mask_eps_val = eps_mask if eps_mask is not None else default_eps(w.values)
+        mask_eps_val = default_eps(w.values)
         if np.any(m):
             mask_agree = float(np.max(np.abs(w_eps.values[m] - w.values[m])))
             mask_ok = bool(mask_agree <= mask_eps_val)
@@ -557,9 +552,10 @@ def check_envelope_identity(w: GridFn, kernel: ActionKernel, t: float,
 
 
 def lifted_mask_deviation(mask, w: GridFn, model, env, t_span: float = 1.0,
-                          dt: float = 1e-3, n_report: int = 8) -> float:
+                          dt: float = 1e-3) -> float:
     """Flow (x, D_h w(x)) from every mask point over [-t_span, t_span] and
-    return the largest phase-space distance to the lifted mask.
+    return the largest phase-space distance to the lifted mask, read at 8
+    evenly spaced times of each trajectory.
 
     Distance combines torus position distance and momentum distance to the
     nearest lifted mask point; invariance holds when it stays at cell scale.
@@ -578,7 +574,7 @@ def lifted_mask_deviation(mask, w: GridFn, model, env, t_span: float = 1.0,
         for sign in (+1.0, -1.0):
             traj = flow_integrate(model, env, FlowState(pts[i], grads[i]),
                                   sign * t_span, dt)
-            sel = np.linspace(0, len(traj.times) - 1, n_report).astype(int)
+            sel = np.linspace(0, len(traj.times) - 1, 8).astype(int)
             for k in sel:
                 dx = grid.torus_dist(lift_x, traj.xi[k])
                 dp = np.linalg.norm(lift_p - traj.eta[k], axis=1)

@@ -232,8 +232,6 @@ def test_lax_extension_from_the_mask_is_a_subsolution(pend64):
     with pytest.raises(EmptyAubryMaskError):
         lax_extension(GridFn.zeros(grid), np.zeros(grid.size, dtype=bool),
                       model, c, env, kernel=kern)
-    with pytest.raises(ConfigError):
-        lax_extension(GridFn.zeros(grid), mask.mask, model, c, env)
 
 
 def test_calibrated_chain_at_the_rest_point(pend64):

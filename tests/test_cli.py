@@ -171,6 +171,16 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "at least 8" in capsys.readouterr().err
 
 
+def test_more_seeds_than_nodes_is_refused(tmp_path, capsys):
+    # 1000 seeds on a 64-node axis would put seeds off the grid
+    cfg = tmp_path / "seeds.cfg"
+    cfg.write_text("[grid]\nn = 64\n\n[tolerances]\nn_seeds = 1000\n")
+    rc = main(["aubry", str(cfg), "--compute-c", "--outdir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "configuration error" in err and "n_seeds=1000" in err
+
+
 def test_disconnected_kernel_is_refused_with_the_speed_condition(tmp_path, capsys):
     # dt = 1/64 on n = 16 asks speed h/dt = 4 of a one-cell move; the
     # eikonal speed cone ends at 1, so only the zero offset would remain

@@ -62,6 +62,9 @@ def test_unknown_section_and_key_are_rejected_with_source():
     ("[tolerances]\ns = -0.5\n", "positive"),
     ("[tolerances]\nt = later\n", "'auto' or a number"),
     ("[tolerances]\neps_target = tiny\n", "eps_target"),
+    ("[tolerances]\nn_seeds = 0\n", "n_seeds"),
+    ("[tolerances]\nm_terms = 0\n", "m_terms"),
+    ("[tolerances]\neps_aubry = -1\n", "eps_aubry"),
     ("[hamiltonian]\nfield_bound = big\n", "number"),
 ])
 def test_validation_rejects_bad_values(snippet, needle):

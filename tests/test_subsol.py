@@ -49,6 +49,8 @@ def test_fill_times_rejections(pend64):
         dyadic_fill_times(kern, 3 * kern.dt, 2)
     with pytest.raises(ConfigError):
         dyadic_fill_times(kern, 0.0, 2)
+    with pytest.raises(ConfigError, match="m_terms"):    # an empty mix is the zero function
+        dyadic_fill_times(kern, 0.125, 0)
 
 
 def test_truncation_budget_is_range_times_two_to_minus_m():
