@@ -63,6 +63,12 @@ def verify_member(v: GridFn, kernel: ActionKernel, a: float) -> tuple:
     return worst <= DISCRETE_TOL, worst
 
 
+def _worst_point(v: GridFn, kernel: ActionKernel, a: float) -> np.ndarray:
+    """Coordinates of the node where v's worst edge violation ends: the
+    witness a refusal names.  Searched only once verify_member failed."""
+    return v.grid.points()[refold_kernel(kernel, a).worst_gap_node(v.values)]
+
+
 @dataclass
 class SubsolutionLibrary:
     """Verified critical subsolutions, each normalized to vanish at node 0."""
@@ -73,6 +79,7 @@ class SubsolutionLibrary:
     labels: list = field(default_factory=list)
     verified: list = field(default_factory=list)
     violations: list = field(default_factory=list)
+    worst_points: list = field(default_factory=list)    # None for verified members
 
     def add(self, v: GridFn, kernel: ActionKernel, label: str) -> bool:
         v = v.normalized_at_origin()
@@ -81,6 +88,7 @@ class SubsolutionLibrary:
         self.labels.append(label)
         self.verified.append(bool(ok))
         self.violations.append(worst)
+        self.worst_points.append(None if ok else _worst_point(v, kernel, self.a))
         return bool(ok)
 
     def verified_members(self) -> list:
@@ -143,7 +151,7 @@ def build_w(library: SubsolutionLibrary, m_terms: int | None = None) -> GridFn:
             raise NotASubsolutionError(
                 f"library member {i} ({library.labels[i]}) failed verification "
                 f"(violation {library.violations[i]:.3e}); refusing to mix it in",
-                violation=library.violations[i])
+                worst_point=library.worst_points[i], violation=library.violations[i])
     return geometric_mix(library.grid, [v.values for v in members[:m_terms]])
 
 
@@ -158,7 +166,8 @@ def fixed_point_set(v: GridFn, kernel: ActionKernel, a: float, t: float,
     if not ok:
         raise NotASubsolutionError(
             f"fixed_point_set needs a verified subsolution "
-            f"(edge violation {worst:.3e})", violation=worst)
+            f"(edge violation {worst:.3e})",
+            worst_point=_worst_point(v, kernel, a), violation=worst)
     img = lax_minus(v, kernel, t)
     residual = img.values + (a - kernel.shift) * t - v.values
     return residual <= eps
@@ -223,7 +232,7 @@ def detect_aubry(w: GridFn, kernel: ActionKernel, a: float, t_max: float,
     if not ok:
         raise NotASubsolutionError(
             f"detect_aubry needs a verified subsolution (violation {worst:.3e})",
-            violation=worst)
+            worst_point=_worst_point(w, kernel, a), violation=worst)
     ladder, tail, warns = _tail_times(kernel, t_max)
     res_stack = (lax_minus_images(w, kernel, tail)
                  + (a - kernel.shift) * np.asarray(tail)[:, None] - w.values)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +75,7 @@ SCHEMA = {
         "s": (str, "auto", "forward smoothing time, or 'auto' for the certified window"),
         "t": (str, "auto", "backward smoothing time, or 'auto' for the certified window"),
         "lam": (float, "1.0", "gradient Lipschitz scale for the flow window"),
-        "n_seeds": (int, "4", "semidistance cone seeds in the library"),
+        "n_seeds": (int, "4", "semidistance cone seeds in the library; a square in 2D"),
         "eps_target": (str, "", "requested closeness of strict builds (optional)"),
     },
 }
@@ -214,6 +215,12 @@ def _validate(cfg: RunConfig) -> None:
         val = cfg.get("tolerances", key)
         if val < 1:
             raise ConfigError(f"[tolerances] {key} must be at least 1, got {val}")
+    seeds = cfg.get("tolerances", "n_seeds")
+    side = math.isqrt(seeds)
+    if dim == 2 and side * side != seeds:
+        # build_library lays 2D seeds out on a side x side lattice
+        raise ConfigError(f"[tolerances] n_seeds must be a perfect square in 2D, got {seeds}; "
+                          f"the nearest squares are {side * side} and {(side + 1) ** 2}")
     for key in ("s", "t"):
         val = cfg.get("tolerances", key)
         if val == "auto":

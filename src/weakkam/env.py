@@ -22,7 +22,12 @@ keeps its bits.  The final matrix-vector product may round a row
 differently by its place in the batch, so a caller that needs values for a
 batch and for row blocks of it as their own arrays (the bisection of
 metric.critical_value_free) gets both from one cosine table, with one
-product per block and one over the batch.  A bump cloud is evaluated in
+product per block and one over the batch.  That table is filled along a
+plan of regions, each either computed or copied from an earlier region
+that holds the same points: a point's cosines do not depend on the rows
+it is computed with, so a copy is made only where the coordinates are
+bit-equal to the source's and the table is the textbook one to the bit.
+A bump cloud is evaluated in
 blocks of rows whose (rows, centers, dim) differences hold ~32768 entries;
 every bump sum reduces within one row, so blocking moves no bit and memory
 beyond the result does not grow with m.
@@ -113,28 +118,54 @@ class EnvRealization:
         ang = self._angles(x)
         return np.cos(ang, out=ang) @ self.amplitudes
 
-    def _evaluate_blocks(self, x: np.ndarray, bounds) -> tuple:
-        """(whole, blocks): field values on an (m, dim) float array x as one
-        batch, and on each row block x[bounds[i]:bounds[i + 1]], each bit
-        for bit what evaluate returns on that array alone.
+    def _cosine_table(self, x: np.ndarray, plan) -> np.ndarray:
+        """cos(2 pi x . freqs + phases) on a float array x of shape
+        (..., dim), as one array of shape (..., modes), filled region by
+        region in the order of plan.
 
-        A cosine sum builds one (m, modes) table of cosines.  Its entries
-        are elementwise in the rows, so a block's rows hold what evaluate
-        would build, and each block gets its own product over its row
-        slice: the product rounds a row by its place in the batch, so the
-        whole-batch product is a separate call.  One exception: numpy forms
-        a one-row x @ freqs.T by a vector-matrix call, whose angles can
-        differ from the batch's in the last bit, so a one-row block goes
-        through evaluate.  A bump row reduces on its own, so the blocks are
-        slices of the whole.
+        plan is a sequence of (target, source) index tuples over the
+        leading axes of x that covers every point.  A target gets the
+        cosines of source, which an earlier region filled, when its points
+        are bit-equal to the source's; otherwise, or when source is None,
+        its cosines are computed.  Equal points have equal angles whatever
+        rows they share a product with, except that numpy forms a one-row
+        x @ freqs.T by a vector-matrix call whose angles can differ in the
+        last bit, so a one-row region is computed as two copies of its row.
+        Either way every entry is the one cos(_angles(x)) holds.
         """
+        dim = x.shape[-1]
+        table = np.empty(x.shape[:-1] + (len(self.amplitudes),))
+        for target, source in plan:
+            if source is not None and np.array_equal(x[target], x[source]):
+                table[target] = table[source]
+                continue
+            pts = x[target].reshape(-1, dim)
+            ang = self._angles(pts if len(pts) > 1 else np.repeat(pts, 2, axis=0))
+            table[target] = np.cos(ang, out=ang)[:len(pts)].reshape(table[target].shape)
+        return table
+
+    def _evaluate_blocks(self, x: np.ndarray, bounds, plan) -> tuple:
+        """(whole, blocks): field values on the points of a float array x
+        of shape (..., dim), taken in C order as one batch of rows, and on
+        each row block rows[bounds[i]:bounds[i + 1]], each bit for bit what
+        evaluate returns on that array alone.
+
+        A cosine sum builds one table of cosines by _cosine_table along
+        plan.  Its entries are those of the textbook table over the batch,
+        so a block's rows hold what evaluate would build, and each block
+        gets its own product over its row slice: the product rounds a row
+        by its place in the batch, so the whole-batch product is a separate
+        call.  A one-row block goes through evaluate, whose product is a
+        vector-matrix call.  A bump row reduces on its own, so the blocks
+        are slices of the whole and plan is not needed.
+        """
+        rows = x.reshape(-1, x.shape[-1])
         spans = list(zip(bounds[:-1], bounds[1:]))
         if self.centers is not None:
-            whole = self._eval_bumps(x)
+            whole = self._eval_bumps(rows)
             return whole, [whole[a:b] for a, b in spans]
-        table = self._angles(x)
-        np.cos(table, out=table)
-        blocks = [self.evaluate(x[a:b]) if b - a == 1 else table[a:b] @ self.amplitudes
+        table = self._cosine_table(x, plan).reshape(len(rows), -1)
+        blocks = [self.evaluate(rows[a:b]) if b - a == 1 else table[a:b] @ self.amplitudes
                   for a, b in spans]
         return table @ self.amplitudes, blocks
 

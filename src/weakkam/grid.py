@@ -498,6 +498,19 @@ class Stencil:
             gap = max(gap, float(np.max(row, where=np.isfinite(w), initial=-np.inf)))
         return gap
 
+    def worst_gap_node(self, v: np.ndarray) -> int:
+        """Flat index of the end x of an edge y -> x at which edge_gap(v)
+        is attained, or of v's first non-finite value."""
+        if not np.all(np.isfinite(v)):
+            return int(np.argmin(np.isfinite(v)))
+        gap, node = -np.inf, 0
+        for k, w in zip(self.offsets, self.weights):
+            row = np.where(np.isfinite(w), (v - self.grid.roll_flat(v, k)) - w, -np.inf)
+            j = int(np.argmax(row))
+            if row[j] > gap:
+                gap, node = row[j], j
+        return node
+
     def cost_scale(self) -> float:
         """Largest |finite edge cost| (0 when there is none)."""
         finite = np.isfinite(self.weights)

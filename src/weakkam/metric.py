@@ -17,11 +17,21 @@ starts with the nodes, and the starting levels of critical_value_free are
 read off V over that whole batch.  critical_value_free evaluates the nodes
 once (the edge radius is read off them) and the batch once: one cosine
 table, with one matrix-vector product per midpoint array and one over the
-batch.  The products stay separate because the product rounds a row by
-its place in the batch, so a point's value in the batch can differ in the
-last bits from its value in its own array.  Each route keeps reading its
-own values, which keeps every bracket bit for bit what it was when each
-level resampled the field.
+batch.  The table is built by lattice translation.  The midpoints of
+offset k at node x are x - k h / 2, the same points as those of any
+k' = k mod 2 at the node shifted by (k' - k) / 2, so the blocks of the
+batch fall into 2^dim classes of translates.  Cosines are computed for
+the first block of each class and, on a box, for the border strips a
+translate leaves uncovered; every other row is copied from the nearest
+earlier block of its class (the overlap rectangle on a box, a cyclic
+shift on a torus), and only where its coordinates are bit-equal to the
+source's.  A spacing h that is not dyadic makes translated coordinates
+round differently, so those rows are computed.  The products stay
+separate because the product rounds a row by its place in the batch, so
+a point's value in the batch can differ in the last bits from its value
+in its own array.  Each route keeps reading its own values, which keeps
+every bracket bit for bit what it was when each level resampled the
+field.
 
 Edge convention: the edge for offset k ends at node x and starts at
 x - k h, costs sigma_a(mid, k h) with mid the (wrapped) segment midpoint.
@@ -165,10 +175,68 @@ class _SamplePoints:
         if self.env is None:
             return None
         n = len(self.nodes)
-        whole, blocks = self.env._evaluate_blocks(self.batch, range(n, len(self.batch) + 1, n))
+        shaped = self.batch.reshape((len(self.offsets) + 1,) + self.lattice.shape
+                                    + (self.lattice.dim,))
+        whole, blocks = self.env._evaluate_blocks(shaped, range(n, len(self.batch) + 1, n),
+                                                  self.table_plan())
         for view, values in zip(self.fields[1:], blocks):
             view.store(values)
         return _SampledField(self.env, self.batch, whole)
+
+    def table_plan(self) -> list:
+        """The order in which the batch's cosine table is filled: (target,
+        source) index tuples over the batch shaped (blocks, *lattice.shape).
+
+        Block b holds the points x - k_b h / 2 over the nodes x (k_0 = 0:
+        the nodes themselves).  When k_b = k_s + 2 d, block b's point at
+        node I is block s's point at node I - d, so the blocks fall into
+        the 2^dim classes of k mod 2 and those of a class are translates of
+        each other.  The first block of a class is computed whole.  Every
+        later one is copied from the nearest earlier block of its class
+        (least |d|_1, the latest on a tie): the overlap rectangle on a box,
+        with the border strips the translate leaves computed, and a cyclic
+        shift on a torus.  Offsets within 3h leave every later block an
+        earlier one at |d| <= 1 per axis, so a block's strips hold fewer
+        than dim n^(dim - 1) of its n^dim points.
+        """
+        dim = self.lattice.dim
+        ks = [(0,) * dim] + [tuple(int(c) for c in k) for k in self.offsets]
+        periodic = isinstance(self.lattice, GridSpec)
+        plan = []
+        for b, k in enumerate(ks):
+            shifts = [(s, tuple((p - q) // 2 for p, q in zip(k, ks[s]))) for s in range(b)
+                      if all((p - q) % 2 == 0 for p, q in zip(k, ks[s]))]
+            if not shifts:
+                plan.append(((b,), None))
+                continue
+            s, d = min(shifts, key=lambda sd: (sum(map(abs, sd[1])), -sd[0]))
+            plan.extend(_translate((b,), (s,), d, self.lattice.shape, periodic))
+        return plan
+
+
+def _translate(target: tuple, source: tuple, d: tuple, shape: tuple, periodic: bool):
+    """Yield (target, source) regions that fill an array of this shape from
+    another whose point at I - d it holds at I: per axis, the range the
+    translate covers and the border it leaves, which wraps round on a
+    torus and is computed (source None) on a box."""
+    axis = len(target) - 1
+    if axis == len(shape):
+        yield target, source
+        return
+    n, shift = shape[axis], d[axis]
+    lo, hi = min(max(shift, 0), n), max(n + min(shift, 0), 0)
+    if lo < hi:
+        yield from _translate(target + (slice(lo, hi),), source + (slice(lo - shift, hi - shift),),
+                              d, shape, periodic)
+    start, stop = (0, lo) if shift > 0 else (hi, n)
+    if start == stop:
+        return
+    if not periodic:
+        yield target + (slice(start, stop),), None
+        return
+    wrapped = (start - shift) % n
+    yield from _translate(target + (slice(start, stop),),
+                          source + (slice(wrapped, wrapped + stop - start),), d, shape, periodic)
 
 
 def _field_view(env, points: np.ndarray):
@@ -357,7 +425,11 @@ def critical_value_free(model, env, lattice, tol_bisect: float = 5e-3) -> Critic
     the nodes is evaluated once, and V at every offset's edge midpoints
     comes with V over the whole sample batch (nodes, then each offset's
     midpoints) from one cosine table; every level's cost graph is priced
-    from the per-array values.
+    from the per-array values.  The table's rows are computed for the
+    first block of each class of offsets mod 2 and for the border strips a
+    box translate leaves, and copied from an earlier block of the class
+    everywhere else, where their coordinates are bit-equal to the
+    source's (_SamplePoints.table_plan).
     hi starts at max H(x, 0) over the batch, where the zero function is a
     subsolution, and lo at its min minus one.  The batch's values come from
     their own matrix-vector product, which rounds a row by its place in

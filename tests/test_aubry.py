@@ -50,6 +50,7 @@ def test_a_member_with_an_infinite_value_fails_with_infinite_violation(pend64):
     lib = build_library(model, c, env, kern, seeds=[0], extra=(holed,))
     assert lib.labels[-1] == "user[0]"
     assert lib.verified[-1] is False and lib.violations[-1] == np.inf
+    assert np.array_equal(lib.worst_points[-1], grid.points()[5])
     assert verify_member(holed, kern, c) == (False, np.inf)
 
 
@@ -204,6 +205,27 @@ def test_detect_aubry_rejects_non_subsolutions(pend64):
     with pytest.raises(NotASubsolutionError) as exc:
         detect_aubry(bad, kern, c, 2.0)
     assert exc.value.violation > 0
+
+
+def test_refusals_name_the_node_a_perturbed_member_fails_at(pend64):
+    """Raising a verified member at one node breaks only the edges into
+    that node, so every refusal of it names that node."""
+    kern, model, env, c, grid, w = (pend64[k] for k in
+                                    ("kernel", "model", "env", "c", "grid", "w"))
+    node = 37
+    bumped = GridFn(grid, w.values.copy())
+    bumped.values[node] += 1.0
+    with pytest.raises(NotASubsolutionError) as fixed:
+        fixed_point_set(bumped, kern, c, kern.dt, 1e-6)
+    with pytest.raises(NotASubsolutionError) as detected:
+        detect_aubry(bumped, kern, c, 2.0)
+    lib = build_library(model, c, env, kern, seeds=[0], extra=(bumped,))
+    assert lib.worst_points[:2] == [None, None] and lib.verified[2] is False
+    with pytest.raises(NotASubsolutionError) as mixed:
+        build_w(lib)
+    for exc in (fixed, detected, mixed):
+        assert exc.value.violation > 0.5
+        assert np.array_equal(exc.value.worst_point, grid.points()[node])
 
 
 def test_subcritical_level_is_flagged_as_negative_cycle(pend64):

@@ -181,6 +181,18 @@ def test_more_seeds_than_nodes_is_refused(tmp_path, capsys):
     assert "configuration error" in err and "n_seeds=1000" in err
 
 
+def test_a_2d_seed_count_that_is_not_a_square_is_refused(tmp_path, capsys):
+    # 2D seeds sit on a square lattice: 2 seeds would silently build one cone
+    cfg = tmp_path / "seeds.cfg"
+    cfg.write_text("[grid]\ndim = 2\nn = 16\n\n[environment]\ndimension = 2\n\n"
+                   "[tolerances]\nn_seeds = 2\n")
+    rc = main(["aubry", str(cfg), "--compute-c", "--outdir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "configuration error" in err and "the nearest squares are 1 and 4" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_disconnected_kernel_is_refused_with_the_speed_condition(tmp_path, capsys):
     # dt = 1/64 on n = 16 asks speed h/dt = 4 of a one-cell move; the
     # eikonal speed cone ends at 1, so only the zero offset would remain

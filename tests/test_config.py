@@ -63,6 +63,8 @@ def test_unknown_section_and_key_are_rejected_with_source():
     ("[tolerances]\nt = later\n", "'auto' or a number"),
     ("[tolerances]\neps_target = tiny\n", "eps_target"),
     ("[tolerances]\nn_seeds = 0\n", "n_seeds"),
+    ("[grid]\ndim = 2\n[environment]\ndimension = 2\n[tolerances]\nn_seeds = 5\n",
+     "n_seeds must be a perfect square in 2D, got 5; the nearest squares are 4 and 9"),
     ("[tolerances]\nm_terms = 0\n", "m_terms"),
     ("[tolerances]\neps_aubry = -1\n", "eps_aubry"),
     ("[hamiltonian]\nfield_bound = big\n", "number"),

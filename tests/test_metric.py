@@ -9,7 +9,7 @@ from weakkam.errors import ConfigError, SubcriticalLevelError
 from weakkam.grid import BoxSpec, GridFn, GridSpec, relax
 from weakkam.hamiltonian import (kappa, mechanical_model, reversed_model,
                                  tilted_mechanical_model)
-from weakkam.metric import (build_cost_graph, check_subsolution,
+from weakkam.metric import (_SamplePoints, build_cost_graph, check_subsolution,
                             critical_value_free, critical_value_stationary,
                             default_edge_radius, semidistance, support_sigma)
 
@@ -151,8 +151,9 @@ def _stationary_realization(index):
 
 def test_bisection_evaluates_the_field_once_per_sample_array():
     """One node evaluation (the edge radius is read off it), then one shared
-    table over the nodes and every offset's midpoints, with one block per
-    offset; no level evaluates the field again."""
+    table over the nodes and every offset's midpoints, shaped as one box
+    per offset plus the nodes', with one block per offset; no level
+    evaluates the field again."""
     m = mechanical_model(dim=2, field_bound=0.5)
     box = BoxSpec(dim=2, radius=2.0, points_per_unit=8)
     iterations = []
@@ -161,8 +162,8 @@ def test_bisection_evaluates_the_field_once_per_sample_array():
         res = critical_value_free(m, env, box, tol_bisect=tol)
         iterations.append(res.iterations)
         assert env.evaluated == [(box.size, 2)]
-        [((rows, dim), offsets)] = env.tables
-        assert offsets > 0 and (rows, dim) == ((offsets + 1) * box.size, 2)
+        [(shape, offsets)] = env.tables
+        assert offsets > 0 and shape == (offsets + 1,) + box.shape + (2,)
     assert iterations[1] > iterations[0]
 
 
@@ -178,12 +179,77 @@ def test_bisection_holds_one_cosine_table_and_one_copy_of_the_points():
     box = BoxSpec(dim=2, radius=4.0, points_per_unit=8)
     counting = CountingField(env)
     critical_value_free(m, counting, box)
-    [((rows, dim), _)] = counting.tables
+    [(shape, _)] = counting.tables
+    rows, dim = int(np.prod(shape[:-1])), shape[-1]
     modes, n = len(env.amplitudes), box.size
     budget = 8 * (rows * (modes + dim + 2) + 2 * n * (dim + 1)) + SMALL_OBJECTS
     assert peak_bytes(critical_value_free, m, env, box) <= budget
     # the slack beyond the a-priori arrays is less than one more copy of the points
     assert 8 * rows * dim > 2 * n * (dim + 1) * 8 + SMALL_OBJECTS
+
+
+def _shaped_batch(env, lattice, reach):
+    """The sample points of a bisection with offsets within reach h, and
+    its batch shaped as the table plan indexes it."""
+    samples = _SamplePoints(env, lattice, lattice.offsets_within(reach * lattice.h))
+    return samples, samples.batch.reshape((-1,) + lattice.shape + (lattice.dim,))
+
+
+TRANSLATED_LATTICES = [
+    BoxSpec(dim=1, radius=2.0, points_per_unit=8),      # one-row borders
+    BoxSpec(dim=1, radius=1.0, points_per_unit=12),     # h not dyadic
+    GridSpec(dim=1, n=16),
+    GridSpec(dim=1, n=24),
+    BoxSpec(dim=2, radius=2.0, points_per_unit=8),
+    BoxSpec(dim=2, radius=1.0, points_per_unit=12),
+    GridSpec(dim=2, n=16),
+    GridSpec(dim=2, n=10),
+]
+
+
+@pytest.mark.parametrize("reach", [3, 6])
+@pytest.mark.parametrize("lattice", TRANSLATED_LATTICES, ids=str)
+def test_translated_table_is_the_textbook_table(lattice, reach):
+    """The cosine table filled by translation, and both products over it,
+    are bit for bit one _angles and cos over the whole batch, on boxes and
+    tori whose spacing is dyadic (translates copied) or not (computed)."""
+    spec = wk.EnvSpec(kind="random_fourier", dimension=lattice.dim, seed=2,
+                      params={"period": 16.0, "k_max": 3, "amplitude": 0.5, "decay": 1.0})
+    env = wk.sample_realization(spec, 1)
+    samples, shaped = _shaped_batch(env, lattice, reach)
+    plan = samples.table_plan()
+    if lattice.dim == 1 and isinstance(lattice, BoxSpec):
+        assert any(src is None and shaped[tgt].size == 1 for tgt, src in plan)
+    expected = np.cos(env._angles(samples.batch))
+    table = env._cosine_table(shaped, plan)
+    assert table.reshape(expected.shape).tobytes() == expected.tobytes()
+    n = lattice.size
+    bounds = range(n, len(samples.batch) + 1, n)
+    whole, blocks = env._evaluate_blocks(shaped, bounds, plan)
+    assert whole.tobytes() == (expected @ env.amplitudes).tobytes()
+    for a, values in zip(bounds, blocks):
+        assert values.tobytes() == (expected[a:a + n] @ env.amplitudes).tobytes()
+
+
+def test_translated_table_computes_class_heads_and_border_strips():
+    """On the 2D R=4 box at radius 3h, the rows sent through _angles are at
+    most the first block of each of the 2^dim classes of offsets mod 2 in
+    full, and for every other block the strips a translate by at most one
+    node per axis leaves: dim L^(dim - 1) points for L nodes per axis.
+    That is well under the (m + 1) N rows of the batch."""
+    env = _stationary_realization(0)
+    box = BoxSpec(dim=2, radius=4.0, points_per_unit=8)
+    samples, shaped = _shaped_batch(env, box, 3)
+    computed = []
+    angles = env._angles
+    env._angles = lambda x: computed.append(len(x)) or angles(x)
+    table = env._cosine_table(shaped, samples.table_plan())
+    del env._angles
+    blocks, side = len(shaped), box.n_per_axis
+    bound = 2**box.dim * box.size + (blocks - 2**box.dim) * box.dim * side ** (box.dim - 1)
+    assert sum(computed) <= bound < blocks * box.size // 4
+    expected = np.cos(env._angles(samples.batch))
+    assert table.reshape(expected.shape).tobytes() == expected.tobytes()
 
 
 def test_cost_graph_prices_each_offset_from_its_own_midpoint_batch():
