@@ -14,29 +14,24 @@ __version__ = "0.1.0"
 
 from .errors import (CertificateFailure, ConfigError, EmptyAubryMaskError,
                      LadderError, NotASubsolutionError, NotTonelliError,
-                     PRadiusError, SubcriticalLevelError, WeakKamError)
-from .grid import BoxSpec, GridFn, GridSpec, load_gridfn_csv, save_gridfn_csv
-from .env import (EnvRealization, EnvSpec, check_sublinearity, ky_fan_distance,
+                     SubcriticalLevelError, WeakKamError)
+from .grid import BoxSpec, GridFn, GridSpec, save_gridfn_csv
+from .env import (EnvRealization, EnvSpec, ky_fan_distance,
                   ky_fan_from_distances, metric_d, sample_realization)
-from .hamiltonian import (HamiltonianModel, eikonal_model, kappa, legendre,
-                          lipschitz_radius, mechanical_model, model_catalog,
-                          nonstrict_model, reversed_model, sublevel_margin,
-                          tilted_mechanical_model)
+from .hamiltonian import (HamiltonianModel, eikonal_model, kappa,
+                          lipschitz_radius, mechanical_model, nonstrict_model,
+                          reversed_model, tilted_mechanical_model)
 from .metric import (build_cost_graph, check_subsolution, critical_value_free,
                      critical_value_stationary, semidistance, support_sigma)
 from .semigroup import (ActionKernel, build_kernel, check_corrector,
-                        check_monotone_semigroup, check_time_dependent_solution,
-                        discrete_critical_value, lax_friedrichs_evolve,
+                        check_monotone_semigroup, discrete_critical_value,
                         lax_minus, lax_plus, refold_kernel, semigroup_orbit)
 from .aubry import (AubryMask, SubsolutionLibrary, build_library, build_w,
-                    classical_aubry, detect_aubry, extract_calibrated_curve,
-                    fixed_point_set, lax_extension, verify_member)
+                    classical_aubry, detect_aubry, lax_extension, verify_member)
 from .subsol import (build_strict_convex, build_strict_strictly_convex,
-                     check_strict, check_weakly_strict, density_mix,
-                     sup_convolution_time)
-from .tonelli import (FlowState, bernard_regularize, check_envelope_identity,
-                      contraction_check, estimate_semiconcavity, flow_integrate,
-                      kernel_semiconcavity, regular_window,
-                      verify_minimizer_is_characteristic)
+                     check_strict, density_mix, sup_convolution_time)
+from .tonelli import (FlowState, bernard_regularize, contraction_check,
+                      estimate_semiconcavity, flow_integrate,
+                      kernel_semiconcavity, regular_window)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -31,22 +31,18 @@ import numpy as np
 
 from .errors import ConfigError, EmptyAubryMaskError, NotASubsolutionError
 from .grid import GridFn, GridSpec, geometric_mix, policy_iteration, relax
-from .metric import build_cost_graph, semidistance
-from .semigroup import (ActionKernel, lax_minus, lax_minus_images, refold_kernel,
-                        semigroup_orbit)
+from .metric import build_cost_graph
+from .semigroup import ActionKernel, lax_minus, lax_minus_images, refold_kernel
 
 __all__ = [
     "SubsolutionLibrary",
     "build_library",
     "verify_member",
     "build_w",
-    "fixed_point_set",
     "AubryMask",
     "detect_aubry",
     "classical_aubry",
     "lax_extension",
-    "CalibratedCurve",
-    "extract_calibrated_curve",
 ]
 
 DISCRETE_TOL = 1e-9
@@ -155,24 +151,6 @@ def build_w(library: SubsolutionLibrary, m_terms: int | None = None) -> GridFn:
     return geometric_mix(library.grid, [v.values for v in members[:m_terms]])
 
 
-def fixed_point_set(v: GridFn, kernel: ActionKernel, a: float, t: float,
-                    eps: float) -> np.ndarray:
-    """Boolean mask {x : (T_t v + a t)(x) - v(x) <= eps}.
-
-    v must verify as a discrete subsolution first (or the residual sign is
-    meaningless), so a v that fails verify_member is refused.
-    """
-    ok, worst = verify_member(v, kernel, a)
-    if not ok:
-        raise NotASubsolutionError(
-            f"fixed_point_set needs a verified subsolution "
-            f"(edge violation {worst:.3e})",
-            worst_point=_worst_point(v, kernel, a), violation=worst)
-    img = lax_minus(v, kernel, t)
-    residual = img.values + (a - kernel.shift) * t - v.values
-    return residual <= eps
-
-
 @dataclass
 class AubryMask:
     """Aubry mask with its residual field and threshold sensitivity.
@@ -272,43 +250,3 @@ def lax_extension(g, mask: np.ndarray, model, a: float, env,
     g_vals = g.values if isinstance(g, GridFn) else np.asarray(g, dtype=float)
     graph = build_cost_graph(model, a, env, kernel.grid, offsets=kernel.offsets)
     return GridFn(kernel.grid, relax(graph, np.where(mask, g_vals, np.inf)))
-
-
-@dataclass
-class CalibratedCurve:
-    """Backward optimizer chain with its calibration audit."""
-
-    indices: np.ndarray
-    coords: np.ndarray
-    step_costs: np.ndarray
-    calibration_defect: float    # max |w jump - folded step cost|
-    action_vs_semidistance: float
-    stays_in_mask: bool | None
-
-
-def extract_calibrated_curve(x0, w: GridFn, kernel: ActionKernel, a: float,
-                             n_steps: int, model=None, env=None,
-                             mask: np.ndarray | None = None) -> CalibratedCurve:
-    """Backtrack the argmin chain of T_{n dt} w below x0.
-
-    The chain positions z_m realize the dynamic program, so along them the
-    folded step costs should reproduce the increments of w (calibration)
-    and the total action should dominate the semidistance between the
-    endpoints; both defects are reported, not asserted.
-    """
-    grid = kernel.grid
-    x0_idx = x0 if isinstance(x0, (int, np.integer)) else grid.index_of(np.asarray(x0))
-    chain, costs = kernel.minimizing_chain(semigroup_orbit(w, kernel, n_steps), x0_idx)
-    costs = costs + (a - kernel.shift) * kernel.dt
-    w_jumps = w.values[chain[1:]] - w.values[chain[:-1]]
-    calib = float(np.max(np.abs(w_jumps - costs))) if len(costs) else 0.0
-    act_vs_s = np.nan
-    if model is not None:
-        sd = semidistance(model, a, [int(chain[0])], env, grid, offsets=kernel.offsets)
-        act_vs_s = float(costs.sum() - sd.values[0, chain[-1]])
-    in_mask = None
-    if mask is not None:
-        in_mask = bool(np.all(np.asarray(mask, dtype=bool)[chain]))
-    return CalibratedCurve(indices=chain, coords=grid.points()[chain],
-                           step_costs=costs, calibration_defect=calib,
-                           action_vs_semidistance=act_vs_s, stays_in_mask=in_mask)

@@ -259,13 +259,20 @@ def cmd_critical(cfg: RunConfig, outdir: str, out) -> int:
     return 0
 
 
-def cmd_aubry(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
+def _through_aubry(cfg: RunConfig, outdir: str, out, compute_c: bool) -> tuple:
+    """(env, model, grid, kern, aub): the config's objects, the folded
+    kernel at the cached (or computed) level and the Aubry stage, which
+    every command past critical starts from."""
     env = build_environment(cfg)[1]
     model = build_model(cfg)
     grid = build_grid(cfg)
     crit = _get_critical(cfg, env, model, grid, outdir, compute_c, out)
     kern = stage_kernel(cfg, env, model, grid, crit)
-    aub = stage_aubry(cfg, env, model, grid, kern)
+    return env, model, grid, kern, stage_aubry(cfg, env, model, grid, kern)
+
+
+def cmd_aubry(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
+    _, _, grid, kern, aub = _through_aubry(cfg, outdir, out, compute_c)
     am, w = aub["mask"], aub["w"]
     mask_path = os.path.join(outdir, "aubry_mask.csv")
     write_mask_csv(am, mask_path)
@@ -291,12 +298,7 @@ def cmd_aubry(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
 
 
 def cmd_strict(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
-    env = build_environment(cfg)[1]
-    model = build_model(cfg)
-    grid = build_grid(cfg)
-    crit = _get_critical(cfg, env, model, grid, outdir, compute_c, out)
-    kern = stage_kernel(cfg, env, model, grid, crit)
-    aub = stage_aubry(cfg, env, model, grid, kern)
+    env, model, grid, kern, aub = _through_aubry(cfg, outdir, out, compute_c)
     strict = stage_strict(cfg, env, model, grid, kern, aub)
     w_path = os.path.join(outdir, "strict_w_eps.csv")
     save_gridfn_csv(strict["w_eps"], w_path)
@@ -339,12 +341,7 @@ def cmd_strict(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
 
 
 def cmd_regularize(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
-    env = build_environment(cfg)[1]
-    model = build_model(cfg)
-    grid = build_grid(cfg)
-    crit = _get_critical(cfg, env, model, grid, outdir, compute_c, out)
-    kern = stage_kernel(cfg, env, model, grid, crit)
-    aub = stage_aubry(cfg, env, model, grid, kern)
+    env, model, grid, kern, aub = _through_aubry(cfg, outdir, out, compute_c)
     strict = stage_strict(cfg, env, model, grid, kern, aub)
     reg = stage_regularize(cfg, env, model, grid, kern, aub, strict)
     rep = reg["report"]

@@ -22,6 +22,7 @@ from .hamiltonian import (eikonal_model, mechanical_model, nonstrict_model,
                           tilted_mechanical_model)
 
 __all__ = [
+    "MODELS",
     "SCHEMA",
     "RunConfig",
     "default_config_text",
@@ -33,6 +34,19 @@ __all__ = [
     "build_grid",
     "manifest_json",
 ]
+
+# [hamiltonian] model -> its factory, called on the section and the grid
+# dimension; the catalog that the validator and the schema help name
+MODELS = {
+    "mechanical": lambda sec, dim: mechanical_model(dim=dim, field_bound=sec["field_bound"]),
+    # one number tilts every axis alike; the model refuses other sizes
+    "tilted_mechanical": lambda sec, dim: tilted_mechanical_model(
+        sec["p0"] * dim if len(sec["p0"]) == 1 else sec["p0"], dim=dim,
+        field_bound=sec["field_bound"]),
+    "eikonal": lambda sec, dim: eikonal_model(offset=sec["offset"], dim=dim,
+                                              field_bound=sec["field_bound"]),
+    "nonstrict": lambda sec, dim: nonstrict_model(dim=dim, field_bound=sec["field_bound"]),
+}
 
 # section -> key -> (parser, default-as-string, help)
 SCHEMA = {
@@ -51,7 +65,7 @@ SCHEMA = {
         "coverage": (float, "8.0", "half-width of the sampled window (poisson_bumps)"),
     },
     "hamiltonian": {
-        "model": (str, "mechanical", "mechanical | tilted_mechanical | eikonal | nonstrict"),
+        "model": (str, "mechanical", " | ".join(MODELS)),
         "field_bound": (float, "1.0", "declared sup bound of the sampled field"),
         "p0": ("floats", "0.5", "drift covector (tilted_mechanical only)"),
         "offset": (float, "2.0", "positive speed offset (eikonal only)"),
@@ -188,7 +202,7 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"[environment] kind must be one of "
                           f"{sorted(_KIND_PARAM_KEYS)}, got {kind!r}")
     model = cfg.get("hamiltonian", "model")
-    if model not in ("mechanical", "tilted_mechanical", "eikonal", "nonstrict"):
+    if model not in MODELS:
         raise ConfigError(f"[hamiltonian] model {model!r} not in the catalog")
     dim = cfg.get("grid", "dim")
     if dim not in (1, 2):
@@ -262,18 +276,7 @@ def build_environment(cfg: RunConfig):
 
 def build_model(cfg: RunConfig):
     sec = cfg.values["hamiltonian"]
-    dim = cfg.get("grid", "dim")
-    name = sec["model"]
-    if name == "mechanical":
-        return mechanical_model(dim=dim, field_bound=sec["field_bound"])
-    if name == "tilted_mechanical":
-        # one number tilts every axis alike; the model refuses other sizes
-        p0 = sec["p0"] * dim if len(sec["p0"]) == 1 else sec["p0"]
-        return tilted_mechanical_model(p0, dim=dim, field_bound=sec["field_bound"])
-    if name == "eikonal":
-        return eikonal_model(offset=sec["offset"], dim=dim,
-                             field_bound=sec["field_bound"])
-    return nonstrict_model(dim=dim, field_bound=sec["field_bound"])
+    return MODELS[sec["model"]](sec, cfg.get("grid", "dim"))
 
 
 def build_grid(cfg: RunConfig) -> GridSpec:

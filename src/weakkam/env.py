@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridFn
+from .grid import GridFn, lattice_points
 
 __all__ = [
     "EnvSpec",
@@ -54,9 +54,6 @@ __all__ = [
     "metric_d",
     "ky_fan_from_distances",
     "ky_fan_distance",
-    "check_sublinearity",
-    "SublinearityReport",
-    "dump_coefficients",
 ]
 
 KINDS = ("periodic", "quasiperiodic", "random_fourier", "poisson_bumps")
@@ -239,13 +236,6 @@ class EnvRealization:
             return float(np.max(np.abs(self.evaluate(probe)))) * 1.25 + 0.25
         return float(np.sum(np.abs(self.amplitudes)))
 
-    def gradient_bound(self) -> float:
-        if self.centers is not None:
-            probe = _coverage_lattice(self.spec.dimension, max(self.coverage, 1.0), 8)
-            g = self.gradient(probe)
-            return float(np.max(np.linalg.norm(g, axis=1))) * 1.25 + 0.25
-        return float(2.0 * np.pi * np.sum(np.abs(self.amplitudes) * np.linalg.norm(self.freqs, axis=1)))
-
     def hessian_bound(self) -> float:
         if self.centers is not None:
             # single bump second derivative is bounded by 24/r^2 on its support
@@ -257,11 +247,7 @@ class EnvRealization:
 
 def _coverage_lattice(dim: int, halfwidth: float, per_unit: int) -> np.ndarray:
     m = max(int(np.ceil(halfwidth * per_unit)), 1)
-    ax = np.arange(-m, m + 1) / per_unit
-    if dim == 1:
-        return ax[:, None]
-    gx, gy = np.meshgrid(ax, ax, indexing="ij")
-    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+    return lattice_points(np.arange(-m, m + 1) / per_unit, dim)
 
 
 def _param(params: dict, key: str, default):
@@ -333,11 +319,9 @@ def sample_realization(spec: EnvSpec, index: int) -> EnvRealization:
 
 def _lattice_modes(dim: int, kmax: int) -> np.ndarray:
     if dim == 1:
-        ks = np.arange(1, kmax + 1, dtype=float)[:, None]
+        ks = lattice_points(np.arange(1, kmax + 1, dtype=float), 1)
     else:
-        rng_ = np.arange(-kmax, kmax + 1)
-        kx, ky = np.meshgrid(rng_, rng_, indexing="ij")
-        ks = np.stack([kx.ravel(), ky.ravel()], axis=1).astype(float)
+        ks = lattice_points(np.arange(-kmax, kmax + 1), 2).astype(float)
         keep = np.linalg.norm(ks, axis=1) > 0
         # keep one representative per +-k pair: cos is even up to phase
         keep &= (ks[:, 0] > 0) | ((ks[:, 0] == 0) & (ks[:, 1] > 0))
@@ -429,59 +413,3 @@ def ky_fan_distance(spec: EnvSpec, F, G, n_samples: int) -> tuple:
         omega = sample_realization(spec, i)
         dists[i] = metric_d(F(omega), G(omega), n_max=6, dim=spec.dimension)
     return ky_fan_from_distances(dists), dists
-
-
-@dataclass
-class SublinearityReport:
-    radii: np.ndarray
-    ratios: np.ndarray
-    threshold: float
-    passed: bool
-
-
-def check_sublinearity(v, radii, dim: int = 1) -> SublinearityReport:
-    """Track max_{|x| = R} |v(x)| / R over growing radii.
-
-    Sublinear growth shows as the ratio decaying below the threshold, half
-    the first ratio.  Needs at least two radii to say anything about a
-    trend.  In 2D each circle is sampled at 128 points.
-    """
-    radii = np.asarray(sorted(float(r) for r in radii))
-    if radii.size < 2:
-        raise ConfigError("check_sublinearity needs at least two radii")
-    if np.any(radii <= 0):
-        raise ConfigError("radii must be positive")
-    ratios = np.zeros(radii.size)
-    for i, r in enumerate(radii):
-        pts = _sphere_points(dim, r)
-        vals = np.abs(np.asarray(v(pts), dtype=float))
-        ratios[i] = float(np.max(vals)) / r
-    thr = 0.5 * ratios[0]
-    trend_ok = bool(np.all(ratios[1:] <= ratios[:-1] * 1.10))
-    passed = bool(ratios[-1] < thr) and trend_ok
-    return SublinearityReport(radii=radii, ratios=ratios, threshold=float(thr), passed=passed)
-
-
-def _sphere_points(dim: int, r: float) -> np.ndarray:
-    if dim == 1:
-        return np.array([[-r], [r]])
-    ang = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-    return r * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-
-
-def dump_coefficients(real: EnvRealization) -> str:
-    """One coefficient per line, with a small self-describing header."""
-    lines = [f"# weakkam-env version=1 kind={real.spec.kind} dim={real.spec.dimension} index={real.index}"]
-    if real.centers is not None:
-        lines.append(f"bump_radius={real.bump_radius!r}")
-        lines.append(f"coverage={real.coverage!r}")
-        for i, c in enumerate(real.centers):
-            for a, comp in enumerate(c):
-                lines.append(f"center[{i}][{a}]={float(comp)!r}")
-    else:
-        for i in range(len(real.amplitudes)):
-            lines.append(f"amplitude[{i}]={float(real.amplitudes[i])!r}")
-            for a in range(real.freqs.shape[1]):
-                lines.append(f"frequency[{i}][{a}]={float(real.freqs[i, a])!r}")
-            lines.append(f"phase[{i}]={float(real.phases[i])!r}")
-    return "\n".join(lines) + "\n"

@@ -17,20 +17,6 @@ class ConfigError(WeakKamError):
     """Malformed or inconsistent run configuration."""
 
 
-class PRadiusError(WeakKamError):
-    """Numeric Legendre transform hit the momentum grid boundary.
-
-    Either ``p_radius`` is too small or the transform is genuinely infinite
-    (velocity outside the model's reachable cone).
-    """
-
-    def __init__(self, message, q=None, p_star=None, value=None):
-        super().__init__(message)
-        self.q = q
-        self.p_star = p_star
-        self.value = value
-
-
 class SubcriticalLevelError(WeakKamError):
     """A level below the critical value was used where a supercritical one
     is required.  Carries the witness: either a point with empty sublevel

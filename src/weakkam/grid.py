@@ -24,6 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, SubcriticalLevelError, WeakKamError
 
 __all__ = [
+    "lattice_points",
     "GridSpec",
     "GridFn",
     "BoxSpec",
@@ -33,12 +34,45 @@ __all__ = [
     "policy_iteration",
     "geometric_mix",
     "save_gridfn_csv",
-    "load_gridfn_csv",
 ]
 
 
+def lattice_points(ax: np.ndarray, dim: int) -> np.ndarray:
+    """Every point of the lattice ax^dim, shape (len(ax)^dim, dim), in C
+    order: the last coordinate varies fastest."""
+    if dim == 1:
+        return ax[:, None]
+    gx, gy = np.meshgrid(ax, ax, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+
+
+class _Lattice:
+    """What a periodic grid and a box share: the nodes on the product of
+    one axis, and the offset set of a radius.  max_offset caps an offset
+    per axis: half the period on a torus, none on a box."""
+
+    def points(self) -> np.ndarray:
+        """All node coordinates, shape (size, dim), C order."""
+        return lattice_points(self.axis(), self.dim)
+
+    def offsets_within(self, radius: float, include_zero: bool = False) -> np.ndarray:
+        """Integer offsets k with |k|*h <= radius, shape (m, dim).
+
+        Ordered lexicographically; the zero offset is optional.  On a torus
+        they are clipped to half the period so each edge has a unique
+        minimal image.
+        """
+        kmax = min(int(np.floor(radius / self.h + 1e-12)), self.max_offset)
+        ks = lattice_points(np.arange(-kmax, kmax + 1), self.dim)
+        norms = np.linalg.norm(ks, axis=1) * self.h
+        keep = norms <= radius + 1e-12
+        if not include_zero:
+            keep &= norms > 0
+        return ks[keep]
+
+
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Lattice):
     """Uniform periodic grid on [0,1)^dim.
 
     dim : 1 or 2
@@ -66,28 +100,16 @@ class GridSpec:
     def size(self) -> int:
         return self.n**self.dim
 
+    @property
+    def max_offset(self) -> int:
+        return self.n // 2
+
     def axis(self) -> np.ndarray:
         return np.arange(self.n) * self.h
-
-    def points(self) -> np.ndarray:
-        """All node coordinates, shape (size, dim), C order."""
-        ax = self.axis()
-        if self.dim == 1:
-            return ax[:, None]
-        gx, gy = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
         """Map coordinates into the fundamental cell [0,1)."""
         return np.mod(x, 1.0)
-
-    def min_image(self, d: np.ndarray) -> np.ndarray:
-        """Minimal periodic representative of a displacement, in [-1/2, 1/2)."""
-        return np.mod(np.asarray(d) + 0.5, 1.0) - 0.5
-
-    def torus_dist(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        d = self.min_image(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        return np.linalg.norm(np.atleast_1d(d).reshape(-1, self.dim), axis=-1)
 
     def index_of(self, x: np.ndarray) -> int:
         """Flat index of the node nearest to x."""
@@ -97,25 +119,6 @@ class GridSpec:
         for a in range(self.dim):
             flat = flat * self.n + ix[a]
         return int(flat)
-
-    def offsets_within(self, radius: float, include_zero: bool = False) -> np.ndarray:
-        """Integer offsets k with |k|*h <= radius, shape (m, dim).
-
-        Ordered lexicographically; the zero offset is optional.  Offsets are
-        clipped to half the period so each edge has a unique minimal image.
-        """
-        kmax = min(int(np.floor(radius / self.h + 1e-12)), self.n // 2)
-        rng = np.arange(-kmax, kmax + 1)
-        if self.dim == 1:
-            ks = rng[:, None]
-        else:
-            kx, ky = np.meshgrid(rng, rng, indexing="ij")
-            ks = np.stack([kx.ravel(), ky.ravel()], axis=1)
-        norms = np.linalg.norm(ks, axis=1) * self.h
-        keep = norms <= radius + 1e-12
-        if not include_zero:
-            keep &= norms > 0
-        return ks[keep]
 
     def roll_flat(self, values: np.ndarray, k: np.ndarray) -> np.ndarray:
         """values evaluated at node - k*h, as a flat array (periodic shift).
@@ -156,10 +159,6 @@ class GridFn:
             )
 
     @classmethod
-    def from_callable(cls, grid: GridSpec, f) -> "GridFn":
-        return cls(grid, np.asarray(f(grid.points()), dtype=float).ravel())
-
-    @classmethod
     def zeros(cls, grid: GridSpec) -> "GridFn":
         return cls(grid, np.zeros(grid.size))
 
@@ -168,9 +167,6 @@ class GridFn:
 
     def shaped(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
     def normalized_at_origin(self) -> "GridFn":
         """Subtract the value at node 0 so the result vanishes at the origin."""
@@ -199,14 +195,6 @@ class GridFn:
         for a in range(self.grid.dim):
             comps.append((np.roll(v, -1, axis=a) - np.roll(v, 1, axis=a)) / (2 * h))
         return np.stack([c.ravel() for c in comps], axis=1)
-
-    def one_sided_slopes(self, axis: int) -> tuple:
-        """(backward, forward) difference quotients along an axis."""
-        v = self.shaped()
-        h = self.grid.h
-        fwd = (np.roll(v, -1, axis=axis) - v) / h
-        bwd = (v - np.roll(v, 1, axis=axis)) / h
-        return bwd.ravel(), fwd.ravel()
 
     def second_differences(self, k: np.ndarray) -> np.ndarray:
         """Centered second difference quotient along integer offset k.
@@ -251,12 +239,13 @@ class GridFn:
 
 
 @dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(_Lattice):
     """Non-periodic lattice on [-radius, radius]^dim for growing-box runs."""
 
     dim: int
     radius: float
     points_per_unit: int = 32
+    max_offset = math.inf    # a box has no period: offsets are not clipped
 
     @property
     def h(self) -> float:
@@ -278,33 +267,9 @@ class BoxSpec:
         m = int(round(self.radius * self.points_per_unit))
         return np.arange(-m, m + 1) * self.h
 
-    def points(self) -> np.ndarray:
-        ax = self.axis()
-        if self.dim == 1:
-            return ax[:, None]
-        gx, gy = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel()], axis=1)
-
     def wrap(self, x: np.ndarray) -> np.ndarray:
         """A box does not wrap: coordinates stay as they are."""
         return x
-
-    def offsets_within(self, radius: float, include_zero: bool = False) -> np.ndarray:
-        """Integer offsets k with |k|*h <= radius, shape (m, dim), ordered
-        lexicographically; the zero offset is optional.  No clipping: a box
-        has no period."""
-        kmax = int(np.floor(radius / self.h + 1e-12))
-        rng = np.arange(-kmax, kmax + 1)
-        if self.dim == 1:
-            ks = rng[:, None]
-        else:
-            kx, ky = np.meshgrid(rng, rng, indexing="ij")
-            ks = np.stack([kx.ravel(), ky.ravel()], axis=1)
-        norms = np.linalg.norm(ks, axis=1) * self.h
-        keep = norms <= radius + 1e-12
-        if not include_zero:
-            keep &= norms > 0
-        return ks[keep]
 
     def pad(self, values: np.ndarray, reach: int) -> np.ndarray:
         """values shaped on the box, over any leading axes, and extended by
@@ -527,22 +492,6 @@ class Stencil:
     def edge_cost(self, y: int, x: int) -> float:
         """Cost of the cheapest edge y -> x (+inf when there is none)."""
         return float(np.min(self.weights[self.predecessors(x) == y, x], initial=np.inf))
-
-    def minimizing_chain(self, orbit: np.ndarray, x: int) -> tuple:
-        """Optimal predecessors of the backward orbit's last row at node x.
-
-        orbit[m] = pull^m(orbit[0]) for m = 0..n.  Returns the chain forward
-        in time (n + 1 nodes, ending at x) and the cost of each of its n
-        steps.  Ties break to the smallest predecessor index.
-        """
-        chain, costs = [int(x)], []
-        for prev in orbit[-2::-1]:
-            preds = self.predecessors(chain[-1])
-            cand = np.where(preds >= 0, prev[preds] + self.weights[:, chain[-1]], np.inf)
-            k = min(np.flatnonzero(cand == np.min(cand)), key=lambda i: preds[i])
-            costs.append(self.weights[k, chain[-1]])
-            chain.append(int(preds[k]))
-        return np.array(chain[::-1], dtype=int), np.array(costs[::-1], dtype=float)
 
 
 RELAX_STOP = 1e-13
@@ -822,19 +771,3 @@ def save_gridfn_csv(fn: GridFn, path) -> None:
         buf.write(f"{i},{coord},{float(v)!r}\n")
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
-
-
-def load_gridfn_csv(path) -> GridFn:
-    with open(path) as fh:
-        head = fh.readline().strip()
-        fh.readline()  # spacing line, implied by n
-        fh.readline()  # column names
-        if not head.startswith("# gridfn"):
-            raise ConfigError(f"{path} is not a gridfn CSV (bad header {head!r})")
-        fields = dict(tok.split("=") for tok in head.split()[2:])
-        grid = GridSpec(dim=int(fields["dim"]), n=int(fields["n"]))
-        vals = np.zeros(grid.size)
-        for line in fh:
-            parts = line.strip().split(",")
-            vals[int(parts[0])] = float(parts[-1])
-    return GridFn(grid, vals)

@@ -66,24 +66,11 @@ __all__ = [
 
 
 def support_sigma(model, x, q, a: float, env=None) -> np.ndarray:
-    """sigma_a(x, q); NaN entries mark points with empty sublevel.
-
-    Closed form when the model provides one, otherwise a sup over a momentum
-    lattice (adequate for smoke tests; catalog models never hit it).
-    """
+    """sigma_a(x, q), the model's closed form; NaN entries mark points with
+    empty sublevel.  q is one row per point or one (1, dim) row for all."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     q = np.atleast_2d(np.asarray(q, dtype=float))
-    if model.sigma is not None:
-        return np.asarray(model.sigma(x, q, a, env), dtype=float)
-    from .hamiltonian import _p_lattice
-
-    lattice = _p_lattice(model.dim, 8.0, 129)
-    out = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        h = model.eval_H(np.repeat(x[i : i + 1], len(lattice), axis=0), lattice, env)
-        inside = h <= a + 1e-12
-        out[i] = np.max(lattice[inside] @ q[i]) if np.any(inside) else np.nan
-    return out
+    return np.asarray(model.sigma(x, q, a, env), dtype=float)
 
 
 def default_edge_radius(lattice, kappa_hi: float) -> float:
@@ -246,14 +233,16 @@ def _field_view(env, points: np.ndarray):
 
 def _price(model, a: float, samples: _SamplePoints) -> CostGraph:
     """The sigma_a cost graph on the sample points; raises on the first
-    empty sublevel, midpoints offset by offset, then the nodes."""
+    empty sublevel, midpoints offset by offset, then the nodes.  Each
+    offset's displacement is priced as one (1, dim) row, which sigma
+    broadcasts over the midpoints."""
     lattice, pts = samples.lattice, samples.nodes
     h = lattice.h
     m = len(samples.offsets)
     weights = np.empty((m, lattice.size))
     for idx, (k, mids, view) in enumerate(zip(samples.offsets, samples.mids, samples.fields[1:])):
         disp = np.asarray(k, dtype=float) * h
-        w = support_sigma(model, mids, np.repeat(disp[None, :], len(pts), axis=0), a, view)
+        w = support_sigma(model, mids, disp[None, :], a, view)
         bad = np.isnan(w)
         if np.any(bad):
             j = int(np.argmax(bad))
@@ -262,7 +251,7 @@ def _price(model, a: float, samples: _SamplePoints) -> CostGraph:
                 empty_at=mids[j].copy())    # a view would pin the whole batch
         weights[idx] = w
     # node-level emptiness: sigma at zero displacement
-    w0 = support_sigma(model, pts, np.zeros_like(pts), a, samples.fields[0])
+    w0 = support_sigma(model, pts, np.zeros((1, lattice.dim)), a, samples.fields[0])
     if np.any(np.isnan(w0)):
         j = int(np.argmax(np.isnan(w0)))
         raise SubcriticalLevelError(
@@ -277,11 +266,6 @@ class SemidistanceResult:
     graph: CostGraph
     source_indices: np.ndarray
     values: np.ndarray = field(repr=False)    # (n_sources, size)
-
-    def as_gridfn(self, row: int = 0) -> GridFn:
-        if not isinstance(self.graph.grid, GridSpec):
-            raise ConfigError("only periodic-grid semidistances convert to GridFn")
-        return GridFn(self.graph.grid, self.values[row])
 
 
 def semidistance(model, a: float, sources, env, lattice, radius: float | None = None,

@@ -46,9 +46,6 @@ __all__ = [
     "check_monotone_semigroup",
     "CorrectorReport",
     "check_corrector",
-    "lax_friedrichs_evolve",
-    "TimeDependentReport",
-    "check_time_dependent_solution",
 ]
 
 
@@ -103,11 +100,12 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
                  shift: float = 0.0) -> ActionKernel:
     """One-step minimal-action kernel with reach dt R(theta) + 2h.
 
-    Uses the model's closed-form Lagrangian when present, else the numeric
-    Legendre transform per edge.  Offsets whose speed is outside the model's
-    cone (L = +inf everywhere) are pruned; a kernel whose graph is then not
-    strongly connected is refused (ConfigError), because its cycle mean
-    from node 0 would price only part of the torus.
+    Prices each offset by the model's closed-form Lagrangian at the edge
+    midpoints, its velocity passed as one (1, dim) row that L broadcasts.
+    Offsets whose speed is outside the model's cone (L = +inf everywhere)
+    are pruned; a kernel whose graph is then not strongly connected is
+    refused (ConfigError), because its cycle mean from node 0 would price
+    only part of the torus.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -120,15 +118,7 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
         disp = np.asarray(k, dtype=float) * grid.h
         q = disp / dt
         mids = grid.wrap(pts + 0.5 * disp[None, :])
-        if model.L is not None:
-            lvals = model.eval_L(mids, np.repeat(q[None, :], grid.size, axis=0), env)
-        else:
-            from .hamiltonian import legendre
-
-            lvals = np.array([
-                legendre(model, mids[i], q, env, on_boundary="flag").value
-                for i in range(grid.size)])
-        cost = dt * (np.asarray(lvals, dtype=float) + shift)
+        cost = dt * (model.eval_L(mids, q[None, :], env) + shift)
         if not np.any(np.isfinite(cost)):
             continue
         kept.append(k)
@@ -294,62 +284,3 @@ def check_corrector(u: GridFn, kernel: ActionKernel, a: float, times,
                     for t, cur in zip(times, lax_minus_images(u, kernel, times))])
     return CorrectorReport(times=times, residuals=res, tol=float(tol),
                            passed=bool(np.all(res <= tol)))
-
-
-# -- independent finite-difference oracle ------------------------------------
-
-
-def lax_friedrichs_evolve(u0: GridFn, model, env, t_final: float) -> GridFn:
-    """Monotone upwind (local Lax-Friedrichs) scheme for u_t + H(x, Du) = 0.
-
-    Completely independent of the kernel machinery: explicit time stepping
-    at CFL number 0.4 with one-sided differences and a dissipation at least
-    the momentum Lipschitz bound of H over the slopes present in the data.
-    """
-    grid = u0.grid
-    slope = max(float(np.max(np.abs(b))) for b in
-                [np.concatenate(u0.one_sided_slopes(a)) for a in range(grid.dim)])
-    dissipation = float(model.dhp_bound(1.5 * slope + 2.0)) if model.dhp_bound else 1.5 * slope + 2.0
-    dissipation = max(dissipation, 1.0)
-    h = grid.h
-    dt = 0.4 * h / (dissipation * grid.dim)
-    steps = max(int(np.ceil(t_final / dt)), 1)
-    dt = t_final / steps
-    pts = grid.points()
-    u = u0.values.copy()
-    for _ in range(steps):
-        fn = GridFn(grid, u)
-        centers = []
-        visc = np.zeros(grid.size)
-        for axis in range(grid.dim):
-            bwd, fwd = fn.one_sided_slopes(axis)
-            centers.append(0.5 * (bwd + fwd))
-            visc += 0.5 * dissipation * (fwd - bwd)
-        grad = np.stack(centers, axis=1)
-        u = u - dt * (model.eval_H(pts, grad, env) - visc)
-    return GridFn(grid, u)
-
-
-@dataclass
-class TimeDependentReport:
-    t_final: float
-    max_discrepancy: float
-    tol: float
-    passed: bool
-
-
-def check_time_dependent_solution(u0: GridFn, kernel: ActionKernel,
-                                  t_final: float) -> TimeDependentReport:
-    """Kernel evolution vs the independent monotone scheme.
-
-    Both discretize the same Cauchy problem; agreement to the scheme's
-    sqrt(h)-scale accuracy, tol = 4 sqrt(h) (1 + t_final), ties the
-    variational route to the PDE route.
-    """
-    dp = lax_minus(u0, kernel, t_final)
-    dp_vals = dp.values - kernel.shift * t_final
-    fd = lax_friedrichs_evolve(u0, kernel.model, kernel.env, t_final)
-    diff = float(np.max(np.abs(dp_vals - fd.values)))
-    tol = 4.0 * np.sqrt(u0.grid.h) * (1.0 + t_final)
-    return TimeDependentReport(t_final=t_final, max_discrepancy=diff,
-                               tol=float(tol), passed=bool(diff <= tol))

@@ -12,9 +12,8 @@ it:
   differentiability the mix argument needs.
 
 Certification is separate from construction: check_strict measures the
-margin of H(x, Dv) below the level on a region bounded away from the mask,
-check_weakly_strict measures the gap against the semidistance on sampled
-pairs.  Builders return plain grid functions; callers assemble certificates.
+margin of H(x, Dv) below the level on a region bounded away from the mask.
+Builders return plain grid functions; callers assemble certificates.
 """
 
 from __future__ import annotations
@@ -24,15 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LadderError
-from .grid import GridFn, geometric_mix
+from .grid import GridFn, geometric_mix, lattice_points
 from .hamiltonian import kappa, lipschitz_radius
 from .semigroup import ActionKernel, lax_minus_images, semigroup_orbit
 
 __all__ = [
     "StrictnessCertificate",
     "check_strict",
-    "WeakStrictnessReport",
-    "check_weakly_strict",
     "dyadic_fill_times",
     "build_strict_strictly_convex",
     "sup_convolution_time",
@@ -53,7 +50,7 @@ def _near_mask(grid, mask: np.ndarray, d0: float) -> np.ndarray:
     touches it: the mask dilated by every lattice offset k with |k| h < d0
     and by the one-cell ring."""
     half = np.arange(-(grid.n // 2), grid.n - grid.n // 2)    # minimal images
-    ks = np.stack(np.meshgrid(*[half] * grid.dim, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+    ks = lattice_points(half, grid.dim)
     ks = ks[(np.sum(np.abs(ks), axis=1) <= 1) | (np.linalg.norm(ks * grid.h, axis=1) < d0)]
     m = mask.reshape(grid.shape)
     out = np.zeros_like(m)
@@ -105,54 +102,6 @@ def check_strict(v: GridFn, model, env, mask, d0: float,
         a=a, d0=d0, delta=delta, worst_index=worst, worst_point=pts[worst],
         h=grid.h, tol=0.0, n_region=int(region.sum()),
         passed=bool(delta > 0.0))
-
-
-@dataclass
-class WeakStrictnessReport:
-    """Smallest gap S(y, x) - (v(x) - v(y)) over sampled off-mask pairs."""
-
-    min_gap: float
-    worst_pair: tuple
-    n_pairs: int
-    separation: float
-    tol: float
-    passed: bool
-
-
-def check_weakly_strict(v: GridFn, semidist, mask) -> WeakStrictnessReport:
-    """Strict inequality against the semidistance, sampled.
-
-    Pairs run over the semidistance's off-mask sources y and all off-mask
-    targets x with torus separation >= 2h; the diagonal saturates S
-    identically and is excluded.
-    """
-    grid = v.grid
-    m = _mask_array(mask)
-    sep = 2.0 * grid.h
-    pts = grid.points()
-    min_gap = np.inf
-    worst = None
-    n_pairs = 0
-    for row, y_idx in enumerate(semidist.source_indices):
-        if m[y_idx]:
-            continue
-        far = grid.torus_dist(pts, pts[y_idx]) >= sep - 1e-12
-        sel = far & ~m
-        if not np.any(sel):
-            continue
-        gaps = semidist.values[row, sel] - (v.values[sel] - v.values[y_idx])
-        n_pairs += int(sel.sum())
-        j = int(np.argmin(gaps))
-        if gaps[j] < min_gap:
-            min_gap = float(gaps[j])
-            worst = (int(y_idx), int(np.nonzero(sel)[0][j]))
-    if n_pairs == 0:
-        raise ConfigError(
-            "no valid off-mask pairs at the requested separation; "
-            "the mask complement is empty or the separation too large")
-    return WeakStrictnessReport(min_gap=min_gap, worst_pair=worst,
-                                n_pairs=n_pairs, separation=sep,
-                                tol=0.0, passed=bool(min_gap > 0.0))
 
 
 # -- builders --------------------------------------------------------------

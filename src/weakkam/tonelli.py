@@ -3,15 +3,13 @@
 Everything here assumes a Tonelli-flagged model: smooth, uniformly convex
 in momentum, with controlled derivatives.  On those models
 
-* minimizing chains of the discrete semigroup shadow backward Hamiltonian
-  characteristics (verify_minimizer_is_characteristic measures how well),
+* the characteristic system integrates with an audited energy drift
+  (flow_integrate),
 * a short-time contraction window with explicit constants controls the
   position map of gradient-fed flows (regular_window, contraction_check),
 * the two-sided smoothing T^-_t after T^+_s upgrades a strict subsolution
   to one with two-sided second-difference bounds — a gradient-Lipschitz
-  proxy — without moving it on the Aubry mask (bernard_regularize),
-* backward images of semiconvex data coincide with the sup of backward
-  images of their subtangent paraboloids (check_envelope_identity).
+  proxy — without moving it on the Aubry mask (bernard_regularize).
 
 Non-Tonelli models are refused with the failed requirements listed, not
 approximated.
@@ -27,15 +25,13 @@ from .aubry import default_eps, verify_member
 from .errors import ConfigError, NotTonelliError
 from .grid import GridFn
 from .hamiltonian import kappa, lipschitz_radius
-from .semigroup import ActionKernel, lax_minus, lax_plus, semigroup_orbit
+from .semigroup import ActionKernel, lax_minus, lax_plus
 from .subsol import StrictnessCertificate, check_strict, _mask_array
 
 __all__ = [
     "FlowState",
     "Trajectory",
     "flow_integrate",
-    "CharacteristicReport",
-    "verify_minimizer_is_characteristic",
     "SemiconcavityReport",
     "estimate_semiconcavity",
     "kernel_semiconcavity",
@@ -45,10 +41,6 @@ __all__ = [
     "contraction_check",
     "BernardReport",
     "bernard_regularize",
-    "EnvelopeReport",
-    "check_envelope_identity",
-    "lifted_mask_deviation",
-    "mask_gradient_agreement",
 ]
 
 
@@ -112,8 +104,6 @@ def flow_integrate(model, env, state0: FlowState, t: float, dt: float) -> Trajec
             f"flow state has xi.size={state0.xi.size} and "
             f"eta.size={state0.eta.size}, but model '{model.name}' has "
             f"dimension {dim}")
-    if model.DH is None:
-        raise ConfigError(f"model {model.name} has no derivative data")
     n = max(int(round(abs(t) / dt)), 1)
     step = float(np.sign(t) if t != 0 else 1.0) * abs(t) / n
     half, sixth = 0.5 * step, step / 6.0
@@ -142,50 +132,6 @@ def flow_integrate(model, env, state0: FlowState, t: float, dt: float) -> Trajec
     energy = np.asarray(model.eval_H(xi, eta, env), dtype=float)
     drift = float(np.max(np.abs(energy - energy[0])))
     return Trajectory(times=times, xi=xi, eta=eta, energy=energy, drift=drift)
-
-
-# -- minimizers vs characteristics ------------------------------------------
-
-
-@dataclass
-class CharacteristicReport:
-    """Deviation between a DP minimizing chain and the backward flow."""
-
-    chain_indices: np.ndarray
-    chain_points: np.ndarray
-    flow_points: np.ndarray
-    terminal_momentum: np.ndarray
-    max_deviation: float
-    energy_drift: float
-
-
-def verify_minimizer_is_characteristic(u: GridFn, kernel: ActionKernel,
-                                       x_index: int, t: float) -> CharacteristicReport:
-    """Shadow the minimizing chain of (T^-_t u)(x) by a characteristic.
-
-    The chain is rebuilt from the one-step dynamic program; the terminal
-    momentum is the central-difference gradient of T^-_t u at x; the flow
-    runs backward from (x, p) in steps of about 1e-3 and is compared at the
-    chain times.
-    """
-    model, env, grid = kernel.model, kernel.env, kernel.grid
-    _require_tonelli(model, "characteristic verification")
-    n_steps = kernel.steps_of(t)
-    orbit = semigroup_orbit(u, kernel, n_steps)
-    chain, _ = kernel.minimizing_chain(orbit, x_index)
-    pts = grid.points()
-    p_term = GridFn(grid, orbit[n_steps]).central_gradient()[int(x_index)]
-
-    # one flow substep count per kernel step, so samples land on chain times
-    sub = max(int(round(kernel.dt / 1e-3)), 1)
-    traj = flow_integrate(model, env, FlowState(pts[int(x_index)], p_term),
-                          -t, kernel.dt / sub)
-    flow_pts = traj.xi[::sub][: n_steps + 1][::-1]   # forward order
-    dev = grid.torus_dist(flow_pts, pts[chain])
-    return CharacteristicReport(
-        chain_indices=chain, chain_points=pts[chain], flow_points=flow_pts,
-        terminal_momentum=p_term, max_deviation=float(np.max(dev)),
-        energy_drift=traj.drift)
 
 
 # -- semiconcavity ----------------------------------------------------------
@@ -290,29 +236,6 @@ class RegularWindow:
     constraints: dict = field(default_factory=dict)
 
 
-def _sampled_flow_lipschitz(model, env, rho: float) -> float:
-    """Fallback ell: sampled difference quotients of (H_x, H_p), doubled."""
-    dim = model.dim
-    xs = np.random.default_rng(7).uniform(0.0, 1.0, size=(256, dim))
-    ps = np.linspace(-rho, rho, 9)
-    grids = np.meshgrid(*([ps] * dim), indexing="ij")
-    pp = np.stack([g.ravel() for g in grids], axis=1)
-    best = 0.0
-    eps = 1e-4
-    for d in range(dim):
-        ex = np.zeros(dim)
-        ex[d] = eps
-        for probe in (xs[: len(pp)], ):
-            m = min(len(probe), len(pp))
-            hx1, hp1 = model.eval_DH(probe[:m] + ex, pp[:m], env)
-            hx0, hp0 = model.eval_DH(probe[:m] - ex, pp[:m], env)
-            best = max(best, float(np.max(np.abs(np.c_[hx1 - hx0, hp1 - hp0]))) / (2 * eps))
-            hx1, hp1 = model.eval_DH(probe[:m], pp[:m] + ex, env)
-            hx0, hp0 = model.eval_DH(probe[:m], pp[:m] - ex, env)
-            best = max(best, float(np.max(np.abs(np.c_[hx1 - hx0, hp1 - hp0]))) / (2 * eps))
-    return 2.0 * max(best, 1.0)
-
-
 def regular_window(kappa0: float, lam: float, model, env) -> RegularWindow:
     """Constants (rho, ell, t0, A) of the short-time contraction estimate.
 
@@ -334,10 +257,7 @@ def regular_window(kappa0: float, lam: float, model, env) -> RegularWindow:
     e0 = max(float(np.max(model.eval_H(xs, np.broadcast_to(p, xs.shape), env)))
              for p in pp)
     rho = kappa(model, e0, env)
-    if model.l_r is not None:
-        ell = float(model.l_r(rho, env))
-    else:
-        ell = _sampled_flow_lipschitz(model, env, rho)
+    ell = float(model.l_r(rho, env))
     r0 = lipschitz_radius(kappa0, model)
     root = float(np.sqrt(1.0 + lam * lam))
     t0 = None
@@ -501,95 +421,3 @@ def bernard_regularize(w: GridFn, kernel: ActionKernel, a: float,
         strictness=strict_cert, strict_ok=strict_ok, warnings=warnings,
         passed=bool(all(checks)))
     return w_eps, report
-
-
-# -- paraboloid envelopes ---------------------------------------------------
-
-
-@dataclass
-class EnvelopeReport:
-    """Backward images of data vs of its subtangent paraboloids."""
-
-    sample_indices: np.ndarray
-    discrepancies: np.ndarray
-    max_discrepancy: float
-    min_discrepancy: float
-
-
-def check_envelope_identity(w: GridFn, kernel: ActionKernel, t: float,
-                            k_semiconvex: float, sample_indices) -> EnvelopeReport:
-    """At sampled x: evolve the subtangent paraboloid at the argmin of the
-    backward image and compare values.
-
-    The paraboloid psi(z) = w(y) + <p, z - y> - (K/2)|z - y|^2 (torus
-    displacement, central-difference p) lies below w when K dominates the
-    semiconvexity constant, so the discrepancy is one-sided up to FD slop.
-    The identity needs the short-time window K t < 1: beyond it the
-    penalized backward image of psi degenerates (its minimizer escapes the
-    contact point) and the discrepancy is O(K) rather than O(h + dt).
-    """
-    grid = kernel.grid
-    pts = grid.points()
-    grads = w.central_gradient()
-    samples = np.atleast_1d(np.asarray(sample_indices, dtype=int))
-    cols = kernel.reversed().walk_costs(samples, kernel.steps_of(t))    # h_t(., x)
-    disc = np.empty(len(samples))
-    for row, h_col in enumerate(cols):
-        col = w.values + h_col
-        y = int(np.argmin(col))
-        direct = float(col[y])
-        delta = grid.min_image(pts - pts[y])
-        psi = w.values[y] + delta @ grads[y] \
-            - 0.5 * k_semiconvex * np.sum(delta * delta, axis=1)
-        evolved = float(np.min(psi + h_col))
-        disc[row] = direct - evolved
-    return EnvelopeReport(sample_indices=samples, discrepancies=disc,
-                          max_discrepancy=float(np.max(disc)),
-                          min_discrepancy=float(np.min(disc)))
-
-
-# -- Aubry rigidity helpers -------------------------------------------------
-
-
-def lifted_mask_deviation(mask, w: GridFn, model, env, t_span: float = 1.0,
-                          dt: float = 1e-3) -> float:
-    """Flow (x, D_h w(x)) from every mask point over [-t_span, t_span] and
-    return the largest phase-space distance to the lifted mask, read at 8
-    evenly spaced times of each trajectory.
-
-    Distance combines torus position distance and momentum distance to the
-    nearest lifted mask point; invariance holds when it stays at cell scale.
-    """
-    grid = w.grid
-    m = _mask_array(mask)
-    idx = np.nonzero(m)[0]
-    if idx.size == 0:
-        raise ConfigError("empty mask: nothing to flow")
-    pts = grid.points()
-    grads = w.central_gradient()
-    lift_x = pts[idx]
-    lift_p = grads[idx]
-    worst = 0.0
-    for i in idx:
-        for sign in (+1.0, -1.0):
-            traj = flow_integrate(model, env, FlowState(pts[i], grads[i]),
-                                  sign * t_span, dt)
-            sel = np.linspace(0, len(traj.times) - 1, 8).astype(int)
-            for k in sel:
-                dx = grid.torus_dist(lift_x, traj.xi[k])
-                dp = np.linalg.norm(lift_p - traj.eta[k], axis=1)
-                worst = max(worst, float(np.min(np.sqrt(dx * dx + dp * dp))))
-    return worst
-
-
-def mask_gradient_agreement(fns, mask) -> float:
-    """Largest pairwise FD-gradient discrepancy on the mask."""
-    m = _mask_array(mask)
-    if not np.any(m):
-        raise ConfigError("empty mask: nothing to compare")
-    grads = [f.central_gradient()[m] for f in fns]
-    worst = 0.0
-    for i in range(len(grads)):
-        for j in range(i + 1, len(grads)):
-            worst = max(worst, float(np.max(np.linalg.norm(grads[i] - grads[j], axis=1))))
-    return worst

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 from conftest import record_criterion
+from oracles import lifted_mask_deviation, mask_gradient_agreement, min_image
 
 import weakkam as wk
 from weakkam.aubry import build_library, build_w, detect_aubry, verify_member
@@ -30,9 +31,7 @@ from weakkam.semigroup import (build_kernel, check_corrector,
 from weakkam.subsol import (build_strict_convex, build_strict_strictly_convex,
                             check_strict, density_mix, truncation_budget)
 from weakkam.tonelli import (FlowState, bernard_regularize, contraction_check,
-                             flow_integrate, kernel_semiconcavity,
-                             lifted_mask_deviation, mask_gradient_agreement,
-                             regular_window)
+                             flow_integrate, kernel_semiconcavity, regular_window)
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +60,7 @@ def test_criterion_01_free_action_oracle(flat64):
                         dt=1.0 / 64.0, theta=1.02)
     table = kern.at(1.0)
     pts = grid.points()
-    gap = grid.min_image(pts[None, :, :] - pts[:, None, :])[..., 0]
+    gap = min_image(pts[None, :, :] - pts[:, None, :])[..., 0]
     err = float(np.max(np.abs(table - gap * gap / 2.0)))
     passed = err <= 5e-2
     record_criterion(1, "free-action-oracle", passed,
@@ -131,7 +130,7 @@ def test_criterion_04_semigroup_laws(pend256, pendulum_corrector):
     reports = [check_monotone_semigroup(v, kern, c, times) for v in five]
     worst_inc = min(rep.min_increment for rep in reports)
     mono_ok = all(rep.passed for rep in reports) and worst_inc >= -1e-9
-    u = GridFn.from_callable(grid, lambda p: pendulum_corrector(p[:, 0]))
+    u = GridFn(grid, pendulum_corrector(grid.points()[:, 0]))
     r_hat = lipschitz_radius(kappa(pend256["model"], c + 0.02, pend256["env"]),
                              pend256["model"])
     tol = 1.5 * grid.h * r_hat

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 from conftest import VERIFY_CONFIGS, minplus_product, one_step_table, verify_config
+from oracles import extract_calibrated_curve, fixed_point_set
 
 import weakkam as wk
-from weakkam.aubry import (build_library, build_w,
-                           classical_aubry, default_eps, detect_aubry,
-                           extract_calibrated_curve, fixed_point_set,
-                           lax_extension, verify_member)
+from weakkam.aubry import (build_library, build_w, classical_aubry, default_eps,
+                           detect_aubry, lax_extension, verify_member)
 from weakkam.cli import stage_critical, stage_kernel
 from weakkam.config import build_environment, build_grid, build_model
 from weakkam.errors import (ConfigError, EmptyAubryMaskError,

@@ -7,11 +7,11 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import load_gridfn_csv
 
 import weakkam
 from weakkam.cli import main
 from weakkam.config import parse_config_text
-from weakkam.grid import load_gridfn_csv
 
 CFG_TEXT = """\
 [environment]

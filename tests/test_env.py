@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 from conftest import SMALL_OBJECTS, peak_bytes
+from oracles import check_sublinearity
 
 import weakkam as wk
-from weakkam.env import (EnvSpec, check_sublinearity, dump_coefficients,
-                         ky_fan_distance, ky_fan_from_distances, metric_d,
-                         sample_realization)
+from weakkam.env import (EnvSpec, ky_fan_distance, ky_fan_from_distances,
+                         metric_d, sample_realization)
 from weakkam.errors import ConfigError
 from weakkam.grid import GridFn, GridSpec
 
@@ -34,7 +34,6 @@ def test_periodic_single_cosine_values_and_gradient():
     assert np.allclose(env.evaluate(x), np.cos(2 * np.pi * x[:, 0]))
     assert np.allclose(env.gradient(x)[:, 0], -2 * np.pi * np.sin(2 * np.pi * x[:, 0]))
     assert env.field_bound() == 1.0
-    assert np.isclose(env.gradient_bound(), 2 * np.pi)
     assert np.isclose(env.hessian_bound(), (2 * np.pi) ** 2)
 
 
@@ -194,7 +193,7 @@ def test_metric_d_of_constant_offset_matches_series():
 
 def test_metric_d_accepts_gridfns_periodically_extended():
     grid = GridSpec(dim=1, n=32)
-    f = GridFn.from_callable(grid, lambda x: np.cos(2 * np.pi * x[:, 0]))
+    f = GridFn(grid, np.cos(2 * np.pi * grid.points()[:, 0]))
     g = GridFn.zeros(grid)
     val = metric_d(f, g, n_max=4)
     sup = 1.0
@@ -236,14 +235,6 @@ def test_sublinearity_accepts_bounded_rejects_linear():
     assert not rep2.passed
     with pytest.raises(ConfigError):
         check_sublinearity(bounded, radii=(2.0,))
-
-
-def test_dump_coefficients_is_self_describing():
-    spec = EnvSpec(kind="periodic", dimension=1, seed=0,
-                   params={"amplitudes": (1.0,)})
-    text = dump_coefficients(sample_realization(spec, 0))
-    assert text.splitlines()[0].startswith("# weakkam-env version=1 kind=periodic")
-    assert "amplitude[0]=1.0" in text
 
 
 def test_package_reexports_environment_api():

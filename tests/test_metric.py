@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 from conftest import SMALL_OBJECTS, CountingField, peak_bytes
+from oracles import torus_dist
 
 import weakkam as wk
 from weakkam.errors import ConfigError, SubcriticalLevelError
 from weakkam.grid import BoxSpec, GridFn, GridSpec, relax
+from weakkam.config import MODELS
 from weakkam.hamiltonian import (kappa, mechanical_model, reversed_model,
                                  tilted_mechanical_model)
+from weakkam.semigroup import build_kernel
 from weakkam.metric import (_SamplePoints, build_cost_graph, check_subsolution,
                             critical_value_free, critical_value_stationary,
                             default_edge_radius, semidistance, support_sigma)
@@ -45,9 +48,9 @@ def test_flat_semidistance_is_the_torus_metric(flat_env):
     m = mechanical_model(dim=1, field_bound=0.0)
     g = GridSpec(dim=1, n=64)
     sd = semidistance(m, 0.5, [0], flat_env, g, radius=0.1)
-    expected = g.torus_dist(g.points(), np.zeros((1, 1)))
+    expected = torus_dist(g, g.points(), np.zeros((1, 1)))
     assert np.max(np.abs(sd.values[0] - expected)) == 0.0
-    assert sd.as_gridfn(0).values[0] == 0.0
+    assert sd.values[0, 0] == 0.0
 
 
 def test_semidistance_triangle_inequality(cosine_env):
@@ -265,6 +268,35 @@ def test_cost_graph_prices_each_offset_from_its_own_midpoint_batch():
         mids = pts - 0.5 * disp[None, :]
         expected = support_sigma(m, mids, np.repeat(disp[None, :], len(pts), axis=0), 0.6, env)
         assert np.array_equal(row, expected)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", list(MODELS))
+def test_one_row_displacements_price_as_repeated_rows(name, dim):
+    """Cost graphs and kernels hand sigma and L each displacement as one
+    (1, dim) row to broadcast; priced with that row repeated at every
+    point, as they were before, every weight has the same bits."""
+    model = MODELS[name]({"field_bound": 1.0, "p0": [0.5], "offset": 2.0}, dim)
+    env = _cosine_env(1) if dim == 1 else _stationary_realization(2)
+    grid = GridSpec(dim=dim, n=32)
+    for lattice in (grid, BoxSpec(dim=dim, radius=1.0, points_per_unit=8)):
+        graph = build_cost_graph(model, 1.5, env, lattice, radius=3 * lattice.h)
+        pts = lattice.points()
+        for k, row in zip(graph.offsets, graph.weights):
+            disp = np.asarray(k, dtype=float) * lattice.h
+            mids = lattice.wrap(pts - 0.5 * disp[None, :])
+            rows = np.repeat(disp[None, :], len(pts), axis=0)
+            assert row.tobytes() == support_sigma(model, mids, rows, 1.5, env).tobytes()
+    kern = build_kernel(model, env, grid, dt=1.0 / 16.0, theta=2.0)
+    # no two offsets join the same node pair, so no row is a merged minimum
+    assert len({tuple(k % grid.n) for k in kern.offsets}) == len(kern.offsets)
+    pts = grid.points()
+    for k, row in zip(kern.offsets, kern.weights):
+        disp = np.asarray(k, dtype=float) * grid.h
+        mids = grid.wrap(pts + 0.5 * disp[None, :])
+        rows = np.repeat((disp / kern.dt)[None, :], grid.size, axis=0)
+        cost = kern.dt * (model.eval_L(mids, rows, env) + 0.0)
+        assert row.tobytes() == grid.roll_flat(cost, k).tobytes()
 
 
 def _critical_value_level_by_level(model, env, lattice, tol_bisect=5e-3,

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import SMALL_OBJECTS, peak_bytes, walk_table
+from oracles import check_time_dependent_solution, minimizing_chain
 
 import weakkam as wk
 from weakkam import grid as grid_module
@@ -15,7 +16,6 @@ from weakkam.hamiltonian import (eikonal_model, kappa, mechanical_model,
                                  nonstrict_model, reversed_model)
 from weakkam.semigroup import (build_kernel, check_corrector,
                                check_monotone_semigroup,
-                               check_time_dependent_solution,
                                discrete_critical_value, lax_minus,
                                lax_minus_images, lax_plus, refold_kernel,
                                semigroup_orbit)
@@ -95,7 +95,7 @@ def test_minimizing_chain_breaks_ties_to_the_smallest_index(flat64):
     costs = kern.at(kern.dt)[:, 5]
     cand = u + costs
     assert cand[4] == cand[6] == np.min(cand)
-    chain, step_costs = kern.minimizing_chain(orbit, 5)
+    chain, step_costs = minimizing_chain(kern, orbit, 5)
     assert chain.tolist() == [4, 5] and int(np.argmin(cand)) == 4
     assert step_costs.tolist() == [costs[4]]
 
@@ -339,7 +339,7 @@ def test_semigroup_orbit_shape_and_start(pend64):
 
 def test_kernel_vs_monotone_scheme_comparison(pend64):
     kern, grid = pend64["kernel"], pend64["grid"]
-    u0 = GridFn.from_callable(grid, lambda x: 0.3 * np.cos(2 * np.pi * x[:, 0]))
+    u0 = GridFn(grid, 0.3 * np.cos(2 * np.pi * grid.points()[:, 0]))
     rep = check_time_dependent_solution(u0, kern, 0.25)
     assert rep.passed, (rep.max_discrepancy, rep.tol)
     assert rep.max_discrepancy <= 4.0 * np.sqrt(grid.h) * 1.25

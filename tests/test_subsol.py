@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import check_weakly_strict, min_image
 
 import weakkam as wk
 from weakkam.aubry import build_library, build_w, detect_aubry
@@ -13,7 +14,7 @@ from weakkam.semigroup import (build_kernel, discrete_critical_value,
                                lax_minus, refold_kernel)
 from weakkam.subsol import (_near_mask, build_strict_convex,
                             build_strict_strictly_convex, check_strict,
-                            check_weakly_strict, density_mix, dyadic_fill_times,
+                            density_mix, dyadic_fill_times,
                             sup_convolution_time, truncation_budget)
 
 
@@ -175,7 +176,7 @@ def _region_by_displacements(grid, mask, d0):
     src = pts[mask]
     dist = np.full(grid.size, np.inf)
     if len(src):
-        d = grid.min_image(pts[:, None, :] - src[None, :, :])
+        d = min_image(pts[:, None, :] - src[None, :, :])
         dist = np.min(np.linalg.norm(d, axis=-1), axis=1)
     m = mask.reshape(grid.shape)
     ring = m.copy()

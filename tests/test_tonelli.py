@@ -5,6 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import CountingField, verify_config, walk_table
+from oracles import (check_envelope_identity, lifted_mask_deviation,
+                     mask_gradient_agreement, min_image,
+                     verify_minimizer_is_characteristic)
 
 import weakkam as wk
 from weakkam.config import build_environment, build_grid, build_model
@@ -14,12 +17,9 @@ from weakkam.hamiltonian import (eikonal_model, mechanical_model, reversed_model
                                  tilted_mechanical_model)
 from weakkam.semigroup import build_kernel, refold_kernel
 from weakkam.subsol import build_strict_strictly_convex
-from weakkam.tonelli import (FlowState, bernard_regularize,
-                             check_envelope_identity, contraction_check,
+from weakkam.tonelli import (FlowState, bernard_regularize, contraction_check,
                              estimate_semiconcavity, flow_integrate,
-                             kernel_semiconcavity, lifted_mask_deviation,
-                             mask_gradient_agreement, regular_window,
-                             verify_minimizer_is_characteristic)
+                             kernel_semiconcavity, regular_window)
 
 
 def test_non_tonelli_models_are_refused(flat64):
@@ -57,7 +57,7 @@ def test_pendulum_flow_reverses_and_conserves_energy(pend64):
 def _textbook_rk4(model, env, x, p, step, n):
     """n classical RK4 steps of xi' = H_p, eta' = -H_x, one point at a time."""
     def rhs(x, p):
-        hx, hp = model.eval_DH(x, p, env)
+        hx, hp = model.DH(np.atleast_2d(x), np.atleast_2d(p), env)
         return hp[0], -hx[0]
 
     xs, ps = [x], [p]
@@ -141,7 +141,7 @@ def test_flow_refuses_a_state_of_the_wrong_size(x0, p0):
 
 def test_second_difference_scan_matches_discrete_eigenvalue(pend64):
     grid = pend64["grid"]
-    v = GridFn.from_callable(grid, lambda x: np.cos(2 * np.pi * x[:, 0]))
+    v = GridFn(grid, np.cos(2 * np.pi * grid.points()[:, 0]))
     rep = estimate_semiconcavity(v, k_reference=(2 * np.pi) ** 2)
     exact = (2.0 - 2.0 * np.cos(2 * np.pi * grid.h)) / grid.h**2
     assert rep.k_upper == exact
@@ -152,8 +152,8 @@ def test_second_difference_scan_matches_discrete_eigenvalue(pend64):
 
 def test_kinks_score_at_the_flagging_scale(pend64):
     grid = pend64["grid"]
-    v = GridFn.from_callable(grid, lambda x: np.minimum(x[:, 0] % 1.0,
-                                                        1.0 - x[:, 0] % 1.0))
+    x = grid.points()[:, 0] % 1.0
+    v = GridFn(grid, np.minimum(x, 1.0 - x))
     rep = estimate_semiconcavity(v)
     assert rep.k_upper == 2.0 / grid.h and rep.k_lower == -2.0 / grid.h
     assert rep.unbounded_above and rep.unbounded_below
@@ -273,7 +273,7 @@ def test_smoothing_without_mask_or_strictness_flag(pend64):
 
 def test_envelope_identity_at_one_step(pend64):
     kern, grid = pend64["kernel"], pend64["grid"]
-    u0 = GridFn.from_callable(grid, lambda x: 0.3 * np.cos(2 * np.pi * x[:, 0]))
+    u0 = GridFn(grid, 0.3 * np.cos(2 * np.pi * grid.points()[:, 0]))
     rep = check_envelope_identity(u0, kern, kern.dt, 0.3 * (2 * np.pi) ** 2,
                                   [0, 16, 32, 48])
     # the paraboloid sits below the data and shares the contact argmin
@@ -298,7 +298,7 @@ def test_envelope_columns_match_the_all_pairs_table(pend64):
         for x in samples:
             col = w.values + table[:, x]
             y = int(np.argmin(col))
-            delta = grid.min_image(pts - pts[y])
+            delta = min_image(pts - pts[y])
             psi = (w.values[y] + delta @ grads[y]
                    - 0.5 * k_semiconvex * np.sum(delta * delta, axis=1))
             expected.append(col[y] - np.min(psi + table[:, x]))
@@ -309,7 +309,7 @@ def test_envelope_columns_match_the_all_pairs_table(pend64):
 
 def test_lifted_mask_is_flow_invariant_for_the_corrector(pend64, pendulum_corrector):
     model, env, mask = pend64["model"], pend64["env"], pend64["mask"]
-    u = GridFn.from_callable(pend64["grid"], lambda p: pendulum_corrector(p[:, 0]))
+    u = GridFn(pend64["grid"], pendulum_corrector(pend64["grid"].points()[:, 0]))
     assert u.central_gradient()[0][0] == 0.0
     dev = lifted_mask_deviation(mask, u, model, env, t_span=1.0, dt=1e-3)
     assert dev == 0.0
@@ -319,8 +319,7 @@ def test_lifted_mask_is_flow_invariant_for_the_corrector(pend64, pendulum_correc
 
 def test_gradients_agree_on_the_mask_for_symmetric_members(pend64, pendulum_corrector):
     lib, mask = pend64["lib"], pend64["mask"]
-    corrector = GridFn.from_callable(pend64["grid"],
-                                     lambda p: pendulum_corrector(p[:, 0]))
+    corrector = GridFn(pend64["grid"], pendulum_corrector(pend64["grid"].points()[:, 0]))
     assert mask_gradient_agreement(lib.members[:2], mask) == 0.0
     assert mask_gradient_agreement([corrector, lib.members[0]], mask) == 0.0
     with pytest.raises(ConfigError):
