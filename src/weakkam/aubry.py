@@ -171,9 +171,6 @@ class AubryMask:
     def indices(self) -> np.ndarray:
         return np.nonzero(self.mask)[0]
 
-    def coords(self) -> np.ndarray:
-        return self.grid.points()[self.mask]
-
 
 def _tail_times(kernel: ActionKernel, t_max: float) -> tuple:
     ladder = kernel.ladder(t_max)

@@ -16,13 +16,13 @@ rounding error, and tau is an exact group action.
 
 Evaluation at m points holds little beyond its result.  A cosine sum builds
 one (m, modes) array of angles x . freqs, scales and shifts it in place and
-takes its cosines (sines for the gradient) in the same buffer: the same
-operations on the same operands as the textbook expression, so every value
-keeps its bits.  The final matrix-vector product may round a row
-differently by its place in the batch, so a caller that needs values for a
-batch and for row blocks of it as their own arrays (the bisection of
-metric.critical_value_free) gets both from one cosine table, with one
-product per block and one over the batch.  That table is filled along a
+takes its cosines in the same buffer: the same operations on the same
+operands as the textbook expression, so every value keeps its bits.  The
+final matrix-vector product may round a row differently by its place in
+the batch, so a caller that needs values for a batch and for row blocks of
+it as their own arrays (the bisection of metric.critical_value_free) gets
+both from one cosine table, with one product per block and one over the
+batch.  That table is filled along a
 plan of regions, each either computed or copied from an earlier region
 that holds the same points: a point's cosines do not depend on the rows
 it is computed with, so a copy is made only where the coordinates are
@@ -32,6 +32,9 @@ blocks of rows whose (rows, centers, dim) differences hold ~32768 entries;
 every bump sum reduces within one row, so blocking moves no bit and memory
 beyond the result does not grow with m.
 
+The gradient is taken at one point, in Python floats: the characteristic
+flow is its one caller, once per RK4 stage (see EnvRealization.gradient).
+
 Amplitudes of the random Fourier generator are deliberately deterministic:
 a random amplitude would be a translation-invariant random variable and the
 ensemble would stop being ergodic, which breaks every growing-box
@@ -40,6 +43,7 @@ concentration experiment downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +61,8 @@ __all__ = [
 ]
 
 KINDS = ("periodic", "quasiperiodic", "random_fourier", "poisson_bumps")
+
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,13 @@ class EnvRealization:
     centers: np.ndarray | None = None        # poisson bump centers
     bump_radius: float = 0.0
     coverage: float = 0.0                    # bumps valid for |x|_inf <= coverage
+
+    def __post_init__(self):
+        # (frequency row, phase, amplitude) per mode as Python floats, for
+        # the point-wise gradient
+        if self.amplitudes is not None:
+            self._modes = list(zip(self.freqs.tolist(), self.phases.tolist(),
+                                   self.amplitudes.tolist()))
 
     # -- evaluation ------------------------------------------------------
 
@@ -166,25 +179,32 @@ class EnvRealization:
                   for a, b in spans]
         return table @ self.amplitudes, blocks
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Field gradient; x has shape (m, dim) or (dim,).
+    def gradient(self, x) -> list:
+        """DV at one point x, given as dim floats, as a list of dim floats.
 
-        An (m, dim) float array is used as it is, without a wrapper call:
-        the RK4 flow calls this once per stage on one row.  Bit rule: the
-        sines and both matrix products are these numpy calls on the rows
-        as given.  np.sin is not math.sin, and a BLAS product may round
-        differently from a Python sum, so none of them may be swapped for
-        scalar math without moving trajectory bits.
+        The RK4 flow calls this once per stage.  A cosine sum takes, per
+        mode k, the angle (x . f_k) 2 pi + phi_k and s_k = a_k sin(angle),
+        and component i is -2 pi sum_k s_k f_ki, summed over k left to
+        right with Python float + (not sum(), which compensates on Python
+        >= 3.12, nor math.fsum).  In 1D an angle is one product, and with
+        one mode the sum is one product, so a single-mode cosine has the
+        bits of the array expression -2 pi (a sin(2 pi x @ f.T + phi)) @ f;
+        with several modes a BLAS product adds in another order, or fused,
+        and the two differ by summation rounding.  A bump cloud is summed
+        by numpy over its centers on one (1, dim) row, as an array of rows
+        would be.
         """
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2:
-            x = np.atleast_2d(x)
         if self.centers is not None:
-            return self._grad_bumps(x)
-        ang = self._angles(x)
-        np.sin(ang, out=ang)
-        ang *= self.amplitudes
-        return -2.0 * np.pi * (ang @ self.freqs)
+            return self._grad_bumps(np.array([x], dtype=float)).tolist()[0]
+        grad = [0.0] * len(x)
+        for f, phase, amp in self._modes:
+            dot = 0.0
+            for xi, fi in zip(x, f):
+                dot += xi * fi
+            s = amp * math.sin(dot * _TWO_PI + phase)
+            for i, fi in enumerate(f):
+                grad[i] += s * fi
+        return [-_TWO_PI * g for g in grad]
 
     def _bump_terms(self, x: np.ndarray):
         """Yield (rows, d, w) per block of rows: d[i, j] = x[i] - centers[j]

@@ -4,8 +4,8 @@ A model carries vectorized callables: H(x,p), L(x,q), the sublevel support
 function sigma, the sublevel radius, the speed bound of Lax-Oleinik
 optimizers and the momentum Lipschitz bound of H; a Tonelli model also
 carries DH and the flow-rate bound l_r.  Every callable takes points of
-shape (m, dim) and an environment realization supplying the scalar field V
-(None means V = 0).
+shape (m, dim), except DH, which takes one point as Python floats, and an
+environment realization supplying the scalar field V (None means V = 0).
 
 Built-in catalog:
 
@@ -48,14 +48,9 @@ def _field_values(env, x):
 
 
 def _field_gradient(env, x):
-    """DV at the (m, dim) points x, handed to the field without a wrapper
-    or a copy.
-
-    Bit rule: the RK4 flow calls this once per stage on one (1, dim) row,
-    and a trajectory keeps its bits only while every stage makes the same
-    numpy calls on that row shape (see EnvRealization.gradient)."""
+    """DV at one point x, given as dim floats, as a list of dim floats."""
     if env is None:
-        return np.zeros_like(x)
+        return [0.0] * len(x)
     return env.gradient(x)
 
 
@@ -73,9 +68,13 @@ class HamiltonianModel:
     dhp_bound(R)                     sup |H_p| over |p| <= R.
 
     L and sigma also take one (1, dim) row of q, which they broadcast over
-    the m points.  The Tonelli data DH(x, p, env) -> (H_x, H_p) and
-    l_r(R, env), the Lipschitz rate of the characteristic field on
-    |p| <= R, are None on models without a characteristic flow.
+    the m points, and H one (1, dim) row of p.  The Tonelli data
+    DH(x, p, env) -> (H_x, H_p) and l_r(R, env), the Lipschitz rate of the
+    characteristic field on |p| <= R, are None on models without a
+    characteristic flow.  DH is point-wise: x and p are dim floats each
+    and H_x, H_p come back as lists of floats, computed in Python float
+    arithmetic (see EnvRealization.gradient), since the RK4 flow calls it
+    once per stage on one point.
     """
 
     name: str
@@ -113,7 +112,7 @@ def mechanical_model(dim: int = 1, field_bound: float = 1.0) -> HamiltonianModel
         return 0.5 * np.sum(q * q, axis=-1) - _field_values(env, x)
 
     def DH(x, p, env):
-        return _field_gradient(env, x), p.astype(float)
+        return _field_gradient(env, x), list(p)
 
     def sigma(x, q, a, env):
         gap = a - _field_values(env, x)
@@ -140,7 +139,7 @@ def tilted_mechanical_model(p0, dim: int = 1, field_bound: float = 1.0) -> Hamil
     p0 = np.asarray(p0, dtype=float).reshape(-1)
     if p0.size != dim:
         raise ConfigError(f"tilt vector has size {p0.size}, expected {dim}")
-    p0_row = p0[None, :]
+    p0_list = p0.tolist()
     vb = float(field_bound)
     p0n = float(np.linalg.norm(p0))
 
@@ -153,7 +152,7 @@ def tilted_mechanical_model(p0, dim: int = 1, field_bound: float = 1.0) -> Hamil
         return 0.5 * np.sum(q * q, axis=-1) - q @ p0 - _field_values(env, x)
 
     def DH(x, p, env):
-        return _field_gradient(env, x), p + p0_row
+        return _field_gradient(env, x), [a + b for a, b in zip(p, p0_list)]
 
     def sigma(x, q, a, env):
         gap = a - _field_values(env, x)
@@ -266,8 +265,8 @@ def reversed_model(model: HamiltonianModel) -> HamiltonianModel:
     DH = None
     if model.DH is not None:
         def DH(x, p, env):
-            gx, gp = model.DH(x, -p, env)
-            return gx, -gp
+            gx, gp = model.DH(x, [-v for v in p], env)
+            return gx, [-v for v in gp]
 
     return HamiltonianModel(
         name=model.name + "_reversed", dim=model.dim,

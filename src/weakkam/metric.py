@@ -425,12 +425,13 @@ def critical_value_free(model, env, lattice, tol_bisect: float = 5e-3) -> Critic
     """
     pts = lattice.points()
     node_field = _field_view(env, pts)
-    hzero = float(np.max(model.eval_H(pts, np.zeros_like(pts), node_field)))
+    zero_row = np.zeros((1, lattice.dim))
+    hzero = float(np.max(model.eval_H(pts, zero_row, node_field)))
     kap = _kappa_for_radius(model, hzero, node_field, pts)
     radius = default_edge_radius(lattice, kap)
     samples = _SamplePoints(env, lattice, lattice.offsets_within(radius), node_field)
-    batch_field = samples.batch_field()    # before the zero momenta: its table is the peak
-    h_zero = model.eval_H(samples.batch, np.zeros_like(samples.batch), batch_field)
+    batch_field = samples.batch_field()
+    h_zero = model.eval_H(samples.batch, zero_row, batch_field)
     hi, lo = float(np.max(h_zero)), float(np.min(h_zero)) - 1.0
     del batch_field, h_zero
     feasible_hi, _ = _level_verdict(model, hi, samples)

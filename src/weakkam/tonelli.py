@@ -85,15 +85,16 @@ class Trajectory:
 def flow_integrate(model, env, state0: FlowState, t: float, dt: float) -> Trajectory:
     """RK4 on xi' = H_p, eta' = -H_x; negative t integrates backward.
 
-    The state is stepped as Python floats, positions then momenta.  Each
-    stage writes its point into a preallocated pair of (1, dim) rows and
-    makes one model.DH call on them; nothing else touches an array until
-    the step is written into the trajectory.  Python float + and * are the
-    IEEE operations numpy applies elementwise, taken here in the textbook
-    order, so every step has the bits of the same RK4 on (1, dim) arrays.
-    The energy is audited by one eval_H over the whole trajectory.  Not
-    symplectic: the energy drift over the run is measured and reported
-    instead, and callers gate on it.
+    The state is stepped as Python floats, positions then momenta, and each
+    stage makes one model.DH call on its point as two lists of floats
+    (z[:dim], z[dim:]) and builds no array itself.  Python float + and *
+    are the IEEE operations numpy applies elementwise, taken here in the
+    textbook order, so each step has the bits of the same RK4 on arrays
+    with the same DH values; DH's own bits are set by its point-wise
+    contract (HamiltonianModel, EnvRealization.gradient).  The energy is
+    audited by one eval_H over the whole trajectory.  Not symplectic: the
+    energy drift over the run is measured and reported instead, and
+    callers gate on it.
     """
     _require_tonelli(model, "flow integration")
     if dt <= 0:
@@ -110,14 +111,11 @@ def flow_integrate(model, env, state0: FlowState, t: float, dt: float) -> Trajec
     xi = np.empty((n + 1, dim))
     eta = np.empty((n + 1, dim))
     xi[0], eta[0] = state0.xi.reshape(dim), state0.eta.reshape(dim)
-    point = np.empty((2, dim))
-    x_row, p_row, coords = point[:1], point[1:], point.reshape(-1)
 
     def rates(z):
         """(H_p, -H_x) at the point z as one list of floats."""
-        coords[:] = z
-        hx, hp = model.DH(x_row, p_row, env)
-        return hp.tolist()[0] + [-v for v in hx.tolist()[0]]
+        hx, hp = model.DH(z[:dim], z[dim:], env)
+        return hp + [-v for v in hx]
 
     z = xi[0].tolist() + eta[0].tolist()
     for k in range(1, n + 1):

@@ -2,12 +2,13 @@
 
 The package keeps the code that its command line, demos and benchmark run
 (tests/test_reachability.py checks that).  The second routes the suite
-checks it against live here: a Legendre transform and a sublevel margin by
-momentum search, a Lax-Friedrichs finite-difference scheme for the Cauchy
-problem, minimizing chains and calibrated curves of the discrete
-semigroup, characteristics shadowing those chains, the paraboloid envelope
-identity, the invariance of the lifted Aubry mask, weak strictness against
-the semidistance, and a sublinear-growth audit.  So do the torus geometry
+checks it against live here: the field gradient by array expressions, a
+Legendre transform and a sublevel margin by momentum search, a
+Lax-Friedrichs finite-difference scheme for the Cauchy problem, minimizing
+chains and calibrated curves of the discrete semigroup, characteristics
+shadowing those chains, the paraboloid envelope identity, the invariance
+of the lifted Aubry mask, weak strictness against the semidistance, and a
+sublinear-growth audit.  So do the torus geometry
 and the CSV reader that only they and the tests need.
 """
 
@@ -69,6 +70,23 @@ def load_gridfn_csv(path) -> GridFn:
             parts = line.strip().split(",")
             vals[int(parts[0])] = float(parts[-1])
     return GridFn(grid, vals)
+
+
+# -- the field gradient over arrays of points --------------------------------------
+
+
+def field_gradient(env, x: np.ndarray) -> np.ndarray:
+    """DV at the rows of an (m, dim) float array x, by the textbook array
+    expressions: a cosine sum takes its sines over an (m, modes) angle
+    array and sums the modes by one matrix product, a bump cloud sums its
+    centers with numpy.  The second route for EnvRealization.gradient,
+    which takes one point in Python floats."""
+    if env.centers is not None:
+        d = x[:, None, :] - env.centers[None, :, :]
+        w = np.clip(1.0 - np.sum(d * d, axis=2) / env.bump_radius**2, 0.0, None)
+        return np.sum((-6.0 * w**2 / env.bump_radius**2)[:, :, None] * d, axis=1)
+    s = np.sin(2.0 * np.pi * (x @ env.freqs.T) + env.phases[None, :]) * env.amplitudes[None, :]
+    return -2.0 * np.pi * (s @ env.freqs)
 
 
 # -- momentum searches: the closed forms' second route ---------------------------

@@ -96,7 +96,7 @@ def test_pendulum_mask_is_the_single_hilltop_cell(pend64):
     # threshold sensitivity: halving or doubling eps moves nothing
     for lab in ("half", "two"):
         assert np.array_equal(mask.thresholds[lab], mask.mask)
-    assert mask.coords().shape == (1, 1)
+    assert mask.grid.points()[mask.mask].shape == (1, 1)
 
 
 def test_flat_mask_is_the_whole_torus_with_zero_residual(flat64):

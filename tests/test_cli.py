@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from oracles import load_gridfn_csv
 

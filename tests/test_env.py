@@ -1,9 +1,11 @@
 """Environment ensembles: sampling, group action, metrics, concentration."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import SMALL_OBJECTS, peak_bytes
-from oracles import check_sublinearity
+from oracles import check_sublinearity, field_gradient
 
 import weakkam as wk
 from weakkam.env import (EnvSpec, ky_fan_distance, ky_fan_from_distances,
@@ -32,7 +34,9 @@ def test_periodic_single_cosine_values_and_gradient():
     env = sample_realization(spec, 0)
     x = np.linspace(0.0, 2.0, 41)[:, None]
     assert np.allclose(env.evaluate(x), np.cos(2 * np.pi * x[:, 0]))
-    assert np.allclose(env.gradient(x)[:, 0], -2 * np.pi * np.sin(2 * np.pi * x[:, 0]))
+    grads = [env.gradient(point) for point in x.tolist()]
+    assert all(type(g) is list and len(g) == 1 and type(g[0]) is float for g in grads)
+    assert np.allclose(np.array(grads)[:, 0], -2 * np.pi * np.sin(2 * np.pi * x[:, 0]))
     assert env.field_bound() == 1.0
     assert np.isclose(env.hessian_bound(), (2 * np.pi) ** 2)
 
@@ -85,27 +89,17 @@ def _textbook_values(env, x):
     return np.cos(2.0 * np.pi * (x @ env.freqs.T) + env.phases[None, :]) @ env.amplitudes
 
 
-def _textbook_gradient(env, x):
-    if env.centers is not None:
-        d = x[:, None, :] - env.centers[None, :, :]
-        w = np.clip(1.0 - np.sum(d * d, axis=2) / env.bump_radius**2, 0.0, None)
-        return np.sum((-6.0 * w**2 / env.bump_radius**2)[:, :, None] * d, axis=1)
-    s = np.sin(2.0 * np.pi * (x @ env.freqs.T) + env.phases[None, :]) * env.amplitudes[None, :]
-    return -2.0 * np.pi * (s @ env.freqs)
-
-
 @pytest.mark.parametrize("kind,dim", [("random_fourier", 1), ("random_fourier", 2),
                                       ("poisson_bumps", 1), ("poisson_bumps", 2)])
 def test_evaluation_is_bit_identical_to_the_textbook_expressions(kind, dim):
     """The angles are scaled and the cosines taken in place, and bump fields
-    are evaluated in row blocks; neither may move a bit of the result."""
+    are evaluated in row blocks; neither may move a bit of the values."""
     env = sample_realization(EnvSpec(kind=kind, dimension=dim, seed=7), 2)
     # bump blocks hold 32768 // centers.size rows: cross a few block edges
     # and end on a partial block
     rows = 3 * (32768 // env.centers.size) + 5 if env.centers is not None else 1001
     x = np.random.default_rng(dim).uniform(-6.0, 6.0, (rows, dim))
     assert env.evaluate(x).tobytes() == _textbook_values(env, x).tobytes()
-    assert env.gradient(x).tobytes() == _textbook_gradient(env, x).tobytes()
     if env.centers is not None:
         # a bump row reduces on its own, so one row at a time is the same
         one = np.concatenate([env.evaluate(row) for row in x[:64]])
@@ -156,16 +150,88 @@ def test_block_evaluation_is_bit_identical_to_evaluate(kind, params, dim):
         assert values.tobytes() == env.evaluate(x[a:b].copy()).tobytes()
 
 
+def _point_gradients(env, x):
+    """EnvRealization.gradient at each row of x, one point at a time."""
+    return np.array([env.gradient(point) for point in x.tolist()])
+
+
+# One cosine mode or a bump cloud: in 2D the frequencies are integers, so a
+# product x_i f_i is exact and a fused multiply-add in the array product
+# could not round the angle differently either.
+SINGLE_MODE_FIELDS = [
+    ("periodic", 1, {"amplitudes": (1.0,)}),
+    ("periodic", 1, {"amplitudes": (0.8,), "phases": (0.3,), "frequencies": (3.0,)}),
+    ("quasiperiodic", 1, {"amplitudes": (0.8,), "frequencies": (math.sqrt(2.0),)}),
+    ("periodic", 2, {"amplitudes": (1.0,)}),
+    ("periodic", 2, {"amplitudes": (0.8,), "phases": (0.3,), "frequencies": ((1.0, -2.0),)}),
+    ("poisson_bumps", 1, {}),
+    ("poisson_bumps", 2, {}),
+]
+
+
+@pytest.mark.parametrize("kind,dim,params", SINGLE_MODE_FIELDS)
+def test_point_gradient_is_the_array_oracle_on_one_mode_and_on_bumps(kind, dim, params):
+    """With one mode both routes take the angle (x . f) 2 pi + phi, its
+    sine, s = a sin and the components -2 pi s f_i by the same IEEE
+    operations (math.sin and np.sin agree), and a bump row sums its
+    centers with the same numpy calls: the bits are the array oracle's,
+    zero signs included (the points include the origin)."""
+    env = sample_realization(EnvSpec(kind=kind, dimension=dim, seed=7, params=params), 2)
+    x = np.random.default_rng(dim).uniform(-6.0, 6.0, (500, dim))
+    x[0] = 0.0
+    assert _point_gradients(env, x).tobytes() == field_gradient(env, x).tobytes()
+
+
+# Several cosine modes: in 2D only integer frequencies (see the budget test).
+MULTI_MODE_FIELDS = [
+    ("quasiperiodic", 1, {"amplitudes": (0.7, 0.3), "frequencies": (1.0, math.sqrt(2.0))}),
+    ("quasiperiodic", 1, {"amplitudes": (1.0, 0.6, 0.3),
+                          "frequencies": tuple(np.sqrt([1.0, 2.0, 3.0]))}),
+    ("random_fourier", 1, {"k_max": 3}),
+    ("random_fourier", 1, {"k_max": 8, "decay": 1.0}),
+    ("periodic", 2, {"amplitudes": (0.7, 0.3), "frequencies": ((1.0, 2.0), (3.0, -1.0))}),
+    ("random_fourier", 2, {"k_max": 3}),
+]
+
+
+@pytest.mark.parametrize("kind,dim,params", MULTI_MODE_FIELDS)
+def test_point_gradient_of_several_modes_is_within_the_summation_budget(kind, dim, params):
+    """With K modes the point route sums s_k f_ki over k left to right,
+    and the oracle's matrix product in its own order, fused or not.  Both
+    take the same angles, since in 1D an angle is one product and in 2D
+    the points are multiples of 2^-10 in [-6, 6] and the frequencies
+    integers, so every x . f_k is exact; and the same sines, as the
+    one-mode test checks.  A sum of K products in any order, fused or
+    not, is within gamma_K sum_k |s_k||f_ki| of the exact sum, with
+    gamma_n = n u / (1 - n u) and u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 3.1 and ch. 4), and the
+    product by fl(2 pi) adds one rounding.  With |s_k| <= |a_k|, each
+    route is within gamma_{K+1} fl(2 pi) A_i of -fl(2 pi) sum_k s_k f_ki,
+    where A_i = sum_k |a_k||f_ki|, and the two are within twice that."""
+    env = sample_realization(EnvSpec(kind=kind, dimension=dim, seed=7, params=params), 2)
+    rng = np.random.default_rng(dim)
+    if dim == 1:
+        x = rng.uniform(-6.0, 6.0, (500, 1))
+    else:
+        x = rng.integers(-6 * 1024, 6 * 1024, (500, 2)) / 1024.0
+    modes = len(env.amplitudes)
+    assert modes > 1
+    u = 2.0**-53
+    gamma = (modes + 1) * u / (1.0 - (modes + 1) * u)
+    budget = 2.0 * gamma * (2.0 * np.pi) * (np.abs(env.amplitudes) @ np.abs(env.freqs))
+    gap = np.abs(_point_gradients(env, x) - field_gradient(env, x))
+    assert np.all(gap <= budget[None, :])
+
+
 def test_cosine_field_evaluation_holds_one_angle_buffer():
     """Evaluating m points of a K-mode cosine field holds the (m, K) angle
-    array, then its cosines or sines in the same buffer, and (m, dim)-sized
+    array, then its cosines in the same buffer, and (m, dim)-sized
     results: at most 8 m (K + 2 (dim + 1)) bytes beyond small objects."""
     env = sample_realization(EnvSpec(kind="random_fourier", dimension=2, seed=3), 0)
     m, modes, dim = 20000, len(env.amplitudes), 2
     x = np.random.default_rng(0).uniform(-8.0, 8.0, (m, dim))
     budget = 8 * m * (modes + 2 * (dim + 1)) + SMALL_OBJECTS
     assert peak_bytes(env.evaluate, x) <= budget
-    assert peak_bytes(env.gradient, x) <= budget
 
 
 def test_bump_field_evaluation_memory_does_not_grow_with_the_rows():
@@ -173,14 +239,12 @@ def test_bump_field_evaluation_memory_does_not_grow_with_the_rows():
     entries.  At most two arrays of that size live at once (the differences
     and their product) with three of half that size (squared radii, weights
     and their powers), under four in all, plus one reduction buffer of
-    np.getbufsize() entries; beyond them only the (m, dim) result grows
-    with m."""
+    np.getbufsize() entries; beyond them only the result grows with m."""
     env = sample_realization(EnvSpec(kind="poisson_bumps", dimension=2, seed=3), 0)
     for m in (1000, 8000):
         x = np.random.default_rng(m).uniform(-8.0, 8.0, (m, 2))
         budget = 8 * (4 * 32768 + np.getbufsize() + 2 * m) + SMALL_OBJECTS
         assert peak_bytes(env.evaluate, x) <= budget
-        assert peak_bytes(env.gradient, x) <= budget
 
 
 def test_metric_d_of_constant_offset_matches_series():

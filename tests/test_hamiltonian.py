@@ -27,8 +27,11 @@ def test_mechanical_closed_forms(cosine_env):
     V = np.cos(2 * np.pi * 0.2)
     assert np.allclose(m.eval_H(x, p, cosine_env), 0.5 * 0.49 + V)
     assert np.allclose(m.eval_L(x, q, cosine_env), 0.5 * 1.69 - V)
-    _, dp = m.DH(x, p, cosine_env)
-    assert np.allclose(dp, p)
+    dx, dp = m.DH([0.2], [0.7], cosine_env)
+    assert dp == [0.7]
+    assert np.allclose(dx, [-2 * np.pi * np.sin(2 * np.pi * 0.2)])
+    assert type(dx) is list and type(dx[0]) is float
+    assert mechanical_model(dim=2).DH([0.2, 0.4], [0.7, -0.1], None) == ([0.0, 0.0], [0.7, -0.1])
     assert m.strictly_convex and m.tonelli
 
 
@@ -77,6 +80,8 @@ def test_tilted_shifts_the_momentum_ball(cosine_env):
     assert np.allclose(m.eval_H(x, p, cosine_env), 0.5 * 0.75**2)
     q = np.array([[1.0]])
     assert np.allclose(m.eval_L(x, q, cosine_env), 0.5 - 0.5)
+    # H_p = p + P0, in the IEEE sum numpy takes elementwise
+    assert m.DH([0.25], [0.1], cosine_env) == (cosine_env.gradient([0.25]), [0.1 + 0.5])
     with pytest.raises(ConfigError):
         tilted_mechanical_model(p0=(0.5, 0.5), dim=1)
 
@@ -119,6 +124,27 @@ def test_reversal_flips_momentum(cosine_env):
     p = np.array([[0.8]])
     assert np.allclose(r.eval_H(x, p, cosine_env), m.eval_H(x, -p, cosine_env))
     assert np.allclose(r.eval_L(x, p, cosine_env), m.eval_L(x, -p, cosine_env))
+    # H_x is the same, H_p flips: the reversed flow runs the same curves
+    # backward
+    tilted = tilted_mechanical_model(p0=(0.5,), dim=1, field_bound=1.0)
+    hx, hp = tilted.DH([0.3], [-0.8], cosine_env)
+    assert reversed_model(tilted).DH([0.3], [0.8], cosine_env) == (hx, [-hp[0]])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", list(MODELS))
+def test_one_zero_row_prices_as_zero_momenta_at_every_point(name, dim):
+    """critical_value_free prices H(x, 0) with one (1, dim) zero row, which
+    every model and its reversal broadcast over the points: the values are
+    those of a zero momentum at every point, to the bit."""
+    model = MODELS[name]({"field_bound": 1.0, "p0": [0.5], "offset": 2.0}, dim)
+    env = wk.sample_realization(wk.EnvSpec(kind="random_fourier", dimension=dim, seed=1), 0)
+    x = np.random.default_rng(dim).uniform(-3.0, 3.0, (257, dim))
+    for m in (model, reversed_model(model)):
+        for field in (env, None):
+            row = m.eval_H(x, np.zeros((1, dim)), field)
+            assert row.shape == (len(x),)
+            assert row.tobytes() == m.eval_H(x, np.zeros_like(x), field).tobytes()
 
 
 def test_model_catalog_lists_the_four_families():

@@ -6,11 +6,10 @@ from conftest import SMALL_OBJECTS, CountingField, peak_bytes
 from oracles import torus_dist
 
 import weakkam as wk
-from weakkam.errors import ConfigError, SubcriticalLevelError
+from weakkam.errors import SubcriticalLevelError
 from weakkam.grid import BoxSpec, GridFn, GridSpec, relax
 from weakkam.config import MODELS
-from weakkam.hamiltonian import (kappa, mechanical_model, reversed_model,
-                                 tilted_mechanical_model)
+from weakkam.hamiltonian import kappa, mechanical_model, tilted_mechanical_model
 from weakkam.semigroup import build_kernel
 from weakkam.metric import (_SamplePoints, build_cost_graph, check_subsolution,
                             critical_value_free, critical_value_stationary,

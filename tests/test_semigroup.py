@@ -12,8 +12,8 @@ import weakkam as wk
 from weakkam import grid as grid_module
 from weakkam.errors import LadderError, WeakKamError
 from weakkam.grid import BoxSpec, GridFn, GridSpec, Stencil
-from weakkam.hamiltonian import (eikonal_model, kappa, mechanical_model,
-                                 nonstrict_model, reversed_model)
+from weakkam.hamiltonian import (eikonal_model, mechanical_model, nonstrict_model,
+                                 reversed_model)
 from weakkam.semigroup import (build_kernel, check_corrector,
                                check_monotone_semigroup,
                                discrete_critical_value, lax_minus,
