@@ -65,9 +65,9 @@ print(f"bisection bracket: [{res.lo}, {res.hi}]  "
 # folded semigroup cannot improve w at any ladder time.
 
 kern = refold_kernel(raw, c_disc)
-lib = build_library(model, c_disc, env, kern, n_seeds=4)
+lib = build_library(kern, n_seeds=4)
 w = build_w(lib)
-mask = detect_aubry(w, kern, c_disc, t_max=4.0)
+mask = detect_aubry(w, kern, t_max=4.0)
 
 cells = mask.indices()
 print(f"aubry mask: {cells.size} of {grid.size} cells -> "

@@ -44,8 +44,8 @@ def pipeline(omega):
         theta = kappa(model, omega.field_bound() + 0.02, omega) + 1.0
         raw = build_kernel(model, omega, grid, dt=1.0 / 64.0, theta=theta)
         kern = refold_kernel(raw, discrete_critical_value(raw))
-        w = build_w(build_library(model, kern.shift, omega, kern, n_seeds=4))
-        v = build_strict_strictly_convex(w, kern, kern.shift, 0.125, 6)
+        w = build_w(build_library(kern, n_seeds=4))
+        v = build_strict_strictly_convex(w, kern, 0.125, 6)
         cache[omega.index] = (w, v)
     return cache[omega.index]
 

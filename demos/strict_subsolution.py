@@ -35,8 +35,8 @@ raw = build_kernel(model, env, grid, dt=1.0 / 64.0,
                    theta=kappa(model, 1.02, env) + 1.0)
 c = discrete_critical_value(raw)
 kern = refold_kernel(raw, c)
-w = build_w(build_library(model, c, env, kern, n_seeds=4))
-mask = detect_aubry(w, kern, c, t_max=4.0)
+w = build_w(build_library(kern, n_seeds=4))
+mask = detect_aubry(w, kern, t_max=4.0)
 print(f"level c = {c!r}, mask cells = {[int(i) for i in mask.indices()]}")
 
 ##############################################################################
@@ -46,7 +46,7 @@ print(f"level c = {c!r}, mask cells = {[int(i) for i in mask.indices()]}")
 # wherever their gradients disagree, and off the mask they must disagree.
 
 tau, m_terms = 0.125, 6
-v = build_strict_strictly_convex(w, kern, c, tau, m_terms)
+v = build_strict_strictly_convex(w, kern, tau, m_terms)
 
 r_kappa = lipschitz_radius(kappa(model, c, env), model)
 budget = tau * r_kappa + truncation_budget(w, m_terms)
@@ -71,18 +71,18 @@ mn = nonstrict_model(dim=1, field_bound=1.0)
 rawn = build_kernel(mn, env, grid, dt=1.0 / 64.0, theta=3.0)
 cn = discrete_critical_value(rawn)
 kn = refold_kernel(rawn, cn)
-wn = build_w(build_library(mn, cn, env, kn, n_seeds=4))
-maskn = detect_aubry(wn, kn, cn, t_max=4.0)
+wn = build_w(build_library(kn, n_seeds=4))
+maskn = detect_aubry(wn, kn, t_max=4.0)
 print(f"\nflat-face model: level c = {cn!r}, mask cells = {[int(i) for i in maskn.indices()]}")
 
 try:
-    build_strict_strictly_convex(wn, kn, cn, tau, m_terms)
+    build_strict_strictly_convex(wn, kn, tau, m_terms)
 except Exception as exc:
     print(f"strictly-convex builder refuses: {type(exc).__name__}: {exc}")
 
 delta_pen = 0.05
 r_kn = lipschitz_radius(kappa(mn, cn + 0.02, env), mn)
-vn = build_strict_convex(wn, kn, cn, delta_pen, tau, m_terms, r_kappa=r_kn)
+vn = build_strict_convex(wn, kn, delta_pen, tau, m_terms, r_kappa=r_kn)
 cert_n = check_strict(vn, mn, env, maskn, d0=0.1, a=cn)
 print(f"sup-convolution mix: delta = {cert_n.delta:.6g} "
       f"-> {'PASS' if cert_n.passed else 'FAIL'}")

@@ -38,9 +38,9 @@ raw = build_kernel(model, env, grid, dt=1.0 / 64.0,
                    theta=kappa(model, 1.02, env) + 1.0)
 c = discrete_critical_value(raw)
 kern = refold_kernel(raw, c)
-w = build_w(build_library(model, c, env, kern, n_seeds=4))
-mask = detect_aubry(w, kern, c, t_max=4.0)
-v = build_strict_strictly_convex(w, kern, c, 0.125, 6)
+w = build_w(build_library(kern, n_seeds=4))
+mask = detect_aubry(w, kern, t_max=4.0)
+v = build_strict_strictly_convex(w, kern, 0.125, 6)
 
 ##############################################################################
 # The admissible smoothing time comes from the characteristic flow: below
@@ -55,7 +55,7 @@ print(f"  assembled curvature constant A = {win.a_const:.6g}")
 for name, val in sorted(win.constraints.items()):
     print(f"  constraint {name}: {val:.6g} <= 1/4")
 
-rep_c = contraction_check(win, model, env, n_pairs=100, dt=1e-3, seed=0)
+rep_c = contraction_check(win, model, env)
 print(f"sampled Lip(R_t0 - id) = {rep_c.lipschitz:.6g} "
       f"-> {'PASS' if rep_c.passed else 'FAIL'}")
 
@@ -69,7 +69,7 @@ fine = refold_kernel(build_kernel(model, env, grid, dt=win.t0,
                                   theta=kern.theta), c)
 bound = max(win.a_const, kernel_semiconcavity(fine, win.t0))
 r_k = lipschitz_radius(kappa(model, c, env), model)
-w_reg, rep = bernard_regularize(v, fine, c, win.t0, win.t0, mask=mask,
+w_reg, rep = bernard_regularize(v, fine, win.t0, win.t0, mask=mask, d0=0.1,
                                 strict_input=True, curvature_bound=bound,
                                 r_kappa=r_k)
 

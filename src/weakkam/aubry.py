@@ -8,10 +8,15 @@ the kernel's own critical value (Karp), the residual field is sign-definite
 and its zero set is resolved to single cells instead of bisection blur.
 
 The working subsolution w is a weighted mix sum 2^-n v_n over a verified
-library (shortest-path cones, their reversals, semigroup images, user
-functions); the geometric weights keep every member's fixed-point
-constraint active in w, so the intersection over the ladder approximates
-the intersection over the whole library.
+library (shortest-path cones and their reversals); the geometric weights
+keep every member's fixed-point constraint active in w, so the
+intersection over the ladder approximates the intersection over the whole
+library.
+
+The level is the kernel's: every function here reads the critical value
+folded into it (ActionKernel.shift), and the model and environment it was
+built from, off the kernel.  A caller that wants another level folds it
+with semigroup.refold_kernel first.
 
 Cones, anticones and the Lax extension from a mask are grid.relax runs on
 the folded kernel and on the sigma_a cost graph, one stencil type, so a
@@ -32,7 +37,7 @@ import numpy as np
 from .errors import ConfigError, EmptyAubryMaskError, NotASubsolutionError
 from .grid import GridFn, GridSpec, geometric_mix, policy_iteration, relax
 from .metric import build_cost_graph
-from .semigroup import ActionKernel, lax_minus, lax_minus_images, refold_kernel
+from .semigroup import ActionKernel, lax_minus_images
 
 __all__ = [
     "SubsolutionLibrary",
@@ -48,21 +53,21 @@ __all__ = [
 DISCRETE_TOL = 1e-9
 
 
-def verify_member(v: GridFn, kernel: ActionKernel, a: float) -> tuple:
+def verify_member(v: GridFn, kernel: ActionKernel) -> tuple:
     """Discrete subsolution test against every kernel edge.
 
-    v passes iff v(x) - v(y) <= h_dt(y, x) + a dt on all one-step edges,
-    which by the exact semigroup law extends to the whole ladder.  Returns
-    (passed, worst_violation).
+    v passes iff v(x) - v(y) <= h_dt(y, x) + a dt on all one-step edges, a
+    the level folded into the kernel, which by the exact semigroup law
+    extends to the whole ladder.  Returns (passed, worst_violation).
     """
-    worst = refold_kernel(kernel, a).edge_gap(v.values)
+    worst = kernel.edge_gap(v.values)
     return worst <= DISCRETE_TOL, worst
 
 
-def _worst_point(v: GridFn, kernel: ActionKernel, a: float) -> np.ndarray:
+def _worst_point(v: GridFn, kernel: ActionKernel) -> np.ndarray:
     """Coordinates of the node where v's worst edge violation ends: the
     witness a refusal names.  Searched only once verify_member failed."""
-    return v.grid.points()[refold_kernel(kernel, a).worst_gap_node(v.values)]
+    return v.grid.points()[kernel.worst_gap_node(v.values)]
 
 
 @dataclass
@@ -70,7 +75,6 @@ class SubsolutionLibrary:
     """Verified critical subsolutions, each normalized to vanish at node 0."""
 
     grid: GridSpec
-    a: float
     members: list = field(default_factory=list)
     labels: list = field(default_factory=list)
     verified: list = field(default_factory=list)
@@ -79,22 +83,17 @@ class SubsolutionLibrary:
 
     def add(self, v: GridFn, kernel: ActionKernel, label: str) -> bool:
         v = v.normalized_at_origin()
-        ok, worst = verify_member(v, kernel, self.a)
+        ok, worst = verify_member(v, kernel)
         self.members.append(v)
         self.labels.append(label)
         self.verified.append(bool(ok))
         self.violations.append(worst)
-        self.worst_points.append(None if ok else _worst_point(v, kernel, self.a))
+        self.worst_points.append(None if ok else _worst_point(v, kernel))
         return bool(ok)
 
-    def verified_members(self) -> list:
-        return [m for m, ok in zip(self.members, self.verified) if ok]
 
-
-def build_library(model, a: float, env, kernel: ActionKernel,
-                  seeds=None, n_seeds: int = 4, image_time: float | None = None,
-                  extra=()) -> SubsolutionLibrary:
-    """Seed-lattice shortest-path cones, their reversals, semigroup images.
+def build_library(kernel: ActionKernel, n_seeds: int = 4) -> SubsolutionLibrary:
+    """Shortest-path cones from a seed lattice and their reversals.
 
     Cones are shortest-path distances on the kernel's own one-step edge
     graph with the level folded in, so every cone satisfies the discrete
@@ -104,51 +103,39 @@ def build_library(model, a: float, env, kernel: ActionKernel,
     empty at off-grid midpoints.
     """
     grid = kernel.grid
-    lib = SubsolutionLibrary(grid=grid, a=a)
-    folded = refold_kernel(kernel, a)
-    if seeds is None:
-        # n_seeds points on the axis in 1D, the nearest square lattice in 2D
-        per = n_seeds if grid.dim == 1 else max(int(round(np.sqrt(n_seeds))), 1)
-        if not 1 <= per <= grid.n:
-            raise ConfigError(f"n_seeds={n_seeds} asks for {per} seeds per axis; "
-                              f"the grid has n={grid.n} nodes per axis")
-        axis = [i * (grid.n // per) for i in range(per)]
-        seeds = axis if grid.dim == 1 else [i * grid.n + j for i in axis for j in axis]
+    lib = SubsolutionLibrary(grid=grid)
+    # n_seeds points on the axis in 1D, the nearest square lattice in 2D
+    per = n_seeds if grid.dim == 1 else max(int(round(np.sqrt(n_seeds))), 1)
+    if not 1 <= per <= grid.n:
+        raise ConfigError(f"n_seeds={n_seeds} asks for {per} seeds per axis; "
+                          f"the grid has n={grid.n} nodes per axis")
+    axis = [i * (grid.n // per) for i in range(per)]
+    seeds = axis if grid.dim == 1 else [i * grid.n + j for i in axis for j in axis]
     for s in seeds:
-        source = np.where(np.arange(grid.size) == int(s), 0.0, np.inf)
-        cone = relax(folded, source)
-        anti = relax(folded, source, forward=True)
+        source = np.where(np.arange(grid.size) == s, 0.0, np.inf)
+        cone = relax(kernel, source)
+        anti = relax(kernel, source, forward=True)
         lib.add(GridFn(grid, cone), kernel, f"cone[{s}]")
         lib.add(GridFn(grid, -anti), kernel, f"anticone[{s}]")
-    if image_time is not None:
-        base_mix = GridFn(grid, np.mean([m.values for m in lib.verified_members()], axis=0))
-        img = lax_minus(base_mix, kernel, image_time)
-        lib.add(img + (a - kernel.shift) * image_time, kernel, f"image[t={image_time}]")
-    for j, v in enumerate(extra):
-        lib.add(v, kernel, f"user[{j}]")
     return lib
 
 
-def build_w(library: SubsolutionLibrary, m_terms: int | None = None) -> GridFn:
-    """Geometric mix w = sum_{n<=M} 2^-n v_n, renormalized by 1/(1 - 2^-M).
+def build_w(library: SubsolutionLibrary) -> GridFn:
+    """Geometric mix w = sum_{n<=M} 2^-n v_n over all M members,
+    renormalized by 1/(1 - 2^-M).
 
     Refuses unverified members: the mix of a non-subsolution poisons every
     residual downstream.  The truncation error against the full geometric
     series is 2^-M times the member sup-range; callers add it to their
     tolerance budgets.
     """
-    members = library.members
-    if m_terms is None:
-        m_terms = len(members)
-    if m_terms < 1 or m_terms > len(members):
-        raise ConfigError(f"m_terms must be in 1..{len(members)}")
-    for i in range(m_terms):
-        if not library.verified[i]:
+    for i, ok in enumerate(library.verified):
+        if not ok:
             raise NotASubsolutionError(
                 f"library member {i} ({library.labels[i]}) failed verification "
                 f"(violation {library.violations[i]:.3e}); refusing to mix it in",
                 worst_point=library.worst_points[i], violation=library.violations[i])
-    return geometric_mix(library.grid, [v.values for v in members[:m_terms]])
+    return geometric_mix(library.grid, [v.values for v in library.members])
 
 
 @dataclass
@@ -196,27 +183,27 @@ def default_eps(values: np.ndarray) -> float:
     return max(1e-6 * max(rng, 1.0), 1e-9)
 
 
-def detect_aubry(w: GridFn, kernel: ActionKernel, a: float, t_max: float,
+def detect_aubry(w: GridFn, kernel: ActionKernel, t_max: float,
                  eps: float | None = None) -> AubryMask:
-    """Intersection of fixed-point sets of w over the ladder tail.
+    """Intersection of fixed-point sets of w over the ladder tail, at the
+    kernel's level.
 
     Emits masks at eps/2, eps, 2 eps so threshold sensitivity is visible;
     with a sharp fold all three coincide away from degenerate landscapes.
     """
-    ok, worst = verify_member(w, kernel, a)
+    ok, worst = verify_member(w, kernel)
     if not ok:
         raise NotASubsolutionError(
             f"detect_aubry needs a verified subsolution (violation {worst:.3e})",
-            worst_point=_worst_point(w, kernel, a), violation=worst)
+            worst_point=_worst_point(w, kernel), violation=worst)
     ladder, tail, warns = _tail_times(kernel, t_max)
-    res_stack = (lax_minus_images(w, kernel, tail)
-                 + (a - kernel.shift) * np.asarray(tail)[:, None] - w.values)
+    res_stack = lax_minus_images(w, kernel, tail) - w.values
     res_max = res_stack.max(axis=0)
     if eps is None:
         eps = default_eps(w.values)
     thresholds = {lab: res_max <= (eps * fac)
                   for lab, fac in (("half", 0.5), ("one", 1.0), ("two", 2.0))}
-    return AubryMask(grid=w.grid, a=a, eps=float(eps), mask=thresholds["one"],
+    return AubryMask(grid=w.grid, a=kernel.shift, eps=float(eps), mask=thresholds["one"],
                      residual=res_max, test_times=tail, thresholds=thresholds, warnings=warns)
 
 
@@ -231,19 +218,18 @@ def classical_aubry(kernel: ActionKernel) -> np.ndarray:
     return policy_iteration(kernel).mask
 
 
-def lax_extension(g, mask: np.ndarray, model, a: float, env,
-                  kernel: ActionKernel) -> GridFn:
-    """u(x) = min over mask nodes y of g(y) + S_a(y, x).
+def lax_extension(g, mask: np.ndarray, kernel: ActionKernel) -> GridFn:
+    """u(x) = min over mask nodes y of g(y) + S_a(y, x), a the kernel's level.
 
-    One multi-source label correction over the sigma_a cost graph on the
-    kernel's grid and offsets; an empty mask raises instead of returning a
-    constant, because the infimum over an empty set is a modeling decision
-    the caller has to make.
+    One multi-source label correction over the sigma_a cost graph of the
+    kernel's model and environment on its grid and offsets; an empty mask
+    raises instead of returning a constant, because the infimum over an
+    empty set is a modeling decision the caller has to make.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.sum() == 0:
         raise EmptyAubryMaskError(
             "empty source mask: the Lax extension from nothing is undefined")
     g_vals = g.values if isinstance(g, GridFn) else np.asarray(g, dtype=float)
-    graph = build_cost_graph(model, a, env, kernel.grid, offsets=kernel.offsets)
+    graph = build_cost_graph(kernel.model, kernel.shift, kernel.env, kernel.grid, kernel.offsets)
     return GridFn(kernel.grid, relax(graph, np.where(mask, g_vals, np.inf)))

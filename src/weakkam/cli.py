@@ -66,19 +66,19 @@ def stage_kernel(cfg: RunConfig, env, model, grid, crit: dict):
     return refold_kernel(kern0, crit["c_disc"])
 
 
-def stage_aubry(cfg: RunConfig, env, model, grid, kern) -> dict:
-    a = kern.shift
-    lib = build_library(model, a, env, kern,
-                        n_seeds=cfg.get("tolerances", "n_seeds"))
+def stage_aubry(cfg: RunConfig, kern) -> dict:
+    """Library, mix and Aubry mask at the level folded into kern."""
+    lib = build_library(kern, n_seeds=cfg.get("tolerances", "n_seeds"))
     w = build_w(lib)
     eps_raw = cfg.get("tolerances", "eps_aubry")
     eps = None if eps_raw == "auto" else float(eps_raw)
-    am = detect_aubry(w, kern, a, cfg.get("ladder", "t_max"), eps=eps)
+    am = detect_aubry(w, kern, cfg.get("ladder", "t_max"), eps=eps)
     return {"library": lib, "w": w, "mask": am}
 
 
-def stage_strict(cfg: RunConfig, env, model, grid, kern, aub: dict) -> dict:
-    a = kern.shift
+def stage_strict(cfg: RunConfig, kern, aub: dict) -> dict:
+    """Strict subsolution at kern's level with each of its verdicts."""
+    model, env, a = kern.model, kern.env, kern.shift
     w, am = aub["w"], aub["mask"]
     tau = cfg.get("tolerances", "tau")
     m_terms = cfg.get("tolerances", "m_terms")
@@ -97,26 +97,28 @@ def stage_strict(cfg: RunConfig, env, model, grid, kern, aub: dict) -> dict:
                 f"shrink tau, or raise m_terms", budget=budget)
     if model.strictly_convex:
         branch = "time-mix"
-        w_eps = build_strict_strictly_convex(w, kern, a, tau, m_terms)
+        w_eps = build_strict_strictly_convex(w, kern, tau, m_terms)
     else:
         branch = "sup-convolution"
-        w_eps = build_strict_convex(w, kern, a, cfg.get("tolerances", "delta"),
-                                    tau, m_terms, r_kappa=r_kappa)
-    sub_ok, worst = verify_member(w_eps, kern, a)
+        w_eps = build_strict_convex(w, kern, cfg.get("tolerances", "delta"),
+                                    tau, m_terms, r_kappa)
+    sub_ok, worst = verify_member(w_eps, kern)
     sup_change = float(np.max(np.abs(w_eps.values - w.values)))
+    sup_ok = sup_change <= budget["total"] + 1e-12
     mask_eps = am.eps
     mask_agree = (float(np.max(np.abs(w_eps.values[am.mask] - w.values[am.mask])))
                   if am.mask.any() else 0.0)
+    mask_ok = mask_agree <= mask_eps
     cert = check_strict(w_eps, model, env, am, cfg.get("tolerances", "d0"), a=a)
-    passed = bool(sub_ok and sup_change <= budget["total"] + 1e-12
-                  and mask_agree <= mask_eps and cert.passed)
+    passed = bool(sub_ok and sup_ok and mask_ok and cert.passed)
     return {"w_eps": w_eps, "branch": branch, "budget": budget,
             "r_kappa": r_kappa, "sub_ok": sub_ok, "edge_violation": worst,
-            "sup_change": sup_change, "mask_agreement": mask_agree,
-            "mask_eps": mask_eps, "strict_cert": cert, "passed": passed}
+            "sup_change": sup_change, "sup_ok": sup_ok,
+            "mask_agreement": mask_agree, "mask_eps": mask_eps, "mask_ok": mask_ok,
+            "strict_cert": cert, "passed": passed}
 
 
-def _smoothing_ladder(kern, model, env, grid, s: float, t: float):
+def _smoothing_ladder(kern, s: float, t: float):
     """Return a kernel whose ladder contains both smoothing times.
 
     The working ladder serves when s and t are multiples of its step;
@@ -132,14 +134,14 @@ def _smoothing_ladder(kern, model, env, grid, s: float, t: float):
 
     if _on_ladder(kern.dt):
         return kern
-    fine = build_kernel(model, env, grid, dt=min(s, t), theta=kern.theta)
+    fine = build_kernel(kern.model, kern.env, kern.grid, dt=min(s, t), theta=kern.theta)
     return refold_kernel(fine, kern.shift)
 
 
-def stage_regularize(cfg: RunConfig, env, model, grid, kern, aub: dict,
-                     strict: dict) -> dict:
-    a = kern.shift
-    kappa0 = kappa(model, a, env)
+def stage_regularize(cfg: RunConfig, kern, aub: dict, strict: dict) -> dict:
+    """Two-sided smoothing of the strict subsolution at kern's level."""
+    model, env = kern.model, kern.env
+    kappa0 = kappa(model, kern.shift, env)
     window = regular_window(kappa0, cfg.get("tolerances", "lam"), model, env)
     s_raw = cfg.get("tolerances", "s")
     t_raw = cfg.get("tolerances", "t")
@@ -150,11 +152,11 @@ def stage_regularize(cfg: RunConfig, env, model, grid, kern, aub: dict,
         stage_warnings.append(
             f"smoothing times s={s!r}, t={t!r} exceed the certified window "
             f"t0={window.t0!r}; curvature certificates are not guaranteed")
-    k_use = _smoothing_ladder(kern, model, env, grid, s, t)
+    k_use = _smoothing_ladder(kern, s, t)
     k_t = max(kernel_semiconcavity(k_use, time) for time in {s, t})
     bound = max(window.a_const, k_t)
     w_eps, report = bernard_regularize(
-        strict["w_eps"], k_use, a, s, t, mask=aub["mask"],
+        strict["w_eps"], k_use, s, t, mask=aub["mask"],
         d0=cfg.get("tolerances", "d0"),
         strict_input=strict["strict_cert"].passed,
         curvature_bound=bound, r_kappa=strict["r_kappa"])
@@ -260,20 +262,20 @@ def cmd_critical(cfg: RunConfig, outdir: str, out) -> int:
 
 
 def _through_aubry(cfg: RunConfig, outdir: str, out, compute_c: bool) -> tuple:
-    """(env, model, grid, kern, aub): the config's objects, the folded
-    kernel at the cached (or computed) level and the Aubry stage, which
-    every command past critical starts from."""
+    """(kern, aub): the config's kernel folded at the cached (or computed)
+    level, which holds the model, environment and grid, and the Aubry
+    stage; every command past critical starts from them."""
     env = build_environment(cfg)[1]
     model = build_model(cfg)
     grid = build_grid(cfg)
     crit = _get_critical(cfg, env, model, grid, outdir, compute_c, out)
     kern = stage_kernel(cfg, env, model, grid, crit)
-    return env, model, grid, kern, stage_aubry(cfg, env, model, grid, kern)
+    return kern, stage_aubry(cfg, kern)
 
 
 def cmd_aubry(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
-    _, _, grid, kern, aub = _through_aubry(cfg, outdir, out, compute_c)
-    am, w = aub["mask"], aub["w"]
+    kern, aub = _through_aubry(cfg, outdir, out, compute_c)
+    grid, am, w = kern.grid, aub["mask"], aub["w"]
     mask_path = os.path.join(outdir, "aubry_mask.csv")
     write_mask_csv(am, mask_path)
     w_path = os.path.join(outdir, "aubry_w.csv")
@@ -298,13 +300,14 @@ def cmd_aubry(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
 
 
 def cmd_strict(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
-    env, model, grid, kern, aub = _through_aubry(cfg, outdir, out, compute_c)
-    strict = stage_strict(cfg, env, model, grid, kern, aub)
+    kern, aub = _through_aubry(cfg, outdir, out, compute_c)
+    strict = stage_strict(cfg, kern, aub)
+    grid = kern.grid
     w_path = os.path.join(outdir, "strict_w_eps.csv")
     save_gridfn_csv(strict["w_eps"], w_path)
     grads = strict["w_eps"].central_gradient()
     margin = kern.shift - np.asarray(
-        model.eval_H(grid.points(), grads, env), dtype=float)
+        kern.model.eval_H(grid.points(), grads, kern.env), dtype=float)
     margin_path = os.path.join(outdir, "strict_margin.csv")
     save_gridfn_csv(GridFn(grid, margin), margin_path)
     cert = strict["strict_cert"]
@@ -314,9 +317,9 @@ def cmd_strict(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
         f"subsolution edges: {'PASS' if strict['sub_ok'] else 'FAIL'} "
         f"(worst violation {strict['edge_violation']!r})",
         f"sup change {strict['sup_change']!r} <= budget {strict['budget']['total']!r}: "
-        f"{'PASS' if strict['sup_change'] <= strict['budget']['total'] + 1e-12 else 'FAIL'}",
+        f"{'PASS' if strict['sup_ok'] else 'FAIL'}",
         f"mask agreement {strict['mask_agreement']!r} <= {strict['mask_eps']!r}: "
-        f"{'PASS' if strict['mask_agreement'] <= strict['mask_eps'] else 'FAIL'}",
+        f"{'PASS' if strict['mask_ok'] else 'FAIL'}",
         f"strict margin delta={cert.delta!r} at d0={cert.d0!r} "
         f"over {cert.n_region} cells: {'PASS' if cert.passed else 'FAIL'}",
     ]
@@ -341,9 +344,9 @@ def cmd_strict(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
 
 
 def cmd_regularize(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
-    env, model, grid, kern, aub = _through_aubry(cfg, outdir, out, compute_c)
-    strict = stage_strict(cfg, env, model, grid, kern, aub)
-    reg = stage_regularize(cfg, env, model, grid, kern, aub, strict)
+    kern, aub = _through_aubry(cfg, outdir, out, compute_c)
+    strict = stage_strict(cfg, kern, aub)
+    reg = stage_regularize(cfg, kern, aub, strict)
     rep = reg["report"]
     w_path = os.path.join(outdir, "regularized.csv")
     save_gridfn_csv(reg["w_reg"], w_path)
@@ -413,7 +416,7 @@ def _battery(cfg: RunConfig) -> list:
     crit = stage_critical(cfg, env, model, grid)
     kern = stage_kernel(cfg, env, model, grid, crit)
     a = kern.shift
-    aub = stage_aubry(cfg, env, model, grid, kern)
+    aub = stage_aubry(cfg, kern)
     w, am = aub["w"], aub["mask"]
 
     run("critical_bracket_width", lambda: (
@@ -425,7 +428,7 @@ def _battery(cfg: RunConfig) -> list:
         f"gap={abs(crit['c_disc'] - crit['c_bisect'])!r}"))
 
     def _edges():
-        ok, worst = verify_member(w, kern, a)
+        ok, worst = verify_member(w, kern)
         return ok, f"worst={worst!r}"
     run("mix_subsolution_edges", _edges)
 
@@ -443,7 +446,7 @@ def _battery(cfg: RunConfig) -> list:
     run("semigroup_composition", _composition)
 
     def _monotone():
-        rep = check_monotone_semigroup(w, kern, a, kern.ladder(t_max))
+        rep = check_monotone_semigroup(w, kern, kern.ladder(t_max))
         return rep.passed, f"min_increment={rep.min_increment!r}"
     run("monotone_level_adjusted_images", _monotone)
 
@@ -464,11 +467,11 @@ def _battery(cfg: RunConfig) -> list:
     run("closed_orbits_inside_mask", _classical_subset)
 
     def _extension():
-        u = lax_extension(w, am.mask, model, a, env, kernel=kern)
+        u = lax_extension(w, am.mask, kern)
         tail = [t for t in kern.ladder(t_max) if t >= 0.49 * t_max]
         r_k = lipschitz_radius(kappa(model, a, env), model)
         tol = 1.5 * grid.h * r_k
-        rep = check_corrector(u, kern, a, tail, tol=tol)
+        rep = check_corrector(u, kern, tail, tol=tol)
         return rep.passed, f"residual={float(rep.residuals.max())!r} tol={tol!r}"
     run("mask_extension_is_corrector", _extension)
 
@@ -492,7 +495,7 @@ def _battery(cfg: RunConfig) -> list:
 
     def _triangle():
         seeds = [0, grid.size // 3, (2 * grid.size) // 3]
-        sd = semidistance(model, a, seeds, env, grid, offsets=kern.offsets)
+        sd = semidistance(model, a, seeds, env, grid, kern.offsets)
         rng = np.random.default_rng(3)
         worst = -np.inf
         for _ in range(200):
@@ -507,7 +510,7 @@ def _battery(cfg: RunConfig) -> list:
     run("semidistance_triangle", _triangle)
 
     try:
-        strict = stage_strict(cfg, env, model, grid, kern, aub)
+        strict = stage_strict(cfg, kern, aub)
     except WeakKamError as exc:    # reported by both rows that need the stage
         strict = exc
 
@@ -522,7 +525,7 @@ def _battery(cfg: RunConfig) -> list:
     def _curvature():
         if isinstance(strict, WeakKamError):
             raise strict
-        reg = stage_regularize(cfg, env, model, grid, kern, aub, strict)
+        reg = stage_regularize(cfg, kern, aub, strict)
         rep = reg["report"]
         detail = (f"k=[{rep.curvature.k_lower!r}, {rep.curvature.k_upper!r}] "
                   f"bound={reg['curvature_bound']!r}")

@@ -270,10 +270,6 @@ def _coverage_lattice(dim: int, halfwidth: float, per_unit: int) -> np.ndarray:
     return lattice_points(np.arange(-m, m + 1) / per_unit, dim)
 
 
-def _param(params: dict, key: str, default):
-    return params.get(key, default)
-
-
 _KIND_PARAMS = {
     "periodic": ("amplitudes", "phases", "frequencies"),
     "quasiperiodic": ("amplitudes", "frequencies"),
@@ -298,23 +294,23 @@ def sample_realization(spec: EnvSpec, index: int) -> EnvRealization:
             f"{spec.kind!r}; accepted: {sorted(_KIND_PARAMS[spec.kind])}")
 
     if spec.kind == "periodic":
-        amps = np.atleast_1d(np.asarray(_param(p, "amplitudes", [1.0]), dtype=float))
-        phases = np.atleast_1d(np.asarray(_param(p, "phases", np.zeros(len(amps))), dtype=float))
-        freqs = _as_freq_rows(_param(p, "frequencies", None), len(amps), dim, default_integer=True)
+        amps = np.atleast_1d(np.asarray(p.get("amplitudes", [1.0]), dtype=float))
+        phases = np.atleast_1d(np.asarray(p.get("phases", np.zeros(len(amps))), dtype=float))
+        freqs = _as_freq_rows(p.get("frequencies"), len(amps), dim, default_integer=True)
         return EnvRealization(spec, index, amplitudes=amps, freqs=freqs, phases=phases)
 
     if spec.kind == "quasiperiodic":
-        amps = np.atleast_1d(np.asarray(_param(p, "amplitudes", [1.0, 0.6]), dtype=float))
+        amps = np.atleast_1d(np.asarray(p.get("amplitudes", [1.0, 0.6]), dtype=float))
         default = [1.0, float(np.sqrt(2.0))] if dim == 1 else None
-        freqs = _as_freq_rows(_param(p, "frequencies", default), len(amps), dim, default_integer=False)
+        freqs = _as_freq_rows(p.get("frequencies", default), len(amps), dim, default_integer=False)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=len(amps))
         return EnvRealization(spec, index, amplitudes=amps, freqs=freqs, phases=phases)
 
     if spec.kind == "random_fourier":
-        kmax = int(_param(p, "k_max", 3))
-        period = float(_param(p, "period", 1.0))
-        amp = float(_param(p, "amplitude", 1.0))
-        decay = float(_param(p, "decay", 2.0))
+        kmax = int(p.get("k_max", 3))
+        period = float(p.get("period", 1.0))
+        amp = float(p.get("amplitude", 1.0))
+        decay = float(p.get("decay", 2.0))
         ks = _lattice_modes(dim, kmax)
         norms = np.linalg.norm(ks, axis=1)
         amps = amp * norms**-decay
@@ -325,9 +321,9 @@ def sample_realization(spec: EnvSpec, index: int) -> EnvRealization:
         return EnvRealization(spec, index, amplitudes=amps, freqs=freqs, phases=phases)
 
     # poisson_bumps
-    intensity = float(_param(p, "intensity", 1.0))
-    radius = float(_param(p, "bump_radius", 0.35))
-    coverage = float(_param(p, "coverage", 8.0))
+    intensity = float(p.get("intensity", 1.0))
+    radius = float(p.get("bump_radius", 0.35))
+    coverage = float(p.get("coverage", 8.0))
     half = coverage + radius
     volume = (2.0 * half) ** dim
     count = int(rng.poisson(intensity * volume))

@@ -111,15 +111,6 @@ class GridSpec(_Lattice):
         """Map coordinates into the fundamental cell [0,1)."""
         return np.mod(x, 1.0)
 
-    def index_of(self, x: np.ndarray) -> int:
-        """Flat index of the node nearest to x."""
-        ix = np.mod(np.rint(np.asarray(x, dtype=float) / self.h).astype(int), self.n)
-        ix = np.atleast_1d(ix)
-        flat = 0
-        for a in range(self.dim):
-            flat = flat * self.n + ix[a]
-        return int(flat)
-
     def roll_flat(self, values: np.ndarray, k: np.ndarray) -> np.ndarray:
         """values evaluated at node - k*h, as a flat array (periodic shift).
 

@@ -87,17 +87,13 @@ class CostGraph(Stencil):
     a: float
 
 
-def build_cost_graph(model, a: float, env, lattice, radius: float | None = None,
-                     offsets: np.ndarray | None = None) -> CostGraph:
-    """Assemble sigma_a edge costs; raises on any empty sublevel sample.
+def build_cost_graph(model, a: float, env, lattice, offsets: np.ndarray) -> CostGraph:
+    """Assemble sigma_a edge costs over the offsets (a kernel's, say);
+    raises on any empty sublevel sample.
 
     The emptiness check covers every node and every edge midpoint, so the
     subcritical certificate cannot slip between nodes.
     """
-    if offsets is None:
-        if radius is None:
-            raise ConfigError("build_cost_graph needs a radius or an explicit offset set")
-        offsets = lattice.offsets_within(radius)
     return _price(model, a, _SamplePoints(env, lattice, offsets))
 
 
@@ -268,19 +264,16 @@ class SemidistanceResult:
     values: np.ndarray = field(repr=False)    # (n_sources, size)
 
 
-def semidistance(model, a: float, sources, env, lattice, radius: float | None = None,
-                 offsets: np.ndarray | None = None) -> SemidistanceResult:
-    """S_a(y_i, .) for each source node y_i (indices or coordinates).
+def semidistance(model, a: float, sources, env, lattice, offsets: np.ndarray) -> SemidistanceResult:
+    """S_a(y_i, .) for each source node index y_i, on the cost graph over
+    the offsets.
 
     Raises SubcriticalLevelError with a cycle certificate whenever the level
     admits a negative cycle; at and above the critical value the values are
     finite with S_a(y, y) = 0.
     """
-    if radius is None and offsets is None:
-        kap = _kappa_for_radius(model, a, env, lattice.points())
-        radius = default_edge_radius(lattice, kap)
-    graph = build_cost_graph(model, a, env, lattice, radius=radius, offsets=offsets)
-    src_idx = _as_node_indices(lattice, sources)
+    graph = build_cost_graph(model, a, env, lattice, offsets)
+    src_idx = [int(s) for s in sources]
     vals = np.empty((len(src_idx), graph.size))
     for row, s in enumerate(src_idx):
         vals[row] = relax(graph, np.where(np.arange(graph.size) == s, 0.0, np.inf))
@@ -294,22 +287,6 @@ def _kappa_for_radius(model, a, env, points) -> float:
         return kappa(model, a, env, x_samples=points)
     except SubcriticalLevelError:
         return 1.0
-
-
-def _as_node_indices(lattice, sources) -> list:
-    """Sources given as flat node indices (ints) or coordinate rows."""
-    out = []
-    for s in list(np.atleast_1d(np.asarray(sources, dtype=object))):
-        if isinstance(s, (int, np.integer)):
-            out.append(int(s))
-            continue
-        arr = np.asarray(s, dtype=float).reshape(-1)
-        if isinstance(lattice, GridSpec):
-            out.append(lattice.index_of(arr))
-        else:
-            pts = lattice.points()
-            out.append(int(np.argmin(np.linalg.norm(pts - arr[None, :], axis=1))))
-    return out
 
 
 # -- subsolution verification ----------------------------------------------
@@ -344,19 +321,17 @@ class SubsolutionReport:
     passed: bool
 
 
-def check_subsolution(phi: GridFn, model, a: float, env=None,
-                      tol: float | None = None) -> SubsolutionReport:
+def check_subsolution(phi: GridFn, model, a: float, env=None) -> SubsolutionReport:
     """Almost-everywhere test H(x, D_h phi) <= a via central differences.
 
     Central differences average the two one-sided slopes, so kinks of
     genuine (viscosity) subsolutions stay admissible by convexity; the
     tolerance absorbs the O(h) drift of the sublevels between neighboring
-    cells.  Default tol = 4 h Ltilde with Ltilde the sampled momentum
-    Lipschitz scale of H near the level.
+    cells: tol = 4 h Ltilde with Ltilde the sampled momentum Lipschitz
+    scale of H near the level.
     """
     grid = phi.grid
-    if tol is None:
-        tol = 4.0 * grid.h * lippo_scale(model, a, env, grid)
+    tol = 4.0 * grid.h * lippo_scale(model, a, env, grid)
     grad = phi.central_gradient()
     vals = model.eval_H(grid.points(), grad, env) - a
     j = int(np.argmax(vals))

@@ -55,7 +55,9 @@ class ActionKernel(Stencil):
 
     The stencil edge y -> x costs h_dt(y, x); no other pair is joined in one
     step.  ``shift`` is the energy folding added to L (use the critical
-    value to normalize).
+    value to normalize): the level a of every check on the kernel, which
+    reads it, with model and env, from here.  refold_kernel is the one
+    place that sets another.
     """
 
     model: object
@@ -150,7 +152,8 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
 
 
 def refold_kernel(kernel: ActionKernel, shift: float) -> ActionKernel:
-    """Same kernel with a different energy folding.
+    """Same kernel with a different energy folding: the only way to move a
+    kernel's level.
 
     Only the constant dt * (shift - old shift) moves on every finite edge,
     so the edge set and reach are reused.
@@ -248,9 +251,9 @@ class MonotoneReport:
     passed: bool
 
 
-def check_monotone_semigroup(u: GridFn, kernel: ActionKernel, a: float,
-                             times) -> MonotoneReport:
-    """For subsolutions of level a, t -> T^-_t u + a t must not decrease.
+def check_monotone_semigroup(u: GridFn, kernel: ActionKernel, times) -> MonotoneReport:
+    """For subsolutions of the kernel's level a, t -> T^-_t u + a t (the
+    folded image) must not decrease.
 
     Checks all consecutive ladder pairs pointwise, including the step from
     t = 0.  Violations beyond the quadrature tolerance 4 h Ltilde (Ltilde
@@ -260,9 +263,8 @@ def check_monotone_semigroup(u: GridFn, kernel: ActionKernel, a: float,
     from .metric import lippo_scale
 
     times = sorted(times)
-    tol = 4.0 * u.grid.h * lippo_scale(kernel.model, a, kernel.env, u.grid)
-    rise = (np.vstack([u.values, lax_minus_images(u, kernel, times)])
-            + (a - kernel.shift) * np.array([0.0] + times)[:, None])
+    tol = 4.0 * u.grid.h * lippo_scale(kernel.model, kernel.shift, kernel.env, u.grid)
+    rise = np.vstack([u.values, lax_minus_images(u, kernel, times)])
     worst = float(np.min(np.diff(rise, axis=0), initial=np.inf))
     return MonotoneReport(times=list(times), min_increment=worst, tol=float(tol),
                           passed=bool(worst >= -tol))
@@ -276,11 +278,11 @@ class CorrectorReport:
     passed: bool
 
 
-def check_corrector(u: GridFn, kernel: ActionKernel, a: float, times,
-                    tol: float) -> CorrectorReport:
-    """Fixed-point test sup |T^-_t u + a t - u| at each ladder time."""
+def check_corrector(u: GridFn, kernel: ActionKernel, times, tol: float) -> CorrectorReport:
+    """Fixed-point test sup |T^-_t u + a t - u| at each ladder time, a the
+    kernel's level (T^-_t u + a t is the folded image)."""
     times = sorted(times)
-    res = np.array([float(np.max(np.abs(cur + (a - kernel.shift) * t - u.values)))
-                    for t, cur in zip(times, lax_minus_images(u, kernel, times))])
+    res = np.array([float(np.max(np.abs(cur - u.values)))
+                    for cur in lax_minus_images(u, kernel, times)])
     return CorrectorReport(times=times, residuals=res, tol=float(tol),
                            passed=bool(np.all(res <= tol)))

@@ -11,9 +11,11 @@ it:
   sup-convolved in time with a quadratic penalty, which restores the
   differentiability the mix argument needs.
 
-Certification is separate from construction: check_strict measures the
-margin of H(x, Dv) below the level on a region bounded away from the mask.
-Builders return plain grid functions; callers assemble certificates.
+Builders work at the level folded into the kernel (ActionKernel.shift),
+whose images T^-_t w already carry the + a t.  Certification is separate
+from construction: check_strict measures the margin of H(x, Dv) below the
+level on a region bounded away from the mask.  Builders return plain grid
+functions; callers assemble certificates.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 from .errors import ConfigError, LadderError
 from .grid import GridFn, geometric_mix, lattice_points
-from .hamiltonian import kappa, lipschitz_radius
 from .semigroup import ActionKernel, lax_minus_images, semigroup_orbit
 
 __all__ = [
@@ -142,9 +143,10 @@ def truncation_budget(w: GridFn, m_terms: int) -> float:
     return 2.0**-m_terms * rng
 
 
-def build_strict_strictly_convex(w: GridFn, kernel: ActionKernel, a: float,
+def build_strict_strictly_convex(w: GridFn, kernel: ActionKernel,
                                  tau: float, m_terms: int) -> GridFn:
-    """Renormalized mix of T^-_{t_n} w + a t_n over a dyadic fill of (0, tau).
+    """Renormalized mix of T^-_{t_n} w + a t_n over a dyadic fill of (0, tau),
+    a the kernel's level.
 
     Needs strict convexity in p: the strictness of the mix comes from the
     images' gradients disagreeing off the mask, which only prices into a
@@ -156,22 +158,16 @@ def build_strict_strictly_convex(w: GridFn, kernel: ActionKernel, a: float,
             f"model {kernel.model.name} is not strictly convex in p; "
             f"use build_strict_convex (time sup-convolution) instead")
     times = dyadic_fill_times(kernel, tau, m_terms)
-    stack = [img + (a - kernel.shift) * t
-             for t, img in zip(times, lax_minus_images(w, kernel, times))]
-    return geometric_mix(w.grid, stack)
+    return geometric_mix(w.grid, lax_minus_images(w, kernel, times))
 
 
-def _default_r_kappa(kernel: ActionKernel, a: float) -> float:
-    return lipschitz_radius(kappa(kernel.model, a, kernel.env), kernel.model)
+def sup_convolution_time(w: GridFn, kernel: ActionKernel, delta: float, t: float,
+                         r_kappa: float, orbit: np.ndarray) -> tuple:
+    """max over ladder s of (T^-_s w + a s)(x) - (s - t)^2 / (2 delta), a
+    the kernel's level.
 
-
-def sup_convolution_time(w: GridFn, kernel: ActionKernel, a: float,
-                         delta: float, t: float,
-                         r_kappa: float | None = None,
-                         s_max: float | None = None,
-                         orbit: np.ndarray | None = None) -> tuple:
-    """max over ladder s of (T^-_s w + a s)(x) - (s - t)^2 / (2 delta).
-
+    orbit holds the folded images T^-_s w + a s at s = 0, dt, ... (a
+    semigroup_orbit of w), and its last time is the top of the s-ladder.
     The quadratic penalty pins the maximizer within 2 delta R(kappa) of t,
     so the s-ladder must span [0, t + 4 delta R(kappa)]; shorter ladders
     are refused rather than silently truncating the sup.  Returns the value
@@ -179,50 +175,33 @@ def sup_convolution_time(w: GridFn, kernel: ActionKernel, a: float,
     """
     if delta <= 0:
         raise ConfigError("delta must be positive: delta=0 degenerates the penalty")
-    if r_kappa is None:
-        r_kappa = _default_r_kappa(kernel, a)
+    s = kernel.dt * np.arange(orbit.shape[0])
     window = t + 4.0 * delta * r_kappa
-    if s_max is None:
-        s_max = window
-    if s_max < window - 1e-12:
+    if s[-1] < window - 1e-12:
         raise LadderError(
-            f"s-ladder spans [0, {s_max:g}] but the maximizer window needs "
+            f"s-ladder spans [0, {s[-1]:g}] but the maximizer window needs "
             f"[0, {window:g}] (t + 4 delta R(kappa))")
-    n_steps = int(np.ceil(s_max / kernel.dt - 1e-9))
-    if orbit is None or orbit.shape[0] < n_steps + 1:
-        orbit = semigroup_orbit(w, kernel, n_steps)
-    s = kernel.dt * np.arange(n_steps + 1)
-    scores = orbit[: n_steps + 1] \
-        + (a - kernel.shift) * s[:, None] \
-        - (s[:, None] - t) ** 2 / (2.0 * delta)
+    scores = orbit - (s[:, None] - t) ** 2 / (2.0 * delta)
     best = np.argmax(scores, axis=0)
     vals = scores[best, np.arange(w.grid.size)]
     return GridFn(w.grid, vals), s[best]
 
 
-def build_strict_convex(w: GridFn, kernel: ActionKernel, a: float,
-                        delta: float, tau: float, m_terms: int,
-                        r_kappa: float | None = None) -> GridFn:
+def build_strict_convex(w: GridFn, kernel: ActionKernel, delta: float, tau: float,
+                        m_terms: int, r_kappa: float) -> GridFn:
     """Strict builder for merely convex Hamiltonians.
 
     Same geometric mix as the strictly convex branch, but each image is the
     time sup-convolution at t_n, evaluated from one shared orbit up to
-    tau + 4 delta R(kappa).
+    tau + 4 delta R(kappa), r_kappa = R(kappa) at the kernel's level.
     """
     if delta <= 0:
         raise ConfigError("delta must be positive: delta=0 degenerates the penalty")
-    if r_kappa is None:
-        r_kappa = _default_r_kappa(kernel, a)
     times = dyadic_fill_times(kernel, tau, m_terms)
-    s_max = tau + 4.0 * delta * r_kappa
-    n_steps = int(np.ceil(s_max / kernel.dt - 1e-9))
+    n_steps = int(np.ceil((tau + 4.0 * delta * r_kappa) / kernel.dt - 1e-9))
     orbit = semigroup_orbit(w, kernel, n_steps)
-    stack = []
-    for t in times:
-        v_t, _ = sup_convolution_time(w, kernel, a, delta, t,
-                                      r_kappa=r_kappa, s_max=s_max, orbit=orbit)
-        stack.append(v_t.values)
-    return geometric_mix(w.grid, stack)
+    return geometric_mix(w.grid, [sup_convolution_time(w, kernel, delta, t, r_kappa, orbit)[0].values
+                                  for t in times])
 
 
 def density_mix(v_strict: GridFn, u: GridFn, n: int) -> GridFn:

@@ -9,7 +9,8 @@ in momentum, with controlled derivatives.  On those models
   position map of gradient-fed flows (regular_window, contraction_check),
 * the two-sided smoothing T^-_t after T^+_s upgrades a strict subsolution
   to one with two-sided second-difference bounds — a gradient-Lipschitz
-  proxy — without moving it on the Aubry mask (bernard_regularize).
+  proxy — without moving it on the Aubry mask (bernard_regularize), at
+  the level folded into the kernel it runs on.
 
 Non-Tonelli models are refused with the failed requirements listed, not
 approximated.
@@ -17,6 +18,7 @@ approximated.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,14 +89,15 @@ def flow_integrate(model, env, state0: FlowState, t: float, dt: float) -> Trajec
 
     The state is stepped as Python floats, positions then momenta, and each
     stage makes one model.DH call on its point as two lists of floats
-    (z[:dim], z[dim:]) and builds no array itself.  Python float + and *
-    are the IEEE operations numpy applies elementwise, taken here in the
-    textbook order, so each step has the bits of the same RK4 on arrays
-    with the same DH values; DH's own bits are set by its point-wise
-    contract (HamiltonianModel, EnvRealization.gradient).  The energy is
-    audited by one eval_H over the whole trajectory.  Not symplectic: the
-    energy drift over the run is measured and reported instead, and
-    callers gate on it.
+    (z[:dim], z[dim:]) and builds no numpy array itself; each state is
+    appended to one array.array of doubles, which holds no float objects,
+    and becomes the xi and eta arrays once, after the last step.  Python float + and * are the IEEE operations numpy
+    applies elementwise, taken here in the textbook order, so each step
+    has the bits of the same RK4 on arrays with the same DH values; DH's
+    own bits are set by its point-wise contract (HamiltonianModel,
+    EnvRealization.gradient).  The energy is audited by one eval_H over
+    the whole trajectory.  Not symplectic: the energy drift over the run
+    is measured and reported instead, and callers gate on it.
     """
     _require_tonelli(model, "flow integration")
     if dt <= 0:
@@ -108,24 +111,24 @@ def flow_integrate(model, env, state0: FlowState, t: float, dt: float) -> Trajec
     n = max(int(round(abs(t) / dt)), 1)
     step = float(np.sign(t) if t != 0 else 1.0) * abs(t) / n
     half, sixth = 0.5 * step, step / 6.0
-    xi = np.empty((n + 1, dim))
-    eta = np.empty((n + 1, dim))
-    xi[0], eta[0] = state0.xi.reshape(dim), state0.eta.reshape(dim)
 
     def rates(z):
         """(H_p, -H_x) at the point z as one list of floats."""
         hx, hp = model.DH(z[:dim], z[dim:], env)
         return hp + [-v for v in hx]
 
-    z = xi[0].tolist() + eta[0].tolist()
-    for k in range(1, n + 1):
+    z = state0.xi.reshape(dim).tolist() + state0.eta.reshape(dim).tolist()
+    states = array("d", z)
+    for _ in range(n):
         k1 = rates(z)
         k2 = rates([a + half * b for a, b in zip(z, k1)])
         k3 = rates([a + half * b for a, b in zip(z, k2)])
         k4 = rates([a + step * b for a, b in zip(z, k3)])
         z = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
-        xi[k], eta[k] = z[:dim], z[dim:]
+        states.extend(z)
+    path = np.frombuffer(states).reshape(n + 1, 2 * dim)
+    xi, eta = path[:, :dim].copy(), path[:, dim:].copy()
     times = step * np.arange(n + 1)
     energy = np.asarray(model.eval_H(xi, eta, env), dtype=float)
     drift = float(np.max(np.abs(energy - energy[0])))
@@ -147,8 +150,7 @@ class SemiconcavityReport:
 
     k_upper bounds the one-sided upper curvature (semiconcavity constant),
     k_lower the lower one (negated semiconvexity constant).  Quotients at
-    kink scale 1/h are flagged unbounded; verdicts appear when a reference
-    constant is supplied.
+    kink scale 1/h are flagged unbounded.
     """
 
     k_upper: float
@@ -158,13 +160,9 @@ class SemiconcavityReport:
     kink_scale: float
     unbounded_above: bool
     unbounded_below: bool
-    k_reference: float | None = None
-    tol: float = 0.0
-    semiconcave: bool | None = None
-    semiconvex: bool | None = None
 
 
-def estimate_semiconcavity(v: GridFn, k_reference: float | None = None) -> SemiconcavityReport:
+def estimate_semiconcavity(v: GridFn) -> SemiconcavityReport:
     """Scan centered second differences over axis and diagonal directions."""
     quots = np.stack([v.second_differences(k) for k in _directions(v.grid.dim)])
     k_upper = float(np.max(quots))
@@ -173,16 +171,11 @@ def estimate_semiconcavity(v: GridFn, k_reference: float | None = None) -> Semic
     flat_dn = int(np.argmin(np.min(quots, axis=0)))
     # a slope jump of size d scores |q| = d/h; flag from unit jumps upward
     kink = 1.0 / v.grid.h
-    rep = SemiconcavityReport(
+    return SemiconcavityReport(
         k_upper=k_upper, k_lower=k_lower, argmax_index=flat_up,
         argmin_index=flat_dn, kink_scale=kink,
         unbounded_above=bool(k_upper >= kink),
         unbounded_below=bool(k_lower <= -kink))
-    if k_reference is not None:
-        rep.k_reference = float(k_reference)
-        rep.semiconcave = bool(k_upper <= k_reference)
-        rep.semiconvex = bool(k_lower >= -k_reference)
-    return rep
 
 
 def kernel_semiconcavity(kernel: ActionKernel, t: float) -> float:
@@ -290,19 +283,20 @@ class ContractionReport:
     passed: bool
 
 
-def contraction_check(window: RegularWindow, model, env, n_pairs: int = 100,
-                      dt: float = 1e-3, seed: int = 0) -> ContractionReport:
-    """Flow pairs (y, Dpsi(y)) for t0 and measure Lip(position map - id).
+def contraction_check(window: RegularWindow, model, env) -> ContractionReport:
+    """Flow 100 sampled pairs (y, Dpsi(y)) for t0 at step 1e-3 and measure
+    Lip(position map - id).
 
     Test gradient: Dpsi_i(y) = (lam / 2 pi) sin(2 pi y_i), whose Lipschitz
-    constant is exactly lam.
+    constant is exactly lam.  The pairs come from a fixed seed (0).
     """
+    n_pairs, dt = 100, 1e-3
     lam = window.lam
 
     def psi_grad(y):
         return (lam / (2.0 * np.pi)) * np.sin(2.0 * np.pi * np.asarray(y))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     dim = model.dim
     worst = 0.0
     drift = 0.0
@@ -330,8 +324,8 @@ def contraction_check(window: RegularWindow, model, env, n_pairs: int = 100,
 class BernardReport:
     """Certificates for the forward-backward smoothing T^-_t T^+_s.
 
-    passed aggregates only the certificates that were actually computable
-    with the supplied data (a mask is needed for agreement and strictness).
+    passed aggregates every certificate; the mask agreement is None, and
+    left out, when the mask is empty.
     """
 
     s: float
@@ -339,16 +333,16 @@ class BernardReport:
     subsolution_ok: bool
     edge_violation: float
     curvature: SemiconcavityReport
-    curvature_bound: float | None
-    curvature_ok: bool | None
+    curvature_bound: float
+    curvature_ok: bool
     sup_change: float
     sup_bound: float
     sup_ok: bool
     mask_agreement: float | None
-    mask_eps: float | None
+    mask_eps: float
     mask_ok: bool | None
-    strictness: StrictnessCertificate | None
-    strict_ok: bool | None
+    strictness: StrictnessCertificate
+    strict_ok: bool
     warnings: list
     passed: bool
 
@@ -360,19 +354,18 @@ class BernardReport:
         return [name for name, ok in verdicts if ok is False]
 
 
-def bernard_regularize(w: GridFn, kernel: ActionKernel, a: float,
-                       s: float, t: float, mask=None, d0: float = 0.1,
-                       strict_input: bool | None = None,
-                       curvature_bound: float | None = None,
-                       r_kappa: float | None = None) -> tuple:
-    """T^-_t (T^+_s w) with its five-way certificate.
+def bernard_regularize(w: GridFn, kernel: ActionKernel, s: float, t: float, mask,
+                       d0: float, strict_input: bool, curvature_bound: float,
+                       r_kappa: float) -> tuple:
+    """T^-_t (T^+_s w) with its five-way certificate, at the kernel's level a.
 
     (a) stays a discrete subsolution at level a; (b) two-sided second
-    differences bounded (gradient-Lipschitz proxy), optionally against an
-    assembled constant; (c) moves w by at most (t + s) R(kappa);
+    differences bounded (gradient-Lipschitz proxy) by curvature_bound;
+    (c) moves w by at most (t + s) r_kappa, r_kappa = R(kappa) at level a;
     (d) agrees with w on the mask within default_eps(w); (e) stays strict
-    off the mask.
+    off the mask by d0.
     A non-strict input is a warning, not a refusal: the output is data.
+    On the folded kernel T^+_s and T^-_t carry -a s and +a t themselves.
     """
     model, env = kernel.model, kernel.env
     _require_tonelli(model, "two-sided regularization")
@@ -381,41 +374,31 @@ def bernard_regularize(w: GridFn, kernel: ActionKernel, a: float,
         warnings.append("input strictness not certified; the two-sided "
                         "smoothing is computed but its guarantees assume a "
                         "strict input")
-    up = lax_plus(w, kernel, s)
-    v1 = GridFn(w.grid, up.values - (a - kernel.shift) * s)
-    down = lax_minus(v1, kernel, t)
-    w_eps = GridFn(w.grid, down.values + (a - kernel.shift) * t)
+    w_eps = lax_minus(lax_plus(w, kernel, s), kernel, t)
 
-    sub_ok, worst = verify_member(w_eps, kernel, a)
+    sub_ok, worst = verify_member(w_eps, kernel)
     curv = estimate_semiconcavity(w_eps)
-    curv_ok = None
-    if curvature_bound is not None:
-        two_sided = max(abs(curv.k_upper), abs(curv.k_lower))
-        curv_ok = bool(two_sided <= curvature_bound
-                       and not curv.unbounded_above and not curv.unbounded_below)
-    if r_kappa is None:
-        r_kappa = lipschitz_radius(kappa(model, a, env), model)
+    two_sided = max(abs(curv.k_upper), abs(curv.k_lower))
+    curv_ok = bool(two_sided <= curvature_bound
+                   and not curv.unbounded_above and not curv.unbounded_below)
     sup_change = float(np.max(np.abs(w_eps.values - w.values)))
     sup_bound = (t + s) * r_kappa
     sup_ok = bool(sup_change <= sup_bound + 1e-9)
 
-    mask_agree = mask_eps_val = mask_ok = None
-    strict_cert = strict_ok = None
-    if mask is not None:
-        m = _mask_array(mask)
-        mask_eps_val = default_eps(w.values)
-        if np.any(m):
-            mask_agree = float(np.max(np.abs(w_eps.values[m] - w.values[m])))
-            mask_ok = bool(mask_agree <= mask_eps_val)
-        strict_cert = check_strict(w_eps, model, env, m, d0, a=a)
-        strict_ok = strict_cert.passed
+    m = _mask_array(mask)
+    mask_eps = default_eps(w.values)
+    mask_agree = mask_ok = None
+    if np.any(m):
+        mask_agree = float(np.max(np.abs(w_eps.values[m] - w.values[m])))
+        mask_ok = bool(mask_agree <= mask_eps)
+    strict_cert = check_strict(w_eps, model, env, m, d0, a=kernel.shift)
 
-    checks = [sub_ok, sup_ok] + [c for c in (curv_ok, mask_ok, strict_ok) if c is not None]
     report = BernardReport(
         s=float(s), t=float(t), subsolution_ok=bool(sub_ok), edge_violation=worst,
         curvature=curv, curvature_bound=curvature_bound, curvature_ok=curv_ok,
         sup_change=sup_change, sup_bound=float(sup_bound), sup_ok=sup_ok,
-        mask_agreement=mask_agree, mask_eps=mask_eps_val, mask_ok=mask_ok,
-        strictness=strict_cert, strict_ok=strict_ok, warnings=warnings,
-        passed=bool(all(checks)))
+        mask_agreement=mask_agree, mask_eps=mask_eps, mask_ok=mask_ok,
+        strictness=strict_cert, strict_ok=strict_cert.passed, warnings=warnings,
+        passed=bool(sub_ok and sup_ok and curv_ok and strict_cert.passed
+                    and mask_ok is not False))
     return w_eps, report

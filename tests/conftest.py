@@ -129,9 +129,9 @@ def pend64():
                        theta=kappa(model, 1.02, env) + 1.0)
     c = discrete_critical_value(raw)
     kern = refold_kernel(raw, c)
-    lib = build_library(model, c, env, kern, n_seeds=4)
+    lib = build_library(kern, n_seeds=4)
     w = build_w(lib)
-    mask = detect_aubry(w, kern, c, 4.0)
+    mask = detect_aubry(w, kern, 4.0)
     return {
         "spec": spec, "env": env, "model": model, "grid": grid, "dt": dt,
         "raw_kernel": raw, "kernel": kern, "c": c, "lib": lib, "w": w,

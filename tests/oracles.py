@@ -306,21 +306,20 @@ def check_time_dependent_solution(u0: GridFn, kernel, t_final: float) -> TimeDep
 # -- fixed points, minimizing chains and calibrated curves ----------------------------
 
 
-def fixed_point_set(v: GridFn, kernel, a: float, t: float, eps: float) -> np.ndarray:
-    """Boolean mask {x : (T_t v + a t)(x) - v(x) <= eps}.
+def fixed_point_set(v: GridFn, kernel, t: float, eps: float) -> np.ndarray:
+    """Boolean mask {x : (T_t v + a t)(x) - v(x) <= eps}, a the kernel's
+    level (the folded image carries the + a t).
 
     v must verify as a discrete subsolution first (or the residual sign is
     meaningless), so a v that fails verify_member is refused.
     """
-    ok, worst = verify_member(v, kernel, a)
+    ok, worst = verify_member(v, kernel)
     if not ok:
         raise NotASubsolutionError(
             f"fixed_point_set needs a verified subsolution "
             f"(edge violation {worst:.3e})",
-            worst_point=_worst_point(v, kernel, a), violation=worst)
-    img = lax_minus(v, kernel, t)
-    residual = img.values + (a - kernel.shift) * t - v.values
-    return residual <= eps
+            worst_point=_worst_point(v, kernel), violation=worst)
+    return lax_minus(v, kernel, t).values - v.values <= eps
 
 
 def minimizing_chain(stencil, orbit: np.ndarray, x: int) -> tuple:
@@ -349,34 +348,40 @@ class CalibratedCurve:
     step_costs: np.ndarray
     calibration_defect: float    # max |w jump - folded step cost|
     action_vs_semidistance: float
-    stays_in_mask: bool | None
+    stays_in_mask: bool
 
 
-def extract_calibrated_curve(x0, w: GridFn, kernel, a: float, n_steps: int,
-                             model=None, env=None, mask=None) -> CalibratedCurve:
-    """Backtrack the argmin chain of T_{n dt} w below x0.
+def _index_of(grid: GridSpec, x) -> int:
+    """Flat index of the torus node nearest to the point x."""
+    ix = np.atleast_1d(np.mod(np.rint(np.asarray(x, dtype=float) / grid.h).astype(int), grid.n))
+    flat = 0
+    for a in range(grid.dim):
+        flat = flat * grid.n + ix[a]
+    return int(flat)
+
+
+def extract_calibrated_curve(x0, w: GridFn, kernel, n_steps: int, mask) -> CalibratedCurve:
+    """Backtrack the argmin chain of T_{n dt} w below x0 (a node index or
+    a point, which goes to its nearest node).
 
     The chain positions z_m realize the dynamic program, so along them the
     folded step costs should reproduce the increments of w (calibration)
-    and the total action should dominate the semidistance between the
-    endpoints; both defects are reported, not asserted.
+    and the total action should dominate the semidistance S_a between the
+    endpoints, a the kernel's level; both defects are reported, not
+    asserted.
     """
     grid = kernel.grid
-    x0_idx = x0 if isinstance(x0, (int, np.integer)) else grid.index_of(np.asarray(x0))
+    x0_idx = x0 if isinstance(x0, (int, np.integer)) else _index_of(grid, x0)
     chain, costs = minimizing_chain(kernel, semigroup_orbit(w, kernel, n_steps), x0_idx)
-    costs = costs + (a - kernel.shift) * kernel.dt
     w_jumps = w.values[chain[1:]] - w.values[chain[:-1]]
     calib = float(np.max(np.abs(w_jumps - costs))) if len(costs) else 0.0
-    act_vs_s = np.nan
-    if model is not None:
-        sd = semidistance(model, a, [int(chain[0])], env, grid, offsets=kernel.offsets)
-        act_vs_s = float(costs.sum() - sd.values[0, chain[-1]])
-    in_mask = None
-    if mask is not None:
-        in_mask = bool(np.all(np.asarray(mask, dtype=bool)[chain]))
+    sd = semidistance(kernel.model, kernel.shift, [int(chain[0])], kernel.env, grid,
+                      kernel.offsets)
+    act_vs_s = float(costs.sum() - sd.values[0, chain[-1]])
     return CalibratedCurve(indices=chain, coords=grid.points()[chain],
                            step_costs=costs, calibration_defect=calib,
-                           action_vs_semidistance=act_vs_s, stays_in_mask=in_mask)
+                           action_vs_semidistance=act_vs_s,
+                           stays_in_mask=bool(np.all(np.asarray(mask, dtype=bool)[chain])))
 
 
 # -- weak strictness ------------------------------------------------------------

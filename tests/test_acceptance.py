@@ -46,9 +46,9 @@ def pend256():
                        theta=kappa(model, 1.02, env) + 1.0)
     c = discrete_critical_value(raw)
     kern = refold_kernel(raw, c)
-    lib = build_library(model, c, env, kern, n_seeds=4)
+    lib = build_library(kern, n_seeds=4)
     w = build_w(lib)
-    mask = detect_aubry(w, kern, c, 4.0)
+    mask = detect_aubry(w, kern, 4.0)
     return {"spec": spec, "env": env, "model": model, "grid": grid,
             "raw": raw, "kernel": kern, "c": c, "lib": lib, "w": w,
             "mask": mask}
@@ -98,7 +98,7 @@ def test_criterion_03_aubry_detection(pend256, flat64):
     kf = build_kernel(flat64["model"], flat64["env"], grid256,
                       dt=1.0 / 64.0, theta=1.02)
     assert discrete_critical_value(kf) == 0.0
-    fm = detect_aubry(GridFn.zeros(grid256), refold_kernel(kf, 0.0), 0.0, 2.0)
+    fm = detect_aubry(GridFn.zeros(grid256), refold_kernel(kf, 0.0), 2.0)
     checks.append(bool(fm.mask.all()))
     checks.append(all(np.array_equal(fm.thresholds[k], fm.mask)
                       for k in ("half", "one", "two")))
@@ -108,8 +108,8 @@ def test_criterion_03_aubry_detection(pend256, flat64):
     ce = discrete_critical_value(rawe)
     assert ce == -1.0
     ke = refold_kernel(rawe, ce)
-    we = build_w(build_library(me, ce, pend256["env"], ke, n_seeds=4))
-    em = detect_aubry(we, ke, ce, 2.0)
+    we = build_w(build_library(ke, n_seeds=4))
+    em = detect_aubry(we, ke, 2.0)
     slowest = 128  # argmin of the speed field at x = 1/2
     checks.append(set(em.indices()) <= {slowest - 1, slowest, slowest + 1}
                   and slowest in em.indices())
@@ -127,14 +127,14 @@ def test_criterion_04_semigroup_laws(pend256, pendulum_corrector):
     kern, c, grid = pend256["kernel"], pend256["c"], pend256["grid"]
     times = kern.ladder(1.0)
     five = pend256["lib"].members[:4] + [GridFn.zeros(grid)]
-    reports = [check_monotone_semigroup(v, kern, c, times) for v in five]
+    reports = [check_monotone_semigroup(v, kern, times) for v in five]
     worst_inc = min(rep.min_increment for rep in reports)
     mono_ok = all(rep.passed for rep in reports) and worst_inc >= -1e-9
     u = GridFn(grid, pendulum_corrector(grid.points()[:, 0]))
     r_hat = lipschitz_radius(kappa(pend256["model"], c + 0.02, pend256["env"]),
                              pend256["model"])
     tol = 1.5 * grid.h * r_hat
-    rep = check_corrector(u, kern, c, times, tol)
+    rep = check_corrector(u, kern, times, tol)
     resid = float(np.max(rep.residuals))
     passed = mono_ok and rep.passed
     record_criterion(4, "semigroup-laws", passed,
@@ -186,7 +186,7 @@ def test_criterion_06_strictness_pipeline(pend256):
     model, env = pend256["model"], pend256["env"]
     tau, m_terms, eps_a = 0.125, 6, 1e-6
     checks = {}
-    v = build_strict_strictly_convex(w, kern, c, tau, m_terms)
+    v = build_strict_strictly_convex(w, kern, tau, m_terms)
     r_k = lipschitz_radius(kappa(model, c, env), model)
     budget = tau * r_k + truncation_budget(w, m_terms)
     sup = float(np.max(np.abs(v.values - w.values)))
@@ -198,11 +198,11 @@ def test_criterion_06_strictness_pipeline(pend256):
     rawn = build_kernel(mn, env, grid, dt=kern.dt, theta=3.0)
     cn = discrete_critical_value(rawn)
     kn = refold_kernel(rawn, cn)
-    wn = build_w(build_library(mn, cn, env, kn, n_seeds=4))
-    maskn = detect_aubry(wn, kn, cn, 4.0)
+    wn = build_w(build_library(kn, n_seeds=4))
+    maskn = detect_aubry(wn, kn, 4.0)
     delta_pen = 0.05
     r_kn = lipschitz_radius(kappa(mn, cn + 0.02, env), mn)
-    vn = build_strict_convex(wn, kn, cn, delta_pen, tau, m_terms, r_kappa=r_kn)
+    vn = build_strict_convex(wn, kn, delta_pen, tau, m_terms, r_kappa=r_kn)
     budget_n = tau * r_kn + truncation_budget(wn, m_terms) + 2 * delta_pen * r_kn
     sup_n = float(np.max(np.abs(vn.values - wn.values)))
     agree_n = float(np.max(np.abs(vn.values[maskn.mask] - wn.values[maskn.mask])))
@@ -223,13 +223,13 @@ def test_criterion_07_bernard_regularization(pend256):
     kern, c, grid, w, mask = (pend256[k] for k in
                               ("kernel", "c", "grid", "w", "mask"))
     model, env = pend256["model"], pend256["env"]
-    v_strict = build_strict_strictly_convex(w, kern, c, 0.125, 6)
+    v_strict = build_strict_strictly_convex(w, kern, 0.125, 6)
     win = regular_window(kappa(model, c, env), 1.0, model, env)
     fine = refold_kernel(build_kernel(model, env, grid, dt=win.t0,
                                       theta=kern.theta), c)
     bound = max(win.a_const, kernel_semiconcavity(fine, win.t0))
     r_k = lipschitz_radius(kappa(model, c, env), model)
-    _, rep = bernard_regularize(v_strict, fine, c, win.t0, win.t0, mask=mask,
+    _, rep = bernard_regularize(v_strict, fine, win.t0, win.t0, mask=mask, d0=0.1,
                                 strict_input=True, curvature_bound=bound,
                                 r_kappa=r_k)
     two_sided = max(abs(rep.curvature.k_upper), abs(rep.curvature.k_lower))
@@ -248,7 +248,7 @@ def test_criterion_07_bernard_regularization(pend256):
 def test_criterion_08_contraction_window(pend256):
     model, env = pend256["model"], pend256["env"]
     win = regular_window(kappa(model, pend256["c"], env), 1.0, model, env)
-    rep = contraction_check(win, model, env, n_pairs=100, dt=1e-3, seed=0)
+    rep = contraction_check(win, model, env)
     drift = flow_integrate(model, env, FlowState([0.25], [0.5]),
                            10.0, 1e-3).drift
     passed = rep.passed and rep.lipschitz <= 0.5 and drift <= 1e-6
@@ -270,10 +270,10 @@ def test_criterion_09_aubry_rigidity(pend256):
     members = [GridFn(grid, rows[0].values[0]).normalized_at_origin(),
                GridFn(grid, rows[1].values[0]).normalized_at_origin(),
                GridFn(grid, -rev.values[0]).normalized_at_origin()]
-    verdicts = [verify_member(v, kern, c) for v in members]
+    verdicts = [verify_member(v, kern) for v in members]
     agree = mask_gradient_agreement(members, mask)
     mean = GridFn(grid, np.mean([v.values for v in members], axis=0))
-    mean_ok, _ = verify_member(mean, kern, c)
+    mean_ok, _ = verify_member(mean, kern)
     lifted = lifted_mask_deviation(mask, mean, model, env, t_span=1.0, dt=1e-3)
     passed = (all(ok for ok, _ in verdicts) and mean_ok
               and agree <= 4 * grid.h and lifted <= 2 * grid.h)
@@ -298,8 +298,8 @@ def test_criterion_10_density():
             theta = kappa(model, omega.field_bound() + 0.02, omega) + 1.0
             raw = build_kernel(model, omega, grid, dt=1.0 / 64.0, theta=theta)
             kern = refold_kernel(raw, discrete_critical_value(raw))
-            w = build_w(build_library(model, kern.shift, omega, kern, n_seeds=4))
-            v = build_strict_strictly_convex(w, kern, kern.shift, 0.125, 6)
+            w = build_w(build_library(kern, n_seeds=4))
+            v = build_strict_strictly_convex(w, kern, 0.125, 6)
             cache[omega.index] = (w, v)
         return cache[omega.index]
 

@@ -30,60 +30,42 @@ def test_every_library_member_verifies_on_every_edge(pend64):
         assert v.values[0] == 0.0
 
 
-def test_library_image_and_extra_members_also_verify(pend64):
-    kern, model, env, c, grid = (pend64[k] for k in
-                                 ("kernel", "model", "env", "c", "grid"))
-    lib = build_library(model, c, env, kern, n_seeds=2,
-                        image_time=2 * kern.dt, extra=(GridFn.zeros(grid),))
-    assert len(lib.members) == 6
-    assert all(lib.verified), lib.violations
-    assert lib.labels[-1] == "user[0]"
-    assert any(lab.startswith("image[") for lab in lib.labels)
-
-
 def test_a_member_with_an_infinite_value_fails_with_infinite_violation(pend64):
-    kern, model, env, c, grid = (pend64[k] for k in
-                                 ("kernel", "model", "env", "c", "grid"))
+    kern, grid = pend64["kernel"], pend64["grid"]
     holed = GridFn.zeros(grid)
     holed.values[5] = np.inf
-    lib = build_library(model, c, env, kern, seeds=[0], extra=(holed,))
-    assert lib.labels[-1] == "user[0]"
+    lib = build_library(kern, n_seeds=1)
+    assert lib.add(holed, kern, "holed") is False
     assert lib.verified[-1] is False and lib.violations[-1] == np.inf
     assert np.array_equal(lib.worst_points[-1], grid.points()[5])
-    assert verify_member(holed, kern, c) == (False, np.inf)
+    assert verify_member(holed, kern) == (False, np.inf)
 
 
 def test_mix_weights_are_geometric_and_renormalized(pend64):
-    lib = pend64["lib"]
-    w2 = build_w(lib, m_terms=2)
+    lib = build_library(pend64["kernel"], n_seeds=1)
+    assert len(lib.members) == 2
+    w2 = build_w(lib)
     expect = (0.5 * lib.members[0].values + 0.25 * lib.members[1].values) / 0.75
     assert np.max(np.abs(w2.values - expect)) <= 1e-15
-    with pytest.raises(ConfigError):
-        build_w(lib, m_terms=0)
-    with pytest.raises(ConfigError):
-        build_w(lib, m_terms=len(lib.members) + 1)
 
 
 def test_mix_refuses_unverified_member(pend64):
-    kern, model, env, c, grid = (pend64[k] for k in
-                                 ("kernel", "model", "env", "c", "grid"))
-    lib = build_library(model, c, env, kern, n_seeds=2)
+    kern, grid = pend64["kernel"], pend64["grid"]
+    lib = build_library(kern, n_seeds=2)
     rng = np.random.default_rng(0)
     bad = GridFn(grid, 10.0 * rng.standard_normal(grid.size))
     assert lib.add(bad, kern, "bad") is False
     with pytest.raises(NotASubsolutionError):
         build_w(lib)
-    # mixing only the clean prefix still works
-    build_w(lib, m_terms=4)
 
 
 def test_fixed_point_set_requires_a_subsolution(pend64):
-    kern, c, grid, w = (pend64[k] for k in ("kernel", "c", "grid", "w"))
+    kern, grid, w = (pend64[k] for k in ("kernel", "grid", "w"))
     rng = np.random.default_rng(4)
     bad = GridFn(grid, 10.0 * rng.standard_normal(grid.size))
     with pytest.raises(NotASubsolutionError):
-        fixed_point_set(bad, kern, c, kern.dt, 1e-6)
-    fp = fixed_point_set(w, kern, c, kern.dt, 1e-6)
+        fixed_point_set(bad, kern, kern.dt, 1e-6)
+    fp = fixed_point_set(w, kern, kern.dt, 1e-6)
     assert fp.dtype == bool and fp.shape == (grid.size,)
     assert fp[0]  # the hilltop is fixed already at one step
 
@@ -100,8 +82,8 @@ def test_pendulum_mask_is_the_single_hilltop_cell(pend64):
 
 
 def test_flat_mask_is_the_whole_torus_with_zero_residual(flat64):
-    kern, c, grid = flat64["kernel"], flat64["c"], flat64["grid"]
-    mask = detect_aubry(GridFn.zeros(grid), kern, c, 2.0)
+    kern, grid = flat64["kernel"], flat64["grid"]
+    mask = detect_aubry(GridFn.zeros(grid), kern, 2.0)
     assert bool(np.all(mask.mask))
     assert float(np.max(np.abs(mask.residual))) == 0.0
 
@@ -188,37 +170,37 @@ def test_default_eps_scales_with_range():
 
 
 def test_tail_warnings_and_too_short_ladder(pend64):
-    kern, c, w = pend64["kernel"], pend64["c"], pend64["w"]
-    long_run = detect_aubry(w, kern, c, 4.0)
+    kern, w = pend64["kernel"], pend64["w"]
+    long_run = detect_aubry(w, kern, 4.0)
     assert long_run.warnings == []
-    short_run = detect_aubry(w, kern, c, 0.5)
+    short_run = detect_aubry(w, kern, 0.5)
     assert any("ladder" in msg for msg in short_run.warnings)
     with pytest.raises(ConfigError):
-        detect_aubry(w, kern, c, 0.5 * kern.dt)
+        detect_aubry(w, kern, 0.5 * kern.dt)
 
 
 def test_detect_aubry_rejects_non_subsolutions(pend64):
-    kern, c, grid = pend64["kernel"], pend64["c"], pend64["grid"]
+    kern, grid = pend64["kernel"], pend64["grid"]
     rng = np.random.default_rng(5)
     bad = GridFn(grid, 10.0 * rng.standard_normal(grid.size))
     with pytest.raises(NotASubsolutionError) as exc:
-        detect_aubry(bad, kern, c, 2.0)
+        detect_aubry(bad, kern, 2.0)
     assert exc.value.violation > 0
 
 
 def test_refusals_name_the_node_a_perturbed_member_fails_at(pend64):
     """Raising a verified member at one node breaks only the edges into
     that node, so every refusal of it names that node."""
-    kern, model, env, c, grid, w = (pend64[k] for k in
-                                    ("kernel", "model", "env", "c", "grid", "w"))
+    kern, grid, w = (pend64[k] for k in ("kernel", "grid", "w"))
     node = 37
     bumped = GridFn(grid, w.values.copy())
     bumped.values[node] += 1.0
     with pytest.raises(NotASubsolutionError) as fixed:
-        fixed_point_set(bumped, kern, c, kern.dt, 1e-6)
+        fixed_point_set(bumped, kern, kern.dt, 1e-6)
     with pytest.raises(NotASubsolutionError) as detected:
-        detect_aubry(bumped, kern, c, 2.0)
-    lib = build_library(model, c, env, kern, seeds=[0], extra=(bumped,))
+        detect_aubry(bumped, kern, 2.0)
+    lib = build_library(kern, n_seeds=1)
+    lib.add(bumped, kern, "bumped")
     assert lib.worst_points[:2] == [None, None] and lib.verified[2] is False
     with pytest.raises(NotASubsolutionError) as mixed:
         build_w(lib)
@@ -240,25 +222,22 @@ def test_subcritical_level_is_flagged_as_negative_cycle(pend64):
         assert exc.value.cycle_cost == sum(low.edge_cost(y, x) for y, x in hops)
         assert all(np.isfinite(low.edge_cost(y, x)) for y, x in hops)
     with pytest.raises(SubcriticalLevelError):
-        build_library(pend64["model"], c - 0.5, pend64["env"], kern)
+        build_library(low)
 
 
 def test_lax_extension_from_the_mask_is_a_subsolution(pend64):
-    kern, c, grid, mask = (pend64[k] for k in ("kernel", "c", "grid", "mask"))
-    model, env = pend64["model"], pend64["env"]
-    u = lax_extension(GridFn.zeros(grid), mask.mask, model, c, env, kernel=kern)
+    kern, grid, mask = (pend64[k] for k in ("kernel", "grid", "mask"))
+    u = lax_extension(GridFn.zeros(grid), mask.mask, kern)
     assert u.values[0] == 0.0
-    ok, worst = verify_member(u, kern, c)
+    ok, worst = verify_member(u, kern)
     assert ok and worst <= 1e-9
     with pytest.raises(EmptyAubryMaskError):
-        lax_extension(GridFn.zeros(grid), np.zeros(grid.size, dtype=bool),
-                      model, c, env, kernel=kern)
+        lax_extension(GridFn.zeros(grid), np.zeros(grid.size, dtype=bool), kern)
 
 
 def test_calibrated_chain_at_the_rest_point(pend64):
-    kern, c, w, mask = (pend64[k] for k in ("kernel", "c", "w", "mask"))
-    cur = extract_calibrated_curve(0, w, kern, c, 8, model=pend64["model"],
-                                   env=pend64["env"], mask=mask.mask)
+    kern, w, mask = (pend64[k] for k in ("kernel", "w", "mask"))
+    cur = extract_calibrated_curve(0, w, kern, 8, mask=mask.mask)
     assert np.array_equal(cur.indices, np.zeros(9, dtype=int))
     assert cur.calibration_defect == 0.0
     assert cur.action_vs_semidistance == 0.0
@@ -267,9 +246,11 @@ def test_calibrated_chain_at_the_rest_point(pend64):
 
 
 def test_moving_chain_action_dominates_semidistance(pend64):
-    kern, c, w = pend64["kernel"], pend64["c"], pend64["w"]
-    cur = extract_calibrated_curve(16, w, kern, c, 8, model=pend64["model"],
-                                   env=pend64["env"], mask=pend64["mask"].mask)
+    kern, w = pend64["kernel"], pend64["w"]
+    # x = 0.25 is node 16; a point goes to its nearest node
+    cur = extract_calibrated_curve(np.array([0.25 + 0.4 * kern.grid.h]), w, kern, 8,
+                                   mask=pend64["mask"].mask)
+    assert cur.indices[-1] == 16
     # each folded kernel edge over-prices the metric edge, so the chain action
     # dominates the semidistance between the endpoints
     assert cur.action_vs_semidistance >= -1e-9
@@ -278,7 +259,7 @@ def test_moving_chain_action_dominates_semidistance(pend64):
 
 
 def test_two_dimensional_seed_layout_verifies():
-    kern, c = _folded_grid2d_kernel()
-    lib = build_library(kern.model, c, kern.env, kern, n_seeds=4)
+    kern, _ = _folded_grid2d_kernel()
+    lib = build_library(kern, n_seeds=4)
     assert len(lib.members) == 8
     assert all(lib.verified), lib.violations

@@ -1,7 +1,8 @@
-"""Every defaulted parameter in src/weakkam is set by some call.
+"""Every defaulted parameter in src/weakkam is set by some product call.
 
-A default that no call overrides is a setting, or a guarded branch, that no
-test, demo or benchmark exercises; it belongs in the body as a literal.  The
+A default that no call in the package, a demo or the benchmark overrides is
+a setting, or a guarded branch, that only tests vary, if anything does; it
+belongs in the body as a literal.  Test calls do not count.  The
 scan matches calls by the callee's name, `f(...)` or `obj.f(...)`: a call
 sets a parameter when it passes it by keyword, passes enough positional
 arguments to reach it (a method's `self` is not counted), or unpacks `*args`
@@ -17,7 +18,7 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLER_DIRS = ("src", "demos", "perfbench", "tests")
+CALLER_DIRS = ("src", "demos", "perfbench")
 
 
 def _defaulted_parameters() -> list:

@@ -43,14 +43,6 @@ def test_torus_dist_symmetric_and_wrapped():
     assert np.allclose(d, np.hypot(0.2, 0.2))
 
 
-def test_index_of_rounds_to_nearest_node():
-    g = GridSpec(dim=1, n=8)
-    assert g.index_of(np.array([0.24])) == 2
-    assert g.index_of(np.array([0.99])) == 0  # wraps
-    g2 = GridSpec(dim=2, n=8)
-    assert g2.index_of(np.array([0.25, 0.5])) == 2 * 8 + 4
-
-
 def test_offsets_within_radius_counts_and_clipping():
     g = GridSpec(dim=1, n=16)
     offs = g.offsets_within(2.5 * g.h)

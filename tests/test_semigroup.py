@@ -316,9 +316,9 @@ def test_reversal_transposes_the_one_step_table(pend64):
 
 
 def test_monotone_level_adjusted_images(pend64):
-    kern, w, c = pend64["kernel"], pend64["w"], pend64["c"]
+    kern, w = pend64["kernel"], pend64["w"]
     times = kern.ladder(1.0)
-    rep = check_monotone_semigroup(w, kern, c, times)
+    rep = check_monotone_semigroup(w, kern, times)
     assert rep.passed and rep.min_increment >= -1e-9
 
 
@@ -326,7 +326,7 @@ def test_flat_zero_function_is_a_corrector(flat64):
     kern, grid, c = flat64["kernel"], flat64["grid"], flat64["c"]
     assert c == 0.0
     u = GridFn.zeros(grid)
-    rep = check_corrector(u, kern, c, kern.ladder(1.0), 1e-12)
+    rep = check_corrector(u, kern, kern.ladder(1.0), 1e-12)
     assert rep.passed and float(np.max(rep.residuals)) == 0.0
 
 

@@ -11,7 +11,7 @@ from weakkam.grid import GridFn, GridSpec
 from weakkam.hamiltonian import (kappa, lipschitz_radius, nonstrict_model)
 from weakkam.metric import semidistance
 from weakkam.semigroup import (build_kernel, discrete_critical_value,
-                               lax_minus, refold_kernel)
+                               lax_minus, refold_kernel, semigroup_orbit)
 from weakkam.subsol import (_near_mask, build_strict_convex,
                             build_strict_strictly_convex, check_strict,
                             density_mix, dyadic_fill_times,
@@ -29,9 +29,9 @@ def nonstrict64():
     raw = build_kernel(model, env, grid, dt=1.0 / 64.0, theta=3.0)
     c = discrete_critical_value(raw)
     kern = refold_kernel(raw, c)
-    lib = build_library(model, c, env, kern, n_seeds=4)
+    lib = build_library(kern, n_seeds=4)
     w = build_w(lib)
-    mask = detect_aubry(w, kern, c, 4.0)
+    mask = detect_aubry(w, kern, 4.0)
     return {"env": env, "model": model, "grid": grid, "kernel": kern,
             "c": c, "w": w, "mask": mask}
 
@@ -86,7 +86,7 @@ def test_empty_mask_certifies_everywhere_and_finds_the_peak(pend64):
 def test_strictly_convex_builder_earns_a_margin(pend64):
     kern, c, w, mask = (pend64[k] for k in ("kernel", "c", "w", "mask"))
     model, env = pend64["model"], pend64["env"]
-    v = build_strict_strictly_convex(w, kern, c, 0.125, 6)
+    v = build_strict_strictly_convex(w, kern, 0.125, 6)
     cert = check_strict(v, model, env, mask, 0.1, a=c)
     assert cert.passed and cert.delta > 0.1
     r_kappa = lipschitz_radius(kappa(model, c, env), model)
@@ -96,8 +96,7 @@ def test_strictly_convex_builder_earns_a_margin(pend64):
 
 def test_strictly_convex_builder_refuses_flat_faces(nonstrict64):
     with pytest.raises(ConfigError, match="not strictly convex"):
-        build_strict_strictly_convex(nonstrict64["w"], nonstrict64["kernel"],
-                                     nonstrict64["c"], 0.125, 6)
+        build_strict_strictly_convex(nonstrict64["w"], nonstrict64["kernel"], 0.125, 6)
 
 
 def test_sup_convolution_dominates_and_pins_the_maximizer(pend64):
@@ -106,19 +105,23 @@ def test_sup_convolution_dominates_and_pins_the_maximizer(pend64):
     delta = 0.05
     r_kappa = lipschitz_radius(kappa(pend64["model"], c, pend64["env"]),
                                pend64["model"])
-    v_t, s_star = sup_convolution_time(w, kern, c, delta, t)
-    img = lax_minus(w, kern, t)
-    lower = img.values + (c - kern.shift) * t
+    # the s-ladder just spans the maximizer window t + 4 delta R(kappa)
+    orbit = semigroup_orbit(w, kern, int(np.ceil((t + 4 * delta * r_kappa) / kern.dt - 1e-9)))
+    v_t, s_star = sup_convolution_time(w, kern, delta, t, r_kappa, orbit)
+    lower = lax_minus(w, kern, t).values
     assert float(np.min(v_t.values - lower)) >= -1e-12
     assert float(np.max(np.abs(s_star - t))) <= 4 * delta * r_kappa
 
 
 def test_sup_convolution_rejections(pend64):
     kern, c, w = pend64["kernel"], pend64["c"], pend64["w"]
+    r_kappa = lipschitz_radius(kappa(pend64["model"], c, pend64["env"]),
+                               pend64["model"])
+    orbit = semigroup_orbit(w, kern, 1)
     with pytest.raises(ConfigError):
-        sup_convolution_time(w, kern, c, 0.0, 4 * kern.dt)
+        sup_convolution_time(w, kern, 0.0, 4 * kern.dt, r_kappa, orbit)
     with pytest.raises(LadderError, match="s-ladder"):
-        sup_convolution_time(w, kern, c, 0.05, 4 * kern.dt, s_max=kern.dt)
+        sup_convolution_time(w, kern, 0.05, 4 * kern.dt, r_kappa, orbit)
 
 
 def test_convex_builder_handles_the_flat_faced_model(nonstrict64):
@@ -127,7 +130,7 @@ def test_convex_builder_handles_the_flat_faced_model(nonstrict64):
     assert list(mask.indices()) == [0]
     delta = 0.05
     r_kappa = lipschitz_radius(kappa(model, c + 0.02, env), model)
-    v = build_strict_convex(w, kern, c, delta, 0.125, 6, r_kappa=r_kappa)
+    v = build_strict_convex(w, kern, delta, 0.125, 6, r_kappa=r_kappa)
     cert = check_strict(v, model, env, mask, 0.1, a=c)
     assert cert.passed and cert.delta > 0.1
     budget = 0.125 * r_kappa + truncation_budget(w, 6) + 2 * delta * r_kappa
@@ -148,7 +151,7 @@ def test_density_mix_is_the_exact_convex_combination(pend64):
 
 def test_weak_strictness_flat_field_gap_is_the_separation(flat64):
     grid, model, env = flat64["grid"], flat64["model"], flat64["env"]
-    sd = semidistance(model, 0.5, [0, 16, 32], env, grid)
+    sd = semidistance(model, 0.5, [0, 16, 32], env, grid, grid.offsets_within(3 * grid.h))
     rep = check_weakly_strict(GridFn.zeros(grid), sd,
                               np.zeros(grid.size, dtype=bool))
     # S_a at level 1/2 is the torus metric, so the zero function's gap is
