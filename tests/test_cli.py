@@ -9,6 +9,7 @@ import pytest
 from oracles import load_gridfn_csv
 
 import weakkam
+from weakkam import cli
 from weakkam.cli import main
 from weakkam.config import parse_config_text
 
@@ -117,6 +118,29 @@ def test_strict_report_is_all_pass(clirun, capsys):
     assert "strict margin" in out
     margin = load_gridfn_csv(os.path.join(outdir, "strict_margin.csv"))
     assert margin.grid.size == 64
+
+
+def test_strict_report_prints_the_stage_verdicts(clirun, tmp_path, monkeypatch, capsys):
+    """strict_report.txt formats the sup and mask verdicts stage_strict
+    returns; it does not decide them again."""
+    stage = cli.stage_strict
+
+    def flipped(cfg, kern, aub):
+        strict = stage(cfg, kern, aub)
+        assert strict["sup_ok"] and strict["mask_ok"]
+        return {**strict, "sup_ok": False, "mask_ok": False}
+
+    monkeypatch.setattr(cli, "stage_strict", flipped)
+    outdir = tmp_path / "o"
+    main(["strict", clirun["cfg"], "--outdir", str(outdir), "--compute-c"])
+    capsys.readouterr()
+    report = open(outdir / "strict_report.txt").read()
+    lines = report.splitlines()
+    sup = [line for line in lines if line.startswith("sup change ")]
+    mask = [line for line in lines if line.startswith("mask agreement ")]
+    assert len(sup) == 1 and sup[0].endswith(": FAIL")
+    assert len(mask) == 1 and mask[0].endswith(": FAIL")
+    assert report.count("PASS") == 2 and report.count("FAIL") == 2
 
 
 def test_strict_refuses_unreachable_eps_target(clirun, tmp_path, capsys):

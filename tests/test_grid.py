@@ -9,7 +9,7 @@ import pytest
 from conftest import one_step_table, walk_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import load_gridfn_csv, min_image, one_sided_slopes, torus_dist
+from oracles import _index_of, load_gridfn_csv, min_image, one_sided_slopes, torus_dist
 
 from weakkam.errors import ConfigError, SubcriticalLevelError
 from weakkam.grid import (BoxSpec, GridFn, GridSpec, Stencil, _pull_argmin,
@@ -41,6 +41,14 @@ def test_torus_dist_symmetric_and_wrapped():
     g2 = GridSpec(dim=2, n=8)
     d = torus_dist(g2, np.array([0.9, 0.1]), np.array([0.1, 0.9]))
     assert np.allclose(d, np.hypot(0.2, 0.2))
+
+
+def test_index_of_rounds_to_nearest_node():
+    g = GridSpec(dim=1, n=8)
+    assert _index_of(g, np.array([0.24])) == 2
+    assert _index_of(g, np.array([0.99])) == 0  # wraps
+    g2 = GridSpec(dim=2, n=8)
+    assert _index_of(g2, np.array([0.25, 0.5])) == 2 * 8 + 4
 
 
 def test_offsets_within_radius_counts_and_clipping():

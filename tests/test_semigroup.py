@@ -291,6 +291,16 @@ def test_refold_shifts_tables_linearly(pend64):
     assert folded.shift == 1.0
 
 
+def test_refold_at_the_kernel_level_is_the_kernel(pend64):
+    kern = pend64["kernel"]
+    same = refold_kernel(kern, kern.shift)
+    assert same.shift == kern.shift
+    assert same.model is kern.model and same.env is kern.env
+    assert np.array_equal(same.weights, kern.weights)
+    t = 4 * kern.dt
+    assert np.array_equal(same.at(t), kern.at(t))
+
+
 def test_forward_backward_envelope_ordering(pend64):
     kern, grid = pend64["kernel"], pend64["grid"]
     rng = np.random.default_rng(3)
