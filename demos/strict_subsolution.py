@@ -53,7 +53,7 @@ budget = tau * r_kappa + truncation_budget(w, m_terms)
 sup_move = float(np.max(np.abs(v.values - w.values)))
 print(f"time-mix: sup |v - w| = {sup_move:.6g}  (budget {budget:.6g})")
 
-cert = check_strict(v, model, env, mask, d0=0.1, a=c)
+cert = check_strict(v, model, env, mask.mask, d0=0.1, a=c)
 print(f"strictness margin delta = {cert.delta:.6g} on "
       f"{cert.n_region} cells at distance >= 0.1 from the mask "
       f"-> {'PASS' if cert.passed else 'FAIL'}")
@@ -83,7 +83,7 @@ except Exception as exc:
 delta_pen = 0.05
 r_kn = lipschitz_radius(kappa(mn, cn + 0.02, env), mn)
 vn = build_strict_convex(wn, kn, delta_pen, tau, m_terms, r_kappa=r_kn)
-cert_n = check_strict(vn, mn, env, maskn, d0=0.1, a=cn)
+cert_n = check_strict(vn, mn, env, maskn.mask, d0=0.1, a=cn)
 print(f"sup-convolution mix: delta = {cert_n.delta:.6g} "
       f"-> {'PASS' if cert_n.passed else 'FAIL'}")
 print(f"sup move {float(np.max(np.abs(vn.values - wn.values))):.6g}  "

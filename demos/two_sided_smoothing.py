@@ -69,7 +69,7 @@ fine = refold_kernel(build_kernel(model, env, grid, dt=win.t0,
                                   theta=kern.theta), c)
 bound = max(win.a_const, kernel_semiconcavity(fine, win.t0))
 r_k = lipschitz_radius(kappa(model, c, env), model)
-w_reg, rep = bernard_regularize(v, fine, win.t0, win.t0, mask=mask, d0=0.1,
+w_reg, rep = bernard_regularize(v, fine, win.t0, win.t0, mask=mask.mask, d0=0.1,
                                 strict_input=True, curvature_bound=bound,
                                 r_kappa=r_k)
 

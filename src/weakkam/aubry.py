@@ -218,7 +218,7 @@ def classical_aubry(kernel: ActionKernel) -> np.ndarray:
     return policy_iteration(kernel).mask
 
 
-def lax_extension(g, mask: np.ndarray, kernel: ActionKernel) -> GridFn:
+def lax_extension(g: GridFn, mask: np.ndarray, kernel: ActionKernel) -> GridFn:
     """u(x) = min over mask nodes y of g(y) + S_a(y, x), a the kernel's level.
 
     One multi-source label correction over the sigma_a cost graph of the
@@ -226,10 +226,8 @@ def lax_extension(g, mask: np.ndarray, kernel: ActionKernel) -> GridFn:
     raises instead of returning a constant, because the infimum over an
     empty set is a modeling decision the caller has to make.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.sum() == 0:
+    if not mask.any():
         raise EmptyAubryMaskError(
             "empty source mask: the Lax extension from nothing is undefined")
-    g_vals = g.values if isinstance(g, GridFn) else np.asarray(g, dtype=float)
     graph = build_cost_graph(kernel.model, kernel.shift, kernel.env, kernel.grid, kernel.offsets)
-    return GridFn(kernel.grid, relax(graph, np.where(mask, g_vals, np.inf)))
+    return GridFn(kernel.grid, relax(graph, np.where(mask, g.values, np.inf)))

@@ -109,7 +109,7 @@ def stage_strict(cfg: RunConfig, kern, aub: dict) -> dict:
     mask_agree = (float(np.max(np.abs(w_eps.values[am.mask] - w.values[am.mask])))
                   if am.mask.any() else 0.0)
     mask_ok = mask_agree <= mask_eps
-    cert = check_strict(w_eps, model, env, am, cfg.get("tolerances", "d0"), a=a)
+    cert = check_strict(w_eps, model, env, am.mask, cfg.get("tolerances", "d0"), a=a)
     passed = bool(sub_ok and sup_ok and mask_ok and cert.passed)
     return {"w_eps": w_eps, "branch": branch, "budget": budget,
             "r_kappa": r_kappa, "sub_ok": sub_ok, "edge_violation": worst,
@@ -156,7 +156,7 @@ def stage_regularize(cfg: RunConfig, kern, aub: dict, strict: dict) -> dict:
     k_t = max(kernel_semiconcavity(k_use, time) for time in {s, t})
     bound = max(window.a_const, k_t)
     w_eps, report = bernard_regularize(
-        strict["w_eps"], k_use, s, t, mask=aub["mask"],
+        strict["w_eps"], k_use, s, t, mask=aub["mask"].mask,
         d0=cfg.get("tolerances", "d0"),
         strict_input=strict["strict_cert"].passed,
         curvature_bound=bound, r_kappa=strict["r_kappa"])
@@ -468,10 +468,9 @@ def _battery(cfg: RunConfig) -> list:
 
     def _extension():
         u = lax_extension(w, am.mask, kern)
-        tail = [t for t in kern.ladder(t_max) if t >= 0.49 * t_max]
         r_k = lipschitz_radius(kappa(model, a, env), model)
         tol = 1.5 * grid.h * r_k
-        rep = check_corrector(u, kern, tail, tol=tol)
+        rep = check_corrector(u, kern, am.test_times, tol=tol)
         return rep.passed, f"residual={float(rep.residuals.max())!r} tol={tol!r}"
     run("mask_extension_is_corrector", _extension)
 

@@ -22,15 +22,15 @@ final matrix-vector product may round a row differently by its place in
 the batch, so a caller that needs values for a batch and for row blocks of
 it as their own arrays (the bisection of metric.critical_value_free) gets
 both from one cosine table, with one product per block and one over the
-batch.  That table is filled along a
-plan of regions, each either computed or copied from an earlier region
-that holds the same points: a point's cosines do not depend on the rows
-it is computed with, so a copy is made only where the coordinates are
-bit-equal to the source's and the table is the textbook one to the bit.
-A bump cloud is evaluated in
-blocks of rows whose (rows, centers, dim) differences hold ~32768 entries;
-every bump sum reduces within one row, so blocking moves no bit and memory
-beyond the result does not grow with m.
+batch.  That table is filled cover by cover: a cover is an array of
+points whose cosines are computed once, and every block of the batch that
+holds the same points (a slice of the cover, say) copies
+them.  A point's cosines do not depend on the rows it is computed with,
+so a copy is made only where the coordinates are bit-equal to the
+cover's, and the table is the textbook one to the bit.  A bump cloud is
+evaluated in blocks of rows whose (rows, centers, dim) differences hold
+~32768 entries; every bump sum reduces within one row, so blocking moves
+no bit and memory beyond the result does not grow with m.
 
 The gradient is taken at one point, in Python floats: the characteristic
 flow is its one caller, once per RK4 stage (see EnvRealization.gradient).
@@ -128,53 +128,60 @@ class EnvRealization:
         ang = self._angles(x)
         return np.cos(ang, out=ang) @ self.amplitudes
 
-    def _cosine_table(self, x: np.ndarray, plan) -> np.ndarray:
-        """cos(2 pi x . freqs + phases) on a float array x of shape
-        (..., dim), as one array of shape (..., modes), filled region by
-        region in the order of plan.
+    def _cosines(self, x: np.ndarray) -> np.ndarray:
+        """cos(_angles) over the points of a float array x of shape
+        (..., dim), as an array of shape (..., modes).  numpy forms a
+        one-row x @ freqs.T by a vector-matrix call whose angles can differ
+        in the last bit, so one row is computed as two copies of itself:
+        every row gets the entry cos(_angles(x)) holds for it in any batch
+        of two or more rows."""
+        pts = x.reshape(-1, x.shape[-1])
+        ang = self._angles(pts if len(pts) > 1 else np.repeat(pts, 2, axis=0))
+        return np.cos(ang, out=ang)[:len(pts)].reshape(x.shape[:-1] + (-1,))
 
-        plan is a sequence of (target, source) index tuples over the
-        leading axes of x that covers every point.  A target gets the
-        cosines of source, which an earlier region filled, when its points
-        are bit-equal to the source's; otherwise, or when source is None,
-        its cosines are computed.  Equal points have equal angles whatever
-        rows they share a product with, except that numpy forms a one-row
-        x @ freqs.T by a vector-matrix call whose angles can differ in the
-        last bit, so a one-row region is computed as two copies of its row.
-        Either way every entry is the one cos(_angles(x)) holds.
+    def _cosine_table(self, x: np.ndarray, covers) -> np.ndarray:
+        """cos(2 pi x . freqs + phases) on a float array x of shape
+        (..., dim), as one array of shape (..., modes), filled cover by
+        cover.
+
+        covers yields (points, members): the points of a cover, an array
+        of shape (..., dim), and per member a target, an index over the
+        leading axes of x, with the index that reads the target's points
+        off the cover.  Every point of x is in one target.  The cover's
+        cosines are computed once, and a target gets them when its points
+        are bit-equal to the cover's; otherwise its cosines are computed.
+        A point's cosines do not depend on the rows it is computed with
+        (see _cosines), so every entry is the one cos(_angles(x)) holds.
         """
-        dim = x.shape[-1]
         table = np.empty(x.shape[:-1] + (len(self.amplitudes),))
-        for target, source in plan:
-            if source is not None and np.array_equal(x[target], x[source]):
-                table[target] = table[source]
-                continue
-            pts = x[target].reshape(-1, dim)
-            ang = self._angles(pts if len(pts) > 1 else np.repeat(pts, 2, axis=0))
-            table[target] = np.cos(ang, out=ang)[:len(pts)].reshape(table[target].shape)
+        for points, members in covers:
+            cover = self._cosines(points)
+            for target, index in members:
+                equal = np.array_equal(x[target], points[index])
+                table[target] = cover[index] if equal else self._cosines(x[target])
         return table
 
-    def _evaluate_blocks(self, x: np.ndarray, bounds, plan) -> tuple:
+    def _evaluate_blocks(self, x: np.ndarray, bounds, covers) -> tuple:
         """(whole, blocks): field values on the points of a float array x
         of shape (..., dim), taken in C order as one batch of rows, and on
         each row block rows[bounds[i]:bounds[i + 1]], each bit for bit what
         evaluate returns on that array alone.
 
         A cosine sum builds one table of cosines by _cosine_table along
-        plan.  Its entries are those of the textbook table over the batch,
-        so a block's rows hold what evaluate would build, and each block
-        gets its own product over its row slice: the product rounds a row
-        by its place in the batch, so the whole-batch product is a separate
-        call.  A one-row block goes through evaluate, whose product is a
-        vector-matrix call.  A bump row reduces on its own, so the blocks
-        are slices of the whole and plan is not needed.
+        covers.  Its entries are those of the textbook table over the
+        batch, so a block's rows hold what evaluate would build, and each
+        block gets its own product over its row slice: the product rounds
+        a row by its place in the batch, so the whole-batch product is a
+        separate call.  A one-row block goes through evaluate, whose
+        product is a vector-matrix call.  A bump row reduces on its own,
+        so the blocks are slices of the whole and covers are not read.
         """
         rows = x.reshape(-1, x.shape[-1])
         spans = list(zip(bounds[:-1], bounds[1:]))
         if self.centers is not None:
             whole = self._eval_bumps(rows)
             return whole, [whole[a:b] for a, b in spans]
-        table = self._cosine_table(x, plan).reshape(len(rows), -1)
+        table = self._cosine_table(x, covers).reshape(len(rows), -1)
         blocks = [self.evaluate(rows[a:b]) if b - a == 1 else table[a:b] @ self.amplitudes
                   for a, b in spans]
         return table @ self.amplitudes, blocks

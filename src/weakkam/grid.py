@@ -153,30 +153,12 @@ class GridFn:
     def zeros(cls, grid: GridSpec) -> "GridFn":
         return cls(grid, np.zeros(grid.size))
 
-    def copy(self) -> "GridFn":
-        return GridFn(self.grid, self.values.copy())
-
     def shaped(self) -> np.ndarray:
         return self.values.reshape(self.grid.shape)
 
     def normalized_at_origin(self) -> "GridFn":
         """Subtract the value at node 0 so the result vanishes at the origin."""
         return GridFn(self.grid, self.values - self.values[0])
-
-    def __add__(self, other):
-        if isinstance(other, GridFn):
-            return GridFn(self.grid, self.values + other.values)
-        return GridFn(self.grid, self.values + other)
-
-    def __sub__(self, other):
-        if isinstance(other, GridFn):
-            return GridFn(self.grid, self.values - other.values)
-        return GridFn(self.grid, self.values - other)
-
-    def __mul__(self, scalar):
-        return GridFn(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
 
     def central_gradient(self) -> np.ndarray:
         """Central-difference gradient at every node, shape (size, dim)."""

@@ -1,11 +1,15 @@
 """Hamiltonian models as bundles of closed forms.
 
-A model carries vectorized callables: H(x,p), L(x,q), the sublevel support
+A model carries vectorized callables: H(V,p), L(V,q), the sublevel support
 function sigma, the sublevel radius, the speed bound of Lax-Oleinik
 optimizers and the momentum Lipschitz bound of H; a Tonelli model also
-carries DH and the flow-rate bound l_r.  Every callable takes points of
-shape (m, dim), except DH, which takes one point as Python floats, and an
-environment realization supplying the scalar field V (None means V = 0).
+carries DH and the flow-rate bound l_r.  In the stationary ergodic setting
+a Hamiltonian depends on x only through the environment, and every catalog
+model reads it only through the scalar field V(x, omega): the closed forms
+take the m field values V where the points would go.  DH alone takes one
+point, as Python floats, and the environment realization (None means
+V = 0), because it needs the gradient of V.  eval_H, eval_L and kappa
+take points and a realization and read V there once, by field_values.
 
 Built-in catalog:
 
@@ -36,14 +40,18 @@ __all__ = [
     "eikonal_model",
     "nonstrict_model",
     "reversed_model",
+    "field_values",
     "kappa",
+    "kappa_at_values",
     "lipschitz_radius",
 ]
 
 
-def _field_values(env, x):
+def field_values(env, x) -> np.ndarray:
+    """V at the points x, shape (m, dim) or (dim,); zeros when env is None."""
+    x = np.atleast_2d(x)
     if env is None:
-        return np.zeros(np.atleast_2d(x).shape[0])
+        return np.zeros(x.shape[0])
     return env.evaluate(x)
 
 
@@ -56,25 +64,28 @@ def _field_gradient(env, x):
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """A Hamiltonian H(x, p) with its closed forms.
+    """A Hamiltonian H(x, p) = H(V(x), p) with its closed forms, each a
+    function of the field values V, an (m,) array, in place of the points.
 
-    H(x, p, env), L(x, q, env)       Hamiltonian and Lagrangian,
-    sigma(x, q, a, env)              support function of {p : H(x,p) <= a};
-                                     NaN rows mark empty sublevels,
-    sublevel_radius(x, a, env)       sup |p| over that sublevel, NaN where
-                                     it is empty,
-    lipschitz_radius_analytic(theta) speed bound of Lax-Oleinik optimizers
-                                     for theta-Lipschitz data,
-    dhp_bound(R)                     sup |H_p| over |p| <= R.
+    H(V, p), L(V, q)                  Hamiltonian and Lagrangian,
+    sigma(V, q, a)                    support function of {p : H(V,p) <= a};
+                                      NaN rows mark empty sublevels,
+    sublevel_radius(V, a)             sup |p| over that sublevel, NaN where
+                                      it is empty,
+    lipschitz_radius_analytic(theta)  speed bound of Lax-Oleinik optimizers
+                                      for theta-Lipschitz data,
+    dhp_bound(R)                      sup |H_p| over |p| <= R.
 
     L and sigma also take one (1, dim) row of q, which they broadcast over
-    the m points, and H one (1, dim) row of p.  The Tonelli data
+    the m values, and H one (1, dim) row of p.  eval_H(x, p, env) and
+    eval_L(x, q, env) read V at the points x first.  The Tonelli data
     DH(x, p, env) -> (H_x, H_p) and l_r(R, env), the Lipschitz rate of the
     characteristic field on |p| <= R, are None on models without a
-    characteristic flow.  DH is point-wise: x and p are dim floats each
-    and H_x, H_p come back as lists of floats, computed in Python float
-    arithmetic (see EnvRealization.gradient), since the RK4 flow calls it
-    once per stage on one point.
+    characteristic flow.  DH is point-wise, since H_x needs the gradient of
+    V: x and p are dim floats each and H_x, H_p come back as lists of
+    floats, computed in Python float arithmetic (see
+    EnvRealization.gradient), since the RK4 flow calls it once per stage on
+    one point.
     """
 
     name: str
@@ -92,10 +103,10 @@ class HamiltonianModel:
     l_r: callable = field(repr=False, default=None)
 
     def eval_H(self, x, p, env=None):
-        return self.H(np.atleast_2d(x), np.atleast_2d(p), env)
+        return self.H(field_values(env, x), np.atleast_2d(p))
 
     def eval_L(self, x, q, env=None):
-        return self.L(np.atleast_2d(x), np.atleast_2d(q), env)
+        return self.L(field_values(env, x), np.atleast_2d(q))
 
 
 # -- catalog --------------------------------------------------------------
@@ -105,23 +116,23 @@ def mechanical_model(dim: int = 1, field_bound: float = 1.0) -> HamiltonianModel
     """H = |p|^2/2 + V(x)."""
     vb = float(field_bound)
 
-    def H(x, p, env):
-        return 0.5 * np.sum(p * p, axis=-1) + _field_values(env, x)
+    def H(V, p):
+        return 0.5 * np.sum(p * p, axis=-1) + V
 
-    def L(x, q, env):
-        return 0.5 * np.sum(q * q, axis=-1) - _field_values(env, x)
+    def L(V, q):
+        return 0.5 * np.sum(q * q, axis=-1) - V
 
     def DH(x, p, env):
         return _field_gradient(env, x), list(p)
 
-    def sigma(x, q, a, env):
-        gap = a - _field_values(env, x)
+    def sigma(V, q, a):
+        gap = a - V
         rad = np.sqrt(2.0 * np.clip(gap, 0.0, None))
         out = rad * np.linalg.norm(np.atleast_2d(q), axis=-1)
         return np.where(gap < 0, np.nan, out)
 
-    def sublevel_radius(x, a, env):
-        gap = a - _field_values(env, x)
+    def sublevel_radius(V, a):
+        gap = a - V
         return np.where(gap < 0, np.nan, np.sqrt(2.0 * np.clip(gap, 0.0, None)))
 
     return HamiltonianModel(
@@ -143,26 +154,26 @@ def tilted_mechanical_model(p0, dim: int = 1, field_bound: float = 1.0) -> Hamil
     vb = float(field_bound)
     p0n = float(np.linalg.norm(p0))
 
-    def H(x, p, env):
+    def H(V, p):
         s = np.atleast_2d(p) + p0[None, :]
-        return 0.5 * np.sum(s * s, axis=-1) + _field_values(env, x)
+        return 0.5 * np.sum(s * s, axis=-1) + V
 
-    def L(x, q, env):
+    def L(V, q):
         q = np.atleast_2d(q)
-        return 0.5 * np.sum(q * q, axis=-1) - q @ p0 - _field_values(env, x)
+        return 0.5 * np.sum(q * q, axis=-1) - q @ p0 - V
 
     def DH(x, p, env):
         return _field_gradient(env, x), [a + b for a, b in zip(p, p0_list)]
 
-    def sigma(x, q, a, env):
-        gap = a - _field_values(env, x)
+    def sigma(V, q, a):
+        gap = a - V
         rad = np.sqrt(2.0 * np.clip(gap, 0.0, None))
         q = np.atleast_2d(q)
         out = rad * np.linalg.norm(q, axis=-1) - q @ p0
         return np.where(gap < 0, np.nan, out)
 
-    def sublevel_radius(x, a, env):
-        gap = a - _field_values(env, x)
+    def sublevel_radius(V, a):
+        gap = a - V
         return np.where(gap < 0, np.nan, p0n + np.sqrt(2.0 * np.clip(gap, 0.0, None)))
 
     return HamiltonianModel(
@@ -187,24 +198,20 @@ def eikonal_model(offset: float = 2.0, dim: int = 1, field_bound: float = 1.0) -
     if c0 <= vb:
         raise ConfigError("eikonal offset must exceed the field bound so f > 0")
 
-    def f_of(x, env):
-        return c0 + _field_values(env, x)
+    def H(V, p):
+        return np.linalg.norm(np.atleast_2d(p), axis=-1) - (c0 + V)
 
-    def H(x, p, env):
-        return np.linalg.norm(np.atleast_2d(p), axis=-1) - f_of(x, env)
-
-    def L(x, q, env):
+    def L(V, q):
         speed = np.linalg.norm(np.atleast_2d(q), axis=-1)
-        vals = f_of(x, env).astype(float)
-        return np.where(speed <= 1.0 + 1e-12, vals, np.inf)
+        return np.where(speed <= 1.0 + 1e-12, (c0 + V).astype(float), np.inf)
 
-    def sigma(x, q, a, env):
-        rad = a + f_of(x, env)
+    def sigma(V, q, a):
+        rad = a + (c0 + V)
         out = rad * np.linalg.norm(np.atleast_2d(q), axis=-1)
         return np.where(rad < 0, np.nan, out)
 
-    def sublevel_radius(x, a, env):
-        rad = a + f_of(x, env)
+    def sublevel_radius(V, a):
+        rad = a + (c0 + V)
         return np.where(rad < 0, np.nan, rad)
 
     return HamiltonianModel(
@@ -219,23 +226,22 @@ def nonstrict_model(dim: int = 1, field_bound: float = 1.0) -> HamiltonianModel:
     """H = max(|p| - 1, 0) + V(x): convex with a flat unit core, not strict."""
     vb = float(field_bound)
 
-    def H(x, p, env):
+    def H(V, p):
         speed = np.linalg.norm(np.atleast_2d(p), axis=-1)
-        return np.clip(speed - 1.0, 0.0, None) + _field_values(env, x)
+        return np.clip(speed - 1.0, 0.0, None) + V
 
-    def L(x, q, env):
+    def L(V, q):
         speed = np.linalg.norm(np.atleast_2d(q), axis=-1)
-        vals = speed - _field_values(env, x)
-        return np.where(speed <= 1.0 + 1e-12, vals, np.inf)
+        return np.where(speed <= 1.0 + 1e-12, speed - V, np.inf)
 
-    def sigma(x, q, a, env):
-        gap = a - _field_values(env, x)
+    def sigma(V, q, a):
+        gap = a - V
         rad = 1.0 + np.clip(gap, 0.0, None)
         out = rad * np.linalg.norm(np.atleast_2d(q), axis=-1)
         return np.where(gap < 0, np.nan, out)
 
-    def sublevel_radius(x, a, env):
-        gap = a - _field_values(env, x)
+    def sublevel_radius(V, a):
+        gap = a - V
         return np.where(gap < 0, np.nan, 1.0 + np.clip(gap, 0.0, None))
 
     return HamiltonianModel(
@@ -253,14 +259,14 @@ def reversed_model(model: HamiltonianModel) -> HamiltonianModel:
     original; semidistances swap their arguments.
     """
 
-    def H(x, p, env):
-        return model.H(x, -np.atleast_2d(p), env)
+    def H(V, p):
+        return model.H(V, -np.atleast_2d(p))
 
-    def L(x, q, env):
-        return model.L(x, -np.atleast_2d(q), env)
+    def L(V, q):
+        return model.L(V, -np.atleast_2d(q))
 
-    def sigma(x, q, a, env):
-        return model.sigma(x, -np.atleast_2d(q), a, env)
+    def sigma(V, q, a):
+        return model.sigma(V, -np.atleast_2d(q), a)
 
     DH = None
     if model.DH is not None:
@@ -281,33 +287,31 @@ def reversed_model(model: HamiltonianModel) -> HamiltonianModel:
 # -- numeric operations ----------------------------------------------------
 
 
-def _default_x_samples(model: HamiltonianModel) -> np.ndarray:
-    """256 points of the unit cell in 1D, a 16 x 16 lattice in 2D."""
+def kappa(model: HamiltonianModel, a: float, env=None) -> float:
+    """kappa_a = sup { |p| : H(x, p) <= a over sampled x }: kappa_at_values
+    on V at 256 points of the unit cell in 1D, a 16 x 16 lattice in 2D."""
     n = 256 if model.dim == 1 else 16
-    return lattice_points(np.arange(n) / n, model.dim)
+    return kappa_at_values(model, a, field_values(env, lattice_points(np.arange(n) / n, model.dim)))
 
 
-def kappa(model: HamiltonianModel, a: float, env=None, x_samples=None) -> float:
-    """kappa_a = sup { |p| : H(x, p) <= a over sampled x }.
+def kappa_at_values(model: HamiltonianModel, a: float, V: np.ndarray) -> float:
+    """sup { |p| : H(V_i, p) <= a over the field values V_i }.
 
     Read off the model's sublevel radius.  An empty sublevel at every
-    sample raises, unless a sits exactly at the pointwise minimum of H
+    value raises, unless a sits exactly at the pointwise minimum of H
     (degenerate level -> 0), which a momentum lattice decides.
     """
-    xs = x_samples if x_samples is not None else _default_x_samples(model)
-    radii = np.asarray(model.sublevel_radius(xs, a, env), dtype=float)
+    radii = np.asarray(model.sublevel_radius(V, a), dtype=float)
     finite = radii[~np.isnan(radii)]
     if finite.size:
         return float(np.max(finite))
-    # all empty: degenerate iff some x has min_p H within tol of a
+    # all empty: degenerate iff some V has min_p H within tol of a
     lattice = lattice_points(np.linspace(-8.0, 8.0, 257), model.dim)
-    min_h = min(float(np.min(model.eval_H(np.repeat(x[None, :], len(lattice), axis=0), lattice, env)))
-                for x in xs)
+    min_h = min(float(np.min(model.H(v, lattice))) for v in V)
     if a >= min_h - 1e-9:
         return 0.0
     raise SubcriticalLevelError(
-        f"sublevel {{H <= {a}}} is empty at every sampled x (min H = {min_h:.6g})",
-        empty_at=np.asarray(xs[0]))
+        f"sublevel {{H <= {a}}} is empty at every sampled x (min H = {min_h:.6g})")
 
 
 def lipschitz_radius(theta: float, model: HamiltonianModel) -> float:

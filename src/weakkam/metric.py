@@ -12,26 +12,22 @@ witnesses come from the one engine there, grid.relax.
 The field is sampled once per lattice and offset set: every level's cost
 graph is priced from V stored on the node array and on each offset's array
 of edge midpoints, so a bisection costs one field evaluation however many
-levels it tries.  The midpoint arrays are row blocks of one batch that
+levels it tries.  The models read x only through V, so the sampler holds
+plain value arrays.  The midpoint arrays are row blocks of one batch that
 starts with the nodes, and the starting levels of critical_value_free are
 read off V over that whole batch.  critical_value_free evaluates the nodes
 once (the edge radius is read off them) and the batch once: one cosine
 table, with one matrix-vector product per midpoint array and one over the
-batch.  The table is built by lattice translation.  The midpoints of
-offset k at node x are x - k h / 2, the same points as those of any
-k' = k mod 2 at the node shifted by (k' - k) / 2, so the blocks of the
-batch fall into 2^dim classes of translates.  Cosines are computed for
-the first block of each class and, on a box, for the border strips a
-translate leaves uncovered; every other row is copied from the nearest
-earlier block of its class (the overlap rectangle on a box, a cyclic
-shift on a torus), and only where its coordinates are bit-equal to the
-source's.  A spacing h that is not dyadic makes translated coordinates
-round differently, so those rows are computed.  The products stay
-separate because the product rounds a row by its place in the batch, so
-a point's value in the batch can differ in the last bits from its value
-in its own array.  Each route keeps reading its own values, which keeps
-every bracket bit for bit what it was when each level resampled the
-field.
+batch.  The midpoints of offset k at node x are x - k h / 2, the
+half-spacing points of the class k mod 2, so the table is built from one
+cover per class: the points the class's blocks span, whose cosines are
+computed once.  Each block is a slice of its cover, copied where its
+coordinates are bit-equal to the cover's and computed otherwise (a
+spacing h that is not dyadic rounds them differently).  The products stay separate because the product rounds
+a row by its place in the batch, so a point's value in the batch can
+differ in the last bits from its value in its own array.  Each route keeps
+reading its own values, which keeps every bracket bit for bit what it was
+when each level resampled the field.
 
 Edge convention: the edge for offset k ends at node x and starts at
 x - k h, costs sigma_a(mid, k h) with mid the (wrapped) segment midpoint.
@@ -46,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SubcriticalLevelError
-from .grid import BoxSpec, GridFn, GridSpec, Stencil, relax
+from .grid import BoxSpec, GridFn, Stencil, relax
+from .hamiltonian import field_values, kappa_at_values
 
 __all__ = [
     "support_sigma",
@@ -65,12 +62,12 @@ __all__ = [
 ]
 
 
-def support_sigma(model, x, q, a: float, env=None) -> np.ndarray:
-    """sigma_a(x, q), the model's closed form; NaN entries mark points with
-    empty sublevel.  q is one row per point or one (1, dim) row for all."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+def support_sigma(model, V, q, a: float) -> np.ndarray:
+    """sigma_a(x, q) at the field values V = V(x), the model's closed form;
+    NaN entries mark points with empty sublevel.  q is one row per point
+    or one (1, dim) row for all."""
     q = np.atleast_2d(np.asarray(q, dtype=float))
-    return np.asarray(model.sigma(x, q, a, env), dtype=float)
+    return np.asarray(model.sigma(V, q, a), dtype=float)
 
 
 def default_edge_radius(lattice, kappa_hi: float) -> float:
@@ -94,151 +91,92 @@ def build_cost_graph(model, a: float, env, lattice, offsets: np.ndarray) -> Cost
     The emptiness check covers every node and every edge midpoint, so the
     subcritical certificate cannot slip between nodes.
     """
-    return _price(model, a, _SamplePoints(env, lattice, offsets))
-
-
-class _SampledField:
-    """Environment view that evaluates the field on one sample array once
-    and hands the stored values back whenever that same array is asked for;
-    any other array goes to the realization."""
-
-    def __init__(self, env, points: np.ndarray, values: np.ndarray | None = None):
-        self.env = env
-        self.points = points
-        self._values = None
-        if values is not None:
-            self.store(values)
-
-    def store(self, values: np.ndarray) -> None:
-        self._values = values
-        self._values.flags.writeable = False
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        if x is not self.points:
-            return self.env.evaluate(x)
-        if self._values is None:
-            self.store(self.env.evaluate(x))
-        return self._values
+    pts = lattice.points()
+    samples = _SamplePoints(env, lattice, offsets, pts, field_values(env, pts), whole=False)
+    return _price(model, a, samples)
 
 
 class _SamplePoints:
-    """Where sigma_a is sampled on a lattice and offset set: the node array
-    and one array of edge midpoints per offset, each with the environment
-    view it is priced through, so every level reads the same field values.
+    """Where sigma_a is sampled on a lattice and offset set, and the field
+    values there: V on the nodes and on each offset's array of edge
+    midpoints, so every level reads the same values.
 
     The midpoint arrays are row blocks of one batch array, which starts
-    with a copy of the nodes.  node_field is a view over lattice.points()
-    made before the offsets were known (the edge radius is read off the
-    node values); passing it keeps the nodes to one evaluation.
+    with a copy of the nodes.  The node values are passed in:
+    critical_value_free reads the edge radius off them before the offsets
+    are known.  With whole, V over the whole batch is held too, for the
+    starting levels of critical_value_free, and the midpoint values come
+    with it from one cosine table filled along covers.  Without, each
+    midpoint array is evaluated on its own, so a cost graph holds one
+    (N, modes) table at a time, not the batch's.
     """
 
-    def __init__(self, env, lattice, offsets: np.ndarray, node_field=None):
+    def __init__(self, env, lattice, offsets: np.ndarray, nodes: np.ndarray,
+                 node_values: np.ndarray, whole: bool):
         if len(offsets) == 0:
             raise ConfigError("edge radius below grid spacing: no edges")
-        self.env = env
         self.lattice = lattice
         self.offsets = np.asarray(offsets)
-        self.nodes = lattice.points() if node_field is None else node_field.points
-        n = len(self.nodes)
+        self.nodes, self.node_values = nodes, node_values
+        n = len(nodes)
         self.batch = np.empty(((len(self.offsets) + 1) * n, lattice.dim))
-        self.batch[:n] = self.nodes
+        self.batch[:n] = nodes
         self.mids = []
         for i, k in enumerate(self.offsets, start=1):
             rows = self.batch[i * n:(i + 1) * n]
-            rows[...] = lattice.wrap(self.nodes - 0.5 * (np.asarray(k, dtype=float) * lattice.h)[None, :])
+            rows[...] = lattice.wrap(nodes - 0.5 * (np.asarray(k, dtype=float) * lattice.h)[None, :])
             self.mids.append(rows)
-        self.fields = [_field_view(env, self.nodes) if node_field is None else node_field,
-                       *(_field_view(env, pts) for pts in self.mids)]
+        if not whole or env is None:
+            self.mid_values = [field_values(env, mids) for mids in self.mids]
+            self.whole = field_values(env, self.batch) if whole else None
+            return
+        shaped = self.batch.reshape((len(self.offsets) + 1,) + lattice.shape + (lattice.dim,))
+        self.whole, self.mid_values = env._evaluate_blocks(
+            shaped, range(n, len(self.batch) + 1, n), self.covers())
 
-    def batch_field(self):
-        """Evaluate the field over the batch from one shared table: each
-        midpoint view stores its own array's values, and the returned view
-        holds the whole batch's (None when env is None).  The node view is
-        left as it is."""
-        if self.env is None:
-            return None
-        n = len(self.nodes)
-        shaped = self.batch.reshape((len(self.offsets) + 1,) + self.lattice.shape
-                                    + (self.lattice.dim,))
-        whole, blocks = self.env._evaluate_blocks(shaped, range(n, len(self.batch) + 1, n),
-                                                  self.table_plan())
-        for view, values in zip(self.fields[1:], blocks):
-            view.store(values)
-        return _SampledField(self.env, self.batch, whole)
-
-    def table_plan(self) -> list:
-        """The order in which the batch's cosine table is filled: (target,
-        source) index tuples over the batch shaped (blocks, *lattice.shape).
+    def covers(self):
+        """Yield (points, members), one cover per class of the offsets mod
+        2: the half-spacing points the class's blocks span, shaped as a
+        lattice, and (b, index) for each block b of the batch shaped
+        (blocks, *lattice.shape), with the index that reads block b off
+        the cover.
 
         Block b holds the points x - k_b h / 2 over the nodes x (k_0 = 0:
-        the nodes themselves).  When k_b = k_s + 2 d, block b's point at
-        node I is block s's point at node I - d, so the blocks fall into
-        the 2^dim classes of k mod 2 and those of a class are translates of
-        each other.  The first block of a class is computed whole.  Every
-        later one is copied from the nearest earlier block of its class
-        (least |d|_1, the latest on a tie): the overlap rectangle on a box,
-        with the border strips the translate leaves computed, and a cyclic
-        shift on a torus.  Offsets within 3h leave every later block an
-        earlier one at |d| <= 1 per axis, so a block's strips hold fewer
-        than dim n^(dim - 1) of its n^dim points.
+        the nodes themselves).  With k_b = c + 2 d, c = k_b mod 2, the
+        point at node I is x_(I - d) - c h / 2, the cover's point at I - d.
+        The cover spans I - d over the class's blocks, so a block is a
+        slice of it; on a torus the cover's points are wrapped like the
+        blocks', so its slices are the cyclic shifts of one period.  The
+        cover's coordinates equal the blocks' in exact arithmetic, so on a
+        dyadic spacing, where every term is exact, they are bit-equal.
         """
-        dim = self.lattice.dim
-        ks = [(0,) * dim] + [tuple(int(c) for c in k) for k in self.offsets]
-        periodic = isinstance(self.lattice, GridSpec)
-        plan = []
+        lat = self.lattice
+        n = np.asarray(lat.shape)
+        ks = np.vstack([np.zeros((1, lat.dim), dtype=int), self.offsets])
+        classes = {}
         for b, k in enumerate(ks):
-            shifts = [(s, tuple((p - q) // 2 for p, q in zip(k, ks[s]))) for s in range(b)
-                      if all((p - q) % 2 == 0 for p, q in zip(k, ks[s]))]
-            if not shifts:
-                plan.append(((b,), None))
-                continue
-            s, d = min(shifts, key=lambda sd: (sum(map(abs, sd[1])), -sd[0]))
-            plan.extend(_translate((b,), (s,), d, self.lattice.shape, periodic))
-        return plan
-
-
-def _translate(target: tuple, source: tuple, d: tuple, shape: tuple, periodic: bool):
-    """Yield (target, source) regions that fill an array of this shape from
-    another whose point at I - d it holds at I: per axis, the range the
-    translate covers and the border it leaves, which wraps round on a
-    torus and is computed (source None) on a box."""
-    axis = len(target) - 1
-    if axis == len(shape):
-        yield target, source
-        return
-    n, shift = shape[axis], d[axis]
-    lo, hi = min(max(shift, 0), n), max(n + min(shift, 0), 0)
-    if lo < hi:
-        yield from _translate(target + (slice(lo, hi),), source + (slice(lo - shift, hi - shift),),
-                              d, shape, periodic)
-    start, stop = (0, lo) if shift > 0 else (hi, n)
-    if start == stop:
-        return
-    if not periodic:
-        yield target + (slice(start, stop),), None
-        return
-    wrapped = (start - shift) % n
-    yield from _translate(target + (slice(start, stop),),
-                          source + (slice(wrapped, wrapped + stop - start),), d, shape, periodic)
-
-
-def _field_view(env, points: np.ndarray):
-    """A _SampledField over points, or None (V = 0) when env is None."""
-    return None if env is None else _SampledField(env, points)
+            classes.setdefault(tuple(k % 2), []).append(b)
+        for c, blocks in classes.items():
+            d = (ks[blocks] - c) // 2
+            lo, hi = -d.max(axis=0), n - d.min(axis=0)
+            axes = [lat.axis()[0] + np.arange(start, stop) * lat.h - 0.5 * (ci * lat.h)
+                    for start, stop, ci in zip(lo, hi, c)]
+            points = lat.wrap(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+            yield points, [(b, tuple(slice(s, s + m) for s, m in zip(-shift - lo, n)))
+                           for b, shift in zip(blocks, d)]
 
 
 def _price(model, a: float, samples: _SamplePoints) -> CostGraph:
-    """The sigma_a cost graph on the sample points; raises on the first
-    empty sublevel, midpoints offset by offset, then the nodes.  Each
+    """The sigma_a cost graph from the sampled field values; raises on the
+    first empty sublevel, midpoints offset by offset, then the nodes.  Each
     offset's displacement is priced as one (1, dim) row, which sigma
     broadcasts over the midpoints."""
     lattice, pts = samples.lattice, samples.nodes
     h = lattice.h
-    m = len(samples.offsets)
-    weights = np.empty((m, lattice.size))
-    for idx, (k, mids, view) in enumerate(zip(samples.offsets, samples.mids, samples.fields[1:])):
+    weights = np.empty((len(samples.offsets), lattice.size))
+    for idx, (k, mids, V) in enumerate(zip(samples.offsets, samples.mids, samples.mid_values)):
         disp = np.asarray(k, dtype=float) * h
-        w = support_sigma(model, mids, disp[None, :], a, view)
+        w = support_sigma(model, V, disp[None, :], a)
         bad = np.isnan(w)
         if np.any(bad):
             j = int(np.argmax(bad))
@@ -247,7 +185,7 @@ def _price(model, a: float, samples: _SamplePoints) -> CostGraph:
                 empty_at=mids[j].copy())    # a view would pin the whole batch
         weights[idx] = w
     # node-level emptiness: sigma at zero displacement
-    w0 = support_sigma(model, pts, np.zeros((1, lattice.dim)), a, samples.fields[0])
+    w0 = support_sigma(model, samples.node_values, np.zeros((1, lattice.dim)), a)
     if np.any(np.isnan(w0)):
         j = int(np.argmax(np.isnan(w0)))
         raise SubcriticalLevelError(
@@ -280,25 +218,15 @@ def semidistance(model, a: float, sources, env, lattice, offsets: np.ndarray) ->
     return SemidistanceResult(graph=graph, source_indices=np.asarray(src_idx), values=vals)
 
 
-def _kappa_for_radius(model, a, env, points) -> float:
-    from .hamiltonian import kappa
-
-    try:
-        return kappa(model, a, env, x_samples=points)
-    except SubcriticalLevelError:
-        return 1.0
-
-
 # -- subsolution verification ----------------------------------------------
 
 
 def lippo_scale(model, a: float, env, lattice) -> float:
     """Momentum Lipschitz scale of H near level a: sup |H| over |p| <= kappa + 2."""
-    from .hamiltonian import kappa
-
     pts = lattice.points()
+    V = field_values(env, pts)
     try:
-        kap = kappa(model, a, env, x_samples=pts)
+        kap = kappa_at_values(model, a, V)
     except SubcriticalLevelError:
         kap = 1.0
     radii = np.array([0.0, 0.5 * (kap + 2.0), kap + 2.0])
@@ -308,8 +236,8 @@ def lippo_scale(model, a: float, env, lattice) -> float:
     for r in radii:
         for e in dirs:
             p = np.repeat((r * e)[None, :], len(pts), axis=0)
-            worst = max(worst, float(np.max(np.abs(model.eval_H(pts, p, env)))))
-            worst = max(worst, float(np.max(np.abs(model.eval_H(pts, -p, env)))))
+            worst = max(worst, float(np.max(np.abs(model.H(V, p)))))
+            worst = max(worst, float(np.max(np.abs(model.H(V, -p)))))
     return worst
 
 
@@ -383,12 +311,9 @@ def critical_value_free(model, env, lattice, tol_bisect: float = 5e-3) -> Critic
     max H(x, 0) over the nodes.  The field is sampled once per call: V at
     the nodes is evaluated once, and V at every offset's edge midpoints
     comes with V over the whole sample batch (nodes, then each offset's
-    midpoints) from one cosine table; every level's cost graph is priced
-    from the per-array values.  The table's rows are computed for the
-    first block of each class of offsets mod 2 and for the border strips a
-    box translate leaves, and copied from an earlier block of the class
-    everywhere else, where their coordinates are bit-equal to the
-    source's (_SamplePoints.table_plan).
+    midpoints) from one cosine table built cover by cover
+    (_SamplePoints.covers); every level's cost graph is priced from the
+    per-array values.
     hi starts at max H(x, 0) over the batch, where the zero function is a
     subsolution, and lo at its min minus one.  The batch's values come from
     their own matrix-vector product, which rounds a row by its place in
@@ -399,16 +324,19 @@ def critical_value_free(model, env, lattice, tol_bisect: float = 5e-3) -> Critic
     certificate appears.  The reported value is the bracket midpoint.
     """
     pts = lattice.points()
-    node_field = _field_view(env, pts)
+    node_values = field_values(env, pts)
     zero_row = np.zeros((1, lattice.dim))
-    hzero = float(np.max(model.eval_H(pts, zero_row, node_field)))
-    kap = _kappa_for_radius(model, hzero, node_field, pts)
+    hzero = float(np.max(model.H(node_values, zero_row)))
+    try:
+        kap = kappa_at_values(model, hzero, node_values)
+    except SubcriticalLevelError:
+        kap = 1.0
     radius = default_edge_radius(lattice, kap)
-    samples = _SamplePoints(env, lattice, lattice.offsets_within(radius), node_field)
-    batch_field = samples.batch_field()
-    h_zero = model.eval_H(samples.batch, zero_row, batch_field)
+    samples = _SamplePoints(env, lattice, lattice.offsets_within(radius), pts, node_values,
+                            whole=True)
+    h_zero = model.H(samples.whole, zero_row)
     hi, lo = float(np.max(h_zero)), float(np.min(h_zero)) - 1.0
-    del batch_field, h_zero
+    del samples.whole, h_zero
     feasible_hi, _ = _level_verdict(model, hi, samples)
     iters = 0
     step = 1.0

@@ -40,12 +40,6 @@ __all__ = [
 ]
 
 
-def _mask_array(mask) -> np.ndarray:
-    """Accept an AubryMask or a plain boolean array."""
-    arr = getattr(mask, "mask", mask)
-    return np.asarray(arr, dtype=bool)
-
-
 def _near_mask(grid, mask: np.ndarray, d0: float) -> np.ndarray:
     """Nodes at torus distance < d0 from the mask, or whose central stencil
     touches it: the mask dilated by every lattice offset k with |k| h < d0
@@ -79,7 +73,7 @@ class StrictnessCertificate:
     passed: bool
 
 
-def check_strict(v: GridFn, model, env, mask, d0: float,
+def check_strict(v: GridFn, model, env, mask: np.ndarray, d0: float,
                  a: float = 0.0) -> StrictnessCertificate:
     """Certify H(x, D_h v(x)) <= a - delta on {dist(x, mask) >= d0}.
 
@@ -88,8 +82,7 @@ def check_strict(v: GridFn, model, env, mask, d0: float,
     margin.  An empty mask certifies the whole grid.
     """
     grid = v.grid
-    m = _mask_array(mask)
-    region = ~_near_mask(grid, m, d0)
+    region = ~_near_mask(grid, mask, d0)
     if not np.any(region):
         raise ConfigError(
             f"no cells at distance >= d0={d0} from the mask; shrink d0")

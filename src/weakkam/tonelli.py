@@ -26,9 +26,9 @@ import numpy as np
 from .aubry import default_eps, verify_member
 from .errors import ConfigError, NotTonelliError
 from .grid import GridFn
-from .hamiltonian import kappa, lipschitz_radius
+from .hamiltonian import field_values, kappa, lipschitz_radius
 from .semigroup import ActionKernel, lax_minus, lax_plus
-from .subsol import StrictnessCertificate, check_strict, _mask_array
+from .subsol import StrictnessCertificate, check_strict
 
 __all__ = [
     "FlowState",
@@ -79,9 +79,6 @@ class Trajectory:
     eta: np.ndarray
     energy: np.ndarray
     drift: float
-
-    def state(self, k: int) -> FlowState:
-        return FlowState(self.xi[k], self.eta[k])
 
 
 def flow_integrate(model, env, state0: FlowState, t: float, dt: float) -> Trajectory:
@@ -245,8 +242,8 @@ def regular_window(kappa0: float, lam: float, model, env) -> RegularWindow:
         pp = np.array([[kappa0], [-kappa0]])
     else:
         pp = kappa0 * np.stack([np.cos(dirs), np.sin(dirs)], axis=1)
-    e0 = max(float(np.max(model.eval_H(xs, np.broadcast_to(p, xs.shape), env)))
-             for p in pp)
+    V = field_values(env, xs)
+    e0 = max(float(np.max(model.H(V, np.broadcast_to(p, xs.shape)))) for p in pp)
     rho = kappa(model, e0, env)
     ell = float(model.l_r(rho, env))
     r0 = lipschitz_radius(kappa0, model)
@@ -354,7 +351,7 @@ class BernardReport:
         return [name for name, ok in verdicts if ok is False]
 
 
-def bernard_regularize(w: GridFn, kernel: ActionKernel, s: float, t: float, mask,
+def bernard_regularize(w: GridFn, kernel: ActionKernel, s: float, t: float, mask: np.ndarray,
                        d0: float, strict_input: bool, curvature_bound: float,
                        r_kappa: float) -> tuple:
     """T^-_t (T^+_s w) with its five-way certificate, at the kernel's level a.
@@ -385,13 +382,12 @@ def bernard_regularize(w: GridFn, kernel: ActionKernel, s: float, t: float, mask
     sup_bound = (t + s) * r_kappa
     sup_ok = bool(sup_change <= sup_bound + 1e-9)
 
-    m = _mask_array(mask)
     mask_eps = default_eps(w.values)
     mask_agree = mask_ok = None
-    if np.any(m):
-        mask_agree = float(np.max(np.abs(w_eps.values[m] - w.values[m])))
+    if np.any(mask):
+        mask_agree = float(np.max(np.abs(w_eps.values[mask] - w.values[mask])))
         mask_ok = bool(mask_agree <= mask_eps)
-    strict_cert = check_strict(w_eps, model, env, m, d0, a=kernel.shift)
+    strict_cert = check_strict(w_eps, model, env, mask, d0, a=kernel.shift)
 
     report = BernardReport(
         s=float(s), t=float(t), subsolution_ok=bool(sub_ok), edge_violation=worst,

@@ -67,8 +67,8 @@ def walk_table(stencil, steps: int) -> np.ndarray:
 
 class CountingField:
     """A realization that records the shape of each evaluate and gradient
-    call, and of each shared-table batch (its points shaped as its table
-    plan indexes them) with its number of row blocks."""
+    call, and of each shared-table batch (its points shaped as its covers
+    index them) with its number of row blocks."""
 
     def __init__(self, env):
         self.env = env
@@ -78,9 +78,9 @@ class CountingField:
         self.evaluated.append(np.shape(x))
         return self.env.evaluate(x)
 
-    def _evaluate_blocks(self, x, bounds, plan):
+    def _evaluate_blocks(self, x, bounds, covers):
         self.tables.append((np.shape(x), len(bounds) - 1))
-        return self.env._evaluate_blocks(x, bounds, plan)
+        return self.env._evaluate_blocks(x, bounds, covers)
 
     def gradient(self, x):
         self.gradients.append(np.shape(x))

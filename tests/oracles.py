@@ -23,7 +23,6 @@ from weakkam.errors import ConfigError, NotASubsolutionError, SubcriticalLevelEr
 from weakkam.grid import GridFn, GridSpec, lattice_points
 from weakkam.metric import semidistance
 from weakkam.semigroup import lax_minus, semigroup_orbit
-from weakkam.subsol import _mask_array
 from weakkam.tonelli import FlowState, _require_tonelli, flow_integrate
 
 
@@ -399,7 +398,7 @@ class WeakStrictnessReport:
     passed: bool
 
 
-def check_weakly_strict(v: GridFn, semidist, mask) -> WeakStrictnessReport:
+def check_weakly_strict(v: GridFn, semidist, mask: np.ndarray) -> WeakStrictnessReport:
     """Strict inequality against the semidistance, sampled.
 
     Pairs run over the semidistance's off-mask sources y and all off-mask
@@ -407,17 +406,16 @@ def check_weakly_strict(v: GridFn, semidist, mask) -> WeakStrictnessReport:
     identically and is excluded.
     """
     grid = v.grid
-    m = _mask_array(mask)
     sep = 2.0 * grid.h
     pts = grid.points()
     min_gap = np.inf
     worst = None
     n_pairs = 0
     for row, y_idx in enumerate(semidist.source_indices):
-        if m[y_idx]:
+        if mask[y_idx]:
             continue
         far = torus_dist(grid, pts, pts[y_idx]) >= sep - 1e-12
-        sel = far & ~m
+        sel = far & ~mask
         if not np.any(sel):
             continue
         gaps = semidist.values[row, sel] - (v.values[sel] - v.values[y_idx])
@@ -521,7 +519,7 @@ def check_envelope_identity(w: GridFn, kernel, t: float, k_semiconvex: float,
                           min_discrepancy=float(np.min(disc)))
 
 
-def lifted_mask_deviation(mask, w: GridFn, model, env, t_span: float = 1.0,
+def lifted_mask_deviation(mask: np.ndarray, w: GridFn, model, env, t_span: float = 1.0,
                           dt: float = 1e-3) -> float:
     """Flow (x, D_h w(x)) from every mask point over [-t_span, t_span] and
     return the largest phase-space distance to the lifted mask, read at 8
@@ -531,8 +529,7 @@ def lifted_mask_deviation(mask, w: GridFn, model, env, t_span: float = 1.0,
     nearest lifted mask point; invariance holds when it stays at cell scale.
     """
     grid = w.grid
-    m = _mask_array(mask)
-    idx = np.nonzero(m)[0]
+    idx = np.nonzero(mask)[0]
     if idx.size == 0:
         raise ConfigError("empty mask: nothing to flow")
     pts = grid.points()
@@ -552,12 +549,11 @@ def lifted_mask_deviation(mask, w: GridFn, model, env, t_span: float = 1.0,
     return worst
 
 
-def mask_gradient_agreement(fns, mask) -> float:
+def mask_gradient_agreement(fns, mask: np.ndarray) -> float:
     """Largest pairwise FD-gradient discrepancy on the mask."""
-    m = _mask_array(mask)
-    if not np.any(m):
+    if not np.any(mask):
         raise ConfigError("empty mask: nothing to compare")
-    grads = [f.central_gradient()[m] for f in fns]
+    grads = [f.central_gradient()[mask] for f in fns]
     worst = 0.0
     for i in range(len(grads)):
         for j in range(i + 1, len(grads)):

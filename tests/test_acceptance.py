@@ -191,7 +191,7 @@ def test_criterion_06_strictness_pipeline(pend256):
     budget = tau * r_k + truncation_budget(w, m_terms)
     sup = float(np.max(np.abs(v.values - w.values)))
     agree = float(np.max(np.abs(v.values[mask.mask] - w.values[mask.mask])))
-    cert = check_strict(v, model, env, mask, 0.1, a=c)
+    cert = check_strict(v, model, env, mask.mask, 0.1, a=c)
     checks["time-mix"] = (sup <= budget and agree <= eps_a
                           and cert.passed and cert.delta > 0)
     mn = nonstrict_model(dim=1, field_bound=1.0)
@@ -206,7 +206,7 @@ def test_criterion_06_strictness_pipeline(pend256):
     budget_n = tau * r_kn + truncation_budget(wn, m_terms) + 2 * delta_pen * r_kn
     sup_n = float(np.max(np.abs(vn.values - wn.values)))
     agree_n = float(np.max(np.abs(vn.values[maskn.mask] - wn.values[maskn.mask])))
-    cert_n = check_strict(vn, mn, env, maskn, 0.1, a=cn)
+    cert_n = check_strict(vn, mn, env, maskn.mask, 0.1, a=cn)
     checks["sup-convolution"] = (sup_n <= budget_n and agree_n <= eps_a
                                  and cert_n.passed and cert_n.delta > 0)
     passed = all(checks.values())
@@ -229,7 +229,7 @@ def test_criterion_07_bernard_regularization(pend256):
                                       theta=kern.theta), c)
     bound = max(win.a_const, kernel_semiconcavity(fine, win.t0))
     r_k = lipschitz_radius(kappa(model, c, env), model)
-    _, rep = bernard_regularize(v_strict, fine, win.t0, win.t0, mask=mask, d0=0.1,
+    _, rep = bernard_regularize(v_strict, fine, win.t0, win.t0, mask=mask.mask, d0=0.1,
                                 strict_input=True, curvature_bound=bound,
                                 r_kappa=r_k)
     two_sided = max(abs(rep.curvature.k_upper), abs(rep.curvature.k_lower))
@@ -271,10 +271,10 @@ def test_criterion_09_aubry_rigidity(pend256):
                GridFn(grid, rows[1].values[0]).normalized_at_origin(),
                GridFn(grid, -rev.values[0]).normalized_at_origin()]
     verdicts = [verify_member(v, kern) for v in members]
-    agree = mask_gradient_agreement(members, mask)
+    agree = mask_gradient_agreement(members, mask.mask)
     mean = GridFn(grid, np.mean([v.values for v in members], axis=0))
     mean_ok, _ = verify_member(mean, kern)
-    lifted = lifted_mask_deviation(mask, mean, model, env, t_span=1.0, dt=1e-3)
+    lifted = lifted_mask_deviation(mask.mask, mean, model, env, t_span=1.0, dt=1e-3)
     passed = (all(ok for ok, _ in verdicts) and mean_ok
               and agree <= 4 * grid.h and lifted <= 2 * grid.h)
     record_criterion(9, "aubry-rigidity", passed,

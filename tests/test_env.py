@@ -132,18 +132,22 @@ def test_block_evaluation_is_bit_identical_to_evaluate(kind, params, dim):
     """The shared table serves each row block and the whole batch with the
     bits evaluate gives on each as its own array: blocks of 1, 2, 3 and 5
     rows and of the 2D box sizes 1089 and 4225 (both 1 mod 4), starting at
-    rows that are not multiples of 4.  The table is filled along a plan
-    with a one-row region, a copy whose points are equal to its source's
-    and one whose points are not."""
+    rows that are not multiples of 4.  The table is filled from covers: a
+    one-row cover, and one read by an index array (as a torus block is)
+    whose members are two targets with its points and one whose points
+    differ."""
     env = _block_field(kind, params, dim)
     lengths = [1, 2, 3, 5, 1089, 1, 4225, 3, 2, 5, 1]
     bounds = np.cumsum([3] + lengths)
     assert np.any(bounds[:-1] % 4 != 0)
     x = np.random.default_rng(dim).uniform(-6.0, 6.0, (bounds[-1] + 2, dim))
     x[5:7] = x[0:2]
-    plan = [(np.s_[:2], None), (np.s_[2:3], None), (np.s_[3:5], np.s_[0:2]),
-            (np.s_[5:7], np.s_[0:2]), (np.s_[7:], None)]
-    whole, blocks = env._evaluate_blocks(x, bounds, plan)
+    assert not np.array_equal(x[3:5], x[0:2])
+    swap = np.array([1, 0])
+    covers = [(x[swap], [(np.s_[0:2], swap), (np.s_[3:5], swap), (np.s_[5:7], swap)]),
+              (x[2:3].copy(), [(np.s_[2:3], np.s_[:])]),
+              (x[7:].copy(), [(np.s_[7:], np.s_[:])])]
+    whole, blocks = env._evaluate_blocks(x, bounds, iter(covers))
     assert whole.tobytes() == env.evaluate(x).tobytes()
     assert [len(b) for b in blocks] == lengths
     for a, b, values in zip(bounds[:-1], bounds[1:], blocks):

@@ -1,5 +1,7 @@
 """Support costs, path semidistances, and the bisected critical level."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import SMALL_OBJECTS, CountingField, peak_bytes
@@ -9,7 +11,7 @@ import weakkam as wk
 from weakkam.errors import SubcriticalLevelError
 from weakkam.grid import BoxSpec, GridFn, GridSpec, relax
 from weakkam.config import MODELS
-from weakkam.hamiltonian import kappa, mechanical_model, tilted_mechanical_model
+from weakkam.hamiltonian import kappa_at_values, mechanical_model, tilted_mechanical_model
 from weakkam.semigroup import build_kernel
 from weakkam.metric import (_SamplePoints, build_cost_graph, check_subsolution,
                             critical_value_free, critical_value_stationary,
@@ -32,14 +34,15 @@ def cosine_env():
 
 def test_support_cost_closed_form(flat_env, cosine_env):
     m = mechanical_model(dim=1, field_bound=1.0)
+    origin = np.array([[0.0]])
     # flat field: sigma_a(x, q) = |q| sqrt(2a)
-    val = support_sigma(m, np.array([[0.0]]), np.array([[0.25]]), 0.5, flat_env)
+    val = support_sigma(m, flat_env.evaluate(origin), np.array([[0.25]]), 0.5)
     assert np.allclose(val, 0.25)
     # cosine field at the origin, level 1: sublevel degenerates, cost 0
-    val0 = support_sigma(m, np.array([[0.0]]), np.array([[0.25]]), 1.0, cosine_env)
+    val0 = support_sigma(m, cosine_env.evaluate(origin), np.array([[0.25]]), 1.0)
     assert np.allclose(val0, 0.0)
     # below the field value the sublevel is empty: NaN signals it
-    bad = support_sigma(m, np.array([[0.0]]), np.array([[0.25]]), 0.5, cosine_env)
+    bad = support_sigma(m, cosine_env.evaluate(origin), np.array([[0.25]]), 0.5)
     assert np.all(np.isnan(bad))
 
 
@@ -184,13 +187,15 @@ def test_bisection_holds_one_cosine_table_and_one_copy_of_the_points():
 
 def _shaped_batch(env, lattice, reach):
     """The sample points of a bisection with offsets within reach h, and
-    its batch shaped as the table plan indexes it."""
-    samples = _SamplePoints(env, lattice, lattice.offsets_within(reach * lattice.h))
+    its batch shaped as the covers index it."""
+    pts = lattice.points()
+    samples = _SamplePoints(env, lattice, lattice.offsets_within(reach * lattice.h),
+                            pts, env.evaluate(pts), whole=False)
     return samples, samples.batch.reshape((-1,) + lattice.shape + (lattice.dim,))
 
 
 TRANSLATED_LATTICES = [
-    BoxSpec(dim=1, radius=2.0, points_per_unit=8),      # one-row borders
+    BoxSpec(dim=1, radius=2.0, points_per_unit=8),
     BoxSpec(dim=1, radius=1.0, points_per_unit=12),     # h not dyadic
     GridSpec(dim=1, n=16),
     GridSpec(dim=1, n=24),
@@ -204,44 +209,54 @@ TRANSLATED_LATTICES = [
 @pytest.mark.parametrize("reach", [3, 6])
 @pytest.mark.parametrize("lattice", TRANSLATED_LATTICES, ids=str)
 def test_translated_table_is_the_textbook_table(lattice, reach):
-    """The cosine table filled by translation, and both products over it,
-    are bit for bit one _angles and cos over the whole batch, on boxes and
-    tori whose spacing is dyadic (translates copied) or not (computed)."""
+    """The cosine table filled from one cover per class of offsets mod 2,
+    and both products over it, are bit for bit one _angles and cos over
+    the whole batch, on boxes and tori whose spacing is dyadic (every block
+    is bit-equal to its cover's points and copied) or not (some block
+    differs and is computed).  The classes' members are every block once."""
     spec = wk.EnvSpec(kind="random_fourier", dimension=lattice.dim, seed=2,
                       params={"period": 16.0, "k_max": 3, "amplitude": 0.5, "decay": 1.0})
     env = wk.sample_realization(spec, 1)
     samples, shaped = _shaped_batch(env, lattice, reach)
-    plan = samples.table_plan()
-    if lattice.dim == 1 and isinstance(lattice, BoxSpec):
-        assert any(src is None and shaped[tgt].size == 1 for tgt, src in plan)
+    covers = list(samples.covers())
+    assert len(covers) == 2**lattice.dim
+    targets = sorted(b for _, members in covers for b, _ in members)
+    assert targets == list(range(len(shaped)))
+    equal = [np.array_equal(shaped[b], points[index])
+             for points, members in covers for b, index in members]
+    dyadic = math.frexp(lattice.h)[0] == 0.5
+    assert all(equal) if dyadic else not all(equal)
     expected = np.cos(env._angles(samples.batch))
-    table = env._cosine_table(shaped, plan)
+    table = env._cosine_table(shaped, samples.covers())
     assert table.reshape(expected.shape).tobytes() == expected.tobytes()
     n = lattice.size
     bounds = range(n, len(samples.batch) + 1, n)
-    whole, blocks = env._evaluate_blocks(shaped, bounds, plan)
+    whole, blocks = env._evaluate_blocks(shaped, bounds, samples.covers())
     assert whole.tobytes() == (expected @ env.amplitudes).tobytes()
     for a, values in zip(bounds, blocks):
         assert values.tobytes() == (expected[a:a + n] @ env.amplitudes).tobytes()
 
 
-def test_translated_table_computes_class_heads_and_border_strips():
+def test_cover_table_computes_each_cover_once():
     """On the 2D R=4 box at radius 3h, the rows sent through _angles are at
-    most the first block of each of the 2^dim classes of offsets mod 2 in
-    full, and for every other block the strips a translate by at most one
-    node per axis leaves: dim L^(dim - 1) points for L nodes per axis.
-    That is well under the (m + 1) N rows of the batch."""
+    most the summed sizes of the 2^dim covers, one per class of offsets
+    mod 2.  A cover spans its blocks, the nodes shifted by
+    d = (k - k mod 2) / 2 in [-2, 1] per axis, so at most 3 more points
+    per axis than the box.  That is well under a quarter of the (m + 1) N
+    rows of the batch."""
     env = _stationary_realization(0)
     box = BoxSpec(dim=2, radius=4.0, points_per_unit=8)
     samples, shaped = _shaped_batch(env, box, 3)
+    covers = [points.shape[:-1] for points, _ in samples.covers()]
+    assert len(covers) == 2**box.dim
+    assert all(side <= box.n_per_axis + 3 for shape in covers for side in shape)
     computed = []
     angles = env._angles
     env._angles = lambda x: computed.append(len(x)) or angles(x)
-    table = env._cosine_table(shaped, samples.table_plan())
+    table = env._cosine_table(shaped, samples.covers())
     del env._angles
-    blocks, side = len(shaped), box.n_per_axis
-    bound = 2**box.dim * box.size + (blocks - 2**box.dim) * box.dim * side ** (box.dim - 1)
-    assert sum(computed) <= bound < blocks * box.size // 4
+    blocks = len(shaped)
+    assert sum(computed) <= sum(int(np.prod(shape)) for shape in covers) < blocks * box.size // 4
     expected = np.cos(env._angles(samples.batch))
     assert table.reshape(expected.shape).tobytes() == expected.tobytes()
 
@@ -257,7 +272,8 @@ def test_cost_graph_prices_each_offset_from_its_own_midpoint_batch():
     for k, row in zip(graph.offsets, graph.weights):
         disp = k * box.h
         mids = pts - 0.5 * disp[None, :]
-        expected = support_sigma(m, mids, np.repeat(disp[None, :], len(pts), axis=0), 0.6, env)
+        rows = np.repeat(disp[None, :], len(pts), axis=0)
+        expected = support_sigma(m, env.evaluate(mids), rows, 0.6)
         assert np.array_equal(row, expected)
 
 
@@ -277,7 +293,7 @@ def test_one_row_displacements_price_as_repeated_rows(name, dim):
             disp = np.asarray(k, dtype=float) * lattice.h
             mids = lattice.wrap(pts - 0.5 * disp[None, :])
             rows = np.repeat(disp[None, :], len(pts), axis=0)
-            assert row.tobytes() == support_sigma(model, mids, rows, 1.5, env).tobytes()
+            assert row.tobytes() == support_sigma(model, env.evaluate(mids), rows, 1.5).tobytes()
     kern = build_kernel(model, env, grid, dt=1.0 / 16.0, theta=2.0)
     # no two offsets join the same node pair, so no row is a merged minimum
     assert len({tuple(k % grid.n) for k in kern.offsets}) == len(kern.offsets)
@@ -299,7 +315,7 @@ def _critical_value_level_by_level(model, env, lattice, tol_bisect=5e-3,
     pts = lattice.points()
     hzero = float(np.max(model.eval_H(pts, np.zeros_like(pts), env)))
     try:
-        kap = kappa(model, hzero, env, x_samples=pts)
+        kap = kappa_at_values(model, hzero, env.evaluate(pts))
     except SubcriticalLevelError:
         kap = 1.0
     offsets = lattice.offsets_within(default_edge_radius(lattice, kap))

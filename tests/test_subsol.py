@@ -87,7 +87,7 @@ def test_strictly_convex_builder_earns_a_margin(pend64):
     kern, c, w, mask = (pend64[k] for k in ("kernel", "c", "w", "mask"))
     model, env = pend64["model"], pend64["env"]
     v = build_strict_strictly_convex(w, kern, 0.125, 6)
-    cert = check_strict(v, model, env, mask, 0.1, a=c)
+    cert = check_strict(v, model, env, mask.mask, 0.1, a=c)
     assert cert.passed and cert.delta > 0.1
     r_kappa = lipschitz_radius(kappa(model, c, env), model)
     budget = 0.125 * r_kappa + truncation_budget(w, 6)
@@ -131,7 +131,7 @@ def test_convex_builder_handles_the_flat_faced_model(nonstrict64):
     delta = 0.05
     r_kappa = lipschitz_radius(kappa(model, c + 0.02, env), model)
     v = build_strict_convex(w, kern, delta, 0.125, 6, r_kappa=r_kappa)
-    cert = check_strict(v, model, env, mask, 0.1, a=c)
+    cert = check_strict(v, model, env, mask.mask, 0.1, a=c)
     assert cert.passed and cert.delta > 0.1
     budget = 0.125 * r_kappa + truncation_budget(w, 6) + 2 * delta * r_kappa
     assert float(np.max(np.abs(v.values - w.values))) <= budget

@@ -247,7 +247,7 @@ def test_two_sided_smoothing_earns_all_five_certificates(pend64):
     v_strict = build_strict_strictly_convex(w, kern, 0.125, 6)
     bound = max(win.a_const, kernel_semiconcavity(fine, win.t0))
     w_eps, rep = bernard_regularize(v_strict, fine, win.t0, win.t0,
-                                    mask=mask, d0=0.1, strict_input=True,
+                                    mask=mask.mask, d0=0.1, strict_input=True,
                                     curvature_bound=bound,
                                     r_kappa=lipschitz_radius(kappa(model, c, env), model))
     assert rep.passed
@@ -266,7 +266,7 @@ def test_smoothing_an_uncertified_input_warns_and_still_certifies(pend64):
     fine = refold_kernel(build_kernel(model, env, grid, dt=win.t0,
                                       theta=kern.theta), c)
     bound = max(win.a_const, kernel_semiconcavity(fine, win.t0))
-    _, rep = bernard_regularize(w, fine, win.t0, win.t0, mask=mask, d0=0.1,
+    _, rep = bernard_regularize(w, fine, win.t0, win.t0, mask=mask.mask, d0=0.1,
                                 strict_input=False, curvature_bound=bound,
                                 r_kappa=lipschitz_radius(kappa(model, c, env), model))
     assert len(rep.warnings) == 1  # input strictness not certified
@@ -314,7 +314,7 @@ def test_lifted_mask_is_flow_invariant_for_the_corrector(pend64, pendulum_correc
     model, env, mask = pend64["model"], pend64["env"], pend64["mask"]
     u = GridFn(pend64["grid"], pendulum_corrector(pend64["grid"].points()[:, 0]))
     assert u.central_gradient()[0][0] == 0.0
-    dev = lifted_mask_deviation(mask, u, model, env, t_span=1.0, dt=1e-3)
+    dev = lifted_mask_deviation(mask.mask, u, model, env, t_span=1.0, dt=1e-3)
     assert dev == 0.0
     with pytest.raises(ConfigError):
         lifted_mask_deviation(np.zeros(u.grid.size, dtype=bool), u, model, env)
@@ -323,8 +323,8 @@ def test_lifted_mask_is_flow_invariant_for_the_corrector(pend64, pendulum_correc
 def test_gradients_agree_on_the_mask_for_symmetric_members(pend64, pendulum_corrector):
     lib, mask = pend64["lib"], pend64["mask"]
     corrector = GridFn(pend64["grid"], pendulum_corrector(pend64["grid"].points()[:, 0]))
-    assert mask_gradient_agreement(lib.members[:2], mask) == 0.0
-    assert mask_gradient_agreement([corrector, lib.members[0]], mask) == 0.0
+    assert mask_gradient_agreement(lib.members[:2], mask.mask) == 0.0
+    assert mask_gradient_agreement([corrector, lib.members[0]], mask.mask) == 0.0
     with pytest.raises(ConfigError):
         mask_gradient_agreement(lib.members[:2],
                                 np.zeros(pend64["grid"].size, dtype=bool))
