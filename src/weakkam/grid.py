@@ -10,6 +10,16 @@ Action kernels and sigma_a cost graphs are both a Stencil: one row of edge
 costs per lattice offset.  relax() is the one shortest-path engine over it,
 with one stop rule and a negative-cycle witness; policy_iteration() gives
 its minimal cycle mean, a min-plus eigenvector and the critical graph.
+
+A Stencil reads its data at x - k h for every offset k through one gather
+plan, built on first use and kept on the instance.  The plan depends only
+on the lattice and the offsets: the reach (largest |offset| per axis), the
+pad index that extends the lattice by the reach per side (periodically on
+a torus, with +inf past a box's edge) and the start of each offset's
+window in the padded array.  Pulls, edge gaps and the reversal pad their
+data once, take one strided view of every window and copy the windows out
+in blocks of ~256 KiB, so a block stays in cache and a reduction over the
+offsets needs one block beyond its output.
 """
 
 from __future__ import annotations
@@ -17,9 +27,9 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, SubcriticalLevelError, WeakKamError
 
@@ -120,12 +130,6 @@ class GridSpec(_Lattice):
         v = values.reshape(self.shape)
         shifted = np.roll(v, shift=tuple(int(c) for c in np.atleast_1d(k)), axis=tuple(range(self.dim)))
         return shifted.ravel()
-
-    def pad(self, values: np.ndarray, reach: int) -> np.ndarray:
-        """values shaped on the grid, over any leading axes, and extended by
-        reach nodes per side, periodically."""
-        wrap = np.arange(-reach, self.n + reach) % self.n
-        return values.reshape(values.shape[:-1] + self.shape)[(...,) + np.ix_(*[wrap] * self.dim)]
 
     def neighbors(self, x, step: np.ndarray) -> np.ndarray:
         """Flat index of node x + step*h (periodic); x broadcasts against the
@@ -244,20 +248,6 @@ class BoxSpec(_Lattice):
         """A box does not wrap: coordinates stay as they are."""
         return x
 
-    def pad(self, values: np.ndarray, reach: int) -> np.ndarray:
-        """values shaped on the box, over any leading axes, and extended by
-        reach nodes per side with +inf: no node lies past the edge."""
-        lead = values.shape[:-1]
-        out = np.full(lead + tuple(s + 2 * reach for s in self.shape), np.inf)
-        out[(...,) + (slice(reach, reach + self.n_per_axis),) * self.dim] = \
-            values.reshape(lead + self.shape)
-        return out
-
-    def roll_flat(self, values: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """values evaluated at node - k*h, +inf where that node is off the box."""
-        reach = int(np.max(np.abs(k)))
-        return sliding_window_view(self.pad(values, reach), self.shape)[tuple(reach - k)].ravel()
-
     def neighbors(self, x, step: np.ndarray) -> np.ndarray:
         """Flat index of node x + step*h, -1 off the box; x broadcasts against
         the leading axes of step."""
@@ -268,6 +258,53 @@ class BoxSpec(_Lattice):
 
 
 _SHORTLIST = 6    # in-edges per node that Stencil.walk sums each step
+_BLOCK = 32768    # entries per gathered block: 256 KiB of float64 stays in cache
+
+
+@dataclass(frozen=True, eq=False)
+class _GatherPlan:
+    """Where a stencil reads u at x - k h for each of its offsets k.
+
+    The lattice is padded by the reach, the largest |offset| per axis, on
+    every side.  pad[p] is the flat index into u of padded node p: its
+    periodic image on a torus, -1 past the edge of a box, which reads a
+    +inf cell appended to u.  Over the flat padded array, the window that
+    starts at s reads node x at s + x . steps; the window starts[k] reads
+    u at x - offsets[k] h and turns[k] reads it at x + offsets[k] h.  The
+    plan depends only on the lattice and the offsets.
+    """
+
+    pad: np.ndarray       # (prod(shape + 2 reach),) flat index into u, -1 past a box
+    closed: bool          # pad reads past a box edge
+    shape: tuple          # the lattice shape
+    steps: tuple          # padded flat index step per lattice axis
+    span: int             # window starts 0..span-1: the last window ends the array
+    starts: np.ndarray    # (m,) window start reading u at x - k h
+    turns: np.ndarray     # (m,) window start reading u at x + k h
+
+    @classmethod
+    def build(cls, grid, offsets: np.ndarray) -> "_GatherPlan":
+        reach = int(np.max(np.abs(offsets), initial=0))
+        n = grid.shape[0]
+        padded = (n + 2 * reach,) * grid.dim
+        pad = grid.neighbors(0, lattice_points(np.arange(-reach, n + reach), grid.dim))
+        steps = tuple(math.prod(padded[a + 1:]) for a in range(grid.dim))
+        centre = reach * sum(steps)
+        shift = np.asarray(offsets, dtype=int).reshape(-1, grid.dim) @ np.array(steps, dtype=int)
+        return cls(pad, bool(np.any(pad < 0)), grid.shape, steps, 2 * centre + 1,
+                   centre - shift, centre + shift)
+
+    def windows(self, u: np.ndarray) -> np.ndarray:
+        """View of u padded, shape (span,) + lead + shape, over any leading
+        axes of u: windows[s][..., x] is the padded node at s + x . steps,
+        so windows[starts[k]][..., x] = u[..., x - k h].  numpy checks that
+        the view stays inside the padded buffer."""
+        if self.closed:
+            u = np.concatenate((u, np.full(u.shape[:-1] + (1,), np.inf)), axis=-1)
+        flat = np.take(u, self.pad, axis=-1)    # -1 reads the appended +inf
+        it = flat.itemsize
+        return np.ndarray((self.span,) + flat.shape[:-1] + self.shape, flat.dtype, flat,
+                          strides=(it,) + flat.strides[:-1] + tuple(it * s for s in self.steps))
 
 
 @dataclass
@@ -278,6 +315,15 @@ class Stencil:
     +inf where there is no such edge.  A periodic GridSpec wraps around; a
     BoxSpec has no node past its edge, and reads there are +inf.  Only this
     class, relax() and policy_iteration() read that layout.
+
+    Every per-offset read goes through one gather plan (_GatherPlan), built
+    on first use and kept on the instance: the reach, the pad index and
+    each offset's window in the padded array.  It depends only on the
+    lattice and the offsets, which are not changed after construction.  A
+    read pads u once, takes one strided view of all windows and copies them
+    out in blocks of _BLOCK entries (~256 KiB, one offset at least), so a
+    caller that reduces each block needs O(u.size) memory beyond the
+    stencil.
     """
 
     grid: object
@@ -288,34 +334,31 @@ class Stencil:
     def size(self) -> int:
         return self.grid.size
 
+    @cached_property
+    def _plan(self) -> _GatherPlan:
+        return _GatherPlan.build(self.grid, self.offsets)
+
     def _blocks(self, u: np.ndarray):
         """Yield (rows, vals) per block of offsets: vals[j, ..., x] =
         u[..., x - k h] for the offset k = offsets[rows][j], +inf off a box;
-        a fresh array of shape (block,) + u.shape.
-
-        u may carry leading axes, e.g. one row per source.  A block of
-        ~256 KiB stays in cache, and a caller that reduces each block over
-        its offsets needs O(u.size) memory beyond the stencil.
-        """
-        grid = self.grid
-        lead, dim = u.ndim - 1, len(grid.shape)
-        reach = int(np.max(np.abs(self.offsets), initial=0))
-        windows = sliding_window_view(grid.pad(u, reach), grid.shape, axis=tuple(range(-dim, 0)))
-        windows = np.moveaxis(windows, tuple(range(lead, lead + dim)), tuple(range(dim)))
-        pick = reach - self.offsets.T    # windows[w][..., x] = u[..., x + (w - reach) h]
-        per = max(1, 32768 // u.size)
-        for a in range(0, len(self.offsets), per):
-            yield slice(a, a + per), windows[tuple(pick[:, a:a + per])].reshape((-1,) + u.shape)
+        a fresh array of shape (block,) + u.shape.  u may carry leading
+        axes, e.g. one row per source."""
+        starts = self._plan.starts
+        windows = self._plan.windows(u)
+        per = max(1, _BLOCK // u.size)
+        for a in range(0, len(starts), per):
+            yield slice(a, a + per), windows[starts[a:a + per]].reshape((-1,) + u.shape)
 
     def pull(self, u: np.ndarray) -> np.ndarray:
         """One backward step: out[..., x] = min_y u[..., y] + cost(y -> x),
         over any leading axes of u."""
-        best = np.full(u.shape, np.inf)
+        best = None
         lift = (-1,) + (1,) * (u.ndim - 1) + (self.size,)
         for rows, cand in self._blocks(u):
             cand += self.weights[rows].reshape(lift)
-            np.minimum(best, cand.min(axis=0), out=best)
-        return best
+            low = cand.min(axis=0)
+            best = low if best is None else np.minimum(best, low, out=best)
+        return np.full(u.shape, np.inf) if best is None else best
 
     def walk_costs(self, sources, steps: int) -> np.ndarray:
         """Least cost of a walk of steps >= 1 edges from each source to every
@@ -401,9 +444,9 @@ class Stencil:
     def _refresh(self, ext, nodes, best, start, cost, floor, drift: float) -> None:
         """Sum every in-edge of each of nodes against ext (u, then +inf) and
         write its minimum to best, its shortlist to start and cost and its
-        floor, in place; see walk.  Chunks of at most 32768 (node, offset)
+        floor, in place; see walk.  Chunks of at most _BLOCK (node, offset)
         entries."""
-        s, per = len(start), max(1, 32768 // len(self.offsets))
+        s, per = len(start), max(1, _BLOCK // len(self.offsets))
         for a in range(0, len(nodes), per):
             xs = nodes[a:a + per]
             froms = self.grid.neighbors(xs[:, None], -self.offsets)    # -1 off a box
@@ -419,11 +462,28 @@ class Stencil:
 
     def reversed(self) -> "Stencil":
         """Every edge turned around, so pull on it is the forward step
-        out(y) = min_x cost(y -> x) + u(x) of this stencil."""
+        out(y) = min_x cost(y -> x) + u(x) of this stencil.  Row k reads
+        weights[k] at x + offsets[k] h, gathered one block of rows at a
+        time."""
+        turns = self._plan.turns
         turned = np.empty_like(self.weights)
-        for row, k, w in zip(turned, self.offsets, self.weights):
-            row[:] = self.grid.roll_flat(w, -k)
+        per = max(1, _BLOCK // self.size)
+        for a in range(0, len(turns), per):
+            rows = slice(a, a + per)
+            windows = self._plan.windows(self.weights[rows])
+            block = np.arange(len(turns[rows]))
+            turned[rows] = windows[turns[rows], block].reshape(len(block), self.size)
         return Stencil(self.grid, -self.offsets, turned)
+
+    def _gap_blocks(self, v: np.ndarray):
+        """Yield per block of offsets gaps[j, x] = (v(x) - v(y)) - cost(y -> x)
+        for the edge y -> x of offset rows[j], -inf where there is none."""
+        for rows, gaps in self._blocks(v):
+            w = self.weights[rows]
+            np.subtract(v, gaps, out=gaps)
+            gaps -= w
+            gaps[~np.isfinite(w)] = -np.inf
+            yield gaps
 
     def edge_gap(self, v: np.ndarray) -> float:
         """max of (v(x) - v(y)) - cost(y -> x) over the finite edges; +inf
@@ -431,22 +491,23 @@ class Stencil:
         if not np.all(np.isfinite(v)):
             return np.inf
         gap = -np.inf
-        for k, w in zip(self.offsets, self.weights):
-            row = (v - self.grid.roll_flat(v, k)) - w
-            gap = max(gap, float(np.max(row, where=np.isfinite(w), initial=-np.inf)))
+        for gaps in self._gap_blocks(v):
+            gap = max(gap, float(np.max(gaps)))
         return gap
 
     def worst_gap_node(self, v: np.ndarray) -> int:
         """Flat index of the end x of an edge y -> x at which edge_gap(v)
-        is attained, or of v's first non-finite value."""
+        is attained, or of v's first non-finite value: the first such
+        edge, in offset order and then node order."""
         if not np.all(np.isfinite(v)):
             return int(np.argmin(np.isfinite(v)))
         gap, node = -np.inf, 0
-        for k, w in zip(self.offsets, self.weights):
-            row = np.where(np.isfinite(w), (v - self.grid.roll_flat(v, k)) - w, -np.inf)
-            j = int(np.argmax(row))
-            if row[j] > gap:
-                gap, node = row[j], j
+        for gaps in self._gap_blocks(v):
+            j = np.argmax(gaps, axis=1)
+            tops = gaps[np.arange(len(j)), j]
+            i = int(np.argmax(np.where(tops > gap, tops, -np.inf)))
+            if tops[i] > gap:
+                gap, node = tops[i], int(j[i])
         return node
 
     def cost_scale(self) -> float:

@@ -8,8 +8,10 @@ Lax-Friedrichs finite-difference scheme for the Cauchy problem, minimizing
 chains and calibrated curves of the discrete semigroup, characteristics
 shadowing those chains, the paraboloid envelope identity, the invariance
 of the lifted Aubry mask, weak strictness against the semidistance, and a
-sublinear-growth audit.  So do the torus geometry
-and the CSV reader that only they and the tests need.
+sublinear-growth audit.  So do the torus geometry,
+the CSV reader that only they and the tests need, and the textbook
+per-offset stencil formulas (one shifted copy of the data per offset) that
+the stencil's gather plan is checked against.
 """
 
 from __future__ import annotations
@@ -69,6 +71,78 @@ def load_gridfn_csv(path) -> GridFn:
             parts = line.strip().split(",")
             vals[int(parts[0])] = float(parts[-1])
     return GridFn(grid, vals)
+
+
+# -- the stencil, one offset at a time -----------------------------------------
+
+
+def rolled(grid, values: np.ndarray, k) -> np.ndarray:
+    """values at node - k h, flat: np.roll on a torus, +inf where that node
+    is past the edge of a box."""
+    if isinstance(grid, GridSpec):
+        return grid.roll_flat(values, k)
+    coords = np.stack(np.unravel_index(np.arange(grid.size), grid.shape), axis=1) - k
+    inside = np.all((coords >= 0) & (coords < grid.n_per_axis), axis=1)
+    out = np.full(grid.size, np.inf)
+    out[inside] = values[np.ravel_multi_index(tuple(coords[inside].T), grid.shape)]
+    return out
+
+
+def pull_by_rolls(stencil, u: np.ndarray) -> np.ndarray:
+    """min over the offsets k of u(x - k h) + weights[k, x], row by row of
+    a stack."""
+    if u.ndim > 1:
+        return np.stack([pull_by_rolls(stencil, row) for row in u])
+    best = np.full(u.shape, np.inf)
+    for k, w in zip(stencil.offsets, stencil.weights):
+        np.minimum(best, rolled(stencil.grid, u, k) + w, out=best)
+    return best
+
+
+def pull_argmin_by_rolls(stencil, u: np.ndarray) -> tuple:
+    """pull of a vector and the first offset index attaining it (0 where
+    the minimum is +inf)."""
+    best, arg = np.full(u.shape, np.inf), np.zeros(u.shape, dtype=int)
+    for i, (k, w) in enumerate(zip(stencil.offsets, stencil.weights)):
+        cand = rolled(stencil.grid, u, k) + w
+        took = cand < best
+        best[took], arg[took] = cand[took], i
+    return best, arg
+
+
+def edge_gap_by_rolls(stencil, v: np.ndarray) -> float:
+    """max of (v(x) - v(x - k h)) - weights[k, x] over the finite weights;
+    +inf when v has a non-finite value."""
+    if not np.all(np.isfinite(v)):
+        return np.inf
+    gap = -np.inf
+    for k, w in zip(stencil.offsets, stencil.weights):
+        row = (v - rolled(stencil.grid, v, k)) - w
+        gap = max(gap, float(np.max(row, where=np.isfinite(w), initial=-np.inf)))
+    return gap
+
+
+def worst_gap_node_by_rolls(stencil, v: np.ndarray) -> int:
+    """The node of the first edge, in offset order and then node order,
+    that attains edge_gap_by_rolls; v's first non-finite value if any."""
+    if not np.all(np.isfinite(v)):
+        return int(np.argmin(np.isfinite(v)))
+    gap, node = -np.inf, 0
+    for k, w in zip(stencil.offsets, stencil.weights):
+        row = np.where(np.isfinite(w), (v - rolled(stencil.grid, v, k)) - w, -np.inf)
+        j = int(np.argmax(row))
+        if row[j] > gap:
+            gap, node = row[j], j
+    return node
+
+
+def reversed_by_rolls(stencil) -> tuple:
+    """(offsets, weights) of every edge turned around: row k is weights[k]
+    read at node + k h, +inf past the edge of a box."""
+    turned = np.empty_like(stencil.weights)
+    for row, k, w in zip(turned, stencil.offsets, stencil.weights):
+        row[:] = rolled(stencil.grid, w, -k)
+    return -stencil.offsets, turned
 
 
 # -- the field gradient over arrays of points --------------------------------------

@@ -6,14 +6,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import one_step_table, walk_table
+from conftest import one_step_table, peak_bytes, walk_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import _index_of, load_gridfn_csv, min_image, one_sided_slopes, torus_dist
+from oracles import (_index_of, edge_gap_by_rolls, load_gridfn_csv, min_image, one_sided_slopes,
+                     pull_argmin_by_rolls, pull_by_rolls, reversed_by_rolls, torus_dist,
+                     worst_gap_node_by_rolls)
 
+import weakkam as wk
 from weakkam.errors import ConfigError, SubcriticalLevelError
 from weakkam.grid import (BoxSpec, GridFn, GridSpec, Stencil, _pull_argmin,
                           policy_iteration, relax, save_gridfn_csv)
+from weakkam.hamiltonian import kappa
+from weakkam.semigroup import build_kernel
 
 
 def test_axis_and_points_cover_unit_cell():
@@ -290,6 +295,8 @@ def test_edge_gap_and_the_relax_witness_match_dense_formulas(case):
     v = rng.standard_normal(floats.size)
     gaps = (v[None, :] - v[:, None]) - table    # gaps[y, x] for the edge y -> x
     assert floats.edge_gap(v) == np.max(gaps[np.isfinite(table)], initial=-np.inf)
+    x = floats.worst_gap_node(v)
+    assert np.max(gaps[:, x], where=np.isfinite(table[:, x]), initial=-np.inf) == floats.edge_gap(v)
     # the witness records, per improved node, the first offset that
     # attains the pull, and the start of that edge attains the table's min
     best, arg = _pull_argmin(floats, init)
@@ -300,6 +307,101 @@ def test_edge_gap_and_the_relax_witness_match_dense_formulas(case):
     assert np.array_equal(arg[nodes], np.argmin(dense, axis=0)[nodes])
     starts = floats.grid.neighbors(nodes, -floats.offsets[arg[nodes]])
     assert np.array_equal(init[starts] + table[starts, nodes], best[nodes])
+
+
+def _gather_stencil(case: str) -> Stencil:
+    """A stencil with normal weights, 30 % of them +inf.  The tori have odd
+    n, and offsets out to +-n//2 in 1D (every offset) and in the small 2D
+    case; the far ones have offsets past n/2 and past n, and the boxes
+    offsets that reach past the box.  torus1d and torus2d span several
+    blocks of the gather."""
+    grid, offsets = {
+        "torus1d": (GridSpec(dim=1, n=1023), 511),
+        "torus2d": (GridSpec(dim=2, n=45), 6),
+        "torus2d_small": (GridSpec(dim=2, n=9), 4 * math.sqrt(2)),
+        "far1d": (GridSpec(dim=1, n=8), [[-11], [-7], [0], [3], [6], [9]]),
+        "far2d": (GridSpec(dim=2, n=8), [[5, -6], [0, 7], [-3, 2], [9, 9], [0, 0], [-8, 4]]),
+        "box1d": (BoxSpec(dim=1, radius=0.5, points_per_unit=8), [[-9], [-3], [0], [1], [4], [6]]),
+        "box2d": (BoxSpec(dim=2, radius=0.25, points_per_unit=8), 3),
+        "box2d_float32": (BoxSpec(dim=2, radius=1.0, points_per_unit=8), 5),
+    }[case]
+    if np.ndim(offsets) == 0:    # a radius in cells
+        offsets = grid.offsets_within(offsets * grid.h, include_zero=True)
+    offsets = np.array(offsets)
+    rng = np.random.default_rng(len(case))
+    weights = rng.standard_normal((len(offsets), grid.size))
+    weights[rng.random(weights.shape) < 0.3] = np.inf
+    dtype = np.float32 if case.endswith("float32") else float
+    return Stencil(grid, offsets, weights.astype(dtype))
+
+
+GATHER_CASES = ["torus1d", "torus2d", "torus2d_small", "far1d", "far2d", "box1d", "box2d",
+                "box2d_float32"]
+
+
+@pytest.mark.parametrize("case", GATHER_CASES)
+def test_gathered_pulls_match_the_per_offset_rolls_to_the_byte(case):
+    stencil = _gather_stencil(case)
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((3, stencil.size))
+    stack[rng.random(stack.shape) < 0.3] = np.inf
+    stack[2] = np.inf
+    assert stencil.pull(stack).tobytes() == pull_by_rolls(stencil, stack).tobytes()
+    for u in stack:
+        assert stencil.pull(u).tobytes() == pull_by_rolls(stencil, u).tobytes()
+        best, arg = _pull_argmin(stencil, u)
+        want_best, want_arg = pull_argmin_by_rolls(stencil, u)
+        assert best.tobytes() == want_best.tobytes() and np.array_equal(arg, want_arg)
+
+
+@pytest.mark.parametrize("case", GATHER_CASES)
+def test_gathered_edge_gaps_match_the_per_offset_rolls_to_the_byte(case):
+    stencil = _gather_stencil(case)
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(stencil.size)
+    assert np.float64(stencil.edge_gap(v)).tobytes() == \
+        np.float64(edge_gap_by_rolls(stencil, v)).tobytes()
+    assert stencil.worst_gap_node(v) == worst_gap_node_by_rolls(stencil, v)
+    # integer weights and a flat v tie many edges: the first offset wins,
+    # then the first node
+    ties = Stencil(stencil.grid, stencil.offsets, np.round(stencil.weights))
+    flat = np.zeros(stencil.size)
+    assert ties.worst_gap_node(flat) == worst_gap_node_by_rolls(ties, flat)
+    v[stencil.size // 2] = np.inf
+    assert stencil.edge_gap(v) == np.inf == edge_gap_by_rolls(stencil, v)
+    assert stencil.worst_gap_node(v) == stencil.size // 2 == worst_gap_node_by_rolls(stencil, v)
+
+
+@pytest.mark.parametrize("case", GATHER_CASES)
+def test_gathered_reversal_matches_the_per_offset_rolls_to_the_byte(case):
+    stencil = _gather_stencil(case)
+    back = stencil.reversed()
+    offsets, weights = reversed_by_rolls(stencil)
+    assert np.array_equal(back.offsets, offsets)
+    assert back.weights.dtype == weights.dtype and back.weights.tobytes() == weights.tobytes()
+    u = np.random.default_rng(3).standard_normal(stencil.size)
+    assert back.pull(u).tobytes() == pull_by_rolls(back, u).tobytes()
+    if isinstance(stencil.grid, GridSpec):    # no edge leaves a torus
+        twice = back.reversed()
+        assert np.array_equal(twice.offsets, stencil.offsets)
+        assert twice.weights.tobytes() == stencil.weights.tobytes()
+
+
+def test_reversal_and_edge_gap_hold_one_block_beyond_the_output():
+    """Both read the stencil one block of offsets at a time: a reversal
+    holds its output and about one block, an edge gap about one block.
+    Padding every row at once would hold a second stencil."""
+    spec = wk.EnvSpec(kind="periodic", dimension=2, seed=0, params={})
+    env = wk.sample_realization(spec, 0)
+    model = wk.mechanical_model(dim=2)
+    kern = build_kernel(model, env, GridSpec(dim=2, n=64), dt=1.0 / 64.0,
+                        theta=kappa(model, 1.0, env) + 1.0)
+    block = 2 * 2**20
+    assert kern.weights.nbytes > 3 * block
+    assert peak_bytes(kern.reversed) <= kern.weights.nbytes + block
+    v = np.random.default_rng(0).standard_normal(kern.size)
+    assert peak_bytes(kern.edge_gap, v) <= block
+    assert peak_bytes(kern.worst_gap_node, v) <= block
 
 
 @pytest.mark.parametrize("grid", LATTICES, ids=["grid1d", "grid2d", "box2d"])
