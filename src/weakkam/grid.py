@@ -271,12 +271,17 @@ class _GatherPlan:
     +inf cell appended to u.  Over the flat padded array, the window that
     starts at s reads node x at s + x . steps; the window starts[k] reads
     u at x - offsets[k] h and turns[k] reads it at x + offsets[k] h.  The
-    plan depends only on the lattice and the offsets.
+    plan depends only on the lattice and the offsets.  u is padded by one
+    take of pad, except on a 1D torus, whose pad is slices of u: there one
+    concatenation costs as much as the take on one row and a third of it
+    on a block of rows.  A 2D torus keeps the take: its pad's slices along
+    the last axis are runs of reach cells, which copy no faster.
     """
 
     pad: np.ndarray       # (prod(shape + 2 reach),) flat index into u, -1 past a box
     closed: bool          # pad reads past a box edge
     shape: tuple          # the lattice shape
+    reach: int            # pad width per side
     steps: tuple          # padded flat index step per lattice axis
     span: int             # window starts 0..span-1: the last window ends the array
     starts: np.ndarray    # (m,) window start reading u at x - k h
@@ -291,7 +296,7 @@ class _GatherPlan:
         steps = tuple(math.prod(padded[a + 1:]) for a in range(grid.dim))
         centre = reach * sum(steps)
         shift = np.asarray(offsets, dtype=int).reshape(-1, grid.dim) @ np.array(steps, dtype=int)
-        return cls(pad, bool(np.any(pad < 0)), grid.shape, steps, 2 * centre + 1,
+        return cls(pad, bool(np.any(pad < 0)), grid.shape, reach, steps, 2 * centre + 1,
                    centre - shift, centre + shift)
 
     def windows(self, u: np.ndarray) -> np.ndarray:
@@ -299,12 +304,25 @@ class _GatherPlan:
         axes of u: windows[s][..., x] is the padded node at s + x . steps,
         so windows[starts[k]][..., x] = u[..., x - k h].  numpy checks that
         the view stays inside the padded buffer."""
-        if self.closed:
-            u = np.concatenate((u, np.full(u.shape[:-1] + (1,), np.inf)), axis=-1)
-        flat = np.take(u, self.pad, axis=-1)    # -1 reads the appended +inf
+        if len(self.shape) == 1 and not self.closed:
+            flat = self._periodic(u)
+        else:
+            if self.closed:
+                u = np.concatenate((u, np.full(u.shape[:-1] + (1,), np.inf)), axis=-1)
+            flat = np.take(u, self.pad, axis=-1)    # -1 reads the appended +inf
         it = flat.itemsize
         return np.ndarray((self.span,) + flat.shape[:-1] + self.shape, flat.dtype, flat,
                           strides=(it,) + flat.strides[:-1] + tuple(it * s for s in self.steps))
+
+    def _periodic(self, u: np.ndarray) -> np.ndarray:
+        """u padded periodically by the reach on a 1D torus, as
+        np.take(u, pad, axis=-1) gives it: one np.concatenate of the last
+        reach mod n cells, the whole periods the reach spans on either side
+        and u, and the first reach mod n cells."""
+        n = self.shape[0]
+        whole, part = divmod(self.reach, n)
+        return np.concatenate((u[..., n - part:],) + (u,) * (2 * whole + 1) + (u[..., :part],),
+                              axis=-1)
 
 
 @dataclass

@@ -13,21 +13,26 @@ The field is sampled once per lattice and offset set: every level's cost
 graph is priced from V stored on the node array and on each offset's array
 of edge midpoints, so a bisection costs one field evaluation however many
 levels it tries.  The models read x only through V, so the sampler holds
-plain value arrays.  The midpoint arrays are row blocks of one batch that
-starts with the nodes, and the starting levels of critical_value_free are
-read off V over that whole batch.  critical_value_free evaluates the nodes
-once (the edge radius is read off them) and the batch once: one cosine
-table, with one matrix-vector product per midpoint array and one over the
-batch.  The midpoints of offset k at node x are x - k h / 2, the
-half-spacing points of the class k mod 2, so the table is built from one
-cover per class: the points the class's blocks span, whose cosines are
-computed once.  Each block is a slice of its cover, copied where its
-coordinates are bit-equal to the cover's and computed otherwise (a
-spacing h that is not dyadic rounds them differently).  The products stay separate because the product rounds
-a row by its place in the batch, so a point's value in the batch can
-differ in the last bits from its value in its own array.  Each route keeps
-reading its own values, which keeps every bracket bit for bit what it was
-when each level resampled the field.
+plain value arrays, and of the points only the nodes and the offsets: a
+sample array's points are formed when its cosines are filled and again
+only to name a refusal's witness.  The midpoints of offset k at node x are
+x - k h / 2, the half-spacing points of the class k mod 2, so every array
+takes its cosines from one cover per class: the points the class's arrays
+span, whose cosines are computed once.  An array is a slice of its cover,
+copied where its coordinates are bit-equal to the cover's and computed
+otherwise (a spacing h that is not dyadic rounds them differently).
+
+critical_value_free reads the node values (and with them the edge radius)
+off the class-0 cover for the longest reach, built first, and fills one
+cosine table over the batch of the nodes and every midpoint array, class 0
+from that cover.  It takes one matrix-vector product over the whole batch,
+reduces it to the starting levels and drops it, then one product per
+array.  The products stay separate because the product rounds a row by its
+place in the batch, so a point's value in the batch can differ in the last
+bits from its value in its own array.  Each route keeps reading its own
+values, which keeps every bracket bit for bit what it was when each level
+resampled the field.  build_cost_graph holds no table: each array's
+cosines pass through one scratch array and are priced as they come.
 
 Edge convention: the edge for offset k ends at node x and starts at
 x - k h, costs sigma_a(mid, k h) with mid the (wrapped) segment midpoint.
@@ -37,6 +42,7 @@ functions with phi(x) - phi(y) <= S(y, x).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,10 +76,14 @@ def support_sigma(model, V, q, a: float) -> np.ndarray:
     return np.asarray(model.sigma(V, q, a), dtype=float)
 
 
+# cells per axis that a cost graph's edges reach at most (default_edge_radius)
+_MAX_REACH = 6
+
+
 def default_edge_radius(lattice, kappa_hi: float) -> float:
     """Edge reach for the cost graph: max(3h, h ceil(kappa)) capped at 6h."""
     h = lattice.h
-    return min(max(3.0 * h, h * float(np.ceil(max(kappa_hi, 1.0)))), 6.0 * h)
+    return min(max(3.0 * h, h * float(np.ceil(max(kappa_hi, 1.0)))), _MAX_REACH * h)
 
 
 @dataclass
@@ -89,57 +99,72 @@ def build_cost_graph(model, a: float, env, lattice, offsets: np.ndarray) -> Cost
     raises on any empty sublevel sample.
 
     The emptiness check covers every node and every edge midpoint, so the
-    subcritical certificate cannot slip between nodes.
+    subcritical certificate cannot slip between nodes.  Each sample array
+    is evaluated as its own array from the cover of its class of offsets
+    mod 2 (EnvRealization._block_values) and priced as its values come, so
+    the graph holds its weights, one cover and one array's cosines.
     """
-    pts = lattice.points()
-    samples = _SamplePoints(env, lattice, offsets, pts, field_values(env, pts), whole=False)
-    return _price(model, a, samples)
+    samples = _SamplePoints(lattice, offsets, lattice.points())
+    weights = np.empty((len(samples.offsets), lattice.size))
+    for b, V in env._block_values(samples.shape, samples.covers(), samples.points):
+        if b:
+            weights[b - 1] = samples.sigma(model, V, b, a)
+        else:
+            w0 = samples.sigma(model, V, 0, a)
+    for b, w in enumerate(weights, start=1):
+        samples.refuse_empty(w, b, a)
+    samples.refuse_empty(w0, 0, a)
+    return CostGraph(grid=lattice, a=a, offsets=samples.offsets, weights=weights)
 
 
 class _SamplePoints:
-    """Where sigma_a is sampled on a lattice and offset set, and the field
-    values there: V on the nodes and on each offset's array of edge
-    midpoints, so every level reads the same values.
+    """Where sigma_a is sampled on a lattice and offset set: block 0 holds
+    the nodes and block b >= 1 the edge midpoints of offset k = offsets[b - 1],
+    x - k h / 2 over the nodes x.
 
-    The midpoint arrays are row blocks of one batch array, which starts
-    with a copy of the nodes.  The node values are passed in:
-    critical_value_free reads the edge radius off them before the offsets
-    are known.  With whole, V over the whole batch is held too, for the
-    starting levels of critical_value_free, and the midpoint values come
-    with it from one cosine table filled along covers.  Without, each
-    midpoint array is evaluated on its own, so a cost graph holds one
-    (N, modes) table at a time, not the batch's.
+    The sampler holds the nodes and the offsets, not the blocks' points:
+    points(b) forms them when a block's cosines are filled (to check them
+    against the cover's) and again only for a refusal's witness.  head,
+    when given, is the class-0 cover (head_cover) with its cosines (None:
+    computed when read), handed to the first cover read and dropped there.  The field values, one
+    array per block in values, are set by critical_value_free, so every
+    level reads the same values.
     """
 
-    def __init__(self, env, lattice, offsets: np.ndarray, nodes: np.ndarray,
-                 node_values: np.ndarray, whole: bool):
+    def __init__(self, lattice, offsets: np.ndarray, nodes: np.ndarray, head=None):
         if len(offsets) == 0:
             raise ConfigError("edge radius below grid spacing: no edges")
         self.lattice = lattice
         self.offsets = np.asarray(offsets)
-        self.nodes, self.node_values = nodes, node_values
-        n = len(nodes)
-        self.batch = np.empty(((len(self.offsets) + 1) * n, lattice.dim))
-        self.batch[:n] = nodes
-        self.mids = []
-        for i, k in enumerate(self.offsets, start=1):
-            rows = self.batch[i * n:(i + 1) * n]
-            rows[...] = lattice.wrap(nodes - 0.5 * (np.asarray(k, dtype=float) * lattice.h)[None, :])
-            self.mids.append(rows)
-        if not whole or env is None:
-            self.mid_values = [field_values(env, mids) for mids in self.mids]
-            self.whole = field_values(env, self.batch) if whole else None
-            return
-        shaped = self.batch.reshape((len(self.offsets) + 1,) + lattice.shape + (lattice.dim,))
-        self.whole, self.mid_values = env._evaluate_blocks(
-            shaped, range(n, len(self.batch) + 1, n), self.covers())
+        self.nodes = nodes
+        self.shape = (len(self.offsets) + 1,) + lattice.shape
+        self.head = head
+        self.values = None
+
+    @staticmethod
+    def head_cover(lattice) -> tuple:
+        """(points, index) of the cover of class 0 for any offsets within
+        default_edge_radius: |k| <= _MAX_REACH per axis, so d = k / 2 spans
+        [-_MAX_REACH / 2, _MAX_REACH / 2], and index reads the nodes off it.
+        critical_value_free builds it before the offsets are known, to read
+        the node values off it."""
+        reach = _MAX_REACH // 2
+        lo = np.full(lattice.dim, -reach)
+        points = _cover_points(lattice, lo, np.asarray(lattice.shape) + reach, lo * 0)
+        return points, tuple(slice(reach, reach + m) for m in lattice.shape)
+
+    def points(self, b: int) -> np.ndarray:
+        """Block b's points, shape lattice.shape + (dim,)."""
+        lat = self.lattice
+        x = self.nodes if b == 0 else lat.wrap(
+            self.nodes - 0.5 * (np.asarray(self.offsets[b - 1], dtype=float) * lat.h)[None, :])
+        return x.reshape(lat.shape + (lat.dim,))
 
     def covers(self):
-        """Yield (points, members), one cover per class of the offsets mod
-        2: the half-spacing points the class's blocks span, shaped as a
-        lattice, and (b, index) for each block b of the batch shaped
-        (blocks, *lattice.shape), with the index that reads block b off
-        the cover.
+        """Yield (points, cosines, members), one cover per class of the
+        offsets mod 2: the half-spacing points the class's blocks span,
+        shaped as a lattice, their cosines or None, and (b, index) for
+        each block b, with the index that reads b's points off the cover.
 
         Block b holds the points x - k_b h / 2 over the nodes x (k_0 = 0:
         the nodes themselves).  With k_b = c + 2 d, c = k_b mod 2, the
@@ -149,6 +174,8 @@ class _SamplePoints:
         blocks', so its slices are the cyclic shifts of one period.  The
         cover's coordinates equal the blocks' in exact arithmetic, so on a
         dyadic spacing, where every term is exact, they are bit-equal.
+        With head, (points, cosines) of head_cover, class 0 is read off
+        that cover; the sampler drops it once yielded.
         """
         lat = self.lattice
         n = np.asarray(lat.shape)
@@ -158,39 +185,50 @@ class _SamplePoints:
             classes.setdefault(tuple(k % 2), []).append(b)
         for c, blocks in classes.items():
             d = (ks[blocks] - c) // 2
-            lo, hi = -d.max(axis=0), n - d.min(axis=0)
-            axes = [lat.axis()[0] + np.arange(start, stop) * lat.h - 0.5 * (ci * lat.h)
-                    for start, stop, ci in zip(lo, hi, c)]
-            points = lat.wrap(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
-            yield points, [(b, tuple(slice(s, s + m) for s, m in zip(-shift - lo, n)))
-                           for b, shift in zip(blocks, d)]
+            if self.head is not None and not any(c):
+                (points, cosines), self.head = self.head, None
+                lo = np.full(lat.dim, -(_MAX_REACH // 2))
+            else:
+                lo, cosines = -d.max(axis=0), None
+                points = _cover_points(lat, lo, n - d.min(axis=0), np.asarray(c))
+            yield points, cosines, [(b, tuple(slice(s, s + m) for s, m in zip(-shift - lo, n)))
+                                    for b, shift in zip(blocks, d)]
+
+    def sigma(self, model, V, b: int, a: float) -> np.ndarray:
+        """sigma_a on block b's values V: at block b's displacement k h,
+        one (1, dim) row that sigma broadcasts, or zero on the nodes."""
+        k = self.offsets[b - 1] if b else np.zeros(self.lattice.dim)
+        return support_sigma(model, V, (np.asarray(k, dtype=float) * self.lattice.h)[None, :], a)
+
+    def refuse_empty(self, w: np.ndarray, b: int, a: float) -> None:
+        """Raise on the first NaN of block b's prices w, naming its point."""
+        bad = np.isnan(w)
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            point = self.points(b).reshape(-1, self.lattice.dim)[j].copy()
+            where = "node" if b == 0 else "sampled point"
+            raise SubcriticalLevelError(f"sublevel {{H <= {a}}} empty at {where} {point}",
+                                        empty_at=point)
+
+
+def _cover_points(lattice, lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The lattice's points shifted by -c h / 2 over the index ranges
+    lo..hi - 1 per axis (wrapped on a torus), shape (*(hi - lo), dim)."""
+    axes = [lattice.axis()[0] + np.arange(start, stop) * lattice.h - 0.5 * (ci * lattice.h)
+            for start, stop, ci in zip(lo, hi, c)]
+    return lattice.wrap(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
 
 
 def _price(model, a: float, samples: _SamplePoints) -> CostGraph:
     """The sigma_a cost graph from the sampled field values; raises on the
-    first empty sublevel, midpoints offset by offset, then the nodes.  Each
-    offset's displacement is priced as one (1, dim) row, which sigma
-    broadcasts over the midpoints."""
-    lattice, pts = samples.lattice, samples.nodes
-    h = lattice.h
-    weights = np.empty((len(samples.offsets), lattice.size))
-    for idx, (k, mids, V) in enumerate(zip(samples.offsets, samples.mids, samples.mid_values)):
-        disp = np.asarray(k, dtype=float) * h
-        w = support_sigma(model, V, disp[None, :], a)
-        bad = np.isnan(w)
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            raise SubcriticalLevelError(
-                f"sublevel {{H <= {a}}} empty at sampled point {mids[j]}",
-                empty_at=mids[j].copy())    # a view would pin the whole batch
-        weights[idx] = w
-    # node-level emptiness: sigma at zero displacement
-    w0 = support_sigma(model, samples.node_values, np.zeros((1, lattice.dim)), a)
-    if np.any(np.isnan(w0)):
-        j = int(np.argmax(np.isnan(w0)))
-        raise SubcriticalLevelError(
-            f"sublevel {{H <= {a}}} empty at node {pts[j]}", empty_at=pts[j])
-    return CostGraph(grid=lattice, a=a, offsets=samples.offsets, weights=weights)
+    first empty sublevel, midpoints offset by offset, then the nodes."""
+    weights = np.empty((len(samples.offsets), samples.lattice.size))
+    for b, V in enumerate(samples.values[1:], start=1):
+        w = samples.sigma(model, V, b, a)
+        samples.refuse_empty(w, b, a)
+        weights[b - 1] = w
+    samples.refuse_empty(samples.sigma(model, samples.values[0], 0, a), 0, a)
+    return CostGraph(grid=samples.lattice, a=a, offsets=samples.offsets, weights=weights)
 
 
 @dataclass
@@ -304,27 +342,46 @@ def _level_verdict(model, a: float, samples: _SamplePoints) -> tuple:
 _MAX_EXPAND = 60
 
 
-def critical_value_free(model, env, lattice, tol_bisect: float = 5e-3) -> CriticalValueResult:
+def _zero_momentum_range(model, zero_row: np.ndarray, slices) -> tuple:
+    """(max, min) of H(x, 0), p = 0 given as zero_row, over the field
+    values V(x) in an iterable of arrays, read one array at a time."""
+    hi, lo = -np.inf, np.inf
+    for V in slices:
+        h_zero = model.H(V, zero_row)
+        hi, lo = np.maximum(hi, np.max(h_zero)), np.minimum(lo, np.min(h_zero))
+    return float(hi), float(lo)
+
+
+def critical_value_free(model, env, lattice, tol_bisect: float = 5e-3, *,
+                        table_buffer=None) -> CriticalValueResult:
     """Free critical value on the lattice by certificate bisection.
 
     The cost graph reaches default_edge_radius at kappa of the level
-    max H(x, 0) over the nodes.  The field is sampled once per call: V at
-    the nodes is evaluated once, and V at every offset's edge midpoints
-    comes with V over the whole sample batch (nodes, then each offset's
-    midpoints) from one cosine table built cover by cover
-    (_SamplePoints.covers); every level's cost graph is priced from the
-    per-array values.
+    max H(x, 0) over the nodes.  The field is sampled once per call.  The
+    node values are read off the cover of class 0 for the longest reach
+    (_SamplePoints.head_cover), built before the offsets are known; then
+    one cosine table over the sample batch (nodes, then each offset's
+    midpoints) is filled cover by cover, class 0 from that same cover
+    (EnvRealization._evaluate_blocks), and gives V over the whole batch
+    and V per sample array.  Every level's cost graph is priced from the
+    per-array values.  The table is allocated by table_buffer (a
+    stationary ensemble's _TableBuffer, which outlives the call) or, by
+    default, afresh; a fresh table dies once the values are taken.
     hi starts at max H(x, 0) over the batch, where the zero function is a
-    subsolution, and lo at its min minus one.  The batch's values come from
-    their own matrix-vector product, which rounds a row by its place in
-    the batch, so they can differ in the last bits from the per-array
-    values the cost graphs read, and the starting hi is feasible only up
-    to that rounding: when its graph finds an empty sublevel, hi expands
-    like any refused level.  lo expands downward until a subcritical
-    certificate appears.  The reported value is the bracket midpoint.
+    subsolution, and lo at its min minus one, both read off the batch's
+    values one block at a time before the per-array products are taken.
+    The batch's values come from their own matrix-vector product, which
+    rounds a row by its place in the batch, so they can differ in the last
+    bits from the per-array values the cost graphs read, and the starting
+    hi is feasible only up to that rounding: when its graph finds an empty
+    sublevel, hi expands like any refused level.  lo expands downward
+    until a subcritical certificate appears.  The reported value is the
+    bracket midpoint.
     """
     pts = lattice.points()
-    node_values = field_values(env, pts)
+    points, index = _SamplePoints.head_cover(lattice)
+    cosines, node_values = env._cover_values(points, index,
+                                             pts.reshape(lattice.shape + (lattice.dim,)))
     zero_row = np.zeros((1, lattice.dim))
     hzero = float(np.max(model.H(node_values, zero_row)))
     try:
@@ -332,11 +389,13 @@ def critical_value_free(model, env, lattice, tol_bisect: float = 5e-3) -> Critic
     except SubcriticalLevelError:
         kap = 1.0
     radius = default_edge_radius(lattice, kap)
-    samples = _SamplePoints(env, lattice, lattice.offsets_within(radius), pts, node_values,
-                            whole=True)
-    h_zero = model.H(samples.whole, zero_row)
-    hi, lo = float(np.max(h_zero)), float(np.min(h_zero)) - 1.0
-    del samples.whole, h_zero
+    samples = _SamplePoints(lattice, lattice.offsets_within(radius), pts, head=(points, cosines))
+    del points, cosines, node_values    # the sampler holds the cover until it is read
+    (hi, lo), samples.values = env._evaluate_blocks(
+        samples.shape, samples.covers(), samples.points,
+        lambda slices: _zero_momentum_range(model, zero_row, slices),
+        table_buffer or np.empty)
+    lo -= 1.0
     feasible_hi, _ = _level_verdict(model, hi, samples)
     iters = 0
     step = 1.0
@@ -384,6 +443,23 @@ class StationaryCriticalResult:
     spreads: np.ndarray            # max - min across realizations, per radius
 
 
+class _TableBuffer:
+    """The cosine-table allocator of one stationary ensemble: a table is a
+    view of the first entries of one buffer.  A table that needs more
+    entries than the buffer holds releases it before the larger one is
+    made, at the exact size, so no two buffers live at once."""
+
+    def __init__(self):
+        self.buffer = None
+
+    def __call__(self, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        if self.buffer is None or self.buffer.size < size:
+            self.buffer = None
+            self.buffer = np.empty(size)
+        return self.buffer[:size].reshape(shape)
+
+
 def critical_value_stationary(model, spec, n_samples: int, box_radii,
                               points_per_unit: int = 32,
                               tol_bisect: float = 5e-3) -> StationaryCriticalResult:
@@ -392,20 +468,38 @@ def critical_value_stationary(model, spec, n_samples: int, box_radii,
     Boxes are non-periodic lattices centered at the origin; under
     stationarity + ergodicity the per-realization estimates concentrate as
     the radius grows, which shows up as a shrinking cross-realization
-    spread.
+    spread.  An ensemble of no realization, or a radius that is negative,
+    not finite or gives a one-node box, is refused (ConfigError).
+
+    The ensemble's bisections share one cosine-table buffer (_TableBuffer),
+    made in this call and released when it returns.  Each realization's
+    boxes run largest first, so the buffer is made at the size of the
+    first realization's largest table and is made anew only when a later
+    box needs more rows; the estimates are stored by ascending radius.
     """
     from .env import sample_realization
 
-    box_radii = np.asarray(sorted(float(r) for r in box_radii))
-    if box_radii.size < 1:
+    if n_samples < 1:
+        raise ConfigError(f"critical_value_stationary needs n_samples >= 1, got {n_samples}")
+    radii = [float(r) for r in box_radii]
+    if not radii:
         raise ConfigError("need at least one box radius")
+    for rad in radii:
+        if not math.isfinite(rad) or rad < 0.0:
+            raise ConfigError(f"box radius {rad!r} is not a finite non-negative number")
+        if round(rad * points_per_unit) < 1:
+            raise ConfigError(f"box radius {rad!r} at {points_per_unit} points per unit "
+                              "gives a one-node box")
+    box_radii = np.asarray(sorted(radii))
     est = np.zeros((n_samples, box_radii.size))
+    tables = _TableBuffer()
     for i in range(n_samples):
         omega = sample_realization(spec, i)
-        for rj, rad in enumerate(box_radii):
-            box = BoxSpec(dim=spec.dimension, radius=rad, points_per_unit=points_per_unit)
-            res = critical_value_free(model, omega, box, tol_bisect=tol_bisect)
-            est[i, rj] = res.value
+        for rj in reversed(range(box_radii.size)):
+            box = BoxSpec(dim=spec.dimension, radius=box_radii[rj],
+                          points_per_unit=points_per_unit)
+            est[i, rj] = critical_value_free(model, omega, box, tol_bisect=tol_bisect,
+                                             table_buffer=tables).value
     return StationaryCriticalResult(
         box_radii=box_radii, estimates=est,
         means=est.mean(axis=0), spreads=est.max(axis=0) - est.min(axis=0))

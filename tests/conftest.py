@@ -67,20 +67,30 @@ def walk_table(stencil, steps: int) -> np.ndarray:
 
 class CountingField:
     """A realization that records the shape of each evaluate and gradient
-    call, and of each shared-table batch (its points shaped as its covers
-    index them) with its number of row blocks."""
+    call, the shapes of each cover read for values (the cover's points,
+    then the points valued), the batch shape of each shared table, and
+    that of each table-free block evaluation."""
 
     def __init__(self, env):
         self.env = env
         self.evaluated, self.gradients, self.tables = [], [], []
+        self.cover_values, self.streamed = [], []
 
     def evaluate(self, x):
         self.evaluated.append(np.shape(x))
         return self.env.evaluate(x)
 
-    def _evaluate_blocks(self, x, bounds, covers):
-        self.tables.append((np.shape(x), len(bounds) - 1))
-        return self.env._evaluate_blocks(x, bounds, covers)
+    def _cover_values(self, points, index, x):
+        self.cover_values.append((np.shape(points), np.shape(x)))
+        return self.env._cover_values(points, index, x)
+
+    def _evaluate_blocks(self, shape, covers, points_of, reduce, table):
+        self.tables.append(shape)
+        return self.env._evaluate_blocks(shape, covers, points_of, reduce, table)
+
+    def _block_values(self, shape, covers, points_of):
+        self.streamed.append(shape)
+        return self.env._block_values(shape, covers, points_of)
 
     def gradient(self, x):
         self.gradients.append(np.shape(x))

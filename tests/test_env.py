@@ -129,29 +129,43 @@ def _block_field(kind, params, dim):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("kind,params", BLOCK_FIELDS)
 def test_block_evaluation_is_bit_identical_to_evaluate(kind, params, dim):
-    """The shared table serves each row block and the whole batch with the
-    bits evaluate gives on each as its own array: blocks of 1, 2, 3 and 5
-    rows and of the 2D box sizes 1089 and 4225 (both 1 mod 4), starting at
-    rows that are not multiples of 4.  The table is filled from covers: a
-    one-row cover, and one read by an index array (as a torus block is)
-    whose members are two targets with its points and one whose points
-    differ."""
+    """The shared table serves each block and the whole batch, and the
+    table-free route each block, with the bits evaluate gives on each as
+    its own array: blocks of 1, 2, 3 and 5 rows and of the 2D box sizes
+    1089 and 4225 (both 1 mod 4, so blocks start at rows that are not
+    multiples of 4), in a fresh table and in one at the head of a larger
+    buffer.  The table is filled from covers: one read by an index array
+    (as a torus block is) whose members are two blocks with its points and
+    one whose points differ, one whose cosines come precomputed, and a
+    one-block cover."""
     env = _block_field(kind, params, dim)
-    lengths = [1, 2, 3, 5, 1089, 1, 4225, 3, 2, 5, 1]
-    bounds = np.cumsum([3] + lengths)
-    assert np.any(bounds[:-1] % 4 != 0)
-    x = np.random.default_rng(dim).uniform(-6.0, 6.0, (bounds[-1] + 2, dim))
-    x[5:7] = x[0:2]
-    assert not np.array_equal(x[3:5], x[0:2])
-    swap = np.array([1, 0])
-    covers = [(x[swap], [(np.s_[0:2], swap), (np.s_[3:5], swap), (np.s_[5:7], swap)]),
-              (x[2:3].copy(), [(np.s_[2:3], np.s_[:])]),
-              (x[7:].copy(), [(np.s_[7:], np.s_[:])])]
-    whole, blocks = env._evaluate_blocks(x, bounds, iter(covers))
-    assert whole.tobytes() == env.evaluate(x).tobytes()
-    assert [len(b) for b in blocks] == lengths
-    for a, b, values in zip(bounds[:-1], bounds[1:], blocks):
-        assert values.tobytes() == env.evaluate(x[a:b].copy()).tobytes()
+    modes = 0 if env.centers is not None else len(env.amplitudes)
+    buffer = np.empty(5 * 4225 * modes + 7)
+    tables = (np.empty, lambda shape: buffer[:math.prod(shape)].reshape(shape))
+    for n in (1, 2, 3, 5, 1089, 4225):
+        x = np.random.default_rng(n + dim).uniform(-6.0, 6.0, (5, n, dim))
+        x[2] = x[0]
+        assert not np.array_equal(x[1], x[0])
+        swap = np.arange(n)[::-1]
+        precomputed = None if env.centers is not None else env._cosines(x[3])
+
+        def covers():
+            return iter([(x[0][swap], None, [(0, swap), (1, swap), (2, swap)]),
+                         (x[3].copy(), precomputed, [(3, np.s_[:])]),
+                         (x[4].copy(), None, [(4, np.s_[:])])])
+
+        for table in tables:
+            whole, blocks = env._evaluate_blocks(x.shape[:-1], covers(), x.__getitem__,
+                                                 lambda slices: np.concatenate(list(slices)),
+                                                 table)
+            assert whole.tobytes() == env.evaluate(x.reshape(-1, dim)).tobytes()
+            assert [len(b) for b in blocks] == [n] * 5
+            for b, values in enumerate(blocks):
+                assert values.tobytes() == env.evaluate(x[b].copy()).tobytes()
+        streamed = dict(env._block_values(x.shape[:-1], covers(), x.__getitem__))
+        assert sorted(streamed) == list(range(5))
+        for b, values in streamed.items():
+            assert values.tobytes() == env.evaluate(x[b].copy()).tobytes()
 
 
 def _point_gradients(env, x):

@@ -1,6 +1,7 @@
 """Support costs, path semidistances, and the bisected critical level."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from conftest import SMALL_OBJECTS, CountingField, peak_bytes
 from oracles import torus_dist
 
 import weakkam as wk
-from weakkam.errors import SubcriticalLevelError
+from weakkam.errors import ConfigError, SubcriticalLevelError
 from weakkam.grid import BoxSpec, GridFn, GridSpec, relax
 from weakkam.config import MODELS
 from weakkam.hamiltonian import kappa_at_values, mechanical_model, tilted_mechanical_model
@@ -147,9 +148,10 @@ def _stationary_realization(index):
 
 
 def test_bisection_evaluates_the_field_once_per_sample_array():
-    """One node evaluation (the edge radius is read off it), then one shared
-    table over the nodes and every offset's midpoints, shaped as one box
-    per offset plus the nodes', with one block per offset; no level
+    """The node values are read off one cover (the edge radius is read off
+    them), the class-0 cover for the longest reach, 3 cells past the box
+    on every side; then one shared table over the nodes and every offset's
+    midpoints, shaped as one box per offset plus the nodes'; no level
     evaluates the field again."""
     m = mechanical_model(dim=2, field_bound=0.5)
     box = BoxSpec(dim=2, radius=2.0, points_per_unit=8)
@@ -158,40 +160,48 @@ def test_bisection_evaluates_the_field_once_per_sample_array():
         env = CountingField(_stationary_realization(0))
         res = critical_value_free(m, env, box, tol_bisect=tol)
         iterations.append(res.iterations)
-        assert env.evaluated == [(box.size, 2)]
-        [(shape, offsets)] = env.tables
-        assert offsets > 0 and shape == (offsets + 1,) + box.shape + (2,)
+        assert env.evaluated == [] and env.streamed == []
+        assert env.cover_values == [(tuple(n + 6 for n in box.shape) + (2,), box.shape + (2,))]
+        [shape] = env.tables
+        assert shape[0] > 1 and shape == shape[:1] + box.shape
     assert iterations[1] > iterations[0]
 
 
-def test_bisection_holds_one_cosine_table_and_one_copy_of_the_points():
+def test_bisection_holds_one_cosine_table_and_one_value_array():
     """critical_value_free on the 2D R=4 box peaks while the shared table
     lives.  With M = (offsets + 1) N batch rows and K modes, that is the
-    (M, dim) batch, the (M, K) table, the per-block and whole-batch values
-    (2 M), and N-sized node arrays: the nodes, their values and a few
-    temporaries, under 2 N (dim + 1) entries.  A second table or a second
-    copy of the batch points would exceed the budget."""
+    (M, K) table with the whole-batch values or the per-block values (M),
+    never both, and N-sized node arrays: the nodes, their values and a few
+    temporaries, under 2 N (dim + 1) entries.  No (M, dim) copy of the
+    batch points is held.  A second value array, a second table or the
+    batch points would exceed the budget."""
     m = mechanical_model(dim=2, field_bound=0.5)
     env = _stationary_realization(0)
     box = BoxSpec(dim=2, radius=4.0, points_per_unit=8)
     counting = CountingField(env)
     critical_value_free(m, counting, box)
-    [(shape, _)] = counting.tables
-    rows, dim = int(np.prod(shape[:-1])), shape[-1]
+    [shape] = counting.tables
+    rows, dim = math.prod(shape), box.dim
     modes, n = len(env.amplitudes), box.size
-    budget = 8 * (rows * (modes + dim + 2) + 2 * n * (dim + 1)) + SMALL_OBJECTS
+    budget = 8 * (rows * (modes + 1) + 2 * n * (dim + 1)) + SMALL_OBJECTS
     assert peak_bytes(critical_value_free, m, env, box) <= budget
-    # the slack beyond the a-priori arrays is less than one more copy of the points
-    assert 8 * rows * dim > 2 * n * (dim + 1) * 8 + SMALL_OBJECTS
+    # the slack beyond the a-priori arrays is less than one more value array
+    assert 8 * rows > 2 * n * (dim + 1) * 8 + SMALL_OBJECTS
 
 
-def _shaped_batch(env, lattice, reach):
-    """The sample points of a bisection with offsets within reach h, and
-    its batch shaped as the covers index it."""
-    pts = lattice.points()
-    samples = _SamplePoints(env, lattice, lattice.offsets_within(reach * lattice.h),
-                            pts, env.evaluate(pts), whole=False)
-    return samples, samples.batch.reshape((-1,) + lattice.shape + (lattice.dim,))
+def _sampler(lattice, reach):
+    """The sample points of a bisection with offsets within reach h."""
+    return _SamplePoints(lattice, lattice.offsets_within(reach * lattice.h), lattice.points())
+
+
+def _batch(samples):
+    """Every block's points in one (M, dim) array, nodes first."""
+    return np.concatenate([samples.points(b).reshape(-1, samples.lattice.dim)
+                           for b in range(samples.shape[0])])
+
+
+def _reduce_to_array(slices):
+    return np.concatenate(list(slices))
 
 
 TRANSLATED_LATTICES = [
@@ -206,35 +216,74 @@ TRANSLATED_LATTICES = [
 ]
 
 
+def _translated_field(dim):
+    spec = wk.EnvSpec(kind="random_fourier", dimension=dim, seed=2,
+                      params={"period": 16.0, "k_max": 3, "amplitude": 0.5, "decay": 1.0})
+    return wk.sample_realization(spec, 1)
+
+
 @pytest.mark.parametrize("reach", [3, 6])
 @pytest.mark.parametrize("lattice", TRANSLATED_LATTICES, ids=str)
 def test_translated_table_is_the_textbook_table(lattice, reach):
     """The cosine table filled from one cover per class of offsets mod 2,
-    and both products over it, are bit for bit one _angles and cos over
-    the whole batch, on boxes and tori whose spacing is dyadic (every block
-    is bit-equal to its cover's points and copied) or not (some block
-    differs and is computed).  The classes' members are every block once."""
-    spec = wk.EnvSpec(kind="random_fourier", dimension=lattice.dim, seed=2,
-                      params={"period": 16.0, "k_max": 3, "amplitude": 0.5, "decay": 1.0})
-    env = wk.sample_realization(spec, 1)
-    samples, shaped = _shaped_batch(env, lattice, reach)
+    both products over it, and the table-free values, are bit for bit one
+    _angles and cos over the whole batch, on boxes and tori whose spacing
+    is dyadic (every block is bit-equal to its cover's points and copied)
+    or not (some block differs and is computed), with class 0 read off its
+    own cover or off the head cover.  The classes' members are every block
+    once."""
+    env = _translated_field(lattice.dim)
+    samples = _sampler(lattice, reach)
     covers = list(samples.covers())
     assert len(covers) == 2**lattice.dim
-    targets = sorted(b for _, members in covers for b, _ in members)
-    assert targets == list(range(len(shaped)))
-    equal = [np.array_equal(shaped[b], points[index])
-             for points, members in covers for b, index in members]
+    targets = sorted(b for _, _, members in covers for b, _ in members)
+    assert targets == list(range(samples.shape[0]))
+    equal = [np.array_equal(samples.points(b), points[index])
+             for points, _, members in covers for b, index in members]
     dyadic = math.frexp(lattice.h)[0] == 0.5
     assert all(equal) if dyadic else not all(equal)
-    expected = np.cos(env._angles(samples.batch))
-    table = env._cosine_table(shaped, samples.covers())
+    expected = np.cos(env._angles(_batch(samples)))
+    table = env._cosine_table(samples.shape, samples.covers(), samples.points, np.empty)
     assert table.reshape(expected.shape).tobytes() == expected.tobytes()
     n = lattice.size
-    bounds = range(n, len(samples.batch) + 1, n)
-    whole, blocks = env._evaluate_blocks(shaped, bounds, samples.covers())
-    assert whole.tobytes() == (expected @ env.amplitudes).tobytes()
-    for a, values in zip(bounds, blocks):
-        assert values.tobytes() == (expected[a:a + n] @ env.amplitudes).tobytes()
+    points, index = _SamplePoints.head_cover(lattice)
+    head = (points, env._cover_values(points, index, samples.points(0))[0])
+    headed = _SamplePoints(lattice, samples.offsets, samples.nodes, head=head)
+    for route in (samples, headed):
+        whole, blocks = env._evaluate_blocks(route.shape, route.covers(), route.points,
+                                             _reduce_to_array, np.empty)
+        assert route.head is None
+        assert whole.tobytes() == (expected @ env.amplitudes).tobytes()
+        for b, values in enumerate(blocks):
+            assert values.tobytes() == (expected[b * n:(b + 1) * n] @ env.amplitudes).tobytes()
+    for b, values in env._block_values(samples.shape, samples.covers(), samples.points):
+        assert values.tobytes() == (expected[b * n:(b + 1) * n] @ env.amplitudes).tobytes()
+
+
+@pytest.mark.parametrize("lattice", TRANSLATED_LATTICES, ids=str)
+def test_node_values_read_off_the_head_cover_are_evaluate(lattice):
+    """critical_value_free reads the node values off the class-0 cover for
+    the longest reach: bit for bit env.evaluate on the nodes, whether the
+    nodes' coordinates are the cover's (read off it) or not (evaluated);
+    its cosines are the textbook ones over its points, and every class-0
+    block of offsets within that reach is a slice of it."""
+    env = _translated_field(lattice.dim)
+    pts = lattice.points()
+    points, index = _SamplePoints.head_cover(lattice)
+    cosines, values = env._cover_values(points, index, pts.reshape(points[index].shape))
+    assert values.tobytes() == env.evaluate(pts).tobytes()
+    flat = points.reshape(-1, lattice.dim)
+    assert cosines.reshape(len(flat), -1).tobytes() == np.cos(env._angles(flat)).tobytes()
+    samples = _sampler(lattice, 6)
+    head = (points, cosines)
+    [(_, _, members)] = [c for c in _SamplePoints(lattice, samples.offsets, pts, head=head).covers()
+                         if c[0] is points]
+    assert members[0][0] == 0 and members[0][1] == index
+    dyadic = math.frexp(lattice.h)[0] == 0.5
+    if dyadic:
+        assert np.array_equal(pts.reshape(points[index].shape), points[index])
+        for b, block in members:
+            assert np.array_equal(samples.points(b), points[block])
 
 
 def test_cover_table_computes_each_cover_once():
@@ -246,19 +295,108 @@ def test_cover_table_computes_each_cover_once():
     rows of the batch."""
     env = _stationary_realization(0)
     box = BoxSpec(dim=2, radius=4.0, points_per_unit=8)
-    samples, shaped = _shaped_batch(env, box, 3)
-    covers = [points.shape[:-1] for points, _ in samples.covers()]
+    samples = _sampler(box, 3)
+    covers = [points.shape[:-1] for points, _, _ in samples.covers()]
     assert len(covers) == 2**box.dim
     assert all(side <= box.n_per_axis + 3 for shape in covers for side in shape)
     computed = []
     angles = env._angles
     env._angles = lambda x: computed.append(len(x)) or angles(x)
-    table = env._cosine_table(shaped, samples.covers())
+    table = env._cosine_table(samples.shape, samples.covers(), samples.points, np.empty)
     del env._angles
-    blocks = len(shaped)
+    blocks = samples.shape[0]
     assert sum(computed) <= sum(int(np.prod(shape)) for shape in covers) < blocks * box.size // 4
-    expected = np.cos(env._angles(samples.batch))
+    expected = np.cos(env._angles(_batch(samples)))
     assert table.reshape(expected.shape).tobytes() == expected.tobytes()
+
+
+def test_cost_graph_holds_its_weights_one_cover_and_one_array_of_cosines():
+    """build_cost_graph on the 2D R=4 box at radius 6h prices each sample
+    array as its values come, from the cover of its class through one
+    (N, K) scratch array: beyond the (m, N) weights it holds one cover's
+    cosines (the class-0 cover, 3 cells past the box per side, is the
+    largest), the scratch, and N-sized arrays under 4 N (dim + 2) entries:
+    the nodes, one array's points, the cover's points, and one array's
+    values and prices with sigma's temporaries.  The (m + 1) N dim batch
+    of points, or every array's values at once, would exceed it."""
+    m = mechanical_model(dim=2, field_bound=0.5)
+    env = _stationary_realization(1)
+    box = BoxSpec(dim=2, radius=4.0, points_per_unit=8)
+    offsets = box.offsets_within(6 * box.h)
+    counting = CountingField(env)
+    graph = build_cost_graph(m, 0.6, counting, box, offsets)
+    assert counting.streamed == [(len(offsets) + 1,) + box.shape] and counting.tables == []
+    covers = [math.prod(points.shape[:-1]) for points, _, _ in _sampler(box, 6).covers()]
+    assert max(covers) == (box.n_per_axis + 6) ** 2
+    modes, n, dim = len(env.amplitudes), box.size, box.dim
+    budget = graph.weights.nbytes + 8 * (modes * (max(covers) + n) + 4 * n * (dim + 2)) \
+        + SMALL_OBJECTS
+    assert peak_bytes(build_cost_graph, m, 0.6, env, box, offsets) <= budget
+    # the batch of points alone would exceed the slack beyond the weights
+    assert 8 * (len(offsets) + 1) * n * dim > budget - graph.weights.nbytes
+
+
+def test_ensemble_fills_one_table_buffer_largest_box_first(monkeypatch):
+    """The ensemble's estimates are bit for bit those of one
+    critical_value_free call per box in ascending order, each with a fresh
+    table; its boxes run largest first, so when no later box needs more
+    rows than the first realization's largest, one buffer is made, at the
+    exact size of that box's table."""
+    import weakkam.metric as metric
+
+    made = []
+
+    class RecordingBuffer(metric._TableBuffer):
+        def __call__(self, shape):
+            before = self.buffer
+            table = super().__call__(shape)
+            if self.buffer is not before:
+                made.append(self.buffer.size)
+            return table
+
+    monkeypatch.setattr(metric, "_TableBuffer", RecordingBuffer)
+    spec = wk.EnvSpec(kind="random_fourier", dimension=2, seed=2,
+                      params={"period": 16.0, "k_max": 3, "amplitude": 0.5, "decay": 1.0})
+    m = mechanical_model(dim=2, field_bound=0.5)
+    radii = (1.0, 2.0)
+    res = critical_value_stationary(m, spec, n_samples=3, box_radii=radii[::-1],
+                                    points_per_unit=8, tol_bisect=1e-2)
+    sizes = []
+    for i in range(3):
+        for rj, rad in enumerate(radii):
+            env = CountingField(wk.sample_realization(spec, i))
+            box = BoxSpec(dim=2, radius=rad, points_per_unit=8)
+            value = critical_value_free(m, env, box, tol_bisect=1e-2).value
+            assert np.float64(value).tobytes() == res.estimates[i, rj].tobytes()
+            [shape] = env.tables
+            sizes.append(math.prod(shape) * len(env.env.amplitudes))
+    assert sizes[1] == max(sizes) > sizes[0]
+    assert made == [sizes[1]]
+
+
+@pytest.mark.parametrize("n_samples,radius,named", [
+    (0, 2.0, "n_samples >= 1, got 0"),
+    (-1, 2.0, "n_samples >= 1, got -1"),
+    (2, -1.0, "box radius -1.0 is not"),
+    (2, math.nan, "box radius nan is not"),
+    (2, 0.0, "box radius 0.0 at 8 points per unit gives a one-node box"),
+    (2, 0.05, "box radius 0.05 at 8 points per unit gives a one-node box"),
+])
+def test_degenerate_ensembles_are_refused_up_front(n_samples, radius, named, monkeypatch):
+    """No realization, or a radius that is not finite and non-negative or
+    that gives a one-node box, is a ConfigError naming the value, raised
+    before any realization is sampled."""
+    import weakkam.env
+
+    def unsampled(spec, index):
+        raise AssertionError("a realization was sampled")
+
+    monkeypatch.setattr(weakkam.env, "sample_realization", unsampled)
+    spec = wk.EnvSpec(kind="random_fourier", dimension=2, seed=2, params={})
+    m = mechanical_model(dim=2, field_bound=0.5)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        critical_value_stationary(m, spec, n_samples=n_samples, box_radii=(radius, 4.0),
+                                  points_per_unit=8)
 
 
 def test_cost_graph_prices_each_offset_from_its_own_midpoint_batch():
