@@ -443,9 +443,9 @@ def _as_freq_rows(freqs, m: int, dim: int, default_integer: bool) -> np.ndarray:
 # -- metrics on fields ---------------------------------------------------
 
 
-def _as_field(f, dim: int):
+def _as_field(f):
     if isinstance(f, GridFn):
-        return f.as_callable()
+        return f.periodic_eval
     if isinstance(f, EnvRealization):
         return f.evaluate
     return f
@@ -462,7 +462,7 @@ def metric_d(f, g, n_max: int = 10, dim: int = 1) -> float:
         dim = f.grid.dim
     elif isinstance(f, EnvRealization):
         dim = f.spec.dimension
-    fc, gc = _as_field(f, dim), _as_field(g, dim)
+    fc, gc = _as_field(f), _as_field(g)
     ppu = 8 if dim == 1 else 4
     total = 0.0
     for n in range(1, n_max + 1):

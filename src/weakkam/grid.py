@@ -1,10 +1,11 @@
 """Lattices, grid functions and the one-step stencil graph.
 
-Everything downstream (kernels, semidistances, masks) lives on a uniform
-periodic grid over the unit cell [0,1)^dim with spacing h = 1/n, or on a
-non-periodic box for growing-box runs.  Grid functions are stored flat in C
-order so that node index 0 is the origin and lexicographic order of
-coordinates equals index order; argmin tie-breaking relies on this.
+Everything downstream (kernels, semidistances, masks) lives on one lattice
+geometry (_Lattice) with two constructors: GridSpec, the unit torus
+[0,1)^dim with spacing h = 1/n, and BoxSpec, a non-periodic box for
+growing-box runs.  Grid functions are stored flat in C order so that
+lexicographic order of coordinates equals index order (on the torus node
+index 0 is the origin); argmin tie-breaking relies on this.
 
 Action kernels and sigma_a cost graphs are both a Stencil: one row of edge
 costs per lattice offset.  relax() is the one shortest-path engine over it,
@@ -57,13 +58,47 @@ def lattice_points(ax: np.ndarray, dim: int) -> np.ndarray:
 
 
 class _Lattice:
-    """What a periodic grid and a box share: the nodes on the product of
-    one axis, and the offset set of a radius.  max_offset caps an offset
-    per axis: half the period on a torus, none on a box."""
+    """One lattice geometry with two constructors.  The nodes are n per
+    axis, first h, (first + 1) h, ..., (first + n - 1) h on each of dim
+    axes; a periodic lattice is the unit torus (first = 0, n h = 1), the
+    other a box with no node past its edge.  GridSpec and BoxSpec supply
+    n, h, first and periodic; everything else is defined here once."""
+
+    @property
+    def shape(self) -> tuple:
+        return (self.n,) * self.dim
+
+    @property
+    def size(self) -> int:
+        return self.n**self.dim
+
+    @property
+    def max_offset(self):
+        """Largest |offset| per axis: half the period on a torus, no cap on
+        a box."""
+        return self.n // 2 if self.periodic else math.inf
+
+    def axis(self) -> np.ndarray:
+        return np.arange(self.first, self.first + self.n) * self.h
 
     def points(self) -> np.ndarray:
         """All node coordinates, shape (size, dim), C order."""
         return lattice_points(self.axis(), self.dim)
+
+    def wrap(self, x: np.ndarray) -> np.ndarray:
+        """Map coordinates into the unit cell [0,1) on a torus; a box leaves
+        them as they are."""
+        return np.mod(x, 1.0) if self.periodic else x
+
+    def neighbors(self, x, step: np.ndarray) -> np.ndarray:
+        """Flat index of node x + step*h: periodic on a torus, -1 off a box;
+        x broadcasts against the leading axes of step."""
+        step = np.asarray(step)
+        moved = [c + step[..., a] for a, c in enumerate(np.unravel_index(x, self.shape))]
+        if self.periodic:
+            return np.ravel_multi_index(moved, self.shape, mode="wrap")
+        inside = np.logical_and.reduce([(c >= 0) & (c < self.n) for c in moved])
+        return np.where(inside, np.ravel_multi_index(moved, self.shape, mode="clip"), -1)
 
     def offsets_within(self, radius: float, include_zero: bool = False) -> np.ndarray:
         """Integer offsets k with |k|*h <= radius, shape (m, dim).
@@ -83,7 +118,7 @@ class _Lattice:
 
 @dataclass(frozen=True)
 class GridSpec(_Lattice):
-    """Uniform periodic grid on [0,1)^dim.
+    """The unit torus [0,1)^dim as a periodic lattice, h = 1/n.
 
     dim : 1 or 2
     n   : points per axis, at least 8
@@ -91,6 +126,8 @@ class GridSpec(_Lattice):
 
     dim: int
     n: int
+    first = 0
+    periodic = True
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -102,46 +139,10 @@ class GridSpec(_Lattice):
     def h(self) -> float:
         return 1.0 / self.n
 
-    @property
-    def shape(self) -> tuple:
-        return (self.n,) * self.dim
-
-    @property
-    def size(self) -> int:
-        return self.n**self.dim
-
-    @property
-    def max_offset(self) -> int:
-        return self.n // 2
-
-    def axis(self) -> np.ndarray:
-        return np.arange(self.n) * self.h
-
-    def wrap(self, x: np.ndarray) -> np.ndarray:
-        """Map coordinates into the fundamental cell [0,1)."""
-        return np.mod(x, 1.0)
-
-    def roll_flat(self, values: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """values evaluated at node - k*h, as a flat array (periodic shift).
-
-        With out[i] = values[i - k] the result reads off predecessor data for
-        the edge (node - k*h) -> node.
-        """
-        v = values.reshape(self.shape)
-        shifted = np.roll(v, shift=tuple(int(c) for c in np.atleast_1d(k)), axis=tuple(range(self.dim)))
-        return shifted.ravel()
-
-    def neighbors(self, x, step: np.ndarray) -> np.ndarray:
-        """Flat index of node x + step*h (periodic); x broadcasts against the
-        leading axes of step."""
-        step = np.asarray(step)
-        moved = [c + step[..., a] for a, c in enumerate(np.unravel_index(x, self.shape))]
-        return np.ravel_multi_index(moved, self.shape, mode="wrap")
-
 
 @dataclass
 class GridFn:
-    """A real-valued function sampled on a periodic grid, stored flat."""
+    """A real-valued function sampled on the unit torus, stored flat."""
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
@@ -210,51 +211,45 @@ class GridFn:
             )
         return out
 
-    def as_callable(self):
-        """Periodic-extension callable view, for the environment metrics."""
-        return lambda x: self.periodic_eval(x)
-
 
 @dataclass(frozen=True)
 class BoxSpec(_Lattice):
-    """Non-periodic lattice on [-radius, radius]^dim for growing-box runs."""
+    """The box [-radius, radius]^dim as a non-periodic lattice, h =
+    1/points_per_unit, for growing-box runs: 2 round(radius / h) + 1 nodes
+    per axis, centered at the origin.
+
+    dim             : 1 or 2
+    radius          : finite, above h / 2 (a smaller one gives one node)
+    points_per_unit : at least 1
+    """
 
     dim: int
     radius: float
     points_per_unit: int = 32
-    max_offset = math.inf    # a box has no period: offsets are not clipped
+    periodic = False
+
+    def __post_init__(self):
+        if self.dim not in (1, 2):
+            raise ConfigError(f"box dimension must be 1 or 2, got {self.dim}")
+        if not self.points_per_unit >= 1:
+            raise ConfigError(f"box needs points_per_unit >= 1, got {self.points_per_unit}")
+        if not math.isfinite(self.radius) or self.radius < 0.0:
+            raise ConfigError(f"box radius {self.radius!r} is not a finite non-negative number")
+        if self.n == 1:
+            raise ConfigError(f"box radius {self.radius!r} at {self.points_per_unit} points "
+                              "per unit gives a one-node box")
 
     @property
     def h(self) -> float:
         return 1.0 / self.points_per_unit
 
     @property
-    def n_per_axis(self) -> int:
-        return 2 * int(round(self.radius * self.points_per_unit)) + 1
+    def first(self) -> int:
+        return -int(round(self.radius * self.points_per_unit))
 
     @property
-    def shape(self) -> tuple:
-        return (self.n_per_axis,) * self.dim
-
-    @property
-    def size(self) -> int:
-        return self.n_per_axis**self.dim
-
-    def axis(self) -> np.ndarray:
-        m = int(round(self.radius * self.points_per_unit))
-        return np.arange(-m, m + 1) * self.h
-
-    def wrap(self, x: np.ndarray) -> np.ndarray:
-        """A box does not wrap: coordinates stay as they are."""
-        return x
-
-    def neighbors(self, x, step: np.ndarray) -> np.ndarray:
-        """Flat index of node x + step*h, -1 off the box; x broadcasts against
-        the leading axes of step."""
-        step = np.asarray(step)
-        moved = [c + step[..., a] for a, c in enumerate(np.unravel_index(x, self.shape))]
-        inside = np.logical_and.reduce([(c >= 0) & (c < self.n_per_axis) for c in moved])
-        return np.where(inside, np.ravel_multi_index(moved, self.shape, mode="clip"), -1)
+    def n(self) -> int:
+        return 1 - 2 * self.first
 
 
 _SHORTLIST = 6    # in-edges per node that Stencil.walk sums each step
@@ -279,7 +274,7 @@ class _GatherPlan:
     """
 
     pad: np.ndarray       # (prod(shape + 2 reach),) flat index into u, -1 past a box
-    closed: bool          # pad reads past a box edge
+    closed: bool          # a box: u gets a +inf cell for the pad to read past its edge
     shape: tuple          # the lattice shape
     reach: int            # pad width per side
     steps: tuple          # padded flat index step per lattice axis
@@ -290,13 +285,12 @@ class _GatherPlan:
     @classmethod
     def build(cls, grid, offsets: np.ndarray) -> "_GatherPlan":
         reach = int(np.max(np.abs(offsets), initial=0))
-        n = grid.shape[0]
-        padded = (n + 2 * reach,) * grid.dim
-        pad = grid.neighbors(0, lattice_points(np.arange(-reach, n + reach), grid.dim))
+        padded = (grid.n + 2 * reach,) * grid.dim
+        pad = grid.neighbors(0, lattice_points(np.arange(-reach, grid.n + reach), grid.dim))
         steps = tuple(math.prod(padded[a + 1:]) for a in range(grid.dim))
         centre = reach * sum(steps)
         shift = np.asarray(offsets, dtype=int).reshape(-1, grid.dim) @ np.array(steps, dtype=int)
-        return cls(pad, bool(np.any(pad < 0)), grid.shape, reach, steps, 2 * centre + 1,
+        return cls(pad, not grid.periodic, grid.shape, reach, steps, 2 * centre + 1,
                    centre - shift, centre + shift)
 
     def windows(self, u: np.ndarray) -> np.ndarray:
@@ -330,8 +324,8 @@ class Stencil:
     """Weighted one-step graph on a lattice, stored per offset.
 
     weights[k, x] is the cost of the edge into x from x - offsets[k] * h,
-    +inf where there is no such edge.  A periodic GridSpec wraps around; a
-    BoxSpec has no node past its edge, and reads there are +inf.  Only this
+    +inf where there is no such edge.  A periodic lattice wraps around; a
+    box has no node past its edge, and reads there are +inf.  Only this
     class, relax() and policy_iteration() read that layout.
 
     Every per-offset read goes through one gather plan (_GatherPlan), built

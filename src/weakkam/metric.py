@@ -468,8 +468,10 @@ def critical_value_stationary(model, spec, n_samples: int, box_radii,
     Boxes are non-periodic lattices centered at the origin; under
     stationarity + ergodicity the per-realization estimates concentrate as
     the radius grows, which shows up as a shrinking cross-realization
-    spread.  An ensemble of no realization, or a radius that is negative,
-    not finite or gives a one-node box, is refused (ConfigError).
+    spread.  An ensemble of no realization, or of a box that BoxSpec
+    refuses (a radius that is negative, not finite or gives a one-node box,
+    points_per_unit below 1), is refused (ConfigError) before any
+    realization is sampled.
 
     The ensemble's bisections share one cosine-table buffer (_TableBuffer),
     made in this call and released when it returns.  Each realization's
@@ -481,24 +483,17 @@ def critical_value_stationary(model, spec, n_samples: int, box_radii,
 
     if n_samples < 1:
         raise ConfigError(f"critical_value_stationary needs n_samples >= 1, got {n_samples}")
-    radii = [float(r) for r in box_radii]
-    if not radii:
+    boxes = sorted((BoxSpec(dim=spec.dimension, radius=float(r), points_per_unit=points_per_unit)
+                    for r in box_radii), key=lambda box: box.radius)
+    if not boxes:
         raise ConfigError("need at least one box radius")
-    for rad in radii:
-        if not math.isfinite(rad) or rad < 0.0:
-            raise ConfigError(f"box radius {rad!r} is not a finite non-negative number")
-        if round(rad * points_per_unit) < 1:
-            raise ConfigError(f"box radius {rad!r} at {points_per_unit} points per unit "
-                              "gives a one-node box")
-    box_radii = np.asarray(sorted(radii))
+    box_radii = np.asarray([box.radius for box in boxes])
     est = np.zeros((n_samples, box_radii.size))
     tables = _TableBuffer()
     for i in range(n_samples):
         omega = sample_realization(spec, i)
         for rj in reversed(range(box_radii.size)):
-            box = BoxSpec(dim=spec.dimension, radius=box_radii[rj],
-                          points_per_unit=points_per_unit)
-            est[i, rj] = critical_value_free(model, omega, box, tol_bisect=tol_bisect,
+            est[i, rj] = critical_value_free(model, omega, boxes[rj], tol_bisect=tol_bisect,
                                              table_buffer=tables).value
     return StationaryCriticalResult(
         box_radii=box_radii, estimates=est,

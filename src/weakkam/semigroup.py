@@ -2,7 +2,9 @@
 
 The one-step kernel prices a displacement d covered in time dt at
 dt * (L(midpoint, d/dt) + shift).  It is a grid.Stencil, the offset stencil
-the cost graphs of the metric side share.  T^-_t u = min_y u(y) + h_t(y, x)
+the cost graphs of the metric side share; its rows are priced by the start
+of each edge and turned by the stencil's reversal (Stencil.reversed) into
+rows by the edge's end.  T^-_t u = min_y u(y) + h_t(y, x)
 is t/dt backward (pull) steps of the stencil; T^+_t is t/dt pull steps of
 the same stencil with every edge turned around, the reversal identity
 T^+_t u = -(reversed T^-_t)(-u) without a second kernel.  Ladder times are
@@ -102,12 +104,15 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
                  shift: float = 0.0) -> ActionKernel:
     """One-step minimal-action kernel with reach dt R(theta) + 2h.
 
-    Prices each offset by the model's closed-form Lagrangian at the edge
-    midpoints, its velocity passed as one (1, dim) row that L broadcasts.
-    Offsets whose speed is outside the model's cone (L = +inf everywhere)
-    are pruned; a kernel whose graph is then not strongly connected is
-    refused (ConfigError), because its cycle mean from node 0 would price
-    only part of the torus.
+    Prices each offset k by the model's closed-form Lagrangian at the edge
+    midpoints, its velocity passed as one (1, dim) row that L broadcasts,
+    one row per offset indexed by the start x of the edge x -> x + k h.
+    Read with offsets -k, those rows are the kernel with every edge turned
+    around, so their Stencil.reversed() is the kernel, its rows indexed by
+    the edge's end.  Offsets whose speed is outside the model's cone
+    (L = +inf everywhere) are pruned; a kernel whose graph is then not
+    strongly connected is refused (ConfigError), because its cycle mean
+    from node 0 would price only part of the torus.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
@@ -124,12 +129,12 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
         if not np.any(np.isfinite(cost)):
             continue
         kept.append(k)
-        rows.append(grid.roll_flat(cost, k))   # cost was priced at the start node
+        rows.append(cost)
     kept = np.asarray(kept, dtype=int).reshape(-1, grid.dim)
-    weights = np.asarray(rows, dtype=float).reshape(-1, grid.size)
-    del rows    # room for the connectivity check
-    # offsets +-n/2 along an axis join the same pair of nodes: keep the last
-    # of them, priced at the cheaper move
+    weights = np.asarray(rows, dtype=float).reshape(-1, grid.size)    # by start node
+    del rows    # room for the reversal and the connectivity check
+    # offsets +-n/2 along an axis join the same pair of nodes from each start:
+    # keep the last of them, priced at the cheaper move
     last = {}
     for i, k in enumerate(map(tuple, kept % grid.n)):
         if k in last:
@@ -137,6 +142,7 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
         last[k] = i
     keep = sorted(last.values())
     offsets, weights = kept[keep], weights[keep]
+    weights = Stencil(grid, -offsets, weights).reversed().weights    # by end node
     # Strongly connected iff every node reaches node 0 and is reached from
     # it.  Hop costs 0 and +inf are exact in float32, at half the memory.
     hops = Stencil(grid, offsets, np.where(np.isfinite(weights), np.float32(0), np.float32(np.inf)))

@@ -79,10 +79,11 @@ def load_gridfn_csv(path) -> GridFn:
 def rolled(grid, values: np.ndarray, k) -> np.ndarray:
     """values at node - k h, flat: np.roll on a torus, +inf where that node
     is past the edge of a box."""
-    if isinstance(grid, GridSpec):
-        return grid.roll_flat(values, k)
+    if grid.periodic:
+        shift = tuple(int(c) for c in np.atleast_1d(k))
+        return np.roll(values.reshape(grid.shape), shift, axis=tuple(range(grid.dim))).ravel()
     coords = np.stack(np.unravel_index(np.arange(grid.size), grid.shape), axis=1) - k
-    inside = np.all((coords >= 0) & (coords < grid.n_per_axis), axis=1)
+    inside = np.all((coords >= 0) & (coords < grid.n), axis=1)
     out = np.full(grid.size, np.inf)
     out[inside] = values[np.ravel_multi_index(tuple(coords[inside].T), grid.shape)]
     return out

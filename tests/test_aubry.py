@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import VERIFY_CONFIGS, minplus_product, one_step_table, verify_config
-from oracles import extract_calibrated_curve, fixed_point_set
+from oracles import extract_calibrated_curve, fixed_point_set, rolled
 
 import weakkam as wk
 from weakkam.aubry import (build_library, build_w, classical_aubry, default_eps,
@@ -157,7 +157,7 @@ def test_unsaturated_slack_clears_the_budget_on_the_verify_kernels(label):
     model, grid = build_model(cfg), build_grid(cfg)
     kern = stage_kernel(cfg, env, model, grid, stage_critical(cfg, env, model, grid))
     crit = policy_iteration(kern)
-    slack = np.array([grid.roll_flat(crit.bias, k) + w - crit.mean - crit.bias
+    slack = np.array([rolled(grid, crit.bias, k) + w - crit.mean - crit.bias
                       for k, w in zip(kern.offsets, kern.weights)])
     loose = slack[np.isfinite(slack) & (slack > crit.budget)]
     assert np.min(loose) >= 1e3 * crit.budget

@@ -2,6 +2,7 @@
 the stencil graph with its shortest-path and policy-iteration engines."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from conftest import one_step_table, peak_bytes, walk_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (_index_of, edge_gap_by_rolls, load_gridfn_csv, min_image, one_sided_slopes,
-                     pull_argmin_by_rolls, pull_by_rolls, reversed_by_rolls, torus_dist,
+                     pull_argmin_by_rolls, pull_by_rolls, reversed_by_rolls, rolled, torus_dist,
                      worst_gap_node_by_rolls)
 
 import weakkam as wk
@@ -78,12 +79,12 @@ def test_box_offsets_take_the_zero_offset_on_request(dim):
     assert np.array_equal(with_zero[~is_zero], plain)
 
 
-def test_roll_flat_reads_predecessor_values():
+def test_rolled_oracle_reads_predecessor_values():
     g = GridSpec(dim=1, n=8)
     vals = np.arange(8.0)
-    rolled = g.roll_flat(vals, np.array([3]))
+    shifted = rolled(g, vals, np.array([3]))
     # out[i] = values[i - 3]
-    assert rolled[3] == 0.0 and rolled[0] == 5.0
+    assert shifted[3] == 0.0 and shifted[0] == 5.0
 
 
 def test_gridfn_algebra_and_normalization():
@@ -128,7 +129,7 @@ def test_periodic_eval_interpolates_and_wraps():
     # wraps across the seam: between node 7 and node 0
     seam = f.periodic_eval(np.array([[1.0 - g.h / 2]]))
     assert np.allclose(seam, 3.5)
-    assert np.allclose(f.as_callable()(np.array([[g.h]])), 1.0)
+    assert np.allclose(f.periodic_eval(np.array([[g.h]])), 1.0)
 
 
 def test_gridfn_csv_roundtrip_is_exact():
@@ -144,7 +145,7 @@ def test_gridfn_csv_roundtrip_is_exact():
 
 def test_box_spec_is_odd_and_centered():
     b = BoxSpec(dim=1, radius=2.0, points_per_unit=8)
-    assert b.n_per_axis % 2 == 1
+    assert b.n % 2 == 1
     pts = b.points()
     assert np.allclose(pts[0], [-2.0]) and np.allclose(pts[-1], [2.0])
     assert np.allclose(pts[b.size // 2], [0.0])
@@ -155,6 +156,15 @@ def test_grid_rejects_bad_shapes():
         GridSpec(dim=3, n=8)
     with pytest.raises(ConfigError):
         GridSpec(dim=1, n=0)
+    for box, named in [({"dim": 3, "radius": 1.0}, "box dimension must be 1 or 2, got 3"),
+                       ({"dim": 1, "radius": 1.0, "points_per_unit": 0}, "points_per_unit >= 1, got 0"),
+                       ({"dim": 2, "radius": 1.0, "points_per_unit": 0.5}, ">= 1, got 0.5"),
+                       ({"dim": 1, "radius": -0.5}, "box radius -0.5 is not"),
+                       ({"dim": 2, "radius": math.inf}, "box radius inf is not"),
+                       ({"dim": 1, "radius": 1 / 64},    # round(1/2) = 0 nodes per side
+                        "box radius 0.015625 at 32 points per unit gives a one-node box")]:
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            BoxSpec(**box)
 
 
 @pytest.mark.parametrize("grid", [GridSpec(dim=1, n=8), GridSpec(dim=2, n=12),
@@ -167,11 +177,11 @@ def test_neighbors_match_ravel_multi_index(grid):
     broadcast against the leading axes of the steps."""
     rng = np.random.default_rng(grid.size)
     shape, n = grid.shape, grid.shape[0]
-    span = 2 * n if isinstance(grid, GridSpec) else n
+    span = 2 * n if grid.periodic else n
     x = rng.integers(0, grid.size, (5, 7))
     step = rng.integers(-span, span + 1, (3, 1, 7, grid.dim))
     moved = np.stack(np.unravel_index(x, shape), axis=-1) + step
-    if isinstance(grid, GridSpec):
+    if grid.periodic:
         expect = np.ravel_multi_index(tuple(np.moveaxis(moved, -1, 0)), shape, mode="wrap")
     else:
         inside = np.all((moved >= 0) & (moved < n), axis=-1)
@@ -199,9 +209,9 @@ def _edge_table(stencil):
         here = np.array(np.unravel_index(x, shape))
         for k, row in zip(stencil.offsets, stencil.weights):
             there = here - k
-            if isinstance(grid, GridSpec):
+            if grid.periodic:
                 there = there % grid.n
-            elif np.any((there < 0) | (there >= grid.n_per_axis)):
+            elif np.any((there < 0) | (there >= grid.n)):
                 continue
             y = int(np.ravel_multi_index(tuple(there), shape))
             cost[y, x] = min(cost[y, x], row[x])
@@ -381,7 +391,7 @@ def test_gathered_reversal_matches_the_per_offset_rolls_to_the_byte(case):
     assert back.weights.dtype == weights.dtype and back.weights.tobytes() == weights.tobytes()
     u = np.random.default_rng(3).standard_normal(stencil.size)
     assert back.pull(u).tobytes() == pull_by_rolls(back, u).tobytes()
-    if isinstance(stencil.grid, GridSpec):    # no edge leaves a torus
+    if stencil.grid.periodic:    # no edge leaves a torus
         twice = back.reversed()
         assert np.array_equal(twice.offsets, stencil.offsets)
         assert twice.weights.tobytes() == stencil.weights.tobytes()
@@ -450,7 +460,7 @@ def connected_stencils(draw):
     grid = draw(st.sampled_from(LATTICES))
     unit = [k for k in grid.offsets_within(grid.h)]    # every unit step, both ways
     extra = [k for k in grid.offsets_within(2.5 * grid.h, include_zero=True)
-             if np.abs(k).sum() > 1 or not k.any()] if isinstance(grid, GridSpec) else []
+             if np.abs(k).sum() > 1 or not k.any()] if grid.periodic else []
     offsets = np.array(unit + [k for k in extra if draw(st.booleans())])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     top = draw(st.sampled_from([1, 3, 10]))

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 from conftest import SMALL_OBJECTS, CountingField, peak_bytes
-from oracles import torus_dist
+from oracles import rolled, torus_dist
 
 import weakkam as wk
 from weakkam.errors import ConfigError, SubcriticalLevelError
@@ -298,7 +298,7 @@ def test_cover_table_computes_each_cover_once():
     samples = _sampler(box, 3)
     covers = [points.shape[:-1] for points, _, _ in samples.covers()]
     assert len(covers) == 2**box.dim
-    assert all(side <= box.n_per_axis + 3 for shape in covers for side in shape)
+    assert all(side <= box.n + 3 for shape in covers for side in shape)
     computed = []
     angles = env._angles
     env._angles = lambda x: computed.append(len(x)) or angles(x)
@@ -327,7 +327,7 @@ def test_cost_graph_holds_its_weights_one_cover_and_one_array_of_cosines():
     graph = build_cost_graph(m, 0.6, counting, box, offsets)
     assert counting.streamed == [(len(offsets) + 1,) + box.shape] and counting.tables == []
     covers = [math.prod(points.shape[:-1]) for points, _, _ in _sampler(box, 6).covers()]
-    assert max(covers) == (box.n_per_axis + 6) ** 2
+    assert max(covers) == (box.n + 6) ** 2
     modes, n, dim = len(env.amplitudes), box.size, box.dim
     budget = graph.weights.nbytes + 8 * (modes * (max(covers) + n) + 4 * n * (dim + 2)) \
         + SMALL_OBJECTS
@@ -374,18 +374,27 @@ def test_ensemble_fills_one_table_buffer_largest_box_first(monkeypatch):
     assert made == [sizes[1]]
 
 
-@pytest.mark.parametrize("n_samples,radius,named", [
-    (0, 2.0, "n_samples >= 1, got 0"),
-    (-1, 2.0, "n_samples >= 1, got -1"),
-    (2, -1.0, "box radius -1.0 is not"),
-    (2, math.nan, "box radius nan is not"),
-    (2, 0.0, "box radius 0.0 at 8 points per unit gives a one-node box"),
-    (2, 0.05, "box radius 0.05 at 8 points per unit gives a one-node box"),
-])
-def test_degenerate_ensembles_are_refused_up_front(n_samples, radius, named, monkeypatch):
-    """No realization, or a radius that is not finite and non-negative or
-    that gives a one-node box, is a ConfigError naming the value, raised
-    before any realization is sampled."""
+_DEGENERATE = [    # n_samples, box radius, points_per_unit, what the refusal names
+    (0, 2.0, 8, "n_samples >= 1, got 0"),
+    (-1, 2.0, 8, "n_samples >= 1, got -1"),
+    (2, -1.0, 8, "box radius -1.0 is not"),
+    (2, math.nan, 8, "box radius nan is not"),
+    (2, 0.0, 8, "box radius 0.0 at 8 points per unit gives a one-node box"),
+    (2, 0.05, 8, "box radius 0.05 at 8 points per unit gives a one-node box"),
+    (2, 2.0, 0, "box needs points_per_unit >= 1, got 0"),
+    (2, 2.0, -8, "box needs points_per_unit >= 1, got -8"),
+]
+
+
+# a case's id names points_per_unit only where it is not the usual 8
+@pytest.mark.parametrize("n_samples,radius,points_per_unit,named", _DEGENERATE,
+                         ids=[f"{n}-{r}-{named}" if ppu == 8 else f"{n}-{r}-{ppu}-{named}"
+                              for n, r, ppu, named in _DEGENERATE])
+def test_degenerate_ensembles_are_refused_up_front(n_samples, radius, points_per_unit, named,
+                                                   monkeypatch):
+    """No realization, a radius that is not finite and non-negative or
+    that gives a one-node box, or points_per_unit below 1, is a ConfigError
+    naming the value, raised before any realization is sampled."""
     import weakkam.env
 
     def unsampled(spec, index):
@@ -396,7 +405,7 @@ def test_degenerate_ensembles_are_refused_up_front(n_samples, radius, named, mon
     m = mechanical_model(dim=2, field_bound=0.5)
     with pytest.raises(ConfigError, match=re.escape(named)):
         critical_value_stationary(m, spec, n_samples=n_samples, box_radii=(radius, 4.0),
-                                  points_per_unit=8)
+                                  points_per_unit=points_per_unit)
 
 
 def test_cost_graph_prices_each_offset_from_its_own_midpoint_batch():
@@ -441,7 +450,7 @@ def test_one_row_displacements_price_as_repeated_rows(name, dim):
         mids = grid.wrap(pts + 0.5 * disp[None, :])
         rows = np.repeat((disp / kern.dt)[None, :], grid.size, axis=0)
         cost = kern.dt * (model.eval_L(mids, rows, env) + 0.0)
-        assert row.tobytes() == grid.roll_flat(cost, k).tobytes()
+        assert row.tobytes() == rolled(grid, cost, k).tobytes()
 
 
 def _critical_value_level_by_level(model, env, lattice, tol_bisect=5e-3,

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import SMALL_OBJECTS, peak_bytes, walk_table
-from oracles import check_time_dependent_solution, minimizing_chain
+from oracles import check_time_dependent_solution, minimizing_chain, rolled
 
 import weakkam as wk
 from weakkam import grid as grid_module
@@ -28,7 +28,7 @@ def brute_force_backward(u, model, env, grid, dt, radius):
     out = np.full(grid.size, np.inf)
     for k in offs:
         disp = k * grid.h
-        prev = grid.roll_flat(u, int(k[0]))  # prev[i] = u(x_i - disp)
+        prev = rolled(grid, u, k)  # prev[i] = u(x_i - disp)
         mids = pts - disp[None, :] / 2.0
         cost = dt * np.asarray(
             model.eval_L(mids, np.repeat(disp[None, :] / dt, grid.size, axis=0), env),
@@ -362,3 +362,33 @@ def test_kernel_offsets_pruned_to_reachable_speeds(pend64):
     max_speed = (kern.radius_one) / kern.dt
     assert np.all(speeds <= max_speed + 1e-9)
     assert len(kern.offsets) >= 3
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("tilted", [False, True], ids=["mechanical", "tilted"])
+def test_kernel_rows_are_the_rolled_start_prices(tilted, dim):
+    """Each kernel row is its offset's prices at the edge starts rolled onto
+    the edge ends (np.roll), to the bit.  At n = 8 and dt = 1/4 the reach
+    wraps half the torus, and the row of the offsets +-n/2 that join the
+    same node pair is the min of both pricings."""
+    env = wk.sample_realization(wk.EnvSpec(kind="random_fourier", dimension=dim, seed=2), 0)
+    bound = env.field_bound()
+    # tilted against the lattice order, the first of the offsets +-n/2 is the cheaper
+    model = (wk.tilted_mechanical_model([-0.5] * dim, dim=dim, field_bound=bound) if tilted
+             else wk.mechanical_model(dim=dim, field_bound=bound))
+    grid = GridSpec(dim=dim, n=8)
+    kern = build_kernel(model, env, grid, dt=0.25, theta=2.0)
+    pts, expect, priced = grid.points(), {}, []
+    for k in grid.offsets_within(kern.radius_one, include_zero=True):
+        disp = k * grid.h
+        cost = kern.dt * (model.eval_L(grid.wrap(pts + 0.5 * disp), (disp / kern.dt)[None, :], env)
+                          + 0.0)
+        if np.any(np.isfinite(cost)):
+            pair = tuple(k % grid.n)
+            row = rolled(grid, cost, k)
+            expect[pair] = np.minimum(row, expect[pair]) if pair in expect else row
+            priced.append(pair)
+    assert len(priced) > len(expect)    # some rows are merged
+    assert sorted(expect) == sorted(tuple(k % grid.n) for k in kern.offsets)
+    for k, row in zip(kern.offsets, kern.weights):
+        assert row.tobytes() == expect[tuple(k % grid.n)].tobytes()
