@@ -24,16 +24,15 @@ as its own array (the bisection of metric.critical_value_free) gets both
 from one cosine table, with one product over the batch and one per block
 (_evaluate_blocks); a caller that needs only the blocks' values
 (metric.build_cost_graph) gets them through one block-sized scratch array
-(_block_values).  Either way the cosines are filled cover by cover: a cover
-is an array of points whose cosines are computed once, and every block that
-holds the same points (a slice of the cover, say) copies them.  The
-blocks' points are formed one block at a time by the caller.  A point's
-cosines do not depend on the rows it is computed with, so a copy is made
-only where the coordinates are bit-equal to the cover's, and the table is
-the textbook one to the bit.  A bump cloud is evaluated in blocks of rows
-whose (rows, centers, dim) differences hold ~32768 entries; every bump sum
-reduces within one row, so blocking moves no bit and memory beyond the
-result does not grow with m.
+(_block_values).  Either way the blocks are read cover by cover: a cover
+is an array of points whose cosines are computed once, and every block is
+a slice of a cover by construction, so it reads its cosines off the
+cover's without forming its points.  A point's cosines do not depend on
+the rows it is computed with, so the table is the textbook one to the bit.
+A bump cloud is evaluated in blocks of rows whose (rows, centers, dim)
+differences hold ~32768 entries; every bump sum reduces within one row, so
+blocking moves no bit, memory beyond the result does not grow with m, and a
+batch of blocks evaluates each cover once and slices its values.
 
 The gradient is taken at one point, in Python floats: the characteristic
 flow is its one caller, once per RK4 stage (see EnvRealization.gradient).
@@ -131,126 +130,93 @@ class EnvRealization:
         ang = self._angles(x)
         return np.cos(ang, out=ang) @ self.amplitudes
 
-    def _cosines(self, x: np.ndarray) -> np.ndarray:
-        """cos(_angles) over the points of a float array x of shape
-        (..., dim), as an array of shape (..., modes).  numpy forms a
-        one-row x @ freqs.T by a vector-matrix call whose angles can differ
-        in the last bit, so one row is computed as two copies of itself:
-        every row gets the entry cos(_angles(x)) holds for it in any batch
-        of two or more rows."""
-        pts = _rows(x)
-        ang = self._angles(pts if len(pts) > 1 else np.repeat(pts, 2, axis=0))
-        return np.cos(ang, out=ang)[:len(pts)].reshape(x.shape[:-1] + (-1,))
-
-    def _cover_values(self, points: np.ndarray, index, x: np.ndarray) -> tuple:
-        """(cosines, values): the cosines of a cover, an array of points
-        of shape (..., dim), and the field values on the points of x, an
-        array of shape (..., dim) taken in C order as rows.
-
-        Where x is bit-equal to points[index], its values are the product
-        over a contiguous copy of cosines[index]: the table evaluate would
-        build on x, so they are bit for bit evaluate(x).  Otherwise, and
-        for one row (see _cosines), x is evaluated.  A bump cloud has no
-        cosines: (None, evaluate(x))."""
-        rows = _rows(x)
+    def _cover_table(self, points: np.ndarray) -> np.ndarray:
+        """A cover's table over an array of points of shape (..., dim):
+        cos(_angles), shape (..., modes), for a cosine sum, the field
+        values, shape (...), for a bump cloud.  A cover has several rows,
+        so its angles come from one matrix product (numpy forms a one-row
+        x @ freqs.T by a vector-matrix call that can round differently),
+        and a point's entries do not depend on the rows around it."""
+        rows = points.reshape(-1, points.shape[-1])
         if self.centers is not None:
-            return None, self._eval_bumps(rows)
-        cosines = self._cosines(points)
-        if len(rows) > 1 and np.array_equal(x, points[index]):
-            own = np.ascontiguousarray(cosines[index]).reshape(len(rows), -1)
-            return cosines, own @ self.amplitudes
-        return cosines, self.evaluate(rows)
+            return self._eval_bumps(rows).reshape(points.shape[:-1])
+        ang = self._angles(rows)
+        return np.cos(ang, out=ang).reshape(points.shape[:-1] + (-1,))
 
-    def _block_cosines(self, covers, points_of):
-        """Yield (b, cosines) for every block b of a batch, cover by cover.
+    def _cover_values(self, points: np.ndarray, index) -> tuple:
+        """(table, values): a cover's table and the field values on its
+        block points[index], in C order, read off the table: the product
+        over a contiguous copy of the block's cosines, bit for bit
+        evaluate(points[index])."""
+        table = self._cover_table(points)
+        if self.centers is not None:
+            return table, table[index].flatten()
+        own = np.ascontiguousarray(table[index]).reshape(-1, len(self.amplitudes))
+        return table, own @ self.amplitudes
 
-        covers yields (points, cosines, members): the points of a cover, an
-        array of shape (..., dim), their cosines or None (computed here),
-        and per member a block b with the index that reads b's points off
-        the cover.  points_of(b) forms b's points, of the cover's shape
-        after indexing; they are formed here and dropped with the block.
-        A block gets a view of the cover's cosines where its points are
-        bit-equal to the cover's, and its own cosines otherwise.  A point's
-        cosines do not depend on the rows it is computed with (see
-        _cosines), so either way they are the ones cos(_angles) holds for
-        it in any batch.  One cover's cosines are held at a time; a
-        consumer drops each view before asking for the next block.
-        """
-        for points, cosines, members in covers:
-            cover = self._cosines(points) if cosines is None else cosines
-            del cosines
+    def _block_tables(self, covers):
+        """Yield (b, table[index]) for every block b of a batch, cover by
+        cover.  covers yields (points, table, members): a cover's points,
+        its table or None (computed here), and per member a block b with
+        the index that reads b's points off the cover; a block is a slice
+        of its cover by construction.  One cover's table is held at a
+        time; a consumer drops each view before asking for the next."""
+        for points, table, members in covers:
+            cover = self._cover_table(points) if table is None else table
+            del table
             for b, index in members:
-                x = points_of(b)
-                yield b, cover[index] if np.array_equal(x, points[index]) else self._cosines(x)
+                yield b, cover[index]
             del cover
 
-    def _cosine_table(self, shape: tuple, covers, points_of, table) -> np.ndarray:
-        """cos(2 pi x . freqs + phases) over the points of a batch of
-        shape[0] blocks, b's points given by points_of(b), as one array of
-        shape shape + (modes,) made by table(shape) and filled cover by
-        cover (see _block_cosines): every entry is the one cos(_angles)
-        holds for its point, and the batch's points are never held."""
-        table = table(shape + (len(self.amplitudes),))
-        for b, cosines in self._block_cosines(covers, points_of):
-            table[b] = cosines
-            del cosines    # drop the view before the next cover is made
-        return table
-
-    def _product(self, rows: np.ndarray, points_of, b) -> np.ndarray:
-        """Values of block b from its contiguous (rows, modes) cosines: the
-        product evaluate takes.  One row goes through evaluate, whose
-        product is a vector-matrix call."""
-        if len(rows) == 1:
-            return self.evaluate(points_of(b).reshape(1, -1))
-        return rows @ self.amplitudes
-
-    def _evaluate_blocks(self, shape: tuple, covers, points_of, reduce, table) -> tuple:
+    def _evaluate_blocks(self, shape: tuple, covers, reduce, table) -> tuple:
         """(reduce(whole), blocks): the field values on the blocks of a
-        batch of shape[0] blocks of prod(shape[1:]) points each, b's points
-        given by points_of(b) (see _block_cosines).  blocks[b] holds b's
-        values bit for bit as evaluate returns them on b alone; whole
-        holds the values of the whole batch as evaluate returns them on
-        its rows in one array, and reduce reads it as an iterable of one
-        slice per block.
+        batch of shape[0] blocks of prod(shape[1:]) points each, read off
+        covers (see _block_tables).  blocks[b] holds b's values bit for bit
+        as evaluate returns them on b alone; whole holds the values of the
+        whole batch as evaluate returns them on its rows in one array, and
+        reduce reads it as an iterable of one slice per block.
 
         A cosine sum fills one (*shape, modes) table, table(shape) being
         its allocator (np.empty, or a buffer that outlives the call), cover
-        by cover.  The product rounds a row by its place in the batch, so
-        the whole-batch product is a call of its own.  It is taken first
-        and dropped after reduce returns, so the table never lives with
-        two value arrays.  Then each block gets its own product over its
-        contiguous rows.  A bump row reduces on its own, so a bump cloud
-        evaluates each block's points and reduce reads those values;
-        covers and table are not used.
+        by cover, so the batch's points are never held.  The product rounds
+        a row by its place in the batch, so the whole-batch product is a
+        call of its own.  It is taken first and dropped after reduce
+        returns, so the table never lives with two value arrays.  Then
+        each block gets its own product over its contiguous rows.  A bump
+        row reduces on its own, so a bump cloud's blocks are its
+        _block_values, which reduce reads; table is not used.
         """
         if self.centers is not None:
-            blocks = [self._eval_bumps(_rows(points_of(b))) for b in range(shape[0])]
+            values = dict(self._block_values(shape, covers))
+            blocks = [values[b] for b in range(shape[0])]
             return reduce(iter(blocks)), blocks
-        table = self._cosine_table(shape, covers, points_of, table)
+        table = table(shape + (len(self.amplitudes),))
+        for b, cosines in self._block_tables(covers):
+            table[b] = cosines
+            del cosines    # drop the view before the next cover is made
         rows = table.reshape(shape[0], -1, len(self.amplitudes))
         whole = table.reshape(-1, len(self.amplitudes)) @ self.amplitudes
         reduced = reduce(iter(whole.reshape(shape[0], -1)))
         del whole
-        return reduced, [self._product(block, points_of, b) for b, block in enumerate(rows)]
+        return reduced, [block @ self.amplitudes for block in rows]
 
-    def _block_values(self, shape: tuple, covers, points_of):
+    def _block_values(self, shape: tuple, covers):
         """Yield (b, values) for every block b of a batch laid out as in
         _evaluate_blocks, bit for bit what evaluate returns on b alone,
         without a table: a cosine sum copies each block's cosines into one
         reused (*shape[1:], modes) scratch array and takes its product
-        there, cover by cover (see _block_cosines), so it holds one cover
-        and one block's cosines at a time.  A bump cloud evaluates block
-        by block."""
+        there, so it holds one cover and one block's cosines at a time.  A
+        bump cloud copies each block's values off its cover's."""
         if self.centers is not None:
-            for b in range(shape[0]):
-                yield b, self._eval_bumps(_rows(points_of(b)))
+            for b, values in self._block_tables(covers):
+                yield b, values.flatten()
             return
         scratch = np.empty(shape[1:] + (len(self.amplitudes),))
         rows = scratch.reshape(-1, len(self.amplitudes))
-        for b, cosines in self._block_cosines(covers, points_of):
+        for b, cosines in self._block_tables(covers):
             scratch[...] = cosines
             del cosines
-            yield b, self._product(rows, points_of, b)
+            yield b, rows @ self.amplitudes
 
     def gradient(self, x) -> list:
         """DV at one point x, given as dim floats, as a list of dim floats.
@@ -336,11 +302,6 @@ class EnvRealization:
             stack = float(np.max(self.evaluate(probe))) + 1.0
             return 24.0 / self.bump_radius**2 * stack
         return float(np.sum(np.abs(self.amplitudes) * (2.0 * np.pi * np.linalg.norm(self.freqs, axis=1)) ** 2))
-
-
-def _rows(x: np.ndarray) -> np.ndarray:
-    """The points of an array of shape (..., dim) as (m, dim) rows."""
-    return x.reshape(-1, x.shape[-1])
 
 
 def _coverage_lattice(dim: int, halfwidth: float, per_unit: int) -> np.ndarray:

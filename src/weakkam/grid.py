@@ -475,16 +475,18 @@ class Stencil:
     def reversed(self) -> "Stencil":
         """Every edge turned around, so pull on it is the forward step
         out(y) = min_x cost(y -> x) + u(x) of this stencil.  Row k reads
-        weights[k] at x + offsets[k] h, gathered one block of rows at a
-        time."""
+        weights[k] at x + offsets[k] h: one block of rows is padded at a
+        time and each row's window is copied straight into its turned
+        row."""
         turns = self._plan.turns
         turned = np.empty_like(self.weights)
+        out = turned.reshape((-1,) + self.grid.shape)
         per = max(1, _BLOCK // self.size)
         for a in range(0, len(turns), per):
-            rows = slice(a, a + per)
-            windows = self._plan.windows(self.weights[rows])
-            block = np.arange(len(turns[rows]))
-            turned[rows] = windows[turns[rows], block].reshape(len(block), self.size)
+            windows = self._plan.windows(self.weights[a:a + per])
+            for j, start in enumerate(turns[a:a + per]):
+                out[a + j] = windows[start, j]
+            del windows    # before the next block is padded
         return Stencil(self.grid, -self.offsets, turned)
 
     def _gap_blocks(self, v: np.ndarray):

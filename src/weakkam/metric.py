@@ -13,14 +13,13 @@ The field is sampled once per lattice and offset set: every level's cost
 graph is priced from V stored on the node array and on each offset's array
 of edge midpoints, so a bisection costs one field evaluation however many
 levels it tries.  The models read x only through V, so the sampler holds
-plain value arrays, and of the points only the nodes and the offsets: a
-sample array's points are formed when its cosines are filled and again
-only to name a refusal's witness.  The midpoints of offset k at node x are
-x - k h / 2, the half-spacing points of the class k mod 2, so every array
-takes its cosines from one cover per class: the points the class's arrays
-span, whose cosines are computed once.  An array is a slice of its cover,
-copied where its coordinates are bit-equal to the cover's and computed
-otherwise (a spacing h that is not dyadic rounds them differently).
+plain value arrays and the offsets, and forms no array's points.  A
+sample point's one formula is its index on the half-spacing lattice: the
+midpoint of offset k at node j is (2 (first + j) - k) h / 2, rounded once
+and wrapped on a torus, and k = 0 gives the nodes.  So every array of the
+class k mod 2 is by construction a slice of that class's cover, the points
+the class's arrays span, and reads its cosines off the cover's, which are
+computed once.
 
 critical_value_free reads the node values (and with them the edge radius)
 off the class-0 cover for the longest reach, built first, and fills one
@@ -100,43 +99,46 @@ def build_cost_graph(model, a: float, env, lattice, offsets: np.ndarray) -> Cost
 
     The emptiness check covers every node and every edge midpoint, so the
     subcritical certificate cannot slip between nodes.  Each sample array
-    is evaluated as its own array from the cover of its class of offsets
-    mod 2 (EnvRealization._block_values) and priced as its values come, so
-    the graph holds its weights, one cover and one array's cosines.
+    is read off the cover of its class of offsets mod 2 as its own array
+    (EnvRealization._block_values) and priced as its values come, so the
+    graph holds its weights, one cover and one array's cosines.
     """
-    samples = _SamplePoints(lattice, offsets, lattice.points())
+    samples = _SamplePoints(lattice, offsets)
     weights = np.empty((len(samples.offsets), lattice.size))
-    for b, V in env._block_values(samples.shape, samples.covers(), samples.points):
+    for b, V in env._block_values(samples.shape, samples.covers()):
         if b:
             weights[b - 1] = samples.sigma(model, V, b, a)
         else:
             w0 = samples.sigma(model, V, 0, a)
-    for b, w in enumerate(weights, start=1):
-        samples.refuse_empty(w, b, a)
-    samples.refuse_empty(w0, 0, a)
+    for b, w in [*enumerate(weights, start=1), (0, w0)]:
+        point = samples.witness(w, b)
+        if point is not None:
+            where = "node" if b == 0 else "sampled point"
+            raise SubcriticalLevelError(f"sublevel {{H <= {a}}} empty at {where} {point}",
+                                        empty_at=point)
     return CostGraph(grid=lattice, a=a, offsets=samples.offsets, weights=weights)
 
 
 class _SamplePoints:
     """Where sigma_a is sampled on a lattice and offset set: block 0 holds
-    the nodes and block b >= 1 the edge midpoints of offset k = offsets[b - 1],
-    x - k h / 2 over the nodes x.
+    the nodes and block b >= 1 the edge midpoints of offset k = offsets[b - 1].
+    Block b's point at node j is (2 (first + j) - k) h / 2, wrapped on a
+    torus (_cover_points); with k = 0 these are the nodes' bits.
 
-    The sampler holds the nodes and the offsets, not the blocks' points:
-    points(b) forms them when a block's cosines are filled (to check them
-    against the cover's) and again only for a refusal's witness.  head,
-    when given, is the class-0 cover (head_cover) with its cosines (None:
-    computed when read), handed to the first cover read and dropped there.  The field values, one
-    array per block in values, are set by critical_value_free, so every
-    level reads the same values.
+    The sampler holds the offsets: covers() forms one cover per class of
+    offsets mod 2, of which every block is a slice, and points(b) forms a
+    block only to name a refusal's witness.  head, when given, is the
+    class-0 cover (head_cover) with its table (None: computed when read),
+    handed to the first cover read and dropped there.  The field values,
+    one array per block in values, are set by critical_value_free, so
+    every level reads the same values.
     """
 
-    def __init__(self, lattice, offsets: np.ndarray, nodes: np.ndarray, head=None):
+    def __init__(self, lattice, offsets: np.ndarray, head=None):
         if len(offsets) == 0:
             raise ConfigError("edge radius below grid spacing: no edges")
         self.lattice = lattice
         self.offsets = np.asarray(offsets)
-        self.nodes = nodes
         self.shape = (len(self.offsets) + 1,) + lattice.shape
         self.head = head
         self.values = None
@@ -154,28 +156,25 @@ class _SamplePoints:
         return points, tuple(slice(reach, reach + m) for m in lattice.shape)
 
     def points(self, b: int) -> np.ndarray:
-        """Block b's points, shape lattice.shape + (dim,)."""
-        lat = self.lattice
-        x = self.nodes if b == 0 else lat.wrap(
-            self.nodes - 0.5 * (np.asarray(self.offsets[b - 1], dtype=float) * lat.h)[None, :])
-        return x.reshape(lat.shape + (lat.dim,))
+        """Block b's points, shape lattice.shape + (dim,): with
+        k_b = c + 2 d, c = k_b mod 2, class c over the nodes shifted by -d."""
+        k = self.offsets[b - 1] if b else np.zeros(self.lattice.dim, dtype=int)
+        return _cover_points(self.lattice, -(k // 2), np.asarray(self.lattice.shape) - k // 2,
+                             k % 2)
 
     def covers(self):
-        """Yield (points, cosines, members), one cover per class of the
+        """Yield (points, table, members), one cover per class of the
         offsets mod 2: the half-spacing points the class's blocks span,
-        shaped as a lattice, their cosines or None, and (b, index) for
-        each block b, with the index that reads b's points off the cover.
+        shaped as a lattice, their table or None, and (b, index) for each
+        block b, with the index that reads b's points off the cover.
 
-        Block b holds the points x - k_b h / 2 over the nodes x (k_0 = 0:
-        the nodes themselves).  With k_b = c + 2 d, c = k_b mod 2, the
-        point at node I is x_(I - d) - c h / 2, the cover's point at I - d.
-        The cover spans I - d over the class's blocks, so a block is a
-        slice of it; on a torus the cover's points are wrapped like the
-        blocks', so its slices are the cyclic shifts of one period.  The
-        cover's coordinates equal the blocks' in exact arithmetic, so on a
-        dyadic spacing, where every term is exact, they are bit-equal.
-        With head, (points, cosines) of head_cover, class 0 is read off
-        that cover; the sampler drops it once yielded.
+        With k_b = c + 2 d, c = k_b mod 2, block b's point at node j is
+        (2 (first + j - d) - c) h / 2, the cover's point at j - d.  The
+        cover spans j - d over the class's blocks, so a block is a slice
+        of it with the same bits; on a torus the cover's points are
+        wrapped like the blocks', so its slices are the cyclic shifts of
+        one period.  With head, (points, table) of head_cover, class 0 is
+        read off that cover; the sampler drops it once yielded.
         """
         lat = self.lattice
         n = np.asarray(lat.shape)
@@ -186,13 +185,13 @@ class _SamplePoints:
         for c, blocks in classes.items():
             d = (ks[blocks] - c) // 2
             if self.head is not None and not any(c):
-                (points, cosines), self.head = self.head, None
+                (points, table), self.head = self.head, None
                 lo = np.full(lat.dim, -(_MAX_REACH // 2))
             else:
-                lo, cosines = -d.max(axis=0), None
+                lo, table = -d.max(axis=0), None
                 points = _cover_points(lat, lo, n - d.min(axis=0), np.asarray(c))
-            yield points, cosines, [(b, tuple(slice(s, s + m) for s, m in zip(-shift - lo, n)))
-                                    for b, shift in zip(blocks, d)]
+            yield points, table, [(b, tuple(slice(s, s + m) for s, m in zip(-shift - lo, n)))
+                                  for b, shift in zip(blocks, d)]
 
     def sigma(self, model, V, b: int, a: float) -> np.ndarray:
         """sigma_a on block b's values V: at block b's displacement k h,
@@ -200,35 +199,38 @@ class _SamplePoints:
         k = self.offsets[b - 1] if b else np.zeros(self.lattice.dim)
         return support_sigma(model, V, (np.asarray(k, dtype=float) * self.lattice.h)[None, :], a)
 
-    def refuse_empty(self, w: np.ndarray, b: int, a: float) -> None:
-        """Raise on the first NaN of block b's prices w, naming its point."""
+    def witness(self, w: np.ndarray, b: int):
+        """The point of the first NaN of block b's prices w, a fresh
+        (dim,) array, or None when w has none."""
         bad = np.isnan(w)
-        if np.any(bad):
-            j = int(np.argmax(bad))
-            point = self.points(b).reshape(-1, self.lattice.dim)[j].copy()
-            where = "node" if b == 0 else "sampled point"
-            raise SubcriticalLevelError(f"sublevel {{H <= {a}}} empty at {where} {point}",
-                                        empty_at=point)
+        if not np.any(bad):
+            return None
+        return self.points(b).reshape(-1, self.lattice.dim)[int(np.argmax(bad))].copy()
 
 
 def _cover_points(lattice, lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The lattice's points shifted by -c h / 2 over the index ranges
-    lo..hi - 1 per axis (wrapped on a torus), shape (*(hi - lo), dim)."""
-    axes = [lattice.axis()[0] + np.arange(start, stop) * lattice.h - 0.5 * (ci * lattice.h)
+    """The half-spacing points (2 (first + i) - c) h / 2 over the index
+    ranges i = lo..hi - 1 per axis, wrapped on a torus, shape
+    (*(hi - lo), dim): one rounding per coordinate, so c = 0 gives the
+    nodes' bits."""
+    axes = [(2 * (lattice.first + np.arange(start, stop)) - ci) * (0.5 * lattice.h)
             for start, stop, ci in zip(lo, hi, c)]
     return lattice.wrap(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
 
 
-def _price(model, a: float, samples: _SamplePoints) -> CostGraph:
-    """The sigma_a cost graph from the sampled field values; raises on the
-    first empty sublevel, midpoints offset by offset, then the nodes."""
+def _price(model, a: float, samples: _SamplePoints) -> tuple:
+    """(graph, None): the sigma_a cost graph from the sampled field
+    values, or (None, point) at the first empty sublevel, midpoints offset
+    by offset, then the nodes."""
     weights = np.empty((len(samples.offsets), samples.lattice.size))
-    for b, V in enumerate(samples.values[1:], start=1):
-        w = samples.sigma(model, V, b, a)
-        samples.refuse_empty(w, b, a)
-        weights[b - 1] = w
-    samples.refuse_empty(samples.sigma(model, samples.values[0], 0, a), 0, a)
-    return CostGraph(grid=samples.lattice, a=a, offsets=samples.offsets, weights=weights)
+    for b in (*range(1, len(samples.values)), 0):
+        w = samples.sigma(model, samples.values[b], b, a)
+        point = samples.witness(w, b)
+        if point is not None:
+            return None, point
+        if b:
+            weights[b - 1] = w
+    return CostGraph(grid=samples.lattice, a=a, offsets=samples.offsets, weights=weights), None
 
 
 @dataclass
@@ -326,10 +328,9 @@ class CriticalValueResult:
 def _level_verdict(model, a: float, samples: _SamplePoints) -> tuple:
     """(feasible?, detail) at level a: empty sublevel or negative cycle
     means subcritical."""
-    try:
-        graph = _price(model, a, samples)
-    except SubcriticalLevelError as err:
-        return False, {"reason": "empty_sublevel", "witness": getattr(err, "empty_at", None)}
+    graph, point = _price(model, a, samples)
+    if graph is None:
+        return False, {"reason": "empty_sublevel", "witness": point}
     try:
         relax(graph, np.zeros(graph.size))
     except SubcriticalLevelError as err:
@@ -378,10 +379,8 @@ def critical_value_free(model, env, lattice, tol_bisect: float = 5e-3, *,
     until a subcritical certificate appears.  The reported value is the
     bracket midpoint.
     """
-    pts = lattice.points()
     points, index = _SamplePoints.head_cover(lattice)
-    cosines, node_values = env._cover_values(points, index,
-                                             pts.reshape(lattice.shape + (lattice.dim,)))
+    table, node_values = env._cover_values(points, index)
     zero_row = np.zeros((1, lattice.dim))
     hzero = float(np.max(model.H(node_values, zero_row)))
     try:
@@ -389,10 +388,10 @@ def critical_value_free(model, env, lattice, tol_bisect: float = 5e-3, *,
     except SubcriticalLevelError:
         kap = 1.0
     radius = default_edge_radius(lattice, kap)
-    samples = _SamplePoints(lattice, lattice.offsets_within(radius), pts, head=(points, cosines))
-    del points, cosines, node_values    # the sampler holds the cover until it is read
+    samples = _SamplePoints(lattice, lattice.offsets_within(radius), head=(points, table))
+    del points, table, node_values    # the sampler holds the cover until it is read
     (hi, lo), samples.values = env._evaluate_blocks(
-        samples.shape, samples.covers(), samples.points,
+        samples.shape, samples.covers(),
         lambda slices: _zero_momentum_range(model, zero_row, slices),
         table_buffer or np.empty)
     lo -= 1.0

@@ -68,7 +68,7 @@ def walk_table(stencil, steps: int) -> np.ndarray:
 class CountingField:
     """A realization that records the shape of each evaluate and gradient
     call, the shapes of each cover read for values (the cover's points,
-    then the points valued), the batch shape of each shared table, and
+    then the block valued), the batch shape of each shared table, and
     that of each table-free block evaluation."""
 
     def __init__(self, env):
@@ -80,17 +80,17 @@ class CountingField:
         self.evaluated.append(np.shape(x))
         return self.env.evaluate(x)
 
-    def _cover_values(self, points, index, x):
-        self.cover_values.append((np.shape(points), np.shape(x)))
-        return self.env._cover_values(points, index, x)
+    def _cover_values(self, points, index):
+        self.cover_values.append((np.shape(points), np.shape(points[index])))
+        return self.env._cover_values(points, index)
 
-    def _evaluate_blocks(self, shape, covers, points_of, reduce, table):
+    def _evaluate_blocks(self, shape, covers, reduce, table):
         self.tables.append(shape)
-        return self.env._evaluate_blocks(shape, covers, points_of, reduce, table)
+        return self.env._evaluate_blocks(shape, covers, reduce, table)
 
-    def _block_values(self, shape, covers, points_of):
+    def _block_values(self, shape, covers):
         self.streamed.append(shape)
-        return self.env._block_values(shape, covers, points_of)
+        return self.env._block_values(shape, covers)
 
     def gradient(self, x):
         self.gradients.append(np.shape(x))

@@ -131,23 +131,23 @@ def _block_field(kind, params, dim):
 def test_block_evaluation_is_bit_identical_to_evaluate(kind, params, dim):
     """The shared table serves each block and the whole batch, and the
     table-free route each block, with the bits evaluate gives on each as
-    its own array: blocks of 1, 2, 3 and 5 rows and of the 2D box sizes
-    1089 and 4225 (both 1 mod 4, so blocks start at rows that are not
+    its own array: blocks of 2, 3 and 5 rows and of the 2D box sizes 1089
+    and 4225 (both 1 mod 4, so blocks start at rows that are not
     multiples of 4), in a fresh table and in one at the head of a larger
-    buffer.  The table is filled from covers: one read by an index array
-    (as a torus block is) whose members are two blocks with its points and
-    one whose points differ, one whose cosines come precomputed, and a
-    one-block cover."""
+    buffer.  Every block is a slice of a cover, as on a lattice, so no
+    block of one row occurs (a lattice has at least 3 nodes per axis).
+    The table is filled from covers: one read by an index array (as a
+    torus block is) whose members are three blocks with its points, one
+    whose table comes precomputed, and a one-block cover."""
     env = _block_field(kind, params, dim)
     modes = 0 if env.centers is not None else len(env.amplitudes)
     buffer = np.empty(5 * 4225 * modes + 7)
     tables = (np.empty, lambda shape: buffer[:math.prod(shape)].reshape(shape))
-    for n in (1, 2, 3, 5, 1089, 4225):
+    for n in (2, 3, 5, 1089, 4225):
         x = np.random.default_rng(n + dim).uniform(-6.0, 6.0, (5, n, dim))
-        x[2] = x[0]
-        assert not np.array_equal(x[1], x[0])
+        x[1] = x[2] = x[0]
         swap = np.arange(n)[::-1]
-        precomputed = None if env.centers is not None else env._cosines(x[3])
+        precomputed = env._cover_table(x[3])
 
         def covers():
             return iter([(x[0][swap], None, [(0, swap), (1, swap), (2, swap)]),
@@ -155,14 +155,14 @@ def test_block_evaluation_is_bit_identical_to_evaluate(kind, params, dim):
                          (x[4].copy(), None, [(4, np.s_[:])])])
 
         for table in tables:
-            whole, blocks = env._evaluate_blocks(x.shape[:-1], covers(), x.__getitem__,
+            whole, blocks = env._evaluate_blocks(x.shape[:-1], covers(),
                                                  lambda slices: np.concatenate(list(slices)),
                                                  table)
             assert whole.tobytes() == env.evaluate(x.reshape(-1, dim)).tobytes()
             assert [len(b) for b in blocks] == [n] * 5
             for b, values in enumerate(blocks):
                 assert values.tobytes() == env.evaluate(x[b].copy()).tobytes()
-        streamed = dict(env._block_values(x.shape[:-1], covers(), x.__getitem__))
+        streamed = dict(env._block_values(x.shape[:-1], covers()))
         assert sorted(streamed) == list(range(5))
         for b, values in streamed.items():
             assert values.tobytes() == env.evaluate(x[b].copy()).tobytes()

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import one_step_table, peak_bytes, walk_table
+from conftest import SMALL_OBJECTS, one_step_table, peak_bytes, walk_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (_index_of, edge_gap_by_rolls, load_gridfn_csv, min_image, one_sided_slopes,
@@ -16,7 +16,7 @@ from oracles import (_index_of, edge_gap_by_rolls, load_gridfn_csv, min_image, o
 
 import weakkam as wk
 from weakkam.errors import ConfigError, SubcriticalLevelError
-from weakkam.grid import (BoxSpec, GridFn, GridSpec, Stencil, _pull_argmin,
+from weakkam.grid import (_BLOCK, BoxSpec, GridFn, GridSpec, Stencil, _pull_argmin,
                           policy_iteration, relax, save_gridfn_csv)
 from weakkam.hamiltonian import kappa
 from weakkam.semigroup import build_kernel
@@ -412,6 +412,20 @@ def test_reversal_and_edge_gap_hold_one_block_beyond_the_output():
     v = np.random.default_rng(0).standard_normal(kern.size)
     assert peak_bytes(kern.edge_gap, v) <= block
     assert peak_bytes(kern.worst_gap_node, v) <= block
+
+
+@pytest.mark.parametrize("case", ["torus1d", "torus2d"])
+def test_reversal_copies_each_window_straight_into_its_turned_row(case):
+    """Beyond its output, a reversal holds one padded block of rows (the
+    plan built beforehand) and small objects: every row's window is
+    copied into its turned row, with no gathered block in between, which
+    would hold another block of rows."""
+    stencil = _gather_stencil(case)
+    plan = stencil._plan
+    rows = min(len(stencil.offsets), max(1, _BLOCK // stencil.size))
+    padded = rows * plan.pad.size * stencil.weights.itemsize
+    assert rows * stencil.size * stencil.weights.itemsize > SMALL_OBJECTS
+    assert peak_bytes(stencil.reversed) <= stencil.weights.nbytes + padded + SMALL_OBJECTS
 
 
 @pytest.mark.parametrize("grid", LATTICES, ids=["grid1d", "grid2d", "box2d"])

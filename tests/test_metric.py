@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ def test_bisection_holds_one_cosine_table_and_one_value_array():
 
 def _sampler(lattice, reach):
     """The sample points of a bisection with offsets within reach h."""
-    return _SamplePoints(lattice, lattice.offsets_within(reach * lattice.h), lattice.points())
+    return _SamplePoints(lattice, lattice.offsets_within(reach * lattice.h))
 
 
 def _batch(samples):
@@ -202,6 +203,15 @@ def _batch(samples):
 
 def _reduce_to_array(slices):
     return np.concatenate(list(slices))
+
+
+def _evaluate(env, route):
+    """(table, whole, blocks): _evaluate_blocks over route's batch, with
+    the cosine table it filled."""
+    tables = []
+    whole, blocks = env._evaluate_blocks(route.shape, route.covers(), _reduce_to_array,
+                                         lambda shape: tables.append(np.empty(shape)) or tables[0])
+    return tables[0], whole, blocks
 
 
 TRANSLATED_LATTICES = [
@@ -228,10 +238,9 @@ def test_translated_table_is_the_textbook_table(lattice, reach):
     """The cosine table filled from one cover per class of offsets mod 2,
     both products over it, and the table-free values, are bit for bit one
     _angles and cos over the whole batch, on boxes and tori whose spacing
-    is dyadic (every block is bit-equal to its cover's points and copied)
-    or not (some block differs and is computed), with class 0 read off its
-    own cover or off the head cover.  The classes' members are every block
-    once."""
+    is dyadic or not (every block is bit-equal to its slice of the cover
+    either way), with class 0 read off its own cover or off the head
+    cover.  The classes' members are every block once."""
     env = _translated_field(lattice.dim)
     samples = _sampler(lattice, reach)
     covers = list(samples.covers())
@@ -240,50 +249,96 @@ def test_translated_table_is_the_textbook_table(lattice, reach):
     assert targets == list(range(samples.shape[0]))
     equal = [np.array_equal(samples.points(b), points[index])
              for points, _, members in covers for b, index in members]
-    dyadic = math.frexp(lattice.h)[0] == 0.5
-    assert all(equal) if dyadic else not all(equal)
+    assert all(equal)
     expected = np.cos(env._angles(_batch(samples)))
-    table = env._cosine_table(samples.shape, samples.covers(), samples.points, np.empty)
-    assert table.reshape(expected.shape).tobytes() == expected.tobytes()
     n = lattice.size
     points, index = _SamplePoints.head_cover(lattice)
-    head = (points, env._cover_values(points, index, samples.points(0))[0])
-    headed = _SamplePoints(lattice, samples.offsets, samples.nodes, head=head)
+    head = (points, env._cover_values(points, index)[0])
+    headed = _SamplePoints(lattice, samples.offsets, head=head)
     for route in (samples, headed):
-        whole, blocks = env._evaluate_blocks(route.shape, route.covers(), route.points,
-                                             _reduce_to_array, np.empty)
+        table, whole, blocks = _evaluate(env, route)
+        assert table.reshape(expected.shape).tobytes() == expected.tobytes()
         assert route.head is None
         assert whole.tobytes() == (expected @ env.amplitudes).tobytes()
         for b, values in enumerate(blocks):
             assert values.tobytes() == (expected[b * n:(b + 1) * n] @ env.amplitudes).tobytes()
-    for b, values in env._block_values(samples.shape, samples.covers(), samples.points):
+    for b, values in env._block_values(samples.shape, samples.covers()):
         assert values.tobytes() == (expected[b * n:(b + 1) * n] @ env.amplitudes).tobytes()
 
 
 @pytest.mark.parametrize("lattice", TRANSLATED_LATTICES, ids=str)
 def test_node_values_read_off_the_head_cover_are_evaluate(lattice):
     """critical_value_free reads the node values off the class-0 cover for
-    the longest reach: bit for bit env.evaluate on the nodes, whether the
-    nodes' coordinates are the cover's (read off it) or not (evaluated);
-    its cosines are the textbook ones over its points, and every class-0
+    the longest reach: bit for bit env.evaluate on the nodes, whose
+    coordinates are the cover's on every lattice, dyadic or not; its
+    cosines are the textbook ones over its points, and every class-0
     block of offsets within that reach is a slice of it."""
     env = _translated_field(lattice.dim)
     pts = lattice.points()
     points, index = _SamplePoints.head_cover(lattice)
-    cosines, values = env._cover_values(points, index, pts.reshape(points[index].shape))
+    cosines, values = env._cover_values(points, index)
     assert values.tobytes() == env.evaluate(pts).tobytes()
     flat = points.reshape(-1, lattice.dim)
     assert cosines.reshape(len(flat), -1).tobytes() == np.cos(env._angles(flat)).tobytes()
     samples = _sampler(lattice, 6)
     head = (points, cosines)
-    [(_, _, members)] = [c for c in _SamplePoints(lattice, samples.offsets, pts, head=head).covers()
+    [(_, _, members)] = [c for c in _SamplePoints(lattice, samples.offsets, head=head).covers()
                          if c[0] is points]
     assert members[0][0] == 0 and members[0][1] == index
-    dyadic = math.frexp(lattice.h)[0] == 0.5
-    if dyadic:
-        assert np.array_equal(pts.reshape(points[index].shape), points[index])
-        for b, block in members:
-            assert np.array_equal(samples.points(b), points[block])
+    assert np.array_equal(pts.reshape(points[index].shape), points[index])
+    for b, block in members:
+        assert np.array_equal(samples.points(b), points[block])
+
+
+@pytest.mark.parametrize("lattice", TRANSLATED_LATTICES, ids=str)
+def test_every_sample_point_is_its_half_spacing_index_rounded_once(lattice):
+    """Block b's point at node j is (2 (first + j) - k) h / 2 rounded once
+    from the exact value (wrapped on a torus), on every lattice: read off
+    its class's cover, formed by points(b), and named by a refusal's
+    witness.  On a spacing that is not dyadic, x - k h / 2 from the node x
+    rounds some of these points differently."""
+    samples = _sampler(lattice, 6)
+    h, shape = Fraction(lattice.h), lattice.shape
+    ks = np.vstack([np.zeros((1, lattice.dim), dtype=int), samples.offsets])
+    rng = np.random.default_rng(lattice.size)
+    for points, _, members in samples.covers():
+        for b, index in members:
+            axes = [[float((2 * (lattice.first + j) - int(k)) * h / 2) for j in range(m)]
+                    for k, m in zip(ks[b], shape)]
+            exact = lattice.wrap(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+            assert points[index].tobytes() == exact.tobytes()
+            assert samples.points(b).tobytes() == exact.tobytes()
+            prices = np.zeros(lattice.size)
+            j = int(rng.integers(lattice.size))
+            prices[j:] = np.nan
+            witness = samples.witness(prices, b)
+            assert witness.base is None
+            assert witness.tobytes() == exact.reshape(-1, lattice.dim)[j].tobytes()
+            assert samples.witness(np.zeros(lattice.size), b) is None
+
+
+def test_bump_cloud_blocks_are_sliced_off_each_cover_evaluated_once():
+    """A bump cloud's sample arrays are read off the covers too: the bump
+    sums see each cover's rows once, not the (m + 1) N rows of the batch,
+    and every array's values are bit for bit evaluate on its points, on
+    both routes."""
+    env = wk.sample_realization(wk.EnvSpec(kind="poisson_bumps", dimension=2, seed=5,
+                                           params={"coverage": 3.0}), 0)
+    box = BoxSpec(dim=2, radius=2.0, points_per_unit=8)
+    samples = _sampler(box, 3)
+    covers = [math.prod(points.shape[:-1]) for points, _, _ in samples.covers()]
+    seen = []
+    bumps = env._eval_bumps
+    env._eval_bumps = lambda x: seen.append(len(x)) or bumps(x)
+    streamed = dict(env._block_values(samples.shape, samples.covers()))
+    assert seen == covers and sum(covers) < samples.shape[0] * box.size // 4
+    seen.clear()
+    _, blocks = env._evaluate_blocks(samples.shape, samples.covers(), _reduce_to_array, np.empty)
+    assert seen == covers
+    del env._eval_bumps
+    for b, values in enumerate(blocks):
+        expected = env.evaluate(samples.points(b).reshape(-1, box.dim)).tobytes()
+        assert values.tobytes() == streamed[b].tobytes() == expected
 
 
 def test_cover_table_computes_each_cover_once():
@@ -302,7 +357,7 @@ def test_cover_table_computes_each_cover_once():
     computed = []
     angles = env._angles
     env._angles = lambda x: computed.append(len(x)) or angles(x)
-    table = env._cosine_table(samples.shape, samples.covers(), samples.points, np.empty)
+    table, _, _ = _evaluate(env, samples)
     del env._angles
     blocks = samples.shape[0]
     assert sum(computed) <= sum(int(np.prod(shape)) for shape in covers) < blocks * box.size // 4
@@ -316,8 +371,8 @@ def test_cost_graph_holds_its_weights_one_cover_and_one_array_of_cosines():
     (N, K) scratch array: beyond the (m, N) weights it holds one cover's
     cosines (the class-0 cover, 3 cells past the box per side, is the
     largest), the scratch, and N-sized arrays under 4 N (dim + 2) entries:
-    the nodes, one array's points, the cover's points, and one array's
-    values and prices with sigma's temporaries.  The (m + 1) N dim batch
+    the cover's points, one array's values and prices with sigma's
+    temporaries.  No array's points are formed.  The (m + 1) N dim batch
     of points, or every array's values at once, would exceed it."""
     m = mechanical_model(dim=2, field_bound=0.5)
     env = _stationary_realization(1)
