@@ -326,7 +326,8 @@ class Stencil:
     weights[k, x] is the cost of the edge into x from x - offsets[k] * h,
     +inf where there is no such edge.  A periodic lattice wraps around; a
     box has no node past its edge, and reads there are +inf.  Only this
-    class, relax() and policy_iteration() read that layout.
+    class, relax(), policy_iteration() and the replay of Karp's walk
+    (semigroup._KarpLog) read that layout.
 
     Every per-offset read goes through one gather plan (_GatherPlan), built
     on first use and kept on the instance: the reach, the pad index and
@@ -393,71 +394,108 @@ class Stencil:
         return out
 
     def walk(self, u: np.ndarray, steps: int):
-        """Yield pull^k(u) for k = 1..steps of a vector u, each the same to the
-        last bit as k pulls, from a few edges per node and step.
+        """Yield (row, nodes, offs) for k = 1..steps of a vector u: row is
+        pull^k(u), the same to the last bit as k pulls, taken from a few
+        edges per node and step; nodes are those whose attaining in-edge
+        changed at step k and offs the offset index of the new one.
 
         Each node keeps a shortlist of its _SHORTLIST cheapest in-edges
-        (start node and cost) and a float bound at or below the exact sum
-        u[y] + cost of each other in-edge, stored as floor = bound - drift
-        with one drift for all nodes.  A step gathers the shortlisted sums,
-        with the operands pull adds, and takes their minimum b.  Where
-        b <= fl(floor + drift), every other sum rounds to at least that
-        float, as round-to-nearest is monotone, so b is the pull's minimum to
-        the bit.  The other nodes are dirty: all their in-edges are summed
-        again (_refresh), which gives the minimum, a new shortlist and
-        bound = nextafter(t, -inf), t the next smallest float sum (an exact
-        sum that rounds to t or more is above that float), kept as
-        floor = nextafter(fl(bound - drift), -inf).  For every real z,
-        nextafter(fl(z), -inf) <= z.
+        (start node, cost and offset index) and a float bound at or below
+        the exact sum u[y] + cost of each other in-edge, stored as
+        floor = bound - drift with one drift for all nodes.  A step gathers
+        the shortlisted sums, with the operands pull adds, and takes their
+        minimum b.  Where b <= fl(floor + drift), every other sum rounds to
+        at least that float, as round-to-nearest is monotone, so b is the
+        pull's minimum to the bit.  The other nodes are dirty: all their
+        in-edges are summed again (_refresh), which gives the minimum, a new
+        shortlist and bound = nextafter(t, -inf), t the next smallest float
+        sum (an exact sum that rounds to t or more is above that float),
+        kept as floor = nextafter(fl(bound - drift), -inf).  For every real
+        z, nextafter(fl(z), -inf) <= z.
 
         Past a step u -> u', every exact sum moves by u'[y] - u[y], which is
         at least nextafter(min fl(u' - u), -inf) by the same argument; drift
         grows by that and is rounded down, so floor + drift stays below the
         sums it bounds.  A non-finite entry in u or u' sets every floor to
-        -inf, and a step from a non-finite u is pulled.  A step that would
-        refresh more than 1/8 of the nodes after a step taken on shortlists
-        hands the walk to pull until twice its index, where a refresh
-        catches up.  A full refresh costs several pulls; in a transient
-        this wastes at most log2(steps) of them.
+        -inf, and a step from a non-finite u is pulled (_pull_argmin, with
+        pull's bits).  A step that would refresh more than 1/8 of the nodes
+        after a step taken on shortlists hands the walk to pull until twice
+        its index, and on until a pulled step changes fewer than 1/8 of the
+        attaining edges; then a refresh catches up.  A full refresh costs
+        several pulls, and one made while the edges still move is thrown
+        away at the next hand-over; in a transient the doubling wastes at
+        most log2(steps) of them.
+
+        Each node also records one attaining in-edge, none (a +inf sum)
+        before the first step.  A step keeps it where its sum u[y] + cost
+        still has the new row's bits, and otherwise takes the shortlisted
+        sum with those bits or the pull's attaining offset, and names the
+        node.  On a stencil that takes shortlists, a pulled step from a u
+        without NaN starts from the recorded sums (_pull_argmin's best), so
+        it searches offsets only where an edge is beaten.
+        So every row is the previous row at the recorded starts plus the
+        recorded costs, and replaying the named changes gives the walk
+        back: Karp's scoring pass does.
 
         Two sums of equal value have equal bits unless they are +0.0 and
         -0.0, which needs a -0.0 cost.  A stencil with a NaN, -inf or -0.0
-        cost, or with no more offsets than a shortlist holds, is pulled.
+        cost, or with no more offsets than a shortlist holds, is pulled;
+        with a -0.0 cost, a zero may replay with the other sign.
         """
+        size, index = self.size, _index_type(len(self.offsets))
         tame = len(self.offsets) > _SHORTLIST and all(
             np.min(w) > -np.inf and not np.any(np.signbit(w[w == 0])) for w in self.weights)
-        start, cost = np.full((_SHORTLIST, self.size), -1), np.full((_SHORTLIST, self.size), np.inf)
-        sums, floor = np.empty_like(cost), np.full(self.size, -np.inf)    # floor: bound - drift
+        shape = (_SHORTLIST, size)
+        lists = start, cost, ks, sums = (np.full(shape, -1), np.full(shape, np.inf),
+                                         np.zeros(shape, dtype=index), np.empty(shape))
+        floor = np.full(size, -np.inf)    # bound - drift
+        src, cst = np.full(size, -1), np.full(size, np.inf)    # recorded edges: none yet
         drift, lean, finite = 0.0, True, bool(np.all(np.isfinite(u)))
-        resume = 0 if tame else steps + 1
+        resume = 0 if tame else steps + 1    # the steps before it are pulled
         for k in range(1, steps + 1):
+            ext = np.append(u, np.inf)
+            kept = np.take(ext, src, mode="wrap") + cst    # -1 reads the +inf
             dirty = None
             if finite and k >= resume:
-                ext = np.append(u, np.inf)
                 np.take(ext, start, out=sums, mode="wrap")    # no buffer; -1 reads the +inf
                 new = np.min(np.add(sums, cost, out=sums), axis=0)
                 dirty = np.flatnonzero(~(new <= floor + drift))
-                if lean and len(dirty) > self.size // 8:
+                if lean and len(dirty) > size // 8:
                     resume, dirty = 2 * k, None
             if dirty is None:
-                new = self.pull(u)
+                seed = kept.copy() if tame and not np.isnan(u).any() else None
+                new, arg = _pull_argmin(self, u, seed)    # arg is right where kept is beaten
             else:
-                self._refresh(ext, dirty, new, start, cost, floor, drift)
+                self._refresh(ext, dirty, new, lists, floor, drift)
+            nodes = np.flatnonzero(kept.view(np.int64) != new.view(np.int64))
+            if dirty is None:
+                offs = arg[nodes].astype(index)
+                src[nodes] = self.grid.neighbors(nodes, -self.offsets[offs])
+                cst[nodes] = self.weights[offs, nodes]
+            elif len(nodes):    # each is shortlisted: a refresh keeps its minimum
+                j = np.argmax(sums[:, nodes].view(np.int64) == new[nodes].view(np.int64), axis=0)
+                offs, src[nodes], cst[nodes] = ks[j, nodes], start[j, nodes], cost[j, nodes]
+            else:
+                offs = ks[0, nodes]    # no edge moved, as on most steps
             lean = dirty is not None
+            if not lean and 8 * len(nodes) >= size:    # the edges still move
+                resume = max(resume, k + 2)
             was, finite = finite, bool(np.all(np.isfinite(new)))
             if was and finite:
                 drift = math.nextafter(drift + math.nextafter(float(np.min(new - u)), -math.inf),
                                        -math.inf)
             else:
                 floor.fill(-np.inf)
-            yield new
+            yield new, nodes, offs
             u = new
 
-    def _refresh(self, ext, nodes, best, start, cost, floor, drift: float) -> None:
+    def _refresh(self, ext, nodes, best, lists, floor, drift: float) -> None:
         """Sum every in-edge of each of nodes against ext (u, then +inf) and
-        write its minimum to best, its shortlist to start and cost and its
-        floor, in place; see walk.  Chunks of at most _BLOCK (node, offset)
-        entries."""
+        write its minimum to best, its shortlist (start nodes, costs, offset
+        indices and sums) to lists and its floor, in place; see walk.  The
+        minimum is one of the shortlisted sums.  Chunks of at most _BLOCK
+        (node, offset) entries."""
+        start, cost, offs, sums = lists
         s, per = len(start), max(1, _BLOCK // len(self.offsets))
         for a in range(0, len(nodes), per):
             xs = nodes[a:a + per]
@@ -466,8 +504,9 @@ class Stencil:
             cand = ext[froms] + weights
             best[xs] = np.min(cand, axis=1)
             j = np.argpartition(cand, s, axis=1)
-            start[:, xs], cost[:, xs] = (np.take_along_axis(v, j[:, :s], axis=1).T
-                                         for v in (froms, weights))
+            start[:, xs], cost[:, xs], sums[:, xs] = (np.take_along_axis(v, j[:, :s], axis=1).T
+                                                      for v in (froms, weights, cand))
+            offs[:, xs] = j[:, :s].T
             bound = np.nextafter(np.take_along_axis(cand, j[:, s:s + 1], axis=1)[:, 0], -np.inf)
             floor[xs] = np.nextafter(bound - drift, -np.inf)
             del froms, weights, cand, j    # before the next chunk's are made
@@ -657,14 +696,31 @@ def _take_min(cand: np.ndarray, rows: slice, best: np.ndarray, arg: np.ndarray) 
     arg[took] = rows.start + j[took]
 
 
-def _pull_argmin(stencil: Stencil, u: np.ndarray) -> tuple:
-    """pull(u) of a vector u, the same minimum, and per node the first
-    offset index that attains it (0 where the minimum is +inf)."""
-    best, arg = np.full(stencil.size, np.inf), np.zeros(stencil.size, dtype=int)
+def _index_type(count: int) -> type:
+    """Integer type of an index into count offsets: int16, int32 past 2^15."""
+    return np.int16 if count <= 2**15 else np.int32
+
+
+def _pull_argmin(stencil: Stencil, u: np.ndarray, best=None) -> tuple:
+    """pull(u) of a vector u, the same to the last bit, and per node the
+    first offset index that attains it (0 where the minimum is +inf or NaN).
+    The minimum is pull's reduction; the index is searched only where a
+    block lowers it.
+
+    A given best, used in place, starts the reduction: best[x] is the sum
+    of u along some in-edge of x (+inf: none).  The index is then searched,
+    and returned right, only where a block is strictly lower, so a caller
+    that knows an attaining edge of the other nodes searches only where it
+    is beaten.  The minimum has pull's bits unless a sum is -0.0 or u is NaN.
+    """
+    arg = np.zeros(stencil.size, dtype=int)
     for rows, cand in stencil._blocks(u):    # +inf off a box
         cand += stencil.weights[rows]
-        _take_min(cand, rows, best, arg)
-    return best, arg
+        low = cand.min(axis=0)
+        took = np.flatnonzero(low < (np.inf if best is None else best))
+        arg[took] = rows.start + np.argmax(cand[:, took] == low[took], axis=0)
+        best = low if best is None else np.minimum(best, low, out=best)
+    return np.full(u.shape, np.inf) if best is None else best, arg
 
 
 def _nontrivial_sccs(size: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

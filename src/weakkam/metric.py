@@ -126,10 +126,10 @@ class _SamplePoints:
     torus (_cover_points); with k = 0 these are the nodes' bits.
 
     The sampler holds the offsets: covers() forms one cover per class of
-    offsets mod 2, of which every block is a slice, and points(b) forms a
-    block only to name a refusal's witness.  head, when given, is the
-    class-0 cover (head_cover) with its table (None: computed when read),
-    handed to the first cover read and dropped there.  The field values,
+    offsets mod 2, of which every block is a slice, and witness() forms
+    only the one point a refusal names.  head, when given, is the class-0
+    cover (head_cover) with its table (None: computed when read), handed to
+    the first cover read and dropped there.  The field values,
     one array per block in values, are set by critical_value_free, so
     every level reads the same values.
     """
@@ -154,13 +154,6 @@ class _SamplePoints:
         lo = np.full(lattice.dim, -reach)
         points = _cover_points(lattice, lo, np.asarray(lattice.shape) + reach, lo * 0)
         return points, tuple(slice(reach, reach + m) for m in lattice.shape)
-
-    def points(self, b: int) -> np.ndarray:
-        """Block b's points, shape lattice.shape + (dim,): with
-        k_b = c + 2 d, c = k_b mod 2, class c over the nodes shifted by -d."""
-        k = self.offsets[b - 1] if b else np.zeros(self.lattice.dim, dtype=int)
-        return _cover_points(self.lattice, -(k // 2), np.asarray(self.lattice.shape) - k // 2,
-                             k % 2)
 
     def covers(self):
         """Yield (points, table, members), one cover per class of the
@@ -201,11 +194,15 @@ class _SamplePoints:
 
     def witness(self, w: np.ndarray, b: int):
         """The point of the first NaN of block b's prices w, a fresh
-        (dim,) array, or None when w has none."""
+        (dim,) array, or None when w has none.  With k_b = c + 2 d,
+        c = k_b mod 2, block b's point at node j is class c's at j - d:
+        the cover over that one index, with the bits of the whole block."""
         bad = np.isnan(w)
         if not np.any(bad):
             return None
-        return self.points(b).reshape(-1, self.lattice.dim)[int(np.argmax(bad))].copy()
+        j = np.array(np.unravel_index(int(np.argmax(bad)), self.lattice.shape))
+        k = self.offsets[b - 1] if b else np.zeros(self.lattice.dim, dtype=int)
+        return _cover_points(self.lattice, j - k // 2, j - k // 2 + 1, k % 2).flatten()
 
 
 def _cover_points(lattice, lo: np.ndarray, hi: np.ndarray, c: np.ndarray) -> np.ndarray:

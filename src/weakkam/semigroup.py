@@ -17,23 +17,24 @@ The stencil is also a weighted graph; its minimal cycle mean (Karp) is the
 exact critical value of the discretized system, the level at which min-plus
 powers stay bounded.  Folding the kernel by that value puts the discrete
 Aubry phenomenon at machine precision instead of bisection precision.
-Karp's N-step walk from node 0 is taken twice, once to its end and once to
-score each row against it, by Stencil.walk: per node and step it sums a
-shortlist of cheap in-edges, and all of them only where a certified bound
-says another could win, with the bits of a pull.  Beyond O(N) vectors it
-holds a few shortlisted edges per node and sums in chunks.
+Karp's N-step walk from node 0 is taken once, by Stencil.walk, and
+replayed: per node and step the walk sums a shortlist of cheap in-edges,
+and all of them only where a certified bound says another could win, with
+the bits of a pull, and it names the nodes whose attaining in-edge changed.
+The scoring pass replays the rows from that log, one gather and one add
+per step.  Beyond O(N) vectors it holds a few shortlisted edges per node,
+the log (capped before the walk) and sums in chunks.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, LadderError, WeakKamError
-from .grid import GridFn, GridSpec, Stencil, relax
+from .grid import _BLOCK, _SHORTLIST, GridFn, GridSpec, Stencil, _index_type, relax
 from .hamiltonian import lipschitz_radius
 
 __all__ = [
@@ -222,28 +223,109 @@ def discrete_critical_value(kernel: ActionKernel) -> float:
     which min-plus powers of the folded kernel stay bounded.
 
     Karp's table D_k(v) (least cost of a k-step walk from node 0 to v) is
-    walked once to D_N and walked again to score every row against it, so
-    it takes O(N) memory instead of O(N^2).  Both walks are Stencil.walk,
-    each row the pulled one to the bit, so the level is that of the stored
-    table.  A NaN weight is refused up front: pull would carry it into the
-    rows, and the walk's shortlists need not see it.
+    walked once, to D_N, and replayed to score every row against it, so it
+    takes O(N) memory instead of O(N^2).  The walk is Stencil.walk, each row
+    the pulled one to the bit; it names per step the nodes whose attaining
+    in-edge changed, which _KarpLog keeps.  The replay sets those edges and
+    reads D_k = D_{k-1}[src] + cost, the sum that attains the pull, so each
+    replayed row has the walked row's bits; past the log's cap the rows are
+    walked on from the last replayed one.  A D_N that comes out of the
+    second pass differing from the walked one in any bit is refused.  A NaN
+    or -inf weight is refused up front: pull would carry it into the rows,
+    and the walk's shortlists need not see it; the rows are then finite or
+    +inf, and a score is NaN only where D_N and D_k are both +inf.
     """
-    if np.isnan(np.min(kernel.weights)):
-        k, x = np.argwhere(np.isnan(kernel.weights))[0]
+    if not np.min(kernel.weights) > -np.inf:
+        k, x = np.argwhere(~(kernel.weights > -np.inf))[0]
         raise WeakKamError(f"the kernel weight of offset {tuple(kernel.offsets[k].tolist())} "
-                           f"into node {x} is NaN")
+                           f"into node {x} is {float(kernel.weights[k, x])!r}")
     size = kernel.grid.size
     start = np.where(np.arange(size) == 0, 0.0, np.inf)
-    final = deque(kernel.walk(start, size), maxlen=1)[0]
+    log = _KarpLog(kernel)
+    for final, nodes, offs in kernel.walk(start, size):
+        log.add(nodes, offs)
     worst = np.full(size, -np.inf)     # max over k of (D_N - D_k) / (N - k)
-    with np.errstate(invalid="ignore"):
-        for k, row in enumerate(chain([start], kernel.walk(start, size - 1))):
-            np.maximum(worst, np.where(np.isfinite(row), (final - row) / (size - k), -np.inf),
-                       out=worst)
+    with np.errstate(invalid="ignore"):    # +inf - +inf: no walk of either length
+        for k, row in enumerate(chain([start], log.replay(start))):
+            if k < size:
+                np.fmax(worst, (final - row) / (size - k), out=worst)
+    moved = np.flatnonzero(row.view(np.int64) != final.view(np.int64))
+    if len(moved):
+        x = moved[0]
+        raise WeakKamError(f"Karp's replayed row D_N differs from the walked one at node {x}: "
+                           f"{float(row[x])!r} against {float(final[x])!r}")
     scored = np.isfinite(final) & (worst > -np.inf)
     if not np.any(scored):
         raise ConfigError("kernel graph has no cycles reachable from node 0")
     return kernel.shift - float(np.min(worst[scored])) / kernel.dt
+
+
+def _karp_log_cap(kernel: ActionKernel) -> int:
+    """Entries Karp's log may hold, fixed before the walk: as many as keep
+    it and the walk's shortlists (start node, cost and sum at 8 bytes, and
+    an offset index) within 6 bytes per stencil entry, and one per node at
+    least, an O(N) vector that lets a stencil of few offsets replay a walk
+    that settles at once."""
+    m, size = kernel.weights.shape
+    index = np.dtype(_index_type(m)).itemsize
+    return max(size, (6 * m * size - (24 + index) * _SHORTLIST * size) // (4 + index))
+
+
+class _KarpLog:
+    """The attaining in-edges Karp's walk changed, step by step: per entry
+    the node (int32) and the offset index (int16, int32 past 2^15
+    offsets), and per step the end of its entries.  The arrays grow by
+    doubling up to _karp_log_cap; the first step that would pass the cap
+    ends the log, and no later step is logged."""
+
+    def __init__(self, kernel: ActionKernel):
+        self.kernel, self.cap = kernel, _karp_log_cap(kernel)
+        self.nodes = np.empty(kernel.size, dtype=np.int32)    # the cap is at least N
+        self.offs = np.empty(kernel.size, dtype=_index_type(len(kernel.offsets)))
+        self.ends = np.zeros(kernel.size + 1, dtype=np.int64)    # entries of steps 1..k
+        self.steps, self.open = 0, True
+
+    def add(self, nodes: np.ndarray, offs: np.ndarray) -> None:
+        """Log the next step's changed edges, unless the log has ended."""
+        a = self.ends[self.steps]
+        b = a + len(nodes)
+        self.open = self.open and b <= self.cap
+        if not self.open:
+            return
+        if b > len(self.nodes):
+            room = min(self.cap, max(b, 2 * len(self.nodes)))
+            self.nodes.resize(room, refcheck=False)
+            self.offs.resize(room, refcheck=False)
+        self.nodes[a:b], self.offs[a:b] = nodes, offs
+        self.steps += 1
+        self.ends[self.steps] = b
+
+    def replay(self, start: np.ndarray):
+        """Yield D_1..D_N from D_0 = start: a logged step sets its nodes'
+        edges and reads D_k = D_{k-1}[src] + cost (+inf before a node's
+        first edge), the sum that attains the pull; the steps past the log
+        are walked on from the last replayed row.  Starts and costs of the
+        logged edges are formed for ~_BLOCK entries at a time."""
+        kernel, size = self.kernel, self.kernel.size
+        src, cost = np.full(size, -1), np.full(size, np.inf)
+        ext = np.append(start, np.inf)
+        lo = hi = 0    # entries whose starts and costs are formed
+        for k in range(1, self.steps + 1):
+            a, b = self.ends[k - 1], self.ends[k]
+            if b > hi:
+                lo, hi = a, min(max(b, a + _BLOCK), self.ends[self.steps])
+                ks, xs = self.offs[lo:hi], self.nodes[lo:hi]
+                starts = kernel.grid.neighbors(xs, -kernel.offsets[ks])    # -1 off a box
+                costs = kernel.weights[ks, xs]
+            if b > a:    # most steps change no edge
+                xs = self.nodes[a:b]
+                src[xs], cost[xs] = starts[a - lo:b - lo], costs[a - lo:b - lo]
+            row = np.take(ext, src, mode="wrap") + cost    # -1 reads the +inf
+            yield row
+            ext[:size] = row
+        if self.steps < size:
+            for row, _, _ in kernel.walk(ext[:size], size - self.steps):
+                yield row
 
 
 # -- verification ------------------------------------------------------------

@@ -9,9 +9,10 @@ chains and calibrated curves of the discrete semigroup, characteristics
 shadowing those chains, the paraboloid envelope identity, the invariance
 of the lifted Aubry mask, weak strictness against the semidistance, and a
 sublinear-growth audit.  So do the torus geometry,
-the CSV reader that only they and the tests need, and the textbook
+the CSV reader that only they and the tests need, the textbook
 per-offset stencil formulas (one shifted copy of the data per offset) that
-the stencil's gather plan is checked against.
+the stencil's gather plan is checked against, and the replay of a walk
+from the in-edges it records.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from weakkam.aubry import _worst_point, verify_member
 from weakkam.errors import ConfigError, NotASubsolutionError, SubcriticalLevelError, WeakKamError
 from weakkam.grid import GridFn, GridSpec, lattice_points
-from weakkam.metric import semidistance
+from weakkam.metric import _cover_points, semidistance
 from weakkam.semigroup import lax_minus, semigroup_orbit
 from weakkam.tonelli import FlowState, _require_tonelli, flow_integrate
 
@@ -109,6 +110,28 @@ def pull_argmin_by_rolls(stencil, u: np.ndarray) -> tuple:
         took = cand < best
         best[took], arg[took] = cand[took], i
     return best, arg
+
+
+def block_points(samples, b: int) -> np.ndarray:
+    """Block b's points of a bisection sampler, shape lattice.shape +
+    (dim,): with k_b = c + 2 d, c = k_b mod 2, class c's cover over the
+    nodes shifted by -d."""
+    k = samples.offsets[b - 1] if b else np.zeros(samples.lattice.dim, dtype=int)
+    return _cover_points(samples.lattice, -(k // 2), np.asarray(samples.lattice.shape) - k // 2,
+                         k % 2)
+
+
+def replayed_walk(stencil, u: np.ndarray, steps: int):
+    """Yield (walked, replayed) for each step of stencil.walk(u, steps): the
+    replayed row sums each node's recorded in-edge, set from the nodes and
+    offset indices the walk names (no edge, +inf, before the first), against
+    the previous walked row."""
+    src, cost = np.full(stencil.size, -1), np.full(stencil.size, np.inf)
+    for row, nodes, offs in stencil.walk(u, steps):
+        src[nodes] = stencil.grid.neighbors(nodes, -stencil.offsets[offs])    # -1 off a box
+        cost[nodes] = stencil.weights[offs, nodes]
+        yield row, np.append(u, np.inf)[src] + cost
+        u = row
 
 
 def edge_gap_by_rolls(stencil, v: np.ndarray) -> float:

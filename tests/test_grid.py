@@ -11,8 +11,8 @@ from conftest import SMALL_OBJECTS, one_step_table, peak_bytes, walk_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (_index_of, edge_gap_by_rolls, load_gridfn_csv, min_image, one_sided_slopes,
-                     pull_argmin_by_rolls, pull_by_rolls, reversed_by_rolls, rolled, torus_dist,
-                     worst_gap_node_by_rolls)
+                     pull_argmin_by_rolls, pull_by_rolls, replayed_walk, reversed_by_rolls, rolled,
+                     torus_dist, worst_gap_node_by_rolls)
 
 import weakkam as wk
 from weakkam.errors import ConfigError, SubcriticalLevelError
@@ -284,11 +284,12 @@ def test_walk_costs_match_dense_minplus_powers(case):
     stack[rng.random(stack.shape) < 0.3] = np.inf
     rows = np.stack([floats.pull(row) for row in stack])
     assert floats.pull(stack).tobytes() == rows.tobytes()
-    # and a walk is repeated pulls, bit for bit
+    # and a walk is repeated pulls, bit for bit, as is its replay from the
+    # in-edges it records
     row = start = rng.standard_normal(stencil.size)
-    for walked in floats.walk(start, 3 * steps + 5):
+    for walked, replayed in replayed_walk(floats, start, 3 * steps + 5):
         row = floats.pull(row)
-        assert walked.tobytes() == row.tobytes()
+        assert walked.tobytes() == row.tobytes() == replayed.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,6 +363,17 @@ def test_gathered_pulls_match_the_per_offset_rolls_to_the_byte(case):
         best, arg = _pull_argmin(stencil, u)
         want_best, want_arg = pull_argmin_by_rolls(stencil, u)
         assert best.tobytes() == want_best.tobytes() and np.array_equal(arg, want_arg)
+        # started from each node's sum along a random in-edge, the minimum
+        # keeps its bits, and the offset returned where it is lower attains it
+        nodes, ext = np.arange(stencil.size), np.append(u, np.inf)
+        some = rng.integers(len(stencil.offsets), size=stencil.size)
+        start = ext[stencil.predecessors(nodes)[some, nodes]] + stencil.weights[some, nodes]
+        best, arg = _pull_argmin(stencil, u, start.copy())    # -1 off a box reads the +inf
+        beaten = np.flatnonzero(best < start)
+        sums = ext[stencil.predecessors(beaten)[arg[beaten], np.arange(len(beaten))]] \
+            + stencil.weights[arg[beaten], beaten]
+        assert best.tobytes() == want_best.tobytes()
+        assert sums.tobytes() == best[beaten].tobytes()
 
 
 @pytest.mark.parametrize("case", GATHER_CASES)

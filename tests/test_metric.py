@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import SMALL_OBJECTS, CountingField, peak_bytes
-from oracles import rolled, torus_dist
+from oracles import block_points, rolled, torus_dist
 
 import weakkam as wk
 from weakkam.errors import ConfigError, SubcriticalLevelError
@@ -197,7 +197,7 @@ def _sampler(lattice, reach):
 
 def _batch(samples):
     """Every block's points in one (M, dim) array, nodes first."""
-    return np.concatenate([samples.points(b).reshape(-1, samples.lattice.dim)
+    return np.concatenate([block_points(samples, b).reshape(-1, samples.lattice.dim)
                            for b in range(samples.shape[0])])
 
 
@@ -247,7 +247,7 @@ def test_translated_table_is_the_textbook_table(lattice, reach):
     assert len(covers) == 2**lattice.dim
     targets = sorted(b for _, _, members in covers for b, _ in members)
     assert targets == list(range(samples.shape[0]))
-    equal = [np.array_equal(samples.points(b), points[index])
+    equal = [np.array_equal(block_points(samples, b), points[index])
              for points, _, members in covers for b, index in members]
     assert all(equal)
     expected = np.cos(env._angles(_batch(samples)))
@@ -287,14 +287,14 @@ def test_node_values_read_off_the_head_cover_are_evaluate(lattice):
     assert members[0][0] == 0 and members[0][1] == index
     assert np.array_equal(pts.reshape(points[index].shape), points[index])
     for b, block in members:
-        assert np.array_equal(samples.points(b), points[block])
+        assert np.array_equal(block_points(samples, b), points[block])
 
 
 @pytest.mark.parametrize("lattice", TRANSLATED_LATTICES, ids=str)
 def test_every_sample_point_is_its_half_spacing_index_rounded_once(lattice):
     """Block b's point at node j is (2 (first + j) - k) h / 2 rounded once
     from the exact value (wrapped on a torus), on every lattice: read off
-    its class's cover, formed by points(b), and named by a refusal's
+    its class's cover, formed whole (block_points), and named by a refusal's
     witness.  On a spacing that is not dyadic, x - k h / 2 from the node x
     rounds some of these points differently."""
     samples = _sampler(lattice, 6)
@@ -307,7 +307,7 @@ def test_every_sample_point_is_its_half_spacing_index_rounded_once(lattice):
                     for k, m in zip(ks[b], shape)]
             exact = lattice.wrap(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
             assert points[index].tobytes() == exact.tobytes()
-            assert samples.points(b).tobytes() == exact.tobytes()
+            assert block_points(samples, b).tobytes() == exact.tobytes()
             prices = np.zeros(lattice.size)
             j = int(rng.integers(lattice.size))
             prices[j:] = np.nan
@@ -337,7 +337,7 @@ def test_bump_cloud_blocks_are_sliced_off_each_cover_evaluated_once():
     assert seen == covers
     del env._eval_bumps
     for b, values in enumerate(blocks):
-        expected = env.evaluate(samples.points(b).reshape(-1, box.dim)).tobytes()
+        expected = env.evaluate(block_points(samples, b).reshape(-1, box.dim)).tobytes()
         assert values.tobytes() == streamed[b].tobytes() == expected
 
 

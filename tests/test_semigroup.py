@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import SMALL_OBJECTS, peak_bytes, walk_table
-from oracles import check_time_dependent_solution, minimizing_chain, rolled
+from oracles import check_time_dependent_solution, minimizing_chain, replayed_walk, rolled
 
 import weakkam as wk
 from weakkam import grid as grid_module
+from weakkam import semigroup as semigroup_module
 from weakkam.errors import LadderError, WeakKamError
 from weakkam.grid import BoxSpec, GridFn, GridSpec, Stencil
 from weakkam.hamiltonian import (eikonal_model, mechanical_model, nonstrict_model,
@@ -197,21 +198,31 @@ def _walk_cases():
         yield f"{name}/holes", stencil, holes
 
 
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap owner.name so that each call appends its positional arguments
+    to the returned list."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("shortlist", [1, 6])
 def test_walk_is_pull_to_the_bit(shortlist, monkeypatch):
-    """Every walked row equals the repeated pull in every bit, with the
-    default shortlist and with one edge per node, where most steps refresh
-    or hand over.  A stencil with more offsets than a shortlist holds takes
-    some rows from the shortlists; one with fewer is pulled throughout."""
+    """Every walked row, and its replay from the in-edges the walk records,
+    equals the repeated pull in every bit, with the default shortlist and
+    with one edge per node, where most steps refresh or hand over.  A
+    stencil with more offsets than a shortlist holds takes some rows from
+    the shortlists; one with fewer is pulled throughout."""
     monkeypatch.setattr(grid_module, "_SHORTLIST", shortlist)
+    pulls = _count_calls(monkeypatch, grid_module, "_pull_argmin")
     for name, stencil, start in _walk_cases():
-        steps, pulls = min(stencil.size, 400), []
-        monkeypatch.setattr(stencil, "pull", lambda u, s=stencil: pulls.append(1) or Stencil.pull(s, u))
-        row = start
-        for k, walked in enumerate(stencil.walk(start, steps), 1):
+        steps, row = min(stencil.size, 400), start
+        pulls.clear()
+        for k, (walked, replayed) in enumerate(replayed_walk(stencil, start, steps), 1):
             row = Stencil.pull(stencil, row)
             assert np.array_equal(walked.view(np.int64), row.view(np.int64)), (name, k)
+            assert np.array_equal(replayed.view(np.int64), row.view(np.int64)), (name, k, "replay")
         assert k == steps, name
         if len(stencil.offsets) > shortlist:
             assert len(pulls) < steps, name
@@ -219,56 +230,112 @@ def test_walk_is_pull_to_the_bit(shortlist, monkeypatch):
             assert len(pulls) == steps, name
 
 
-KARP_PULLS_2D_N16 = 24    # of the 511 rows Karp walks on the 2D n=16 kernel
+KARP_PULLS_2D_N16 = 10    # of the 256 rows Karp walks on the 2D n=16 kernel (8 measured)
 
 
 def test_karp_without_the_stored_table_matches_the_dense_one(monkeypatch):
-    """The walked rows score the same as the stored table, on every kernel,
-    also with one edge per shortlist, where nodes are refreshed and the walk
-    hands over often.  With the default shortlist the 2D n=16 kernel's two
-    walks pull at most KARP_PULLS_2D_N16 rows: those from node 0 until
-    every node is reached, and those of the hand-overs while the walk
-    settles."""
+    """The replayed rows score the same as the stored table, on every
+    kernel, also with one edge per shortlist, where nodes are refreshed and
+    the walk hands over often.  With the default shortlist the 2D n=16
+    kernel's walk pulls at most KARP_PULLS_2D_N16 rows: those from node 0
+    until every node is reached, and those of the hand-overs while the walk
+    settles; and it refreshes more than 1/8 of the nodes once, after the
+    edges settle (twice when the shortlists resume while they move)."""
     kernels = _karp_kernels()
     dense = {name: _dense_karp_level(kern) for name, kern in kernels.items()}
-    pulls, refreshed = [], []
-    pull, refresh = Stencil.pull, Stencil._refresh
-    monkeypatch.setattr(Stencil, "pull", lambda self, u: pulls.append(1) or pull(self, u))
-    monkeypatch.setattr(Stencil, "_refresh",
-                        lambda self, ext, nodes, *rest: refreshed.append(len(nodes))
-                        or refresh(self, ext, nodes, *rest))
+    pulls = _count_calls(monkeypatch, grid_module, "_pull_argmin")
+    refreshed = _count_calls(monkeypatch, Stencil, "_refresh")
     for name, kern in kernels.items():
         pulls.clear()
+        refreshed.clear()
         assert discrete_critical_value(kern) == dense[name], name
         if name == "grid2d_n16":
             assert len(pulls) <= KARP_PULLS_2D_N16
+            assert sum(8 * len(args[2]) > kern.size for args in refreshed) == 1
     monkeypatch.setattr(grid_module, "_SHORTLIST", 1)
     for name, kern in kernels.items():
         refreshed.clear()
         assert discrete_critical_value(kern) == dense[name], (name, "shortlist 1")
-        assert sum(refreshed) > kern.size, name
+        assert sum(len(args[2]) for args in refreshed) > kern.size, name
+
+
+@pytest.mark.parametrize("log", ["none", "cut", "whole"])
+def test_karp_walks_once_and_replays_its_log(log, monkeypatch):
+    """Karp scores rows replayed from its edge log and walks on from the
+    last replayed row only past the log's cap.  With the whole walk logged
+    (a cap of exactly its entries) the walk takes N steps per call, not
+    2N - 1; with no log (cap 0) every row is walked again, D_N included;
+    with a cap that a mid-walk step overflows, the steps before it are
+    replayed and the rest walked.  Each way the level is the stored
+    table's, bit for bit."""
+    walk = Stencil.walk
+    walks = []
+
+    def counted(self, u, steps):
+        walks.append(0)
+        for step in walk(self, u, steps):
+            walks[-1] += 1
+            yield step
+
+    monkeypatch.setattr(Stencil, "walk", counted)
+    for name, kern in _karp_kernels().items():
+        size = kern.size
+        start = np.where(np.arange(size) == 0, 0.0, np.inf)
+        counts = np.array([len(nodes) for _, nodes, _ in walk(kern, start, size)])
+        changing = np.flatnonzero(counts)
+        cut = int(changing[len(changing) // 2])    # 0-based index of the overflowing step
+        cap = {"none": 0, "cut": int(np.sum(counts[:cut + 1])) - 1,
+               "whole": int(np.sum(counts))}[log]
+        monkeypatch.setattr(semigroup_module, "_karp_log_cap", lambda kernel, cap=cap: cap)
+        walks.clear()
+        assert discrete_critical_value(kern) == _dense_karp_level(kern), (name, log)
+        logged = {"none": 0, "cut": cut, "whole": size}[log]
+        assert walks == [size] + ([size - logged] if logged < size else []), (name, log)
+
+
+def test_karp_refuses_a_replay_that_misses_a_bit(monkeypatch):
+    """A logged edge that does not attain the walked row leaves the
+    replayed D_N off the walked one, and Karp refuses it, naming the first
+    node where they differ: here the last logged entry, whose edge no later
+    step replaces, is moved to the node's dearest in-edge (the cheapest may
+    tie on a symmetric field)."""
+    replay = semigroup_module._KarpLog.replay
+
+    def tamper(self, start):
+        last = self.ends[self.steps] - 1
+        self.offs[last] = np.argmax(self.kernel.weights[:, self.nodes[last]])
+        return replay(self, start)
+
+    monkeypatch.setattr(semigroup_module._KarpLog, "replay", tamper)
+    with pytest.raises(WeakKamError, match=r"replayed row D_N differs from the walked one "
+                                           r"at node \d+: -?\d"):
+        discrete_critical_value(_grid2d_kernel())
 
 
 def test_karp_refuses_a_nan_weight():
     """A NaN weight would reach every later row of a pull but not always a
-    shortlist, so it is refused up front, by its offset and node."""
+    shortlist, so it is refused up front, by its offset and node; so is a
+    -inf weight, which would make Karp's scores NaN where they count."""
     kern = _grid2d_kernel()
-    weights = kern.weights.copy()
-    weights[0, 37] = np.nan
-    broken = replace(kern, weights=weights)
     offset = re.escape(str(tuple(kern.offsets[0].tolist())))
-    with pytest.raises(WeakKamError, match=rf"offset {offset} into node 37 "):
-        discrete_critical_value(broken)
+    for bad in (np.nan, -np.inf):
+        weights = kern.weights.copy()
+        weights[0, 37] = bad
+        broken = replace(kern, weights=weights)
+        with pytest.raises(WeakKamError, match=rf"offset {offset} into node 37 is {bad!r}"):
+            discrete_critical_value(broken)
 
 
 def test_karp_holds_no_table_and_at_most_its_shortlists():
     """Peak memory of Karp on a 2D n=32 torus, a priori: the padded lattice
     of one pull; at most six arrays of 32768 offset-node entries, a pull's
-    block or a refresh chunk (start nodes, costs, sums and their order,
-    counting the 2D neighbor arithmetic twice); sixteen N-vectors; and the
-    shortlists with their gathered sums, three arrays of s N entries, at
-    most 6 bytes per stencil entry.  The N x N table of the dense route
-    would be 8 MiB."""
+    block, a refresh chunk (start nodes, costs, sums and their order,
+    counting the 2D neighbor arithmetic twice) or a block of the replay's
+    logged edges; sixteen N-vectors; the shortlists, three arrays of s N
+    entries and their s N offset indices; and the edge log at its cap, a
+    node and an offset index per entry.  Shortlists and log take at most 6
+    bytes per stencil entry.  The N x N table of the dense route would be
+    8 MiB."""
     spec = wk.EnvSpec(kind="periodic", dimension=2, seed=0, params={"amplitudes": (0.5,)})
     env = wk.sample_realization(spec, 0)
     grid = GridSpec(dim=2, n=32)
@@ -276,10 +343,11 @@ def test_karp_holds_no_table_and_at_most_its_shortlists():
                         dt=1.0 / 32.0, theta=2.0)
     m, size = len(kern.offsets), kern.size
     reach = int(np.max(np.abs(kern.offsets)))
-    shortlists = 8 * 3 * grid_module._SHORTLIST * size
+    shortlists = (8 * 3 + 2) * grid_module._SHORTLIST * size
+    log = (4 + 2) * semigroup_module._karp_log_cap(kern)
     budget = (8 * (grid.n + 2 * reach) ** 2 + 8 * 6 * 32768 + 8 * 16 * size
-              + shortlists + SMALL_OBJECTS)
-    assert shortlists <= 6 * m * size and budget < 8 * size * size
+              + shortlists + log + SMALL_OBJECTS)
+    assert shortlists + log <= 6 * m * size and budget < 8 * size * size
     assert peak_bytes(discrete_critical_value, kern) <= budget
 
 
