@@ -34,8 +34,9 @@ differences hold ~32768 entries; every bump sum reduces within one row, so
 blocking moves no bit, memory beyond the result does not grow with m, and a
 batch of blocks evaluates each cover once and slices its values.
 
-The gradient is taken at one point, in Python floats: the characteristic
-flow is its one caller, once per RK4 stage (see EnvRealization.gradient).
+The gradient is bound once per realization as a function of one point's
+coordinates in Python floats: the characteristic flow is its one caller,
+once per RK4 stage (see EnvRealization.gradient).
 
 Amplitudes of the random Fourier generator are deliberately deterministic:
 a random amplitude would be a translation-invariant random variable and the
@@ -104,13 +105,6 @@ class EnvRealization:
     centers: np.ndarray | None = None        # poisson bump centers
     bump_radius: float = 0.0
     coverage: float = 0.0                    # bumps valid for |x|_inf <= coverage
-
-    def __post_init__(self):
-        # (frequency row, phase, amplitude) per mode as Python floats, for
-        # the point-wise gradient
-        if self.amplitudes is not None:
-            self._modes = list(zip(self.freqs.tolist(), self.phases.tolist(),
-                                   self.amplitudes.tolist()))
 
     # -- evaluation ------------------------------------------------------
 
@@ -218,32 +212,50 @@ class EnvRealization:
             del cosines
             yield b, rows @ self.amplitudes
 
-    def gradient(self, x) -> list:
-        """DV at one point x, given as dim floats, as a list of dim floats.
+    def gradient(self):
+        """DV bound once, as a function of the dim coordinates of one point
+        given as Python floats: g(x) returns one float in 1D, and g(x0, x1)
+        a pair of floats in 2D.
 
-        The RK4 flow calls this once per stage.  A cosine sum takes, per
-        mode k, the angle (x . f_k) 2 pi + phi_k and s_k = a_k sin(angle),
-        and component i is -2 pi sum_k s_k f_ki, summed over k left to
-        right with Python float + (not sum(), which compensates on Python
-        >= 3.12, nor math.fsum).  In 1D an angle is one product, and with
-        one mode the sum is one product, so a single-mode cosine has the
-        bits of the array expression -2 pi (a sin(2 pi x @ f.T + phi)) @ f;
-        with several modes a BLAS product adds in another order, or fused,
-        and the two differ by summation rounding.  A bump cloud is summed
-        by numpy over its centers on one (1, dim) row, as an array of rows
-        would be.
+        The characteristic flow binds it once per run and calls it once per
+        RK4 stage.  A cosine sum holds its per-mode floats (frequencies,
+        phase, amplitude) in the function and takes, per mode k, the angle
+        (0.0 + x . f_k) 2 pi + phi_k and s_k = a_k sin(angle); component i
+        is -2 pi (0.0 + sum_k s_k f_ki), summed over k left to right with
+        Python float + (not sum(), which compensates on Python >= 3.12, nor
+        math.fsum).  In 1D an angle is one product, and with one mode the
+        sum is one product, so a single-mode cosine has the bits of the
+        array expression -2 pi (a sin(2 pi x @ f.T + phi)) @ f; with several
+        modes a BLAS product adds in another order, or fused, and the two
+        differ by summation rounding.  A bump cloud is summed by numpy over
+        its centers on one (1, dim) row, as an array of rows would be.
         """
         if self.centers is not None:
-            return self._grad_bumps(np.array([x], dtype=float)).tolist()[0]
-        grad = [0.0] * len(x)
-        for f, phase, amp in self._modes:
-            dot = 0.0
-            for xi, fi in zip(x, f):
-                dot += xi * fi
-            s = amp * math.sin(dot * _TWO_PI + phase)
-            for i, fi in enumerate(f):
-                grad[i] += s * fi
-        return [-_TWO_PI * g for g in grad]
+            if self.spec.dimension == 1:
+                return lambda x: self._grad_bumps(np.array([[x]])).item()
+            return lambda x0, x1: self._grad_bumps(np.array([[x0, x1]]))[0].tolist()
+        sin, two_pi = math.sin, _TWO_PI
+        if self.spec.dimension == 1:
+            modes = tuple(zip(self.freqs[:, 0].tolist(), self.phases.tolist(),
+                              self.amplitudes.tolist()))
+
+            def gradient(x):
+                g = 0.0
+                for f, phase, amp in modes:
+                    g += amp * sin((0.0 + x * f) * two_pi + phase) * f
+                return -two_pi * g
+            return gradient
+        modes = tuple(zip(self.freqs[:, 0].tolist(), self.freqs[:, 1].tolist(),
+                          self.phases.tolist(), self.amplitudes.tolist()))
+
+        def gradient(x0, x1):
+            g0 = g1 = 0.0
+            for f0, f1, phase, amp in modes:
+                s = amp * sin((0.0 + x0 * f0 + x1 * f1) * two_pi + phase)
+                g0 += s * f0
+                g1 += s * f1
+            return -two_pi * g0, -two_pi * g1
+        return gradient
 
     def _bump_terms(self, x: np.ndarray):
         """Yield (rows, d, w) per block of rows: d[i, j] = x[i] - centers[j]

@@ -688,12 +688,13 @@ def _evaluate_policy(pred: list, cost: list) -> tuple:
 
 def _take_min(cand: np.ndarray, rows: slice, best: np.ndarray, arg: np.ndarray) -> None:
     """Lower best to the block's column minima where they are smaller, and
-    record the winning offset index in arg."""
-    j = np.argmin(cand, axis=0)
-    low = np.take_along_axis(cand, j[None], axis=0)[0]
-    took = low < best
+    record the first offset index that attains it in arg.  The index is
+    searched only in the columns the block lowers; a column holding a NaN
+    has a NaN minimum, which lowers nothing."""
+    low = cand.min(axis=0)
+    took = np.flatnonzero(low < best)
     best[took] = low[took]
-    arg[took] = rows.start + j[took]
+    arg[took] = rows.start + np.argmax(cand[:, took] == low[took], axis=0)
 
 
 def _index_type(count: int) -> type:

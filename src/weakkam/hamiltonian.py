@@ -3,13 +3,15 @@
 A model carries vectorized callables: H(V,p), L(V,q), the sublevel support
 function sigma, the sublevel radius, the speed bound of Lax-Oleinik
 optimizers and the momentum Lipschitz bound of H; a Tonelli model also
-carries DH and the flow-rate bound l_r.  In the stationary ergodic setting
-a Hamiltonian depends on x only through the environment, and every catalog
-model reads it only through the scalar field V(x, omega): the closed forms
-take the m field values V where the points would go.  DH alone takes one
-point, as Python floats, and the environment realization (None means
-V = 0), because it needs the gradient of V.  eval_H, eval_L and kappa
-take points and a realization and read V there once, by field_values.
+carries its characteristic field, rates, and the flow-rate bound l_r.  In
+the stationary ergodic setting a Hamiltonian depends on x only through the
+environment, and every catalog model reads it only through the scalar field
+V(x, omega): the closed forms take the m field values V where the points
+would go.  rates alone takes the environment realization (None means
+V = 0), because it needs the gradient of V: it binds the realization's
+point gradient once and returns one function of the 2 dim state floats.
+eval_H, eval_L and kappa take points and a realization and read V there
+once, by field_values.
 
 Built-in catalog:
 
@@ -55,11 +57,40 @@ def field_values(env, x) -> np.ndarray:
     return env.evaluate(x)
 
 
-def _field_gradient(env, x):
-    """DV at one point x, given as dim floats, as a list of dim floats."""
-    if env is None:
-        return [0.0] * len(x)
-    return env.gradient(x)
+def _gradient(env, dim: int):
+    """DV as bound by env.gradient(), one function of the dim coordinates;
+    the zero field's when env is None."""
+    if env is not None:
+        return env.gradient()
+    if dim == 1:
+        return lambda x: 0.0
+    return lambda x0, x1: (0.0, 0.0)
+
+
+def _quadratic_rates(dim: int, tilt):
+    """rates of H = |p + P0|^2/2 + V, the tilt P0 a list of dim floats or
+    None: bound to a realization, the function of the 2 dim state floats
+    that returns (H_p, -H_x) = (p + P0, -DV(x)), positions first."""
+
+    def rates(env):
+        gradient = _gradient(env, dim)
+        if dim == 1 and tilt is None:
+            return lambda x, p: (p, -gradient(x))
+        if dim == 1:
+            (t,) = tilt
+            return lambda x, p: (p + t, -gradient(x))
+        if tilt is None:
+            def rate(x0, x1, p0, p1):
+                g0, g1 = gradient(x0, x1)
+                return p0, p1, -g0, -g1
+            return rate
+        t0, t1 = tilt
+
+        def rate(x0, x1, p0, p1):
+            g0, g1 = gradient(x0, x1)
+            return p0 + t0, p1 + t1, -g0, -g1
+        return rate
+    return rates
 
 
 @dataclass(frozen=True)
@@ -79,13 +110,15 @@ class HamiltonianModel:
     L and sigma also take one (1, dim) row of q, which they broadcast over
     the m values, and H one (1, dim) row of p.  eval_H(x, p, env) and
     eval_L(x, q, env) read V at the points x first.  The Tonelli data
-    DH(x, p, env) -> (H_x, H_p) and l_r(R, env), the Lipschitz rate of the
-    characteristic field on |p| <= R, are None on models without a
-    characteristic flow.  DH is point-wise, since H_x needs the gradient of
-    V: x and p are dim floats each and H_x, H_p come back as lists of
-    floats, computed in Python float arithmetic (see
-    EnvRealization.gradient), since the RK4 flow calls it once per stage on
-    one point.
+    rates(env) and l_r(R, env), the Lipschitz rate of the characteristic
+    field on |p| <= R, are None on models without a characteristic flow.
+    rates binds the realization's gradient (EnvRealization.gradient) and
+    returns the characteristic field as one function of the state's 2 dim
+    Python floats, positions then momenta, that returns (H_p, -H_x) as
+    2 dim floats in the same order: rate(x, p) in 1D and
+    rate(x0, x1, p0, p1) in 2D, the dimensions the validators admit.  It
+    computes in Python float arithmetic, since the RK4 flow calls it once
+    per stage on one point.
     """
 
     name: str
@@ -99,7 +132,7 @@ class HamiltonianModel:
     sublevel_radius: callable = field(repr=False)
     lipschitz_radius_analytic: callable = field(repr=False)
     dhp_bound: callable = field(repr=False)
-    DH: callable = field(repr=False, default=None)
+    rates: callable = field(repr=False, default=None)
     l_r: callable = field(repr=False, default=None)
 
     def eval_H(self, x, p, env=None):
@@ -122,9 +155,6 @@ def mechanical_model(dim: int = 1, field_bound: float = 1.0) -> HamiltonianModel
     def L(V, q):
         return 0.5 * np.sum(q * q, axis=-1) - V
 
-    def DH(x, p, env):
-        return _field_gradient(env, x), list(p)
-
     def sigma(V, q, a):
         gap = a - V
         rad = np.sqrt(2.0 * np.clip(gap, 0.0, None))
@@ -137,7 +167,8 @@ def mechanical_model(dim: int = 1, field_bound: float = 1.0) -> HamiltonianModel
 
     return HamiltonianModel(
         name="mechanical", dim=dim, strictly_convex=True, tonelli=True,
-        field_bound=vb, H=H, L=L, DH=DH, sigma=sigma, sublevel_radius=sublevel_radius,
+        field_bound=vb, H=H, L=L, rates=_quadratic_rates(dim, None), sigma=sigma,
+        sublevel_radius=sublevel_radius,
         lipschitz_radius_analytic=lambda th: max(
             th + np.sqrt(th * th + 4.0 * vb), vb, 0.5 * th * th + vb, 1.0),
         l_r=lambda R, env=None: max(1.0, env.hessian_bound() if env is not None else 0.0),
@@ -150,7 +181,6 @@ def tilted_mechanical_model(p0, dim: int = 1, field_bound: float = 1.0) -> Hamil
     p0 = np.asarray(p0, dtype=float).reshape(-1)
     if p0.size != dim:
         raise ConfigError(f"tilt vector has size {p0.size}, expected {dim}")
-    p0_list = p0.tolist()
     vb = float(field_bound)
     p0n = float(np.linalg.norm(p0))
 
@@ -161,9 +191,6 @@ def tilted_mechanical_model(p0, dim: int = 1, field_bound: float = 1.0) -> Hamil
     def L(V, q):
         q = np.atleast_2d(q)
         return 0.5 * np.sum(q * q, axis=-1) - q @ p0 - V
-
-    def DH(x, p, env):
-        return _field_gradient(env, x), [a + b for a, b in zip(p, p0_list)]
 
     def sigma(V, q, a):
         gap = a - V
@@ -178,7 +205,8 @@ def tilted_mechanical_model(p0, dim: int = 1, field_bound: float = 1.0) -> Hamil
 
     return HamiltonianModel(
         name="tilted_mechanical", dim=dim, strictly_convex=True, tonelli=True,
-        field_bound=vb, H=H, L=L, DH=DH, sigma=sigma, sublevel_radius=sublevel_radius,
+        field_bound=vb, H=H, L=L, rates=_quadratic_rates(dim, p0.tolist()), sigma=sigma,
+        sublevel_radius=sublevel_radius,
         lipschitz_radius_analytic=lambda th: max(
             (th + p0n) + np.sqrt((th + p0n) ** 2 + 4.0 * vb),
             vb, 0.5 * (th + p0n) ** 2 + vb, 1.0),
@@ -268,16 +296,25 @@ def reversed_model(model: HamiltonianModel) -> HamiltonianModel:
     def sigma(V, q, a):
         return model.sigma(V, -np.atleast_2d(q), a)
 
-    DH = None
-    if model.DH is not None:
-        def DH(x, p, env):
-            gx, gp = model.DH(x, [-v for v in p], env)
-            return gx, [-v for v in gp]
+    rates = None
+    if model.rates is not None:
+        def rates(env):
+            rate = model.rates(env)
+            if model.dim == 1:
+                def reversed_rate(x, p):
+                    v, w = rate(x, -p)
+                    return -v, w
+                return reversed_rate
+
+            def reversed_rate(x0, x1, p0, p1):
+                v0, v1, w0, w1 = rate(x0, x1, -p0, -p1)
+                return -v0, -v1, w0, w1
+            return reversed_rate
 
     return HamiltonianModel(
         name=model.name + "_reversed", dim=model.dim,
         strictly_convex=model.strictly_convex, tonelli=model.tonelli,
-        field_bound=model.field_bound, H=H, L=L, DH=DH, sigma=sigma,
+        field_bound=model.field_bound, H=H, L=L, rates=rates, sigma=sigma,
         sublevel_radius=model.sublevel_radius,
         lipschitz_radius_analytic=model.lipschitz_radius_analytic,
         l_r=model.l_r, dhp_bound=model.dhp_bound,

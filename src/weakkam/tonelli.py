@@ -18,6 +18,7 @@ approximated.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field
 
@@ -84,22 +85,34 @@ class Trajectory:
 def flow_integrate(model, env, state0: FlowState, t: float, dt: float) -> Trajectory:
     """RK4 on xi' = H_p, eta' = -H_x; negative t integrates backward.
 
-    The state is stepped as Python floats, positions then momenta, and each
-    stage makes one model.DH call on its point as two lists of floats
-    (z[:dim], z[dim:]) and builds no numpy array itself; each state is
-    appended to one array.array of doubles, which holds no float objects,
-    and becomes the xi and eta arrays once, after the last step.  Python float + and * are the IEEE operations numpy
-    applies elementwise, taken here in the textbook order, so each step
-    has the bits of the same RK4 on arrays with the same DH values; DH's
-    own bits are set by its point-wise contract (HamiltonianModel,
-    EnvRealization.gradient).  The energy is audited by one eval_H over
-    the whole trajectory.  Not symplectic: the energy drift over the run
-    is measured and reported instead, and callers gate on it.
+    The characteristic field is bound once, model.rates(env), and the
+    state is stepped as named Python float locals (x, p in 1D; x0, x1, p0,
+    p1 in 2D), one RK4 body per dimension the validators admit; any other
+    dimension is refused.  Each stage makes one call of the bound field and
+    builds no numpy array; each state is appended to one array.array of
+    doubles, positions then momenta, which becomes the xi and eta arrays
+    once, after the last step.  Python float + and * are the IEEE
+    operations numpy applies elementwise, taken here in the textbook order
+    by explicit + on floats (no sum()), so each step has the bits of the
+    same RK4 on arrays with the same field values; those have the bits set
+    by the field's own point-wise contract (HamiltonianModel,
+    EnvRealization.gradient).  The energy is audited by one eval_H over the
+    whole trajectory.  Not symplectic: the energy drift over the run is
+    measured and reported instead, and callers gate on it.  A non-finite t
+    or dt, a dt <= 0, or a step count t / dt that overflows is refused.
     """
     _require_tonelli(model, "flow integration")
+    t, dt = float(t), float(dt)
+    if not (math.isfinite(t) and math.isfinite(dt)):
+        raise ConfigError(f"flow time t={t!r} and step dt={dt!r} must be finite")
     if dt <= 0:
-        raise ConfigError("dt must be positive")
+        raise ConfigError(f"flow step dt={dt!r} must be positive")
+    if not math.isfinite(abs(t) / dt):
+        raise ConfigError(f"flow time t={t!r} over step dt={dt!r} is too many steps")
     dim = model.dim
+    if dim not in (1, 2):
+        raise ConfigError(f"the characteristic flow runs in dimension 1 or 2, "
+                          f"but model '{model.name}' has dimension {dim}")
     if state0.xi.size != dim or state0.eta.size != dim:
         raise ConfigError(
             f"flow state has xi.size={state0.xi.size} and "
@@ -108,22 +121,33 @@ def flow_integrate(model, env, state0: FlowState, t: float, dt: float) -> Trajec
     n = max(int(round(abs(t) / dt)), 1)
     step = float(np.sign(t) if t != 0 else 1.0) * abs(t) / n
     half, sixth = 0.5 * step, step / 6.0
-
-    def rates(z):
-        """(H_p, -H_x) at the point z as one list of floats."""
-        hx, hp = model.DH(z[:dim], z[dim:], env)
-        return hp + [-v for v in hx]
-
-    z = state0.xi.reshape(dim).tolist() + state0.eta.reshape(dim).tolist()
-    states = array("d", z)
-    for _ in range(n):
-        k1 = rates(z)
-        k2 = rates([a + half * b for a, b in zip(z, k1)])
-        k3 = rates([a + half * b for a, b in zip(z, k2)])
-        k4 = rates([a + step * b for a, b in zip(z, k3)])
-        z = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
-             for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
-        states.extend(z)
+    rate = model.rates(env)
+    states = array("d", state0.xi.reshape(dim).tolist() + state0.eta.reshape(dim).tolist())
+    if dim == 1:
+        x, p = states
+        for _ in range(n):
+            k1x, k1p = rate(x, p)
+            k2x, k2p = rate(x + half * k1x, p + half * k1p)
+            k3x, k3p = rate(x + half * k2x, p + half * k2p)
+            k4x, k4p = rate(x + step * k3x, p + step * k3p)
+            x = x + sixth * (k1x + 2 * k2x + 2 * k3x + k4x)
+            p = p + sixth * (k1p + 2 * k2p + 2 * k3p + k4p)
+            states.extend((x, p))
+    else:
+        x0, x1, p0, p1 = states
+        for _ in range(n):
+            a0, a1, b0, b1 = rate(x0, x1, p0, p1)
+            c0, c1, d0, d1 = rate(x0 + half * a0, x1 + half * a1,
+                                  p0 + half * b0, p1 + half * b1)
+            e0, e1, f0, f1 = rate(x0 + half * c0, x1 + half * c1,
+                                  p0 + half * d0, p1 + half * d1)
+            g0, g1, h0, h1 = rate(x0 + step * e0, x1 + step * e1,
+                                  p0 + step * f0, p1 + step * f1)
+            x0 = x0 + sixth * (a0 + 2 * c0 + 2 * e0 + g0)
+            x1 = x1 + sixth * (a1 + 2 * c1 + 2 * e1 + g1)
+            p0 = p0 + sixth * (b0 + 2 * d0 + 2 * f0 + h0)
+            p1 = p1 + sixth * (b1 + 2 * d1 + 2 * f1 + h1)
+            states.extend((x0, x1, p0, p1))
     path = np.frombuffer(states).reshape(n + 1, 2 * dim)
     xi, eta = path[:, :dim].copy(), path[:, dim:].copy()
     times = step * np.arange(n + 1)

@@ -66,8 +66,8 @@ def walk_table(stencil, steps: int) -> np.ndarray:
 
 
 class CountingField:
-    """A realization that records the shape of each evaluate and gradient
-    call, the shapes of each cover read for values (the cover's points,
+    """A realization that records the shape of each evaluate call and of
+    each call of its bound gradient (the tuple of coordinates), the shapes of each cover read for values (the cover's points,
     then the block valued), the batch shape of each shared table, and
     that of each table-free block evaluation."""
 
@@ -92,9 +92,13 @@ class CountingField:
         self.streamed.append(shape)
         return self.env._block_values(shape, covers)
 
-    def gradient(self, x):
-        self.gradients.append(np.shape(x))
-        return self.env.gradient(x)
+    def gradient(self):
+        bound = self.env.gradient()
+
+        def counted(*x):
+            self.gradients.append(np.shape(x))
+            return bound(*x)
+        return counted
 
 
 # The three configs of the benchmark's verify1d workload, without their grid.

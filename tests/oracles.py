@@ -112,6 +112,17 @@ def pull_argmin_by_rolls(stencil, u: np.ndarray) -> tuple:
     return best, arg
 
 
+def take_min_by_argmin(cand: np.ndarray, rows: slice, best: np.ndarray, arg: np.ndarray) -> None:
+    """grid._take_min by a full np.argmin over the block's columns: lower
+    best to the column minima where they are smaller (a NaN minimum lowers
+    nothing) and record the first offset index attaining each."""
+    j = np.argmin(cand, axis=0)
+    low = np.take_along_axis(cand, j[None], axis=0)[0]
+    took = low < best
+    best[took] = low[took]
+    arg[took] = rows.start + j[took]
+
+
 def block_points(samples, b: int) -> np.ndarray:
     """Block b's points of a bisection sampler, shape lattice.shape +
     (dim,): with k_b = c + 2 d, c = k_b mod 2, class c's cover over the

@@ -1,13 +1,15 @@
 """Subsolution libraries, fixed-point masks, extensions, calibrated chains."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from conftest import VERIFY_CONFIGS, minplus_product, one_step_table, verify_config
-from oracles import extract_calibrated_curve, fixed_point_set, rolled
+from oracles import extract_calibrated_curve, fixed_point_set, rolled, take_min_by_argmin
 
 import weakkam as wk
+import weakkam.grid
 from weakkam.aubry import (build_library, build_w, classical_aubry, default_eps,
                            detect_aubry, lax_extension, verify_member)
 from weakkam.cli import stage_critical, stage_kernel
@@ -148,20 +150,40 @@ def test_critical_graph_matches_the_closed_orbit_diagonals(case, pend64, flat64)
     assert abs(crit.mean - karp) <= crit.budget
 
 
+@functools.lru_cache(maxsize=None)
+def _verify_kernel(label):
+    """The folded kernel of a verify1d config, built by the CLI stages."""
+    cfg = verify_config(label)
+    env = build_environment(cfg)[1]
+    model, grid = build_model(cfg), build_grid(cfg)
+    return stage_kernel(cfg, env, model, grid, stage_critical(cfg, env, model, grid))
+
+
 @pytest.mark.parametrize("label", sorted(VERIFY_CONFIGS))
 def test_unsaturated_slack_clears_the_budget_on_the_verify_kernels(label):
     """On the 1D n=512 verify configs the edges the budget leaves
     unsaturated miss saturation by at least 1e3 budgets."""
-    cfg = verify_config(label)
-    env = build_environment(cfg)[1]
-    model, grid = build_model(cfg), build_grid(cfg)
-    kern = stage_kernel(cfg, env, model, grid, stage_critical(cfg, env, model, grid))
+    kern = _verify_kernel(label)
+    grid = kern.grid
     crit = policy_iteration(kern)
     slack = np.array([rolled(grid, crit.bias, k) + w - crit.mean - crit.bias
                       for k, w in zip(kern.offsets, kern.weights)])
     loose = slack[np.isfinite(slack) & (slack > crit.budget)]
     assert np.min(loose) >= 1e3 * crit.budget
     assert int(crit.mask.sum()) == 1
+
+
+@pytest.mark.parametrize("label", sorted(VERIFY_CONFIGS))
+def test_policy_iteration_is_the_argmin_oracle_on_the_verify_kernels(label, monkeypatch):
+    """Policy improvement with the index searched only in lowered columns
+    ends on the mean, cycle, bias and mask of a full argmin per block."""
+    kern = _verify_kernel(label)
+    crit = policy_iteration(kern)
+    monkeypatch.setattr(weakkam.grid, "_take_min", take_min_by_argmin)
+    want = policy_iteration(kern)
+    assert crit.mean == want.mean and crit.cycle == want.cycle
+    assert crit.bias.tobytes() == want.bias.tobytes()
+    assert crit.mask.tobytes() == want.mask.tobytes()
 
 
 def test_default_eps_scales_with_range():

@@ -34,9 +34,10 @@ def test_periodic_single_cosine_values_and_gradient():
     env = sample_realization(spec, 0)
     x = np.linspace(0.0, 2.0, 41)[:, None]
     assert np.allclose(env.evaluate(x), np.cos(2 * np.pi * x[:, 0]))
-    grads = [env.gradient(point) for point in x.tolist()]
-    assert all(type(g) is list and len(g) == 1 and type(g[0]) is float for g in grads)
-    assert np.allclose(np.array(grads)[:, 0], -2 * np.pi * np.sin(2 * np.pi * x[:, 0]))
+    gradient = env.gradient()
+    grads = [gradient(point) for point in x[:, 0].tolist()]
+    assert all(type(g) is float for g in grads)
+    assert np.allclose(grads, -2 * np.pi * np.sin(2 * np.pi * x[:, 0]))
     assert env.field_bound() == 1.0
     assert np.isclose(env.hessian_bound(), (2 * np.pi) ** 2)
 
@@ -169,8 +170,10 @@ def test_block_evaluation_is_bit_identical_to_evaluate(kind, params, dim):
 
 
 def _point_gradients(env, x):
-    """EnvRealization.gradient at each row of x, one point at a time."""
-    return np.array([env.gradient(point) for point in x.tolist()])
+    """The bound EnvRealization.gradient at each row of x, one point at a
+    time, as an (m, dim) array."""
+    gradient = env.gradient()
+    return np.array([gradient(*point) for point in x.tolist()]).reshape(x.shape)
 
 
 # One cosine mode or a bump cloud: in 2D the frequencies are integers, so a

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (_index_of, edge_gap_by_rolls, load_gridfn_csv, min_image, one_sided_slopes,
                      pull_argmin_by_rolls, pull_by_rolls, replayed_walk, reversed_by_rolls, rolled,
-                     torus_dist, worst_gap_node_by_rolls)
+                     take_min_by_argmin, torus_dist, worst_gap_node_by_rolls)
 
 import weakkam as wk
 from weakkam.errors import ConfigError, SubcriticalLevelError
 from weakkam.grid import (_BLOCK, BoxSpec, GridFn, GridSpec, Stencil, _pull_argmin,
-                          policy_iteration, relax, save_gridfn_csv)
+                          _take_min, policy_iteration, relax, save_gridfn_csv)
 from weakkam.hamiltonian import kappa
 from weakkam.semigroup import build_kernel
 
@@ -547,6 +547,29 @@ def test_flat_stencil_is_critical_everywhere():
     assert crit.mean == 0.5
     assert crit.mask.all()
     assert np.all(crit.bias == 0.0)
+
+
+def test_take_min_is_the_argmin_oracle_on_ties_infinities_and_nan():
+    """Block minima with the index searched only where a block lowers best
+    give the full argmin's values and first indices: values drawn from a
+    few levels tie often, whole +inf columns lower nothing, and a column
+    holding a NaN lowers nothing either."""
+    rng = np.random.default_rng(5)
+    levels = np.array([0.0, 0.5, 1.0, 2.0, np.inf, np.nan])
+    for trial in range(40):
+        rows, size = slice(7, 7 + rng.integers(1, 9)), 64
+        cand = rng.choice(levels, p=[0.25, 0.25, 0.2, 0.1, 0.15, 0.05],
+                          size=(rows.stop - rows.start, size))
+        cand[:, :4] = np.inf
+        cand[:, 4:8] = 0.5
+        best = rng.choice(levels[:5], size=size)
+        best[8] = np.nan
+        arg = rng.integers(0, 3, size)
+        want_best, want_arg = best.copy(), arg.copy()
+        take_min_by_argmin(cand, rows, want_best, want_arg)
+        _take_min(cand, rows, best, arg)
+        assert best.tobytes() == want_best.tobytes()
+        assert np.array_equal(arg, want_arg)
 
 
 def test_policy_iteration_refuses_a_graph_that_is_not_strongly_connected():

@@ -12,6 +12,14 @@ from weakkam.hamiltonian import (eikonal_model, kappa, lipschitz_radius,
                                  reversed_model, tilted_mechanical_model)
 
 
+def _field(model, env, x, p):
+    """(H_p, H_x) of the model's rate function bound to env, at the point
+    x with momentum p, given and returned as (dim,) arrays."""
+    out = model.rates(env)(*np.asarray(x, dtype=float).tolist(),
+                           *np.asarray(p, dtype=float).tolist())
+    return np.array(out[:model.dim]), -np.array(out[model.dim:])
+
+
 @pytest.fixture(scope="module")
 def cosine_env():
     spec = wk.EnvSpec(kind="periodic", dimension=1, seed=0,
@@ -27,11 +35,12 @@ def test_mechanical_closed_forms(cosine_env):
     V = np.cos(2 * np.pi * 0.2)
     assert np.allclose(m.eval_H(x, p, cosine_env), 0.5 * 0.49 + V)
     assert np.allclose(m.eval_L(x, q, cosine_env), 0.5 * 1.69 - V)
-    dx, dp = m.DH([0.2], [0.7], cosine_env)
-    assert dp == [0.7]
-    assert np.allclose(dx, [-2 * np.pi * np.sin(2 * np.pi * 0.2)])
-    assert type(dx) is list and type(dx[0]) is float
-    assert mechanical_model(dim=2).DH([0.2, 0.4], [0.7, -0.1], None) == ([0.0, 0.0], [0.7, -0.1])
+    hp, hx = _field(m, cosine_env, [0.2], [0.7])
+    assert hp.tolist() == [0.7]
+    assert np.allclose(hx, [-2 * np.pi * np.sin(2 * np.pi * 0.2)])
+    assert all(type(v) is float for v in m.rates(cosine_env)(0.2, 0.7))
+    hp, hx = _field(mechanical_model(dim=2), None, [0.2, 0.4], [0.7, -0.1])
+    assert hp.tolist() == [0.7, -0.1] and hx.tolist() == [0.0, 0.0]
     assert m.strictly_convex and m.tonelli
 
 
@@ -81,7 +90,11 @@ def test_tilted_shifts_the_momentum_ball(cosine_env):
     q = np.array([[1.0]])
     assert np.allclose(m.eval_L(x, q, cosine_env), 0.5 - 0.5)
     # H_p = p + P0, in the IEEE sum numpy takes elementwise
-    assert m.DH([0.25], [0.1], cosine_env) == (cosine_env.gradient([0.25]), [0.1 + 0.5])
+    hp, hx = _field(m, cosine_env, [0.25], [0.1])
+    assert hp.tolist() == [0.1 + 0.5] and hx.tolist() == [cosine_env.gradient()(0.25)]
+    tilted2 = tilted_mechanical_model(p0=(0.5, -0.25), dim=2)
+    hp, hx = _field(tilted2, None, [0.25, 0.5], [0.1, 0.3])
+    assert hp.tolist() == [0.1 + 0.5, 0.3 - 0.25] and hx.tolist() == [0.0, 0.0]
     with pytest.raises(ConfigError):
         tilted_mechanical_model(p0=(0.5, 0.5), dim=1)
 
@@ -127,8 +140,12 @@ def test_reversal_flips_momentum(cosine_env):
     # H_x is the same, H_p flips: the reversed flow runs the same curves
     # backward
     tilted = tilted_mechanical_model(p0=(0.5,), dim=1, field_bound=1.0)
-    hx, hp = tilted.DH([0.3], [-0.8], cosine_env)
-    assert reversed_model(tilted).DH([0.3], [0.8], cosine_env) == (hx, [-hp[0]])
+    for dim, x, p in [(1, [0.3], [0.8]), (2, [0.3, 0.1], [0.8, -0.6])]:
+        tilted = tilted_mechanical_model(p0=(0.5, 0.2)[:dim], dim=dim, field_bound=1.0)
+        env = wk.sample_realization(wk.EnvSpec(kind="random_fourier", dimension=dim, seed=1), 0)
+        hp, hx = _field(tilted, env, x, -np.array(p))
+        rev_hp, rev_hx = _field(reversed_model(tilted), env, x, p)
+        assert rev_hp.tobytes() == (-hp).tobytes() and rev_hx.tobytes() == hx.tobytes()
 
 
 @pytest.mark.parametrize("dim", [1, 2])

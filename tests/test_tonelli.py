@@ -10,7 +10,7 @@ from oracles import (check_envelope_identity, lifted_mask_deviation,
                      verify_minimizer_is_characteristic)
 
 import weakkam as wk
-from weakkam.config import build_environment, build_grid, build_model
+from weakkam.config import build_environment, build_grid, build_model, parse_config_text
 from weakkam.errors import ConfigError, NotTonelliError
 from weakkam.grid import GridFn, GridSpec
 from weakkam.hamiltonian import (eikonal_model, kappa, lipschitz_radius, mechanical_model,
@@ -55,10 +55,13 @@ def test_pendulum_flow_reverses_and_conserves_energy(pend64):
 
 
 def _textbook_rk4(model, env, x, p, step, n):
-    """n classical RK4 steps of xi' = H_p, eta' = -H_x on (dim,) arrays."""
+    """n classical RK4 steps of xi' = H_p, eta' = -H_x on (dim,) arrays,
+    the field read off the model's rate function one point at a time."""
+    rate = model.rates(env)
+
     def rhs(x, p):
-        hx, hp = model.DH(x.tolist(), p.tolist(), env)
-        return np.array(hp), -np.array(hx)
+        out = np.array(rate(*x.tolist(), *p.tolist()))
+        return out[:model.dim], out[model.dim:]
 
     xs, ps = [x], [p]
     for _ in range(n):
@@ -102,16 +105,69 @@ def test_flow_steps_are_textbook_rk4(pend64):
 
 
 @pytest.mark.parametrize("label, drift", [("mechanical", 1.334971244659755e-09),
-                                          ("random", 1.2299050666797484e-11)],
-                         ids=["mechanical", "random"])
+                                          ("random", 1.2299050666797484e-11),
+                                          ("periodic2d", 1.470688459903613e-09)],
+                         ids=["mechanical", "random", "periodic2d"])
 def test_verify_drift_rows_keep_their_digits(label, drift):
     # the flow_energy_drift row of `weakkam verify` on the verify1d configs
-    cfg = verify_config(label)
+    # and on the 2D n=16 periodic mechanical torus
+    if label == "periodic2d":
+        cfg = parse_config_text("[environment]\nkind = periodic\ndimension = 2\n"
+                                "[grid]\ndim = 2\nn = 16\n", source=label)
+    else:
+        cfg = verify_config(label)
     env, model, grid = build_environment(cfg)[1], build_model(cfg), build_grid(cfg)
     pts = grid.points()
     p0 = GridFn(grid, env.evaluate(pts)).central_gradient()[grid.size // 3]
     traj = flow_integrate(model, env, FlowState(pts[grid.size // 3], p0), 10.0, 1e-3)
     assert traj.drift == drift
+
+
+# Long 2D flows on the 14-mode random_fourier field (seed 3), from
+# (0.3, 0.6) with momentum (0.7, -0.2), dt = 1e-3: the drift and the final
+# state of each direction, untilted and tilted by (0.2, -0.4).
+LONG_2D_FLOWS = {
+    ("mechanical", 10.0): (6.9333427887841026e-12,
+                           [-0.8858060220459757, -0.7944581962855413],
+                           [-0.6616507591669034, -0.11034104125170104]),
+    ("mechanical", -10.0): (1.2282397321428107e-11,
+                            [-0.4954252958207003, 0.4349238852922622],
+                            [0.4212553968721481, -0.09652679756518918]),
+    ("tilted", 10.0): (1.757716194816794e-11,
+                       [2.54492741463634, 0.7677360477866313],
+                       [-0.4172764134173358, 0.09680057744288374]),
+    ("tilted", -10.0): (1.7514711903032776e-11,
+                        [5.697347592646675, -1.795563791960899],
+                        [-1.0641671436289777, -0.07226601407322454]),
+}
+
+
+@pytest.mark.parametrize("name, t", sorted(LONG_2D_FLOWS))
+def test_long_2d_flows_keep_their_digits(name, t):
+    env = wk.sample_realization(wk.EnvSpec(kind="random_fourier", dimension=2, seed=3), 0)
+    assert len(env.amplitudes) == 14
+    bound = env.field_bound()
+    model = {"mechanical": mechanical_model(dim=2, field_bound=bound),
+             "tilted": tilted_mechanical_model([0.2, -0.4], dim=2, field_bound=bound)}[name]
+    traj = flow_integrate(model, env, FlowState([0.3, 0.6], [0.7, -0.2]), t, 1e-3)
+    drift, xi, eta = LONG_2D_FLOWS[name, t]
+    assert len(traj.xi) == 10001
+    assert traj.drift == drift
+    assert traj.xi[-1].tolist() == xi and traj.eta[-1].tolist() == eta
+
+
+def test_contraction_check_keeps_its_digits_on_the_smoothing_window():
+    # the two_sided_smoothing demo's window: the cosine well at its level
+    # c = 1, kappa_c = 2 and lam = 1, which gives t0 = 2^-8
+    env = wk.sample_realization(wk.EnvSpec(kind="periodic", dimension=1, seed=0,
+                                           params={"amplitudes": (1.0,)}), 0)
+    model = mechanical_model(dim=1, field_bound=1.0)
+    win = regular_window(kappa(model, 1.0, env), 1.0, model, env)
+    assert win.t0 == 2.0**-8
+    rep = contraction_check(win, model, env)
+    assert rep.lipschitz == 0.004160534830691186
+    assert rep.max_energy_drift == 6.210656988692165e-14
+    assert rep.n_pairs == 100 and rep.passed
 
 
 def test_flow_calls_the_field_gradient_once_per_stage(pend64):
@@ -125,6 +181,23 @@ def test_flow_calls_the_field_gradient_once_per_stage(pend64):
         assert counted.gradients == [(model.dim,)] * (4 * 50)
         assert counted.evaluated == [(51, model.dim)]
         assert np.array_equal(traj.xi, plain.xi) and np.array_equal(traj.eta, plain.eta)
+
+
+@pytest.mark.parametrize("t, dt, named", [
+    (float("nan"), 1e-2, "t=nan"), (0.5, float("nan"), "dt=nan"),
+    (float("inf"), 1e-2, "t=inf"), (0.5, float("inf"), "dt=inf"),
+    (1e300, 1e-300, "t=1e+300")],
+    ids=["nan_t", "nan_dt", "inf_t", "inf_dt", "overflowing_steps"])
+def test_flow_refuses_a_time_or_step_that_is_not_finite(flat64, t, dt, named):
+    with pytest.raises(ConfigError) as exc:
+        flow_integrate(flat64["model"], flat64["env"], FlowState([0.0], [0.5]), t, dt)
+    assert named in str(exc.value)
+
+
+def test_flow_refuses_a_dimension_without_an_rk4_body():
+    with pytest.raises(ConfigError, match="dimension 1 or 2"):
+        flow_integrate(mechanical_model(dim=3), None,
+                       FlowState([0.3, 0.6, 0.1], [0.7, -0.2, 0.4]), 0.1, 1e-2)
 
 
 @pytest.mark.parametrize("x0, p0", [([0.3, 0.6], [0.7]), ([0.3], [0.7, 0.1]),
