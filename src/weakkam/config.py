@@ -251,6 +251,39 @@ def _validate(cfg: RunConfig) -> None:
             float(tgt)
         except ValueError as exc:
             raise ConfigError("[tolerances] eps_target must be empty or a number") from exc
+    _validate_torus_field(cfg)
+
+
+# where a field that the unit torus cannot carry runs instead
+_ELSEWHERE = ("; run it on growing boxes (metric.critical_value_stationary) or on a torus "
+              "whose side is a whole number of its periods, which the CLI does not offer yet")
+
+
+def _validate_torus_field(cfg: RunConfig) -> None:
+    """Refuse a field that is not 1-periodic: the CLI runs on the unit
+    torus, which evaluates V at points wrapped to [0, 1)^dim, so such a
+    field would jump across the seam x ~ x + e_i, where its bounds do not
+    hold.  A cosine sum is 1-periodic when every frequency is an integer:
+    random_fourier's are the integer modes times 1/period, quasiperiodic's
+    the kind's defaults.  A Poisson bump cloud never is."""
+    kind = cfg.get("environment", "kind")
+    if kind == "random_fourier":
+        period = cfg.get("environment", "period")
+        inverse = 1.0 / period if period else math.inf
+        if not inverse.is_integer():
+            raise ConfigError(f"[environment] kind = random_fourier needs 1/period to be an "
+                              f"integer on the unit torus, got period = {period!r} "
+                              f"(1/period = {inverse!r}){_ELSEWHERE}")
+    elif kind == "quasiperiodic":
+        freqs = build_environment(cfg)[1].freqs
+        if not np.array_equal(freqs, np.round(freqs)):
+            raise ConfigError(f"[environment] kind = quasiperiodic in {freqs.shape[1]}D has the "
+                              f"frequencies {freqs.ravel().tolist()}, not all integers, so its "
+                              f"field is not periodic on the unit torus{_ELSEWHERE}")
+    elif kind == "poisson_bumps":
+        raise ConfigError("[environment] kind = poisson_bumps is not periodic on the unit torus: "
+                          "its bumps (intensity, bump_radius, coverage) are not repeated across "
+                          f"the seam{_ELSEWHERE}")
 
 
 def config_hash(cfg: RunConfig) -> str:

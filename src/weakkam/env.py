@@ -23,7 +23,8 @@ a caller that needs values for a batch of equal blocks and for each block
 as its own array (the bisection of metric.critical_value_free) gets both
 from one cosine table, with one product over the batch and one per block
 (_evaluate_blocks); a caller that needs only the blocks' values
-(metric.build_cost_graph) gets them through one block-sized scratch array
+(metric.build_cost_graph, and semigroup.build_kernel for its edge
+midpoints) gets them through one block-sized scratch array
 (_block_values).  Either way the blocks are read cover by cover: a cover
 is an array of points whose cosines are computed once, and every block is
 a slice of a cover by construction, so it reads its cosines off the

@@ -370,6 +370,7 @@ class Stencil:
         for rows, cand in self._blocks(u):
             cand += self.weights[rows].reshape(lift)
             low = cand.min(axis=0)
+            del cand    # before the next block is gathered
             best = low if best is None else np.minimum(best, low, out=best)
         return np.full(u.shape, np.inf) if best is None else best
 
@@ -511,20 +512,23 @@ class Stencil:
             floor[xs] = np.nextafter(bound - drift, -np.inf)
             del froms, weights, cand, j    # before the next chunk's are made
 
-    def reversed(self) -> "Stencil":
+    def reversed(self, out=None) -> "Stencil":
         """Every edge turned around, so pull on it is the forward step
-        out(y) = min_x cost(y -> x) + u(x) of this stencil.  Row k reads
+        u'(y) = min_x cost(y -> x) + u(x) of this stencil.  Row k reads
         weights[k] at x + offsets[k] h: one block of rows is padded at a
         time and each row's window is copied straight into its turned
-        row."""
+        row.  The turned rows go to out, a fresh array by default; out may
+        be self.weights, turned in place, since a block is padded into a
+        copy before its rows are written (self then holds turned rows
+        under its own offsets and is not read again)."""
         turns = self._plan.turns
-        turned = np.empty_like(self.weights)
-        out = turned.reshape((-1,) + self.grid.shape)
+        turned = np.empty_like(self.weights) if out is None else out
+        shaped = turned.reshape((-1,) + self.grid.shape)
         per = max(1, _BLOCK // self.size)
         for a in range(0, len(turns), per):
             windows = self._plan.windows(self.weights[a:a + per])
             for j, start in enumerate(turns[a:a + per]):
-                out[a + j] = windows[start, j]
+                shaped[a + j] = windows[start, j]
             del windows    # before the next block is padded
         return Stencil(self.grid, -self.offsets, turned)
 
@@ -564,10 +568,17 @@ class Stencil:
         return node
 
     def cost_scale(self) -> float:
-        """Largest |finite edge cost| (0 when there is none)."""
-        finite = np.isfinite(self.weights)
-        return max(float(np.max(self.weights, where=finite, initial=0.0)),
-                   -float(np.min(self.weights, where=finite, initial=0.0)))
+        """Largest |finite edge cost| (0 when there is none), read a block
+        of rows at a time: each block's finiteness mask holds as many bytes
+        as _BLOCK float64 entries."""
+        scale = 0.0
+        per = max(1, 8 * _BLOCK // self.size)
+        for a in range(0, len(self.weights), per):
+            w = self.weights[a:a + per]
+            finite = np.isfinite(w)
+            scale = max(scale, float(np.max(w, where=finite, initial=0.0)),
+                        -float(np.min(w, where=finite, initial=0.0)))
+        return scale
 
     def predecessors(self, x) -> np.ndarray:
         """Start x - offsets[k] h of every edge into node(s) x, one row per

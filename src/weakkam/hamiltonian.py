@@ -10,8 +10,9 @@ V(x, omega): the closed forms take the m field values V where the points
 would go.  rates alone takes the environment realization (None means
 V = 0), because it needs the gradient of V: it binds the realization's
 point gradient once and returns one function of the 2 dim state floats.
-eval_H, eval_L and kappa take points and a realization and read V there
-once, by field_values.
+eval_H and kappa take points and a realization and read V there once, by
+field_values; the one-step kernel reads V off the sampler's parity covers
+and applies L to the values.
 
 Built-in catalog:
 
@@ -108,8 +109,8 @@ class HamiltonianModel:
     dhp_bound(R)                      sup |H_p| over |p| <= R.
 
     L and sigma also take one (1, dim) row of q, which they broadcast over
-    the m values, and H one (1, dim) row of p.  eval_H(x, p, env) and
-    eval_L(x, q, env) read V at the points x first.  The Tonelli data
+    the m values, and H one (1, dim) row of p.  eval_H(x, p, env) reads
+    V at the points x first.  The Tonelli data
     rates(env) and l_r(R, env), the Lipschitz rate of the characteristic
     field on |p| <= R, are None on models without a characteristic flow.
     rates binds the realization's gradient (EnvRealization.gradient) and
@@ -137,9 +138,6 @@ class HamiltonianModel:
 
     def eval_H(self, x, p, env=None):
         return self.H(field_values(env, x), np.atleast_2d(p))
-
-    def eval_L(self, x, q, env=None):
-        return self.L(field_values(env, x), np.atleast_2d(q))
 
 
 # -- catalog --------------------------------------------------------------

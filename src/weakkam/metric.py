@@ -127,7 +127,9 @@ class _SamplePoints:
 
     The sampler holds the offsets: covers() forms one cover per class of
     offsets mod 2, of which every block is a slice, and witness() forms
-    only the one point a refusal names.  head, when given, is the class-0
+    only the one point a refusal names.  Blocks of offset -k are the edge
+    midpoints x + k h / 2 of offset k by its start x, which is how
+    semigroup.build_kernel reads its rows.  head, when given, is the class-0
     cover (head_cover) with its table (None: computed when read), handed to
     the first cover read and dropped there.  The field values,
     one array per block in values, are set by critical_value_free, so

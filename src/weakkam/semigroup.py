@@ -2,9 +2,12 @@
 
 The one-step kernel prices a displacement d covered in time dt at
 dt * (L(midpoint, d/dt) + shift).  It is a grid.Stencil, the offset stencil
-the cost graphs of the metric side share; its rows are priced by the start
-of each edge and turned by the stencil's reversal (Stencil.reversed) into
-rows by the edge's end.  T^-_t u = min_y u(y) + h_t(y, x)
+the cost graphs of the metric side share, and its weights are one (m, N)
+array: the rows are priced into it by the start of each edge, from V read
+off the cost graphs' parity covers, and turned in place by the stencil's
+reversal (Stencil.reversed) into rows by the edge's end; each orientation
+checks one direction of strong connectivity on a float32 hop stencil
+while it is held.  T^-_t u = min_y u(y) + h_t(y, x)
 is t/dt backward (pull) steps of the stencil; T^+_t is t/dt pull steps of
 the same stencil with every edge turned around, the reversal identity
 T^+_t u = -(reversed T^-_t)(-u) without a second kernel.  Ladder times are
@@ -36,6 +39,7 @@ import numpy as np
 from .errors import ConfigError, LadderError, WeakKamError
 from .grid import _BLOCK, _SHORTLIST, GridFn, GridSpec, Stencil, _index_type, relax
 from .hamiltonian import lipschitz_radius
+from .metric import _SamplePoints, lippo_scale
 
 __all__ = [
     "ActionKernel",
@@ -105,50 +109,58 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
                  shift: float = 0.0) -> ActionKernel:
     """One-step minimal-action kernel with reach dt R(theta) + 2h.
 
-    Prices each offset k by the model's closed-form Lagrangian at the edge
-    midpoints, its velocity passed as one (1, dim) row that L broadcasts,
-    one row per offset indexed by the start x of the edge x -> x + k h.
-    Read with offsets -k, those rows are the kernel with every edge turned
-    around, so their Stencil.reversed() is the kernel, its rows indexed by
-    the edge's end.  Offsets whose speed is outside the model's cone
-    (L = +inf everywhere) are pruned; a kernel whose graph is then not
-    strongly connected is refused (ConfigError), because its cycle mean
-    from node 0 would price only part of the torus.
+    The weights live in one (m, N) array, priced and turned in place.  Row
+    k is first priced by the start x of the edge x -> x + k h: the model's
+    closed-form Lagrangian at the edge midpoints x + k h / 2, its velocity
+    one (1, dim) row that L broadcasts.  Those midpoints are the blocks of
+    offset -k of the cost graphs' sampler (metric._SamplePoints), so V is
+    read off the parity covers (EnvRealization._block_values) one block at
+    a time.  Offsets whose speed is outside the model's cone (L = +inf
+    everywhere) are dropped, and of the offsets +-n/2 that join the same
+    node pair the last is kept, priced at the cheaper move; the kept rows
+    move down over the dropped ones.
+
+    Read with offsets -k, the start-priced rows are the kernel with every
+    edge turned around, so they show whether every node reaches node 0.
+    Stencil.reversed then turns them in place into the kernel's rows by the
+    edge's end, which show whether node 0 reaches every node.  A kernel
+    whose graph is not strongly connected is refused (ConfigError), because
+    its cycle mean from node 0 would price only part of the torus.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
     R = lipschitz_radius(theta, model)
     radius_one = dt * R + 2.0 * grid.h
     offsets = grid.offsets_within(radius_one, include_zero=True)
-    pts = grid.points()
-    kept, rows = [], []
-    for k in offsets:
-        disp = np.asarray(k, dtype=float) * grid.h
-        q = disp / dt
-        mids = grid.wrap(pts + 0.5 * disp[None, :])
-        cost = dt * (model.eval_L(mids, q[None, :], env) + shift)
-        if not np.any(np.isfinite(cost)):
-            continue
-        kept.append(k)
-        rows.append(cost)
-    kept = np.asarray(kept, dtype=int).reshape(-1, grid.dim)
-    weights = np.asarray(rows, dtype=float).reshape(-1, grid.size)    # by start node
-    del rows    # room for the reversal and the connectivity check
-    # offsets +-n/2 along an axis join the same pair of nodes from each start:
-    # keep the last of them, priced at the cheaper move
+    samples = _SamplePoints(grid, -offsets)    # block i + 1: the midpoints of offsets[i]
+    weights = np.empty((len(offsets), grid.size))    # by start node
+    priced = np.zeros(len(offsets), dtype=bool)
+    for b, V in env._block_values(samples.shape, samples.covers()):
+        if b:
+            q = np.asarray(offsets[b - 1], dtype=float) * grid.h / dt
+            row = weights[b - 1]
+            np.add(model.L(V, q[None, :]), shift, out=row)
+            row *= dt
+            priced[b - 1] = np.any(np.isfinite(row))
+    del row    # no view of weights outlives its resize
     last = {}
-    for i, k in enumerate(map(tuple, kept % grid.n)):
-        if k in last:
-            np.minimum(weights[i], weights[last[k]], out=weights[i])
-        last[k] = i
+    for i in np.flatnonzero(priced):
+        pair = tuple(offsets[i] % grid.n)
+        if pair in last:
+            np.minimum(weights[i], weights[last[pair]], out=weights[i])
+        last[pair] = i
     keep = sorted(last.values())
-    offsets, weights = kept[keep], weights[keep]
-    weights = Stencil(grid, -offsets, weights).reversed().weights    # by end node
-    # Strongly connected iff every node reaches node 0 and is reached from
-    # it.  Hop costs 0 and +inf are exact in float32, at half the memory.
-    hops = Stencil(grid, offsets, np.where(np.isfinite(weights), np.float32(0), np.float32(np.inf)))
-    start = np.where(np.arange(grid.size) == 0, 0.0, np.inf)
-    if not all(np.all(np.isfinite(relax(hops, start, forward))) for forward in (False, True)):
+    for j, i in enumerate(keep):    # j <= i: a row moves over one no longer read
+        if j < i:
+            weights[j] = weights[i]
+    weights.resize((len(keep), grid.size), refcheck=False)
+    offsets = offsets[keep]
+    # strongly connected iff every node reaches node 0, read on the rows by
+    # start (the kernel turned around), and node 0 reaches every node, read
+    # on the same rows turned in place by their end
+    by_start = Stencil(grid, -offsets, weights)
+    if not (_reaches_every_node(by_start)
+            and _reaches_every_node(by_start.reversed(out=weights))):
         fastest = float(np.max(np.linalg.norm(offsets, axis=1), initial=0.0)) * grid.h / dt
         raise ConfigError(
             f"the one-step kernel graph is not strongly connected: a one-cell move "
@@ -156,6 +168,20 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
             f"up to speed {fastest:g}; choose dt and n with h/dt <= its maximal speed")
     return ActionKernel(grid=grid, model=model, env=env, dt=dt, theta=theta,
                         radius_one=radius_one, shift=shift, offsets=offsets, weights=weights)
+
+
+def _reaches_every_node(stencil: Stencil) -> bool:
+    """Whether node 0 reaches every node over the stencil's finite edges:
+    one relax on its hop stencil, cost 0 on each finite edge and +inf
+    elsewhere, both exact in float32 at half the memory, filled a block
+    of rows at a time."""
+    hops = np.empty(stencil.weights.shape, dtype=np.float32)
+    per = max(1, _BLOCK // stencil.size)
+    for a in range(0, len(hops), per):
+        finite = np.isfinite(stencil.weights[a:a + per])
+        hops[a:a + per] = np.where(finite, np.float32(0), np.float32(np.inf))
+    start = np.where(np.arange(stencil.size) == 0, 0.0, np.inf)
+    return bool(np.all(np.isfinite(relax(Stencil(stencil.grid, stencil.offsets, hops), start))))
 
 
 def refold_kernel(kernel: ActionKernel, shift: float) -> ActionKernel:
@@ -348,8 +374,6 @@ def check_monotone_semigroup(u: GridFn, kernel: ActionKernel, times) -> Monotone
     from metric.lippo_scale) flag either a non-subsolution or an
     inconsistent level.
     """
-    from .metric import lippo_scale
-
     times = sorted(times)
     tol = 4.0 * u.grid.h * lippo_scale(kernel.model, kernel.shift, kernel.env, u.grid)
     rise = np.vstack([u.values, lax_minus_images(u, kernel, times)])

@@ -11,8 +11,9 @@ of the lifted Aubry mask, weak strictness against the semidistance, and a
 sublinear-growth audit.  So do the torus geometry,
 the CSV reader that only they and the tests need, the textbook
 per-offset stencil formulas (one shifted copy of the data per offset) that
-the stencil's gather plan is checked against, and the replay of a walk
-from the in-edges it records.
+the stencil's gather plan is checked against, the replay of a walk
+from the in-edges it records, and the one-step kernel built one offset at
+a time.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from weakkam.aubry import _worst_point, verify_member
 from weakkam.errors import ConfigError, NotASubsolutionError, SubcriticalLevelError, WeakKamError
-from weakkam.grid import GridFn, GridSpec, lattice_points
+from weakkam.grid import GridFn, GridSpec, Stencil, lattice_points, relax
+from weakkam.hamiltonian import lipschitz_radius
 from weakkam.metric import _cover_points, semidistance
 from weakkam.semigroup import lax_minus, semigroup_orbit
 from weakkam.tonelli import FlowState, _require_tonelli, flow_integrate
@@ -178,6 +180,45 @@ def reversed_by_rolls(stencil) -> tuple:
     for row, k, w in zip(turned, stencil.offsets, stencil.weights):
         row[:] = rolled(stencil.grid, w, -k)
     return -stencil.offsets, turned
+
+
+def per_offset_kernel(model, env, grid, dt: float, theta: float, shift: float) -> tuple:
+    """(offsets, weights) of the one-step kernel, one offset at a time:
+    each offset's edge midpoints formed and wrapped, V evaluated on them,
+    L priced by the start of each edge, the rows stacked into a second
+    array, turned by Stencil.reversed into a third, and the connectivity
+    checked by two relaxes on a float32 hop stencil, the second on its
+    reversal.  Raises the ConfigError that build_kernel raises."""
+    radius_one = dt * lipschitz_radius(theta, model) + 2.0 * grid.h
+    pts = grid.points()
+    kept, rows = [], []
+    for k in grid.offsets_within(radius_one, include_zero=True):
+        disp = np.asarray(k, dtype=float) * grid.h
+        q = disp / dt
+        mids = grid.wrap(pts + 0.5 * disp[None, :])
+        cost = dt * (model.L(env.evaluate(mids), q[None, :]) + shift)
+        if np.any(np.isfinite(cost)):
+            kept.append(k)
+            rows.append(cost)
+    kept = np.asarray(kept, dtype=int).reshape(-1, grid.dim)
+    weights = np.asarray(rows, dtype=float).reshape(-1, grid.size)    # by start node
+    last = {}
+    for i, k in enumerate(map(tuple, kept % grid.n)):
+        if k in last:
+            np.minimum(weights[i], weights[last[k]], out=weights[i])
+        last[k] = i
+    keep = sorted(last.values())
+    offsets, weights = kept[keep], weights[keep]
+    weights = Stencil(grid, -offsets, weights).reversed().weights    # by end node
+    hops = Stencil(grid, offsets, np.where(np.isfinite(weights), np.float32(0), np.float32(np.inf)))
+    start = np.where(np.arange(grid.size) == 0, 0.0, np.inf)
+    if not all(np.all(np.isfinite(relax(hops, start, forward))) for forward in (False, True)):
+        fastest = float(np.max(np.linalg.norm(offsets, axis=1), initial=0.0)) * grid.h / dt
+        raise ConfigError(
+            f"the one-step kernel graph is not strongly connected: a one-cell move "
+            f"needs speed h/dt = {grid.h / dt:g}, the model's speed cone kept moves "
+            f"up to speed {fastest:g}; choose dt and n with h/dt <= its maximal speed")
+    return offsets, weights
 
 
 # -- the field gradient over arrays of points --------------------------------------

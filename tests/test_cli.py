@@ -194,6 +194,17 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "at least 8" in capsys.readouterr().err
 
 
+def test_a_field_with_a_seam_on_the_unit_torus_exits_two(tmp_path, capsys):
+    # 1D quasiperiodic has the frequencies (1, sqrt 2): V jumps at x = 0 ~ 1
+    cfg = tmp_path / "quasi.cfg"
+    cfg.write_text("[environment]\nkind = quasiperiodic\n[grid]\nn = 64\n")
+    rc = main(["critical", str(cfg), "--outdir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "configuration error" in err and "kind = quasiperiodic" in err
+    assert "growing boxes" in err and not (tmp_path / "o").exists()
+
+
 def test_more_seeds_than_nodes_is_refused(tmp_path, capsys):
     # 1000 seeds on a 64-node axis would put seeds off the grid
     cfg = tmp_path / "seeds.cfg"

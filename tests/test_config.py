@@ -1,5 +1,6 @@
 """INI parsing, schema validation, canonical hashing, object builders."""
 
+import numpy as np
 import pytest
 
 from weakkam.config import (build_environment, build_grid, build_model,
@@ -68,6 +69,10 @@ def test_unknown_section_and_key_are_rejected_with_source():
     ("[tolerances]\nm_terms = 0\n", "m_terms"),
     ("[tolerances]\neps_aubry = -1\n", "eps_aubry"),
     ("[hamiltonian]\nfield_bound = big\n", "number"),
+    ("[environment]\nkind = quasiperiodic\n", r"quasiperiodic in 1D has the frequencies \[1\.0, 1\.41"),
+    ("[environment]\nkind = random_fourier\nperiod = 16\n", r"period = 16\.0 \(1/period = 0\.0625\)"),
+    ("[environment]\nkind = random_fourier\nperiod = 0\n", r"1/period = inf"),
+    ("[environment]\nkind = poisson_bumps\n", "poisson_bumps is not periodic"),
 ])
 def test_validation_rejects_bad_values(snippet, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -104,9 +109,9 @@ def test_builders_produce_matching_objects():
 def test_random_fourier_params_flow_through():
     cfg = parse_config_text(
         "[environment]\nkind = random_fourier\nk_max = 3\namplitude = 0.5\n"
-        "period = 16.0\ndecay = 1.0\nseed = 7\n")
+        "period = 0.5\ndecay = 1.0\nseed = 7\n")
     spec, env = build_environment(cfg)
-    assert spec.params["period"] == 16.0
+    assert spec.params["period"] == 0.5
     assert spec.params["k_max"] == 3
     assert env.field_bound() > 0
 
@@ -116,3 +121,41 @@ def test_manifest_json_is_canonical():
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert manifest_json({"b": 1.5, "a": {"z": [1, 2]}}) == text
+
+
+# environment keys per kind, some accepted on the unit torus and some not
+TORUS_CANDIDATES = {
+    "periodic": ["", "amplitudes = 0.5, 0.25\n"],
+    "quasiperiodic": ["", "amplitudes = 1.0, 0.3\n"],
+    "random_fourier": ["", "period = 0.5\nk_max = 2\n", "period = 0.25\ndecay = 1.0\n",
+                       "period = 16\n", "period = 0.3\n", "period = 3\n"],
+    "poisson_bumps": ["", "intensity = 4.0\n"],
+}
+
+
+def test_every_field_the_validator_accepts_is_periodic_on_the_unit_torus():
+    """The CLI evaluates V at points wrapped to the unit torus, so an
+    accepted field must agree at x and x + e_i on the seam x_i = 0, to
+    rounding, on sampled seam points of each axis.  Every candidate of
+    each kind and dimension is tried; each kind but poisson_bumps has an
+    accepted one, and a refusal names its kind."""
+    rng = np.random.default_rng(0)
+    accepted = set()
+    for dim in (1, 2):
+        for kind, extras in TORUS_CANDIDATES.items():
+            for extra in extras:
+                text = (f"[environment]\nkind = {kind}\ndimension = {dim}\nseed = 3\n{extra}"
+                        f"[grid]\ndim = {dim}\nn = 64\n")
+                try:
+                    cfg = parse_config_text(text)
+                except ConfigError as exc:
+                    assert f"kind = {kind}" in str(exc)
+                    continue
+                accepted.add(kind)
+                _, env = build_environment(cfg)
+                for axis in range(dim):
+                    x = rng.uniform(0.0, 1.0, size=(64, dim))
+                    x[:, axis] = 0.0
+                    jump = np.abs(env.evaluate(x) - env.evaluate(x + np.eye(dim)[axis]))
+                    assert float(np.max(jump)) <= 1e-12, (text, float(np.max(jump)))
+    assert accepted == {"periodic", "quasiperiodic", "random_fourier"}

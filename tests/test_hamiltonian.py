@@ -7,7 +7,7 @@ from oracles import PRadiusError, legendre, sublevel_margin
 import weakkam as wk
 from weakkam.config import MODELS
 from weakkam.errors import ConfigError, SubcriticalLevelError
-from weakkam.hamiltonian import (eikonal_model, kappa, lipschitz_radius,
+from weakkam.hamiltonian import (eikonal_model, field_values, kappa, lipschitz_radius,
                                  mechanical_model, nonstrict_model,
                                  reversed_model, tilted_mechanical_model)
 
@@ -34,7 +34,7 @@ def test_mechanical_closed_forms(cosine_env):
     q = np.array([[-1.3]])
     V = np.cos(2 * np.pi * 0.2)
     assert np.allclose(m.eval_H(x, p, cosine_env), 0.5 * 0.49 + V)
-    assert np.allclose(m.eval_L(x, q, cosine_env), 0.5 * 1.69 - V)
+    assert np.allclose(m.L(field_values(cosine_env, x), q), 0.5 * 1.69 - V)
     hp, hx = _field(m, cosine_env, [0.2], [0.7])
     assert hp.tolist() == [0.7]
     assert np.allclose(hx, [-2 * np.pi * np.sin(2 * np.pi * 0.2)])
@@ -64,8 +64,8 @@ def test_eikonal_lagrangian_is_speed_limited(cosine_env):
     m = eikonal_model(dim=1, offset=2.0, field_bound=1.0)
     x = np.array([[0.0]])
     f0 = 2.0 + 1.0
-    assert np.allclose(m.eval_L(x, np.array([[0.5]]), cosine_env), f0)
-    assert np.isinf(m.eval_L(x, np.array([[1.5]]), cosine_env))
+    assert np.allclose(m.L(field_values(cosine_env, x), np.array([[0.5]])), f0)
+    assert np.isinf(m.L(field_values(cosine_env, x), np.array([[1.5]])))
     assert np.allclose(m.eval_H(x, np.array([[0.25]]), cosine_env), 0.25 - f0)
     assert not m.tonelli
     with pytest.raises(ConfigError):
@@ -88,7 +88,7 @@ def test_tilted_shifts_the_momentum_ball(cosine_env):
     p = np.array([[0.25]])
     assert np.allclose(m.eval_H(x, p, cosine_env), 0.5 * 0.75**2)
     q = np.array([[1.0]])
-    assert np.allclose(m.eval_L(x, q, cosine_env), 0.5 - 0.5)
+    assert np.allclose(m.L(field_values(cosine_env, x), q), 0.5 - 0.5)
     # H_p = p + P0, in the IEEE sum numpy takes elementwise
     hp, hx = _field(m, cosine_env, [0.25], [0.1])
     assert hp.tolist() == [0.1 + 0.5] and hx.tolist() == [cosine_env.gradient()(0.25)]
@@ -136,7 +136,7 @@ def test_reversal_flips_momentum(cosine_env):
     x = np.array([[0.3]])
     p = np.array([[0.8]])
     assert np.allclose(r.eval_H(x, p, cosine_env), m.eval_H(x, -p, cosine_env))
-    assert np.allclose(r.eval_L(x, p, cosine_env), m.eval_L(x, -p, cosine_env))
+    assert np.allclose(r.L(field_values(cosine_env, x), p), m.L(field_values(cosine_env, x), -p))
     # H_x is the same, H_p flips: the reversed flow runs the same curves
     # backward
     tilted = tilted_mechanical_model(p0=(0.5,), dim=1, field_bound=1.0)

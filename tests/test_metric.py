@@ -504,7 +504,7 @@ def test_one_row_displacements_price_as_repeated_rows(name, dim):
         disp = np.asarray(k, dtype=float) * grid.h
         mids = grid.wrap(pts + 0.5 * disp[None, :])
         rows = np.repeat((disp / kern.dt)[None, :], grid.size, axis=0)
-        cost = kern.dt * (model.eval_L(mids, rows, env) + 0.0)
+        cost = kern.dt * (model.L(env.evaluate(mids), rows) + 0.0)
         assert row.tobytes() == rolled(grid, cost, k).tobytes()
 
 

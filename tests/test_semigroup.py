@@ -6,14 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import SMALL_OBJECTS, peak_bytes, walk_table
-from oracles import check_time_dependent_solution, minimizing_chain, replayed_walk, rolled
+from oracles import (check_time_dependent_solution, minimizing_chain, per_offset_kernel,
+                     replayed_walk, rolled)
 
 import weakkam as wk
 from weakkam import grid as grid_module
 from weakkam import semigroup as semigroup_module
-from weakkam.errors import LadderError, WeakKamError
-from weakkam.grid import BoxSpec, GridFn, GridSpec, Stencil
-from weakkam.hamiltonian import (eikonal_model, mechanical_model, nonstrict_model,
+from weakkam.errors import ConfigError, LadderError, WeakKamError
+from weakkam.grid import _BLOCK, BoxSpec, GridFn, GridSpec, Stencil
+from weakkam.hamiltonian import (eikonal_model, kappa, mechanical_model, nonstrict_model,
                                  reversed_model)
 from weakkam.semigroup import (build_kernel, check_corrector,
                                check_monotone_semigroup,
@@ -32,7 +33,7 @@ def brute_force_backward(u, model, env, grid, dt, radius):
         prev = rolled(grid, u, k)  # prev[i] = u(x_i - disp)
         mids = pts - disp[None, :] / 2.0
         cost = dt * np.asarray(
-            model.eval_L(mids, np.repeat(disp[None, :] / dt, grid.size, axis=0), env),
+            model.L(env.evaluate(mids), np.repeat(disp[None, :] / dt, grid.size, axis=0)),
             dtype=float)
         out = np.minimum(out, prev + cost)
     return out
@@ -449,7 +450,7 @@ def test_kernel_rows_are_the_rolled_start_prices(tilted, dim):
     pts, expect, priced = grid.points(), {}, []
     for k in grid.offsets_within(kern.radius_one, include_zero=True):
         disp = k * grid.h
-        cost = kern.dt * (model.eval_L(grid.wrap(pts + 0.5 * disp), (disp / kern.dt)[None, :], env)
+        cost = kern.dt * (model.L(env.evaluate(grid.wrap(pts + 0.5 * disp)), (disp / kern.dt)[None, :])
                           + 0.0)
         if np.any(np.isfinite(cost)):
             pair = tuple(k % grid.n)
@@ -460,3 +461,117 @@ def test_kernel_rows_are_the_rolled_start_prices(tilted, dim):
     assert sorted(expect) == sorted(tuple(k % grid.n) for k in kern.offsets)
     for k, row in zip(kern.offsets, kern.weights):
         assert row.tobytes() == expect[tuple(k % grid.n)].tobytes()
+
+
+KERNEL_MODELS = {
+    "mechanical": lambda dim: mechanical_model(dim=dim),
+    "tilted": lambda dim: wk.tilted_mechanical_model([0.3] * dim, dim=dim),
+    "nonstrict": lambda dim: nonstrict_model(dim=dim),
+    "eikonal": lambda dim: eikonal_model(dim=dim, offset=2.5, field_bound=1.5),
+    "reversed": lambda dim: reversed_model(wk.tilted_mechanical_model([0.3] * dim, dim=dim)),
+}
+
+
+@pytest.mark.parametrize("kind", ["periodic", "quasiperiodic", "random_fourier", "poisson_bumps"])
+@pytest.mark.parametrize("dim,n", [(1, 64), (1, 512), (2, 16), (2, 32), (2, 64)])
+def test_kernel_build_matches_the_per_offset_oracle(dim, n, kind):
+    """build_kernel prices its start-indexed rows off the parity covers
+    into one array and turns them in place; the oracle wraps each offset's
+    midpoints, evaluates V on them, stacks its rows and turns a copy.  On
+    these dyadic lattices every weight has the oracle's bits (compared as
+    int64), the offsets are equal, and a refusal has the oracle's message.
+    At dt = 1/64 the unit-speed models are refused exactly where a
+    one-cell move needs a speed h/dt above 1.  The tilt makes L odd in q,
+    so rows priced by the end, or left by the start, move weights."""
+    params = {"coverage": 1.0} if kind == "poisson_bumps" else {}
+    env = wk.sample_realization(wk.EnvSpec(kind=kind, dimension=dim, seed=1, params=params), 0)
+    grid, dt = GridSpec(dim=dim, n=n), 1.0 / 64.0
+    for name, make in KERNEL_MODELS.items():
+        model = make(dim)
+        try:
+            offsets, weights = per_offset_kernel(model, env, grid, dt, 1.0, 0.25)
+        except ConfigError as exc:
+            assert name in ("nonstrict", "eikonal") and grid.h > dt, name
+            with pytest.raises(ConfigError) as refused:
+                build_kernel(model, env, grid, dt, 1.0, shift=0.25)
+            assert str(refused.value) == str(exc)
+            continue
+        assert name not in ("nonstrict", "eikonal") or grid.h <= dt, name
+        kern = build_kernel(model, env, grid, dt, 1.0, shift=0.25)
+        assert np.array_equal(kern.offsets, offsets), name
+        assert kern.weights.shape == weights.shape, name
+        assert np.array_equal(kern.weights.view(np.int64), weights.view(np.int64)), name
+
+
+def test_kernel_build_holds_one_weight_array_and_one_hop_stencil():
+    """Peak memory of build_kernel on a 2D n=64 torus (241 offsets), a
+    priori: its one float64 weight array, priced and turned in place; one
+    float32 hop stencil of the connectivity check at a time; and four
+    arrays of _BLOCK float64 entries, room for a pull's candidate block,
+    its padded vector and float32 cast buffer, and the gather plan's index
+    arrays while it is built.  Stacking the rows into a second array, or
+    turning them into a fresh one, holds a second weight array."""
+    spec = wk.EnvSpec(kind="periodic", dimension=2, seed=0, params={})
+    env = wk.sample_realization(spec, 0)
+    model = mechanical_model(dim=2)
+    grid = GridSpec(dim=2, n=64)
+    theta = kappa(model, 1.0, env) + 1.0
+    kern = build_kernel(model, env, grid, 1.0 / 64.0, theta)
+    assert len(kern.offsets) == 241
+    budget = kern.weights.nbytes + 4 * kern.weights.size + 4 * 8 * _BLOCK + SMALL_OBJECTS
+    del kern
+    assert peak_bytes(build_kernel, model, env, grid, 1.0 / 64.0, theta) <= budget
+
+
+def _one_way_ring(cut: int) -> Stencil:
+    """The ring 0 -> 1 -> ... -> 7 -> 0 on a 1D torus of 8 nodes, one
+    offset +1, with the edge into node cut removed."""
+    weights = np.ones((1, 8))
+    weights[0, cut] = np.inf
+    return Stencil(GridSpec(dim=1, n=8), np.array([[1]]), weights)
+
+
+@pytest.mark.parametrize("cut,reaches", [(0, (True, False)), (1, (False, True))],
+                         ids=["from_node_0_only", "into_node_0_only"])
+def test_connectivity_check_reads_each_direction_off_its_own_rows(cut, reaches):
+    """Cut at the edge 7 -> 0, node 0 reaches every node and none reaches
+    it back; cut at 0 -> 1, every node reaches node 0 and it reaches none.
+    The check on the kernel's rows sees the first direction, the check on
+    the turned rows the second."""
+    ring = _one_way_ring(cut)
+    assert (semigroup_module._reaches_every_node(ring),
+            semigroup_module._reaches_every_node(ring.reversed())) == reaches
+
+
+def _one_way_model(phase: float):
+    """1D kernel model whose only finite moves at dt = h on 8 nodes are
+    standing still and one cell forward, except the forward move whose
+    midpoint field value V = cos(2 pi x + phase) is the largest: phase
+    pi/8 removes the move 7 -> 0, -pi/8 the move 0 -> 1."""
+    def L(V, q):
+        speed = np.atleast_2d(q)[:, 0]
+        blocked = (speed < 0) | (speed > 1.0) | ((speed > 0) & (V > 0.99))
+        return np.where(blocked, np.inf, speed - V)
+    env = wk.sample_realization(wk.EnvSpec(kind="periodic", dimension=1, seed=0,
+                                           params={"phases": (phase,)}), 0)
+    return replace(nonstrict_model(dim=1), L=L), env
+
+
+@pytest.mark.parametrize("phase,refused_by", [(np.pi / 8, 0), (-np.pi / 8, 1)],
+                         ids=["from_node_0_only", "into_node_0_only"])
+def test_one_way_kernels_are_refused_by_their_own_direction(phase, refused_by, monkeypatch):
+    """A kernel whose graph node 0 spans but that cannot reach node 0 back
+    is refused by the first check, on the start-priced rows (every node
+    reaches node 0); the converse passes it and is refused by the second,
+    on the turned rows (node 0 reaches every node)."""
+    model, env = _one_way_model(phase)
+    grid = GridSpec(dim=1, n=8)
+    check, seen = semigroup_module._reaches_every_node, []
+
+    def recorded(stencil):
+        seen.append(check(stencil))
+        return seen[-1]
+    monkeypatch.setattr(semigroup_module, "_reaches_every_node", recorded)
+    with pytest.raises(ConfigError, match="not strongly connected"):
+        build_kernel(model, env, grid, grid.h, 1.0)
+    assert seen == [True] * refused_by + [False]
