@@ -16,11 +16,11 @@ library.
 The level is the kernel's: every function here reads the critical value
 folded into it (ActionKernel.shift), and the model and environment it was
 built from, off the kernel.  A caller that wants another level folds it
-with semigroup.refold_kernel first.
+with semigroup.refold_kernel first; lax_extension reads its cost graph's.
 
 Cones, anticones and the Lax extension from a mask are grid.relax runs on
-the folded kernel and on the sigma_a cost graph, one stencil type, so a
-level below critical is refused alike on both: by a negative cycle.
+the folded kernel, on it turned once and on a sigma_a cost graph, one
+stencil type, so a level below critical is refused alike: by a negative cycle.
 
 The closed-orbit mask (classical_aubry) is the second route to the same
 set: the nodes on minimal-mean cycles of the one-step graph, read off the
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyAubryMaskError, NotASubsolutionError
 from .grid import GridFn, GridSpec, geometric_mix, policy_iteration, relax
-from .metric import build_cost_graph
+from .metric import CostGraph
 from .semigroup import ActionKernel, lax_minus_images
 
 __all__ = [
@@ -100,7 +100,7 @@ def build_library(kernel: ActionKernel, n_seeds: int = 4) -> SubsolutionLibrary:
     edge inequality exactly (the shortest-path triangle inequality IS the
     edge inequality).  This stays feasible at the ladder's exact discrete
     critical value even when the level-set graph of the Hamiltonian is
-    empty at off-grid midpoints.
+    empty at off-grid midpoints.  Anticones relax the kernel turned once.
     """
     grid = kernel.grid
     lib = SubsolutionLibrary(grid=grid)
@@ -111,10 +111,11 @@ def build_library(kernel: ActionKernel, n_seeds: int = 4) -> SubsolutionLibrary:
                           f"the grid has n={grid.n} nodes per axis")
     axis = [i * (grid.n // per) for i in range(per)]
     seeds = axis if grid.dim == 1 else [i * grid.n + j for i in axis for j in axis]
+    turned = kernel.reversed()
     for s in seeds:
         source = np.where(np.arange(grid.size) == s, 0.0, np.inf)
         cone = relax(kernel, source)
-        anti = relax(kernel, source, forward=True)
+        anti = relax(turned, source)
         lib.add(GridFn(grid, cone), kernel, f"cone[{s}]")
         lib.add(GridFn(grid, -anti), kernel, f"anticone[{s}]")
     return lib
@@ -218,16 +219,15 @@ def classical_aubry(kernel: ActionKernel) -> np.ndarray:
     return policy_iteration(kernel).mask
 
 
-def lax_extension(g: GridFn, mask: np.ndarray, kernel: ActionKernel) -> GridFn:
-    """u(x) = min over mask nodes y of g(y) + S_a(y, x), a the kernel's level.
+def lax_extension(g: GridFn, mask: np.ndarray, graph: CostGraph) -> GridFn:
+    """u(x) = min over mask nodes y of g(y) + S_a(y, x), a the graph's level.
 
-    One multi-source label correction over the sigma_a cost graph of the
-    kernel's model and environment on its grid and offsets; an empty mask
-    raises instead of returning a constant, because the infimum over an
-    empty set is a modeling decision the caller has to make.
+    One multi-source label correction over the sigma_a cost graph; an empty
+    mask raises, before the graph is read, instead of returning a constant,
+    because the infimum over an empty set is a modeling decision the caller
+    has to make.
     """
     if not mask.any():
         raise EmptyAubryMaskError(
             "empty source mask: the Lax extension from nothing is undefined")
-    graph = build_cost_graph(kernel.model, kernel.shift, kernel.env, kernel.grid, kernel.offsets)
-    return GridFn(kernel.grid, relax(graph, np.where(mask, g.values, np.inf)))
+    return GridFn(graph.grid, relax(graph, np.where(mask, g.values, np.inf)))

@@ -26,14 +26,15 @@ from .aubry import (build_library, build_w, classical_aubry, detect_aubry,
 from .config import (RunConfig, build_environment, build_grid, build_model,
                      config_hash, default_config_text, load_config,
                      manifest_json, parse_config_text)
-from .errors import (CertificateFailure, ConfigError, NotTonelliError,
-                     WeakKamError)
-from .grid import GridFn, save_gridfn_csv
+from .errors import (CertificateFailure, ConfigError, LadderError,
+                     NotTonelliError, WeakKamError)
+from .grid import GridFn, _write_node_csv, save_gridfn_csv
 from .hamiltonian import kappa, lipschitz_radius
-from .metric import check_subsolution, critical_value_free, semidistance
+from .metric import (build_cost_graph, check_subsolution, critical_value_free,
+                     semidistance)
 from .semigroup import (build_kernel, check_corrector, check_monotone_semigroup,
                         discrete_critical_value, lax_minus, refold_kernel)
-from .subsol import (build_strict_convex, build_strict_strictly_convex,
+from .subsol import (_near_mask, build_strict_convex, build_strict_strictly_convex,
                      check_strict, truncation_budget)
 from .tonelli import (FlowState, bernard_regularize, flow_integrate,
                       kernel_semiconcavity, regular_window)
@@ -58,8 +59,9 @@ def stage_critical(cfg: RunConfig, env, model, grid) -> dict:
 
 
 def stage_kernel(cfg: RunConfig, env, model, grid, crit: dict):
-    """Kernel with the exact discrete critical value folded in."""
-    kern0 = crit.get("kernel")
+    """Kernel with the exact discrete critical value folded in; crit gives
+    up the unfolded one, so one kernel stays alive."""
+    kern0 = crit.pop("kernel", None)
     if kern0 is None:
         kern0 = build_kernel(model, env, grid, cfg.get("ladder", "dt"),
                              crit["theta"])
@@ -121,21 +123,16 @@ def stage_strict(cfg: RunConfig, kern, aub: dict) -> dict:
 def _smoothing_ladder(kern, s: float, t: float):
     """Return a kernel whose ladder contains both smoothing times.
 
-    The working ladder serves when s and t are multiples of its step;
+    The working ladder serves when it counts the steps of s and t (steps_of);
     otherwise a dedicated finer ladder with dt = min(s, t) is built at the
     same folding level and width parameter.
     """
-    def _on_ladder(dt):
-        for val in (s, t):
-            k = round(val / dt)
-            if k < 1 or abs(k * dt - val) > 1e-12 * max(val, dt):
-                return False
-        return True
-
-    if _on_ladder(kern.dt):
-        return kern
-    fine = build_kernel(kern.model, kern.env, kern.grid, dt=min(s, t), theta=kern.theta)
-    return refold_kernel(fine, kern.shift)
+    try:
+        kern.steps_of(s), kern.steps_of(t)
+    except LadderError:
+        fine = build_kernel(kern.model, kern.env, kern.grid, dt=min(s, t), theta=kern.theta)
+        return refold_kernel(fine, kern.shift)
+    return kern
 
 
 def stage_regularize(cfg: RunConfig, kern, aub: dict, strict: dict) -> dict:
@@ -176,17 +173,13 @@ def _ensure_outdir(path: str) -> str:
 
 def write_mask_csv(am, path) -> None:
     grid = am.grid
-    with open(path, "w") as fh:
-        fh.write(f"# aubry mask dim={grid.dim} n={grid.n}\n")
-        fh.write(f"# eps={am.eps!r} test_times={','.join(repr(float(t)) for t in am.test_times)}\n")
-        cols = ",".join(f"x{a}" for a in range(grid.dim))
-        fh.write(f"index,{cols},residual,in_half,in_one,in_two\n")
-        pts = grid.points()
-        half, one, two = (am.thresholds[k] for k in ("half", "one", "two"))
-        for i in range(grid.size):
-            coord = ",".join(repr(float(c)) for c in pts[i])
-            fh.write(f"{i},{coord},{float(am.residual[i])!r},"
-                     f"{int(half[i])},{int(one[i])},{int(two[i])}\n")
+    half, one, two = (am.thresholds[k] for k in ("half", "one", "two"))
+    _write_node_csv(path, grid, [
+        f"aubry mask dim={grid.dim} n={grid.n}",
+        f"eps={am.eps!r} test_times={','.join(repr(float(t)) for t in am.test_times)}"],
+        "residual,in_half,in_one,in_two",
+        (f"{float(r)!r},{int(a)},{int(b)},{int(c)}"
+         for r, a, b, c in zip(am.residual, half, one, two)))
 
 
 def _write_manifest(outdir: str, command: str, cfg: RunConfig,
@@ -458,16 +451,20 @@ def _battery(cfg: RunConfig) -> list:
 
     def _classical_subset():
         closed = classical_aubry(kern)
-        det = am.mask.reshape(grid.shape)
-        dil = det.copy()
-        for ax in range(grid.dim):
-            dil |= np.roll(det, 1, axis=ax) | np.roll(det, -1, axis=ax)
-        ok = bool(np.all(dil.ravel()[closed]))
+        ok = bool(np.all(_near_mask(grid, am.mask, 0.0)[closed]))    # the mask and its ring
         return ok, f"closed_orbit_cells={int(closed.sum())}"
     run("closed_orbits_inside_mask", _classical_subset)
 
+    # one sigma_a graph at the kernel's level for the two rows that read it
+    try:
+        graph = build_cost_graph(model, a, env, grid, kern.offsets)
+    except WeakKamError as exc:    # reported by both, after an empty mask
+        graph = exc
+
     def _extension():
-        u = lax_extension(w, am.mask, kern)
+        if isinstance(graph, WeakKamError) and am.mask.any():
+            raise graph
+        u = lax_extension(w, am.mask, graph)
         r_k = lipschitz_radius(kappa(model, a, env), model)
         tol = 1.5 * grid.h * r_k
         rep = check_corrector(u, kern, am.test_times, tol=tol)
@@ -477,34 +474,33 @@ def _battery(cfg: RunConfig) -> list:
     def _reversal():
         from .hamiltonian import reversed_model
 
-        kr = build_kernel(reversed_model(model), env, grid, kern.dt,
-                          kern.theta, shift=kern.shift).reversed()
+        kr = refold_kernel(build_kernel(reversed_model(model), env, grid, kern.dt, kern.theta),
+                           kern.shift).reversed()
         # the reversed model's edge x -> y, turned around, must price y -> x
-        # as the kernel does; offsets are matched mod n (+-n/2 is one move)
+        # as the kernel does; offsets are matched mod n (+-n/2 is one move),
+        # and compared one move at a time, with no stacked copy of either
         rows = [{tuple(k % grid.n): w for k, w in zip(st.offsets, st.weights)}
                 for st in (kern, kr)]
-        moves = sorted(rows[0].keys() | rows[1].keys())
         none = np.full(grid.size, np.inf)
-        fwd, rev = (np.array([r.get(k, none) for k in moves]) for r in rows)
-        both = np.isfinite(fwd) & np.isfinite(rev)
-        only = np.isfinite(fwd) ^ np.isfinite(rev)
-        gap = float(np.max(np.abs(fwd[both] - rev[both])))
-        return gap <= 1e-9 and not only.any(), f"gap={gap!r}"
+        gap, only = 0.0, False
+        for k in rows[0].keys() | rows[1].keys():
+            fwd, rev = (r.get(k, none) for r in rows)
+            both = np.isfinite(fwd) & np.isfinite(rev)
+            gap = max(gap, float(np.max(np.abs(fwd[both] - rev[both]), initial=0.0)))
+            only = only or bool(np.any(np.isfinite(fwd) ^ np.isfinite(rev)))
+        return gap <= 1e-9 and not only, f"gap={gap!r}"
     run("reversal_transposes_kernel", _reversal)
 
     def _triangle():
         seeds = [0, grid.size // 3, (2 * grid.size) // 3]
-        sd = semidistance(model, a, seeds, env, grid, kern.offsets)
+        if isinstance(graph, WeakKamError):
+            raise graph
+        sd = semidistance(graph, seeds)
         rng = np.random.default_rng(3)
         worst = -np.inf
-        for _ in range(200):
-            i = rng.integers(len(seeds))
-            x = int(rng.integers(grid.size))
-            kseed = int(rng.integers(len(seeds)))
-            z = int(sd.source_indices[kseed])
-            lhs = sd.values[i, x]
-            rhs = sd.values[i, z] + sd.values[kseed, x]
-            worst = max(worst, float(lhs - rhs))
+        for _ in range(200):    # S(y_i, x) <= S(y_i, y_k) + S(y_k, x)
+            i, x, k = (int(rng.integers(m)) for m in (len(seeds), grid.size, len(seeds)))
+            worst = max(worst, float(sd[i, x] - (sd[i, seeds[k]] + sd[k, x])))
         return worst <= 1e-9, f"worst_excess={worst!r}"
     run("semidistance_triangle", _triangle)
 
@@ -548,6 +544,9 @@ def _battery(cfg: RunConfig) -> list:
         return payload == again, f"bytes={len(payload)}"
     run("manifest_roundtrip_stable", _roundtrip)
 
+    # a stored refusal's traceback holds the frames whose cells hold it: the
+    # cycle would keep every array here alive until the cyclic collector runs
+    graph = strict = None
     return rows
 
 

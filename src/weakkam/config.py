@@ -55,7 +55,7 @@ SCHEMA = {
         "dimension": (int, "1", "spatial dimension (1 or 2)"),
         "seed": (int, "0", "ensemble seed"),
         "index": (int, "0", "realization index within the ensemble"),
-        "amplitudes": ("floats", "", "cosine amplitudes (periodic kind only)"),
+        "amplitudes": ("floats", "", "cosine amplitudes (periodic and quasiperiodic kinds)"),
         "k_max": (int, "3", "frequency lattice cutoff (random_fourier)"),
         "decay": (float, "2.0", "spectral decay exponent (random_fourier)"),
         "period": (float, "1.0", "mode lattice period (random_fourier)"),

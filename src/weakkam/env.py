@@ -345,20 +345,28 @@ def sample_realization(spec: EnvSpec, index: int) -> EnvRealization:
             f"unknown parameter(s) {unknown} for environment kind "
             f"{spec.kind!r}; accepted: {sorted(_KIND_PARAMS[spec.kind])}")
 
+    if spec.kind == "poisson_bumps":
+        intensity = float(p.get("intensity", 1.0))
+        radius = float(p.get("bump_radius", 0.35))
+        coverage = float(p.get("coverage", 8.0))
+        half = coverage + radius
+        volume = (2.0 * half) ** dim
+        count = int(rng.poisson(intensity * volume))
+        centers = rng.uniform(-half, half, size=(max(count, 1), dim))
+        if count == 0:
+            centers = np.full((1, dim), 1e6)  # empty window: one bump far away
+        return EnvRealization(spec, index, centers=centers, bump_radius=radius, coverage=coverage)
+
     if spec.kind == "periodic":
         amps = np.atleast_1d(np.asarray(p.get("amplitudes", [1.0]), dtype=float))
         phases = np.atleast_1d(np.asarray(p.get("phases", np.zeros(len(amps))), dtype=float))
-        freqs = _as_freq_rows(p.get("frequencies"), len(amps), dim, default_integer=True)
-        return EnvRealization(spec, index, amplitudes=amps, freqs=freqs, phases=phases)
-
-    if spec.kind == "quasiperiodic":
+        freqs = _as_freq_rows(p.get("frequencies"), len(amps), dim)
+    elif spec.kind == "quasiperiodic":
         amps = np.atleast_1d(np.asarray(p.get("amplitudes", [1.0, 0.6]), dtype=float))
         default = [1.0, float(np.sqrt(2.0))] if dim == 1 else None
-        freqs = _as_freq_rows(p.get("frequencies", default), len(amps), dim, default_integer=False)
+        freqs = _as_freq_rows(p.get("frequencies", default), len(amps), dim)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=len(amps))
-        return EnvRealization(spec, index, amplitudes=amps, freqs=freqs, phases=phases)
-
-    if spec.kind == "random_fourier":
+    else:    # random_fourier
         kmax = int(p.get("k_max", 3))
         period = float(p.get("period", 1.0))
         amp = float(p.get("amplitude", 1.0))
@@ -370,19 +378,11 @@ def sample_realization(spec: EnvSpec, index: int) -> EnvRealization:
         amps *= amp
         freqs = ks / period
         phases = rng.uniform(0.0, 2.0 * np.pi, size=len(amps))
-        return EnvRealization(spec, index, amplitudes=amps, freqs=freqs, phases=phases)
-
-    # poisson_bumps
-    intensity = float(p.get("intensity", 1.0))
-    radius = float(p.get("bump_radius", 0.35))
-    coverage = float(p.get("coverage", 8.0))
-    half = coverage + radius
-    volume = (2.0 * half) ** dim
-    count = int(rng.poisson(intensity * volume))
-    centers = rng.uniform(-half, half, size=(max(count, 1), dim))
-    if count == 0:
-        centers = np.full((1, dim), 1e6)  # empty window: one bump far away
-    return EnvRealization(spec, index, centers=centers, bump_radius=radius, coverage=coverage)
+    if not len(amps) == len(freqs) == len(phases):
+        raise ConfigError(f"environment kind {spec.kind!r} has {len(amps)} amplitudes, "
+                          f"{len(freqs)} frequencies and {len(phases)} phases; give one "
+                          f"of each per amplitude")
+    return EnvRealization(spec, index, amplitudes=amps, freqs=freqs, phases=phases)
 
 
 def _lattice_modes(dim: int, kmax: int) -> np.ndarray:
@@ -398,7 +398,7 @@ def _lattice_modes(dim: int, kmax: int) -> np.ndarray:
     return ks
 
 
-def _as_freq_rows(freqs, m: int, dim: int, default_integer: bool) -> np.ndarray:
+def _as_freq_rows(freqs, m: int, dim: int) -> np.ndarray:
     if freqs is None:
         base = np.arange(1, m + 1, dtype=float)
         rows = np.zeros((m, dim))

@@ -25,7 +25,6 @@ offsets needs one block beyond its output.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -595,12 +594,13 @@ class Stencil:
 RELAX_STOP = 1e-13
 
 
-def relax(stencil: Stencil, init: np.ndarray, forward: bool = False) -> np.ndarray:
+def relax(stencil: Stencil, init: np.ndarray) -> np.ndarray:
     """Shortest paths over the stencil's edges, or a negative-cycle refusal.
 
     Iterates dist = min(dist, pull(dist)) from init towards
-    dist(x) = min_y init(y) + S(y, x); forward runs it on the reversed
-    stencil, for dist(y) = min_x S(y, x) + init(x).  It stops once no node
+    dist(x) = min_y init(y) + S(y, x) over the stencil it is given; the
+    forward run dist(y) = min_x S(y, x) + init(x) relaxes stencil.reversed(),
+    which a caller turns once for all its runs.  It stops once no node
     improves by more than RELAX_STOP * max(1, cost_scale): a level folded to
     the exact critical value leaves cycle means within rounding of zero, and
     sweeps could shave that forever, while a negative cycle gains far more.
@@ -613,20 +613,19 @@ def relax(stencil: Stencil, init: np.ndarray, forward: bool = False) -> np.ndarr
     of negative cost, raised in edge order as
     SubcriticalLevelError(cycle=..., cycle_cost=...).
     """
-    steps = stencil.reversed() if forward else stencil
     size = stencil.size
     eps = RELAX_STOP * max(1.0, stencil.cost_scale())
     dist = np.array(init, dtype=float)
     parent = np.full(size, -1)
     for sweep in range(2 * size + 65):
         if sweep < size + 64:
-            cand = steps.pull(dist)
+            cand = stencil.pull(dist)
         else:
-            cand, arg = _pull_argmin(steps, dist)
+            cand, arg = _pull_argmin(stencil, dist)
         took = np.flatnonzero(cand < dist)
         gain = dist[took] - cand[took]
         if sweep >= size + 64:
-            parent[took] = steps.grid.neighbors(took, -steps.offsets[arg[took]])
+            parent[took] = stencil.grid.neighbors(took, -stencil.offsets[arg[took]])
         dist[took] = cand[took]
         if float(np.max(gain, initial=0.0)) <= eps:
             return dist
@@ -634,9 +633,7 @@ def relax(stencil: Stencil, init: np.ndarray, forward: bool = False) -> np.ndarr
     while node not in seen:
         seen[node] = len(seen)
         node = int(parent[node])
-    cycle = list(seen)[seen[node]:]    # each node's parent follows it
-    if not forward:
-        cycle = cycle[::-1]
+    cycle = list(seen)[seen[node]:][::-1]    # each node's parent precedes it
     cost = sum(stencil.edge_cost(y, x) for y, x in zip(cycle, cycle[1:] + cycle[:1]))
     raise SubcriticalLevelError(
         f"shortest paths still improving after {2 * size + 65} sweeps: negative "
@@ -874,16 +871,19 @@ def geometric_mix(grid: GridSpec, stack) -> GridFn:
     return GridFn(grid, vals)
 
 
+def _write_node_csv(path, grid, comments: list, names: str, cells) -> None:
+    """Write the row "index,x0,...,<cell>" of each node and its cell string
+    under "# <comment>" lines and the column line "index,x0,...,<names>"."""
+    cols = ",".join(f"x{a}" for a in range(grid.dim))
+    lines = [f"# {line}\n" for line in comments] + [f"index,{cols},{names}\n"]
+    for i, (point, cell) in enumerate(zip(grid.points(), cells)):
+        lines.append(f"{i},{','.join(repr(float(c)) for c in point)},{cell}\n")
+    with open(path, "w") as fh:
+        fh.write("".join(lines))
+
+
 def save_gridfn_csv(fn: GridFn, path) -> None:
     """Write a grid function as CSV with a two-line header (shape, spacing)."""
-    buf = io.StringIO()
-    buf.write(f"# gridfn dim={fn.grid.dim} n={fn.grid.n}\n")
-    buf.write(f"# h={fn.grid.h!r}\n")
-    cols = ",".join(f"x{a}" for a in range(fn.grid.dim))
-    buf.write(f"index,{cols},value\n")
-    pts = fn.grid.points()
-    for i, v in enumerate(fn.values):
-        coord = ",".join(repr(float(c)) for c in pts[i])
-        buf.write(f"{i},{coord},{float(v)!r}\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+    grid = fn.grid
+    _write_node_csv(path, grid, [f"gridfn dim={grid.dim} n={grid.n}", f"h={grid.h!r}"],
+                    "value", (repr(float(v)) for v in fn.values))

@@ -126,7 +126,6 @@ class HamiltonianModel:
     dim: int
     strictly_convex: bool
     tonelli: bool
-    field_bound: float
     H: callable = field(repr=False)
     L: callable = field(repr=False)
     sigma: callable = field(repr=False)
@@ -165,7 +164,7 @@ def mechanical_model(dim: int = 1, field_bound: float = 1.0) -> HamiltonianModel
 
     return HamiltonianModel(
         name="mechanical", dim=dim, strictly_convex=True, tonelli=True,
-        field_bound=vb, H=H, L=L, rates=_quadratic_rates(dim, None), sigma=sigma,
+        H=H, L=L, rates=_quadratic_rates(dim, None), sigma=sigma,
         sublevel_radius=sublevel_radius,
         lipschitz_radius_analytic=lambda th: max(
             th + np.sqrt(th * th + 4.0 * vb), vb, 0.5 * th * th + vb, 1.0),
@@ -203,7 +202,7 @@ def tilted_mechanical_model(p0, dim: int = 1, field_bound: float = 1.0) -> Hamil
 
     return HamiltonianModel(
         name="tilted_mechanical", dim=dim, strictly_convex=True, tonelli=True,
-        field_bound=vb, H=H, L=L, rates=_quadratic_rates(dim, p0.tolist()), sigma=sigma,
+        H=H, L=L, rates=_quadratic_rates(dim, p0.tolist()), sigma=sigma,
         sublevel_radius=sublevel_radius,
         lipschitz_radius_analytic=lambda th: max(
             (th + p0n) + np.sqrt((th + p0n) ** 2 + 4.0 * vb),
@@ -242,7 +241,7 @@ def eikonal_model(offset: float = 2.0, dim: int = 1, field_bound: float = 1.0) -
 
     return HamiltonianModel(
         name="eikonal", dim=dim, strictly_convex=False, tonelli=False,
-        field_bound=vb, H=H, L=L, sigma=sigma, sublevel_radius=sublevel_radius,
+        H=H, L=L, sigma=sigma, sublevel_radius=sublevel_radius,
         lipschitz_radius_analytic=lambda th: max(1.0, c0 + vb, th),
         dhp_bound=lambda R: 1.0,
     )
@@ -272,7 +271,7 @@ def nonstrict_model(dim: int = 1, field_bound: float = 1.0) -> HamiltonianModel:
 
     return HamiltonianModel(
         name="nonstrict", dim=dim, strictly_convex=False, tonelli=False,
-        field_bound=vb, H=H, L=L, sigma=sigma, sublevel_radius=sublevel_radius,
+        H=H, L=L, sigma=sigma, sublevel_radius=sublevel_radius,
         lipschitz_radius_analytic=lambda th: max(1.0, th + vb),
         dhp_bound=lambda R: 1.0,
     )
@@ -312,7 +311,7 @@ def reversed_model(model: HamiltonianModel) -> HamiltonianModel:
     return HamiltonianModel(
         name=model.name + "_reversed", dim=model.dim,
         strictly_convex=model.strictly_convex, tonelli=model.tonelli,
-        field_bound=model.field_bound, H=H, L=L, rates=rates, sigma=sigma,
+        H=H, L=L, rates=rates, sigma=sigma,
         sublevel_radius=model.sublevel_radius,
         lipschitz_radius_analytic=model.lipschitz_radius_analytic,
         l_r=model.l_r, dhp_bound=model.dhp_bound,

@@ -55,7 +55,6 @@ __all__ = [
     "CostGraph",
     "build_cost_graph",
     "default_edge_radius",
-    "SemidistanceResult",
     "semidistance",
     "SubsolutionReport",
     "check_subsolution",
@@ -232,29 +231,18 @@ def _price(model, a: float, samples: _SamplePoints) -> tuple:
     return CostGraph(grid=samples.lattice, a=a, offsets=samples.offsets, weights=weights), None
 
 
-@dataclass
-class SemidistanceResult:
-    """Shortest-path semidistance from a batch of source nodes."""
-
-    graph: CostGraph
-    source_indices: np.ndarray
-    values: np.ndarray = field(repr=False)    # (n_sources, size)
-
-
-def semidistance(model, a: float, sources, env, lattice, offsets: np.ndarray) -> SemidistanceResult:
-    """S_a(y_i, .) for each source node index y_i, on the cost graph over
-    the offsets.
+def semidistance(graph: CostGraph, sources) -> np.ndarray:
+    """S_a(y_i, .) for each source node index y_i, one row each, on the
+    sigma_a cost graph, which carries its level a.
 
     Raises SubcriticalLevelError with a cycle certificate whenever the level
     admits a negative cycle; at and above the critical value the values are
     finite with S_a(y, y) = 0.
     """
-    graph = build_cost_graph(model, a, env, lattice, offsets)
-    src_idx = [int(s) for s in sources]
-    vals = np.empty((len(src_idx), graph.size))
-    for row, s in enumerate(src_idx):
-        vals[row] = relax(graph, np.where(np.arange(graph.size) == s, 0.0, np.inf))
-    return SemidistanceResult(graph=graph, source_indices=np.asarray(src_idx), values=vals)
+    rows = np.empty((len(sources), graph.size))
+    for row, s in zip(rows, sources):
+        row[:] = relax(graph, np.where(np.arange(graph.size) == int(s), 0.0, np.inf))
+    return rows
 
 
 # -- subsolution verification ----------------------------------------------

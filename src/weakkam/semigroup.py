@@ -1,7 +1,8 @@
 """Lax-Oleinik semigroups by min-plus dynamic programming.
 
 The one-step kernel prices a displacement d covered in time dt at
-dt * (L(midpoint, d/dt) + shift).  It is a grid.Stencil, the offset stencil
+dt * (L(midpoint, d/dt) + shift): build_kernel prices it at shift 0 and
+refold_kernel adds dt * shift.  It is a grid.Stencil, the offset stencil
 the cost graphs of the metric side share, and its weights are one (m, N)
 array: the rows are priced into it by the start of each edge, from V read
 off the cost graphs' parity covers, and turned in place by the stencil's
@@ -63,8 +64,8 @@ class ActionKernel(Stencil):
     The stencil edge y -> x costs h_dt(y, x); no other pair is joined in one
     step.  ``shift`` is the energy folding added to L (use the critical
     value to normalize): the level a of every check on the kernel, which
-    reads it, with model and env, from here.  refold_kernel is the one
-    place that sets another.
+    reads it, with model and env, from here.  build_kernel prices at level
+    0 and refold_kernel is the one place that sets another.
     """
 
     model: object
@@ -105,9 +106,9 @@ class ActionKernel(Stencil):
         return self.at(self.dt * 2**k)
 
 
-def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
-                 shift: float = 0.0) -> ActionKernel:
-    """One-step minimal-action kernel with reach dt R(theta) + 2h.
+def build_kernel(model, env, grid: GridSpec, dt: float, theta: float) -> ActionKernel:
+    """One-step minimal-action kernel with reach dt R(theta) + 2h, at level
+    0 (refold_kernel folds in another).
 
     The weights live in one (m, N) array, priced and turned in place.  Row
     k is first priced by the start x of the edge x -> x + k h: the model's
@@ -139,8 +140,7 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
         if b:
             q = np.asarray(offsets[b - 1], dtype=float) * grid.h / dt
             row = weights[b - 1]
-            np.add(model.L(V, q[None, :]), shift, out=row)
-            row *= dt
+            np.multiply(model.L(V, q[None, :]), dt, out=row)
             priced[b - 1] = np.any(np.isfinite(row))
     del row    # no view of weights outlives its resize
     last = {}
@@ -167,7 +167,7 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float,
             f"needs speed h/dt = {grid.h / dt:g}, the model's speed cone kept moves "
             f"up to speed {fastest:g}; choose dt and n with h/dt <= its maximal speed")
     return ActionKernel(grid=grid, model=model, env=env, dt=dt, theta=theta,
-                        radius_one=radius_one, shift=shift, offsets=offsets, weights=weights)
+                        radius_one=radius_one, shift=0.0, offsets=offsets, weights=weights)
 
 
 def _reaches_every_node(stencil: Stencil) -> bool:
@@ -189,7 +189,8 @@ def refold_kernel(kernel: ActionKernel, shift: float) -> ActionKernel:
     kernel's level.
 
     Only the constant dt * (shift - old shift) moves on every finite edge,
-    so the edge set and reach are reused.
+    so the edge set and reach are reused.  With a power-of-two dt (the
+    config's) a kernel built at 0 and folded to s has the bits of dt * (L + s).
     """
     weights = kernel.weights + kernel.dt * (shift - kernel.shift)
     return ActionKernel(grid=kernel.grid, model=kernel.model, env=kernel.env,

@@ -26,7 +26,7 @@ from weakkam.aubry import _worst_point, verify_member
 from weakkam.errors import ConfigError, NotASubsolutionError, SubcriticalLevelError, WeakKamError
 from weakkam.grid import GridFn, GridSpec, Stencil, lattice_points, relax
 from weakkam.hamiltonian import lipschitz_radius
-from weakkam.metric import _cover_points, semidistance
+from weakkam.metric import _cover_points, build_cost_graph, semidistance
 from weakkam.semigroup import lax_minus, semigroup_orbit
 from weakkam.tonelli import FlowState, _require_tonelli, flow_integrate
 
@@ -212,7 +212,7 @@ def per_offset_kernel(model, env, grid, dt: float, theta: float, shift: float) -
     weights = Stencil(grid, -offsets, weights).reversed().weights    # by end node
     hops = Stencil(grid, offsets, np.where(np.isfinite(weights), np.float32(0), np.float32(np.inf)))
     start = np.where(np.arange(grid.size) == 0, 0.0, np.inf)
-    if not all(np.all(np.isfinite(relax(hops, start, forward))) for forward in (False, True)):
+    if not all(np.all(np.isfinite(relax(steps, start))) for steps in (hops, hops.reversed())):
         fastest = float(np.max(np.linalg.norm(offsets, axis=1), initial=0.0)) * grid.h / dt
         raise ConfigError(
             f"the one-step kernel graph is not strongly connected: a one-cell move "
@@ -524,9 +524,8 @@ def extract_calibrated_curve(x0, w: GridFn, kernel, n_steps: int, mask) -> Calib
     chain, costs = minimizing_chain(kernel, semigroup_orbit(w, kernel, n_steps), x0_idx)
     w_jumps = w.values[chain[1:]] - w.values[chain[:-1]]
     calib = float(np.max(np.abs(w_jumps - costs))) if len(costs) else 0.0
-    sd = semidistance(kernel.model, kernel.shift, [int(chain[0])], kernel.env, grid,
-                      kernel.offsets)
-    act_vs_s = float(costs.sum() - sd.values[0, chain[-1]])
+    graph = build_cost_graph(kernel.model, kernel.shift, kernel.env, grid, kernel.offsets)
+    act_vs_s = float(costs.sum() - semidistance(graph, [int(chain[0])])[0, chain[-1]])
     return CalibratedCurve(indices=chain, coords=grid.points()[chain],
                            step_costs=costs, calibration_defect=calib,
                            action_vs_semidistance=act_vs_s,
@@ -548,10 +547,12 @@ class WeakStrictnessReport:
     passed: bool
 
 
-def check_weakly_strict(v: GridFn, semidist, mask: np.ndarray) -> WeakStrictnessReport:
-    """Strict inequality against the semidistance, sampled.
+def check_weakly_strict(v: GridFn, sources, semidist: np.ndarray,
+                        mask: np.ndarray) -> WeakStrictnessReport:
+    """Strict inequality against the semidistance rows S_a(y, .) of the
+    sources y (metric.semidistance), sampled.
 
-    Pairs run over the semidistance's off-mask sources y and all off-mask
+    Pairs run over the off-mask sources y and all off-mask
     targets x with torus separation >= 2h; the diagonal saturates S
     identically and is excluded.
     """
@@ -561,14 +562,14 @@ def check_weakly_strict(v: GridFn, semidist, mask: np.ndarray) -> WeakStrictness
     min_gap = np.inf
     worst = None
     n_pairs = 0
-    for row, y_idx in enumerate(semidist.source_indices):
+    for row, y_idx in enumerate(sources):
         if mask[y_idx]:
             continue
         far = torus_dist(grid, pts, pts[y_idx]) >= sep - 1e-12
         sel = far & ~mask
         if not np.any(sel):
             continue
-        gaps = semidist.values[row, sel] - (v.values[sel] - v.values[y_idx])
+        gaps = semidist[row, sel] - (v.values[sel] - v.values[y_idx])
         n_pairs += int(sel.sum())
         j = int(np.argmin(gaps))
         if gaps[j] < min_gap:

@@ -23,8 +23,8 @@ from weakkam.grid import GridFn, GridSpec
 from weakkam.hamiltonian import (eikonal_model, kappa, lipschitz_radius,
                                  mechanical_model, nonstrict_model,
                                  reversed_model)
-from weakkam.metric import (critical_value_free, critical_value_stationary,
-                            semidistance)
+from weakkam.metric import (build_cost_graph, critical_value_free,
+                            critical_value_stationary, semidistance)
 from weakkam.semigroup import (build_kernel, check_corrector,
                                check_monotone_semigroup,
                                discrete_critical_value, refold_kernel)
@@ -149,13 +149,13 @@ def test_criterion_05_metric_consistency(pend256):
     model, env = pend256["model"], pend256["env"]
     rng = np.random.default_rng(0)
     sources = sorted(set(int(v) for v in rng.integers(0, grid.size, 8)))
-    sd = semidistance(model, c, sources, env, grid, offsets=kern.offsets)
+    sd = semidistance(build_cost_graph(model, c, env, grid, kern.offsets), sources)
     # ladder minima h_t(y, x) from the sampled sources only
     folded = np.min([kern.walk_costs(sources, kern.steps_of(t))
                      for t in kern.ladder(4.0)], axis=0)
     pairs = [(row, int(x)) for row in range(len(sources))
              for x in rng.integers(0, grid.size, 50 // len(sources) + 1)][:50]
-    gaps = [sd.values[row, x] - folded[row, x] for row, x in pairs]
+    gaps = [sd[row, x] - folded[row, x] for row, x in pairs]
     two_route = float(np.max(np.abs(gaps)))
     kap = kappa(model, c, env)
     tol = 2.0 * grid.h * lipschitz_radius(kap, model) + 4.0 * kap * kern.dt
@@ -167,9 +167,9 @@ def test_criterion_05_metric_consistency(pend256):
             if i == k or count >= 200:
                 continue
             for x in rng.integers(0, grid.size, 4):
-                tri_worst = max(tri_worst, sd.values[i, int(x)]
-                                - sd.values[i, sources[k]]
-                                - sd.values[k, int(x)])
+                tri_worst = max(tri_worst, sd[i, int(x)]
+                                - sd[i, sources[k]]
+                                - sd[k, int(x)])
                 count += 1
     passed = (two_route <= tol and one_sided <= 1e-9
               and count >= 200 and tri_worst <= 1e-9)
@@ -263,13 +263,11 @@ def test_criterion_08_contraction_window(pend256):
 def test_criterion_09_aubry_rigidity(pend256):
     kern, c, grid, mask = (pend256[k] for k in ("kernel", "c", "grid", "mask"))
     model, env = pend256["model"], pend256["env"]
-    rows = [semidistance(model, c, [s], env, grid, offsets=kern.offsets)
-            for s in (0, 64)]
-    rev = semidistance(reversed_model(model), c, [0], env, grid,
-                       offsets=kern.offsets)
-    members = [GridFn(grid, rows[0].values[0]).normalized_at_origin(),
-               GridFn(grid, rows[1].values[0]).normalized_at_origin(),
-               GridFn(grid, -rev.values[0]).normalized_at_origin()]
+    rows = semidistance(build_cost_graph(model, c, env, grid, kern.offsets), [0, 64])
+    rev = semidistance(build_cost_graph(reversed_model(model), c, env, grid, kern.offsets), [0])
+    members = [GridFn(grid, rows[0]).normalized_at_origin(),
+               GridFn(grid, rows[1]).normalized_at_origin(),
+               GridFn(grid, -rev[0]).normalized_at_origin()]
     verdicts = [verify_member(v, kern) for v in members]
     agree = mask_gradient_agreement(members, mask.mask)
     mean = GridFn(grid, np.mean([v.values for v in members], axis=0))

@@ -18,6 +18,7 @@ from weakkam.errors import (ConfigError, EmptyAubryMaskError,
                             NotASubsolutionError, SubcriticalLevelError)
 from weakkam.grid import GridFn, GridSpec, policy_iteration, relax
 from weakkam.hamiltonian import kappa, mechanical_model
+from weakkam.metric import build_cost_graph
 from weakkam.semigroup import build_kernel, discrete_critical_value, refold_kernel
 
 
@@ -235,26 +236,43 @@ def test_subcritical_level_is_flagged_as_negative_cycle(pend64):
     kern, c = pend64["kernel"], pend64["c"]
     low = refold_kernel(kern, c - 0.5)
     source = np.where(np.arange(kern.grid.size) == 0, 0.0, np.inf)
-    for forward in (False, True):
+    for relaxed in (low, low.reversed()):
         with pytest.raises(SubcriticalLevelError) as exc:
-            relax(low, source, forward=forward)
+            relax(relaxed, source)
         cycle = exc.value.cycle
         hops = list(zip(cycle, cycle[1:] + cycle[:1]))
         assert exc.value.cycle_cost < 0
-        assert exc.value.cycle_cost == sum(low.edge_cost(y, x) for y, x in hops)
-        assert all(np.isfinite(low.edge_cost(y, x)) for y, x in hops)
+        assert exc.value.cycle_cost == sum(relaxed.edge_cost(y, x) for y, x in hops)
+        assert all(np.isfinite(relaxed.edge_cost(y, x)) for y, x in hops)
     with pytest.raises(SubcriticalLevelError):
         build_library(low)
 
 
+def test_build_library_turns_the_kernel_once(pend64, monkeypatch):
+    """The anticones of every seed are cones of one turned kernel."""
+    turned = []
+    reversed_ = weakkam.grid.Stencil.reversed
+
+    def counted(self, *args, **kwargs):
+        turned.append(self)
+        return reversed_(self, *args, **kwargs)
+
+    monkeypatch.setattr(weakkam.grid.Stencil, "reversed", counted)
+    lib = build_library(pend64["kernel"], n_seeds=4)
+    assert len(turned) == 1 and turned[0] is pend64["kernel"]
+    assert lib.labels[1::2] == [f"anticone[{s}]" for s in (0, 16, 32, 48)]
+    assert all(lib.verified)
+
+
 def test_lax_extension_from_the_mask_is_a_subsolution(pend64):
     kern, grid, mask = (pend64[k] for k in ("kernel", "grid", "mask"))
-    u = lax_extension(GridFn.zeros(grid), mask.mask, kern)
+    graph = build_cost_graph(kern.model, kern.shift, kern.env, grid, kern.offsets)
+    u = lax_extension(GridFn.zeros(grid), mask.mask, graph)
     assert u.values[0] == 0.0
     ok, worst = verify_member(u, kern)
     assert ok and worst <= 1e-9
     with pytest.raises(EmptyAubryMaskError):
-        lax_extension(GridFn.zeros(grid), np.zeros(grid.size, dtype=bool), kern)
+        lax_extension(GridFn.zeros(grid), np.zeros(grid.size, dtype=bool), graph)
 
 
 def test_calibrated_chain_at_the_rest_point(pend64):

@@ -1,17 +1,21 @@
 """Command pipelines: exit codes, caches, reports, manifests, determinism."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from conftest import VERIFY_CONFIGS
 from oracles import load_gridfn_csv
 
 import weakkam
 from weakkam import cli
 from weakkam.cli import main
 from weakkam.config import parse_config_text
+from weakkam.errors import SubcriticalLevelError
+from weakkam.semigroup import ActionKernel
 
 CFG_TEXT = """\
 [environment]
@@ -254,6 +258,105 @@ def test_verify_battery_passes_and_is_deterministic(clirun, tmp_path, capsys):
     man_b = json.load(open(os.path.join(out_b, "manifest_verify.json")))
     man_a.pop("outputs"), man_b.pop("outputs")  # paths name the outdirs
     assert man_a == man_b
+
+
+def test_verify_prices_one_cost_graph(clirun, tmp_path, monkeypatch):
+    """The extension row and the triangle row read one sigma_a graph at
+    the kernel's level, wherever the package would price one."""
+    levels = []
+    build = weakkam.metric.build_cost_graph
+
+    def counted(model, a, *args):
+        levels.append(a)
+        return build(model, a, *args)
+
+    for module in (weakkam.metric, weakkam.aubry, cli):
+        monkeypatch.setattr(module, "build_cost_graph", counted, raising=False)
+    assert main(["verify", clirun["cfg"], "--outdir", str(tmp_path / "v")]) == 0
+    assert levels == [1.0]    # the pendulum's exact discrete critical value
+
+
+def test_a_refused_graph_fails_both_rows_after_an_empty_mask(clirun, tmp_path, monkeypatch,
+                                                             capsys):
+    """A refused sigma_a graph is reported by both rows that read it; an
+    empty mask is still refused first by the extension row."""
+    def refused(*args):
+        raise SubcriticalLevelError("planted refusal")
+
+    def rows(outdir):
+        main(["verify", clirun["cfg"], "--outdir", str(tmp_path / outdir), "--json"])
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        return [checks[name] for name in ("mask_extension_is_corrector", "semidistance_triangle")]
+
+    monkeypatch.setattr(cli, "build_cost_graph", refused)
+    planted = {"status": "FAIL", "detail": "SubcriticalLevelError: planted refusal"}
+    assert rows("refused") == [planted, planted]
+    stage_aubry = cli.stage_aubry
+
+    def emptied(cfg, kern):
+        aub = stage_aubry(cfg, kern)
+        aub["mask"].mask[:] = False
+        return aub
+
+    monkeypatch.setattr(cli, "stage_aubry", emptied)
+    extension, triangle = rows("empty")
+    assert extension["detail"].startswith("EmptyAubryMaskError: empty source mask")
+    assert triangle == planted
+
+
+# a config whose sigma_a graph is refused (verify1d's random one), and one
+# whose strict stage is refused, with the rows that report each refusal
+STORED_REFUSALS = {
+    "graph": (VERIFY_CONFIGS["random"] + "[grid]\ndim = 1\nn = 512\n",
+              ("mask_extension_is_corrector", "semidistance_triangle"),
+              "SubcriticalLevelError: sublevel {H <= "),
+    "strict": (CFG_TEXT + "[tolerances]\neps_target = 1e-9\n",
+               ("strict_subsolution_margin", "two_sided_curvature_bounds"),
+               "CertificateFailure: requested closeness 1e-09"),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(STORED_REFUSALS))
+def test_a_stored_refusal_leaves_no_kernel_alive(stage, tmp_path, capsys):
+    """The battery keeps a refused stage's error for the two rows that
+    need the stage, and each reports it.  With the cyclic collector off,
+    no kernel that verify made may outlive main: a refusal whose traceback
+    reaches the frames that hold it would keep them, and every array of
+    the battery, alive."""
+    text, names, detail = STORED_REFUSALS[stage]
+    cfg = tmp_path / "refused.cfg"
+    cfg.write_text(text)
+
+    def kernels():
+        return {id(obj) for obj in gc.get_objects() if isinstance(obj, ActionKernel)}
+
+    gc.collect()
+    before = kernels()
+    gc.disable()
+    try:
+        assert main(["verify", str(cfg), "--outdir", str(tmp_path / "o"), "--json"]) == 1
+        left = kernels() - before
+    finally:
+        gc.enable()
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    first, second = (checks[name] for name in names)
+    assert first["status"] == "FAIL" and first["detail"].startswith(detail)
+    assert second == first
+    assert not left
+
+
+def test_smoothing_times_on_the_ladder_are_counted_as_the_kernel_counts_steps(pend64):
+    """_smoothing_ladder keeps the working ladder for times that
+    ActionKernel.steps_of accepts (within 1e-9 steps of a multiple of dt)
+    and builds a finer ladder at the same level for the others."""
+    kern = pend64["kernel"]
+    dt = kern.dt
+    assert cli._smoothing_ladder(kern, 2 * dt, 4 * dt) is kern
+    near = dt * (4 + 1e-10)    # 1e-10 steps, 2.5e-11 relative, off 4 dt
+    assert near != 4 * dt and kern.steps_of(near) == 4
+    assert cli._smoothing_ladder(kern, near, 2 * dt) is kern
+    fine = cli._smoothing_ladder(kern, 1.5 * dt, 3 * dt)
+    assert fine.dt == 1.5 * dt and fine.shift == kern.shift and fine.theta == kern.theta
 
 
 def test_verify_json_mode(clirun, tmp_path, capsys):

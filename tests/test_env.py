@@ -28,6 +28,28 @@ def test_unknown_params_fail_loudly():
         sample_realization(spec, 0)
 
 
+# (kind, params): amplitude counts that the frequencies or phases do not match
+MISCOUNTED_MODES = [
+    ("quasiperiodic", {"amplitudes": (1.0,)}, "1 amplitudes, 2 frequencies and 1 phases"),
+    ("quasiperiodic", {"amplitudes": (1.0, 0.6, 0.3)}, "3 amplitudes, 2 frequencies and 3 phases"),
+    ("periodic", {"amplitudes": (0.7, 0.3), "frequencies": (1.0,)},
+     "2 amplitudes, 1 frequencies and 2 phases"),
+    ("periodic", {"amplitudes": (0.7, 0.3), "phases": (0.0, 0.5, 1.0)},
+     "2 amplitudes, 2 frequencies and 3 phases"),
+]
+
+
+@pytest.mark.parametrize("kind,params,counts", MISCOUNTED_MODES)
+def test_a_cosine_field_needs_one_frequency_and_one_phase_per_amplitude(kind, params, counts):
+    """A 1D cosine sum whose frequencies or phases miscount its amplitudes
+    is refused when it is sampled, naming the kind and the counts, instead
+    of failing in numpy when it is evaluated."""
+    spec = EnvSpec(kind=kind, dimension=1, seed=0, params=params)
+    with pytest.raises(ConfigError) as refused:
+        sample_realization(spec, 0)
+    assert f"environment kind {kind!r} has {counts}" in str(refused.value)
+
+
 def test_periodic_single_cosine_values_and_gradient():
     spec = EnvSpec(kind="periodic", dimension=1, seed=0,
                    params={"amplitudes": (1.0,)})

@@ -51,25 +51,25 @@ def test_support_cost_closed_form(flat_env, cosine_env):
 def test_flat_semidistance_is_the_torus_metric(flat_env):
     m = mechanical_model(dim=1, field_bound=0.0)
     g = GridSpec(dim=1, n=64)
-    sd = semidistance(m, 0.5, [0], flat_env, g, g.offsets_within(0.1))
+    sd = semidistance(build_cost_graph(m, 0.5, flat_env, g, g.offsets_within(0.1)), [0])
     expected = torus_dist(g, g.points(), np.zeros((1, 1)))
-    assert np.max(np.abs(sd.values[0] - expected)) == 0.0
-    assert sd.values[0, 0] == 0.0
+    assert np.max(np.abs(sd[0] - expected)) == 0.0
+    assert sd[0, 0] == 0.0
 
 
 def test_semidistance_triangle_inequality(cosine_env):
     m = mechanical_model(dim=1, field_bound=1.0)
     g = GridSpec(dim=1, n=64)
     sources = [0, 16, 40]
-    sd = semidistance(m, 1.0, sources, cosine_env, g, g.offsets_within(0.15))
+    sd = semidistance(build_cost_graph(m, 1.0, cosine_env, g, g.offsets_within(0.15)), sources)
     rng = np.random.default_rng(0)
     worst = -np.inf
     for _ in range(200):
         i, k = rng.integers(0, len(sources), size=2)
         x = rng.integers(0, g.size)
         # S(s_i, x) <= S(s_i, s_k) + S(s_k, x)
-        lhs = sd.values[i, x]
-        rhs = sd.values[i, sources[k]] + sd.values[k, x]
+        lhs = sd[i, x]
+        rhs = sd[i, sources[k]] + sd[k, x]
         worst = max(worst, lhs - rhs)
     assert worst <= 1e-9
 
@@ -77,8 +77,9 @@ def test_semidistance_triangle_inequality(cosine_env):
 def test_negative_cycle_raises_with_witness(flat_env):
     tm = tilted_mechanical_model(p0=(0.5,), dim=1, field_bound=0.0)
     g = GridSpec(dim=1, n=64)
+    graph = build_cost_graph(tm, 0.05, flat_env, g, g.offsets_within(0.1))
     with pytest.raises(SubcriticalLevelError) as err:
-        semidistance(tm, 0.05, [0], flat_env, g, g.offsets_within(0.1))
+        semidistance(graph, [0])
     assert err.value.cycle is not None and len(err.value.cycle) > 1
 
 

@@ -493,11 +493,11 @@ def test_kernel_build_matches_the_per_offset_oracle(dim, n, kind):
         except ConfigError as exc:
             assert name in ("nonstrict", "eikonal") and grid.h > dt, name
             with pytest.raises(ConfigError) as refused:
-                build_kernel(model, env, grid, dt, 1.0, shift=0.25)
+                build_kernel(model, env, grid, dt, 1.0)
             assert str(refused.value) == str(exc)
             continue
         assert name not in ("nonstrict", "eikonal") or grid.h <= dt, name
-        kern = build_kernel(model, env, grid, dt, 1.0, shift=0.25)
+        kern = refold_kernel(build_kernel(model, env, grid, dt, 1.0), 0.25)
         assert np.array_equal(kern.offsets, offsets), name
         assert kern.weights.shape == weights.shape, name
         assert np.array_equal(kern.weights.view(np.int64), weights.view(np.int64)), name

@@ -9,7 +9,7 @@ from weakkam.aubry import build_library, build_w, detect_aubry
 from weakkam.errors import ConfigError, LadderError
 from weakkam.grid import GridFn, GridSpec
 from weakkam.hamiltonian import (kappa, lipschitz_radius, nonstrict_model)
-from weakkam.metric import semidistance
+from weakkam.metric import build_cost_graph, semidistance
 from weakkam.semigroup import (build_kernel, discrete_critical_value,
                                lax_minus, refold_kernel, semigroup_orbit)
 from weakkam.subsol import (_near_mask, build_strict_convex,
@@ -151,8 +151,8 @@ def test_density_mix_is_the_exact_convex_combination(pend64):
 
 def test_weak_strictness_flat_field_gap_is_the_separation(flat64):
     grid, model, env = flat64["grid"], flat64["model"], flat64["env"]
-    sd = semidistance(model, 0.5, [0, 16, 32], env, grid, grid.offsets_within(3 * grid.h))
-    rep = check_weakly_strict(GridFn.zeros(grid), sd,
+    graph = build_cost_graph(model, 0.5, env, grid, grid.offsets_within(3 * grid.h))
+    rep = check_weakly_strict(GridFn.zeros(grid), [0, 16, 32], semidistance(graph, [0, 16, 32]),
                               np.zeros(grid.size, dtype=bool))
     # S_a at level 1/2 is the torus metric, so the zero function's gap is
     # exactly the minimum allowed separation
@@ -164,12 +164,13 @@ def test_weak_strictness_flat_field_gap_is_the_separation(flat64):
 def test_weak_strictness_on_the_pendulum_mix(pend64):
     grid, model, env = pend64["grid"], pend64["model"], pend64["env"]
     kern, c, w, mask = (pend64[k] for k in ("kernel", "c", "w", "mask"))
-    sd = semidistance(model, c, [16, 32, 48], env, grid, offsets=kern.offsets)
-    rep = check_weakly_strict(w, sd, mask.mask)
+    sources = [16, 32, 48]
+    sd = semidistance(build_cost_graph(model, c, env, grid, kern.offsets), sources)
+    rep = check_weakly_strict(w, sources, sd, mask.mask)
     assert rep.min_gap >= -1e-12
     assert rep.n_pairs > 0 and rep.worst_pair is not None
     with pytest.raises(ConfigError):
-        check_weakly_strict(w, sd, np.ones(grid.size, dtype=bool))
+        check_weakly_strict(w, sources, sd, np.ones(grid.size, dtype=bool))
 
 
 def _region_by_displacements(grid, mask, d0):
