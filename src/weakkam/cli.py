@@ -32,8 +32,9 @@ from .grid import GridFn, _write_node_csv, save_gridfn_csv
 from .hamiltonian import kappa, lipschitz_radius
 from .metric import (build_cost_graph, check_subsolution, critical_value_free,
                      semidistance)
-from .semigroup import (build_kernel, check_corrector, check_monotone_semigroup,
-                        discrete_critical_value, lax_minus, refold_kernel)
+from .semigroup import (_whole_steps, build_kernel, check_corrector,
+                        check_monotone_semigroup, discrete_critical_value, lax_minus,
+                        refold_kernel)
 from .subsol import (_near_mask, build_strict_convex, build_strict_strictly_convex,
                      check_strict, truncation_budget)
 from .tonelli import (FlowState, bernard_regularize, flow_integrate,
@@ -120,17 +121,52 @@ def stage_strict(cfg: RunConfig, kern, aub: dict) -> dict:
             "strict_cert": cert, "passed": passed}
 
 
+# step counts past which a quotient t / dt rounds by more than the 1e-9 steps
+# that _whole_steps forgives, so no common step can be told from rounding
+_MAX_COMMON_STEPS = int(1e-9 / np.finfo(float).eps)
+
+
+def _common_step(s: float, t: float) -> float:
+    """The largest step of which both times are whole multiples under
+    _whole_steps' rule.
+
+    A step dt = short / q counts long / dt = q long / short steps, so the
+    least such q is the first denominator of a continued-fraction
+    convergent of long / short (exact on the two floats, by Euclid on their
+    integer ratios) at which both counts pass.  LadderError when none does
+    below _MAX_COMMON_STEPS steps.
+    """
+    short, long = sorted((s, t))
+    (ln, ld), (sn, sd) = long.as_integer_ratio(), short.as_integer_ratio()
+    num, den = ln * sd, ld * sn    # long / short
+    q_prev, q = 0, 1
+    while long / (short / q) <= _MAX_COMMON_STEPS:
+        dt = short / q
+        try:
+            _whole_steps(s, dt), _whole_steps(t, dt)
+            return dt
+        except LadderError:
+            pass
+        num, den = den, num % den
+        if den == 0:    # the last convergent was long / short itself
+            break
+        q_prev, q = q, num // den * q + q_prev
+    raise LadderError(f"times {s} and {t} share no step of at most "
+                      f"{_MAX_COMMON_STEPS} steps; pick times with a common step")
+
+
 def _smoothing_ladder(kern, s: float, t: float):
     """Return a kernel whose ladder contains both smoothing times.
 
     The working ladder serves when it counts the steps of s and t (steps_of);
-    otherwise a dedicated finer ladder with dt = min(s, t) is built at the
-    same folding level and width parameter.
+    otherwise a dedicated finer ladder at their largest common step
+    (_common_step) is built at the same folding level and width parameter.
     """
     try:
         kern.steps_of(s), kern.steps_of(t)
     except LadderError:
-        fine = build_kernel(kern.model, kern.env, kern.grid, dt=min(s, t), theta=kern.theta)
+        fine = build_kernel(kern.model, kern.env, kern.grid, dt=_common_step(s, t),
+                            theta=kern.theta)
         return refold_kernel(fine, kern.shift)
     return kern
 

@@ -1,35 +1,30 @@
 """Hamiltonian models as bundles of closed forms.
 
-A model carries vectorized callables: H(V,p), L(V,q), the sublevel support
-function sigma, the sublevel radius, the speed bound of Lax-Oleinik
-optimizers and the momentum Lipschitz bound of H; a Tonelli model also
-carries its characteristic field, rates, and the flow-rate bound l_r.  In
-the stationary ergodic setting a Hamiltonian depends on x only through the
-environment, and every catalog model reads it only through the scalar field
-V(x, omega): the closed forms take the m field values V where the points
-would go.  rates alone takes the environment realization (None means
-V = 0), because it needs the gradient of V: it binds the realization's
-point gradient once and returns one function of the 2 dim state floats.
-eval_H and kappa take points and a realization and read V there once, by
-field_values; the one-step kernel reads V off the sampler's parity covers
-and applies L to the values.
+In the stationary ergodic setting a Hamiltonian depends on x only through
+the environment.  Every catalog model is H(x, p) = phi(p + P) + f(V(x, omega)):
+a radial profile phi, a field term f of the realization's scalar field V and
+a tilt P.  One factory writes H, L, the sublevel support function sigma and
+the sublevel radius once for that shape; the floor min_p H is f(V) itself.
 
-Built-in catalog:
+* ``mechanical``        phi = |s|^2/2,          f = V,           P = 0
+* ``tilted_mechanical`` phi = |s|^2/2,          f = V,           P = P0
+* ``eikonal``           phi = |s|,              f = -(c0 + V),   P = 0
+* ``nonstrict``         phi = max(|s| - 1, 0),  f = V,           P = 0
 
-* ``mechanical``        H = |p|^2/2 + V(x)          strictly convex, Tonelli
-* ``tilted_mechanical`` H = |p + P0|^2/2 + V(x)     strictly convex, Tonelli
-* ``eikonal``           H = |p| - f(x), f = c0 + V  convex, 1-homogeneous
-* ``nonstrict``         H = max(|p|-1, 0) + V(x)    convex, flat core
-
-Every operation here reads a closed form: kappa the sublevel radius,
-lipschitz_radius the analytic speed bound.  The one numeric search left is
-kappa's momentum lattice, which tells a level at the pointwise minimum of H
-(an empty sublevel that degenerates to p = 0) from one below it.
+The quadratic profile is strictly convex and Tonelli, the cone
+1-homogeneous, the flat core convex but not strict.  Reversal keeps the
+profile and the field term and turns the tilt to -P.  The closed forms take
+the m field values V where the points would go.  rates alone takes the
+realization (None means V = 0), because it needs the gradient of V: it binds
+the point gradient once and returns one function of the 2 dim state floats.
+eval_H and kappa read V at points once, by field_values; the one-step kernel
+reads V off the sampler's parity covers and applies L to the values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,23 +63,16 @@ def _gradient(env, dim: int):
     return lambda x0, x1: (0.0, 0.0)
 
 
-def _quadratic_rates(dim: int, tilt):
-    """rates of H = |p + P0|^2/2 + V, the tilt P0 a list of dim floats or
-    None: bound to a realization, the function of the 2 dim state floats
-    that returns (H_p, -H_x) = (p + P0, -DV(x)), positions first."""
+def _quadratic_rates(dim: int, tilt: tuple):
+    """rates of H = |p + P|^2/2 + V, the tilt P a tuple of dim floats:
+    bound to a realization, the function of the 2 dim state floats that
+    returns (H_p, -H_x) = (p + P, -DV(x)), positions first."""
 
     def rates(env):
         gradient = _gradient(env, dim)
-        if dim == 1 and tilt is None:
-            return lambda x, p: (p, -gradient(x))
         if dim == 1:
             (t,) = tilt
             return lambda x, p: (p + t, -gradient(x))
-        if tilt is None:
-            def rate(x0, x1, p0, p1):
-                g0, g1 = gradient(x0, x1)
-                return p0, p1, -g0, -g1
-            return rate
         t0, t1 = tilt
 
         def rate(x0, x1, p0, p1):
@@ -94,32 +82,60 @@ def _quadratic_rates(dim: int, tilt):
     return rates
 
 
+class _Profile(NamedTuple):
+    """A radial profile phi(s) >= 0 = phi(0) of the tilted momentum
+    s = p + P, the radius core(g) of its sublevel {phi <= g} at a gap
+    g >= 0, and its convex dual kin(q).  Only the quadratic profile is
+    strictly convex and carries a characteristic flow."""
+
+    phi: callable
+    core: callable
+    kin: callable
+    quadratic: bool
+
+
+def _speed(x):
+    # |x| per row: np.linalg.norm(x, axis=-1)'s arithmetic without its dispatch
+    return np.sqrt((x * x).sum(axis=-1))
+
+
+_QUADRATIC = _Profile(lambda s: 0.5 * (s * s).sum(axis=-1),
+                      lambda g: np.sqrt(2.0 * np.maximum(g, 0.0)),
+                      lambda q: 0.5 * (q * q).sum(axis=-1), True)
+_CONE = _Profile(_speed, lambda g: g,
+                 lambda q: np.where(_speed(q) <= 1.0 + 1e-12, 0.0, np.inf), False)
+_FLAT_CORE = _Profile(lambda s: np.maximum(_speed(s) - 1.0, 0.0),
+                      lambda g: 1.0 + np.maximum(g, 0.0),
+                      lambda q: np.where(_speed(q) <= 1.0 + 1e-12, _speed(q), np.inf), False)
+
+
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """A Hamiltonian H(x, p) = H(V(x), p) with its closed forms, each a
-    function of the field values V, an (m,) array, in place of the points.
+    """H(x, p) = phi(p + P) + f(V(x)): a radial profile phi (profile), a
+    field term f of the scalar field V (field_term) and a tilt P (tilt, dim
+    floats).  Its closed forms take the field values V, an (m,) array, in
+    place of the points; core and kin are the profile's (_Profile):
 
-    H(V, p), L(V, q)                  Hamiltonian and Lagrangian,
-    sigma(V, q, a)                    support function of {p : H(V,p) <= a};
-                                      NaN rows mark empty sublevels,
-    sublevel_radius(V, a)             sup |p| over that sublevel, NaN where
-                                      it is empty,
-    lipschitz_radius_analytic(theta)  speed bound of Lax-Oleinik optimizers
-                                      for theta-Lipschitz data,
-    dhp_bound(R)                      sup |H_p| over |p| <= R.
+    H(V, p), L(V, q) = kin(q) - q.P - f(V)       Hamiltonian and Lagrangian,
+    sigma(V, q, a) = core(a - f(V)) |q| - q.P    support function of the
+                                                 sublevel {H(V, .) <= a},
+    sublevel_radius(V, a) = |P| + core(a - f(V)) sup |p| over that sublevel,
+    lipschitz_radius_analytic(theta)             speed bound of Lax-Oleinik
+                                                 optimizers, theta-Lipschitz
+                                                 data.
 
-    L and sigma also take one (1, dim) row of q, which they broadcast over
-    the m values, and H one (1, dim) row of p.  eval_H(x, p, env) reads
-    V at the points x first.  The Tonelli data
+    sigma and sublevel_radius are NaN where the sublevel is empty, a < f(V),
+    since f(V) = min_p H.  L and sigma also take one (1, dim) row of q,
+    which they broadcast over the m values, and H one (1, dim) row of p.
+    eval_H(x, p, env) reads V at the points x first.  The Tonelli data
     rates(env) and l_r(R, env), the Lipschitz rate of the characteristic
-    field on |p| <= R, are None on models without a characteristic flow.
-    rates binds the realization's gradient (EnvRealization.gradient) and
-    returns the characteristic field as one function of the state's 2 dim
-    Python floats, positions then momenta, that returns (H_p, -H_x) as
-    2 dim floats in the same order: rate(x, p) in 1D and
-    rate(x0, x1, p0, p1) in 2D, the dimensions the validators admit.  It
-    computes in Python float arithmetic, since the RK4 flow calls it once
-    per stage on one point.
+    field on |p| <= R, are None off the quadratic profile.  rates binds the
+    realization's gradient (EnvRealization.gradient) and returns the
+    characteristic field (H_p, -H_x) as one function of the state's 2 dim
+    Python floats, positions then momenta, returning 2 dim floats in the
+    same order: rate(x, p) in 1D and rate(x0, x1, p0, p1) in 2D, the
+    dimensions the validators admit.  The RK4 flow calls it once per stage
+    on one point, so it computes in Python float arithmetic.
     """
 
     name: str
@@ -131,7 +147,9 @@ class HamiltonianModel:
     sigma: callable = field(repr=False)
     sublevel_radius: callable = field(repr=False)
     lipschitz_radius_analytic: callable = field(repr=False)
-    dhp_bound: callable = field(repr=False)
+    profile: _Profile = field(repr=False)
+    field_term: callable = field(repr=False)
+    tilt: tuple = field(repr=False)
     rates: callable = field(repr=False, default=None)
     l_r: callable = field(repr=False, default=None)
 
@@ -139,38 +157,51 @@ class HamiltonianModel:
         return self.H(field_values(env, x), np.atleast_2d(p))
 
 
+def _catalog_model(name: str, dim: int, profile: _Profile, field_term, tilt: tuple,
+                   speed_bound) -> HamiltonianModel:
+    """The model phi(p + P) + f(V), each closed form written once."""
+    P = np.asarray(tilt, dtype=float)
+    P_norm = float(np.linalg.norm(P))
+
+    def H(V, p):
+        return profile.phi(p + P) + field_term(V)
+
+    def L(V, q):
+        return profile.kin(q) - q @ P - field_term(V)
+
+    def sigma(V, q, a):
+        gap = a - field_term(V)
+        empty = gap < 0
+        core = profile.core(gap)
+        core *= _speed(q)
+        core -= q @ P
+        return np.where(empty, np.nan, core)
+
+    def sublevel_radius(V, a):
+        gap = a - field_term(V)
+        return np.where(gap < 0, np.nan, P_norm + profile.core(gap))
+
+    def l_r(R, env=None):
+        return max(1.0, env.hessian_bound() if env is not None else 0.0)
+
+    flow = profile.quadratic
+    return HamiltonianModel(
+        name=name, dim=dim, strictly_convex=flow, tonelli=flow, H=H, L=L, sigma=sigma,
+        sublevel_radius=sublevel_radius, lipschitz_radius_analytic=speed_bound,
+        profile=profile, field_term=field_term, tilt=tilt,
+        rates=_quadratic_rates(dim, tilt) if flow else None, l_r=l_r if flow else None)
+
+
 # -- catalog --------------------------------------------------------------
 
 
+def _plain_field(V):
+    return V
+
+
 def mechanical_model(dim: int = 1, field_bound: float = 1.0) -> HamiltonianModel:
-    """H = |p|^2/2 + V(x)."""
-    vb = float(field_bound)
-
-    def H(V, p):
-        return 0.5 * np.sum(p * p, axis=-1) + V
-
-    def L(V, q):
-        return 0.5 * np.sum(q * q, axis=-1) - V
-
-    def sigma(V, q, a):
-        gap = a - V
-        rad = np.sqrt(2.0 * np.clip(gap, 0.0, None))
-        out = rad * np.linalg.norm(np.atleast_2d(q), axis=-1)
-        return np.where(gap < 0, np.nan, out)
-
-    def sublevel_radius(V, a):
-        gap = a - V
-        return np.where(gap < 0, np.nan, np.sqrt(2.0 * np.clip(gap, 0.0, None)))
-
-    return HamiltonianModel(
-        name="mechanical", dim=dim, strictly_convex=True, tonelli=True,
-        H=H, L=L, rates=_quadratic_rates(dim, None), sigma=sigma,
-        sublevel_radius=sublevel_radius,
-        lipschitz_radius_analytic=lambda th: max(
-            th + np.sqrt(th * th + 4.0 * vb), vb, 0.5 * th * th + vb, 1.0),
-        l_r=lambda R, env=None: max(1.0, env.hessian_bound() if env is not None else 0.0),
-        dhp_bound=lambda R: R,
-    )
+    """H = |p|^2/2 + V(x): the tilted model at P = 0."""
+    return replace(tilted_mechanical_model((0.0,) * dim, dim, field_bound), name="mechanical")
 
 
 def tilted_mechanical_model(p0, dim: int = 1, field_bound: float = 1.0) -> HamiltonianModel:
@@ -181,35 +212,12 @@ def tilted_mechanical_model(p0, dim: int = 1, field_bound: float = 1.0) -> Hamil
     vb = float(field_bound)
     p0n = float(np.linalg.norm(p0))
 
-    def H(V, p):
-        s = np.atleast_2d(p) + p0[None, :]
-        return 0.5 * np.sum(s * s, axis=-1) + V
+    def speed_bound(th):
+        u = th + p0n
+        return max(u + np.sqrt(u * u + 4.0 * vb), vb, 0.5 * u * u + vb, 1.0)
 
-    def L(V, q):
-        q = np.atleast_2d(q)
-        return 0.5 * np.sum(q * q, axis=-1) - q @ p0 - V
-
-    def sigma(V, q, a):
-        gap = a - V
-        rad = np.sqrt(2.0 * np.clip(gap, 0.0, None))
-        q = np.atleast_2d(q)
-        out = rad * np.linalg.norm(q, axis=-1) - q @ p0
-        return np.where(gap < 0, np.nan, out)
-
-    def sublevel_radius(V, a):
-        gap = a - V
-        return np.where(gap < 0, np.nan, p0n + np.sqrt(2.0 * np.clip(gap, 0.0, None)))
-
-    return HamiltonianModel(
-        name="tilted_mechanical", dim=dim, strictly_convex=True, tonelli=True,
-        H=H, L=L, rates=_quadratic_rates(dim, p0.tolist()), sigma=sigma,
-        sublevel_radius=sublevel_radius,
-        lipschitz_radius_analytic=lambda th: max(
-            (th + p0n) + np.sqrt((th + p0n) ** 2 + 4.0 * vb),
-            vb, 0.5 * (th + p0n) ** 2 + vb, 1.0),
-        l_r=lambda R, env=None: max(1.0, env.hessian_bound() if env is not None else 0.0),
-        dhp_bound=lambda R: R + p0n,
-    )
+    return _catalog_model("tilted_mechanical", dim, _QUADRATIC, _plain_field,
+                          tuple(p0.tolist()), speed_bound)
 
 
 def eikonal_model(offset: float = 2.0, dim: int = 1, field_bound: float = 1.0) -> HamiltonianModel:
@@ -222,100 +230,26 @@ def eikonal_model(offset: float = 2.0, dim: int = 1, field_bound: float = 1.0) -
     vb = float(field_bound)
     if c0 <= vb:
         raise ConfigError("eikonal offset must exceed the field bound so f > 0")
-
-    def H(V, p):
-        return np.linalg.norm(np.atleast_2d(p), axis=-1) - (c0 + V)
-
-    def L(V, q):
-        speed = np.linalg.norm(np.atleast_2d(q), axis=-1)
-        return np.where(speed <= 1.0 + 1e-12, (c0 + V).astype(float), np.inf)
-
-    def sigma(V, q, a):
-        rad = a + (c0 + V)
-        out = rad * np.linalg.norm(np.atleast_2d(q), axis=-1)
-        return np.where(rad < 0, np.nan, out)
-
-    def sublevel_radius(V, a):
-        rad = a + (c0 + V)
-        return np.where(rad < 0, np.nan, rad)
-
-    return HamiltonianModel(
-        name="eikonal", dim=dim, strictly_convex=False, tonelli=False,
-        H=H, L=L, sigma=sigma, sublevel_radius=sublevel_radius,
-        lipschitz_radius_analytic=lambda th: max(1.0, c0 + vb, th),
-        dhp_bound=lambda R: 1.0,
-    )
+    return _catalog_model("eikonal", dim, _CONE, lambda V: -(c0 + V), (0.0,) * dim,
+                          lambda th: max(1.0, c0 + vb, th))
 
 
 def nonstrict_model(dim: int = 1, field_bound: float = 1.0) -> HamiltonianModel:
     """H = max(|p| - 1, 0) + V(x): convex with a flat unit core, not strict."""
     vb = float(field_bound)
-
-    def H(V, p):
-        speed = np.linalg.norm(np.atleast_2d(p), axis=-1)
-        return np.clip(speed - 1.0, 0.0, None) + V
-
-    def L(V, q):
-        speed = np.linalg.norm(np.atleast_2d(q), axis=-1)
-        return np.where(speed <= 1.0 + 1e-12, speed - V, np.inf)
-
-    def sigma(V, q, a):
-        gap = a - V
-        rad = 1.0 + np.clip(gap, 0.0, None)
-        out = rad * np.linalg.norm(np.atleast_2d(q), axis=-1)
-        return np.where(gap < 0, np.nan, out)
-
-    def sublevel_radius(V, a):
-        gap = a - V
-        return np.where(gap < 0, np.nan, 1.0 + np.clip(gap, 0.0, None))
-
-    return HamiltonianModel(
-        name="nonstrict", dim=dim, strictly_convex=False, tonelli=False,
-        H=H, L=L, sigma=sigma, sublevel_radius=sublevel_radius,
-        lipschitz_radius_analytic=lambda th: max(1.0, th + vb),
-        dhp_bound=lambda R: 1.0,
-    )
+    return _catalog_model("nonstrict", dim, _FLAT_CORE, _plain_field, (0.0,) * dim,
+                          lambda th: max(1.0, th + vb))
 
 
 def reversed_model(model: HamiltonianModel) -> HamiltonianModel:
-    """Time reversal: same model with p -> -p (so L(x, q) -> L(x, -q)).
+    """Time reversal p -> -p (so L(x, q) -> L(x, -q)): the same profile and
+    field term at the tilt -P.
 
     Minimal actions of the reversed model are the transposed kernels of the
     original; semidistances swap their arguments.
     """
-
-    def H(V, p):
-        return model.H(V, -np.atleast_2d(p))
-
-    def L(V, q):
-        return model.L(V, -np.atleast_2d(q))
-
-    def sigma(V, q, a):
-        return model.sigma(V, -np.atleast_2d(q), a)
-
-    rates = None
-    if model.rates is not None:
-        def rates(env):
-            rate = model.rates(env)
-            if model.dim == 1:
-                def reversed_rate(x, p):
-                    v, w = rate(x, -p)
-                    return -v, w
-                return reversed_rate
-
-            def reversed_rate(x0, x1, p0, p1):
-                v0, v1, w0, w1 = rate(x0, x1, -p0, -p1)
-                return -v0, -v1, w0, w1
-            return reversed_rate
-
-    return HamiltonianModel(
-        name=model.name + "_reversed", dim=model.dim,
-        strictly_convex=model.strictly_convex, tonelli=model.tonelli,
-        H=H, L=L, rates=rates, sigma=sigma,
-        sublevel_radius=model.sublevel_radius,
-        lipschitz_radius_analytic=model.lipschitz_radius_analytic,
-        l_r=model.l_r, dhp_bound=model.dhp_bound,
-    )
+    return _catalog_model(model.name + "_reversed", model.dim, model.profile, model.field_term,
+                          tuple(-t for t in model.tilt), model.lipschitz_radius_analytic)
 
 
 # -- numeric operations ----------------------------------------------------
@@ -332,20 +266,20 @@ def kappa_at_values(model: HamiltonianModel, a: float, V: np.ndarray) -> float:
     """sup { |p| : H(V_i, p) <= a over the field values V_i }.
 
     Read off the model's sublevel radius.  An empty sublevel at every
-    value raises, unless a sits exactly at the pointwise minimum of H
-    (degenerate level -> 0), which a momentum lattice decides.
+    value raises, unless a sits within 1e-9 of the floor min_p H = f(V_i)
+    at some value, where the sublevel degenerates to the profile's core
+    around -P: its radius at the floor is returned.
     """
     radii = np.asarray(model.sublevel_radius(V, a), dtype=float)
     finite = radii[~np.isnan(radii)]
     if finite.size:
         return float(np.max(finite))
-    # all empty: degenerate iff some V has min_p H within tol of a
-    lattice = lattice_points(np.linspace(-8.0, 8.0, 257), model.dim)
-    min_h = min(float(np.min(model.H(v, lattice))) for v in V)
-    if a >= min_h - 1e-9:
-        return 0.0
+    floor = np.asarray(model.field_term(V), dtype=float)
+    lowest = int(np.argmin(floor))
+    if a >= floor[lowest] - 1e-9:
+        return float(model.sublevel_radius(V[lowest:lowest + 1], floor[lowest])[0])
     raise SubcriticalLevelError(
-        f"sublevel {{H <= {a}}} is empty at every sampled x (min H = {min_h:.6g})")
+        f"sublevel {{H <= {a}}} is empty at every sampled x (min H = {floor[lowest]:.6g})")
 
 
 def lipschitz_radius(theta: float, model: HamiltonianModel) -> float:

@@ -57,6 +57,18 @@ __all__ = [
 ]
 
 
+def _whole_steps(t: float, dt: float) -> int:
+    """The number of dt steps in t: a positive whole multiple within 1e-9
+    steps, else LadderError."""
+    m = t / dt
+    mi = int(round(m))
+    if mi < 1 or abs(m - mi) > 1e-9:
+        raise LadderError(
+            f"time {t} is not a positive multiple of dt={dt}; "
+            f"pick times on the kernel ladder")
+    return mi
+
+
 @dataclass
 class ActionKernel(Stencil):
     """One-step minimal action h_dt(y, x) as an offset stencil.
@@ -87,13 +99,7 @@ class ActionKernel(Stencil):
         return out
 
     def steps_of(self, t: float) -> int:
-        m = t / self.dt
-        mi = int(round(m))
-        if mi < 1 or abs(m - mi) > 1e-9:
-            raise LadderError(
-                f"time {t} is not a positive multiple of dt={self.dt}; "
-                f"pick times on the kernel ladder")
-        return mi
+        return _whole_steps(t, self.dt)
 
     # -- all-pairs tables (no caller in the package) -----------------------
 

@@ -58,7 +58,7 @@ def _near_mask(grid, mask: np.ndarray, d0: float) -> np.ndarray:
 class StrictnessCertificate:
     """Margin of H(x, Dv) below the level on cells >= d0 from the mask.
 
-    delta > tol <=> PASS; worst_point is where the margin is smallest
+    delta > 0 <=> PASS; worst_point is where the margin is smallest
     inside the certified region.
     """
 
@@ -67,8 +67,6 @@ class StrictnessCertificate:
     delta: float
     worst_index: int
     worst_point: np.ndarray
-    h: float
-    tol: float
     n_region: int
     passed: bool
 
@@ -94,8 +92,7 @@ def check_strict(v: GridFn, model, env, mask: np.ndarray, d0: float,
     delta = float(a - h_vals[worst_local])
     return StrictnessCertificate(
         a=a, d0=d0, delta=delta, worst_index=worst, worst_point=pts[worst],
-        h=grid.h, tol=0.0, n_region=int(region.sum()),
-        passed=bool(delta > 0.0))
+        n_region=int(region.sum()), passed=bool(delta > 0.0))
 
 
 # -- builders --------------------------------------------------------------

@@ -408,7 +408,11 @@ def lax_friedrichs_evolve(u0: GridFn, model, env, t_final: float) -> GridFn:
     grid = u0.grid
     slope = max(float(np.max(np.abs(b))) for b in
                 [np.concatenate(one_sided_slopes(u0, a)) for a in range(grid.dim)])
-    dissipation = max(float(model.dhp_bound(1.5 * slope + 2.0)), 1.0)
+    # sup |H_p| over |p| <= R, R = 1.5 slope + 2: R + |P| on the quadratic
+    # profile, 1 on the cone and the flat core
+    reach = 1.5 * slope + 2.0
+    dhp = reach + float(np.linalg.norm(model.tilt)) if model.profile.quadratic else 1.0
+    dissipation = max(dhp, 1.0)
     h = grid.h
     dt = 0.4 * h / (dissipation * grid.dim)
     steps = max(int(np.ceil(t_final / dt)), 1)

@@ -1,6 +1,7 @@
 """Command pipelines: exit codes, caches, reports, manifests, determinism."""
 
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import weakkam
 from weakkam import cli
 from weakkam.cli import main
 from weakkam.config import parse_config_text
-from weakkam.errors import SubcriticalLevelError
+from weakkam.errors import LadderError, SubcriticalLevelError
 from weakkam.semigroup import ActionKernel
 
 CFG_TEXT = """\
@@ -359,6 +360,22 @@ def test_smoothing_times_on_the_ladder_are_counted_as_the_kernel_counts_steps(pe
     assert fine.dt == 1.5 * dt and fine.shift == kern.shift and fine.theta == kern.theta
 
 
+def test_smoothing_times_off_each_other_share_their_largest_common_step(pend64, tmp_path,
+                                                                        capsys):
+    """s = 3/128 and t = 4/128 are not multiples of the working dt = 1/64 nor
+    of each other: the finer ladder runs at their largest common step 1/128,
+    and regularize completes on it; times with no common step are refused."""
+    fine = cli._smoothing_ladder(pend64["kernel"], 0.0234375, 0.03125)
+    assert fine.dt == 1 / 128 and (fine.steps_of(0.0234375), fine.steps_of(0.03125)) == (3, 4)
+    assert cli._common_step(0.01, 0.0317) == 0.0001
+    with pytest.raises(LadderError, match="share no step"):
+        cli._common_step(0.1, 0.1 * 2 ** 0.5)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[grid]\nn = 64\n\n[tolerances]\ns = 0.0234375\nt = 0.03125\n")
+    assert main(["regularize", str(cfg), "--compute-c", "--outdir", str(tmp_path / "o")]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_verify_json_mode(clirun, tmp_path, capsys):
     rc = main(["verify", clirun["cfg"], "--outdir", str(tmp_path / "j"), "--json"])
     assert rc == 0
@@ -437,6 +454,27 @@ def test_one_tilt_number_tilts_every_axis(tmp_path, capsys):
     bad.write_text("[hamiltonian]\nmodel = tilted_mechanical\np0 = 0.5, 0.25\n\n[grid]\nn = 16\n")
     assert main(["critical", str(bad), "--outdir", str(tmp_path / "b")]) == 2
     assert "tilt vector has size 2, expected 1" in capsys.readouterr().err
+
+
+# sha256 of verify_report.txt for a model on its 1D defaults at n cells;
+# every row of both reports reads PASS or SKIP
+VERIFY_REPORT_BITS = {
+    ("tilted_mechanical", 128): "400b144603f13b7ee55238134c5f1706c594b1915b22130d9b1c6d66505efa36",
+    ("eikonal", 64): "56188f07dd900639636ca24820811efa225dbdfc7e8a5792f0a1600e2d00b828",
+}
+
+
+@pytest.mark.parametrize("model,n", sorted(VERIFY_REPORT_BITS))
+def test_verify_report_keeps_its_bytes(model, n, tmp_path, capsys):
+    """The verify battery of the tilted and the eikonal model, which no
+    benchmark workload runs, writes the report recorded for it."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[hamiltonian]\nmodel = {model}\n\n[grid]\nn = {n}\n")
+    assert main(["verify", str(cfg), "--outdir", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    report = (tmp_path / "o" / "verify_report.txt").read_bytes()
+    assert b"FAIL" not in report
+    assert hashlib.sha256(report).hexdigest() == VERIFY_REPORT_BITS[model, n], report.decode()
 
 
 def test_curvature_row_names_the_failed_certificates(clirun, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Model catalog: convex duality, momentum radii, speed bounds, reversal."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from oracles import PRadiusError, legendre, sublevel_margin
@@ -7,8 +9,8 @@ from oracles import PRadiusError, legendre, sublevel_margin
 import weakkam as wk
 from weakkam.config import MODELS
 from weakkam.errors import ConfigError, SubcriticalLevelError
-from weakkam.hamiltonian import (eikonal_model, field_values, kappa, lipschitz_radius,
-                                 mechanical_model, nonstrict_model,
+from weakkam.hamiltonian import (eikonal_model, field_values, kappa, kappa_at_values,
+                                 lipschitz_radius, mechanical_model, nonstrict_model,
                                  reversed_model, tilted_mechanical_model)
 
 
@@ -113,6 +115,19 @@ def test_kappa_exact_on_cosine_well(cosine_env):
         kappa(m, -1.5, cosine_env)
 
 
+def test_a_level_just_below_the_floor_reads_the_floor_sublevel():
+    """Within 1e-9 below the floor min_p H = f(V) every sublevel is empty,
+    and kappa reads the sublevel at the floor: the point -P of the
+    quadratic profile, the ball |p + P| <= 1 of the flat core."""
+    flat = np.zeros(4)
+    assert kappa_at_values(tilted_mechanical_model([0.5], dim=1), -1e-12, flat) == 0.5
+    assert kappa_at_values(mechanical_model(dim=1), -1e-12, flat) == 0.0
+    assert kappa_at_values(nonstrict_model(dim=1), -1e-12, flat) == 1.0
+    assert kappa_at_values(eikonal_model(dim=1), -2.0 - 1e-12, flat) == 0.0
+    with pytest.raises(SubcriticalLevelError, match="min H = 0"):
+        kappa_at_values(tilted_mechanical_model([0.5], dim=1), -1e-6, flat)
+
+
 def test_sublevel_margin_orders_levels(cosine_env):
     m = mechanical_model(dim=1, field_bound=1.0)
     margin = sublevel_margin(m, 1.0, 2.0, cosine_env)
@@ -166,3 +181,56 @@ def test_one_zero_row_prices_as_zero_momenta_at_every_point(name, dim):
 
 def test_model_catalog_lists_the_four_families():
     assert list(MODELS) == ["mechanical", "tilted_mechanical", "eikonal", "nonstrict"]
+
+
+def _closed_form_bits(model) -> str:
+    """sha256 prefix of the int64 bits of H, L, sigma_a and the sublevel
+    radius on fixed field values, momenta and levels.  The values include
+    zero gaps for every model (V = a, and V = -a - offset for the eikonal
+    one), empty sublevels (NaN rows), -0.0 momenta and the one-row
+    broadcast of p and q.  The tilts are powers of two, so q . P rounds the
+    same with or without a fused multiply-add."""
+    dim = model.dim
+    rng = np.random.default_rng(11)
+    V = np.concatenate([rng.uniform(-1.0, 1.0, 61), [0.5, -0.5, 0.0]])
+    p, q = rng.standard_normal((2, len(V), dim))
+    p[::7, 0], q[::5, -1] = -0.0, -0.0
+    p[3], q[4] = -0.0, -0.0
+    parts = [model.H(V, p), model.H(V, p[:1]), model.L(V, q), model.L(V, q[:1])]
+    for a in (-2.5, -1.5, -0.5, 0.0, 0.5, 1.5):
+        parts += [model.sigma(V, q, a), model.sigma(V, q[:1], a), model.sublevel_radius(V, a)]
+    bits = np.concatenate([np.asarray(part, dtype=float) for part in parts]).view(np.int64)
+    return hashlib.sha256(bits.tobytes()).hexdigest()[:16]
+
+
+CLOSED_FORM_BITS = {
+    ("mechanical", 1): "7b37cd9c87c92f2f",
+    ("mechanical_reversed", 1): "7b37cd9c87c92f2f",
+    ("tilted_mechanical", 1): "a88c247b06879494",
+    ("tilted_mechanical_reversed", 1): "6e19e119eb629c63",
+    ("eikonal", 1): "25eadc7d23ce048e",
+    ("eikonal_reversed", 1): "25eadc7d23ce048e",
+    ("nonstrict", 1): "650b0725e0a14980",
+    ("nonstrict_reversed", 1): "650b0725e0a14980",
+    ("mechanical", 2): "0fe4031e2ff428be",
+    ("mechanical_reversed", 2): "0fe4031e2ff428be",
+    ("tilted_mechanical", 2): "19a3428ff82c42b2",
+    ("tilted_mechanical_reversed", 2): "1f373af34cd22645",
+    ("eikonal", 2): "bbea79059489e90b",
+    ("eikonal_reversed", 2): "bbea79059489e90b",
+    ("nonstrict", 2): "1891d63274f56346",
+    ("nonstrict_reversed", 2): "1891d63274f56346",
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("name", ["mechanical", "tilted_mechanical", "eikonal", "nonstrict"])
+def test_closed_forms_keep_their_bits(name, dim):
+    """H, L, sigma_a and the sublevel radius of every catalog model and its
+    reversal read the bits recorded for them."""
+    model = {"mechanical": lambda: mechanical_model(dim=dim),
+             "tilted_mechanical": lambda: tilted_mechanical_model((0.5, -0.25)[:dim], dim=dim),
+             "eikonal": lambda: eikonal_model(offset=2.0, dim=dim),
+             "nonstrict": lambda: nonstrict_model(dim=dim)}[name]()
+    for m in (model, reversed_model(model)):
+        assert _closed_form_bits(m) == CLOSED_FORM_BITS[m.name, dim], m.name
