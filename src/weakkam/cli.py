@@ -2,8 +2,11 @@
 
 Subcommands chain the pipeline stages — critical value, Aubry mask, strict
 subsolution, two-sided regularization — and persist every stage as CSV plus
-a JSON manifest.  `verify` runs the whole invariant battery on one config
-and emits a deterministic scoreboard.
+a JSON manifest.  The critical command's manifest is the one record of the
+level: the later commands read it from their output directory when its
+config hash matches, and `--compute-c` computes the level and writes that
+manifest when none does.  `verify` runs the whole invariant battery on one
+config and emits a deterministic scoreboard.
 
 Exit codes: 0 every certificate passed, 1 a certificate failed, 2 the
 configuration was invalid (including capability refusals such as asking a
@@ -203,7 +206,10 @@ def stage_regularize(cfg: RunConfig, kern, aub: dict, strict: dict) -> dict:
 
 
 def _ensure_outdir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"--outdir {path} is not a directory (a file is on its path)") from exc
     return path
 
 
@@ -234,12 +240,20 @@ def _write_manifest(outdir: str, command: str, cfg: RunConfig,
     return path
 
 
-def _load_critical_cache(outdir: str) -> dict | None:
-    path = os.path.join(outdir, "critical.json")
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        return json.load(fh)
+def _epilogue(outdir: str, command: str, cfg: RunConfig, results: dict,
+              outputs: list, lines: list, out, report: bool = False) -> None:
+    """Every command's tail: its lines as command_report.txt when it keeps
+    a report, the manifest naming every output, then the lines and the
+    manifest's path on out."""
+    if report:
+        path = os.path.join(outdir, f"{command}_report.txt")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        outputs = [*outputs, path]
+    manifest = _write_manifest(outdir, command, cfg, results, outputs)
+    for line in lines:
+        out(line)
+    out(f"manifest: {manifest}")
 
 
 def _critical_results(crit: dict) -> dict:
@@ -248,57 +262,51 @@ def _critical_results(crit: dict) -> dict:
              "c_disc", "theta")}
 
 
-def _write_critical_cache(outdir: str, cfg: RunConfig, results: dict) -> str:
-    path = os.path.join(outdir, "critical.json")
-    with open(path, "w") as fh:
-        fh.write(manifest_json({"config_hash": config_hash(cfg),
-                                "critical": results}))
-    return path
-
-
-def _get_critical(cfg, env, model, grid, outdir, compute_c: bool,
+def _get_critical(cfg: RunConfig, problem: tuple, outdir: str, compute_c: bool,
                   out) -> dict:
-    cached = _load_critical_cache(outdir)
-    if cached is not None and cached.get("config_hash") == config_hash(cfg):
-        return dict(cached["critical"])
+    """The level that manifest_critical.json in outdir records for this
+    config; else, under compute_c, the critical stage, recorded there as
+    the critical command records it."""
+    path = os.path.join(outdir, "manifest_critical.json")
+    if os.path.exists(path):
+        with open(path) as fh:
+            record = json.load(fh)
+        if record.get("config_hash") == config_hash(cfg):
+            return dict(record["results"])
     if not compute_c:
         raise ConfigError(
             f"no cached critical value for this config in {outdir}; "
             f"run the 'critical' command first or pass --compute-c")
     out("no usable critical cache; computing the level first")
-    crit = stage_critical(cfg, env, model, grid)
-    _write_critical_cache(outdir, cfg, _critical_results(crit))
+    crit = stage_critical(cfg, *problem)
+    _write_manifest(outdir, "critical", cfg, _critical_results(crit), [])
     return crit
 
 
 # -- commands ----------------------------------------------------------------
 
 
+def _problem(cfg: RunConfig) -> tuple:
+    """(env, model, grid) of the config."""
+    return build_environment(cfg)[1], build_model(cfg), build_grid(cfg)
+
+
 def cmd_critical(cfg: RunConfig, outdir: str, out) -> int:
-    env = build_environment(cfg)[1]
-    model = build_model(cfg)
-    grid = build_grid(cfg)
-    crit = stage_critical(cfg, env, model, grid)
-    results = _critical_results(crit)
-    cache_path = _write_critical_cache(outdir, cfg, results)
-    manifest = _write_manifest(outdir, "critical", cfg, results,
-                               [cache_path])
-    out(f"critical value: {crit['c_bisect']!r} in "
+    crit = stage_critical(cfg, *_problem(cfg))
+    _epilogue(outdir, "critical", cfg, _critical_results(crit), [], [
+        f"critical value: {crit['c_bisect']!r} in "
         f"[{crit['lo']!r}, {crit['hi']!r}] "
-        f"(bracket {crit['bracket_width']!r}, ladder fold {crit['c_disc']!r})")
-    out(f"manifest: {manifest}")
+        f"(bracket {crit['bracket_width']!r}, ladder fold {crit['c_disc']!r})"], out)
     return 0
 
 
 def _through_aubry(cfg: RunConfig, outdir: str, out, compute_c: bool) -> tuple:
-    """(kern, aub): the config's kernel folded at the cached (or computed)
+    """(kern, aub): the config's kernel folded at the recorded (or computed)
     level, which holds the model, environment and grid, and the Aubry
     stage; every command past critical starts from them."""
-    env = build_environment(cfg)[1]
-    model = build_model(cfg)
-    grid = build_grid(cfg)
-    crit = _get_critical(cfg, env, model, grid, outdir, compute_c, out)
-    kern = stage_kernel(cfg, env, model, grid, crit)
+    problem = _problem(cfg)
+    crit = _get_critical(cfg, problem, outdir, compute_c, out)
+    kern = stage_kernel(cfg, *problem, crit)
     return kern, stage_aubry(cfg, kern)
 
 
@@ -320,11 +328,9 @@ def cmd_aubry(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
         "library": {"labels": aub["library"].labels,
                     "violations": aub["library"].violations},
     }
-    manifest = _write_manifest(outdir, "aubry", cfg, results,
-                               [mask_path, w_path, res_path])
-    out(f"aubry mask: {int(am.mask.sum())} of {grid.size} cells at "
-        f"eps={am.eps!r} (level {kern.shift!r})")
-    out(f"manifest: {manifest}")
+    _epilogue(outdir, "aubry", cfg, results, [mask_path, w_path, res_path], [
+        f"aubry mask: {int(am.mask.sum())} of {grid.size} cells at "
+        f"eps={am.eps!r} (level {kern.shift!r})"], out)
     return 0
 
 
@@ -340,7 +346,6 @@ def cmd_strict(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
     margin_path = os.path.join(outdir, "strict_margin.csv")
     save_gridfn_csv(GridFn(grid, margin), margin_path)
     cert = strict["strict_cert"]
-    report_path = os.path.join(outdir, "strict_report.txt")
     lines = [
         f"branch: {strict['branch']}",
         f"subsolution edges: {'PASS' if strict['sub_ok'] else 'FAIL'} "
@@ -352,8 +357,6 @@ def cmd_strict(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
         f"strict margin delta={cert.delta!r} at d0={cert.d0!r} "
         f"over {cert.n_region} cells: {'PASS' if cert.passed else 'FAIL'}",
     ]
-    with open(report_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
     results = {
         "branch": strict["branch"],
         "budget": strict["budget"],
@@ -364,11 +367,8 @@ def cmd_strict(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
         "d0": cert.d0,
         "passed": strict["passed"],
     }
-    manifest = _write_manifest(outdir, "strict", cfg, results,
-                               [w_path, margin_path, report_path])
-    for line in lines:
-        out(line)
-    out(f"manifest: {manifest}")
+    _epilogue(outdir, "strict", cfg, results, [w_path, margin_path], lines, out,
+              report=True)
     return 0 if strict["passed"] else 1
 
 
@@ -379,7 +379,6 @@ def cmd_regularize(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
     rep = reg["report"]
     w_path = os.path.join(outdir, "regularized.csv")
     save_gridfn_csv(reg["w_reg"], w_path)
-    report_path = os.path.join(outdir, "regularize_report.txt")
     lines = [
         f"subsolution edges: {'PASS' if rep.subsolution_ok else 'FAIL'} "
         f"(worst {rep.edge_violation!r})",
@@ -393,8 +392,6 @@ def cmd_regularize(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
         f"strict margin delta={rep.strictness.delta!r}: "
         f"{'PASS' if rep.strict_ok else 'FAIL'}",
     ]
-    with open(report_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
     results = {
         "s": rep.s, "t": rep.t,
         "edge_violation": rep.edge_violation,
@@ -408,11 +405,7 @@ def cmd_regularize(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
         "warnings": rep.warnings,
         "passed": rep.passed,
     }
-    manifest = _write_manifest(outdir, "regularize", cfg, results,
-                               [w_path, report_path])
-    for line in lines:
-        out(line)
-    out(f"manifest: {manifest}")
+    _epilogue(outdir, "regularize", cfg, results, [w_path], lines, out, report=True)
     return 0 if rep.passed else 1
 
 
@@ -436,9 +429,7 @@ def _battery(cfg: RunConfig) -> list:
         except WeakKamError as exc:
             rows.append((name, "FAIL", f"{type(exc).__name__}: {exc}"))
 
-    env = build_environment(cfg)[1]
-    model = build_model(cfg)
-    grid = build_grid(cfg)
+    env, model, grid = _problem(cfg)
     tol_b = cfg.get("tolerances", "tol_bisect")
     t_max = cfg.get("ladder", "t_max")
 
@@ -588,22 +579,17 @@ def _battery(cfg: RunConfig) -> list:
 
 def cmd_verify(cfg: RunConfig, outdir: str, out, as_json: bool) -> int:
     rows = _battery(cfg)
-    report_lines = [f"{status:4s} {name}  {detail}" for name, status, detail in rows]
+    lines = [f"{status:4s} {name}  {detail}" for name, status, detail in rows]
     n_fail = sum(1 for _, status, _ in rows if status == "FAIL")
-    report_lines.append(f"==== {len(rows) - n_fail}/{len(rows)} checks passed")
-    report_path = os.path.join(outdir, "verify_report.txt")
-    with open(report_path, "w") as fh:
-        fh.write("\n".join(report_lines) + "\n")
+    lines.append(f"==== {len(rows) - n_fail}/{len(rows)} checks passed")
     results = {name: {"status": status, "detail": detail}
                for name, status, detail in rows}
-    manifest = _write_manifest(outdir, "verify", cfg, results, [report_path])
+    # --json prints the checks alone, not the report lines and manifest path
+    _epilogue(outdir, "verify", cfg, results, [], lines,
+              (lambda line: None) if as_json else out, report=True)
     if as_json:
         out(manifest_json({"checks": results, "config_hash": config_hash(cfg)})
             .rstrip("\n"))
-    else:
-        for line in report_lines:
-            out(line)
-        out(f"manifest: {manifest}")
     return 1 if n_fail else 0
 
 

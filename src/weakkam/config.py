@@ -196,7 +196,34 @@ def load_config(path) -> RunConfig:
     return parse_config_text(text, source=str(path))
 
 
+# str keys that hold a number unless they read 'auto' or are empty
+_NUMERIC_STR_KEYS = {("tolerances", key) for key in ("eps_aubry", "s", "t", "eps_target")}
+
+
+def _validate_finite(cfg: RunConfig) -> None:
+    """Refuse nan and +-inf (also spelled as an overflowing literal such as
+    1e999) in every number the config holds: no later check or stage can
+    give such a value a meaning."""
+    for sec, sub in SCHEMA.items():
+        for key, (parser, _, _) in sub.items():
+            val = cfg.get(sec, key)
+            if parser == "floats":
+                nums = val
+            elif parser is float:
+                nums = [val]
+            elif (sec, key) in _NUMERIC_STR_KEYS:
+                try:
+                    nums = [float(val)]
+                except ValueError:    # 'auto', empty, or refused below by name
+                    continue
+            else:
+                continue
+            if not all(math.isfinite(x) for x in nums):
+                raise ConfigError(f"[{sec}] {key} must be finite, got {val}")
+
+
 def _validate(cfg: RunConfig) -> None:
+    _validate_finite(cfg)
     kind = cfg.get("environment", "kind")
     if kind not in _KIND_PARAM_KEYS:
         raise ConfigError(f"[environment] kind must be one of "

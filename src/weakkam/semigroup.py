@@ -91,6 +91,8 @@ class ActionKernel(Stencil):
 
     def ladder(self, t_max: float) -> list:
         """Dyadic times dt * 2^k up to t_max."""
+        if not np.isfinite(t_max):
+            raise ConfigError(f"ladder top t_max must be finite, got {t_max}")
         out = []
         t = self.dt
         while t <= t_max * (1 + 1e-12):

@@ -14,7 +14,7 @@ from oracles import load_gridfn_csv
 import weakkam
 from weakkam import cli
 from weakkam.cli import main
-from weakkam.config import parse_config_text
+from weakkam.config import manifest_json, parse_config_text
 from weakkam.errors import LadderError, SubcriticalLevelError
 from weakkam.semigroup import ActionKernel
 
@@ -64,17 +64,22 @@ def test_version_and_print_config_roundtrip():
 
 
 def test_critical_cache_and_manifest(clirun, capsys):
+    """The critical manifest is the one record of the level: it names no
+    other output, and no second copy is written beside it."""
     outdir = clirun["outdir"]
-    cache = json.load(open(os.path.join(outdir, "critical.json")))
-    assert cache["critical"]["c_disc"] == 1.0
-    assert abs(cache["critical"]["c_bisect"] - 1.0) <= 2e-2
-    manifest = json.load(open(os.path.join(outdir, "manifest_critical.json")))
+    path = os.path.join(outdir, "manifest_critical.json")
+    manifest = json.load(open(path))
     assert manifest["command"] == "critical"
-    assert manifest["config_hash"] == cache["config_hash"]
+    assert manifest["results"]["c_disc"] == 1.0
+    assert abs(manifest["results"]["c_bisect"] - 1.0) <= 2e-2
     assert manifest["results"]["iterations"] >= 1
+    assert manifest["outputs"] == []
+    assert not os.path.exists(os.path.join(outdir, "critical.json"))
     # rerunning is idempotent and prints the bracket
+    before = open(path, "rb").read()
     assert main(["critical", clirun["cfg"], "--outdir", outdir]) == 0
     assert "critical value:" in capsys.readouterr().out
+    assert open(path, "rb").read() == before
 
 
 def test_aubry_refuses_without_cache_then_computes(tmp_path, clirun, capsys):
@@ -88,7 +93,9 @@ def test_aubry_refuses_without_cache_then_computes(tmp_path, clirun, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "computing the level first" in captured.out
-    assert os.path.exists(fresh / "critical.json")
+    # the level is recorded as the critical command records it
+    recorded = (fresh / "manifest_critical.json").read_bytes()
+    assert recorded == open(os.path.join(clirun["outdir"], "manifest_critical.json"), "rb").read()
 
 
 def test_aubry_outputs_parse_and_cache_is_reused(clirun, capsys):
@@ -179,9 +186,9 @@ def test_regularize_earns_five_passes(clirun, capsys):
 def test_tampered_cache_trips_a_numeric_refusal(clirun, tmp_path, capsys):
     outdir = tmp_path / "tampered"
     outdir.mkdir()
-    cache = json.load(open(os.path.join(clirun["outdir"], "critical.json")))
-    cache["critical"]["c_disc"] -= 0.5  # below the true ladder level
-    (outdir / "critical.json").write_text(json.dumps(cache))
+    record = json.load(open(os.path.join(clirun["outdir"], "manifest_critical.json")))
+    record["results"]["c_disc"] -= 0.5  # below the true ladder level
+    (outdir / "manifest_critical.json").write_text(manifest_json(record))
     rc = main(["aubry", clirun["cfg"], "--outdir", str(outdir)])
     captured = capsys.readouterr()
     assert rc == 3
@@ -197,6 +204,15 @@ def test_config_errors_exit_two(tmp_path, capsys):
     bad.write_text("[grid]\nn = 4\n")
     assert main(["critical", str(bad), "--outdir", str(tmp_path / "o")]) == 2
     assert "at least 8" in capsys.readouterr().err
+
+
+def test_an_outdir_that_is_a_file_exits_two(clirun, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for outdir in (afile, afile / "sub"):
+        assert main(["critical", clirun["cfg"], "--outdir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"--outdir {outdir} is not a directory" in err
 
 
 def test_a_field_with_a_seam_on_the_unit_torus_exits_two(tmp_path, capsys):
@@ -487,3 +503,80 @@ def test_curvature_row_names_the_failed_certificates(clirun, tmp_path, capsys):
     main(["verify", clirun["cfg"], "--outdir", str(tmp_path / "p"), "--json"])
     row = json.loads(capsys.readouterr().out)["checks"]["two_sided_curvature_bounds"]
     assert row["status"] == "PASS" and "failed" not in row["detail"]
+
+
+# the command chain on the 1D n=64 defaults, run with relative outdirs: each
+# command's exit code and stdout, then the sha256 of every CSV and report it
+# leaves and of the canonical JSON of every manifest's results
+_REGULARIZE_LINES = (
+    "subsolution edges: PASS (worst 0.0)\n"
+    "two-sided curvature [-38.52903024558009, 17.29636936128697] within "
+    "256.0385454014345: PASS\n"
+    "sup change 2.7755575615628914e-17 <= 0.03772208691207961: PASS\n"
+    "mask agreement 0.0 <= 1e-06: PASS\n"
+    "strict margin delta=0.13439204454800213: PASS\n")
+CHAIN = [
+    ("critical run.cfg --outdir out", 0,
+     "critical value: 0.99853515625 in [0.9970703125, 1.0] "
+     "(bracket 0.0029296875, ladder fold 1.0)\n"
+     "manifest: out/manifest_critical.json\n"),
+    ("aubry run.cfg --outdir out", 0,
+     "aubry mask: 1 of 64 cells at eps=1e-06 (level 1.0)\n"
+     "manifest: out/manifest_aubry.json\n"),
+    ("strict run.cfg --outdir out", 0,
+     "branch: time-mix\n"
+     "subsolution edges: PASS (worst violation 0.0)\n"
+     "sup change 0.11133843340804664 <= budget 0.6062672942528234: PASS\n"
+     "mask agreement 0.0 <= 1e-06: PASS\n"
+     "strict margin delta=0.13439204454800213 at d0=0.1 over 51 cells: PASS\n"
+     "manifest: out/manifest_strict.json\n"),
+    ("regularize run.cfg --outdir out", 0,
+     _REGULARIZE_LINES + "manifest: out/manifest_regularize.json\n"),
+    ("regularize run.cfg --outdir fresh --compute-c", 0,
+     "no usable critical cache; computing the level first\n"
+     + _REGULARIZE_LINES + "manifest: fresh/manifest_regularize.json\n"),
+]
+CHAIN_FILE_BITS = {
+    "out/aubry_mask.csv": "6abcaac477eba396d32c37e67fdd803317439ed3d4008c1fd1aea6e207820bd2",
+    "out/aubry_residual.csv": "af014170656a5332d489375324a1640565af96d1a33d6ae4adfcc648e760449a",
+    "out/aubry_w.csv": "8ebb912faef58ea99e7230fef3f53ff19dadd1e26a7befadc208a56823044325",
+    "out/strict_margin.csv": "d06b3816ebada88e314a8568367eef2bbdf803d991ba0682703f024cecce2764",
+    "out/strict_report.txt": "a48d0ba9702d03c8b276028649ca11463f3930d101fc04307f815d6a70c22d38",
+    "out/strict_w_eps.csv": "0b64ffb0d2497a032dec6d8d95d2526c65afce3ce60bd0b1e43f2cc08b4f1315",
+    "out/regularize_report.txt":
+        "725c4710cf82d1e5a2985548ba145ee9d51af5ed9930ce006eda267fbd95baf6",
+    "out/regularized.csv": "a689f0823991db54232bf61678de48abad128258218c50aac70eb71508ff7be2",
+    "fresh/regularize_report.txt":
+        "725c4710cf82d1e5a2985548ba145ee9d51af5ed9930ce006eda267fbd95baf6",
+    "fresh/regularized.csv": "a689f0823991db54232bf61678de48abad128258218c50aac70eb71508ff7be2",
+}
+CHAIN_RESULT_BITS = {
+    "out/manifest_critical.json":
+        "adc25713211d792d77d7e44410b184f6bea49cd0bc887b36fcf48780c8ddd3fc",
+    "out/manifest_aubry.json":
+        "dfdc128492f4b07c3e9adccb55e3e4c59558321b506b6ac51cb8b4e50c6fd692",
+    "out/manifest_strict.json":
+        "e665dd1a3bcfab7e2c190303558e85ebbb6c1b540ad38fb5ed536ad4b413eef8",
+    "out/manifest_regularize.json":
+        "41bb076a449d0140ca70a1470e7e7adeb3ae4f63af0d66bb6567179c28f2eb8d",
+    "fresh/manifest_regularize.json":
+        "41bb076a449d0140ca70a1470e7e7adeb3ae4f63af0d66bb6567179c28f2eb8d",
+}
+
+
+def test_the_command_chain_keeps_its_bits(tmp_path, monkeypatch, capsys):
+    """critical -> aubry -> strict -> regularize, then regularize --compute-c
+    into a fresh directory: every exit code, stdout, CSV, report and
+    manifest result reads as recorded."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("[grid]\nn = 64\n")
+    for argv, rc, stdout in CHAIN:
+        assert (main(argv.split()), capsys.readouterr().out) == (rc, stdout), argv
+    left = {str(p.relative_to(tmp_path)) for pattern in ("*/*.csv", "*/*_report.txt")
+            for p in tmp_path.glob(pattern)}
+    assert left == set(CHAIN_FILE_BITS)
+    for path, bits in CHAIN_FILE_BITS.items():
+        assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == bits, path
+    for path, bits in CHAIN_RESULT_BITS.items():
+        results = json.loads((tmp_path / path).read_text())["results"]
+        assert hashlib.sha256(manifest_json(results).encode()).hexdigest() == bits, path

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from weakkam.config import (build_environment, build_grid, build_model,
+from weakkam.config import (SCHEMA, build_environment, build_grid, build_model,
                             config_hash, default_config_text, load_config,
                             manifest_json, parse_config_text)
 from weakkam.errors import ConfigError
@@ -77,6 +77,25 @@ def test_unknown_section_and_key_are_rejected_with_source():
 def test_validation_rejects_bad_values(snippet, needle):
     with pytest.raises(ConfigError, match=needle):
         parse_config_text(snippet)
+
+
+# every key that holds numbers: float and float-list keys, and the str keys
+# that hold a number unless they read 'auto' or are empty
+NUMERIC_KEYS = sorted([(sec, key) for sec, sub in SCHEMA.items()
+                       for key, (parser, _, _) in sub.items()
+                       if parser is float or parser == "floats"]
+                      + [("tolerances", key) for key in ("eps_aubry", "s", "t", "eps_target")])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("sec,key", NUMERIC_KEYS)
+def test_a_number_that_is_not_finite_is_refused_by_name(sec, key, value):
+    """nan and +-inf, also spelled as a literal that overflows, are refused
+    up front, in any entry of a list, whether or not the config's kind or
+    model reads the key."""
+    raw = f"1.0, {value}" if SCHEMA[sec][key][0] == "floats" else value
+    with pytest.raises(ConfigError, match=rf"\[{sec}\] {key} must be finite"):
+        parse_config_text(f"[{sec}]\n{key} = {raw}\n")
 
 
 def test_hash_is_stable_and_sensitive(tmp_path):

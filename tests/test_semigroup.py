@@ -113,6 +113,13 @@ def test_ladder_times_and_off_ladder_rejection(pend64):
         kern.at(0.7 * kern.dt)
 
 
+@pytest.mark.parametrize("t_max", [np.nan, np.inf])
+def test_ladder_refuses_a_top_that_is_not_finite(t_max, pend64):
+    """nan would give an empty ladder and inf one that never ends."""
+    with pytest.raises(ConfigError, match="t_max must be finite"):
+        pend64["raw_kernel"].ladder(t_max)
+
+
 def test_exact_discrete_critical_values():
     grid = GridSpec(dim=1, n=64)
     dt = 1.0 / 64.0
