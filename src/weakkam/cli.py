@@ -266,17 +266,25 @@ def _get_critical(cfg: RunConfig, problem: tuple, outdir: str, compute_c: bool,
                   out) -> dict:
     """The level that manifest_critical.json in outdir records for this
     config; else, under compute_c, the critical stage, recorded there as
-    the critical command records it."""
+    the critical command records it.  A record that cannot be read (not
+    JSON, not an object, no results object) is no usable record; without
+    compute_c it is refused by its path."""
     path = os.path.join(outdir, "manifest_critical.json")
+    record = {}
     if os.path.exists(path):
-        with open(path) as fh:
-            record = json.load(fh)
-        if record.get("config_hash") == config_hash(cfg):
-            return dict(record["results"])
+        try:
+            with open(path) as fh:
+                record = json.load(fh)
+        except (OSError, ValueError):
+            record = None
+        if not (isinstance(record, dict) and isinstance(record.get("results"), dict)):
+            record = None
+    if record and record.get("config_hash") == config_hash(cfg):
+        return dict(record["results"])
     if not compute_c:
-        raise ConfigError(
-            f"no cached critical value for this config in {outdir}; "
-            f"run the 'critical' command first or pass --compute-c")
+        why = (f"{path} is not a readable critical manifest" if record is None
+               else f"no cached critical value for this config in {outdir}")
+        raise ConfigError(f"{why}; run the 'critical' command first or pass --compute-c")
     out("no usable critical cache; computing the level first")
     crit = stage_critical(cfg, *problem)
     _write_manifest(outdir, "critical", cfg, _critical_results(crit), [])

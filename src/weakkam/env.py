@@ -21,15 +21,19 @@ operands as the textbook expression, so every value keeps its bits.  The
 final matrix-vector product may round a row by its place in the batch, so
 a caller that needs values for a batch of equal blocks and for each block
 as its own array (the bisection of metric.critical_value_free) gets both
-from one cosine table, with one product over the batch and one per block
-(_evaluate_blocks); a caller that needs only the blocks' values
+from one stream (_evaluate_blocks): each block's cosines pass through one
+block-sized scratch array, which gives the block its own product, and on
+in batch order through one chunk of rows, whose products give the whole
+batch's values run by run, to the bit of the one product over the batch
+under single-threaded BLAS; a caller that needs only the blocks' values
 (metric.build_cost_graph, and semigroup.build_kernel for its edge
-midpoints) gets them through one block-sized scratch array
-(_block_values).  Either way the blocks are read cover by cover: a cover
-is an array of points whose cosines are computed once, and every block is
-a slice of a cover by construction, so it reads its cosines off the
-cover's without forming its points.  A point's cosines do not depend on
-the rows it is computed with, so the table is the textbook one to the bit.
+midpoints) gets them through the scratch alone (_block_values).  No
+(rows, modes) table of a batch is held.
+Either way the blocks are read off covers: a cover is an array of points
+whose cosines are computed once, and every block is a slice of a cover by
+construction, so it reads its cosines off the cover's without forming its
+points.  A point's cosines do not depend on the rows it is computed with,
+so a block's cosines are the textbook ones to the bit.
 A bump cloud is evaluated in blocks of rows whose (rows, centers, dim)
 differences hold ~32768 entries; every bump sum reduces within one row, so
 blocking moves no bit, memory beyond the result does not grow with m, and a
@@ -67,6 +71,11 @@ __all__ = [
 KINDS = ("periodic", "quasiperiodic", "random_fourier", "poisson_bumps")
 
 _TWO_PI = 2.0 * math.pi
+
+# rows per run of the whole-batch product in EnvRealization._evaluate_blocks;
+# a power of two, and runs start at its multiples, which keeps the bits of
+# one product over the batch (see there)
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -154,8 +163,8 @@ class EnvRealization:
         cover.  covers yields (points, table, members): a cover's points,
         its table or None (computed here), and per member a block b with
         the index that reads b's points off the cover; a block is a slice
-        of its cover by construction.  One cover's table is held at a
-        time; a consumer drops each view before asking for the next."""
+        of its cover by construction.  A consumer that drops each view
+        before asking for the next holds one cover's table at a time."""
         for points, table, members in covers:
             cover = self._cover_table(points) if table is None else table
             del table
@@ -163,37 +172,59 @@ class EnvRealization:
                 yield b, cover[index]
             del cover
 
-    def _evaluate_blocks(self, shape: tuple, covers, reduce, table) -> tuple:
-        """(reduce(whole), blocks): the field values on the blocks of a
+    def _evaluate_blocks(self, shape: tuple, covers, reduce) -> tuple:
+        """(reduce(runs), blocks): the field values on the blocks of a
         batch of shape[0] blocks of prod(shape[1:]) points each, read off
         covers (see _block_tables).  blocks[b] holds b's values bit for bit
-        as evaluate returns them on b alone; whole holds the values of the
-        whole batch as evaluate returns them on its rows in one array, and
-        reduce reads it as an iterable of one slice per block.
+        as evaluate returns them on b alone; runs yields the values of the
+        whole batch in batch order, as evaluate returns them on its rows in
+        one array under single-threaded BLAS, and reduce reads it to the
+        end.
 
-        A cosine sum fills one (*shape, modes) table, table(shape) being
-        its allocator (np.empty, or a buffer that outlives the call), cover
-        by cover, so the batch's points are never held.  The product rounds
-        a row by its place in the batch, so the whole-batch product is a
-        call of its own.  It is taken first and dropped after reduce
-        returns, so the table never lives with two value arrays.  Then
-        each block gets its own product over its contiguous rows.  A bump
-        row reduces on its own, so a bump cloud's blocks are its
-        _block_values, which reduce reads; table is not used.
+        A cosine sum makes every cover's table first, drops each once its
+        last block has passed, and streams the blocks in batch order: each
+        block's cosines are copied into one reused (*shape[1:], modes)
+        scratch array, which gives the block its own product, and fed on
+        from there into one (_CHUNK, modes) chunk array.  The product
+        rounds a row by its place in the batch, but under single-threaded
+        OpenBLAS a product over rows that start at a multiple of _CHUNK
+        rounds each row as the product over the whole batch does, so a run
+        is the product of one full chunk, and the last run ends at the
+        batch's last row; runs yields them as they fill.  On the R = 8
+        batch the tests check, runs and blocks also keep their bits under
+        two BLAS threads, where the one product over the batch does not.
+        A bump row reduces on its own, so a bump cloud's runs are its
+        blocks, its _block_values.
         """
         if self.centers is not None:
             values = dict(self._block_values(shape, covers))
             blocks = [values[b] for b in range(shape[0])]
             return reduce(iter(blocks)), blocks
-        table = table(shape + (len(self.amplitudes),))
-        for b, cosines in self._block_tables(covers):
-            table[b] = cosines
-            del cosines    # drop the view before the next cover is made
-        rows = table.reshape(shape[0], -1, len(self.amplitudes))
-        whole = table.reshape(-1, len(self.amplitudes)) @ self.amplitudes
-        reduced = reduce(iter(whole.reshape(shape[0], -1)))
-        del whole
-        return reduced, [block @ self.amplitudes for block in rows]
+        blocks = [None] * shape[0]
+        return reduce(self._batch_runs(shape, covers, blocks)), blocks
+
+    def _batch_runs(self, shape: tuple, covers, blocks: list):
+        """Yield the runs of _evaluate_blocks in batch order and set
+        blocks[b] to block b's own values as its rows pass."""
+        modes = len(self.amplitudes)
+        cosines = dict(self._block_tables(covers))
+        scratch = np.empty(shape[1:] + (modes,))
+        rows = scratch.reshape(-1, modes)
+        chunk = np.empty((min(_CHUNK, shape[0] * len(rows)), modes))
+        filled = 0
+        for b in range(shape[0]):
+            scratch[...] = cosines.pop(b)
+            blocks[b] = rows @ self.amplitudes
+            start = 0
+            while start < len(rows):
+                take = min(len(chunk) - filled, len(rows) - start)
+                chunk[filled:filled + take] = rows[start:start + take]
+                filled, start = filled + take, start + take
+                if filled == len(chunk):
+                    yield chunk @ self.amplitudes
+                    filled = 0
+        if filled:
+            yield chunk[:filled] @ self.amplitudes
 
     def _block_values(self, shape: tuple, covers):
         """Yield (b, values) for every block b of a batch laid out as in

@@ -22,16 +22,18 @@ the class's arrays span, and reads its cosines off the cover's, which are
 computed once.
 
 critical_value_free reads the node values (and with them the edge radius)
-off the class-0 cover for the longest reach, built first, and fills one
-cosine table over the batch of the nodes and every midpoint array, class 0
-from that cover.  It takes one matrix-vector product over the whole batch,
-reduces it to the starting levels and drops it, then one product per
-array.  The products stay separate because the product rounds a row by its
-place in the batch, so a point's value in the batch can differ in the last
-bits from its value in its own array.  Each route keeps reading its own
-values, which keeps every bracket bit for bit what it was when each level
-resampled the field.  build_cost_graph holds no table: each array's
-cosines pass through one scratch array and are priced as they come.
+off the class-0 cover for the longest reach, built first, then streams the
+batch of the nodes and every midpoint array, class 0 from that cover, one
+array's cosines at a time through one scratch array.  Each array gets its
+own matrix-vector product there, and the batch's rows pass on in batch
+order through one chunk array, whose products reduce to the starting
+levels run by run.  The two routes stay separate because the product
+rounds a row by its place in the batch, so a point's value in the batch can
+differ in the last bits from its value in its own array.  Each route keeps
+reading its own values, which keeps every bracket bit for bit what it was
+when each level resampled the field.  build_cost_graph streams no batch:
+each array's cosines pass through one scratch array and are priced as they
+come.
 
 Edge convention: the edge for offset k ends at node x and starts at
 x - k h, costs sigma_a(mid, k h) with mid the (wrapped) segment midpoint.
@@ -41,7 +43,6 @@ functions with phi(x) - phi(y) <= S(y, x).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -340,25 +341,24 @@ def _zero_momentum_range(model, zero_row: np.ndarray, slices) -> tuple:
     return float(hi), float(lo)
 
 
-def critical_value_free(model, env, lattice, tol_bisect: float = 5e-3, *,
-                        table_buffer=None) -> CriticalValueResult:
+def critical_value_free(model, env, lattice, tol_bisect: float = 5e-3) -> CriticalValueResult:
     """Free critical value on the lattice by certificate bisection.
 
     The cost graph reaches default_edge_radius at kappa of the level
     max H(x, 0) over the nodes.  The field is sampled once per call.  The
     node values are read off the cover of class 0 for the longest reach
     (_SamplePoints.head_cover), built before the offsets are known; then
-    one cosine table over the sample batch (nodes, then each offset's
-    midpoints) is filled cover by cover, class 0 from that same cover
-    (EnvRealization._evaluate_blocks), and gives V over the whole batch
-    and V per sample array.  Every level's cost graph is priced from the
-    per-array values.  The table is allocated by table_buffer (a
-    stationary ensemble's _TableBuffer, which outlives the call) or, by
-    default, afresh; a fresh table dies once the values are taken.
+    the sample batch (nodes, then each offset's midpoints) is streamed
+    from the covers' cosines, class 0 from that same cover
+    (EnvRealization._evaluate_blocks), and gives V over the whole batch,
+    run by run, and V per sample array.  Every level's cost graph is
+    priced from the per-array values.  No (M, modes) table of the batch's
+    cosines is held: the call holds the covers' cosines, one array's
+    cosines and one chunk of rows while it samples.
     hi starts at max H(x, 0) over the batch, where the zero function is a
-    subsolution, and lo at its min minus one, both read off the batch's
-    values one block at a time before the per-array products are taken.
-    The batch's values come from their own matrix-vector product, which
+    subsolution, and lo at its min minus one, both reduced from the
+    batch's runs as they come, never stored.
+    The batch's values come from the product over the whole batch, which
     rounds a row by its place in the batch, so they can differ in the last
     bits from the per-array values the cost graphs read, and the starting
     hi is feasible only up to that rounding: when its graph finds an empty
@@ -379,8 +379,7 @@ def critical_value_free(model, env, lattice, tol_bisect: float = 5e-3, *,
     del points, table, node_values    # the sampler holds the cover until it is read
     (hi, lo), samples.values = env._evaluate_blocks(
         samples.shape, samples.covers(),
-        lambda slices: _zero_momentum_range(model, zero_row, slices),
-        table_buffer or np.empty)
+        lambda runs: _zero_momentum_range(model, zero_row, runs))
     lo -= 1.0
     feasible_hi, _ = _level_verdict(model, hi, samples)
     iters = 0
@@ -429,23 +428,6 @@ class StationaryCriticalResult:
     spreads: np.ndarray            # max - min across realizations, per radius
 
 
-class _TableBuffer:
-    """The cosine-table allocator of one stationary ensemble: a table is a
-    view of the first entries of one buffer.  A table that needs more
-    entries than the buffer holds releases it before the larger one is
-    made, at the exact size, so no two buffers live at once."""
-
-    def __init__(self):
-        self.buffer = None
-
-    def __call__(self, shape: tuple) -> np.ndarray:
-        size = math.prod(shape)
-        if self.buffer is None or self.buffer.size < size:
-            self.buffer = None
-            self.buffer = np.empty(size)
-        return self.buffer[:size].reshape(shape)
-
-
 def critical_value_stationary(model, spec, n_samples: int, box_radii,
                               points_per_unit: int = 32,
                               tol_bisect: float = 5e-3) -> StationaryCriticalResult:
@@ -459,11 +441,9 @@ def critical_value_stationary(model, spec, n_samples: int, box_radii,
     points_per_unit below 1), is refused (ConfigError) before any
     realization is sampled.
 
-    The ensemble's bisections share one cosine-table buffer (_TableBuffer),
-    made in this call and released when it returns.  Each realization's
-    boxes run largest first, so the buffer is made at the size of the
-    first realization's largest table and is made anew only when a later
-    box needs more rows; the estimates are stored by ascending radius.
+    Each realization's boxes run in ascending order, one
+    critical_value_free call each, so every estimate is that call's value
+    bit for bit and the ensemble holds no more than one call does.
     """
     from .env import sample_realization
 
@@ -475,12 +455,10 @@ def critical_value_stationary(model, spec, n_samples: int, box_radii,
         raise ConfigError("need at least one box radius")
     box_radii = np.asarray([box.radius for box in boxes])
     est = np.zeros((n_samples, box_radii.size))
-    tables = _TableBuffer()
     for i in range(n_samples):
         omega = sample_realization(spec, i)
-        for rj in reversed(range(box_radii.size)):
-            est[i, rj] = critical_value_free(model, omega, boxes[rj], tol_bisect=tol_bisect,
-                                             table_buffer=tables).value
+        for rj, box in enumerate(boxes):
+            est[i, rj] = critical_value_free(model, omega, box, tol_bisect=tol_bisect).value
     return StationaryCriticalResult(
         box_radii=box_radii, estimates=est,
         means=est.mean(axis=0), spreads=est.max(axis=0) - est.min(axis=0))

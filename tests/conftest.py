@@ -67,13 +67,15 @@ def walk_table(stencil, steps: int) -> np.ndarray:
 
 class CountingField:
     """A realization that records the shape of each evaluate call and of
-    each call of its bound gradient (the tuple of coordinates), the shapes of each cover read for values (the cover's points,
-    then the block valued), the batch shape of each shared table, and
-    that of each table-free block evaluation."""
+    each call of its bound gradient (the tuple of coordinates), the shapes
+    of each cover read for values (the cover's points, then the block
+    valued), the shape of each batch streamed with its whole-batch values
+    (batches), and that of each evaluation of the blocks alone
+    (streamed)."""
 
     def __init__(self, env):
         self.env = env
-        self.evaluated, self.gradients, self.tables = [], [], []
+        self.evaluated, self.gradients, self.batches = [], [], []
         self.cover_values, self.streamed = [], []
 
     def evaluate(self, x):
@@ -84,9 +86,9 @@ class CountingField:
         self.cover_values.append((np.shape(points), np.shape(points[index])))
         return self.env._cover_values(points, index)
 
-    def _evaluate_blocks(self, shape, covers, reduce, table):
-        self.tables.append(shape)
-        return self.env._evaluate_blocks(shape, covers, reduce, table)
+    def _evaluate_blocks(self, shape, covers, reduce):
+        self.batches.append(shape)
+        return self.env._evaluate_blocks(shape, covers, reduce)
 
     def _block_values(self, shape, covers):
         self.streamed.append(shape)

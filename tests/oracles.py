@@ -12,8 +12,9 @@ sublinear-growth audit.  So do the torus geometry,
 the CSV reader that only they and the tests need, the textbook
 per-offset stencil formulas (one shifted copy of the data per offset) that
 the stencil's gather plan is checked against, the replay of a walk
-from the in-edges it records, and the one-step kernel built one offset at
-a time.
+from the in-edges it records, the one-step kernel built one offset at
+a time, and the product over a batch's whole cosine table as one
+single-threaded BLAS call rounds it.
 """
 
 from __future__ import annotations
@@ -23,12 +24,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from weakkam.aubry import _worst_point, verify_member
+from weakkam.env import _CHUNK
 from weakkam.errors import ConfigError, NotASubsolutionError, SubcriticalLevelError, WeakKamError
 from weakkam.grid import GridFn, GridSpec, Stencil, lattice_points, relax
 from weakkam.hamiltonian import lipschitz_radius
 from weakkam.metric import _cover_points, build_cost_graph, semidistance
 from weakkam.semigroup import lax_minus, semigroup_orbit
 from weakkam.tonelli import FlowState, _require_tonelli, flow_integrate
+
+
+def batch_product(table: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """table @ amplitudes for a batch's (M, K) cosine table, rounded as one
+    single-threaded BLAS call rounds it: one call per run of _CHUNK rows.
+    A test process may run BLAS on several threads, which split one call
+    over the batch at rows that round differently;
+    tests/test_metric.py checks in one-thread child processes that the
+    runs are the one call's bits."""
+    return np.concatenate([table[s:s + _CHUNK] @ amplitudes for s in range(0, len(table), _CHUNK)])
 
 
 class PRadiusError(WeakKamError):

@@ -98,6 +98,36 @@ def test_aubry_refuses_without_cache_then_computes(tmp_path, clirun, capsys):
     assert recorded == open(os.path.join(clirun["outdir"], "manifest_critical.json"), "rb").read()
 
 
+# manifests that cannot be read as a record of the level: cut short (not
+# JSON), JSON that is not an object, and an object without its results
+UNREADABLE_MANIFESTS = {
+    "truncated": lambda text: text[:200],
+    "not_an_object": lambda text: "[1.0, 2.0]\n",
+    "no_results": lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                           if k != "results"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_MANIFESTS))
+def test_unreadable_critical_manifest_is_no_usable_cache(case, clirun, tmp_path, capsys):
+    """aubry, strict and regularize refuse an unreadable critical manifest
+    with exit 2 and its path; under --compute-c they compute the level and
+    write the manifest anew, as the critical command writes it."""
+    good = open(os.path.join(clirun["outdir"], "manifest_critical.json")).read()
+    path = tmp_path / "manifest_critical.json"
+    for command in ("aubry", "strict", "regularize"):
+        path.write_text(UNREADABLE_MANIFESTS[case](good))
+        rc = main([command, clirun["cfg"], "--outdir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "configuration error" in captured.err and str(path) in captured.err
+        assert "Traceback" not in captured.err
+    rc = main(["aubry", clirun["cfg"], "--outdir", str(tmp_path), "--compute-c"])
+    assert rc == 0
+    assert "computing the level first" in capsys.readouterr().out
+    assert path.read_text() == good
+
+
 def test_aubry_outputs_parse_and_cache_is_reused(clirun, capsys):
     outdir = clirun["outdir"]
     rc = main(["aubry", clirun["cfg"], "--outdir", outdir])

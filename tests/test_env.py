@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 from conftest import SMALL_OBJECTS, peak_bytes
-from oracles import check_sublinearity, field_gradient
+from oracles import batch_product, check_sublinearity, field_gradient
 
 import weakkam as wk
-from weakkam.env import (EnvSpec, ky_fan_distance, ky_fan_from_distances,
+from weakkam.env import (_CHUNK, EnvSpec, ky_fan_distance, ky_fan_from_distances,
                          metric_d, sample_realization)
 from weakkam.errors import ConfigError
 from weakkam.grid import GridFn, GridSpec
@@ -152,20 +152,19 @@ def _block_field(kind, params, dim):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("kind,params", BLOCK_FIELDS)
 def test_block_evaluation_is_bit_identical_to_evaluate(kind, params, dim):
-    """The shared table serves each block and the whole batch, and the
+    """The stream serves each block and the whole batch, and the
     table-free route each block, with the bits evaluate gives on each as
-    its own array: blocks of 2, 3 and 5 rows and of the 2D box sizes 1089
-    and 4225 (both 1 mod 4, so blocks start at rows that are not
-    multiples of 4), in a fresh table and in one at the head of a larger
-    buffer.  Every block is a slice of a cover, as on a lattice, so no
-    block of one row occurs (a lattice has at least 3 nodes per axis).
-    The table is filled from covers: one read by an index array (as a
-    torus block is) whose members are three blocks with its points, one
-    whose table comes precomputed, and a one-block cover."""
+    its own array and the bits of the product over the batch's textbook
+    cosines (batch_product): blocks of 2, 3 and 5 rows and of the 2D box
+    sizes 1089 and 4225 (both 1 mod 4, so blocks start at rows that are
+    not multiples of 4; the batches of 1089 and 4225 rows cross one and
+    five chunk edges inside blocks and end on a partial chunk).  Every
+    block is a slice of a cover, as on a lattice, so no block of one row
+    occurs (a lattice has at least 3 nodes per axis).  The blocks come
+    from covers: one read by an index array (as a torus block is) whose
+    members are three blocks with its points, one whose table comes
+    precomputed, and a one-block cover, listed out of batch order."""
     env = _block_field(kind, params, dim)
-    modes = 0 if env.centers is not None else len(env.amplitudes)
-    buffer = np.empty(5 * 4225 * modes + 7)
-    tables = (np.empty, lambda shape: buffer[:math.prod(shape)].reshape(shape))
     for n in (2, 3, 5, 1089, 4225):
         x = np.random.default_rng(n + dim).uniform(-6.0, 6.0, (5, n, dim))
         x[1] = x[2] = x[0]
@@ -173,18 +172,24 @@ def test_block_evaluation_is_bit_identical_to_evaluate(kind, params, dim):
         precomputed = env._cover_table(x[3])
 
         def covers():
-            return iter([(x[0][swap], None, [(0, swap), (1, swap), (2, swap)]),
-                         (x[3].copy(), precomputed, [(3, np.s_[:])]),
-                         (x[4].copy(), None, [(4, np.s_[:])])])
+            return iter([(x[4].copy(), None, [(4, np.s_[:])]),
+                         (x[0][swap], None, [(0, swap), (1, swap), (2, swap)]),
+                         (x[3].copy(), precomputed, [(3, np.s_[:])])])
 
-        for table in tables:
-            whole, blocks = env._evaluate_blocks(x.shape[:-1], covers(),
-                                                 lambda slices: np.concatenate(list(slices)),
-                                                 table)
-            assert whole.tobytes() == env.evaluate(x.reshape(-1, dim)).tobytes()
-            assert [len(b) for b in blocks] == [n] * 5
-            for b, values in enumerate(blocks):
-                assert values.tobytes() == env.evaluate(x[b].copy()).tobytes()
+        runs = []
+        whole, blocks = env._evaluate_blocks(x.shape[:-1], covers(),
+                                             lambda it: runs.extend(it) or np.concatenate(runs))
+        flat = x.reshape(-1, dim)
+        if env.centers is None:
+            assert whole.tobytes() == batch_product(np.cos(env._angles(flat)),
+                                                    env.amplitudes).tobytes()
+        else:
+            assert whole.tobytes() == env.evaluate(flat).tobytes()
+        if env.centers is None:
+            assert [len(run) for run in runs[:-1]] == [_CHUNK] * (len(runs) - 1)
+        assert [len(b) for b in blocks] == [n] * 5
+        for b, values in enumerate(blocks):
+            assert values.tobytes() == env.evaluate(x[b].copy()).tobytes()
         streamed = dict(env._block_values(x.shape[:-1], covers()))
         assert sorted(streamed) == list(range(5))
         for b, values in streamed.items():

@@ -1,13 +1,17 @@
 """Support costs, path semidistances, and the bisected critical level."""
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import SMALL_OBJECTS, CountingField, peak_bytes
-from oracles import block_points, rolled, torus_dist
+from oracles import batch_product, block_points, rolled, torus_dist
 
 import weakkam as wk
 from weakkam.errors import ConfigError, SubcriticalLevelError
@@ -15,6 +19,7 @@ from weakkam.grid import BoxSpec, GridFn, GridSpec, relax
 from weakkam.config import MODELS
 from weakkam.hamiltonian import kappa_at_values, mechanical_model, tilted_mechanical_model
 from weakkam.semigroup import build_kernel
+from weakkam.env import _CHUNK
 from weakkam.metric import (_SamplePoints, build_cost_graph, check_subsolution,
                             critical_value_free, critical_value_stationary,
                             default_edge_radius, semidistance, support_sigma)
@@ -152,9 +157,9 @@ def _stationary_realization(index):
 def test_bisection_evaluates_the_field_once_per_sample_array():
     """The node values are read off one cover (the edge radius is read off
     them), the class-0 cover for the longest reach, 3 cells past the box
-    on every side; then one shared table over the nodes and every offset's
-    midpoints, shaped as one box per offset plus the nodes'; no level
-    evaluates the field again."""
+    on every side; then one streamed batch over the nodes and every
+    offset's midpoints, shaped as one box per offset plus the nodes'; no
+    level evaluates the field again."""
     m = mechanical_model(dim=2, field_bound=0.5)
     box = BoxSpec(dim=2, radius=2.0, points_per_unit=8)
     iterations = []
@@ -164,31 +169,39 @@ def test_bisection_evaluates_the_field_once_per_sample_array():
         iterations.append(res.iterations)
         assert env.evaluated == [] and env.streamed == []
         assert env.cover_values == [(tuple(n + 6 for n in box.shape) + (2,), box.shape + (2,))]
-        [shape] = env.tables
+        [shape] = env.batches
         assert shape[0] > 1 and shape == shape[:1] + box.shape
     assert iterations[1] > iterations[0]
 
 
-def test_bisection_holds_one_cosine_table_and_one_value_array():
-    """critical_value_free on the 2D R=4 box peaks while the shared table
-    lives.  With M = (offsets + 1) N batch rows and K modes, that is the
-    (M, K) table with the whole-batch values or the per-block values (M),
-    never both, and N-sized node arrays: the nodes, their values and a few
-    temporaries, under 2 N (dim + 1) entries.  No (M, dim) copy of the
-    batch points is held.  A second value array, a second table or the
-    batch points would exceed the budget."""
+def test_bisection_holds_its_covers_one_block_one_chunk_and_the_values():
+    """critical_value_free on the 2D R=8 box of the stationary benchmark
+    holds no (M, K) table of the batch's cosines, M = B N batch rows of B
+    sample arrays over N nodes and K modes.  While it samples it holds
+    the covers' cosines (the head cover for the longest reach and one
+    cover per class of offsets mod 2), the B per-array value arrays, the
+    (N, K) block scratch and the (_CHUNK, K) chunk with its run's values;
+    while it bisects, the value arrays and one level's (B - 1, N)
+    weights.  The sum of all of these, with N-sized arrays under
+    4 N (dim + 2) entries for the nodes and the temporaries of sigma and
+    relax (each under one level's weights), bounds both phases.  The
+    table alone exceeds it, and so does the 3.41 KiB per node that one
+    call took while it held the table."""
     m = mechanical_model(dim=2, field_bound=0.5)
     env = _stationary_realization(0)
-    box = BoxSpec(dim=2, radius=4.0, points_per_unit=8)
+    box = BoxSpec(dim=2, radius=8.0, points_per_unit=8)
     counting = CountingField(env)
     critical_value_free(m, counting, box)
-    [shape] = counting.tables
-    rows, dim = math.prod(shape), box.dim
-    modes, n = len(env.amplitudes), box.size
-    budget = 8 * (rows * (modes + 1) + 2 * n * (dim + 1)) + SMALL_OBJECTS
+    [shape] = counting.batches
+    head = (_SamplePoints.head_cover(box)[0], None)
+    samples = _SamplePoints(box, box.offsets_within(3 * box.h), head=head)
+    assert samples.shape == shape
+    covers = [math.prod(points.shape[:-1]) for points, _, _ in samples.covers()]
+    blocks, n, dim, modes = shape[0], box.size, box.dim, len(env.amplitudes)
+    budget = 8 * (modes * (sum(covers) + n + _CHUNK) + blocks * n + (blocks - 1) * n
+                  + 4 * n * (dim + 2)) + SMALL_OBJECTS
     assert peak_bytes(critical_value_free, m, env, box) <= budget
-    # the slack beyond the a-priori arrays is less than one more value array
-    assert 8 * rows > 2 * n * (dim + 1) * 8 + SMALL_OBJECTS
+    assert 8 * blocks * n * modes > budget and 3.41 * 1024 * n > budget
 
 
 def _sampler(lattice, reach):
@@ -207,12 +220,57 @@ def _reduce_to_array(slices):
 
 
 def _evaluate(env, route):
-    """(table, whole, blocks): _evaluate_blocks over route's batch, with
-    the cosine table it filled."""
-    tables = []
-    whole, blocks = env._evaluate_blocks(route.shape, route.covers(), _reduce_to_array,
-                                         lambda shape: tables.append(np.empty(shape)) or tables[0])
-    return tables[0], whole, blocks
+    """(whole, blocks): _evaluate_blocks over route's batch, its runs
+    joined into the whole batch's values."""
+    return env._evaluate_blocks(route.shape, route.covers(), _reduce_to_array)
+
+
+# One R = 8 batch of the stationary benchmark (critical_value_free's reach
+# 3 h there, 29 arrays of 16641 nodes), streamed in a child process; the
+# child prints the digests of the whole batch's values, of each array's
+# values and of one product over the batch's cosine table.
+_STREAM_CHILD = """
+import hashlib, json
+import numpy as np
+import weakkam as wk
+from weakkam.grid import BoxSpec
+from weakkam.metric import _SamplePoints
+
+spec = wk.EnvSpec(kind="random_fourier", dimension=2, seed=0,
+                  params={"period": 16.0, "k_max": 3, "amplitude": 0.5, "decay": 1.0})
+env = wk.sample_realization(spec, 0)
+box = BoxSpec(dim=2, radius=8.0, points_per_unit=8)
+samples = _SamplePoints(box, box.offsets_within(3 * box.h))
+whole, blocks = env._evaluate_blocks(samples.shape, samples.covers(),
+                                     lambda runs: np.concatenate(list(runs)))
+table = np.empty(samples.shape + (len(env.amplitudes),))
+for b, cosines in env._block_tables(samples.covers()):
+    table[b] = cosines
+digest = lambda a: hashlib.sha256(a.tobytes()).hexdigest()
+print(json.dumps({"whole": digest(whole), "blocks": [digest(v) for v in blocks],
+                  "table": digest(table.reshape(-1, len(env.amplitudes)) @ env.amplitudes)}))
+"""
+
+
+def test_streamed_batch_keeps_its_bits_under_one_and_two_blas_threads():
+    """The whole batch's values and every array's values are byte-equal
+    under one and two OpenBLAS threads, and under one they are one product
+    over the batch's (M, K) cosine table.  That one product over the
+    482589 rows rounds some rows differently under two threads; the runs
+    of _CHUNK rows that stand for it do not."""
+    src = os.path.dirname(os.path.dirname(wk.__file__))
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        child = subprocess.run([sys.executable, "-c", _STREAM_CHILD], env=env,
+                               capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        digests[threads] = json.loads(child.stdout)
+    one, two = digests["1"], digests["2"]
+    assert len(one["blocks"]) == 29
+    assert one["whole"] == two["whole"] and one["blocks"] == two["blocks"]
+    assert one["whole"] == one["table"]
 
 
 TRANSLATED_LATTICES = [
@@ -236,12 +294,13 @@ def _translated_field(dim):
 @pytest.mark.parametrize("reach", [3, 6])
 @pytest.mark.parametrize("lattice", TRANSLATED_LATTICES, ids=str)
 def test_translated_table_is_the_textbook_table(lattice, reach):
-    """The cosine table filled from one cover per class of offsets mod 2,
-    both products over it, and the table-free values, are bit for bit one
-    _angles and cos over the whole batch, on boxes and tori whose spacing
-    is dyadic or not (every block is bit-equal to its slice of the cover
-    either way), with class 0 read off its own cover or off the head
-    cover.  The classes' members are every block once."""
+    """The cosines read off one cover per class of offsets mod 2, both
+    streamed products over them, and the table-free values, are bit for
+    bit one _angles and cos over the whole batch and the products over
+    that table, on boxes and tori whose spacing is dyadic or not (every
+    block is bit-equal to its slice of the cover either way), with class 0
+    read off its own cover or off the head cover.  The classes' members
+    are every block once."""
     env = _translated_field(lattice.dim)
     samples = _sampler(lattice, reach)
     covers = list(samples.covers())
@@ -252,15 +311,21 @@ def test_translated_table_is_the_textbook_table(lattice, reach):
              for points, _, members in covers for b, index in members]
     assert all(equal)
     expected = np.cos(env._angles(_batch(samples)))
-    n = lattice.size
+    n, modes = lattice.size, len(env.amplitudes)
     points, index = _SamplePoints.head_cover(lattice)
     head = (points, env._cover_values(points, index)[0])
-    headed = _SamplePoints(lattice, samples.offsets, head=head)
-    for route in (samples, headed):
-        table, whole, blocks = _evaluate(env, route)
-        assert table.reshape(expected.shape).tobytes() == expected.tobytes()
+
+    def routes():
+        yield samples
+        yield _SamplePoints(lattice, samples.offsets, head=head)
+
+    for route in routes():
+        for b, cosines in env._block_tables(route.covers()):
+            assert cosines.reshape(n, modes).tobytes() == expected[b * n:(b + 1) * n].tobytes()
+    for route in routes():
+        whole, blocks = _evaluate(env, route)
         assert route.head is None
-        assert whole.tobytes() == (expected @ env.amplitudes).tobytes()
+        assert whole.tobytes() == batch_product(expected, env.amplitudes).tobytes()
         for b, values in enumerate(blocks):
             assert values.tobytes() == (expected[b * n:(b + 1) * n] @ env.amplitudes).tobytes()
     for b, values in env._block_values(samples.shape, samples.covers()):
@@ -334,7 +399,7 @@ def test_bump_cloud_blocks_are_sliced_off_each_cover_evaluated_once():
     streamed = dict(env._block_values(samples.shape, samples.covers()))
     assert seen == covers and sum(covers) < samples.shape[0] * box.size // 4
     seen.clear()
-    _, blocks = env._evaluate_blocks(samples.shape, samples.covers(), _reduce_to_array, np.empty)
+    _, blocks = _evaluate(env, samples)
     assert seen == covers
     del env._eval_bumps
     for b, values in enumerate(blocks):
@@ -348,7 +413,8 @@ def test_cover_table_computes_each_cover_once():
     mod 2.  A cover spans its blocks, the nodes shifted by
     d = (k - k mod 2) / 2 in [-2, 1] per axis, so at most 3 more points
     per axis than the box.  That is well under a quarter of the (m + 1) N
-    rows of the batch."""
+    rows of the batch.  The values streamed from them are the products
+    over the textbook table, of the whole batch and of each block."""
     env = _stationary_realization(0)
     box = BoxSpec(dim=2, radius=4.0, points_per_unit=8)
     samples = _sampler(box, 3)
@@ -358,12 +424,14 @@ def test_cover_table_computes_each_cover_once():
     computed = []
     angles = env._angles
     env._angles = lambda x: computed.append(len(x)) or angles(x)
-    table, _, _ = _evaluate(env, samples)
+    whole, blocks = _evaluate(env, samples)
     del env._angles
-    blocks = samples.shape[0]
-    assert sum(computed) <= sum(int(np.prod(shape)) for shape in covers) < blocks * box.size // 4
+    n = box.size
+    assert sum(computed) <= sum(int(np.prod(shape)) for shape in covers) < len(blocks) * n // 4
     expected = np.cos(env._angles(_batch(samples)))
-    assert table.reshape(expected.shape).tobytes() == expected.tobytes()
+    assert whole.tobytes() == batch_product(expected, env.amplitudes).tobytes()
+    for b, values in enumerate(blocks):
+        assert values.tobytes() == (expected[b * n:(b + 1) * n] @ env.amplitudes).tobytes()
 
 
 def test_cost_graph_holds_its_weights_one_cover_and_one_array_of_cosines():
@@ -381,7 +449,7 @@ def test_cost_graph_holds_its_weights_one_cover_and_one_array_of_cosines():
     offsets = box.offsets_within(6 * box.h)
     counting = CountingField(env)
     graph = build_cost_graph(m, 0.6, counting, box, offsets)
-    assert counting.streamed == [(len(offsets) + 1,) + box.shape] and counting.tables == []
+    assert counting.streamed == [(len(offsets) + 1,) + box.shape] and counting.batches == []
     covers = [math.prod(points.shape[:-1]) for points, _, _ in _sampler(box, 6).covers()]
     assert max(covers) == (box.n + 6) ** 2
     modes, n, dim = len(env.amplitudes), box.size, box.dim
@@ -392,42 +460,24 @@ def test_cost_graph_holds_its_weights_one_cover_and_one_array_of_cosines():
     assert 8 * (len(offsets) + 1) * n * dim > budget - graph.weights.nbytes
 
 
-def test_ensemble_fills_one_table_buffer_largest_box_first(monkeypatch):
+def test_ensemble_estimates_are_one_fresh_call_per_box():
     """The ensemble's estimates are bit for bit those of one
-    critical_value_free call per box in ascending order, each with a fresh
-    table; its boxes run largest first, so when no later box needs more
-    rows than the first realization's largest, one buffer is made, at the
-    exact size of that box's table."""
-    import weakkam.metric as metric
-
-    made = []
-
-    class RecordingBuffer(metric._TableBuffer):
-        def __call__(self, shape):
-            before = self.buffer
-            table = super().__call__(shape)
-            if self.buffer is not before:
-                made.append(self.buffer.size)
-            return table
-
-    monkeypatch.setattr(metric, "_TableBuffer", RecordingBuffer)
+    critical_value_free call per realization and box, each on a fresh
+    realization, with the radii given in descending order and stored by
+    ascending radius."""
     spec = wk.EnvSpec(kind="random_fourier", dimension=2, seed=2,
                       params={"period": 16.0, "k_max": 3, "amplitude": 0.5, "decay": 1.0})
     m = mechanical_model(dim=2, field_bound=0.5)
     radii = (1.0, 2.0)
     res = critical_value_stationary(m, spec, n_samples=3, box_radii=radii[::-1],
                                     points_per_unit=8, tol_bisect=1e-2)
-    sizes = []
+    assert res.box_radii.tolist() == list(radii)
     for i in range(3):
         for rj, rad in enumerate(radii):
-            env = CountingField(wk.sample_realization(spec, i))
+            env = wk.sample_realization(spec, i)
             box = BoxSpec(dim=2, radius=rad, points_per_unit=8)
             value = critical_value_free(m, env, box, tol_bisect=1e-2).value
             assert np.float64(value).tobytes() == res.estimates[i, rj].tobytes()
-            [shape] = env.tables
-            sizes.append(math.prod(shape) * len(env.env.amplitudes))
-    assert sizes[1] == max(sizes) > sizes[0]
-    assert made == [sizes[1]]
 
 
 _DEGENERATE = [    # n_samples, box radius, points_per_unit, what the refusal names
