@@ -19,12 +19,11 @@ import numpy as np
 import weakkam as wk
 from weakkam.aubry import build_library, build_w, detect_aubry
 from weakkam.grid import GridSpec
-from weakkam.hamiltonian import kappa, lipschitz_radius, mechanical_model
+from weakkam.hamiltonian import kappa, mechanical_model
 from weakkam.semigroup import (build_kernel, discrete_critical_value,
                                refold_kernel)
 from weakkam.subsol import build_strict_strictly_convex
-from weakkam.tonelli import (bernard_regularize, contraction_check,
-                             kernel_semiconcavity, regular_window)
+from weakkam.tonelli import bernard_regularize, contraction_check, regular_window
 
 ##############################################################################
 # Pipeline up to the strict subsolution (see the companion demos).
@@ -46,9 +45,10 @@ v = build_strict_strictly_convex(w, kern, 0.125, 6)
 # The admissible smoothing time comes from the characteristic flow: below
 # t0 the time-t return map is a contraction perturbation of the identity,
 # so forward and backward images stay single-valued.  The window bundles
-# t0 with the constants that produced it.
+# t0 with the constants that produced it, from the kernel's level and the
+# sublevel radius kappa(c) and speed radius R(kappa(c)) the kernel holds.
 
-win = regular_window(kappa(model, c, env), 1.0, model, env)
+win = regular_window(kern, 1.0)
 print(f"window: t0 = {win.t0} = 2^{int(np.log2(win.t0))}")
 print(f"  velocity radius rho = {win.rho:.6g}, field Lipschitz ell = {win.ell:.6g}")
 print(f"  assembled curvature constant A = {win.a_const:.6g}")
@@ -61,17 +61,15 @@ print(f"sampled Lip(R_t0 - id) = {rep_c.lipschitz:.6g} "
 
 ##############################################################################
 # Smoothing needs ladder times <= t0, so rebuild the kernel at dt = t0.
-# The curvature certificate is checked against the larger of the assembled
-# constant and the kernel's own one-step semiconcavity (which scales like
-# 1/dt and dominates at this resolution).
+# The smoothing derives its own bounds: the curvature certificate is
+# checked against the larger of the window's assembled constant and the
+# kernel's own one-step semiconcavity (which scales like 1/dt and dominates
+# at this resolution), the sup move against (t+s) R(kappa(c)).
 
 fine = refold_kernel(build_kernel(model, env, grid, dt=win.t0,
                                   theta=kern.theta), c)
-bound = max(win.a_const, kernel_semiconcavity(fine, win.t0))
-r_k = lipschitz_radius(kappa(model, c, env), model)
 w_reg, rep = bernard_regularize(v, fine, win.t0, win.t0, mask=mask.mask, d0=0.1,
-                                strict_input=True, curvature_bound=bound,
-                                r_kappa=r_k)
+                                strict_input=True, window=win)
 
 ##############################################################################
 # The certificate, one line per guarantee.
@@ -84,7 +82,7 @@ flags = [("subsolution preserved", rep.subsolution_ok),
 for name, ok in flags:
     print(f"  {'PASS' if ok else 'FAIL'}  {name}")
 print(f"second differences in [{rep.curvature.k_lower:.6g}, "
-      f"{rep.curvature.k_upper:.6g}], bound {bound:.6g}")
+      f"{rep.curvature.k_upper:.6g}], bound {rep.curvature_bound:.6g}")
 print(f"sup |smoothed - input| = {rep.sup_change:.3g} <= (t+s) R = {rep.sup_bound:.6g}")
 print(f"mask agreement: {rep.mask_agreement!r}")
 print(f"overall: {'PASS' if rep.passed else 'FAIL'} "

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -32,7 +33,7 @@ from .config import (RunConfig, build_environment, build_grid, build_model,
 from .errors import (CertificateFailure, ConfigError, LadderError,
                      NotTonelliError, WeakKamError)
 from .grid import GridFn, _write_node_csv, save_gridfn_csv
-from .hamiltonian import kappa, lipschitz_radius
+from .hamiltonian import kappa
 from .metric import (build_cost_graph, check_subsolution, critical_value_free,
                      semidistance)
 from .semigroup import (_whole_steps, build_kernel, check_corrector,
@@ -40,8 +41,7 @@ from .semigroup import (_whole_steps, build_kernel, check_corrector,
                         refold_kernel)
 from .subsol import (_near_mask, build_strict_convex, build_strict_strictly_convex,
                      check_strict, truncation_budget)
-from .tonelli import (FlowState, bernard_regularize, flow_integrate,
-                      kernel_semiconcavity, regular_window)
+from .tonelli import FlowState, bernard_regularize, flow_integrate, regular_window
 
 __all__ = ["main"]
 
@@ -84,12 +84,10 @@ def stage_aubry(cfg: RunConfig, kern) -> dict:
 
 def stage_strict(cfg: RunConfig, kern, aub: dict) -> dict:
     """Strict subsolution at kern's level with each of its verdicts."""
-    model, env, a = kern.model, kern.env, kern.shift
     w, am = aub["w"], aub["mask"]
     tau = cfg.get("tolerances", "tau")
     m_terms = cfg.get("tolerances", "m_terms")
-    r_kappa = lipschitz_radius(kappa(model, a, env), model)
-    budget = {"travel": tau * r_kappa,
+    budget = {"travel": tau * kern.speed_radius,
               "truncation": truncation_budget(w, m_terms)}
     budget["total"] = budget["travel"] + budget["truncation"]
     target_raw = cfg.get("tolerances", "eps_target")
@@ -101,13 +99,13 @@ def stage_strict(cfg: RunConfig, kern, aub: dict) -> dict:
                 f"{budget['total']:.6g} (travel {budget['travel']:.6g} + "
                 f"truncation {budget['truncation']:.6g}); raise eps_target, "
                 f"shrink tau, or raise m_terms", budget=budget)
-    if model.strictly_convex:
+    if kern.model.strictly_convex:
         branch = "time-mix"
         w_eps = build_strict_strictly_convex(w, kern, tau, m_terms)
     else:
         branch = "sup-convolution"
         w_eps = build_strict_convex(w, kern, cfg.get("tolerances", "delta"),
-                                    tau, m_terms, r_kappa)
+                                    tau, m_terms)
     sub_ok, worst = verify_member(w_eps, kern)
     sup_change = float(np.max(np.abs(w_eps.values - w.values)))
     sup_ok = sup_change <= budget["total"] + 1e-12
@@ -115,10 +113,10 @@ def stage_strict(cfg: RunConfig, kern, aub: dict) -> dict:
     mask_agree = (float(np.max(np.abs(w_eps.values[am.mask] - w.values[am.mask])))
                   if am.mask.any() else 0.0)
     mask_ok = mask_agree <= mask_eps
-    cert = check_strict(w_eps, model, env, am.mask, cfg.get("tolerances", "d0"), a=a)
+    cert = check_strict(w_eps, kern, am.mask, cfg.get("tolerances", "d0"))
     passed = bool(sub_ok and sup_ok and mask_ok and cert.passed)
     return {"w_eps": w_eps, "branch": branch, "budget": budget,
-            "r_kappa": r_kappa, "sub_ok": sub_ok, "edge_violation": worst,
+            "sub_ok": sub_ok, "edge_violation": worst,
             "sup_change": sup_change, "sup_ok": sup_ok,
             "mask_agreement": mask_agree, "mask_eps": mask_eps, "mask_ok": mask_ok,
             "strict_cert": cert, "passed": passed}
@@ -176,29 +174,21 @@ def _smoothing_ladder(kern, s: float, t: float):
 
 def stage_regularize(cfg: RunConfig, kern, aub: dict, strict: dict) -> dict:
     """Two-sided smoothing of the strict subsolution at kern's level."""
-    model, env = kern.model, kern.env
-    kappa0 = kappa(model, kern.shift, env)
-    window = regular_window(kappa0, cfg.get("tolerances", "lam"), model, env)
-    s_raw = cfg.get("tolerances", "s")
-    t_raw = cfg.get("tolerances", "t")
-    s = window.t0 if s_raw == "auto" else float(s_raw)
-    t = window.t0 if t_raw == "auto" else float(t_raw)
+    window = regular_window(kern, cfg.get("tolerances", "lam"))
+    s, t = (window.t0 if raw == "auto" else float(raw)
+            for raw in (cfg.get("tolerances", "s"), cfg.get("tolerances", "t")))
     stage_warnings = []
     if max(s, t) > window.t0 + 1e-12:
         stage_warnings.append(
             f"smoothing times s={s!r}, t={t!r} exceed the certified window "
             f"t0={window.t0!r}; curvature certificates are not guaranteed")
     k_use = _smoothing_ladder(kern, s, t)
-    k_t = max(kernel_semiconcavity(k_use, time) for time in {s, t})
-    bound = max(window.a_const, k_t)
     w_eps, report = bernard_regularize(
         strict["w_eps"], k_use, s, t, mask=aub["mask"].mask,
         d0=cfg.get("tolerances", "d0"),
-        strict_input=strict["strict_cert"].passed,
-        curvature_bound=bound, r_kappa=strict["r_kappa"])
+        strict_input=strict["strict_cert"].passed, window=window)
     report.warnings.extend(stage_warnings)
     return {"w_reg": w_eps, "report": report, "window": window,
-            "k_t": k_t, "curvature_bound": bound,
             "smoothing_dt": k_use.dt}
 
 
@@ -267,8 +257,9 @@ def _get_critical(cfg: RunConfig, problem: tuple, outdir: str, compute_c: bool,
     """The level that manifest_critical.json in outdir records for this
     config; else, under compute_c, the critical stage, recorded there as
     the critical command records it.  A record that cannot be read (not
-    JSON, not an object, no results object) is no usable record; without
-    compute_c it is refused by its path."""
+    JSON, not an object, no results object) or whose c_disc or theta is
+    not a finite float (missing, a string, null, a bool, NaN, an infinity)
+    is no usable record; without compute_c it is refused by its path."""
     path = os.path.join(outdir, "manifest_critical.json")
     record = {}
     if os.path.exists(path):
@@ -277,12 +268,15 @@ def _get_critical(cfg: RunConfig, problem: tuple, outdir: str, compute_c: bool,
                 record = json.load(fh)
         except (OSError, ValueError):
             record = None
-        if not (isinstance(record, dict) and isinstance(record.get("results"), dict)):
+        results = record.get("results") if isinstance(record, dict) else None
+        if not (isinstance(results, dict)
+                and all(isinstance(results.get(k), float) and math.isfinite(results[k])
+                        for k in ("c_disc", "theta"))):
             record = None
     if record and record.get("config_hash") == config_hash(cfg):
         return dict(record["results"])
     if not compute_c:
-        why = (f"{path} is not a readable critical manifest" if record is None
+        why = (f"{path} is not a usable critical manifest" if record is None
                else f"no cached critical value for this config in {outdir}")
         raise ConfigError(f"{why}; run the 'critical' command first or pass --compute-c")
     out("no usable critical cache; computing the level first")
@@ -391,7 +385,7 @@ def cmd_regularize(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
         f"subsolution edges: {'PASS' if rep.subsolution_ok else 'FAIL'} "
         f"(worst {rep.edge_violation!r})",
         f"two-sided curvature [{rep.curvature.k_lower!r}, {rep.curvature.k_upper!r}] "
-        f"within {reg['curvature_bound']!r}: "
+        f"within {rep.curvature_bound!r}: "
         f"{'PASS' if rep.curvature_ok else 'FAIL'}",
         f"sup change {rep.sup_change!r} <= {rep.sup_bound!r}: "
         f"{'PASS' if rep.sup_ok else 'FAIL'}",
@@ -404,7 +398,7 @@ def cmd_regularize(cfg: RunConfig, outdir: str, out, compute_c: bool) -> int:
         "s": rep.s, "t": rep.t,
         "edge_violation": rep.edge_violation,
         "k_lower": rep.curvature.k_lower, "k_upper": rep.curvature.k_upper,
-        "curvature_bound": reg["curvature_bound"],
+        "curvature_bound": rep.curvature_bound,
         "window_t0": reg["window"].t0, "window_a": reg["window"].a_const,
         "smoothing_dt": reg["smoothing_dt"],
         "sup_change": rep.sup_change, "sup_bound": rep.sup_bound,
@@ -500,8 +494,7 @@ def _battery(cfg: RunConfig) -> list:
         if isinstance(graph, WeakKamError) and am.mask.any():
             raise graph
         u = lax_extension(w, am.mask, graph)
-        r_k = lipschitz_radius(kappa(model, a, env), model)
-        tol = 1.5 * grid.h * r_k
+        tol = 1.5 * grid.h * kern.speed_radius
         rep = check_corrector(u, kern, am.test_times, tol=tol)
         return rep.passed, f"residual={float(rep.residuals.max())!r} tol={tol!r}"
     run("mask_extension_is_corrector", _extension)
@@ -558,7 +551,7 @@ def _battery(cfg: RunConfig) -> list:
         reg = stage_regularize(cfg, kern, aub, strict)
         rep = reg["report"]
         detail = (f"k=[{rep.curvature.k_lower!r}, {rep.curvature.k_upper!r}] "
-                  f"bound={reg['curvature_bound']!r}")
+                  f"bound={rep.curvature_bound!r}")
         if not rep.passed:
             detail += f" failed={','.join(rep.failed())}"
         return rep.passed, detail

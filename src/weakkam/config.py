@@ -196,8 +196,10 @@ def load_config(path) -> RunConfig:
     return parse_config_text(text, source=str(path))
 
 
-# str keys that hold a number unless they read 'auto' or are empty
-_NUMERIC_STR_KEYS = {("tolerances", key) for key in ("eps_aubry", "s", "t", "eps_target")}
+# [tolerances] str keys that hold a positive number unless they read their
+# blank, 'auto' or empty
+_BLANK_OR_POSITIVE = {"eps_aubry": "auto", "s": "auto", "t": "auto", "eps_target": ""}
+_NUMERIC_STR_KEYS = {("tolerances", key) for key in _BLANK_OR_POSITIVE}
 
 
 def _validate_finite(cfg: RunConfig) -> None:
@@ -244,14 +246,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"[ladder] dt must be a power of two, got {dt}")
     if cfg.get("ladder", "t_max") < dt:
         raise ConfigError("[ladder] t_max must be at least dt")
-    eps = cfg.get("tolerances", "eps_aubry")
-    if eps != "auto":
-        try:
-            num = float(eps)
-        except ValueError as exc:
-            raise ConfigError("[tolerances] eps_aubry must be 'auto' or a number") from exc
-        if not num > 0:
-            raise ConfigError(f"[tolerances] eps_aubry must be positive, got {num}")
     for key in ("n_seeds", "m_terms"):
         val = cfg.get("tolerances", key)
         if val < 1:
@@ -262,22 +256,20 @@ def _validate(cfg: RunConfig) -> None:
         # build_library lays 2D seeds out on a side x side lattice
         raise ConfigError(f"[tolerances] n_seeds must be a perfect square in 2D, got {seeds}; "
                           f"the nearest squares are {side * side} and {(side + 1) ** 2}")
-    for key in ("s", "t"):
+    for key, blank in _BLANK_OR_POSITIVE.items():
         val = cfg.get("tolerances", key)
-        if val == "auto":
+        if val == blank:
             continue
         try:
             num = float(val)
         except ValueError as exc:
-            raise ConfigError(f"[tolerances] {key} must be 'auto' or a number") from exc
+            raise ConfigError(f"[tolerances] {key} must be {repr(blank) if blank else 'empty'} "
+                              f"or a number") from exc
         if num <= 0:
             raise ConfigError(f"[tolerances] {key} must be positive, got {num}")
-    tgt = cfg.get("tolerances", "eps_target")
-    if tgt:
-        try:
-            float(tgt)
-        except ValueError as exc:
-            raise ConfigError("[tolerances] eps_target must be empty or a number") from exc
+    d0 = cfg.get("tolerances", "d0")
+    if d0 < 0:
+        raise ConfigError(f"[tolerances] d0 must be nonnegative, got {d0}")
     _validate_torus_field(cfg)
 
 

@@ -33,13 +33,14 @@ the log (capped before the walk) and sums in chunks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, LadderError, WeakKamError
 from .grid import _BLOCK, _SHORTLIST, GridFn, GridSpec, Stencil, _index_type, relax
-from .hamiltonian import lipschitz_radius
+from .hamiltonian import kappa, lipschitz_radius
 from .metric import _SamplePoints, lippo_scale
 
 __all__ = [
@@ -76,8 +77,11 @@ class ActionKernel(Stencil):
     The stencil edge y -> x costs h_dt(y, x); no other pair is joined in one
     step.  ``shift`` is the energy folding added to L (use the critical
     value to normalize): the level a of every check on the kernel, which
-    reads it, with model and env, from here.  build_kernel prices at level
-    0 and refold_kernel is the one place that sets another.
+    reads it, with model and env and the level's bounds kappa(a) and
+    R(kappa(a)) (kappa, speed_radius), from here.  build_kernel prices at
+    level 0 and refold_kernel is the one place that sets another.  The
+    bounds are computed on first read: at level 0 a kernel may sit below
+    the field's floor, where kappa raises SubcriticalLevelError.
     """
 
     model: object
@@ -102,6 +106,16 @@ class ActionKernel(Stencil):
 
     def steps_of(self, t: float) -> int:
         return _whole_steps(t, self.dt)
+
+    @cached_property
+    def kappa(self) -> float:
+        """kappa(a): the largest |p| with H(x, p) <= a, a the kernel's level."""
+        return kappa(self.model, self.shift, self.env)
+
+    @cached_property
+    def speed_radius(self) -> float:
+        """R(kappa(a)): the optimizer speed bound at the kernel's level."""
+        return lipschitz_radius(self.kappa, self.model)
 
     # -- all-pairs tables (no caller in the package) -----------------------
 

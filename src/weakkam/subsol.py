@@ -12,10 +12,11 @@ it:
   differentiability the mix argument needs.
 
 Builders work at the level folded into the kernel (ActionKernel.shift),
-whose images T^-_t w already carry the + a t.  Certification is separate
-from construction: check_strict measures the margin of H(x, Dv) below the
-level on a region bounded away from the mask.  Builders return plain grid
-functions; callers assemble certificates.
+whose images T^-_t w already carry the + a t, and its speed radius
+R(kappa).  Certification is separate from construction: check_strict
+measures the margin of H(x, Dv) below the kernel's level on a region
+bounded away from the mask.  Builders return plain grid functions;
+callers assemble certificates.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ class StrictnessCertificate:
     passed: bool
 
 
-def check_strict(v: GridFn, model, env, mask: np.ndarray, d0: float,
-                 a: float = 0.0) -> StrictnessCertificate:
-    """Certify H(x, D_h v(x)) <= a - delta on {dist(x, mask) >= d0}.
+def check_strict(v: GridFn, kernel: ActionKernel, mask: np.ndarray,
+                 d0: float) -> StrictnessCertificate:
+    """Certify H(x, D_h v(x)) <= a - delta on {dist(x, mask) >= d0} at the
+    kernel's level a, model and environment.
 
     Central differences; cells whose stencil touches the mask are excluded
     rather than one-sided, so kinks sitting on the mask cannot fake a
@@ -86,7 +88,8 @@ def check_strict(v: GridFn, model, env, mask: np.ndarray, d0: float,
             f"no cells at distance >= d0={d0} from the mask; shrink d0")
     grads = v.central_gradient()
     pts = grid.points()
-    h_vals = np.asarray(model.eval_H(pts[region], grads[region], env), dtype=float)
+    a = kernel.shift
+    h_vals = np.asarray(kernel.model.eval_H(pts[region], grads[region], kernel.env), dtype=float)
     worst_local = int(np.argmax(h_vals))
     worst = int(np.nonzero(region)[0][worst_local])
     delta = float(a - h_vals[worst_local])
@@ -141,7 +144,7 @@ def build_strict_strictly_convex(w: GridFn, kernel: ActionKernel,
     Needs strict convexity in p: the strictness of the mix comes from the
     images' gradients disagreeing off the mask, which only prices into a
     margin when level sets of H have no flat faces.  Deviation from w is at
-    most tau * speed-radius plus the truncation budget.
+    most tau * kernel.speed_radius plus the truncation budget.
     """
     if not kernel.model.strictly_convex:
         raise ConfigError(
@@ -152,21 +155,21 @@ def build_strict_strictly_convex(w: GridFn, kernel: ActionKernel,
 
 
 def sup_convolution_time(w: GridFn, kernel: ActionKernel, delta: float, t: float,
-                         r_kappa: float, orbit: np.ndarray) -> tuple:
+                         orbit: np.ndarray) -> tuple:
     """max over ladder s of (T^-_s w + a s)(x) - (s - t)^2 / (2 delta), a
     the kernel's level.
 
     orbit holds the folded images T^-_s w + a s at s = 0, dt, ... (a
     semigroup_orbit of w), and its last time is the top of the s-ladder.
-    The quadratic penalty pins the maximizer within 2 delta R(kappa) of t,
-    so the s-ladder must span [0, t + 4 delta R(kappa)]; shorter ladders
-    are refused rather than silently truncating the sup.  Returns the value
-    function and the maximizing s per node.
+    The penalty pins the maximizer within 2 delta R(kappa) of t (the
+    kernel's speed_radius), so the s-ladder must span [0, t + 4 delta
+    R(kappa)]; shorter ladders are refused rather than silently truncating
+    the sup.  Returns the value function and the maximizing s per node.
     """
     if delta <= 0:
         raise ConfigError("delta must be positive: delta=0 degenerates the penalty")
     s = kernel.dt * np.arange(orbit.shape[0])
-    window = t + 4.0 * delta * r_kappa
+    window = t + 4.0 * delta * kernel.speed_radius
     if s[-1] < window - 1e-12:
         raise LadderError(
             f"s-ladder spans [0, {s[-1]:g}] but the maximizer window needs "
@@ -178,19 +181,19 @@ def sup_convolution_time(w: GridFn, kernel: ActionKernel, delta: float, t: float
 
 
 def build_strict_convex(w: GridFn, kernel: ActionKernel, delta: float, tau: float,
-                        m_terms: int, r_kappa: float) -> GridFn:
+                        m_terms: int) -> GridFn:
     """Strict builder for merely convex Hamiltonians.
 
     Same geometric mix as the strictly convex branch, but each image is the
     time sup-convolution at t_n, evaluated from one shared orbit up to
-    tau + 4 delta R(kappa), r_kappa = R(kappa) at the kernel's level.
+    tau + 4 delta R(kappa), R(kappa) the kernel's speed radius.
     """
     if delta <= 0:
         raise ConfigError("delta must be positive: delta=0 degenerates the penalty")
     times = dyadic_fill_times(kernel, tau, m_terms)
-    n_steps = int(np.ceil((tau + 4.0 * delta * r_kappa) / kernel.dt - 1e-9))
+    n_steps = int(np.ceil((tau + 4.0 * delta * kernel.speed_radius) / kernel.dt - 1e-9))
     orbit = semigroup_orbit(w, kernel, n_steps)
-    return geometric_mix(w.grid, [sup_convolution_time(w, kernel, delta, t, r_kappa, orbit)[0].values
+    return geometric_mix(w.grid, [sup_convolution_time(w, kernel, delta, t, orbit)[0].values
                                   for t in times])
 
 

@@ -10,7 +10,7 @@ in momentum, with controlled derivatives.  On those models
 * the two-sided smoothing T^-_t after T^+_s upgrades a strict subsolution
   to one with two-sided second-difference bounds — a gradient-Lipschitz
   proxy — without moving it on the Aubry mask (bernard_regularize), at
-  the level folded into the kernel it runs on.
+  the level folded into the kernel it runs on, under bounds it derives.
 
 Non-Tonelli models are refused with the failed requirements listed, not
 approximated.
@@ -27,7 +27,7 @@ import numpy as np
 from .aubry import default_eps, verify_member
 from .errors import ConfigError, NotTonelliError
 from .grid import GridFn
-from .hamiltonian import field_values, kappa, lipschitz_radius
+from .hamiltonian import field_values, kappa
 from .semigroup import ActionKernel, lax_minus, lax_plus
 from .subsol import StrictnessCertificate, check_strict
 
@@ -238,18 +238,17 @@ class RegularWindow:
     the resulting Lipschitz bound for the regularized gradient.
     """
 
-    kappa0: float
     lam: float
     rho: float
     ell: float
     t0: float
     a_const: float
-    r_kappa0: float
     constraints: dict = field(default_factory=dict)
 
 
-def regular_window(kappa0: float, lam: float, model, env) -> RegularWindow:
-    """Constants (rho, ell, t0, A) of the short-time contraction estimate.
+def regular_window(kernel: ActionKernel, lam: float) -> RegularWindow:
+    """Constants (rho, ell, t0, A) of the short-time contraction estimate,
+    kappa0 and R(kappa0) the kernel's kappa and speed_radius.
 
     t0 is the largest dyadic 2^-j with
         (e^{ell t0} - 1) sqrt(1 + lam^2) < 1/2,
@@ -258,7 +257,8 @@ def regular_window(kappa0: float, lam: float, model, env) -> RegularWindow:
     and A = 2 e^{ell t0} sqrt(1 + lam^2) bounds the gradient Lipschitz
     constant the window certifies.
     """
-    _require_tonelli(model, "the contraction window")
+    _require_tonelli(kernel.model, "the contraction window")
+    model, env, kappa0 = kernel.model, kernel.env, kernel.kappa
     # energy ceiling reachable from |p| <= kappa0, then back to a momentum radius
     xs = np.random.default_rng(11).uniform(0.0, 1.0, size=(512, model.dim))
     dirs = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
@@ -270,14 +270,13 @@ def regular_window(kappa0: float, lam: float, model, env) -> RegularWindow:
     e0 = max(float(np.max(model.H(V, np.broadcast_to(p, xs.shape)))) for p in pp)
     rho = kappa(model, e0, env)
     ell = float(model.l_r(rho, env))
-    r0 = lipschitz_radius(kappa0, model)
     root = float(np.sqrt(1.0 + lam * lam))
     t0 = None
     for j in range(64):
         cand = 2.0**-j
         c1 = (np.exp(ell * cand) - 1.0) * root
         c2 = ell * cand
-        c3 = cand * r0
+        c3 = cand * kernel.speed_radius
         if c1 < 0.5 and c2 < 0.25 and c3 < 0.25:
             t0 = cand
             constraints = {"contraction": float(c1), "rate_time": float(c2),
@@ -287,9 +286,8 @@ def regular_window(kappa0: float, lam: float, model, env) -> RegularWindow:
         raise ConfigError("no dyadic time satisfies the window constraints; "
                           "the flow rate ell is effectively unbounded")
     a_const = 2.0 * float(np.exp(ell * t0)) * root
-    return RegularWindow(kappa0=float(kappa0), lam=float(lam), rho=float(rho),
-                         ell=ell, t0=float(t0), a_const=a_const, r_kappa0=r0,
-                         constraints=constraints)
+    return RegularWindow(lam=float(lam), rho=float(rho), ell=ell, t0=float(t0),
+                         a_const=a_const, constraints=constraints)
 
 
 @dataclass
@@ -376,20 +374,18 @@ class BernardReport:
 
 
 def bernard_regularize(w: GridFn, kernel: ActionKernel, s: float, t: float, mask: np.ndarray,
-                       d0: float, strict_input: bool, curvature_bound: float,
-                       r_kappa: float) -> tuple:
+                       d0: float, strict_input: bool, window: RegularWindow) -> tuple:
     """T^-_t (T^+_s w) with its five-way certificate, at the kernel's level a.
 
     (a) stays a discrete subsolution at level a; (b) two-sided second
-    differences bounded (gradient-Lipschitz proxy) by curvature_bound;
-    (c) moves w by at most (t + s) r_kappa, r_kappa = R(kappa) at level a;
-    (d) agrees with w on the mask within default_eps(w); (e) stays strict
-    off the mask by d0.
+    differences bounded (gradient-Lipschitz proxy) by the curvature bound
+    max(window.a_const, kernel_semiconcavity at s and at t); (c) moves w by
+    at most (t + s) R(kappa), the kernel's speed radius; (d) agrees with w
+    on the mask within default_eps(w); (e) stays strict off the mask by d0.
     A non-strict input is a warning, not a refusal: the output is data.
     On the folded kernel T^+_s and T^-_t carry -a s and +a t themselves.
     """
-    model, env = kernel.model, kernel.env
-    _require_tonelli(model, "two-sided regularization")
+    _require_tonelli(kernel.model, "two-sided regularization")
     warnings = []
     if not strict_input:
         warnings.append("input strictness not certified; the two-sided "
@@ -399,11 +395,12 @@ def bernard_regularize(w: GridFn, kernel: ActionKernel, s: float, t: float, mask
 
     sub_ok, worst = verify_member(w_eps, kernel)
     curv = estimate_semiconcavity(w_eps)
+    curvature_bound = max(window.a_const, *(kernel_semiconcavity(kernel, x) for x in {s, t}))
     two_sided = max(abs(curv.k_upper), abs(curv.k_lower))
     curv_ok = bool(two_sided <= curvature_bound
                    and not curv.unbounded_above and not curv.unbounded_below)
     sup_change = float(np.max(np.abs(w_eps.values - w.values)))
-    sup_bound = (t + s) * r_kappa
+    sup_bound = (t + s) * kernel.speed_radius
     sup_ok = bool(sup_change <= sup_bound + 1e-9)
 
     mask_eps = default_eps(w.values)
@@ -411,7 +408,7 @@ def bernard_regularize(w: GridFn, kernel: ActionKernel, s: float, t: float, mask
     if np.any(mask):
         mask_agree = float(np.max(np.abs(w_eps.values[mask] - w.values[mask])))
         mask_ok = bool(mask_agree <= mask_eps)
-    strict_cert = check_strict(w_eps, model, env, mask, d0, a=kernel.shift)
+    strict_cert = check_strict(w_eps, kernel, mask, d0)
 
     report = BernardReport(
         s=float(s), t=float(t), subsolution_ok=bool(sub_ok), edge_violation=worst,

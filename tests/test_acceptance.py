@@ -157,8 +157,7 @@ def test_criterion_05_metric_consistency(pend256):
              for x in rng.integers(0, grid.size, 50 // len(sources) + 1)][:50]
     gaps = [sd[row, x] - folded[row, x] for row, x in pairs]
     two_route = float(np.max(np.abs(gaps)))
-    kap = kappa(model, c, env)
-    tol = 2.0 * grid.h * lipschitz_radius(kap, model) + 4.0 * kap * kern.dt
+    tol = 2.0 * grid.h * kern.speed_radius + 4.0 * kern.kappa * kern.dt
     # the metric route can only under-price the ladder route
     one_sided = float(np.max(gaps))
     tri_worst, count = -np.inf, 0
@@ -181,17 +180,15 @@ def test_criterion_05_metric_consistency(pend256):
 
 
 def test_criterion_06_strictness_pipeline(pend256):
-    kern, c, grid, w, mask = (pend256[k] for k in
-                              ("kernel", "c", "grid", "w", "mask"))
-    model, env = pend256["model"], pend256["env"]
+    kern, grid, w, mask, env = (pend256[k] for k in
+                                ("kernel", "grid", "w", "mask", "env"))
     tau, m_terms, eps_a = 0.125, 6, 1e-6
     checks = {}
     v = build_strict_strictly_convex(w, kern, tau, m_terms)
-    r_k = lipschitz_radius(kappa(model, c, env), model)
-    budget = tau * r_k + truncation_budget(w, m_terms)
+    budget = tau * kern.speed_radius + truncation_budget(w, m_terms)
     sup = float(np.max(np.abs(v.values - w.values)))
     agree = float(np.max(np.abs(v.values[mask.mask] - w.values[mask.mask])))
-    cert = check_strict(v, model, env, mask.mask, 0.1, a=c)
+    cert = check_strict(v, kern, mask.mask, 0.1)
     checks["time-mix"] = (sup <= budget and agree <= eps_a
                           and cert.passed and cert.delta > 0)
     mn = nonstrict_model(dim=1, field_bound=1.0)
@@ -201,12 +198,12 @@ def test_criterion_06_strictness_pipeline(pend256):
     wn = build_w(build_library(kn, n_seeds=4))
     maskn = detect_aubry(wn, kn, 4.0)
     delta_pen = 0.05
-    r_kn = lipschitz_radius(kappa(mn, cn + 0.02, env), mn)
-    vn = build_strict_convex(wn, kn, delta_pen, tau, m_terms, r_kappa=r_kn)
+    r_kn = kn.speed_radius
+    vn = build_strict_convex(wn, kn, delta_pen, tau, m_terms)
     budget_n = tau * r_kn + truncation_budget(wn, m_terms) + 2 * delta_pen * r_kn
     sup_n = float(np.max(np.abs(vn.values - wn.values)))
     agree_n = float(np.max(np.abs(vn.values[maskn.mask] - wn.values[maskn.mask])))
-    cert_n = check_strict(vn, mn, env, maskn.mask, 0.1, a=cn)
+    cert_n = check_strict(vn, kn, maskn.mask, 0.1)
     checks["sup-convolution"] = (sup_n <= budget_n and agree_n <= eps_a
                                  and cert_n.passed and cert_n.delta > 0)
     passed = all(checks.values())
@@ -224,17 +221,17 @@ def test_criterion_07_bernard_regularization(pend256):
                               ("kernel", "c", "grid", "w", "mask"))
     model, env = pend256["model"], pend256["env"]
     v_strict = build_strict_strictly_convex(w, kern, 0.125, 6)
-    win = regular_window(kappa(model, c, env), 1.0, model, env)
+    win = regular_window(kern, 1.0)
     fine = refold_kernel(build_kernel(model, env, grid, dt=win.t0,
                                       theta=kern.theta), c)
     bound = max(win.a_const, kernel_semiconcavity(fine, win.t0))
-    r_k = lipschitz_radius(kappa(model, c, env), model)
+    r_k = kern.speed_radius
     _, rep = bernard_regularize(v_strict, fine, win.t0, win.t0, mask=mask.mask, d0=0.1,
-                                strict_input=True, curvature_bound=bound,
-                                r_kappa=r_k)
+                                strict_input=True, window=win)
     two_sided = max(abs(rep.curvature.k_upper), abs(rep.curvature.k_lower))
     passed = (rep.passed and rep.subsolution_ok and rep.curvature_ok
               and rep.sup_ok and rep.mask_ok and rep.strict_ok
+              and rep.curvature_bound == bound
               and np.isfinite(two_sided) and two_sided <= bound
               and rep.sup_change <= (rep.s + rep.t) * r_k)
     record_criterion(7, "bernard-regularization", passed,
@@ -247,7 +244,7 @@ def test_criterion_07_bernard_regularization(pend256):
 
 def test_criterion_08_contraction_window(pend256):
     model, env = pend256["model"], pend256["env"]
-    win = regular_window(kappa(model, pend256["c"], env), 1.0, model, env)
+    win = regular_window(pend256["kernel"], 1.0)
     rep = contraction_check(win, model, env)
     drift = flow_integrate(model, env, FlowState([0.25], [0.5]),
                            10.0, 1e-3).drift

@@ -98,13 +98,29 @@ def test_aubry_refuses_without_cache_then_computes(tmp_path, clirun, capsys):
     assert recorded == open(os.path.join(clirun["outdir"], "manifest_critical.json"), "rb").read()
 
 
+def _results(change):
+    """A tampering that applies change to the manifest's results object."""
+    def tamper(text):
+        record = json.loads(text)
+        change(record["results"])
+        return json.dumps(record)
+    return tamper
+
+
 # manifests that cannot be read as a record of the level: cut short (not
-# JSON), JSON that is not an object, and an object without its results
+# JSON), JSON that is not an object, an object without its results, and
+# results whose level c_disc or kernel width theta is not a finite float
 UNREADABLE_MANIFESTS = {
     "truncated": lambda text: text[:200],
     "not_an_object": lambda text: "[1.0, 2.0]\n",
     "no_results": lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                            if k != "results"}),
+    "no_c_disc": _results(lambda r: r.pop("c_disc")),
+    "c_disc_string": _results(lambda r: r.update(c_disc="1.0")),
+    "theta_null": _results(lambda r: r.update(theta=None)),
+    "c_disc_nan": _results(lambda r: r.update(c_disc=float("nan"))),
+    "c_disc_infinity": _results(lambda r: r.update(c_disc=float("inf"))),
+    "c_disc_bool": _results(lambda r: r.update(c_disc=True)),
 }
 
 

@@ -68,6 +68,9 @@ def test_unknown_section_and_key_are_rejected_with_source():
      "n_seeds must be a perfect square in 2D, got 5; the nearest squares are 4 and 9"),
     ("[tolerances]\nm_terms = 0\n", "m_terms"),
     ("[tolerances]\neps_aubry = -1\n", "eps_aubry"),
+    ("[tolerances]\neps_target = -1\n", r"\[tolerances\] eps_target must be positive, got -1.0"),
+    ("[tolerances]\neps_target = 0\n", r"\[tolerances\] eps_target must be positive, got 0.0"),
+    ("[tolerances]\nd0 = -1\n", r"\[tolerances\] d0 must be nonnegative, got -1.0"),
     ("[hamiltonian]\nfield_bound = big\n", "number"),
     ("[environment]\nkind = quasiperiodic\n", r"quasiperiodic in 1D has the frequencies \[1\.0, 1\.41"),
     ("[environment]\nkind = random_fourier\nperiod = 16\n", r"period = 16\.0 \(1/period = 0\.0625\)"),

@@ -12,10 +12,10 @@ from oracles import (check_time_dependent_solution, minimizing_chain, per_offset
 import weakkam as wk
 from weakkam import grid as grid_module
 from weakkam import semigroup as semigroup_module
-from weakkam.errors import ConfigError, LadderError, WeakKamError
+from weakkam.errors import ConfigError, LadderError, SubcriticalLevelError, WeakKamError
 from weakkam.grid import _BLOCK, BoxSpec, GridFn, GridSpec, Stencil
-from weakkam.hamiltonian import (eikonal_model, kappa, mechanical_model, nonstrict_model,
-                                 reversed_model)
+from weakkam.hamiltonian import (eikonal_model, kappa, lipschitz_radius, mechanical_model,
+                                 nonstrict_model, reversed_model)
 from weakkam.semigroup import (build_kernel, check_corrector,
                                check_monotone_semigroup,
                                discrete_critical_value, lax_minus,
@@ -375,6 +375,27 @@ def test_refold_at_the_kernel_level_is_the_kernel(pend64):
     assert np.array_equal(same.weights, kern.weights)
     t = 4 * kern.dt
     assert np.array_equal(same.at(t), kern.at(t))
+
+
+def test_the_kernel_holds_its_level_bounds(pend64):
+    """kappa and R(kappa) are read off the kernel, computed once per kernel
+    at its own level, and only when read."""
+    kern = pend64["kernel"]
+    model, env = kern.model, kern.env
+    assert kern.kappa == kappa(model, kern.shift, env)
+    assert kern.speed_radius == lipschitz_radius(kappa(model, kern.shift, env), model)
+    assert kern.speed_radius is kern.speed_radius    # kept after the first read
+    higher = refold_kernel(kern, kern.shift + 0.5)
+    assert higher.speed_radius == lipschitz_radius(kappa(model, kern.shift + 0.5, env), model)
+    assert higher.speed_radius > kern.speed_radius
+    # below the field's floor min V = -1 the sublevel is empty: folding there
+    # succeeds, and only reading the bound refuses
+    below = refold_kernel(kern, -2.0)
+    assert below.shift == -2.0
+    with pytest.raises(SubcriticalLevelError):
+        below.speed_radius
+    with pytest.raises(SubcriticalLevelError):
+        below.kappa
 
 
 def test_forward_backward_envelope_ordering(pend64):

@@ -8,7 +8,7 @@ import weakkam as wk
 from weakkam.aubry import build_library, build_w, detect_aubry
 from weakkam.errors import ConfigError, LadderError
 from weakkam.grid import GridFn, GridSpec
-from weakkam.hamiltonian import (kappa, lipschitz_radius, nonstrict_model)
+from weakkam.hamiltonian import nonstrict_model
 from weakkam.metric import build_cost_graph, semidistance
 from weakkam.semigroup import (build_kernel, discrete_critical_value,
                                lax_minus, refold_kernel, semigroup_orbit)
@@ -61,9 +61,8 @@ def test_truncation_budget_is_range_times_two_to_minus_m():
 
 
 def test_zero_function_margin_matches_the_field_maximum(pend64):
-    model, env, grid, mask, c = (pend64[k] for k in
-                                 ("model", "env", "grid", "mask", "c"))
-    cert = check_strict(GridFn.zeros(grid), model, env, mask.mask, 0.1, a=c)
+    kern, grid, mask = (pend64[k] for k in ("kernel", "grid", "mask"))
+    cert = check_strict(GridFn.zeros(grid), kern, mask.mask, 0.1)
     # H(x, 0) equals the field, so the margin is set by the cell nearest the
     # excluded hilltop neighborhood: x = 7/64
     assert cert.delta == pytest.approx(1.0 - np.cos(2 * np.pi * 7 / 64), rel=1e-12)
@@ -73,24 +72,20 @@ def test_zero_function_margin_matches_the_field_maximum(pend64):
 
 
 def test_empty_mask_certifies_everywhere_and_finds_the_peak(pend64):
-    model, env, grid, c = (pend64[k] for k in ("model", "env", "grid", "c"))
-    cert = check_strict(GridFn.zeros(grid), model, env,
-                        np.zeros(grid.size, dtype=bool), 0.1, a=c)
+    kern, grid = pend64["kernel"], pend64["grid"]
+    cert = check_strict(GridFn.zeros(grid), kern, np.zeros(grid.size, dtype=bool), 0.1)
     assert cert.n_region == grid.size
     assert cert.delta == 0.0 and not cert.passed
     with pytest.raises(ConfigError):
-        check_strict(GridFn.zeros(grid), model, env,
-                     pend64["mask"].mask, 0.6, a=c)
+        check_strict(GridFn.zeros(grid), kern, pend64["mask"].mask, 0.6)
 
 
 def test_strictly_convex_builder_earns_a_margin(pend64):
-    kern, c, w, mask = (pend64[k] for k in ("kernel", "c", "w", "mask"))
-    model, env = pend64["model"], pend64["env"]
+    kern, w, mask = (pend64[k] for k in ("kernel", "w", "mask"))
     v = build_strict_strictly_convex(w, kern, 0.125, 6)
-    cert = check_strict(v, model, env, mask.mask, 0.1, a=c)
+    cert = check_strict(v, kern, mask.mask, 0.1)
     assert cert.passed and cert.delta > 0.1
-    r_kappa = lipschitz_radius(kappa(model, c, env), model)
-    budget = 0.125 * r_kappa + truncation_budget(w, 6)
+    budget = 0.125 * kern.speed_radius + truncation_budget(w, 6)
     assert float(np.max(np.abs(v.values - w.values))) <= budget
 
 
@@ -100,38 +95,34 @@ def test_strictly_convex_builder_refuses_flat_faces(nonstrict64):
 
 
 def test_sup_convolution_dominates_and_pins_the_maximizer(pend64):
-    kern, c, w = pend64["kernel"], pend64["c"], pend64["w"]
+    kern, w = pend64["kernel"], pend64["w"]
     t = 4 * kern.dt
     delta = 0.05
-    r_kappa = lipschitz_radius(kappa(pend64["model"], c, pend64["env"]),
-                               pend64["model"])
+    r_kappa = kern.speed_radius
     # the s-ladder just spans the maximizer window t + 4 delta R(kappa)
     orbit = semigroup_orbit(w, kern, int(np.ceil((t + 4 * delta * r_kappa) / kern.dt - 1e-9)))
-    v_t, s_star = sup_convolution_time(w, kern, delta, t, r_kappa, orbit)
+    v_t, s_star = sup_convolution_time(w, kern, delta, t, orbit)
     lower = lax_minus(w, kern, t).values
     assert float(np.min(v_t.values - lower)) >= -1e-12
     assert float(np.max(np.abs(s_star - t))) <= 4 * delta * r_kappa
 
 
 def test_sup_convolution_rejections(pend64):
-    kern, c, w = pend64["kernel"], pend64["c"], pend64["w"]
-    r_kappa = lipschitz_radius(kappa(pend64["model"], c, pend64["env"]),
-                               pend64["model"])
+    kern, w = pend64["kernel"], pend64["w"]
     orbit = semigroup_orbit(w, kern, 1)
     with pytest.raises(ConfigError):
-        sup_convolution_time(w, kern, 0.0, 4 * kern.dt, r_kappa, orbit)
+        sup_convolution_time(w, kern, 0.0, 4 * kern.dt, orbit)
     with pytest.raises(LadderError, match="s-ladder"):
-        sup_convolution_time(w, kern, 0.05, 4 * kern.dt, r_kappa, orbit)
+        sup_convolution_time(w, kern, 0.05, 4 * kern.dt, orbit)
 
 
 def test_convex_builder_handles_the_flat_faced_model(nonstrict64):
-    kern, c, w, mask = (nonstrict64[k] for k in ("kernel", "c", "w", "mask"))
-    model, env = nonstrict64["model"], nonstrict64["env"]
+    kern, w, mask = (nonstrict64[k] for k in ("kernel", "w", "mask"))
     assert list(mask.indices()) == [0]
     delta = 0.05
-    r_kappa = lipschitz_radius(kappa(model, c + 0.02, env), model)
-    v = build_strict_convex(w, kern, delta, 0.125, 6, r_kappa=r_kappa)
-    cert = check_strict(v, model, env, mask.mask, 0.1, a=c)
+    r_kappa = kern.speed_radius
+    v = build_strict_convex(w, kern, delta, 0.125, 6)
+    cert = check_strict(v, kern, mask.mask, 0.1)
     assert cert.passed and cert.delta > 0.1
     budget = 0.125 * r_kappa + truncation_budget(w, 6) + 2 * delta * r_kappa
     assert float(np.max(np.abs(v.values - w.values))) <= budget

@@ -13,7 +13,7 @@ import weakkam as wk
 from weakkam.config import build_environment, build_grid, build_model, parse_config_text
 from weakkam.errors import ConfigError, NotTonelliError
 from weakkam.grid import GridFn, GridSpec
-from weakkam.hamiltonian import (eikonal_model, kappa, lipschitz_radius, mechanical_model,
+from weakkam.hamiltonian import (eikonal_model, mechanical_model,
                                  reversed_model, tilted_mechanical_model)
 from weakkam.semigroup import build_kernel, refold_kernel
 from weakkam.subsol import build_strict_strictly_convex
@@ -28,8 +28,9 @@ def test_non_tonelli_models_are_refused(flat64):
     with pytest.raises(NotTonelliError) as exc:
         flow_integrate(model, env, FlowState([0.0], [0.5]), 1.0, 1e-2)
     assert exc.value.failed_conditions
+    kern = build_kernel(model, env, flat64["grid"], dt=1.0 / 64.0, theta=2.0)
     with pytest.raises(NotTonelliError):
-        regular_window(2.0, 1.0, model, env)
+        regular_window(kern, 1.0)
 
 
 def test_free_particle_flow_is_exact(flat64):
@@ -156,13 +157,12 @@ def test_long_2d_flows_keep_their_digits(name, t):
     assert traj.xi[-1].tolist() == xi and traj.eta[-1].tolist() == eta
 
 
-def test_contraction_check_keeps_its_digits_on_the_smoothing_window():
+def test_contraction_check_keeps_its_digits_on_the_smoothing_window(pend64):
     # the two_sided_smoothing demo's window: the cosine well at its level
     # c = 1, kappa_c = 2 and lam = 1, which gives t0 = 2^-8
-    env = wk.sample_realization(wk.EnvSpec(kind="periodic", dimension=1, seed=0,
-                                           params={"amplitudes": (1.0,)}), 0)
-    model = mechanical_model(dim=1, field_bound=1.0)
-    win = regular_window(kappa(model, 1.0, env), 1.0, model, env)
+    model, env, kern = pend64["model"], pend64["env"], pend64["kernel"]
+    assert kern.shift == 1.0
+    win = regular_window(kern, 1.0)
     assert win.t0 == 2.0**-8
     rep = contraction_check(win, model, env)
     assert rep.lipschitz == 0.004160534830691186
@@ -289,12 +289,15 @@ def test_kernel_semiconcavity_holds_no_whole_table():
 
 def test_window_constants_are_reproducible(pend64):
     model, env = pend64["model"], pend64["env"]
-    win = regular_window(2.0, 1.0, model, env)
+    # the kernel's level c = 1 has kappa = 2 exactly
+    kern = pend64["kernel"]
+    assert kern.kappa == 2.0
+    win = regular_window(kern, 1.0)
     assert win.t0 == 2.0**-8
     # energy ceiling from |p| <= 2 is 3, giving momentum radius sqrt(8)
     assert win.rho == pytest.approx(np.sqrt(8.0), abs=1e-4)
     assert win.ell == pytest.approx((2 * np.pi) ** 2, rel=1e-12)
-    assert win.r_kappa0 == pytest.approx(2.0 + 2.0 * np.sqrt(2.0), rel=1e-12)
+    assert kern.speed_radius == pytest.approx(2.0 + 2.0 * np.sqrt(2.0), rel=1e-12)
     assert win.a_const == pytest.approx(3.3000358749388656, rel=1e-9)
     assert set(win.constraints) == {"contraction", "rate_time", "excursion"}
     assert win.constraints["contraction"] < 0.5
@@ -304,7 +307,7 @@ def test_window_constants_are_reproducible(pend64):
 
 def test_gradient_fed_flows_contract_inside_the_window(pend64):
     model, env = pend64["model"], pend64["env"]
-    win = regular_window(2.0, 1.0, model, env)
+    win = regular_window(pend64["kernel"], 1.0)
     rep = contraction_check(win, model, env)
     assert rep.passed and rep.lipschitz <= 0.5
     assert rep.lipschitz == pytest.approx(0.0041605, abs=1e-5)
@@ -314,15 +317,16 @@ def test_gradient_fed_flows_contract_inside_the_window(pend64):
 def test_two_sided_smoothing_earns_all_five_certificates(pend64):
     model, env, grid = pend64["model"], pend64["env"], pend64["grid"]
     kern, c, w, mask = (pend64[k] for k in ("kernel", "c", "w", "mask"))
-    win = regular_window(2.0, 1.0, model, env)
+    win = regular_window(kern, 1.0)
     fine = refold_kernel(build_kernel(model, env, grid, dt=win.t0,
                                       theta=kern.theta), c)
     v_strict = build_strict_strictly_convex(w, kern, 0.125, 6)
-    bound = max(win.a_const, kernel_semiconcavity(fine, win.t0))
     w_eps, rep = bernard_regularize(v_strict, fine, win.t0, win.t0,
                                     mask=mask.mask, d0=0.1, strict_input=True,
-                                    curvature_bound=bound,
-                                    r_kappa=lipschitz_radius(kappa(model, c, env), model))
+                                    window=win)
+    # the smoothing derives its own bounds from the window and the kernel
+    assert rep.curvature_bound == max(win.a_const, kernel_semiconcavity(fine, win.t0))
+    assert rep.sup_bound == 2 * win.t0 * kern.speed_radius
     assert rep.passed
     assert rep.subsolution_ok and rep.curvature_ok and rep.sup_ok
     assert rep.mask_ok and rep.strict_ok
@@ -335,13 +339,11 @@ def test_two_sided_smoothing_earns_all_five_certificates(pend64):
 def test_smoothing_an_uncertified_input_warns_and_still_certifies(pend64):
     model, env, grid = pend64["model"], pend64["env"], pend64["grid"]
     kern, c, w, mask = (pend64[k] for k in ("kernel", "c", "w", "mask"))
-    win = regular_window(2.0, 1.0, model, env)
+    win = regular_window(kern, 1.0)
     fine = refold_kernel(build_kernel(model, env, grid, dt=win.t0,
                                       theta=kern.theta), c)
-    bound = max(win.a_const, kernel_semiconcavity(fine, win.t0))
     _, rep = bernard_regularize(w, fine, win.t0, win.t0, mask=mask.mask, d0=0.1,
-                                strict_input=False, curvature_bound=bound,
-                                r_kappa=lipschitz_radius(kappa(model, c, env), model))
+                                strict_input=False, window=win)
     assert len(rep.warnings) == 1  # input strictness not certified
     assert rep.passed == (rep.subsolution_ok and rep.sup_ok and rep.curvature_ok
                           and rep.mask_ok and rep.strict_ok)
