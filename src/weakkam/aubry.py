@@ -148,7 +148,6 @@ class AubryMask:
     """
 
     grid: GridSpec
-    a: float
     eps: float
     mask: np.ndarray = field(repr=False)
     residual: np.ndarray = field(repr=False)
@@ -204,7 +203,7 @@ def detect_aubry(w: GridFn, kernel: ActionKernel, t_max: float,
         eps = default_eps(w.values)
     thresholds = {lab: res_max <= (eps * fac)
                   for lab, fac in (("half", 0.5), ("one", 1.0), ("two", 2.0))}
-    return AubryMask(grid=w.grid, a=kernel.shift, eps=float(eps), mask=thresholds["one"],
+    return AubryMask(grid=w.grid, eps=float(eps), mask=thresholds["one"],
                      residual=res_max, test_times=tail, thresholds=thresholds, warnings=warns)
 
 

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .env import EnvSpec, sample_realization
-from .errors import ConfigError
+from .errors import ConfigError, LadderError
 from .grid import GridSpec
 from .hamiltonian import (eikonal_model, mechanical_model, nonstrict_model,
                           tilted_mechanical_model)
+from .subsol import dyadic_fill_times
 
 __all__ = [
     "MODELS",
@@ -270,7 +271,12 @@ def _validate(cfg: RunConfig) -> None:
     d0 = cfg.get("tolerances", "d0")
     if d0 < 0:
         raise ConfigError(f"[tolerances] d0 must be nonnegative, got {d0}")
+    try:    # the strict builders' fill times depend only on dt, tau and m_terms
+        dyadic_fill_times(dt, cfg.get("tolerances", "tau"), cfg.get("tolerances", "m_terms"))
+    except (ConfigError, LadderError) as exc:
+        raise ConfigError(f"[tolerances] tau: {exc}") from exc
     _validate_torus_field(cfg)
+    _validate_field_bound(cfg)
 
 
 # where a field that the unit torus cannot carry runs instead
@@ -303,6 +309,23 @@ def _validate_torus_field(cfg: RunConfig) -> None:
         raise ConfigError("[environment] kind = poisson_bumps is not periodic on the unit torus: "
                           "its bumps (intensity, bump_radius, coverage) are not repeated across "
                           f"the seam{_ELSEWHERE}")
+
+
+def _validate_field_bound(cfg: RunConfig) -> None:
+    """Refuse a declared [hamiltonian] field_bound below the largest |V| the
+    run samples: the kernel reads V at the edge midpoints, which with the
+    nodes make up the half-spacing lattice.  The models take the bound for
+    sup |V| (the eikonal offset must exceed it, and every speed radius
+    grows with it), so a field that breaks it gives no error, only wrong
+    reaches and levels.  A bound equal to the sampled sup passes."""
+    grid = build_grid(cfg)
+    half = GridSpec(dim=grid.dim, n=2 * grid.n)
+    sampled = float(np.max(np.abs(build_environment(cfg)[1].evaluate(half.points()))))
+    declared = cfg.get("hamiltonian", "field_bound")
+    if declared < sampled:
+        raise ConfigError(f"[hamiltonian] field_bound = {declared!r} is below the largest |V| = "
+                          f"{sampled!r} sampled at the nodes and edge midpoints; declare at "
+                          f"least that")
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -7,8 +7,8 @@ the cost graphs of the metric side share, and its weights are one (m, N)
 array: the rows are priced into it by the start of each edge, from V read
 off the cost graphs' parity covers, and turned in place by the stencil's
 reversal (Stencil.reversed) into rows by the edge's end; each orientation
-checks one direction of strong connectivity on a float32 hop stencil
-while it is held.  T^-_t u = min_y u(y) + h_t(y, x)
+checks one direction of strong connectivity by sweeps of a reached set
+over the finite weights while it is held.  T^-_t u = min_y u(y) + h_t(y, x)
 is t/dt backward (pull) steps of the stencil; T^+_t is t/dt pull steps of
 the same stencil with every edge turned around, the reversal identity
 T^+_t u = -(reversed T^-_t)(-u) without a second kernel.  Ladder times are
@@ -39,7 +39,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, LadderError, WeakKamError
-from .grid import _BLOCK, _SHORTLIST, GridFn, GridSpec, Stencil, _index_type, relax
+from .grid import _BLOCK, _SHORTLIST, GridFn, GridSpec, Stencil, _index_type
 from .hamiltonian import kappa, lipschitz_radius
 from .metric import _SamplePoints, lippo_scale
 
@@ -193,17 +193,23 @@ def build_kernel(model, env, grid: GridSpec, dt: float, theta: float) -> ActionK
 
 
 def _reaches_every_node(stencil: Stencil) -> bool:
-    """Whether node 0 reaches every node over the stencil's finite edges:
-    one relax on its hop stencil, cost 0 on each finite edge and +inf
-    elsewhere, both exact in float32 at half the memory, filled a block
-    of rows at a time."""
-    hops = np.empty(stencil.weights.shape, dtype=np.float32)
-    per = max(1, _BLOCK // stencil.size)
-    for a in range(0, len(hops), per):
-        finite = np.isfinite(stencil.weights[a:a + per])
-        hops[a:a + per] = np.where(finite, np.float32(0), np.float32(np.inf))
-    start = np.where(np.arange(stencil.size) == 0, 0.0, np.inf)
-    return bool(np.all(np.isfinite(relax(Stencil(stencil.grid, stencil.offsets, hops), start))))
+    """Whether node 0 reaches every node over the stencil's finite edges.
+
+    Node 0 is reached; a sweep reaches every node that a finite edge enters
+    from a reached node, and the sweeps stop when one adds no node.  A
+    sweep reads the reached set at x - k h through the stencil's gather
+    plan (+inf, not reached, past a box's edge) and np.isfinite of the
+    weights one offset block at a time, so a NaN or +-inf weight is no
+    edge.  Beyond the weights it holds O(N) vectors and one block."""
+    reached = np.arange(stencil.size) == 0
+    while not np.all(reached):
+        grown = reached.copy()
+        for rows, came in stencil._blocks(np.where(reached, 0.0, np.inf)):
+            grown |= np.any(np.isfinite(came) & np.isfinite(stencil.weights[rows]), axis=0)
+        if np.array_equal(grown, reached):
+            return False
+        reached = grown
+    return True
 
 
 def refold_kernel(kernel: ActionKernel, shift: float) -> ActionKernel:
@@ -254,13 +260,20 @@ def semigroup_orbit(u: GridFn, kernel: ActionKernel, n_steps: int) -> np.ndarray
 
 
 def lax_minus_images(u: GridFn, kernel: ActionKernel, times) -> np.ndarray:
-    """Values of T^-_t u for each t in times, in the order given.
+    """Values of T^-_t u for each t in times, in the order given, shape
+    (len(times), size).
 
-    They are read off one orbit to the largest time: the same pulls as
-    lax_minus takes, so the same bits.
+    One walk of pulls to the largest time writes each requested step's row
+    as it passes: the same pulls as lax_minus takes, so the same bits, and
+    no orbit is stored.
     """
-    steps = [kernel.steps_of(t) for t in times]
-    return semigroup_orbit(u, kernel, max(steps, default=0))[steps]
+    steps = np.array([kernel.steps_of(t) for t in times], dtype=int)
+    out = np.empty((len(steps), u.grid.size))
+    vals = u.values
+    for m in range(1, int(np.max(steps, initial=0)) + 1):
+        vals = kernel.pull(vals)
+        out[steps == m] = vals
+    return out
 
 
 def discrete_critical_value(kernel: ActionKernel) -> float:

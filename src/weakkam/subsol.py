@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, LadderError
 from .grid import GridFn, geometric_mix, lattice_points
-from .semigroup import ActionKernel, lax_minus_images, semigroup_orbit
+from .semigroup import ActionKernel, _whole_steps, lax_minus_images, semigroup_orbit
 
 __all__ = [
     "StrictnessCertificate",
@@ -63,7 +63,6 @@ class StrictnessCertificate:
     inside the certified region.
     """
 
-    a: float
     d0: float
     delta: float
     worst_index: int
@@ -88,24 +87,24 @@ def check_strict(v: GridFn, kernel: ActionKernel, mask: np.ndarray,
             f"no cells at distance >= d0={d0} from the mask; shrink d0")
     grads = v.central_gradient()
     pts = grid.points()
-    a = kernel.shift
     h_vals = np.asarray(kernel.model.eval_H(pts[region], grads[region], kernel.env), dtype=float)
     worst_local = int(np.argmax(h_vals))
     worst = int(np.nonzero(region)[0][worst_local])
-    delta = float(a - h_vals[worst_local])
+    delta = float(kernel.shift - h_vals[worst_local])
     return StrictnessCertificate(
-        a=a, d0=d0, delta=delta, worst_index=worst, worst_point=pts[worst],
+        d0=d0, delta=delta, worst_index=worst, worst_point=pts[worst],
         n_region=int(region.sum()), passed=bool(delta > 0.0))
 
 
 # -- builders --------------------------------------------------------------
 
 
-def dyadic_fill_times(kernel: ActionKernel, tau: float, m_terms: int) -> list:
+def dyadic_fill_times(dt: float, tau: float, m_terms: int) -> list:
     """First m_terms dyadic fractions of (0, tau) in binary-reflected order.
 
-    Every time must land on the kernel ladder, which holds whenever tau is
-    dt times a power of two exceeding m_terms.
+    Every time must land on the ladder of step dt, which holds whenever tau
+    is dt times a power of two exceeding m_terms.  The rule reads nothing
+    but dt, tau and m_terms, so the config validator applies it up front.
     """
     if tau <= 0:
         raise ConfigError("tau must be positive")
@@ -121,7 +120,7 @@ def dyadic_fill_times(kernel: ActionKernel, tau: float, m_terms: int) -> list:
             j >>= 1
         t = tau * q
         try:
-            kernel.steps_of(t)
+            _whole_steps(t, dt)
         except LadderError as exc:
             raise LadderError(
                 f"fill time {t:g} (term {i} of tau={tau:g}) is off the ladder; "
@@ -150,7 +149,7 @@ def build_strict_strictly_convex(w: GridFn, kernel: ActionKernel,
         raise ConfigError(
             f"model {kernel.model.name} is not strictly convex in p; "
             f"use build_strict_convex (time sup-convolution) instead")
-    times = dyadic_fill_times(kernel, tau, m_terms)
+    times = dyadic_fill_times(kernel.dt, tau, m_terms)
     return geometric_mix(w.grid, lax_minus_images(w, kernel, times))
 
 
@@ -190,7 +189,7 @@ def build_strict_convex(w: GridFn, kernel: ActionKernel, delta: float, tau: floa
     """
     if delta <= 0:
         raise ConfigError("delta must be positive: delta=0 degenerates the penalty")
-    times = dyadic_fill_times(kernel, tau, m_terms)
+    times = dyadic_fill_times(kernel.dt, tau, m_terms)
     n_steps = int(np.ceil((tau + 4.0 * delta * kernel.speed_radius) / kernel.dt - 1e-9))
     orbit = semigroup_orbit(w, kernel, n_steps)
     return geometric_mix(w.grid, [sup_convolution_time(w, kernel, delta, t, orbit)[0].values

@@ -13,7 +13,8 @@ the CSV reader that only they and the tests need, the textbook
 per-offset stencil formulas (one shifted copy of the data per offset) that
 the stencil's gather plan is checked against, the replay of a walk
 from the in-edges it records, the one-step kernel built one offset at
-a time, and the product over a batch's whole cosine table as one
+a time, its connectivity verdict by a relax on a float32 hop stencil,
+and the product over a batch's whole cosine table as one
 single-threaded BLAS call rounds it.
 """
 
@@ -194,13 +195,24 @@ def reversed_by_rolls(stencil) -> tuple:
     return -stencil.offsets, turned
 
 
+def hop_reaches_every_node(stencil: Stencil) -> bool:
+    """Whether node 0 reaches every node over the stencil's finite edges:
+    one relax from node 0 on its float32 hop stencil, cost 0 on each
+    finite edge and +inf on a NaN, -inf or +inf one."""
+    hops = Stencil(stencil.grid, stencil.offsets,
+                   np.where(np.isfinite(stencil.weights), np.float32(0), np.float32(np.inf)))
+    start = np.where(np.arange(stencil.size) == 0, 0.0, np.inf)
+    return bool(np.all(np.isfinite(relax(hops, start))))
+
+
 def per_offset_kernel(model, env, grid, dt: float, theta: float, shift: float) -> tuple:
     """(offsets, weights) of the one-step kernel, one offset at a time:
     each offset's edge midpoints formed and wrapped, V evaluated on them,
     L priced by the start of each edge, the rows stacked into a second
     array, turned by Stencil.reversed into a third, and the connectivity
-    checked by two relaxes on a float32 hop stencil, the second on its
-    reversal.  Raises the ConfigError that build_kernel raises."""
+    checked by two relaxes on a float32 hop stencil (hop_reaches_every_node),
+    the second on its reversal.  Raises the ConfigError that build_kernel
+    raises."""
     radius_one = dt * lipschitz_radius(theta, model) + 2.0 * grid.h
     pts = grid.points()
     kept, rows = [], []
@@ -222,9 +234,8 @@ def per_offset_kernel(model, env, grid, dt: float, theta: float, shift: float) -
     keep = sorted(last.values())
     offsets, weights = kept[keep], weights[keep]
     weights = Stencil(grid, -offsets, weights).reversed().weights    # by end node
-    hops = Stencil(grid, offsets, np.where(np.isfinite(weights), np.float32(0), np.float32(np.inf)))
-    start = np.where(np.arange(grid.size) == 0, 0.0, np.inf)
-    if not all(np.all(np.isfinite(relax(steps, start))) for steps in (hops, hops.reversed())):
+    kernel = Stencil(grid, offsets, weights)
+    if not (hop_reaches_every_node(kernel) and hop_reaches_every_node(kernel.reversed())):
         fastest = float(np.max(np.linalg.norm(offsets, axis=1), initial=0.0)) * grid.h / dt
         raise ConfigError(
             f"the one-step kernel graph is not strongly connected: a one-cell move "

@@ -272,6 +272,27 @@ def test_a_field_with_a_seam_on_the_unit_torus_exits_two(tmp_path, capsys):
     assert "growing boxes" in err and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,text,needle", [
+    ("strict", "[grid]\nn = 64\n\n[tolerances]\ntau = 0.1\n",
+     "[tolerances] tau: fill time 0.05 (term 1 of tau=0.1) is off the ladder"),
+    ("critical", "[environment]\namplitudes = 3.0\n\n[hamiltonian]\nmodel = eikonal\n\n"
+     "[grid]\nn = 64\n", "[hamiltonian] field_bound = 1.0 is below the largest |V| = 3.0"),
+], ids=["tau_off_the_ladder", "field_bound_broken"])
+def test_a_config_the_run_cannot_honour_exits_two_before_any_work(command, text, needle,
+                                                                   tmp_path, capsys):
+    """An off-ladder tau would refuse only after the level, kernel, library
+    and mask; a field that breaks its declared bound would run on and give
+    a wrong level.  Both are refused up front, naming the key."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    argv = [command, str(cfg), "--outdir", str(tmp_path / "o")]
+    rc = main(argv + ["--compute-c"] if command == "strict" else argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "configuration error" in err and needle in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_more_seeds_than_nodes_is_refused(tmp_path, capsys):
     # 1000 seeds on a 64-node axis would put seeds off the grid
     cfg = tmp_path / "seeds.cfg"
@@ -480,6 +501,10 @@ def test_reversal_row_reads_the_reversed_kernel(tmp_path, capsys, monkeypatch):
     assert float(row["detail"].removeprefix("gap=")) == pytest.approx(0.171875, abs=1e-12)
 
 
+# n=8 at dt=1/4, with the strict builders' window tau = 8 dt on the ladder
+HALF_PERIOD_GRID = "n = 8\n\n[ladder]\ndt = 0.25\n\n[tolerances]\ntau = 2.0"
+
+
 def test_reversal_row_matches_half_period_moves_mod_n(tmp_path, capsys):
     """At n=8 and dt=1/4 the one-step reach wraps half the torus: the kernel
     keeps the move +4 and the reversed kernel, turned around, the move -4.
@@ -487,7 +512,7 @@ def test_reversal_row_matches_half_period_moves_mod_n(tmp_path, capsys):
     cfg = tmp_path / "flat8.cfg"
     cfg.write_text(TILTED_TEXT.replace("tilted_mechanical", "mechanical")
                    .replace("amplitudes = 1.0", "amplitudes = 0.0")
-                   .replace("n = 64", "n = 8\n\n[ladder]\ndt = 0.25"))
+                   .replace("n = 64", HALF_PERIOD_GRID))
     main(["verify", str(cfg), "--outdir", str(tmp_path / "out"), "--json"])
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks["reversal_transposes_kernel"] == {"status": "PASS", "detail": "gap=0.0"}
@@ -500,7 +525,7 @@ def test_half_period_moves_keep_the_cheaper_price(model, tmp_path, capsys):
     the cheaper one, so on the cosine field the reversal still transposes."""
     cfg = tmp_path / "half.cfg"
     cfg.write_text(TILTED_TEXT.replace("tilted_mechanical", model)
-                   .replace("n = 64", "n = 8\n\n[ladder]\ndt = 0.25"))
+                   .replace("n = 64", HALF_PERIOD_GRID))
     main(["verify", str(cfg), "--outdir", str(tmp_path / "out"), "--json"])
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert checks["reversal_transposes_kernel"] == {"status": "PASS", "detail": "gap=0.0"}

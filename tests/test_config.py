@@ -76,10 +76,34 @@ def test_unknown_section_and_key_are_rejected_with_source():
     ("[environment]\nkind = random_fourier\nperiod = 16\n", r"period = 16\.0 \(1/period = 0\.0625\)"),
     ("[environment]\nkind = random_fourier\nperiod = 0\n", r"1/period = inf"),
     ("[environment]\nkind = poisson_bumps\n", "poisson_bumps is not periodic"),
+    # the strict builders' fill times of (0, tau) must be whole dt steps
+    ("[tolerances]\ntau = 0.1\n",
+     r"\[tolerances\] tau: fill time 0\.05 \(term 1 of tau=0\.1\) is off the ladder"),
+    ("[tolerances]\ntau = 0.0625\nm_terms = 6\n",
+     r"\[tolerances\] tau: fill time 0\.0078125 \(term 4 of tau=0\.0625\) is off the ladder"),
+    ("[tolerances]\nm_terms = 8\n",
+     r"\[tolerances\] tau: .* choose tau = dt \* 2\^K with 2\^K > m_terms"),
+    ("[tolerances]\ntau = -0.125\n", r"\[tolerances\] tau: tau must be positive"),
+    # the declared sup |V| must hold at the nodes and edge midpoints
+    ("[environment]\namplitudes = 3.0\n[hamiltonian]\nmodel = eikonal\n",
+     r"\[hamiltonian\] field_bound = 1\.0 is below the largest \|V\| = 3\.0 sampled"),
+    ("[environment]\namplitudes = 1.5\n[hamiltonian]\nmodel = mechanical\n",
+     r"\[hamiltonian\] field_bound = 1\.0 is below the largest \|V\| = 1\.5 sampled"),
 ])
 def test_validation_rejects_bad_values(snippet, needle):
     with pytest.raises(ConfigError, match=needle):
         parse_config_text(snippet)
+
+
+@pytest.mark.parametrize("snippet", [
+    "[tolerances]\ntau = 0.125\nm_terms = 7\n",    # 8 dt: 2^3 > 7 fill times
+    "[ladder]\ndt = 0.03125\n[tolerances]\ntau = 0.5\nm_terms = 15\n",
+    "[environment]\namplitudes = 3.0\n[hamiltonian]\nmodel = eikonal\n"
+    "field_bound = 3.0\noffset = 4.0\n",    # the bound equals the sampled sup
+    "[environment]\namplitudes = 0.5\n[hamiltonian]\nfield_bound = 0.5\n",
+])
+def test_the_ladder_and_field_bound_rules_accept_their_edge_cases(snippet):
+    parse_config_text(snippet)
 
 
 # every key that holds numbers: float and float-list keys, and the str keys
@@ -159,15 +183,16 @@ def test_every_field_the_validator_accepts_is_periodic_on_the_unit_torus():
     """The CLI evaluates V at points wrapped to the unit torus, so an
     accepted field must agree at x and x + e_i on the seam x_i = 0, to
     rounding, on sampled seam points of each axis.  Every candidate of
-    each kind and dimension is tried; each kind but poisson_bumps has an
-    accepted one, and a refusal names its kind."""
+    each kind and dimension is tried, under a field bound that holds for
+    all of them; each kind but poisson_bumps has an accepted one, and a
+    refusal names its kind."""
     rng = np.random.default_rng(0)
     accepted = set()
     for dim in (1, 2):
         for kind, extras in TORUS_CANDIDATES.items():
             for extra in extras:
                 text = (f"[environment]\nkind = {kind}\ndimension = {dim}\nseed = 3\n{extra}"
-                        f"[grid]\ndim = {dim}\nn = 64\n")
+                        f"[hamiltonian]\nfield_bound = 2.0\n[grid]\ndim = {dim}\nn = 64\n")
                 try:
                     cfg = parse_config_text(text)
                 except ConfigError as exc:

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import SMALL_OBJECTS, peak_bytes, walk_table
-from oracles import (check_time_dependent_solution, minimizing_chain, per_offset_kernel,
-                     replayed_walk, rolled)
+from oracles import (check_time_dependent_solution, hop_reaches_every_node, minimizing_chain,
+                     per_offset_kernel, replayed_walk, rolled)
 
 import weakkam as wk
 from weakkam import grid as grid_module
@@ -531,24 +531,75 @@ def test_kernel_build_matches_the_per_offset_oracle(dim, n, kind):
         assert np.array_equal(kern.weights.view(np.int64), weights.view(np.int64)), name
 
 
-def test_kernel_build_holds_one_weight_array_and_one_hop_stencil():
-    """Peak memory of build_kernel on a 2D n=64 torus (241 offsets), a
-    priori: its one float64 weight array, priced and turned in place; one
-    float32 hop stencil of the connectivity check at a time; and four
-    arrays of _BLOCK float64 entries, room for a pull's candidate block,
-    its padded vector and float32 cast buffer, and the gather plan's index
-    arrays while it is built.  Stacking the rows into a second array, or
-    turning them into a fresh one, holds a second weight array."""
+def _cosine2d_n64() -> tuple:
+    """(model, env, grid, theta) of the kernel on a 2D n=64 torus under the
+    unit cosine well, 241 offsets at dt = 1/64."""
     spec = wk.EnvSpec(kind="periodic", dimension=2, seed=0, params={})
     env = wk.sample_realization(spec, 0)
     model = mechanical_model(dim=2)
-    grid = GridSpec(dim=2, n=64)
-    theta = kappa(model, 1.0, env) + 1.0
+    return model, env, GridSpec(dim=2, n=64), kappa(model, 1.0, env) + 1.0
+
+
+def test_kernel_build_holds_one_weight_array():
+    """Peak memory of build_kernel on a 2D n=64 torus (241 offsets), a
+    priori: its one float64 weight array, priced and turned in place, and
+    four arrays of _BLOCK float64 entries, room for a pull's candidate
+    block with its finiteness masks, the padded reached set, and the
+    gather plan's index arrays while it is built.  Stacking the rows into
+    a second array, turning them into a fresh one, or copying their
+    finiteness into a hop table of the connectivity check holds a second
+    (m, N) array."""
+    model, env, grid, theta = _cosine2d_n64()
     kern = build_kernel(model, env, grid, 1.0 / 64.0, theta)
     assert len(kern.offsets) == 241
-    budget = kern.weights.nbytes + 4 * kern.weights.size + 4 * 8 * _BLOCK + SMALL_OBJECTS
+    budget = kern.weights.nbytes + 4 * 8 * _BLOCK + SMALL_OBJECTS
+    assert budget < kern.weights.nbytes + 4 * kern.weights.size    # a float32 hop table
     del kern
     assert peak_bytes(build_kernel, model, env, grid, 1.0 / 64.0, theta) <= budget
+
+
+def test_ladder_images_hold_no_orbit():
+    """Peak memory of lax_minus_images over the 9 ladder times to t = 4 on
+    a 2D n=64 torus, a priori: the (9, N) images and, per step, the
+    pulled vector with its predecessor and a pull's padded vector, two
+    minima and one candidate block of _BLOCK entries.  The kernel's gather
+    plan, built on its first pull and kept, is not counted.  The 257-row
+    orbit to the largest time holds more than all of it."""
+    model, env, grid, theta = _cosine2d_n64()
+    kern = build_kernel(model, env, grid, 1.0 / 64.0, theta)
+    u = GridFn(grid, np.random.default_rng(5).standard_normal(grid.size))
+    kern.pull(u.values)
+    times = kern.ladder(4.0)
+    assert len(times) == 9 and kern.steps_of(times[-1]) == 256
+    padded = (grid.n + 2 * int(np.max(np.abs(kern.offsets)))) ** grid.dim
+    budget = 8 * ((len(times) + 4) * grid.size + padded + _BLOCK) + SMALL_OBJECTS
+    assert budget < 257 * 8 * grid.size
+    assert peak_bytes(lax_minus_images, u, kern, times) <= budget
+
+
+@pytest.mark.parametrize("lattice", [GridSpec(dim=1, n=16), GridSpec(dim=2, n=8),
+                                     BoxSpec(dim=1, radius=0.5, points_per_unit=8),
+                                     BoxSpec(dim=2, radius=0.25, points_per_unit=8)],
+                         ids=["torus1d", "torus2d", "box1d", "box2d"])
+def test_connectivity_verdict_matches_the_hop_relax(lattice):
+    """On stencils whose weights are finite, NaN, -inf or +inf in random
+    places, sparse and dense, both orientations of the reached-set sweep
+    give the verdict of one relax on the float32 hop stencil, the oracle's
+    route: only a finite weight is an edge, and on a box no edge leaves
+    the lattice.  Both verdicts occur."""
+    rng = np.random.default_rng(7)
+    offsets = lattice.offsets_within(2.5 * lattice.h, include_zero=True)
+    verdicts = set()
+    for trial in range(40):
+        weights = rng.standard_normal((len(offsets), lattice.size))
+        cut = rng.random(weights.shape) < (trial % 10) / 10.0
+        weights[cut] = rng.choice([np.nan, -np.inf, np.inf], size=int(cut.sum()))
+        stencil = Stencil(lattice, offsets, weights)
+        for s in (stencil, stencil.reversed()):
+            verdict = semigroup_module._reaches_every_node(s)
+            assert verdict == hop_reaches_every_node(s)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def _one_way_ring(cut: int) -> Stencil:

@@ -39,7 +39,7 @@ def nonstrict64():
 def test_dyadic_fill_times_in_bit_reversed_order(pend64):
     kern = pend64["raw_kernel"]
     tau = 0.125
-    times = dyadic_fill_times(kern, tau, 6)
+    times = dyadic_fill_times(kern.dt, tau, 6)
     fractions = [1 / 2, 1 / 4, 3 / 4, 1 / 8, 5 / 8, 3 / 8]
     assert times == [tau * q for q in fractions]
 
@@ -47,11 +47,11 @@ def test_dyadic_fill_times_in_bit_reversed_order(pend64):
 def test_fill_times_rejections(pend64):
     kern = pend64["raw_kernel"]
     with pytest.raises(LadderError, match="tau = dt \\* 2\\^K"):
-        dyadic_fill_times(kern, 3 * kern.dt, 2)
+        dyadic_fill_times(kern.dt, 3 * kern.dt, 2)
     with pytest.raises(ConfigError):
-        dyadic_fill_times(kern, 0.0, 2)
+        dyadic_fill_times(kern.dt, 0.0, 2)
     with pytest.raises(ConfigError, match="m_terms"):    # an empty mix is the zero function
-        dyadic_fill_times(kern, 0.125, 0)
+        dyadic_fill_times(kern.dt, 0.125, 0)
 
 
 def test_truncation_budget_is_range_times_two_to_minus_m():
